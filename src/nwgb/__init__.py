@@ -19,18 +19,14 @@ from .permutations import (
     rothe_diagram,
 )
 from .polynomials import (
-    ANTIDIAGONAL,
     AUX,
-    ELIMINATION,
     Antidiagonal,
     Cell,
     Monomial,
     Polynomial,
-    TermOrder,
     antidiagonal_of,
     compare,
     determinant,
-    leading_term,
     monomial_from_json,
     monomial_to_json,
     polynomial_from_json,

@@ -9,40 +9,17 @@ so JSON output stays parseable.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
-from .groebner import (
-    buchberger,
-    ideals_equal,
-    intersect_many,
-    is_groebner,
-    normal_form,
-)
+from .groebner import buchberger, ideals_equal, is_groebner
 from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
-from .polynomials import ANTIDIAGONAL, polynomial_text, polynomial_to_json
+from .polynomials import polynomial_text, polynomial_to_json
 from .union import union_basis
-from .verify import SUITES, ideal_of, run_suite
+from .verify import SUITES, membership_failures, oracle_intersection, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from the parsed flags."""
-
-    command: str
-    paths: list[str] = field(default_factory=list)
-    fmt: str = "text"
-    verify_depth: str = "none"
-    seed: int = 0
-    max_oracle_n: int = 5
-    out: str | None = None
-    cases: int | None = None
-    suite: str = ""
-    permutation: str = ""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="none",
         help="check the emitted basis against the oracle",
     )
-    p_union.add_argument("--seed", type=int, default=0)
     p_union.add_argument(
         "--max-oracle-n",
         type=int,
@@ -95,40 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    paths = list(getattr(args, "specs", []) or [])
-    if getattr(args, "spec", None):
-        paths = [args.spec]
-    return RunConfig(
-        command=args.command,
-        paths=paths,
-        fmt=args.format,
-        verify_depth=getattr(args, "verify", "none"),
-        seed=getattr(args, "seed", 0),
-        max_oracle_n=getattr(args, "max_oracle_n", 5),
-        out=args.out,
-        cases=getattr(args, "cases", None),
-        suite=getattr(args, "suite", ""),
-        permutation=getattr(args, "permutation", ""),
-    )
-
-
-def _emit(text: str, cfg: RunConfig):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+def _emit(text: str, args: argparse.Namespace):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_diagram(cfg: RunConfig) -> int:
-    try:
-        p = parse_one_line(cfg.permutation)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cfg.fmt == "json":
-        _emit(json.dumps(diagram_json(p), indent=2) + "\n", cfg)
+def _cmd_diagram(args: argparse.Namespace) -> int:
+    p = parse_one_line(args.permutation)
+    if args.format == "json":
+        _emit(json.dumps(diagram_json(p), indent=2) + "\n", args)
         return EXIT_OK
     lines = [diagram_ascii(p), ""]
     essentials = sorted(essential_set(p))
@@ -142,18 +96,14 @@ def _cmd_diagram(cfg: RunConfig) -> int:
     lines.append("rank matrix:")
     for row in rank_matrix(p).entries:
         lines.append(" ".join(str(v) for v in row))
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
-def _cmd_fulton(cfg: RunConfig) -> int:
-    try:
-        spec = load_spec(cfg.paths[0])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_fulton(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
     gens = fulton_generators(spec)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "spec": spec_to_json(spec),
             "generators": [
@@ -165,110 +115,98 @@ def _cmd_fulton(cfg: RunConfig) -> int:
                         "j": g.source.col,
                         "r": g.source.max_rank,
                     },
-                    "poly": polynomial_to_json(g.poly, ANTIDIAGONAL),
+                    "poly": polynomial_to_json(g.poly),
                 }
                 for g in gens
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
-        _emit("".join(polynomial_text(g.poly, ANTIDIAGONAL) + "\n" for g in gens), cfg)
+        _emit("".join(polynomial_text(g.poly) + "\n" for g in gens), args)
     return EXIT_OK
 
 
-def _cmd_groebner(cfg: RunConfig) -> int:
-    try:
-        spec = load_spec(cfg.paths[0])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    basis = buchberger(generator_polynomials(spec), ANTIDIAGONAL)
-    if cfg.fmt == "json":
-        payload = [polynomial_to_json(f, ANTIDIAGONAL) for f in basis]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
+def _cmd_groebner(args: argparse.Namespace) -> int:
+    basis = buchberger(generator_polynomials(load_spec(args.spec)))
+    if args.format == "json":
+        payload = [polynomial_to_json(f) for f in basis]
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
-        _emit("".join(polynomial_text(f, ANTIDIAGONAL) + "\n" for f in basis), cfg)
+        _emit("".join(polynomial_text(f) + "\n" for f in basis), args)
     return EXIT_OK
 
 
-def _cmd_union(cfg: RunConfig) -> int:
-    try:
-        specs = [load_spec(path) for path in cfg.paths]
-        basis = union_basis(specs)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_union(args: argparse.Namespace) -> int:
+    specs = [load_spec(path) for path in args.specs]
+    basis = union_basis(specs)
     ambient = specs[0].ambient_n
-    if cfg.verify_depth == "full-oracle" and ambient > cfg.max_oracle_n:
+    if args.verify == "full-oracle" and ambient > args.max_oracle_n:
         print(
             f"error: ambient {ambient} exceeds the full-oracle guard "
-            f"(--max-oracle-n={cfg.max_oracle_n})",
+            f"(--max-oracle-n={args.max_oracle_n})",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if cfg.fmt == "json":
-        _emit(json.dumps([g.to_json() for g in basis], indent=2) + "\n", cfg)
+    if args.format == "json":
+        _emit(json.dumps([g.to_json() for g in basis], indent=2) + "\n", args)
     else:
-        _emit("".join(polynomial_text(g.poly, ANTIDIAGONAL) + "\n" for g in basis), cfg)
-    if cfg.verify_depth == "none":
+        _emit("".join(polynomial_text(g.poly) + "\n" for g in basis), args)
+    if args.verify == "none":
         return EXIT_OK
 
-    failures = []
     polys = [g.poly for g in basis]
-    for spec in specs:
-        gb = buchberger(generator_polynomials(spec), ANTIDIAGONAL)
-        for g in basis:
-            if not normal_form(g.poly, gb, ANTIDIAGONAL).is_zero():
-                failures.append(
-                    f"{polynomial_text(g.poly)} is not in the ideal of {spec.label or 'spec'}"
-                )
+    failures = membership_failures(polys, specs)
     print(
         f"membership: {len(basis) * len(specs)} checks, {len(failures)} failures",
         file=sys.stderr,
     )
-    if cfg.verify_depth == "full-oracle":
-        groebner_ok = is_groebner(polys, ANTIDIAGONAL)
+    ok = not failures
+    if args.verify == "full-oracle":
+        groebner_ok = is_groebner(polys)
         print(
             f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr
         )
-        if not groebner_ok:
-            failures.append("basis fails the Buchberger criterion")
-        meet = intersect_many([ideal_of(s) for s in specs])
-        equal_ok = ideals_equal(polys, meet, ANTIDIAGONAL)
+        equal_ok = ideals_equal(polys, oracle_intersection(specs))
         print(
             f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
             file=sys.stderr,
         )
-        if not equal_ok:
-            failures.append("basis ideal differs from the oracle intersection")
-    return EXIT_OK if not failures else EXIT_VERIFY
+        ok = ok and groebner_ok and equal_ok
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    names = sorted(SUITES) if cfg.suite == "all" else [cfg.suite]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
     try:
-        reports = [run_suite(name, seed=cfg.seed, cases=cfg.cases) for name in names]
+        reports = [run_suite(name, seed=args.seed, cases=args.cases) for name in names]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     lines = [report.summary() for report in reports]
     for report in reports:
         lines.extend(f"  {detail}" for detail in report.failures)
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
+_HANDLERS = {
+    "diagram": _cmd_diagram,
+    "fulton": _cmd_fulton,
+    "groebner": _cmd_groebner,
+    "union": _cmd_union,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    cfg = _config(parser.parse_args(argv))
-    handlers = {
-        "diagram": _cmd_diagram,
-        "fulton": _cmd_fulton,
-        "groebner": _cmd_groebner,
-        "union": _cmd_union,
-        "verify": _cmd_verify,
-    }
-    return handlers[cfg.command](cfg)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except (OSError, ValueError) as exc:
+        # the handlers raise these only on bad input: an unreadable spec or
+        # --out path, a malformed spec or permutation, mismatched ambients
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run():

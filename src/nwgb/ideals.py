@@ -36,9 +36,6 @@ class RankCondition:
                 f"{self.row}x{self.col} region"
             )
 
-    def is_vacuous(self) -> bool:
-        return self.max_rank >= min(self.row, self.col)
-
 
 @dataclass(frozen=True)
 class RankConditionSpec:
@@ -148,12 +145,24 @@ def spec_to_json(spec: RankConditionSpec) -> dict:
     }
 
 
+def _int_field(data: Mapping, key: str, name: str) -> int:
+    if key not in data:
+        raise ValueError(f"spec field {name} is missing")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"spec field {name} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_json(data: Mapping) -> RankConditionSpec:
     """Accepts ``{"n":., "label":., "conditions":[{"i":.,"j":.,"r":.},..]}``
-    or ``{"n":., "permutation":"1 4 2 3"}`` (n optional in the second form)."""
+    or ``{"n":., "permutation":"1 4 2 3"}`` (n optional in the second form).
+    Malformed input raises ValueError naming the offending field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
     if "permutation" in data:
         p = parse_one_line(str(data["permutation"]))
-        if "n" in data and int(data["n"]) != p.n:
+        if "n" in data and _int_field(data, "n", "n") != p.n:
             raise ValueError(
                 f"declared n={data['n']} but the permutation has {p.n} entries"
             )
@@ -163,10 +172,18 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
         return spec
     if "n" not in data or "conditions" not in data:
         raise ValueError("spec needs either a permutation or n plus conditions")
-    conditions = tuple(
-        RankCondition(int(c["i"]), int(c["j"]), int(c["r"])) for c in data["conditions"]
-    )
-    return RankConditionSpec(int(data["n"]), conditions, str(data.get("label", "")))
+    if not isinstance(data["conditions"], list):
+        raise ValueError("spec field conditions must be a list")
+    conditions = []
+    for index, cond in enumerate(data["conditions"]):
+        name = f"conditions[{index}]"
+        if not isinstance(cond, Mapping):
+            raise ValueError(f"spec field {name} must be an object with i, j and r")
+        conditions.append(
+            RankCondition(*(_int_field(cond, key, f"{name}.{key}") for key in "ijr"))
+        )
+    label = str(data.get("label", ""))
+    return RankConditionSpec(_int_field(data, "n", "n"), conditions, label)
 
 
 def load_spec(path: str) -> RankConditionSpec:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 from .polynomials import Cell
 
-UNDEFINED = None
-
 
 @dataclass(frozen=True)
 class PartialPermutation:
@@ -52,15 +50,8 @@ class PartialPermutation:
                 return row
         return None
 
-    def is_honest(self) -> bool:
-        return all(value is not None for value in self.images)
-
     def one_line(self) -> str:
         return " ".join("*" if v is None else str(v) for v in self.images)
-
-    @staticmethod
-    def identity(n: int) -> "PartialPermutation":
-        return PartialPermutation(tuple(range(1, n + 1)))
 
     def __str__(self) -> str:
         return self.one_line()

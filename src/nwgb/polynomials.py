@@ -2,15 +2,17 @@
 
 Variables are the entries m[i,j] of a square matrix of indeterminates,
 identified by their (row, col) cell.  Coefficients are exact rationals, so
-polynomial equality is reliable.  The monomial order implemented here is
-the lexicographic order on the variable sequence
+polynomial equality is reliable.  There is one monomial order, the
+antidiagonal lex order on the variable sequence
 
-    m[1,n] > m[1,n-1] > ... > m[1,1] > m[2,n] > ... > m[n,1]
+    t > m[1,n] > m[1,n-1] > ... > m[1,1] > m[2,n] > ... > m[n,1]
 
-(read the matrix top to bottom, right to left within each row).  Its key
-property is that the leading term of any minor of the generic matrix is
-the product of the entries on the minor's antidiagonal; everything
-downstream relies on this.
+(read the matrix top to bottom, right to left within each row; the
+elimination variable t comes first).  Its key property is that the
+leading term of any minor of the generic matrix is the product of the
+entries on the minor's antidiagonal; everything downstream relies on
+this.  Ranking t ahead of every matrix entry also makes it an
+elimination order for t, which is what ideal intersection needs.
 """
 
 from __future__ import annotations
@@ -72,20 +74,8 @@ class Monomial:
     def degree(self) -> int:
         return sum(exp for _, exp in self.exps)
 
-    def exponent(self, cell: Cell) -> int:
-        for c, e in self.exps:
-            if c == cell:
-                return e
-        return 0
-
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(c for c, _ in self.exps)
-
     def uses(self, cell: Cell) -> bool:
         return any(c == cell for c, _ in self.exps)
-
-    def is_unit(self) -> bool:
-        return not self.exps
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
@@ -147,25 +137,7 @@ def sort_key(mono: Monomial) -> tuple:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Total multiplicative monomial order with 1 minimal.
-
-    Both kinds are the lexicographic order described in the module
-    docstring.  ELIMINATION is the block order "AUX-degree first, then the
-    matrix order", which for a single extra variable coincides with plain
-    lex once AUX is ranked ahead of every matrix entry; the separate kind
-    documents where elimination is intended.
-    """
-
-    kind: str
-
-
-ANTIDIAGONAL = TermOrder("antidiagonal-lex")
-ELIMINATION = TermOrder("eliminate-aux")
-
-
-def compare(order: TermOrder, a: Monomial, b: Monomial) -> int:
+def compare(a: Monomial, b: Monomial) -> int:
     """-1, 0 or 1 as a is smaller than, equal to or greater than b."""
     ka = sort_key(a)
     kb = sort_key(b)
@@ -258,31 +230,25 @@ class Polynomial:
             return 0
         return max(m.degree() for m in self.terms)
 
-    def variables(self) -> set[Cell]:
-        out: set[Cell] = set()
-        for m in self.terms:
-            out.update(m.cells())
-        return out
-
     def uses(self, cell: Cell) -> bool:
         return any(m.uses(cell) for m in self.terms)
 
-    def leading_term(self, order: TermOrder) -> tuple[Fraction, Monomial]:
+    def leading_term(self) -> tuple[Fraction, Monomial]:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         mono = min(self.terms, key=sort_key)
         return self.terms[mono], mono
 
-    def leading_monomial(self, order: TermOrder) -> Monomial:
-        return self.leading_term(order)[1]
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term()[1]
 
-    def monic(self, order: TermOrder) -> "Polynomial":
-        coeff, _ = self.leading_term(order)
+    def monic(self) -> "Polynomial":
+        coeff, _ = self.leading_term()
         if coeff == 1:
             return self
         return Polynomial({m: c / coeff for m, c in self.terms.items()})
 
-    def sorted_terms(self, order: TermOrder) -> list[tuple[Fraction, Monomial]]:
+    def sorted_terms(self) -> list[tuple[Fraction, Monomial]]:
         """Terms listed largest monomial first (canonical serialization order)."""
         return [(self.terms[m], m) for m in sorted(self.terms, key=sort_key)]
 
@@ -296,12 +262,7 @@ class Polynomial:
         return total
 
     def __repr__(self) -> str:
-        return polynomial_text(self, ANTIDIAGONAL)
-
-
-def leading_term(f: Polynomial, order: TermOrder) -> tuple[Fraction, Monomial]:
-    """Coefficient and monomial of the largest term of nonzero f."""
-    return f.leading_term(order)
+        return polynomial_text(self)
 
 
 @dataclass(frozen=True)
@@ -416,12 +377,12 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-def polynomial_text(f: Polynomial, order: TermOrder = ANTIDIAGONAL) -> str:
+def polynomial_text(f: Polynomial) -> str:
     """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``."""
     if f.is_zero():
         return "0"
     rendered = []
-    for coeff, mono in f.sorted_terms(order):
+    for coeff, mono in f.sorted_terms():
         body = monomial_text(mono)
         rendered.append(f"{coeff}*{body}" if body else f"{coeff}")
     return " + ".join(rendered)
@@ -435,10 +396,10 @@ def monomial_from_json(data: Iterable[Sequence[int]]) -> Monomial:
     return Monomial.make([(Cell(int(r), int(c)), int(e)) for r, c, e in data])
 
 
-def polynomial_to_json(f: Polynomial, order: TermOrder = ANTIDIAGONAL) -> list[dict]:
+def polynomial_to_json(f: Polynomial) -> list[dict]:
     return [
         {"coeff": str(coeff), "monomial": monomial_to_json(mono)}
-        for coeff, mono in f.sorted_terms(order)
+        for coeff, mono in f.sorted_terms()
     ]
 
 

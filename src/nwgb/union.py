@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .ideals import RankConditionSpec, antidiagonals_of_spec
 from .polynomials import (
-    ANTIDIAGONAL,
     Antidiagonal,
     Cell,
     Polynomial,
@@ -206,11 +205,11 @@ class GeneratorProduct:
                 {"rows": list(sorted(f.rows())), "cols": list(f.cols())}
                 for f in self.factors
             ],
-            "poly": polynomial_to_json(self.poly, ANTIDIAGONAL),
+            "poly": polynomial_to_json(self.poly),
         }
 
     def __repr__(self) -> str:
-        return polynomial_text(self.poly, ANTIDIAGONAL)
+        return polynomial_text(self.poly)
 
 
 def generator_product(antidiags: Sequence[Antidiagonal]) -> GeneratorProduct:

@@ -4,6 +4,10 @@ tests.
 Each suite draws its cases from a deterministic RNG, runs an oracle-backed
 check per case and reports per-property counts.  All randomness flows from
 the single seed argument, so reports are reproducible byte for byte.
+
+The union checks (membership of every emitted generator in every input
+ideal, and the oracle intersection the basis is compared against) live
+here once and back both the suites and ``nwgb union --verify``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
+from typing import Sequence
 
 from .ideals import (
     RankCondition,
@@ -24,20 +29,20 @@ from .groebner import (
     buchberger,
     ideals_equal,
     initial_ideal,
-    intersect,
     intersect_many,
     is_groebner,
     normal_form,
 )
 from .permutations import PartialPermutation
 from .polynomials import (
-    ANTIDIAGONAL,
     Antidiagonal,
     Cell,
     Monomial,
     compare,
     MONOMIAL_ONE,
+    Polynomial,
     determinant,
+    polynomial_text,
 )
 from .union import generator_product, union_basis
 
@@ -70,7 +75,29 @@ def honest_permutations(n: int) -> list[PartialPermutation]:
 
 
 def ideal_of(spec: RankConditionSpec) -> IdealPresentation:
-    return IdealPresentation(tuple(generator_polynomials(spec)), ANTIDIAGONAL)
+    return IdealPresentation(tuple(generator_polynomials(spec)))
+
+
+def membership_failures(
+    basis: Sequence[Polynomial], specs: Sequence[RankConditionSpec]
+) -> list[str]:
+    """One message per (spec, generator) pair where the generator does not
+    reduce to zero against the reduced basis of the spec's ideal."""
+    failures = []
+    for spec in specs:
+        gb = buchberger(generator_polynomials(spec))
+        for f in basis:
+            if not normal_form(f, gb).is_zero():
+                failures.append(
+                    f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
+                )
+    return failures
+
+
+def oracle_intersection(specs: Sequence[RankConditionSpec]) -> list[Polynomial]:
+    """Reduced Groebner basis of the intersection of the specs' ideals,
+    computed by elimination, independently of the union construction."""
+    return intersect_many([ideal_of(s) for s in specs])
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +105,7 @@ def _condition_basis(row: int, col: int, max_rank: int, ambient: int):
     """Reduced basis of the single-condition determinantal ideal (cached,
     the gluing suite revisits the same few conditions many times)."""
     spec = RankConditionSpec(ambient, (RankCondition(row, col, max_rank),))
-    return tuple(buchberger(generator_polynomials(spec), ANTIDIAGONAL))
+    return tuple(buchberger(generator_polynomials(spec)))
 
 
 def _random_monomial(rng: random.Random, n: int, max_vars: int = 4, max_exp: int = 3) -> Monomial:
@@ -114,16 +141,16 @@ def suite_order_axioms(seed: int = 0, cases: int = 200) -> SuiteReport:
         b = _random_monomial(rng, 5)
         c = _random_monomial(rng, 5)
         p = _random_monomial(rng, 5)
-        ab = compare(ANTIDIAGONAL, a, b)
+        ab = compare(a, b)
         ok = (
-            ab == -compare(ANTIDIAGONAL, b, a)
-            and compare(ANTIDIAGONAL, a, a) == 0
+            ab == -compare(b, a)
+            and compare(a, a) == 0
             and (ab != 0 or a == b)
-            and compare(ANTIDIAGONAL, MONOMIAL_ONE, a) <= 0
-            and compare(ANTIDIAGONAL, a * p, b * p) == ab
+            and compare(MONOMIAL_ONE, a) <= 0
+            and compare(a * p, b * p) == ab
         )
-        if ok and compare(ANTIDIAGONAL, a, b) <= 0 and compare(ANTIDIAGONAL, b, c) <= 0:
-            ok = compare(ANTIDIAGONAL, a, c) <= 0
+        if ok and compare(a, b) <= 0 and compare(b, c) <= 0:
+            ok = compare(a, c) <= 0
         report.check(ok, f"case {index}: order axioms failed on {a}, {b}, {c}")
     return report
 
@@ -137,7 +164,7 @@ def suite_minor_leading_terms(seed: int = 0, cases: int = 200) -> SuiteReport:
         n = rng.randint(1, 5)
         rows, cols = _random_minor(rng, n)
         size = len(rows)
-        coeff, mono = determinant(rows, cols).leading_term(ANTIDIAGONAL)
+        coeff, mono = determinant(rows, cols).leading_term()
         expected = Monomial.from_cells(
             Cell(r, c) for r, c in zip(rows, reversed(cols))
         )
@@ -173,7 +200,7 @@ def suite_gluing(seed: int = 0, cases: int = 200) -> SuiteReport:
             corner_row = max(c.row for c in chain)
             corner_col = max(c.col for c in chain)
             basis = _condition_basis(corner_row, corner_col, len(chain) - 1, ambient)
-            if not normal_form(det_x, basis, ANTIDIAGONAL).is_zero():
+            if not normal_form(det_x, basis).is_zero():
                 ok = False
                 detail = f"case {index}: det({list(x.cells)}) not in ideal of {list(chain.cells)}"
                 break
@@ -198,7 +225,7 @@ def suite_generator_init(seed: int = 0, cases: int = 200) -> SuiteReport:
             occupied.update(a.cells)
         flat = [cell for factor in built.factors for cell in factor.cells]
         partition_ok = len(flat) == len(occupied) and set(flat) == occupied
-        coeff, mono = built.poly.leading_term(ANTIDIAGONAL)
+        coeff, mono = built.poly.leading_term()
         init_ok = mono == Monomial.from_cells(occupied) and mono.is_squarefree()
         length_ok = True
         for a in antidiags:
@@ -219,20 +246,18 @@ def _union_pair_checks(
     right: PartialPermutation,
     check_init_theorem: bool = False,
 ):
-    spec_l = spec_from_permutation(left)
-    spec_r = spec_from_permutation(right)
-    basis = [g.poly for g in union_basis([spec_l, spec_r])]
+    specs = [spec_from_permutation(left), spec_from_permutation(right)]
+    basis = [g.poly for g in union_basis(specs)]
     label = f"{left.one_line()} | {right.one_line()}"
-    report.check(is_groebner(basis, ANTIDIAGONAL), f"{label}: basis fails Buchberger criterion")
-    meet = intersect(ideal_of(spec_l), ideal_of(spec_r))
+    report.check(is_groebner(basis), f"{label}: basis fails Buchberger criterion")
+    meet = oracle_intersection(specs)
     report.check(
-        ideals_equal(basis, meet, ANTIDIAGONAL),
+        ideals_equal(basis, meet),
         f"{label}: basis ideal differs from oracle intersection",
     )
     if check_init_theorem:
-        left_init = initial_ideal(generator_polynomials(spec_l), ANTIDIAGONAL)
-        right_init = initial_ideal(generator_polynomials(spec_r), ANTIDIAGONAL)
-        meet_init = initial_ideal(meet, ANTIDIAGONAL)
+        left_init, right_init = (initial_ideal(generator_polynomials(s)) for s in specs)
+        meet_init = initial_ideal(meet)
         report.check(
             meet_init == left_init.intersect(right_init),
             f"{label}: init of intersection differs from intersection of inits",
@@ -301,15 +326,9 @@ def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
         specs = [spec_from_permutation(p) for p in triple]
         label = " | ".join(p.one_line() for p in triple)
         basis = [g.poly for g in union_basis(specs)]
-        member_ok = True
-        for spec in specs:
-            gb = buchberger(generator_polynomials(spec), ANTIDIAGONAL)
-            if not all(normal_form(g, gb, ANTIDIAGONAL).is_zero() for g in basis):
-                member_ok = False
-        report.check(member_ok, f"{label}: membership failure")
-        meet = intersect_many([ideal_of(s) for s in specs])
+        report.check(not membership_failures(basis, specs), f"{label}: membership failure")
         report.check(
-            ideals_equal(basis, meet, ANTIDIAGONAL),
+            ideals_equal(basis, oracle_intersection(specs)),
             f"{label}: basis differs from iterated intersection",
         )
     return report
@@ -323,7 +342,7 @@ def suite_km_regression(seed: int = 0, cases: int | None = None) -> SuiteReport:
         for p in honest_permutations(n):
             gens = generator_polynomials(spec_from_permutation(p))
             report.check(
-                is_groebner(gens, ANTIDIAGONAL),
+                is_groebner(gens),
                 f"{p.one_line()}: Fulton generators are not a Groebner basis",
             )
     return report
@@ -340,20 +359,10 @@ SUITES = {
     "km-regression": suite_km_regression,
 }
 
-_DEFAULT_CASES = {
-    "order-axioms": 200,
-    "minor-init": 200,
-    "gluing": 200,
-    "generator-init": 200,
-    "s4-sampled": 25,
-    "triples": 10,
-}
-
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}")
-    effective = cases if cases is not None else _DEFAULT_CASES.get(name)
-    if effective is None:
+    if cases is None:
         return SUITES[name](seed)
-    return SUITES[name](seed, effective)
+    return SUITES[name](seed, cases)

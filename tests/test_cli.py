@@ -75,6 +75,28 @@ def test_fulton_bad_spec(tmp_path, capsys):
     assert main(["fulton", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3, "conditions": "x"}, "spec field conditions must be a list"),
+        ({"n": 3, "conditions": [{"i": 1, "j": 1}]}, "spec field conditions[0].r is missing"),
+        ({"n": True, "conditions": []}, "spec field n must be an integer, got True"),
+        ([1, 2], "a spec must be a JSON object, got list"),
+        ({"n": 3, "conditions": [5]}, "spec field conditions[0] must be an object"),
+        (
+            {"n": 3, "conditions": [{"i": 1.5, "j": 1, "r": 0}]},
+            "spec field conditions[0].i must be an integer, got 1.5",
+        ),
+    ],
+)
+def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, data, message):
+    path = write_spec(tmp_path, "bad.json", data)
+    assert main(["fulton", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_groebner_subcommand(spec_231, capsys):
     # reduced basis prints in ascending leading-monomial order
     assert main(["groebner", spec_231]) == 0
@@ -128,10 +150,33 @@ def test_union_size_guard(tmp_path, capsys):
     assert main(["union", big, big, "--verify=full-oracle", "--max-oracle-n=6"]) == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known union defect: the basis holds |rows 1-3; cols 1,3,4|*m[1,2], "
+    "which is not in the ideal of 1 4 3 2 5",
+)
+def test_union_s5_pair_membership(tmp_path, capsys):
+    left = write_spec(tmp_path, "l.json", {"n": 5, "permutation": "3 1 5 2 4"})
+    right = write_spec(tmp_path, "r.json", {"n": 5, "permutation": "1 4 3 2 5"})
+    assert main(["union", left, right, "--verify=membership"]) == 0
+
+
+def test_union_rejects_seed(spec_231, spec_312, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["union", spec_231, spec_312, "--seed=1"])
+    assert exc.value.code == 2
+
+
 def test_union_out_file(tmp_path, spec_231, spec_312):
     target = tmp_path / "basis.txt"
     assert main(["union", spec_231, spec_312, f"--out={target}"]) == 0
     assert target.read_text().splitlines()[0] == "1*m[1,1]"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir.txt"
+    assert main(["diagram", "2 1", f"--out={target}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_suite(capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from nwgb import (
-    ANTIDIAGONAL,
     AUX,
     Cell,
     IdealPresentation,
@@ -46,7 +45,7 @@ def spec_of(text):
 
 def test_member_of_basis_reduces_to_zero():
     f = determinant([1, 2], [1, 2])
-    assert normal_form(f, [f], ANTIDIAGONAL).is_zero()
+    assert normal_form(f, [f]).is_zero()
 
 
 def test_one_division_step():
@@ -54,20 +53,20 @@ def test_one_division_step():
     # antidiagonal monomial rewrites to the diagonal one
     g = determinant([1, 2], [1, 2])
     f = Polynomial({mono((1, 2), (2, 1)): 1})
-    assert normal_form(f, [g], ANTIDIAGONAL) == Polynomial(
+    assert normal_form(f, [g]) == Polynomial(
         {mono((1, 1), (2, 2)): 1}
     )
 
 
 def test_coprime_leading_terms_leave_input_unchanged():
     f = var(3, 3) + var(2, 2)
-    assert normal_form(f, [var(1, 1)], ANTIDIAGONAL) == f
+    assert normal_form(f, [var(1, 1)]) == f
 
 
 def test_remainder_terms_not_divisible_by_basis_leads():
     rng = random.Random(41)
     basis = [determinant([1, 2], [1, 2]), determinant([1, 2], [2, 3])]
-    leads = [g.leading_monomial(ANTIDIAGONAL) for g in basis]
+    leads = [g.leading_monomial() for g in basis]
     for _ in range(40):
         f = Polynomial(
             {
@@ -80,15 +79,15 @@ def test_remainder_terms_not_divisible_by_basis_leads():
                 for _ in range(4)
             }
         )
-        remainder = normal_form(f, basis, ANTIDIAGONAL)
+        remainder = normal_form(f, basis)
         for m in remainder.terms:
             assert not any(lead.divides(m) for lead in leads)
 
 
 def test_normal_form_of_zero_and_empty_basis():
-    assert normal_form(Polynomial.zero(), [var(1, 1)], ANTIDIAGONAL).is_zero()
+    assert normal_form(Polynomial.zero(), [var(1, 1)]).is_zero()
     f = var(1, 1) + var(2, 2)
-    assert normal_form(f, [], ANTIDIAGONAL) == f
+    assert normal_form(f, []) == f
 
 
 # s-polynomials ----------------------------------------------------------------
@@ -96,71 +95,71 @@ def test_normal_form_of_zero_and_empty_basis():
 def test_s_polynomial_cancels_leading_terms():
     f = determinant([1, 2], [1, 2])
     g = determinant([1, 2], [1, 3])
-    s = s_polynomial(f, g, ANTIDIAGONAL)
-    lcm = f.leading_monomial(ANTIDIAGONAL).lcm(g.leading_monomial(ANTIDIAGONAL))
-    assert s.is_zero() or s.leading_monomial(ANTIDIAGONAL) != lcm
+    s = s_polynomial(f, g)
+    lcm = f.leading_monomial().lcm(g.leading_monomial())
+    assert s.is_zero() or s.leading_monomial() != lcm
 
 
 # buchberger -------------------------------------------------------------------
 
 def test_single_polynomial_is_its_own_basis():
     f = determinant([1, 2], [1, 2]) * 3
-    assert buchberger([f], ANTIDIAGONAL) == [f.monic(ANTIDIAGONAL)]
+    assert buchberger([f]) == [f.monic()]
 
 
 def test_monomial_pair_already_groebner():
     gens = [var(1, 1), Polynomial({mono((1, 2), (2, 1)): 1})]
-    assert buchberger(gens, ANTIDIAGONAL) == gens
+    assert buchberger(gens) == gens
 
 
 def test_buchberger_empty_and_zero_inputs():
-    assert buchberger([], ANTIDIAGONAL) == []
-    assert buchberger([Polynomial.zero()], ANTIDIAGONAL) == []
+    assert buchberger([]) == []
+    assert buchberger([Polynomial.zero()]) == []
 
 
 def test_fulton_generators_of_2143_are_groebner():
     gens = generator_polynomials(spec_of("2 1 4 3"))
-    assert is_groebner(gens, ANTIDIAGONAL)
-    basis = buchberger(gens, ANTIDIAGONAL)
-    assert initial_ideal(basis, ANTIDIAGONAL) == MonomialIdeal.from_monomials(
+    assert is_groebner(gens)
+    basis = buchberger(gens)
+    assert initial_ideal(basis) == MonomialIdeal.from_monomials(
         [mono((1, 1)), mono((1, 3), (2, 2), (3, 1))]
     )
 
 
 def test_buchberger_output_independent_of_generator_order():
     gens = generator_polynomials(spec_of("1 4 3 2"))
-    expected = buchberger(gens, ANTIDIAGONAL)
+    expected = buchberger(gens)
     rng = random.Random(43)
     for _ in range(5):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        assert buchberger(shuffled, ANTIDIAGONAL) == expected
+        assert buchberger(shuffled) == expected
 
 
 def test_buchberger_finds_new_elements_when_needed():
     # x*lead cancellation forces the diagonal monomial into the basis
     f = determinant([1, 2], [1, 2])
     g = Polynomial({mono((1, 2), (2, 1)): 1})
-    basis = buchberger([f, g], ANTIDIAGONAL)
+    basis = buchberger([f, g])
     assert Polynomial({mono((1, 1), (2, 2)): 1}) in basis
 
 
 def test_is_groebner_counterexample():
     plus = Polynomial({mono((1, 1), (2, 2)): 1, mono((1, 2), (2, 1)): 1})
     minus = determinant([1, 2], [1, 2])
-    assert not is_groebner([plus, minus], ANTIDIAGONAL)
-    assert is_groebner(buchberger([plus, minus], ANTIDIAGONAL), ANTIDIAGONAL)
+    assert not is_groebner([plus, minus])
+    assert is_groebner(buchberger([plus, minus]))
 
 
 def test_is_groebner_trivial_cases():
-    assert is_groebner([], ANTIDIAGONAL)
-    assert is_groebner([determinant([1, 2], [1, 2])], ANTIDIAGONAL)
+    assert is_groebner([])
+    assert is_groebner([determinant([1, 2], [1, 2])])
 
 
 def test_fulton_generators_of_all_s3_are_groebner():
     for p in honest_permutations(3):
         gens = generator_polynomials(spec_from_permutation(p))
-        assert is_groebner(gens, ANTIDIAGONAL)
+        assert is_groebner(gens)
 
 
 # intersection -----------------------------------------------------------------
@@ -168,7 +167,7 @@ def test_fulton_generators_of_all_s3_are_groebner():
 def test_intersect_idempotent():
     ideal = ideal_of(spec_of("2 3 1"))
     meet = intersect(ideal, ideal)
-    assert ideals_equal(list(ideal.generators), meet, ANTIDIAGONAL)
+    assert ideals_equal(list(ideal.generators), meet)
 
 
 def test_intersect_231_312_matches_published_ideal():
@@ -180,12 +179,12 @@ def test_intersect_231_312_matches_published_ideal():
         var(1, 1) * var(2, 1),
         var(1, 2) * var(2, 1),
     ]
-    assert ideals_equal(meet, published, ANTIDIAGONAL)
+    assert ideals_equal(meet, published)
 
 
 def test_intersect_with_zero_ideal_absorbs():
     ideal = ideal_of(spec_of("2 3 1"))
-    empty = IdealPresentation((), ANTIDIAGONAL)
+    empty = IdealPresentation(())
     assert intersect(ideal, empty) == []
     assert intersect(empty, ideal) == []
 
@@ -198,10 +197,10 @@ def test_intersection_output_is_t_free_and_in_both_ideals():
     for f in meet:
         assert not f.uses(AUX)
         assert normal_form(
-            f, buchberger(list(left.generators), ANTIDIAGONAL), ANTIDIAGONAL
+            f, buchberger(list(left.generators))
         ).is_zero()
         assert normal_form(
-            f, buchberger(list(right.generators), ANTIDIAGONAL), ANTIDIAGONAL
+            f, buchberger(list(right.generators))
         ).is_zero()
 
 
@@ -209,7 +208,7 @@ def test_intersect_many_folds_left():
     ideals = [ideal_of(spec_of(t)) for t in ("2 3 1", "3 1 2", "1 3 2")]
     meet = intersect_many(ideals)
     two = intersect(ideals[0], ideals[1])
-    folded = intersect(IdealPresentation(tuple(two), ANTIDIAGONAL), ideals[2])
+    folded = intersect(IdealPresentation(tuple(two)), ideals[2])
     assert meet == folded
     with pytest.raises(ValueError):
         intersect_many([])
@@ -217,27 +216,27 @@ def test_intersect_many_folds_left():
 
 def test_ideal_presentation_rejects_zero_generators():
     with pytest.raises(ValueError):
-        IdealPresentation((Polynomial.zero(),), ANTIDIAGONAL)
+        IdealPresentation((Polynomial.zero(),))
 
 
 # initial ideals ----------------------------------------------------------------
 
 def test_initial_ideal_of_2x2_determinant():
-    assert initial_ideal([determinant([1, 2], [1, 2])], ANTIDIAGONAL) == (
+    assert initial_ideal([determinant([1, 2], [1, 2])]) == (
         MonomialIdeal.from_monomials([mono((1, 2), (2, 1))])
     )
 
 
 def test_initial_ideal_minimalizes():
     gens = [var(1, 1), var(1, 1) * var(1, 2)]
-    assert initial_ideal(gens, ANTIDIAGONAL) == MonomialIdeal.from_monomials(
+    assert initial_ideal(gens) == MonomialIdeal.from_monomials(
         [mono((1, 1))]
     )
 
 
 def test_initial_ideal_of_231_312_intersection():
     meet = intersect(ideal_of(spec_of("2 3 1")), ideal_of(spec_of("3 1 2")))
-    assert initial_ideal(meet, ANTIDIAGONAL) == MonomialIdeal.from_monomials(
+    assert initial_ideal(meet) == MonomialIdeal.from_monomials(
         [mono((1, 1)), mono((1, 2), (2, 1))]
     )
 
@@ -249,15 +248,15 @@ def test_initial_ideal_intersection_theorem_on_all_s3_pairs():
         p.images: generator_polynomials(spec_from_permutation(p)) for p in perms
     }
     inits = {
-        images: initial_ideal(gens, ANTIDIAGONAL) for images, gens in ideals.items()
+        images: initial_ideal(gens) for images, gens in ideals.items()
     }
     for a in perms:
         for b in perms:
             meet = intersect(
-                IdealPresentation(tuple(ideals[a.images]), ANTIDIAGONAL),
-                IdealPresentation(tuple(ideals[b.images]), ANTIDIAGONAL),
+                IdealPresentation(tuple(ideals[a.images])),
+                IdealPresentation(tuple(ideals[b.images])),
             )
-            assert initial_ideal(meet, ANTIDIAGONAL) == inits[a.images].intersect(
+            assert initial_ideal(meet) == inits[a.images].intersect(
                 inits[b.images]
             )
 
@@ -302,20 +301,20 @@ def test_monomial_ideal_intersection_against_membership_oracle():
 
 def test_ideals_equal_reflexive_and_distinguishes():
     gens = generator_polynomials(spec_of("2 3 1"))
-    assert ideals_equal(gens, gens, ANTIDIAGONAL)
-    assert not ideals_equal([var(1, 1)], [var(1, 2)], ANTIDIAGONAL)
-    assert ideals_equal([], [], ANTIDIAGONAL)
-    assert not ideals_equal([], [var(1, 1)], ANTIDIAGONAL)
+    assert ideals_equal(gens, gens)
+    assert not ideals_equal([var(1, 1)], [var(1, 2)])
+    assert ideals_equal([], [])
+    assert not ideals_equal([], [var(1, 1)])
 
 
 def test_ideals_equal_is_presentation_independent():
     f = determinant([1, 2], [1, 2])
     doubled = [f * 2, f + var(1, 1), var(1, 1)]
-    assert ideals_equal(doubled, [f, var(1, 1)], ANTIDIAGONAL)
+    assert ideals_equal(doubled, [f, var(1, 1)])
 
 
 def test_scaled_coefficients_survive_exactly():
     f = determinant([1, 2], [1, 2]) * Fraction(3, 7)
-    basis = buchberger([f], ANTIDIAGONAL)
-    assert basis == [f.monic(ANTIDIAGONAL)]
-    assert basis[0].leading_term(ANTIDIAGONAL)[0] == 1
+    basis = buchberger([f])
+    assert basis == [f.monic()]
+    assert basis[0].leading_term()[0] == 1

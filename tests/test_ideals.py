@@ -5,7 +5,6 @@ import json
 import pytest
 
 from nwgb import (
-    ANTIDIAGONAL,
     Cell,
     Polynomial,
     RankCondition,
@@ -107,7 +106,7 @@ def test_fulton_generator_leading_monomials_are_their_antidiagonals():
     for text in ("2 1 4 3", "1 5 4 3 2", "2 * 1"):
         spec = spec_from_permutation(parse_one_line(text))
         for g in fulton_generators(spec):
-            assert g.poly.leading_monomial(ANTIDIAGONAL) == g.antidiag.monomial()
+            assert g.poly.leading_monomial() == g.antidiag.monomial()
 
 
 def test_condition_validation():
@@ -126,7 +125,7 @@ def test_essential_conditions_cut_the_same_ideal_as_the_full_rank_matrix():
         p = parse_one_line(text)
         essential = generator_polynomials(spec_from_permutation(p))
         everything = generator_polynomials(spec_from_rank_matrix(p))
-        assert ideals_equal(essential, everything, ANTIDIAGONAL)
+        assert ideals_equal(essential, everything)
 
 
 def test_essential_conditions_suffice_for_sampled_partial_permutations():
@@ -134,7 +133,7 @@ def test_essential_conditions_suffice_for_sampled_partial_permutations():
         p = parse_one_line(text)
         essential = generator_polynomials(spec_from_permutation(p))
         everything = generator_polynomials(spec_from_rank_matrix(p))
-        assert ideals_equal(essential, everything, ANTIDIAGONAL)
+        assert ideals_equal(essential, everything)
 
 
 # spec files -------------------------------------------------------------------

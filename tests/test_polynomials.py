@@ -7,7 +7,6 @@ from itertools import combinations, permutations as itertools_permutations
 import pytest
 
 from nwgb import (
-    ANTIDIAGONAL,
     Antidiagonal,
     Cell,
     Monomial,
@@ -15,7 +14,6 @@ from nwgb import (
     antidiagonal_of,
     compare,
     determinant,
-    leading_term,
 )
 from nwgb.polynomials import (
     MONOMIAL_ONE,
@@ -83,47 +81,47 @@ def numeric_cofactor(matrix, rows, cols):
 # term order -----------------------------------------------------------------
 
 def test_antidiagonal_term_beats_diagonal_term():
-    assert compare(ANTIDIAGONAL, mono((1, 2), (2, 1)), mono((1, 1), (2, 2))) == 1
+    assert compare(mono((1, 2), (2, 1)), mono((1, 1), (2, 2))) == 1
 
 
 def test_compare_reflexive():
     m = mono((1, 2), (2, 1))
-    assert compare(ANTIDIAGONAL, m, m) == 0
+    assert compare(m, m) == 0
 
 
 def test_unit_monomial_is_minimal():
     for m in (mono((1, 1)), mono((3, 2), (4, 1)), mono((2, 2))):
-        assert compare(ANTIDIAGONAL, MONOMIAL_ONE, m) == -1
+        assert compare(MONOMIAL_ONE, m) == -1
 
 
 def test_variable_order_is_row_major_descending_column():
     # m[1,3] > m[1,1] > m[2,3] in a 3x3 grid
-    assert compare(ANTIDIAGONAL, mono((1, 3)), mono((1, 1))) == 1
-    assert compare(ANTIDIAGONAL, mono((1, 1)), mono((2, 3))) == 1
+    assert compare(mono((1, 3)), mono((1, 1))) == 1
+    assert compare(mono((1, 1)), mono((2, 3))) == 1
 
 
 def test_order_axioms_on_random_triples():
     rng = random.Random(5)
     for _ in range(300):
         a, b, c, p = (random_monomial(rng) for _ in range(4))
-        ab = compare(ANTIDIAGONAL, a, b)
-        assert ab == -compare(ANTIDIAGONAL, b, a)
+        ab = compare(a, b)
+        assert ab == -compare(b, a)
         assert (ab == 0) == (a == b)
-        assert compare(ANTIDIAGONAL, a * p, b * p) == ab
-        assert compare(ANTIDIAGONAL, MONOMIAL_ONE, a) <= 0
-        if ab <= 0 and compare(ANTIDIAGONAL, b, c) <= 0:
-            assert compare(ANTIDIAGONAL, a, c) <= 0
+        assert compare(a * p, b * p) == ab
+        assert compare(MONOMIAL_ONE, a) <= 0
+        if ab <= 0 and compare(b, c) <= 0:
+            assert compare(a, c) <= 0
 
 
 # leading terms ---------------------------------------------------------------
 
 def test_leading_term_of_2x2_determinant():
-    coeff, lead = leading_term(determinant([1, 2], [1, 2]), ANTIDIAGONAL)
+    coeff, lead = determinant([1, 2], [1, 2]).leading_term()
     assert (coeff, lead) == (Fraction(-1), mono((1, 2), (2, 1)))
 
 
 def test_leading_term_of_constant():
-    assert leading_term(Polynomial.constant(5), ANTIDIAGONAL) == (
+    assert Polynomial.constant(5).leading_term() == (
         Fraction(5),
         MONOMIAL_ONE,
     )
@@ -132,14 +130,14 @@ def test_leading_term_of_constant():
 def test_leading_term_of_3x3_determinant():
     # the antidiagonal term m13*m22*m31 carries the sign of the order-3
     # reversal, which has 3 inversions
-    coeff, lead = leading_term(determinant([1, 2, 3], [1, 2, 3]), ANTIDIAGONAL)
+    coeff, lead = determinant([1, 2, 3], [1, 2, 3]).leading_term()
     assert lead == mono((1, 3), (2, 2), (3, 1))
     assert coeff == -1
 
 
 def test_leading_term_of_zero_raises():
     with pytest.raises(ValueError):
-        leading_term(Polynomial.zero(), ANTIDIAGONAL)
+        Polynomial.zero().leading_term()
 
 
 def test_all_minors_up_to_3x3_lead_with_their_antidiagonal():
@@ -147,7 +145,7 @@ def test_all_minors_up_to_3x3_lead_with_their_antidiagonal():
     for size in (1, 2, 3):
         for rows in combinations(range(1, n + 1), size):
             for cols in combinations(range(1, n + 1), size):
-                _, lead = leading_term(determinant(rows, cols), ANTIDIAGONAL)
+                _, lead = determinant(rows, cols).leading_term()
                 expected = Monomial.from_cells(
                     Cell(r, c) for r, c in zip(rows, reversed(cols))
                 )
@@ -161,7 +159,7 @@ def test_random_minors_in_5x5_lead_with_their_antidiagonal():
         size = rng.randint(1, n)
         rows = sorted(rng.sample(range(1, n + 1), size))
         cols = sorted(rng.sample(range(1, n + 1), size))
-        coeff, lead = leading_term(determinant(rows, cols), ANTIDIAGONAL)
+        coeff, lead = determinant(rows, cols).leading_term()
         assert lead == Monomial.from_cells(
             Cell(r, c) for r, c in zip(rows, reversed(cols))
         )
@@ -287,7 +285,7 @@ def test_antidiagonal_determinant_and_monomial():
     assert a.cols() == (1, 2, 4)
     assert a.determinant() == determinant([1, 3, 4], [1, 2, 4])
     assert a.monomial() == mono((1, 4), (3, 2), (4, 1))
-    _, lead = leading_term(a.determinant(), ANTIDIAGONAL)
+    _, lead = a.determinant().leading_term()
     assert lead == a.monomial()
 
 
@@ -295,7 +293,7 @@ def test_antidiagonal_determinant_and_monomial():
 
 def test_polynomial_text_canonical_form():
     f = determinant([1, 2], [1, 2])
-    assert polynomial_text(f, ANTIDIAGONAL) == "-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]"
+    assert polynomial_text(f) == "-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]"
 
 
 def test_polynomial_text_exponents_and_constants():
@@ -305,7 +303,7 @@ def test_polynomial_text_exponents_and_constants():
             MONOMIAL_ONE: Fraction(-1),
         }
     )
-    assert polynomial_text(f, ANTIDIAGONAL) == "3/2*m[1,1]^2 + -1"
+    assert polynomial_text(f) == "3/2*m[1,1]^2 + -1"
     assert polynomial_text(Polynomial.zero()) == "0"
 
 
@@ -317,8 +315,8 @@ def test_polynomial_json_round_trip():
     rng = random.Random(29)
     for _ in range(30):
         f = random_polynomial(rng)
-        data = polynomial_to_json(f, ANTIDIAGONAL)
+        data = polynomial_to_json(f)
         assert polynomial_from_json(data) == f
     # leading term first in the serialized order
-    data = polynomial_to_json(determinant([1, 2], [1, 2]), ANTIDIAGONAL)
+    data = polynomial_to_json(determinant([1, 2], [1, 2]))
     assert data[0] == {"coeff": "-1", "monomial": [[1, 2, 1], [2, 1, 1]]}

@@ -6,7 +6,6 @@ from itertools import permutations as itertools_permutations, product
 import pytest
 
 from nwgb import (
-    ANTIDIAGONAL,
     Antidiagonal,
     Cell,
     ColoredDiagram,
@@ -197,7 +196,7 @@ def test_generator_cell_partition_and_leading_monomial():
         flat = [cell for factor in built.factors for cell in factor.cells]
         assert len(flat) == len(occupied)
         assert set(flat) == occupied
-        coeff, lead = built.poly.leading_term(ANTIDIAGONAL)
+        coeff, lead = built.poly.leading_term()
         assert lead == Monomial.from_cells(occupied)
         assert lead.is_squarefree()
 
@@ -246,8 +245,8 @@ def test_long_chain_can_escape_a_source_region():
         ((2,), (1,)),
     ]
     ideal_a1 = RankConditionSpec(4, (RankCondition(2, 4, 1),))
-    basis = buchberger(generator_polynomials(ideal_a1), ANTIDIAGONAL)
-    assert not normal_form(built.poly, basis, ANTIDIAGONAL).is_zero()
+    basis = buchberger(generator_polynomials(ideal_a1))
+    assert not normal_form(built.poly, basis).is_zero()
 
 
 # union bases ---------------------------------------------------------------------

@@ -3,9 +3,17 @@ full-size runs live in the acceptance module)."""
 
 import pytest
 
+from nwgb.groebner import intersect
+from nwgb.ideals import spec_from_permutation
+from nwgb.permutations import parse_one_line
+from nwgb.polynomials import Cell, Polynomial
+from nwgb.union import union_basis
 from nwgb.verify import (
     SUITES,
     honest_permutations,
+    ideal_of,
+    membership_failures,
+    oracle_intersection,
     run_suite,
     sampled_s4_pairs,
 )
@@ -59,3 +67,23 @@ def test_s4_sample_contains_required_fixtures():
     assert ((1, 4, 2, 3), (1, 3, 4, 2)) in keys
     assert ((2, 1, 4, 3), (1, 4, 3, 2)) in keys
     assert len(keys) == 25
+
+
+def _specs(*texts):
+    return [spec_from_permutation(parse_one_line(t)) for t in texts]
+
+
+def test_membership_failures_names_each_missing_generator():
+    specs = _specs("2 3 1", "3 1 2")
+    basis = [g.poly for g in union_basis(specs)]
+    assert membership_failures(basis, specs) == []
+    outside = Polynomial.variable(Cell(3, 3))
+    assert membership_failures([outside], specs) == [
+        "1*m[3,3] is not in the ideal of 2 3 1",
+        "1*m[3,3] is not in the ideal of 3 1 2",
+    ]
+
+
+def test_oracle_intersection_matches_pairwise_intersect():
+    specs = _specs("1 4 2 3", "1 3 4 2")
+    assert oracle_intersection(specs) == intersect(*(ideal_of(s) for s in specs))
