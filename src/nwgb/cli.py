@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
-        # --out path, a malformed spec or permutation, mismatched ambients
+        # --out path, a malformed spec or permutation, mismatched ambients,
+        # a --cases below 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

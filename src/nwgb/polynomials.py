@@ -150,10 +150,11 @@ class Polynomial:
     """Sparse polynomial with Fraction coefficients, immutable by convention.
 
     ``terms`` maps monomials to nonzero coefficients; the zero polynomial
-    is the empty mapping.
+    is the empty mapping.  The leading term is found on first request and
+    kept, which relies on ``terms`` never changing after construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_lead")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -163,6 +164,7 @@ class Polynomial:
                 if value:
                     clean[mono] = value
         self.terms = clean
+        self._lead: tuple[Fraction, Monomial] | None = None
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -234,10 +236,12 @@ class Polynomial:
         return any(m.uses(cell) for m in self.terms)
 
     def leading_term(self) -> tuple[Fraction, Monomial]:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = min(self.terms, key=sort_key)
-        return self.terms[mono], mono
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading term")
+            mono = min(self.terms, key=sort_key)
+            self._lead = (self.terms[mono], mono)
+        return self._lead
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]

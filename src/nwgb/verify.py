@@ -363,6 +363,9 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}")
+    if cases is not None and cases < 1:
+        # a suite that checks nothing would report a vacuous pass
+        raise ValueError(f"cases must be at least 1, got {cases}")
     if cases is None:
         return SUITES[name](seed)
     return SUITES[name](seed, cases)

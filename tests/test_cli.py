@@ -150,6 +150,19 @@ def test_union_size_guard(tmp_path, capsys):
     assert main(["union", big, big, "--verify=full-oracle", "--max-oracle-n=6"]) == 0
 
 
+def test_union_s5_fixture_full_oracle(tmp_path, capsys):
+    left = write_spec(tmp_path, "l.json", {"n": 5, "permutation": "1 5 4 3 2"})
+    right = write_spec(tmp_path, "r.json", {"n": 5, "permutation": "4 3 2 1 5"})
+    assert main(["union", left, right, "--verify=full-oracle"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 84
+    assert err.splitlines() == [
+        "membership: 168 checks, 0 failures",
+        "groebner criterion: ok",
+        "ideal equality vs oracle intersection: ok",
+    ]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known union defect: the basis holds |rows 1-3; cols 1,3,4|*m[1,2], "
@@ -183,6 +196,15 @@ def test_verify_suite(capsys):
     assert main(["verify", "order-axioms", "--cases=50"]) == 0
     out = capsys.readouterr().out
     assert "order-axioms: 50 cases, 0 failures [PASS]" in out
+
+
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_verify_rejects_cases_below_one(cases, capsys):
+    # a suite run on no cases would print a vacuous [PASS]
+    assert main(["verify", "gluing", f"--cases={cases}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cases must be at least 1, got {cases}\n"
 
 
 def test_verify_unknown_suite(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from nwgb import (
     parse_one_line,
     s_polynomial,
     spec_from_permutation,
+    union_basis,
 )
 from nwgb.polynomials import polynomial_text
 from nwgb.verify import honest_permutations, ideal_of
@@ -39,6 +41,20 @@ def var(r, c):
 
 def spec_of(text):
     return spec_from_permutation(parse_one_line(text))
+
+
+def all_pairs_is_groebner(generators):
+    """Reference: reduce every S-pair, with no criterion."""
+    gens = [g for g in generators if not g.is_zero()]
+    return all(
+        normal_form(s_polynomial(f, g), gens).is_zero() for f, g in combinations(gens, 2)
+    )
+
+
+def assert_same_verdict(generators):
+    verdict = all_pairs_is_groebner(generators)
+    assert is_groebner(generators) == verdict
+    return verdict
 
 
 # normal forms -----------------------------------------------------------------
@@ -147,8 +163,8 @@ def test_buchberger_finds_new_elements_when_needed():
 def test_is_groebner_counterexample():
     plus = Polynomial({mono((1, 1), (2, 2)): 1, mono((1, 2), (2, 1)): 1})
     minus = determinant([1, 2], [1, 2])
-    assert not is_groebner([plus, minus])
-    assert is_groebner(buchberger([plus, minus]))
+    assert not assert_same_verdict([plus, minus])
+    assert assert_same_verdict(buchberger([plus, minus]))
 
 
 def test_is_groebner_trivial_cases():
@@ -160,6 +176,61 @@ def test_fulton_generators_of_all_s3_are_groebner():
     for p in honest_permutations(3):
         gens = generator_polynomials(spec_from_permutation(p))
         assert is_groebner(gens)
+
+
+# is_groebner against the all-pairs reference ----------------------------------
+
+def test_is_groebner_matches_reference_on_s3_union_bases():
+    # all 36 ordered pairs, each basis whole and with one generator dropped
+    perms = honest_permutations(3)
+    for a in perms:
+        for b in perms:
+            specs = [spec_from_permutation(a), spec_from_permutation(b)]
+            basis = [g.poly for g in union_basis(specs)]
+            assert assert_same_verdict(basis)
+            for k in range(len(basis)):
+                assert_same_verdict(basis[:k] + basis[k + 1 :])
+
+
+def test_is_groebner_matches_reference_on_s4_fulton_generators():
+    for p in honest_permutations(4):
+        assert assert_same_verdict(generator_polynomials(spec_from_permutation(p)))
+
+
+def test_is_groebner_matches_reference_on_buchberger_output():
+    for text in ("1 4 3 2", "2 1 4 3", "3 4 1 2"):
+        assert assert_same_verdict(buchberger(generator_polynomials(spec_of(text))))
+
+
+def test_is_groebner_matches_reference_on_random_sets():
+    # leads over three variables share lcms often, the case where the chain
+    # criterion could wrongly let two pending pairs excuse each other
+    rng = random.Random(53)
+    cells = [Cell(1, 1), Cell(1, 2), Cell(2, 1)]
+    verdicts = []
+    for _ in range(150):
+        gens = [
+            Polynomial(
+                {
+                    Monomial.from_cells(
+                        rng.choice(cells) for _ in range(rng.randint(1, 2))
+                    ): rng.choice([-1, 1, 2])
+                    for _ in range(rng.randint(1, 3))
+                }
+            )
+            for _ in range(rng.randint(2, 4))
+        ]
+        verdicts.append(assert_same_verdict(gens))
+        basis = buchberger(gens)
+        assert assert_same_verdict(basis)
+        verdicts.append(assert_same_verdict(basis[1:]))
+    assert True in verdicts and False in verdicts
+
+
+def test_is_groebner_matches_reference_on_known_failing_s5_pair():
+    # the union basis of this pair is wrong (see test_cli), so both say False
+    specs = [spec_of("3 1 5 2 4"), spec_of("1 4 3 2 5")]
+    assert not assert_same_verdict([g.poly for g in union_basis(specs)])
 
 
 # intersection -----------------------------------------------------------------
