@@ -15,7 +15,7 @@ from .groebner import buchberger, ideals_equal, is_groebner
 from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
 from .polynomials import polynomial_text, polynomial_to_json
 from .union import union_basis
-from .verify import SUITES, membership_failures, oracle_intersection, run_suite
+from .verify import EXHAUSTIVE, SUITES, membership_failures, oracle_intersection, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -176,9 +176,13 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    if args.suite == "all":
+        # the count goes to the sampled suites only
+        runs = [(name, None if name in EXHAUSTIVE else args.cases) for name in sorted(SUITES)]
+    else:
+        runs = [(args.suite, args.cases)]
     try:
-        reports = [run_suite(name, seed=args.seed, cases=args.cases) for name in names]
+        reports = [run_suite(name, seed=args.seed, cases=cases) for name, cases in runs]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
@@ -205,7 +209,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
         # --out path, a malformed spec or permutation, mismatched ambients,
-        # a --cases below 1
+        # a --cases below 1 or given to an exhaustive suite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

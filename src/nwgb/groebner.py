@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .polynomials import AUX, Cell, Monomial, Polynomial, sort_key
+from .polynomials import AUX, Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -49,35 +49,53 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
     No term of the result is divisible by any basis leading monomial, and
-    f minus the result lies in the ideal the basis generates.  Reducers
-    are tried in list order, so the result is deterministic.
+    f minus the result lies in the ideal the basis generates.  The largest
+    pending term is taken from a heap of monomial keys: a monomial is
+    pushed when it enters the pending terms, and an entry whose term has
+    since cancelled is skipped when popped.  A processed term never comes
+    back, because every term a division step adds is smaller than it.
+    Reducers are tried in list order, after a support-mask test, so the
+    result is deterministic and is the same remainder as scanning for the
+    largest term at each step, for any basis, Groebner or not.
     """
     reducers = []
     for g in basis:
         if g.is_zero():
             continue
         coeff, mono = g.leading_term()
-        reducers.append((mono, coeff, g))
+        reducers.append((mono.mask, mono, coeff, g))
     work = dict(f.terms)
+    heap = [(mono.key, mono) for mono in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
-    while work:
-        mono = min(work, key=sort_key)
-        coeff = work[mono]
-        for lead_mono, lead_coeff, g in reducers:
-            if lead_mono.divides(mono):
-                quotient = mono // lead_mono
-                factor = coeff / lead_coeff
-                for g_mono, g_coeff in g.terms.items():
-                    target = g_mono * quotient
-                    value = work.get(target, Fraction(0)) - factor * g_coeff
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue  # cancelled after it was pushed
+        absent = ~mono.mask
+        for lead_mask, lead_mono, lead_coeff, g in reducers:
+            if lead_mask & absent or not lead_mono.divides(mono):
+                continue
+            quotient = mono // lead_mono
+            factor = coeff / lead_coeff
+            for g_mono, g_coeff in g.terms.items():
+                if g_mono is lead_mono:
+                    continue  # cancels mono itself
+                target = g_mono * quotient
+                value = work.get(target)
+                if value is None:
+                    work[target] = -factor * g_coeff
+                    heapq.heappush(heap, (target.key, target))
+                else:
+                    value -= factor * g_coeff
                     if value:
                         work[target] = value
                     else:
-                        work.pop(target, None)
-                break
+                        del work[target]
+            break
         else:
             remainder[mono] = coeff
-            del work[mono]
     return Polynomial(remainder)
 
 
@@ -118,7 +136,7 @@ def _reduced_basis(basis: list[Polynomial]) -> list[Polynomial]:
         return []
     # ascending leading monomial; a divisor is never larger than a multiple,
     # so one pass keeps exactly the minimal generators
-    ordered = sorted(basis, key=lambda f: sort_key(f.leading_monomial()), reverse=True)
+    ordered = sorted(basis, key=lambda f: f.leading_monomial().key, reverse=True)
     minimal: list[Polynomial] = []
     for f in ordered:
         lead = f.leading_monomial()
@@ -134,7 +152,7 @@ def _reduced_basis(basis: list[Polynomial]) -> list[Polynomial]:
             if reduced != minimal[index]:
                 minimal[index] = reduced
                 stable = False
-    minimal.sort(key=lambda f: sort_key(f.leading_monomial()), reverse=True)
+    minimal.sort(key=lambda f: f.leading_monomial().key, reverse=True)
     return minimal
 
 
@@ -150,37 +168,33 @@ def _unsettled_pairs(leads: list[Monomial]) -> Iterator[tuple[int, int]]:
     The chain criterion only uses settled pairs, never queued ones: two
     queued pairs with equal lcm would otherwise each excuse the other.
     """
-    bit: dict[Cell, int] = {}  # variable -> its bit in a support mask
-    masks: list[int] = []  # support of each leading monomial
     settled: list[int] = []  # settled[i]: bit k set when the pair {i, k} is settled
-    queue: list[tuple[int, tuple, int, int, int, Monomial]] = []
+    queue: list[tuple[int, tuple, int, int, Monomial]] = []
     while True:
-        for k in range(len(masks), len(leads)):
+        for k in range(len(settled), len(leads)):
             lead = leads[k]
-            mask = 0
-            for cell, _ in lead.exps:
-                mask |= 1 << bit.setdefault(cell, len(bit))
+            mask = lead.mask
             coprime = 0
             for i in range(k):
-                if masks[i] & mask:
+                if leads[i].mask & mask:
                     lcm = leads[i].lcm(lead)
-                    heapq.heappush(queue, (lcm.degree(), sort_key(lcm), i, k, masks[i] | mask, lcm))
+                    heapq.heappush(queue, (lcm.degree(), lcm.key, i, k, lcm))
                 else:  # product criterion
                     coprime |= 1 << i
                     settled[i] |= 1 << k
-            masks.append(mask)
             settled.append(coprime)
         if not queue:
             return
-        _, _, i, j, lcm_mask, lcm = heapq.heappop(queue)
+        _, _, i, j, lcm = heapq.heappop(queue)
         chain = settled[i] & settled[j]  # never holds i or j
         settled[i] |= 1 << j
         settled[j] |= 1 << i
+        absent = ~lcm.mask
         while chain:
             low = chain & -chain
             chain ^= low
             k = low.bit_length() - 1
-            if not masks[k] & ~lcm_mask and leads[k].divides(lcm):
+            if not leads[k].mask & absent and leads[k].divides(lcm):
                 break  # chain criterion
         else:
             yield i, j
@@ -256,7 +270,7 @@ class MonomialIdeal:
 
     @staticmethod
     def from_monomials(monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        pool = sorted(set(monomials), key=lambda m: (m.degree(), sort_key(m)))
+        pool = sorted(set(monomials), key=lambda m: (m.degree(), m.key))
         minimal: list[Monomial] = []
         for mono in pool:
             if any(kept.divides(mono) for kept in minimal):

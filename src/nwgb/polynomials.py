@@ -13,6 +13,15 @@ leading term of any minor of the generic matrix is the product of the
 entries on the minor's antidiagonal; everything downstream relies on
 this.  Ranking t ahead of every matrix entry also makes it an
 elimination order for t, which is what ideal intersection needs.
+
+A monomial is stored packed, as its own sort key: a flat tuple of ints
+``(v0, -e0, v1, -e1, ..., END)``.  Each variable is one integer code
+``v = (row << 16) - col`` (t is 0), so ascending codes list the variables
+most significant first; the codes ascend along the tuple, and ``END``
+closes it.  Plain tuple comparison of two keys is then the order, reversed:
+a > b exactly when ``a.key < b.key``.  Next to the key a monomial keeps
+its hash, its degree and a support mask, one bit per variable over one
+global variable index, so a failed divisibility test costs one AND.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_permutations
-from math import inf
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -36,92 +45,243 @@ class Cell(NamedTuple):
 # Row 0 places it ahead of every matrix entry in the variable order.
 AUX = Cell(0, 0)
 
+_COL_BITS = 16
+_COL_LIMIT = 1 << _COL_BITS
+_ROW_LIMIT = 1 << 32
+_END = 1 << 62  # closes every key; above the code of every variable
 
-def _significance(cell: Cell) -> tuple[int, int]:
-    # Lower value = earlier (more significant) variable in the lex order.
-    return (cell.row, -cell.col)
+# variable code -> its bit in a support mask, filled in by _bit; the
+# index is the pairing (r, c) -> (r+c)(r+c+1)/2 + c, so every cell has its
+# own bit whatever the order in which cells are first seen
+_BITS: dict[int, int] = {}
 
 
-@dataclass(frozen=True)
+def _code(cell: Iterable[int]) -> int:
+    """The variable code of a cell: ascending codes are descending
+    significance in the order."""
+    row, col = cell
+    if not (0 <= row < _ROW_LIMIT and 0 <= col < _COL_LIMIT):
+        raise ValueError(f"cell {tuple(cell)} is outside the supported range")
+    return (row << _COL_BITS) - col
+
+
+def _cell(code: int) -> Cell:
+    row = (code + _COL_LIMIT - 1) >> _COL_BITS
+    return Cell(row, (row << _COL_BITS) - code)
+
+
+def _bit(code: int) -> int:
+    bit = _BITS.get(code)
+    if bit is None:
+        row, col = _cell(code)
+        diagonal = row + col
+        bit = _BITS[code] = 1 << ((diagonal * (diagonal + 1) >> 1) + col)
+    return bit
+
+
 class Monomial:
-    """Product of variables with positive exponents.
+    """Product of variables with positive exponents, packed (see the module
+    docstring).
 
-    ``exps`` is kept sorted by variable significance (most significant
-    first) so order comparisons can walk it directly.  Build instances
-    through :meth:`make` or :meth:`from_cells`, which canonicalize.
+    ``key`` is the packed exponent vector and sorts as :func:`sort_key`;
+    ``mask`` has the bit of every variable the monomial uses.  Both, the
+    hash and the degree are computed once, at construction.  Build
+    instances through :meth:`make` or :meth:`from_cells`, which
+    canonicalize; ``Monomial()`` is 1.  ``*``, ``//``, :meth:`lcm` and
+    :meth:`divides` merge the two sorted keys.
     """
 
-    exps: tuple[tuple[Cell, int], ...] = ()
+    __slots__ = ("key", "mask", "_degree", "_hash")
+
+    def __init__(self, key: tuple[int, ...] = (_END,), mask: int = 0, degree: int = 0):
+        self.key = key
+        self.mask = mask
+        self._degree = degree
+        self._hash = hash(key)
 
     @staticmethod
     def make(exponents: Mapping[Cell, int] | Iterable[tuple[Cell, int]]) -> "Monomial":
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        merged: dict[Cell, int] = {}
+        merged: dict[int, int] = {}
         for cell, exp in items:
             if exp < 0:
                 raise ValueError(f"negative exponent for {cell}")
             if exp:
-                cell = Cell(*cell)
-                merged[cell] = merged.get(cell, 0) + exp
-        ordered = sorted(merged.items(), key=lambda item: _significance(item[0]))
-        return Monomial(tuple(ordered))
+                code = _code(cell)
+                merged[code] = merged.get(code, 0) + exp
+        key: list[int] = []
+        mask = 0
+        for code in sorted(merged):
+            key += (code, -merged[code])
+            mask |= _bit(code)
+        key.append(_END)
+        return Monomial(tuple(key), mask, sum(merged.values()))
 
     @staticmethod
     def from_cells(cells: Iterable[Cell]) -> "Monomial":
         """Product of the given cells, one factor per occurrence."""
-        return Monomial.make([(cell, 1) for cell in cells])
+        return _from_codes(sorted(_code(cell) for cell in cells))
+
+    @property
+    def exps(self) -> tuple[tuple[Cell, int], ...]:
+        """(cell, exponent) pairs, most significant variable first."""
+        key = self.key
+        return tuple((_cell(key[i]), -key[i + 1]) for i in range(0, len(key) - 1, 2))
 
     def degree(self) -> int:
-        return sum(exp for _, exp in self.exps)
+        return self._degree
 
     def uses(self, cell: Cell) -> bool:
-        return any(c == cell for c, _ in self.exps)
+        return bool(self.mask & _bit(_code(cell)))
 
     def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
+        return self._degree == len(self.key) >> 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.exps:
+        a = self.key
+        b = other.key
+        if len(b) == 1:
             return self
-        if not self.exps:
+        if len(a) == 1:
             return other
-        merged = dict(self.exps)
-        for c, e in other.exps:
-            merged[c] = merged.get(c, 0) + e
-        ordered = sorted(merged.items(), key=lambda item: _significance(item[0]))
-        return Monomial(tuple(ordered))
+        # one support wholly ahead of the other: concatenate
+        if a[-3] < b[0]:
+            key = a[:-1] + b
+        elif b[-3] < a[0]:
+            key = b[:-1] + a
+        else:
+            out: list[int] = []
+            i = j = 0
+            x = a[0]
+            y = b[0]
+            while x != y or x != _END:
+                if x < y:
+                    out += (x, a[i + 1])
+                    i += 2
+                    x = a[i]
+                elif y < x:
+                    out += (y, b[j + 1])
+                    j += 2
+                    y = b[j]
+                else:
+                    out += (x, a[i + 1] + b[j + 1])
+                    i += 2
+                    j += 2
+                    x = a[i]
+                    y = b[j]
+            out.append(_END)
+            key = tuple(out)
+        return Monomial(key, self.mask | other.mask, self._degree + other._degree)
 
     def divides(self, other: "Monomial") -> bool:
-        have = dict(other.exps)
-        return all(have.get(c, 0) >= e for c, e in self.exps)
+        if self.mask & ~other.mask:
+            return False
+        a = self.key
+        if self._degree == len(a) >> 1:
+            return True  # squarefree, and its support lies in other's
+        b = other.key
+        j = 0
+        for i in range(0, len(a) - 1, 2):
+            code = a[i]
+            while b[j] != code:
+                j += 2
+            if b[j + 1] > a[i + 1]:
+                return False
+        return True
 
     def __floordiv__(self, divisor: "Monomial") -> "Monomial":
-        left = dict(self.exps)
-        for c, e in divisor.exps:
-            rest = left.get(c, 0) - e
-            if rest < 0:
+        if divisor.mask & ~self.mask:
+            raise ValueError(f"{divisor} does not divide {self}")
+        a = self.key
+        b = divisor.key
+        mask = self.mask
+        out: list[int] = []
+        j = 0
+        y = b[0]
+        for i in range(0, len(a) - 1, 2):
+            x = a[i]
+            if x != y:
+                out += (x, a[i + 1])
+                continue
+            rest = a[i + 1] - b[j + 1]  # minus the exponent left over
+            if rest > 0:
                 raise ValueError(f"{divisor} does not divide {self}")
             if rest:
-                left[c] = rest
+                out += (x, rest)
             else:
-                left.pop(c, None)
-        ordered = sorted(left.items(), key=lambda item: _significance(item[0]))
-        return Monomial(tuple(ordered))
+                mask ^= _bit(x)
+            j += 2
+            y = b[j]
+        out.append(_END)
+        return Monomial(tuple(out), mask, self._degree - divisor._degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for c, e in other.exps:
-            merged[c] = max(merged.get(c, 0), e)
-        ordered = sorted(merged.items(), key=lambda item: _significance(item[0]))
-        return Monomial(tuple(ordered))
+        a = self.key
+        b = other.key
+        if not self.mask & other.mask:
+            return self * other
+        out: list[int] = []
+        degree = self._degree + other._degree
+        i = j = 0
+        x = a[0]
+        y = b[0]
+        while x != y or x != _END:
+            if x < y:
+                out += (x, a[i + 1])
+                i += 2
+                x = a[i]
+            elif y < x:
+                out += (y, b[j + 1])
+                j += 2
+                y = b[j]
+            else:
+                ea = a[i + 1]
+                eb = b[j + 1]
+                if ea < eb:  # a's power is the higher one
+                    out += (x, ea)
+                    degree += eb
+                else:
+                    out += (x, eb)
+                    degree += ea
+                i += 2
+                j += 2
+                x = a[i]
+                y = b[j]
+        out.append(_END)
+        return Monomial(tuple(out), self.mask | other.mask, degree)
 
     def __repr__(self) -> str:
         return monomial_text(self) or "1"
 
 
+def _from_codes(codes: list[int]) -> Monomial:
+    """The product of the variables with these codes, sorted ascending;
+    a repeated code is a higher power."""
+    key: list[int] = []
+    mask = 0
+    last = None
+    for code in codes:
+        if code == last:
+            key[-1] -= 1
+        else:
+            key += (code, -1)
+            mask |= _bit(code)
+            last = code
+    key.append(_END)
+    return Monomial(tuple(key), mask, len(codes))
+
+
 MONOMIAL_ONE = Monomial()
 
-_KEY_END = ((inf, 0), 0)
+_key_of = attrgetter("key")
 
 
 @lru_cache(maxsize=None)
@@ -129,18 +289,18 @@ def sort_key(mono: Monomial) -> tuple:
     """Key with the property: a > b in the order iff sort_key(a) < sort_key(b).
 
     So ``min`` picks the leading monomial and an ascending sort lists terms
-    largest first.  The terminal sentinel makes prefix-support cases compare
-    correctly (extra trailing variables mean a larger monomial).
+    largest first.  It is the key the monomial carries, ``mono.key``; the
+    package reads that directly, so this cache (kept for the benchmark's
+    traced run, which reads ``cache_info()``) holds only what outside
+    callers ask for.
     """
-    parts = [(_significance(cell), -exp) for cell, exp in mono.exps]
-    parts.append(_KEY_END)
-    return tuple(parts)
+    return mono.key
 
 
 def compare(a: Monomial, b: Monomial) -> int:
     """-1, 0 or 1 as a is smaller than, equal to or greater than b."""
-    ka = sort_key(a)
-    kb = sort_key(b)
+    ka = a.key
+    kb = b.key
     if ka == kb:
         return 0
     return 1 if ka < kb else -1
@@ -160,7 +320,7 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                value = Fraction(coeff)
+                value = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if value:
                     clean[mono] = value
         self.terms = clean
@@ -239,7 +399,7 @@ class Polynomial:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("the zero polynomial has no leading term")
-            mono = min(self.terms, key=sort_key)
+            mono = min(self.terms, key=_key_of)
             self._lead = (self.terms[mono], mono)
         return self._lead
 
@@ -254,7 +414,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Fraction, Monomial]]:
         """Terms listed largest monomial first (canonical serialization order)."""
-        return [(self.terms[m], m) for m in sorted(self.terms, key=sort_key)]
+        return [(self.terms[m], m) for m in sorted(self.terms, key=_key_of)]
 
     def evaluate(self, values: Mapping[Cell, int | Fraction]) -> Fraction:
         total = Fraction(0)
@@ -353,9 +513,12 @@ def determinant(
     """
     r, c = _check_minor(rows, cols, ambient_n)
     k = len(r)
+    # codes[i][j] is the variable at (r[i], c[j]); rows ascend, so the codes
+    # of one term, read row by row, are already sorted
+    codes = [[_code((row, col)) for col in c] for row in r]
     terms: dict[Monomial, Fraction] = {}
     for perm in _all_permutations(range(k)):
-        mono = Monomial.from_cells(Cell(r[i], c[perm[i]]) for i in range(k))
+        mono = _from_codes([codes[i][perm[i]] for i in range(k)])
         terms[mono] = terms.get(mono, Fraction(0)) + _parity(perm)
     return Polynomial(terms)
 
@@ -372,11 +535,23 @@ def antidiagonal_of(
 # ---------------------------------------------------------------------------
 # serialization
 
+def _row_major(mono: Monomial) -> list[list[int]]:
+    """[row, col, exp] per variable, row-major ascending (t first)."""
+    out = []
+    key = mono.key
+    for i in range(0, len(key) - 1, 2):
+        code = key[i]
+        row = (code + _COL_LIMIT - 1) >> _COL_BITS  # as in _cell, without the Cell
+        out.append([row, (row << _COL_BITS) - code, -key[i + 1]])
+    out.sort()
+    return out
+
+
 def monomial_text(mono: Monomial) -> str:
     """Variables joined by '*', row-major ascending; empty string for 1."""
     parts = []
-    for cell, exp in sorted(mono.exps):
-        name = f"m[{cell.row},{cell.col}]" if cell != AUX else "t"
+    for row, col, exp in _row_major(mono):
+        name = "t" if row == col == 0 else f"m[{row},{col}]"
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)
 
@@ -393,7 +568,7 @@ def polynomial_text(f: Polynomial) -> str:
 
 
 def monomial_to_json(mono: Monomial) -> list[list[int]]:
-    return [[cell.row, cell.col, exp] for cell, exp in sorted(mono.exps)]
+    return _row_major(mono)
 
 
 def monomial_from_json(data: Iterable[Sequence[int]]) -> Monomial:

@@ -264,7 +264,7 @@ def _union_pair_checks(
         )
 
 
-def suite_s3_exhaustive(seed: int = 0, cases: int | None = None) -> SuiteReport:
+def suite_s3_exhaustive(seed: int = 0) -> SuiteReport:
     """All 36 ordered pairs of honest permutations in S3."""
     report = SuiteReport("s3-exhaustive")
     perms = honest_permutations(3)
@@ -334,7 +334,7 @@ def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
     return report
 
 
-def suite_km_regression(seed: int = 0, cases: int | None = None) -> SuiteReport:
+def suite_km_regression(seed: int = 0) -> SuiteReport:
     """The Fulton generators of every permutation in S3 and S4 pass the
     Buchberger criterion under the antidiagonal order."""
     report = SuiteReport("km-regression")
@@ -360,9 +360,15 @@ SUITES = {
 }
 
 
+# Suites that check a fixed set of cases and take no case count.
+EXHAUSTIVE = frozenset({"s3-exhaustive", "km-regression"})
+
+
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}")
+    if cases is not None and name in EXHAUSTIVE:
+        raise ValueError(f"suite {name} runs a fixed set of cases and takes no --cases")
     if cases is not None and cases < 1:
         # a suite that checks nothing would report a vacuous pass
         raise ValueError(f"cases must be at least 1, got {cases}")

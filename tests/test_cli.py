@@ -207,6 +207,30 @@ def test_verify_rejects_cases_below_one(cases, capsys):
     assert err == f"error: cases must be at least 1, got {cases}\n"
 
 
+@pytest.mark.parametrize("suite,cases", [("s3-exhaustive", "5"), ("km-regression", "1")])
+def test_verify_exhaustive_suite_rejects_cases(suite, cases, capsys):
+    # these suites run a fixed set of cases; a count they ignore would
+    # print a [PASS] for a run the user did not ask for
+    assert main(["verify", suite, f"--cases={cases}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: suite {suite} runs a fixed set of cases and takes no --cases\n"
+
+
+def test_verify_all_passes_cases_to_sampled_suites_only(capsys):
+    assert main(["verify", "all", "--cases=2"]) == 0
+    assert capsys.readouterr().out == (
+        "generator-init: 2 cases, 0 failures [PASS]\n"
+        "gluing: 2 cases, 0 failures [PASS]\n"
+        "km-regression: 30 cases, 0 failures [PASS]\n"
+        "minor-init: 2 cases, 0 failures [PASS]\n"
+        "order-axioms: 2 cases, 0 failures [PASS]\n"
+        "s3-exhaustive: 72 cases, 0 failures [PASS]\n"
+        "s4-sampled: 6 cases, 0 failures [PASS]\n"
+        "triples: 4 cases, 0 failures [PASS]\n"
+    )
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
 

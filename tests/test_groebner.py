@@ -27,7 +27,7 @@ from nwgb import (
     spec_from_permutation,
     union_basis,
 )
-from nwgb.polynomials import polynomial_text
+from nwgb.polynomials import polynomial_text, sort_key
 from nwgb.verify import honest_permutations, ideal_of
 
 
@@ -98,6 +98,83 @@ def test_remainder_terms_not_divisible_by_basis_leads():
         remainder = normal_form(f, basis)
         for m in remainder.terms:
             assert not any(lead.divides(m) for lead in leads)
+
+
+def min_scan_normal_form(f, basis):
+    """Reference: the literal division loop, which finds the largest pending
+    term by scanning all of them at every step."""
+    reducers = []
+    for g in basis:
+        if g.is_zero():
+            continue
+        coeff, mono = g.leading_term()
+        reducers.append((mono, coeff, g))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        mono = min(work, key=sort_key)
+        coeff = work[mono]
+        for lead_mono, lead_coeff, g in reducers:
+            if lead_mono.divides(mono):
+                quotient = mono // lead_mono
+                factor = coeff / lead_coeff
+                for g_mono, g_coeff in g.terms.items():
+                    target = g_mono * quotient
+                    value = work.get(target, Fraction(0)) - factor * g_coeff
+                    if value:
+                        work[target] = value
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[mono] = coeff
+            del work[mono]
+    return Polynomial(remainder)
+
+
+def random_division_polynomial(rng, cells, terms):
+    return Polynomial(
+        {
+            Monomial.make(
+                [(rng.choice(cells), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+            ): Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+            for _ in range(terms)
+        }
+    )
+
+
+def test_normal_form_matches_min_scan_reference():
+    # few variables, so leading monomials divide each other and many terms
+    # of the dividend; most random bases are not Groebner bases, where the
+    # remainder depends on the order in which reducers are tried
+    rng = random.Random(59)
+    cells = [AUX, Cell(1, 2), Cell(1, 1), Cell(2, 2)]
+    order_mattered = 0
+    for _ in range(120):
+        basis = [
+            random_division_polynomial(rng, cells, rng.randint(2, 4))
+            for _ in range(rng.randint(2, 4))
+        ]
+        for _ in range(3):
+            f = random_division_polynomial(rng, cells, rng.randint(2, 7))
+            remainders = set()
+            for ordered in (basis, basis[::-1]):
+                remainder = normal_form(f, ordered)
+                assert remainder == min_scan_normal_form(f, ordered)
+                remainders.add(polynomial_text(remainder))
+            order_mattered += len(remainders) > 1
+    assert order_mattered > 30  # 53 of the 360 cases
+
+
+def test_normal_form_matches_min_scan_reference_on_groebner_bases():
+    rng = random.Random(61)
+    cells = [Cell(r, c) for r in range(1, 5) for c in range(1, 5)]
+    for text in ("2 1 4 3", "1 4 3 2", "3 4 1 2"):
+        basis = buchberger(generator_polynomials(spec_of(text)))
+        for _ in range(15):
+            f = random_division_polynomial(rng, cells, 6) * rng.choice(basis)
+            f = f + random_division_polynomial(rng, cells, 3)
+            assert normal_form(f, basis) == min_scan_normal_form(f, basis)
 
 
 def test_normal_form_of_zero_and_empty_basis():

@@ -16,11 +16,15 @@ from nwgb import (
     determinant,
 )
 from nwgb.polynomials import (
+    AUX,
     MONOMIAL_ONE,
+    monomial_from_json,
     monomial_text,
+    monomial_to_json,
     polynomial_from_json,
     polynomial_text,
     polynomial_to_json,
+    sort_key,
 )
 
 
@@ -320,3 +324,126 @@ def test_polynomial_json_round_trip():
     # leading term first in the serialized order
     data = polynomial_to_json(determinant([1, 2], [1, 2]))
     assert data[0] == {"coeff": "-1", "monomial": [[1, 2, 1], [2, 1, 1]]}
+
+
+# the packed kernel against a dict-based reference -----------------------------
+
+# AUX, then a 3x3 grid, most significant variable first: t > m[1,3] > m[1,2]
+# > m[1,1] > m[2,3] > ... > m[3,1]
+REF_VARIABLES = [AUX] + [Cell(r, c) for r in (1, 2, 3) for c in (3, 2, 1)]
+
+
+def ref_monomial(rng):
+    """{cell: exp} with exponents 0-3 (zeros left out), about half the
+    variables absent."""
+    exps = {cell: rng.choice((0, 0, 0, 0, 1, 1, 2, 3)) for cell in REF_VARIABLES}
+    return {cell: e for cell, e in exps.items() if e}
+
+
+def ref_vector(ref):
+    return tuple(ref.get(cell, 0) for cell in REF_VARIABLES)
+
+
+def ref_compare(a, b):
+    """Lex order on exponent vectors read most significant variable first."""
+    va, vb = ref_vector(a), ref_vector(b)
+    return (va > vb) - (va < vb)
+
+
+def ref_mul(a, b):
+    return {c: a.get(c, 0) + b.get(c, 0) for c in set(a) | set(b)}
+
+
+def ref_lcm(a, b):
+    return {c: max(a.get(c, 0), b.get(c, 0)) for c in set(a) | set(b)}
+
+
+def ref_divides(a, b):
+    return all(b.get(c, 0) >= e for c, e in a.items())
+
+
+def ref_quotient(b, a):
+    out = {c: e - a.get(c, 0) for c, e in b.items()}
+    return {c: e for c, e in out.items() if e}
+
+
+def packed(ref):
+    """The same monomial built two ways: from the exponent map, and from
+    a shuffled list of cells with one entry per power."""
+    built = Monomial.make(ref)
+    cells = [cell for cell, e in ref.items() for _ in range(e)]
+    random.Random(len(cells)).shuffle(cells)
+    assert Monomial.from_cells(cells) == built
+    return built
+
+
+def assert_packed(m, ref):
+    """m is the monomial of ref, down to the fields kept next to its key."""
+    built = packed(ref)
+    assert m == built
+    assert (m.key, m.mask, m.degree(), hash(m)) == (built.key, built.mask, built.degree(), hash(built))
+    assert [m.uses(cell) for cell in REF_VARIABLES] == [cell in ref for cell in REF_VARIABLES]
+
+
+def reference_pairs(seed, count):
+    rng = random.Random(seed)
+    refs = [ref_monomial(rng) for _ in range(count)]
+    # products make divisible pairs; repeats make equal ones
+    refs += [ref_mul(refs[i], ref_monomial(rng)) for i in range(0, count, 3)]
+    refs += [dict(refs[i]) for i in range(0, count, 5)]
+    return refs
+
+
+def test_packed_monomial_fields_match_reference():
+    for ref in reference_pairs(41, 60) + [{}]:
+        m = packed(ref)
+        assert dict(m.exps) == ref
+        assert [cell for cell, _ in m.exps] == [c for c in REF_VARIABLES if c in ref]
+        assert m.degree() == sum(ref.values())
+        assert m.is_squarefree() == all(e == 1 for e in ref.values())
+        assert all(m.uses(cell) == (cell in ref) for cell in REF_VARIABLES)
+        assert monomial_to_json(m) == sorted([c.row, c.col, e] for c, e in ref.items())
+        assert monomial_from_json(monomial_to_json(m)) == m
+        assert monomial_text(m) == "*".join(
+            ("t" if c == AUX else f"m[{c.row},{c.col}]") + ("" if e == 1 else f"^{e}")
+            for c, e in sorted(ref.items())
+        )
+        assert (m == MONOMIAL_ONE) == (not ref)
+
+
+def test_packed_arithmetic_matches_reference():
+    refs = reference_pairs(43, 45)
+    divisible = 0
+    for a in refs:
+        ma = packed(a)
+        for b in refs:
+            mb = packed(b)
+            assert_packed(ma * mb, ref_mul(a, b))
+            assert_packed(ma.lcm(mb), ref_lcm(a, b))
+            assert ma.divides(mb) == ref_divides(a, b)
+            if ref_divides(a, b):
+                divisible += 1
+                quotient = mb // ma
+                assert_packed(quotient, ref_quotient(b, a))
+                assert quotient * ma == mb
+            else:
+                with pytest.raises(ValueError):
+                    mb // ma
+    assert divisible > 2 * len(refs)  # more than the trivial a | a and 1 | b
+
+
+def test_packed_order_and_equality_match_reference():
+    refs = reference_pairs(47, 60)
+    monos = [packed(ref) for ref in refs]
+    for a, ma in zip(refs, monos):
+        for b, mb in zip(refs, monos):
+            expected = ref_compare(a, b)
+            assert compare(ma, mb) == expected
+            assert (sort_key(ma) < sort_key(mb)) == (expected == 1)
+            assert (ma == mb) == (a == b)
+            if a == b:
+                assert hash(ma) == hash(mb)
+    # an ascending sort by the key lists the largest monomial first
+    by_key = sorted(monos, key=sort_key)
+    by_ref = sorted(refs, key=ref_vector, reverse=True)
+    assert [dict(m.exps) for m in by_key] == by_ref
