@@ -47,13 +47,9 @@ from .ideals import (
     spec_to_json,
 )
 from .union import (
-    ColoredDiagram,
-    Component,
     GeneratorProduct,
-    components,
     extract_factors,
     generator_product,
-    longest_antidiagonal,
     union_basis,
 )
 from .groebner import (

@@ -138,7 +138,6 @@ def _cmd_groebner(args: argparse.Namespace) -> int:
 
 def _cmd_union(args: argparse.Namespace) -> int:
     specs = [load_spec(path) for path in args.specs]
-    basis = union_basis(specs)
     ambient = specs[0].ambient_n
     if args.verify == "full-oracle" and ambient > args.max_oracle_n:
         print(
@@ -147,6 +146,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    basis = union_basis(specs)
     if args.format == "json":
         _emit(json.dumps([g.to_json() for g in basis], indent=2) + "\n", args)
     else:

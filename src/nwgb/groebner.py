@@ -143,17 +143,11 @@ def _reduced_basis(basis: list[Polynomial]) -> list[Polynomial]:
         if any(g.leading_monomial().divides(lead) for g in minimal):
             continue
         minimal.append(f)
-    stable = False
-    while not stable:
-        stable = True
-        for index in range(len(minimal)):
-            others = minimal[:index] + minimal[index + 1 :]
-            reduced = normal_form(minimal[index], others).monic()
-            if reduced != minimal[index]:
-                minimal[index] = reduced
-                stable = False
-    minimal.sort(key=lambda f: f.leading_monomial().key, reverse=True)
-    return minimal
+    # no leading term of a minimal basis divides another, so interreduction
+    # keeps every leading term and ends at the reduced basis
+    reduced = _interreduce(minimal)
+    reduced.sort(key=lambda f: f.leading_monomial().key, reverse=True)
+    return reduced
 
 
 def _unsettled_pairs(leads: list[Monomial]) -> Iterator[tuple[int, int]]:
@@ -295,10 +289,7 @@ def initial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:
 
 
 def ideals_equal(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
-    """Whether the two generating sets span the same ideal, decided by
-    mutual normal-form membership against each other's Groebner basis."""
-    basis_a = buchberger(a)
-    basis_b = buchberger(b)
-    return all(normal_form(g, basis_a).is_zero() for g in b) and all(
-        normal_form(f, basis_b).is_zero() for f in a
-    )
+    """Whether the two generating sets span the same ideal: the reduced
+    Groebner basis of an ideal is unique, monic and sorted, so the ideals
+    are equal exactly when their bases are."""
+    return buchberger(a) == buchberger(b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .permutations import PartialPermutation, essential_set, parse_one_line, rank_matrix
 from .polynomials import Antidiagonal, Polynomial, antidiagonal_of, determinant
@@ -65,7 +65,6 @@ class FultonGenerator:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     poly: Polynomial
-    antidiag: Antidiagonal
     source: RankCondition
 
 
@@ -94,26 +93,26 @@ def spec_from_rank_matrix(p: PartialPermutation) -> RankConditionSpec:
     return RankConditionSpec(p.n, conditions, label=f"{p.one_line()} full")
 
 
-def fulton_generators(spec: RankConditionSpec) -> list[FultonGenerator]:
-    """Every (r+1)-minor of every condition's region, rows then columns in
-    ascending lexicographic subset order."""
-    out: list[FultonGenerator] = []
+def _minors(
+    spec: RankConditionSpec,
+) -> Iterator[tuple[RankCondition, tuple[int, ...], tuple[int, ...]]]:
+    """(condition, rows, cols) of every (r+1)-minor of every condition's
+    region, rows then columns in ascending lexicographic subset order."""
     for cond in spec.conditions:
         size = cond.max_rank + 1
         if size > min(cond.row, cond.col):
             continue
         for rows in combinations(range(1, cond.row + 1), size):
             for cols in combinations(range(1, cond.col + 1), size):
-                out.append(
-                    FultonGenerator(
-                        rows,
-                        cols,
-                        determinant(rows, cols, ambient_n=spec.ambient_n),
-                        antidiagonal_of(rows, cols, ambient_n=spec.ambient_n),
-                        cond,
-                    )
-                )
-    return out
+                yield cond, rows, cols
+
+
+def fulton_generators(spec: RankConditionSpec) -> list[FultonGenerator]:
+    """Every (r+1)-minor of every condition's region, in ``_minors`` order."""
+    return [
+        FultonGenerator(rows, cols, determinant(rows, cols), cond)
+        for cond, rows, cols in _minors(spec)
+    ]
 
 
 def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
@@ -122,14 +121,9 @@ def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
 
 def antidiagonals_of_spec(spec: RankConditionSpec) -> list[Antidiagonal]:
     """Antidiagonals of the Fulton generators, deduplicated, in generator
-    enumeration order."""
-    seen: set[Antidiagonal] = set()
-    out: list[Antidiagonal] = []
-    for gen in fulton_generators(spec):
-        if gen.antidiag not in seen:
-            seen.add(gen.antidiag)
-            out.append(gen.antidiag)
-    return out
+    enumeration order.  A minor's antidiagonal is its leading monomial, so
+    no determinant is expanded."""
+    return list(dict.fromkeys(antidiagonal_of(r, c) for _, r, c in _minors(spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ class Antidiagonal:
         return cell in self.cells
 
 
-def _check_minor(rows: Iterable[int], cols: Iterable[int], ambient_n: int | None):
+def _check_minor(rows: Iterable[int], cols: Iterable[int]):
     r = sorted(set(rows))
     c = sorted(set(cols))
     if not r:
@@ -489,8 +489,6 @@ def _check_minor(rows: Iterable[int], cols: Iterable[int], ambient_n: int | None
         raise ValueError(f"row and column counts differ: {len(r)} vs {len(c)}")
     if r[0] < 1 or c[0] < 1:
         raise ValueError("row and column indices start at 1")
-    if ambient_n is not None and (r[-1] > ambient_n or c[-1] > ambient_n):
-        raise ValueError(f"indices exceed the ambient {ambient_n}x{ambient_n} grid")
     return r, c
 
 
@@ -503,15 +501,13 @@ def _parity(perm: Sequence[int]) -> int:
     return sign
 
 
-def determinant(
-    rows: Iterable[int], cols: Iterable[int], *, ambient_n: int | None = None
-) -> Polynomial:
+def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Determinant of the generic submatrix on the given rows and columns.
 
     Expanded as the full signed sum over permutations (the instances here
     are small, so clarity wins over a smarter expansion).
     """
-    r, c = _check_minor(rows, cols, ambient_n)
+    r, c = _check_minor(rows, cols)
     k = len(r)
     # codes[i][j] is the variable at (r[i], c[j]); rows ascend, so the codes
     # of one term, read row by row, are already sorted
@@ -523,11 +519,9 @@ def determinant(
     return Polynomial(terms)
 
 
-def antidiagonal_of(
-    rows: Iterable[int], cols: Iterable[int], *, ambient_n: int | None = None
-) -> Antidiagonal:
+def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
     """The antidiagonal cells of the minor on the given rows and columns."""
-    r, c = _check_minor(rows, cols, ambient_n)
+    r, c = _check_minor(rows, cols)
     k = len(r)
     return Antidiagonal(tuple(Cell(r[i], c[k - 1 - i]) for i in range(k)))
 

@@ -34,37 +34,6 @@ from .polynomials import (
 )
 
 
-@dataclass(frozen=True)
-class ColoredDiagram:
-    """One antidiagonal per color, in input order."""
-
-    colors: tuple[Antidiagonal, ...]
-
-    def occupied(self) -> frozenset[Cell]:
-        cells: set[Cell] = set()
-        for antidiag in self.colors:
-            cells.update(antidiag.cells)
-        return frozenset(cells)
-
-
-@dataclass(frozen=True)
-class Component:
-    """A connected piece of a colored diagram."""
-
-    cells: frozenset[Cell]
-    membership: tuple[tuple[Cell, tuple[int, ...]], ...]
-
-    def ne_cell(self) -> Cell:
-        """The northeast-most cell (least row, then greatest column)."""
-        return min(self.cells, key=lambda c: (c.row, -c.col))
-
-    def colors_at(self, cell: Cell) -> tuple[int, ...]:
-        for c, colors in self.membership:
-            if c == cell:
-                return colors
-        return ()
-
-
 def _split_cells(
     colors: Sequence[Antidiagonal], alive: Iterable[Cell]
 ) -> list[frozenset[Cell]]:
@@ -106,18 +75,6 @@ def _split_cells(
     return components
 
 
-def components(diagram: ColoredDiagram) -> list[Component]:
-    """Connected components of the full diagram, in deterministic order."""
-    out = []
-    for cells in _split_cells(diagram.colors, diagram.occupied()):
-        membership = tuple(
-            (cell, tuple(i for i, a in enumerate(diagram.colors) if cell in a))
-            for cell in sorted(cells)
-        )
-        out.append(Component(cells, membership))
-    return out
-
-
 def _longest_chain(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     """Longest strictly-SW-stepping chain through the cells; on ties the
     sequence that is elementwise least by (row, col), i.e. most northwest.
@@ -152,30 +109,24 @@ def _longest_chain(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     return tuple(chain)
 
 
-def longest_antidiagonal(comp: Component) -> Antidiagonal:
-    """The chain removed first from this component."""
-    if not comp.cells:
-        raise ValueError("empty component")
-    return Antidiagonal(_longest_chain(comp.cells))
+def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
+    """Overlay the antidiagonals and strip longest chains until no cell is
+    left.
 
-
-def extract_factors(comp: Component, diagram: ColoredDiagram) -> list[Antidiagonal]:
-    """Strip longest chains until the component is exhausted.
-
-    Returns the chains in extraction order: the component's first chain,
-    then recursively the factors of each leftover sub-component.
+    For each component of the surviving cells, in NE-cell order, the
+    component's longest chain comes first, then recursively the factors of
+    what is left of that component.
     """
 
-    def go(alive: frozenset[Cell]) -> list[Antidiagonal]:
-        chain = _longest_chain(alive)
-        factors = [Antidiagonal(chain)]
-        for sub in _split_cells(diagram.colors, alive.difference(chain)):
-            factors.extend(go(sub))
+    def strip(alive: Iterable[Cell]) -> list[Antidiagonal]:
+        factors: list[Antidiagonal] = []
+        for component in _split_cells(antidiags, alive):
+            chain = _longest_chain(component)
+            factors.append(Antidiagonal(chain))
+            factors.extend(strip(component.difference(chain)))
         return factors
 
-    if not comp.cells:
-        raise ValueError("empty component")
-    return go(frozenset(comp.cells))
+    return strip({cell for antidiag in antidiags for cell in antidiag.cells})
 
 
 @dataclass(frozen=True)
@@ -214,13 +165,10 @@ class GeneratorProduct:
 
 def generator_product(antidiags: Sequence[Antidiagonal]) -> GeneratorProduct:
     """Build the generator for one antidiagonal choice."""
-    diagram = ColoredDiagram(tuple(antidiags))
-    factors: list[Antidiagonal] = []
+    factors = extract_factors(antidiags)
     poly = Polynomial.constant(1)
-    for comp in components(diagram):
-        for factor in extract_factors(comp, diagram):
-            factors.append(factor)
-            poly = poly * factor.determinant()
+    for factor in factors:
+        poly = poly * factor.determinant()
     return GeneratorProduct(tuple(antidiags), tuple(factors), poly)
 
 

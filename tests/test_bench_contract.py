@@ -1,20 +1,29 @@
 """The names that the benchmark's traced run and checks rely on.
 
 ``bench/tracing.py`` wraps package functions and methods by name, reads
-``sort_key.cache_info()``, and ``bench/checks.py`` imports the JSON
-serializers.  A rename would otherwise show only as a failing traced
-benchmark run.  The tracing module is loaded by path and only read.
+``sort_key.cache_info()``, and ``bench/child.py`` and ``bench/checks.py``
+import package names.  A rename or a deletion would otherwise show only
+as a failing benchmark run.  The bench modules are loaded by path or
+parsed, and only read.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import nwgb.cli  # loads every layer, as a benchmark job does
 import nwgb.polynomials
+from nwgb.groebner import initial_ideal
 from nwgb.polynomials import Cell, determinant, sort_key
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+
+# child.py imports the old term order only to pass it to an initial_ideal
+# that still takes an ``order`` parameter, so it runs on older trees too
+GUARDED = {("nwgb.polynomials", "ANTIDIAGONAL")}
 
 
 def load_tracing():
@@ -62,3 +71,31 @@ def test_serializers_that_the_checks_import():
     assert polynomial_to_json(f)[0] == {"coeff": "-1", "monomial": [[1, 2, 1], [2, 1, 1]]}
     assert monomial_to_json(f.leading_monomial()) == [[1, 2, 1], [2, 1, 1]]
     assert Cell(1, 2) in dict(f.leading_monomial().exps)
+
+
+def package_imports(path):
+    """(module, name) of every ``from nwgb... import name`` in the file,
+    and (module, None) of every ``import nwgb...``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nwgb":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "nwgb":
+                    yield alias.name, None
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    seen = 0
+    for path in (BENCH / "child.py", BENCH / "checks.py"):
+        for module, name in package_imports(path):
+            seen += 1
+            if (module, name) in GUARDED:
+                assert "order" not in inspect.signature(initial_ideal).parameters
+                continue
+            owner = importlib.import_module(module)
+            assert name is None or hasattr(owner, name), (
+                f"{path.name}: from {module} import {name} does not resolve"
+            )
+    assert seen, "found no package import to check"

@@ -150,6 +150,19 @@ def test_union_size_guard(tmp_path, capsys):
     assert main(["union", big, big, "--verify=full-oracle", "--max-oracle-n=6"]) == 0
 
 
+def test_union_size_guard_runs_before_synthesis(tmp_path, capsys, monkeypatch):
+    def no_synthesis(specs):
+        raise AssertionError("the guard must stop the run before synthesis")
+
+    monkeypatch.setattr("nwgb.cli.union_basis", no_synthesis)
+    big = write_spec(tmp_path, "big.json", {"n": 10, "permutation": "1 10 9 8 7 6 5 4 3 2"})
+    other = write_spec(tmp_path, "o.json", {"n": 10, "permutation": "9 8 7 6 5 4 3 2 1 10"})
+    assert main(["union", big, other, "--verify=full-oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ambient 10 exceeds the full-oracle guard (--max-oracle-n=5)\n"
+
+
 def test_union_s5_fixture_full_oracle(tmp_path, capsys):
     left = write_spec(tmp_path, "l.json", {"n": 5, "permutation": "1 5 4 3 2"})
     right = write_spec(tmp_path, "r.json", {"n": 5, "permutation": "4 3 2 1 5"})

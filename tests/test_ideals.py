@@ -20,7 +20,7 @@ from nwgb import (
     spec_from_rank_matrix,
     spec_to_json,
 )
-from nwgb.polynomials import determinant, polynomial_text
+from nwgb.polynomials import antidiagonal_of, determinant, polynomial_text
 
 
 def test_spec_from_2143():
@@ -106,7 +106,7 @@ def test_fulton_generator_leading_monomials_are_their_antidiagonals():
     for text in ("2 1 4 3", "1 5 4 3 2", "2 * 1"):
         spec = spec_from_permutation(parse_one_line(text))
         for g in fulton_generators(spec):
-            assert g.poly.leading_monomial() == g.antidiag.monomial()
+            assert g.poly.leading_monomial() == antidiagonal_of(g.rows, g.cols).monomial()
 
 
 def test_condition_validation():

@@ -3,9 +3,10 @@
 The digests were recorded with the earlier monomial kernel (a tuple of
 (cell, exponent) pairs, divided by scanning for the largest term), before
 the packed kernel and the heap-driven division replaced it.  A change to
-the order, the monomial arithmetic or division that alters one byte of
-output fails here.  The inputs are two conditions of the benchmark's
-``complete`` pool and two triples of its ``eliminate`` pool.
+the order, the monomial arithmetic, division or the union construction
+that alters one byte of output fails here.  The inputs are two conditions
+of the benchmark's ``complete`` pool, two triples of its ``eliminate``
+pool and the fixed S7 pair of its ``synth`` workload.
 """
 
 import hashlib
@@ -35,6 +36,18 @@ def test_groebner_json_bytes_on_5x5_conditions(condition, digest, tmp_path, caps
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"n": 5, "conditions": [{"i": i, "j": j, "r": r}]}))
     assert main(["groebner", str(path), "--format=json"]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_union_json_bytes_on_the_s7_pair(tmp_path, capsys):
+    # the digest bench/pool.json pins for the synth workload's fixed job
+    paths = []
+    for name, perm in (("l", "1 7 6 5 4 3 2"), ("r", "6 5 4 3 2 1 7")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 7, "permutation": perm}))
+        paths.append(str(path))
+    assert main(["union", *paths, "--format=json", "--verify=none"]) == 0
+    digest = "5ad4f242a1960feb6e42f78a8fbedc01b3ea79f102e34717088a56cb8d32f52c"
     assert sha256(capsys.readouterr().out) == digest
 
 

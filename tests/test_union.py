@@ -1,4 +1,4 @@
-"""Colored diagrams, chain extraction and union bases."""
+"""Chain extraction, generator products and union bases."""
 
 import random
 from itertools import permutations as itertools_permutations, product
@@ -8,7 +8,6 @@ import pytest
 from nwgb import (
     Antidiagonal,
     Cell,
-    ColoredDiagram,
     Monomial,
     PartialPermutation,
     Polynomial,
@@ -16,17 +15,16 @@ from nwgb import (
     RankConditionSpec,
     antidiagonals_of_spec,
     buchberger,
-    components,
     extract_factors,
     generator_polynomials,
     generator_product,
-    longest_antidiagonal,
     normal_form,
     parse_one_line,
     spec_from_permutation,
     union_basis,
 )
 from nwgb.polynomials import determinant, polynomial_text
+from nwgb.union import _longest_chain
 
 
 def anti(*cells):
@@ -63,58 +61,52 @@ def brute_longest_chains(cells):
 # components -------------------------------------------------------------------
 
 def test_disjoint_antidiagonals_make_two_components():
-    diagram = ColoredDiagram((anti((1, 2), (2, 1)), anti((1, 4), (3, 1))))
-    comps = components(diagram)
-    assert [sorted(c.cells) for c in comps] == [
-        [Cell(1, 2), Cell(2, 1)],
-        [Cell(1, 4), Cell(3, 1)],
-    ]
+    a = anti((1, 2), (2, 1))
+    b = anti((1, 4), (3, 1))
+    assert extract_factors((a, b)) == [a, b]
 
 
 def test_single_antidiagonal_is_one_component():
-    diagram = ColoredDiagram((anti((1, 4), (3, 2), (4, 1)),))
-    assert len(components(diagram)) == 1
+    a = anti((1, 4), (3, 2), (4, 1))
+    assert extract_factors((a,)) == [a]
 
 
 def test_shared_cell_merges_components():
-    diagram = ColoredDiagram((anti((1, 1),), anti((1, 1),)))
-    assert len(components(diagram)) == 1
-    diagram = ColoredDiagram((anti((2, 2), (3, 1)), anti((1, 3), (2, 2))))
-    assert len(components(diagram)) == 1
+    assert extract_factors((anti((1, 1),), anti((1, 1),))) == [anti((1, 1),)]
+    merged = extract_factors((anti((2, 2), (3, 1)), anti((1, 3), (2, 2))))
+    assert merged == [anti((1, 3), (2, 2), (3, 1))]
 
 
-def test_component_order_and_membership():
-    diagram = ColoredDiagram((anti((2, 2),), anti((1, 3),), anti((2, 2),)))
-    comps = components(diagram)
-    assert [c.ne_cell() for c in comps] == [Cell(1, 3), Cell(2, 2)]
-    assert comps[1].colors_at(Cell(2, 2)) == (0, 2)
+def test_component_order():
+    # (1,3) and (2,2) would chain, but no color joins them: two components,
+    # the NE-most first
+    factors = extract_factors((anti((2, 2),), anti((1, 3),), anti((2, 2),)))
+    assert factors == [anti((1, 3),), anti((2, 2),)]
 
 
 # longest chains ----------------------------------------------------------------
 
 def test_longest_antidiagonal_of_a_chain_is_itself():
     a = anti((1, 4), (3, 2), (4, 1))
-    comp = components(ColoredDiagram((a,)))[0]
-    assert longest_antidiagonal(comp) == a
+    assert extract_factors((a,))[0] == a
 
 
 def test_tie_break_prefers_most_northwest_chain():
     green = anti((1, 4), (2, 3), (3, 2))
     red = anti((1, 4), (4, 3), (5, 2))
-    comp = components(ColoredDiagram((green, red)))[0]
-    assert longest_antidiagonal(comp) == green
+    assert extract_factors((green, red))[0] == green
 
 
 def test_longest_chain_matches_brute_force_and_is_lex_least():
     rng = random.Random(31)
     for _ in range(150):
-        antidiags = [random_antidiagonal(rng) for _ in range(rng.randint(1, 3))]
-        diagram = ColoredDiagram(tuple(antidiags))
-        for comp in components(diagram):
-            chosen = longest_antidiagonal(comp)
-            best_len, best = brute_longest_chains(comp.cells)
-            assert len(chosen) == best_len
-            assert chosen.cells == min(best)
+        cells = {
+            Cell(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 9))
+        }
+        chosen = _longest_chain(cells)
+        best_len, best = brute_longest_chains(cells)
+        assert len(chosen) == best_len
+        assert chosen == min(best)
 
 
 # extraction -------------------------------------------------------------------
@@ -122,25 +114,20 @@ def test_longest_chain_matches_brute_force_and_is_lex_least():
 def test_extract_disjoint_components_yield_their_own_antidiagonals():
     a = anti((1, 2), (2, 1))
     b = anti((1, 4), (3, 2), (4, 1))
-    diagram = ColoredDiagram((a, b))
-    assert [extract_factors(c, diagram) for c in components(diagram)] == [[a], [b]]
+    assert extract_factors((a, b)) == [a, b]
 
 
 def test_extract_merged_antidiagonal_gives_single_factor():
     # two chains overlapping into one antidiagonal X
     green = anti((1, 4), (2, 3), (3, 2))
     red = anti((2, 3), (3, 2), (4, 1))
-    diagram = ColoredDiagram((green, red))
-    comp = components(diagram)[0]
-    assert extract_factors(comp, diagram) == [anti((1, 4), (2, 3), (3, 2), (4, 1))]
+    assert extract_factors((green, red)) == [anti((1, 4), (2, 3), (3, 2), (4, 1))]
 
 
 def test_extract_tie_component_factors():
     green = anti((1, 4), (2, 3), (3, 2))
     red = anti((1, 4), (4, 3), (5, 2))
-    diagram = ColoredDiagram((green, red))
-    comp = components(diagram)[0]
-    assert extract_factors(comp, diagram) == [green, anti((4, 3), (5, 2))]
+    assert extract_factors((green, red)) == [green, anti((4, 3), (5, 2))]
 
 
 def test_extraction_reconnects_surviving_dots_of_a_color():
@@ -149,11 +136,8 @@ def test_extraction_reconnects_surviving_dots_of_a_color():
     blue = anti((1, 2), (2, 1))
     green = anti((2, 4), (3, 2), (4, 1))
     red = anti((1, 5), (2, 4), (5, 1))
-    diagram = ColoredDiagram((blue, green, red))
-    comps = components(diagram)
-    assert [sorted(c.cells)[0] for c in comps] == [Cell(1, 2), Cell(1, 5)]
-    assert extract_factors(comps[0], diagram) == [blue]
-    assert extract_factors(comps[1], diagram) == [
+    assert extract_factors((blue, green, red)) == [
+        blue,
         anti((1, 5), (2, 4), (3, 2), (4, 1)),
         anti((5, 1),),
     ]
