@@ -48,6 +48,7 @@ from .ideals import (
 )
 from .union import (
     GeneratorProduct,
+    basis_json_text,
     extract_factors,
     generator_product,
     union_basis,

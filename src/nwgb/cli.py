@@ -14,7 +14,7 @@ from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to
 from .groebner import buchberger, ideals_equal, is_groebner
 from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
 from .polynomials import polynomial_text, polynomial_to_json
-from .union import union_basis
+from .union import basis_json_text, union_basis
 from .verify import EXHAUSTIVE, SUITES, membership_failures, oracle_intersection, run_suite
 
 EXIT_OK = 0
@@ -27,9 +27,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nwgb",
         description="Groebner bases for unions of schemes given by northwest rank conditions",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", default=None, help="write output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diagram = sub.add_parser(
@@ -64,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest ambient size allowed under --verify=full-oracle",
     )
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run a property suite")
+    # a suite report is text only
+    p_verify = sub.add_parser("verify", parents=[out], help="run a property suite")
     p_verify.add_argument("suite", help=f"one of: all, {', '.join(sorted(SUITES))}")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=None)
@@ -148,7 +150,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     basis = union_basis(specs)
     if args.format == "json":
-        _emit(json.dumps([g.to_json() for g in basis], indent=2) + "\n", args)
+        _emit(basis_json_text(basis) + "\n", args)
     else:
         _emit("".join(polynomial_text(g.poly) + "\n" for g in basis), args)
     if args.verify == "none":

@@ -505,17 +505,18 @@ def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Determinant of the generic submatrix on the given rows and columns.
 
     Expanded as the full signed sum over permutations (the instances here
-    are small, so clarity wins over a smarter expansion).
+    are small, so clarity wins over a smarter expansion).  The signs are
+    summed as ints; the polynomial holds them as Fractions.
     """
     r, c = _check_minor(rows, cols)
     k = len(r)
     # codes[i][j] is the variable at (r[i], c[j]); rows ascend, so the codes
     # of one term, read row by row, are already sorted
     codes = [[_code((row, col)) for col in c] for row in r]
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for perm in _all_permutations(range(k)):
         mono = _from_codes([codes[i][perm[i]] for i in range(k)])
-        terms[mono] = terms.get(mono, Fraction(0)) + _parity(perm)
+        terms[mono] = terms.get(mono, 0) + _parity(perm)
     return Polynomial(terms)
 
 

@@ -26,9 +26,12 @@ from typing import Iterable, Sequence
 
 from .ideals import RankConditionSpec, antidiagonals_of_spec
 from .polynomials import (
+    MONOMIAL_ONE,
     Antidiagonal,
     Cell,
+    Monomial,
     Polynomial,
+    _cell,
     polynomial_text,
     polynomial_to_json,
 )
@@ -163,19 +166,112 @@ class GeneratorProduct:
         return polynomial_text(self.poly)
 
 
-def generator_product(antidiags: Sequence[Antidiagonal]) -> GeneratorProduct:
-    """Build the generator for one antidiagonal choice."""
-    factors = extract_factors(antidiags)
-    poly = Polynomial.constant(1)
+def _json_list(items: Sequence[str], indent: int) -> str:
+    """A list of already-encoded items, laid out as ``json.dumps(...,
+    indent=2)`` lays out a list that opens at this indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+def basis_json_text(basis: Sequence[GeneratorProduct]) -> str:
+    """The text of ``json.dumps([g.to_json() for g in basis], indent=2)``,
+    written directly, with no dict tree.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, which
+    costs more than building the basis.  Here every ``[row, col, exp]``
+    block is encoded once per call and reused; a polynomial's coefficients
+    are exact rationals, so ``str`` gives the JSON string body as is.
+    """
+    blocks: dict[tuple[int, int], tuple[int, int, str]] = {}
+    items = []
+    for g in basis:
+        factors = [
+            '{\n        "rows": '
+            + _json_list([str(r) for r in sorted(f.rows())], 8)
+            + ',\n        "cols": '
+            + _json_list([str(c) for c in f.cols()], 8)
+            + "\n      }"
+            for f in g.factors
+        ]
+        terms = []
+        for coeff, mono in g.poly.sorted_terms():
+            key = mono.key
+            variables = []
+            for i in range(0, len(key) - 1, 2):
+                pair = (key[i], key[i + 1])
+                block = blocks.get(pair)
+                if block is None:
+                    row, col = _cell(pair[0])
+                    exp = -pair[1]
+                    block = blocks[pair] = (
+                        row,
+                        col,
+                        _json_list((str(row), str(col), str(exp)), 10),
+                    )
+                variables.append(block)
+            variables.sort()  # row-major ascending, as monomial_to_json lists them
+            terms.append(
+                f'{{\n        "coeff": "{coeff}",\n        "monomial": '
+                + _json_list([block[2] for block in variables], 8)
+                + "\n      }"
+            )
+        items.append(
+            '{\n    "factors": '
+            + _json_list(factors, 4)
+            + ',\n    "poly": '
+            + _json_list(terms, 4)
+            + "\n  }"
+        )
+    return _json_list(items, 0)
+
+
+def generator_product(
+    antidiags: Sequence[Antidiagonal],
+    factors: Sequence[Antidiagonal] | None = None,
+    minors: dict[tuple[Cell, ...], dict[Monomial, int]] | None = None,
+) -> GeneratorProduct:
+    """Build the generator for one antidiagonal choice.
+
+    ``factors`` is ``extract_factors(antidiags)``, passed by a caller that
+    has it already.  ``minors`` maps a factor's cells to its determinant's
+    terms on int coefficients; a caller that builds many generators passes
+    one dict to every call, so each minor is expanded once.  Determinants
+    and their products are integral, so the product is taken on ints and
+    held as Fractions only in the final Polynomial.
+    """
+    if factors is None:
+        factors = extract_factors(antidiags)
+    if minors is None:
+        minors = {}
+    terms: dict[Monomial, int] = {MONOMIAL_ONE: 1}
     for factor in factors:
-        poly = poly * factor.determinant()
-    return GeneratorProduct(tuple(antidiags), tuple(factors), poly)
+        det = minors.get(factor.cells)
+        if det is None:
+            det = minors[factor.cells] = {
+                m: c.numerator for m, c in factor.determinant().terms.items()
+            }
+        out: dict[Monomial, int] = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in det.items():
+                m = m1 * m2
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
+        terms = out  # a coefficient that cancels to 0 is dropped by Polynomial
+    return GeneratorProduct(tuple(antidiags), tuple(factors), Polynomial(terms))
 
 
 def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     """Basis of the intersection of the specs' ideals (= the union of the
     schemes): one generator per choice of Fulton antidiagonals, one from
-    each spec, deduplicated by polynomial equality.
+    each spec, deduplicated, the first choice in enumeration order kept.
+
+    A generator is the product of its factors' determinants, and generic
+    minors are irreducible and no two are scalar multiples, so two choices
+    give the same polynomial exactly when they extract the same factors.
+    The factors partition the occupied cells, so they are distinct and
+    their set is the key; only a new key's product is built.
 
     A spec with no generators imposes nothing, so the union is the whole
     space and the basis is empty (the zero ideal).
@@ -191,11 +287,13 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     if any(not c for c in choices):
         return []
-    seen: set[Polynomial] = set()
+    minors: dict[tuple[Cell, ...], dict[Monomial, int]] = {}
+    seen: set[frozenset[tuple[Cell, ...]]] = set()
     basis: list[GeneratorProduct] = []
     for combo in product(*choices):
-        candidate = generator_product(combo)
-        if candidate.poly not in seen:
-            seen.add(candidate.poly)
-            basis.append(candidate)
+        factors = extract_factors(combo)
+        key = frozenset(factor.cells for factor in factors)
+        if key not in seen:
+            seen.add(key)
+            basis.append(generator_product(combo, factors, minors))
     return basis

@@ -244,6 +244,24 @@ def test_verify_all_passes_cases_to_sampled_suites_only(capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_rejects_format(fmt, capsys):
+    # a suite report is text only; a --format it ignored would print text
+    # where JSON was asked for, and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "s3-exhaustive", f"--format={fmt}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --format" in err
+
+
+def test_verify_out_file(tmp_path):
+    target = tmp_path / "report.txt"
+    assert main(["verify", "s3-exhaustive", f"--out={target}"]) == 0
+    assert target.read_text() == "s3-exhaustive: 72 cases, 0 failures [PASS]\n"
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
 

@@ -6,7 +6,8 @@ the packed kernel and the heap-driven division replaced it.  A change to
 the order, the monomial arithmetic, division or the union construction
 that alters one byte of output fails here.  The inputs are two conditions
 of the benchmark's ``complete`` pool, two triples of its ``eliminate``
-pool and the fixed S7 pair of its ``synth`` workload.
+pool, the fixed S7 pair of its ``synth`` workload and three pooled S6
+pairs of that workload.
 """
 
 import hashlib
@@ -48,6 +49,35 @@ def test_union_json_bytes_on_the_s7_pair(tmp_path, capsys):
         paths.append(str(path))
     assert main(["union", *paths, "--format=json", "--verify=none"]) == 0
     digest = "5ad4f242a1960feb6e42f78a8fbedc01b3ea79f102e34717088a56cb8d32f52c"
+    assert sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "perms,digest",
+    [
+        # the smallest, the median and the largest pooled synth job by
+        # pinned cost, with the digests bench/pool.json pins for them
+        (
+            ("3 4 5 6 2 1", "5 6 3 1 2 4"),
+            "1835b53d2ae64d969f695e360cb6d5e9bad27445b5abe0d6049227a2ea6ecb41",
+        ),
+        (
+            ("1 4 2 5 6 3", "1 5 4 3 2 6"),
+            "d650988920b104d7c5bb1f3a8c68c6afb111d6827c6e6ed57eeb33419b9a9127",
+        ),
+        (
+            ("1 2 3 4 6 5", "3 5 1 6 4 2"),
+            "5d7672f272da7f9555e3057be0abdf71195a407442f761ed46de85b81e3b2f6f",
+        ),
+    ],
+)
+def test_union_json_bytes_on_s6_pairs(perms, digest, tmp_path, capsys):
+    paths = []
+    for name, perm in zip("lr", perms):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 6, "permutation": perm}))
+        paths.append(str(path))
+    assert main(["union", *paths, "--format=json", "--verify=none"]) == 0
     assert sha256(capsys.readouterr().out) == digest
 
 

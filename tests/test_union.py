@@ -1,6 +1,8 @@
 """Chain extraction, generator products and union bases."""
 
+import json
 import random
+from fractions import Fraction
 from itertools import permutations as itertools_permutations, product
 
 import pytest
@@ -23,8 +25,10 @@ from nwgb import (
     spec_from_permutation,
     union_basis,
 )
+import nwgb.polynomials
+import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text
-from nwgb.union import _longest_chain
+from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
 
 
 def anti(*cells):
@@ -314,3 +318,130 @@ def test_generator_json_schema():
         {"rows": [3], "cols": [1]},
     ]
     assert data["poly"][0]["coeff"] == "-1"
+
+
+# factor-key deduplication and the JSON writer ------------------------------------
+
+def reference_union_basis(specs):
+    """The literal loop: build every choice's generator, keep the first of
+    each polynomial.  Each product is also multiplied out as Polynomials,
+    independently of the int path."""
+    choices = [antidiagonals_of_spec(spec) for spec in specs]
+    if any(not c for c in choices):
+        return []
+    seen = set()
+    basis = []
+    for combo in product(*choices):
+        built = generator_product(combo)
+        poly = Polynomial.constant(1)
+        for factor in built.factors:
+            poly = poly * factor.determinant()
+        assert built.poly == poly
+        if built.poly not in seen:
+            seen.add(built.poly)
+            basis.append(built)
+    return basis
+
+
+def schubert_specs(*texts):
+    return [spec_from_permutation(parse_one_line(t)) for t in texts]
+
+
+def all_specs(n):
+    return [
+        spec_from_permutation(PartialPermutation(images))
+        for images in itertools_permutations(range(1, n + 1))
+    ]
+
+
+S4_SPECS = all_specs(4)
+S4_PAIRS = [(a, b) for a in S4_SPECS for b in S4_SPECS]
+
+
+def assert_same_basis_as_reference(specs):
+    built = union_basis(specs)
+    expected = reference_union_basis(specs)
+    assert [(g.inputs, g.factors, g.poly) for g in built] == [
+        (g.inputs, g.factors, g.poly) for g in expected
+    ]
+    for g in built:
+        # an int coefficient would turn a division in normal_form or monic
+        # into a float
+        assert all(type(c) is Fraction for c in g.poly.terms.values())
+
+
+def test_factor_key_dedup_equals_polynomial_dedup_on_all_s4_pairs():
+    for specs in S4_PAIRS:
+        assert_same_basis_as_reference(specs)
+
+
+@pytest.mark.parametrize(
+    "texts", [("1 5 4 3 2", "4 3 2 1 5"), ("3 1 5 2 4", "1 4 3 2 5")]
+)
+def test_factor_key_dedup_equals_polynomial_dedup_on_s5_pairs(texts):
+    assert_same_basis_as_reference(schubert_specs(*texts))
+
+
+def test_determinant_coefficients_are_fractions():
+    for size in range(1, 5):
+        f = determinant(range(1, size + 1), range(2, size + 2))
+        assert all(type(c) is Fraction for c in f.terms.values())
+    monic = determinant([1, 2], [1, 2]).monic()  # leads with -1, so it divides
+    assert all(type(c) is Fraction for c in monic.terms.values())
+
+
+def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
+    calls = {"product": 0, "minors": []}
+    build, expand = nwgb.union.generator_product, nwgb.polynomials.determinant
+
+    def counted_build(*args):
+        calls["product"] += 1
+        return build(*args)
+
+    def counted_expand(rows, cols):
+        calls["minors"].append((tuple(rows), tuple(cols)))
+        return expand(rows, cols)
+
+    monkeypatch.setattr(nwgb.union, "generator_product", counted_build)
+    monkeypatch.setattr(nwgb.polynomials, "determinant", counted_expand)
+    specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
+    basis = union_basis(specs)
+    choices = len(antidiagonals_of_spec(specs[0])) * len(antidiagonals_of_spec(specs[1]))
+    assert len(basis) < choices
+    assert calls["product"] == len(basis)
+    assert len(set(calls["minors"])) == len(calls["minors"])
+    assert set(calls["minors"]) == {
+        (f.rows(), f.cols()) for g in basis for f in g.factors
+    }
+
+
+S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        S3_PAIRS,
+        [list(pair) for pair in random.Random(11).sample(S4_PAIRS, 40)],
+        [schubert_specs("1 4 2 3", "1 3 4 2", "2 1 4 3")],
+        [schubert_specs("2 1 4 3")],
+        [schubert_specs("1 2 3 4", "2 1 4 3")],
+    ],
+    ids=["s3-pairs", "s4-pairs-sample", "s4-triple", "single-spec", "empty"],
+)
+def test_basis_json_text_equals_json_dumps(cases):
+    for specs in cases:
+        basis = union_basis(specs)
+        reference = [g.to_json() for g in basis]
+        text = basis_json_text(basis)
+        assert text == json.dumps(reference, indent=2)
+        assert json.loads(text) == reference
+        if not basis:
+            assert text == "[]"
+
+
+def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
+    # no union generator has these, but the writer matches json.dumps on them
+    poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
+    basis = [GeneratorProduct((), (), poly)]
+    assert basis_json_text(basis) == json.dumps([g.to_json() for g in basis], indent=2)
