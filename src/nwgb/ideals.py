@@ -155,7 +155,10 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
     if not isinstance(data, Mapping):
         raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
     if "permutation" in data:
-        p = parse_one_line(str(data["permutation"]))
+        text = data["permutation"]
+        if not isinstance(text, str):
+            raise ValueError(f"spec field permutation must be a string, got {text!r}")
+        p = parse_one_line(text)
         if "n" in data and _int_field(data, "n", "n") != p.n:
             raise ValueError(
                 f"declared n={data['n']} but the permutation has {p.n} entries"

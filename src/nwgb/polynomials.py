@@ -530,7 +530,7 @@ def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _row_major(mono: Monomial) -> list[list[int]]:
+def monomial_to_json(mono: Monomial) -> list[list[int]]:
     """[row, col, exp] per variable, row-major ascending (t first)."""
     out = []
     key = mono.key
@@ -545,7 +545,7 @@ def _row_major(mono: Monomial) -> list[list[int]]:
 def monomial_text(mono: Monomial) -> str:
     """Variables joined by '*', row-major ascending; empty string for 1."""
     parts = []
-    for row, col, exp in _row_major(mono):
+    for row, col, exp in monomial_to_json(mono):
         name = "t" if row == col == 0 else f"m[{row},{col}]"
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)
@@ -560,10 +560,6 @@ def polynomial_text(f: Polynomial) -> str:
         body = monomial_text(mono)
         rendered.append(f"{coeff}*{body}" if body else f"{coeff}")
     return " + ".join(rendered)
-
-
-def monomial_to_json(mono: Monomial) -> list[list[int]]:
-    return _row_major(mono)
 
 
 def monomial_from_json(data: Iterable[Sequence[int]]) -> Monomial:

@@ -11,11 +11,14 @@ of the stripped chains is the generator attached to that choice of
 antidiagonals; ranging over all choices yields a Groebner basis of the
 intersection under the antidiagonal order.
 
-After a chain is removed, surviving dots of each color that have become
-consecutive are treated as adjacent again (segments contract over removed
-cells), and the leftover diagram is split into components afresh.  This is
-the reading that reproduces the worked examples, e.g. a lone far-south
-cell of a mostly-consumed antidiagonal ends up as its own 1 x 1 factor.
+After a chain is removed, the surviving dots of each color that have
+become consecutive are joined again, and the leftover diagram is split into
+components afresh.  So the survivors of one color always lie in one
+component, and a component is simply a union of colors that share a
+surviving cell: two colors meet exactly when the overlay identifies one of
+their survivors.  This is the reading that reproduces the worked examples,
+e.g. a lone far-south cell of a mostly-consumed antidiagonal ends up as its
+own 1 x 1 factor.
 """
 
 from __future__ import annotations
@@ -37,78 +40,59 @@ from .polynomials import (
 )
 
 
-def _split_cells(
-    colors: Sequence[Antidiagonal], alive: Iterable[Cell]
-) -> list[frozenset[Cell]]:
-    """Connected components of the surviving cells.
+def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
+    """Connected components of the surviving cells, sorted by their NE-most
+    cell, by (row, col).
 
-    Edges join cells that are consecutive among the surviving cells of any
-    one color; a shared cell is a single vertex, so co-location connects
-    automatically.  Components are sorted by their NE-most cell, by (row,
-    col).
+    Consecutive survivors of a color are joined, so each color's survivors
+    lie in one component, and a component is the union of the colors that
+    share a surviving cell.
     """
-    alive_set = set(alive)
-    adjacency: dict[Cell, set[Cell]] = {cell: set() for cell in alive_set}
+    groups: list[set[Cell]] = []
     for antidiag in colors:
-        survivors = [c for c in antidiag.cells if c in alive_set]
-        for a, b in zip(survivors, survivors[1:]):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    components: list[frozenset[Cell]] = []
-    seen: set[Cell] = set()
-    for cell in sorted(alive_set):
-        if cell in seen:
+        merged = alive.intersection(antidiag.cells)
+        if not merged:
             continue
-        stack = [cell]
-        group: set[Cell] = set()
-        while stack:
-            current = stack.pop()
-            if current in group:
-                continue
-            group.add(current)
-            stack.extend(adjacency[current] - group)
-        seen.update(group)
-        components.append(frozenset(group))
-
-    def ne(cells: frozenset[Cell]) -> tuple[int, int]:
-        cell = min(cells, key=lambda c: (c.row, -c.col))
-        return (cell.row, cell.col)
-
-    components.sort(key=ne)
-    return components
+        apart = []
+        for group in groups:
+            if merged.isdisjoint(group):
+                apart.append(group)
+            else:
+                merged |= group
+        groups = apart + [merged]
+    # pick the NE-most cell by (row, -col), then compare those cells as
+    # (row, col): sorting on (row, -col) alone orders a row's groups the
+    # other way
+    groups.sort(key=lambda group: min(group, key=lambda c: (c.row, -c.col)))
+    return groups
 
 
 def _longest_chain(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     """Longest strictly-SW-stepping chain through the cells; on ties the
     sequence that is elementwise least by (row, col), i.e. most northwest.
 
-    ``reach[c]`` is the length of the longest chain starting at c.  The
-    greedy reconstruction is exact: a cell can start/continue a maximal
-    chain iff its reach matches the remaining length, and picking the
-    (row, col)-least such cell at each step gives the lexicographically
-    least optimal chain.
+    ``reach[c]`` is the length of the longest chain starting at c.  A cell
+    can start or continue a maximal chain iff its reach matches the
+    remaining length, and every cell that can follow the last one taken
+    comes after it in (row, col) order, so the first such cell in one
+    ascending pass is the least, which gives the lexicographically least
+    optimal chain.
     """
     ordered = sorted(cells)
     reach: dict[Cell, int] = {}
-    for cell in sorted(ordered, key=lambda c: (-c.row, c.col)):
-        best = 0
-        for other in ordered:
-            if other.row > cell.row and other.col < cell.col:
-                best = max(best, reach[other])
-        reach[cell] = 1 + best
+    for cell in reversed(ordered):  # every cell SW of this one is reached
+        reach[cell] = 1 + max(
+            (n for c, n in reach.items() if c.row > cell.row and c.col < cell.col),
+            default=0,
+        )
     remaining = max(reach.values())
     chain: list[Cell] = []
-    previous: Cell | None = None
-    while remaining:
-        candidates = [
-            c
-            for c in ordered
-            if reach[c] == remaining
-            and (previous is None or (c.row > previous.row and c.col < previous.col))
-        ]
-        previous = min(candidates)
-        chain.append(previous)
-        remaining -= 1
+    for cell in ordered:
+        if reach[cell] == remaining and (
+            not chain or (cell.row > chain[-1].row and cell.col < chain[-1].col)
+        ):
+            chain.append(cell)
+            remaining -= 1
     return tuple(chain)
 
 
@@ -121,9 +105,9 @@ def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
     what is left of that component.
     """
 
-    def strip(alive: Iterable[Cell]) -> list[Antidiagonal]:
+    def strip(alive: set[Cell]) -> list[Antidiagonal]:
         factors: list[Antidiagonal] = []
-        for component in _split_cells(antidiags, alive):
+        for component in _components(antidiags, alive):
             chain = _longest_chain(component)
             factors.append(Antidiagonal(chain))
             factors.extend(strip(component.difference(chain)))

@@ -29,6 +29,7 @@ import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text
 from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
+from nwgb.verify import membership_failures
 
 
 def anti(*cells):
@@ -147,6 +148,96 @@ def test_extraction_reconnects_surviving_dots_of_a_color():
     ]
 
 
+def reference_split_cells(colors, alive):
+    """Connected components as a graph search: edges join cells that are
+    consecutive among the surviving cells of any one color."""
+    alive_set = set(alive)
+    adjacency = {cell: set() for cell in alive_set}
+    for antidiag in colors:
+        survivors = [c for c in antidiag.cells if c in alive_set]
+        for a, b in zip(survivors, survivors[1:]):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    components = []
+    seen = set()
+    for cell in sorted(alive_set):
+        if cell in seen:
+            continue
+        stack = [cell]
+        group = set()
+        while stack:
+            current = stack.pop()
+            if current in group:
+                continue
+            group.add(current)
+            stack.extend(adjacency[current] - group)
+        seen.update(group)
+        components.append(frozenset(group))
+
+    def ne(cells):
+        cell = min(cells, key=lambda c: (c.row, -c.col))
+        return (cell.row, cell.col)
+
+    components.sort(key=ne)
+    return components
+
+
+def reference_longest_chain(cells):
+    """Longest chain by reach over all cells, then the least candidate at
+    each step."""
+    ordered = sorted(cells)
+    reach = {}
+    for cell in sorted(ordered, key=lambda c: (-c.row, c.col)):
+        best = 0
+        for other in ordered:
+            if other.row > cell.row and other.col < cell.col:
+                best = max(best, reach[other])
+        reach[cell] = 1 + best
+    remaining = max(reach.values())
+    chain = []
+    previous = None
+    while remaining:
+        candidates = [
+            c
+            for c in ordered
+            if reach[c] == remaining
+            and (previous is None or (c.row > previous.row and c.col < previous.col))
+        ]
+        previous = min(candidates)
+        chain.append(previous)
+        remaining -= 1
+    return tuple(chain)
+
+
+def reference_extract_factors(antidiags):
+    def strip(alive):
+        factors = []
+        for component in reference_split_cells(antidiags, alive):
+            chain = reference_longest_chain(component)
+            factors.append(Antidiagonal(chain))
+            factors.extend(strip(component.difference(chain)))
+        return factors
+
+    return strip({cell for antidiag in antidiags for cell in antidiag.cells})
+
+
+def test_extract_factors_equals_graph_search_reference_on_all_s4_pairs():
+    fulton = [antidiagonals_of_spec(spec) for spec in S4_SPECS]
+    for left, right in product(fulton, repeat=2):
+        for combo in product(left, right):
+            assert extract_factors(combo) == reference_extract_factors(combo)
+
+
+def test_extract_factors_equals_graph_search_reference_on_random_lists():
+    rng = random.Random(41)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        antidiags = [
+            random_antidiagonal(rng, n=n, max_len=n) for _ in range(rng.randint(1, 5))
+        ]
+        assert extract_factors(antidiags) == reference_extract_factors(antidiags)
+
+
 # generator products --------------------------------------------------------------
 
 def test_single_antidiagonal_generator_is_its_determinant():
@@ -235,6 +326,26 @@ def test_long_chain_can_escape_a_source_region():
     ideal_a1 = RankConditionSpec(4, (RankCondition(2, 4, 1),))
     basis = buchberger(generator_polynomials(ideal_a1))
     assert not normal_form(built.poly, basis).is_zero()
+
+
+def test_s5_pair_generator_outside_one_ideal():
+    """Known defect, kept as a regression marker: on 1 2 4 5 3 | 1 4 2 3 5
+    the two inputs share (1,3), so they form one component, whose longest
+    chain takes rows 1, 3, 4 and leaves (2,1) as its own factor.  The
+    product is not in the ideal of 1 4 2 3 5 (rank(NW 2x3) <= 1)."""
+    specs = schubert_specs("1 2 4 5 3", "1 4 2 3 5")
+    basis = union_basis(specs)
+    assert len(basis) == 12
+    bad = [g for g in basis if membership_failures([g.poly], specs)]
+    assert [(g.inputs, [(f.rows(), f.cols()) for f in g.factors]) for g in bad] == [
+        (
+            (anti((1, 3), (3, 2), (4, 1)), anti((1, 3), (2, 1))),
+            [((1, 3, 4), (1, 2, 3)), ((2,), (1,))],
+        )
+    ]
+    assert membership_failures([bad[0].poly], specs) == [
+        f"{polynomial_text(bad[0].poly)} is not in the ideal of 1 4 2 3 5"
+    ]
 
 
 # union bases ---------------------------------------------------------------------

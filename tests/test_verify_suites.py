@@ -10,6 +10,8 @@ from nwgb.polynomials import Cell, Polynomial
 from nwgb.union import union_basis
 from nwgb.verify import (
     SUITES,
+    SuiteReport,
+    _union_pair_checks,
     honest_permutations,
     ideal_of,
     membership_failures,
@@ -67,6 +69,17 @@ def test_s4_sample_contains_required_fixtures():
     assert ((1, 4, 2, 3), (1, 3, 4, 2)) in keys
     assert ((2, 1, 4, 3), (1, 4, 3, 2)) in keys
     assert len(keys) == 25
+
+
+def test_union_checks_pass_on_all_ordered_s4_pairs():
+    # Buchberger criterion, equality with the oracle intersection and the
+    # init theorem on every ordered pair, identity included
+    report = SuiteReport("s4-pairs")
+    perms = honest_permutations(4)
+    for left in perms:
+        for right in perms:
+            _union_pair_checks(report, left, right, check_init_theorem=True)
+    assert (report.cases, report.failures) == (1728, [])
 
 
 def _specs(*texts):
