@@ -57,6 +57,7 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     buchberger,
+    generates,
     ideals_equal,
     initial_ideal,
     intersect,

@@ -17,8 +17,13 @@ a sum.  So does:
 
 The queue applies the chain criterion only through pairs it has already
 settled, so skipping pairs leaves every verdict and every reduced basis
-unchanged.  Output is reduced, and ideal intersection uses the textbook
-elimination trick with one auxiliary variable.  Everything runs under the
+unchanged.  ``is_groebner`` runs the queue only on the minimal-lead subset
+of its input and reduces the other elements against that subset, and
+``generates`` compares a generating set with a known reduced basis without
+completing it when its minimal-lead subset already interreduces to that
+basis; both answers are exact (see their docstrings).  Output is reduced,
+and ideal intersection uses the textbook elimination trick with one
+auxiliary variable.  Everything runs under the
 one antidiagonal lex order of :mod:`nwgb.polynomials`, which ranks that
 variable first and so is also an elimination order for it.
 """
@@ -129,22 +134,29 @@ def _interreduce(polys: Iterable[Polynomial]) -> list[Polynomial]:
     return current
 
 
-def _reduced_basis(basis: list[Polynomial]) -> list[Polynomial]:
-    """Minimalize and tail-reduce to the unique reduced Groebner basis,
-    sorted by ascending leading monomial."""
-    if not basis:
-        return []
+def _minimal_split(basis: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Split nonzero polynomials into (M, rest): M holds, in ascending
+    leading monomial, each element whose leading monomial no earlier kept
+    element's divides.  Every leading monomial of ``rest`` is a multiple of
+    one in M, so M and the whole input have the same leading-term ideal."""
     # ascending leading monomial; a divisor is never larger than a multiple,
     # so one pass keeps exactly the minimal generators
     ordered = sorted(basis, key=lambda f: f.leading_monomial().key, reverse=True)
     minimal: list[Polynomial] = []
+    rest: list[Polynomial] = []
     for f in ordered:
         lead = f.leading_monomial()
         if any(g.leading_monomial().divides(lead) for g in minimal):
-            continue
-        minimal.append(f)
-    # no leading term of a minimal basis divides another, so interreduction
-    # keeps every leading term and ends at the reduced basis
+            rest.append(f)
+        else:
+            minimal.append(f)
+    return minimal, rest
+
+
+def _interreduced(minimal: list[Polynomial]) -> list[Polynomial]:
+    """Tail-reduce a set with no leading monomial dividing another, sorted
+    by ascending leading monomial.  Interreduction keeps every leading
+    term, so a minimal Groebner basis ends at the reduced basis."""
     reduced = _interreduce(minimal)
     reduced.sort(key=lambda f: f.leading_monomial().key, reverse=True)
     return reduced
@@ -210,19 +222,48 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
         if not remainder.is_zero():
             basis.append(remainder.monic())
             leads.append(remainder.leading_monomial())
-    return _reduced_basis(basis)
+    return _interreduced(_minimal_split(basis)[0])
 
 
 def is_groebner(generators: Sequence[Polynomial]) -> bool:
-    """Whether the generators form a Groebner basis: every S-pair that the
-    product and chain criteria do not settle reduces to zero against them.
-    The verdict is the same as reducing every pair (see the module
-    docstring)."""
-    gens = [g for g in generators if not g.is_zero()]
-    for i, j in _unsettled_pairs([g.leading_monomial() for g in gens]):
-        if not normal_form(s_polynomial(gens[i], gens[j]), gens).is_zero():
+    """Whether the generators form a Groebner basis.
+
+    Let G be the nonzero generators and M their minimal-lead subset
+    (``_minimal_split``); every leading monomial of G is a multiple of one
+    in M, so <LT(G)> = <LT(M)>.  The check runs the S-pairs of M that the
+    product and chain criteria leave (the same verdict as reducing every
+    pair, see the module docstring), then requires every other element to
+    reduce to zero against M.  The verdict is exact:
+
+    - if M is a Groebner basis and the rest reduce to zero, then
+      <G> = <M> and in(<G>) = <LT(M)> = <LT(G)>, so G is one;
+    - if G is a Groebner basis, each remainder r = NF(g, M) lies in <G>
+      and has no term in <LT(M)> = <LT(G)> = in(<G>), so r = 0; then
+      <M> = <G> with the same initial ideal, so M is one and both checks
+      pass.
+    """
+    minimal, rest = _minimal_split([g for g in generators if not g.is_zero()])
+    for i, j in _unsettled_pairs([g.leading_monomial() for g in minimal]):
+        if not normal_form(s_polynomial(minimal[i], minimal[j]), minimal).is_zero():
             return False
-    return True
+    return all(normal_form(g, minimal).is_zero() for g in rest)
+
+
+def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> bool:
+    """Whether ``basis`` generates the ideal whose reduced Groebner basis is
+    ``reduced`` (as ``buchberger`` returns it).
+
+    When the minimal-lead subset M of the basis interreduces to ``reduced``,
+    <M> is that ideal, and the answer is whether every other element
+    reduces to zero against ``reduced``, i.e. lies in it.  Otherwise the
+    basis is completed and compared, so a generating set that is not a
+    Groebner basis still reads true.
+    """
+    reduced = list(reduced)
+    minimal, rest = _minimal_split([g for g in basis if not g.is_zero()])
+    if _interreduced(minimal) == reduced:
+        return all(normal_form(g, reduced).is_zero() for g in rest)
+    return buchberger(basis) == reduced
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
@@ -290,6 +331,6 @@ def initial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:
 
 def ideals_equal(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
     """Whether the two generating sets span the same ideal: the reduced
-    Groebner basis of an ideal is unique, monic and sorted, so the ideals
-    are equal exactly when their bases are."""
-    return buchberger(a) == buchberger(b)
+    Groebner basis of an ideal is unique, so this is whether ``a``
+    generates the ideal of ``buchberger(b)``."""
+    return generates(a, buchberger(b))

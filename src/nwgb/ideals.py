@@ -148,6 +148,13 @@ def _int_field(data: Mapping, key: str, name: str) -> int:
     return value
 
 
+def _label_field(data: Mapping, default: str) -> str:
+    label = data.get("label", default)
+    if not isinstance(label, str):
+        raise ValueError(f"spec field label must be a string, got {label!r}")
+    return label
+
+
 def spec_from_json(data: Mapping) -> RankConditionSpec:
     """Accepts ``{"n":., "label":., "conditions":[{"i":.,"j":.,"r":.},..]}``
     or ``{"n":., "permutation":"1 4 2 3"}`` (n optional in the second form).
@@ -164,9 +171,7 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
                 f"declared n={data['n']} but the permutation has {p.n} entries"
             )
         spec = spec_from_permutation(p)
-        if "label" in data:
-            spec = RankConditionSpec(spec.ambient_n, spec.conditions, str(data["label"]))
-        return spec
+        return RankConditionSpec(spec.ambient_n, spec.conditions, _label_field(data, spec.label))
     if "n" not in data or "conditions" not in data:
         raise ValueError("spec needs either a permutation or n plus conditions")
     if not isinstance(data["conditions"], list):
@@ -179,8 +184,7 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
         conditions.append(
             RankCondition(*(_int_field(cond, key, f"{name}.{key}") for key in "ijr"))
         )
-    label = str(data.get("label", ""))
-    return RankConditionSpec(_int_field(data, "n", "n"), conditions, label)
+    return RankConditionSpec(_int_field(data, "n", "n"), conditions, _label_field(data, ""))
 
 
 def load_spec(path: str) -> RankConditionSpec:

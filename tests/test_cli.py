@@ -92,6 +92,14 @@ def test_fulton_bad_spec(tmp_path, capsys):
             {"permutation": ["1", "2"]},
             "spec field permutation must be a string, got ['1', '2']",
         ),
+        (
+            {"permutation": "2 1", "label": None},
+            "spec field label must be a string, got None",
+        ),
+        (
+            {"n": 2, "conditions": [], "label": ["x"]},
+            "spec field label must be a string, got ['x']",
+        ),
     ],
 )
 def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, data, message):

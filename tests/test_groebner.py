@@ -15,6 +15,7 @@ from nwgb import (
     Polynomial,
     buchberger,
     determinant,
+    generates,
     generator_polynomials,
     ideals_equal,
     initial_ideal,
@@ -28,7 +29,7 @@ from nwgb import (
     union_basis,
 )
 from nwgb.polynomials import polynomial_text, sort_key
-from nwgb.verify import honest_permutations, ideal_of
+from nwgb.verify import honest_permutations, ideal_of, sampled_s4_pairs
 
 
 def mono(*cells):
@@ -304,6 +305,38 @@ def test_is_groebner_matches_reference_on_random_sets():
     assert True in verdicts and False in verdicts
 
 
+def _redundant_extensions(basis, rng, n):
+    """basis + [h] for elements h = x*g + tail whose leading monomial is
+    x*LT(g), a multiple of a kept lead, so is_groebner sets h aside and
+    reduces it against the minimal-lead subset.  The tail is a multiple of
+    another basis element (h stays in the ideal) or a bare monomial (h
+    leaves the ideal unless that monomial lies in it)."""
+    for _ in range(3):
+        g, other = rng.choice(basis), rng.choice(basis)
+        x = var(rng.randint(1, n), rng.randint(1, n))
+        y = var(rng.randint(1, n), rng.randint(1, n))
+        lead = (x * g).leading_monomial()
+        for tail in (y * other, y * var(rng.randint(1, n), rng.randint(1, n))):
+            h = x * g + tail
+            if h.leading_monomial() == lead:
+                yield basis + [h]
+
+
+def test_is_groebner_matches_reference_with_redundant_elements():
+    rng = random.Random(59)
+    perms3 = honest_permutations(3)
+    cases = [(3, a, b) for a in perms3 for b in perms3]
+    cases += [(4, a, b) for a, b in sampled_s4_pairs(seed=5, count=6)]
+    verdicts = []
+    for n, a, b in cases:
+        basis = [g.poly for g in union_basis([spec_from_permutation(a), spec_from_permutation(b)])]
+        if not basis:
+            continue  # an identity permutation: the zero ideal
+        for gens in _redundant_extensions(basis, rng, n):
+            verdicts.append(assert_same_verdict(gens))
+    assert True in verdicts and False in verdicts
+
+
 def test_is_groebner_matches_reference_on_known_failing_s5_pair():
     # the union basis of this pair is wrong (see test_cli), so both say False
     specs = [spec_of("3 1 5 2 4"), spec_of("1 4 3 2 5")]
@@ -459,6 +492,62 @@ def test_ideals_equal_is_presentation_independent():
     f = determinant([1, 2], [1, 2])
     doubled = [f * 2, f + var(1, 1), var(1, 1)]
     assert ideals_equal(doubled, [f, var(1, 1)])
+
+
+def random_small_set(rng, cells):
+    def term():
+        return Monomial.from_cells(rng.choice(cells) for _ in range(rng.randint(1, 2)))
+
+    return [
+        Polynomial({term(): rng.choice([-1, 1, 2]) for _ in range(rng.randint(1, 3))})
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def test_generates_and_ideals_equal_match_literal_completion():
+    # b spans a's ideal (a scaled and shuffled, plus a combination of its
+    # elements), and half the time one random element more (often a
+    # larger ideal)
+    rng = random.Random(67)
+    cells = [Cell(1, 1), Cell(1, 2), Cell(2, 1)]
+    outcomes = []
+    for _ in range(120):
+        a = random_small_set(rng, cells)
+        b = [f * rng.choice([1, 3]) for f in a]
+        rng.shuffle(b)
+        b.append(rng.choice(a) * var(*rng.choice([(1, 1), (1, 2)])) + rng.choice(a))
+        if rng.random() < 0.5:
+            b += random_small_set(rng, cells)[:1]
+        literal = buchberger(a) == buchberger(b)
+        assert ideals_equal(a, b) == literal
+        assert ideals_equal(b, a) == literal
+        assert generates(b, buchberger(a)) == literal
+        outcomes.append(literal)
+    assert True in outcomes and False in outcomes
+
+
+def test_generates_completes_a_set_that_is_not_a_groebner_basis():
+    # the minimal-lead subset does not interreduce to the reduced basis, so
+    # the answer comes from completing the set, and is still true
+    plus = Polynomial({mono((1, 1), (2, 2)): 1, mono((1, 2), (2, 1)): 1})
+    minus = determinant([1, 2], [1, 2])
+    reduced = buchberger([plus, minus])
+    assert not is_groebner([plus, minus])
+    assert generates([plus, minus], reduced)
+    assert generates([minus, plus * 2], reduced)
+
+
+def test_generates_rejects_a_dropped_element_outside_the_ideal():
+    # LT(h) = m[3,3] * LT(g), so h is dropped from the minimal-lead subset,
+    # which is the reduced basis itself; its tail m[3,3] lies outside
+    reduced = buchberger(generator_polynomials(spec_of("2 3 1")))
+    g = reduced[-1]
+    h = var(3, 3) * g + var(3, 3)
+    assert h.leading_monomial() == (var(3, 3) * g).leading_monomial()
+    assert not generates(reduced + [h], reduced)
+    assert buchberger(reduced + [h]) != reduced
+    inside = var(3, 3) * g + var(3, 2) * reduced[0]
+    assert generates(reduced + [inside], reduced)
 
 
 def test_scaled_coefficients_survive_exactly():

@@ -29,7 +29,7 @@ import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text
 from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
-from nwgb.verify import membership_failures
+from nwgb.verify import membership_failures, spec_bases
 
 
 def anti(*cells):
@@ -336,14 +336,15 @@ def test_s5_pair_generator_outside_one_ideal():
     specs = schubert_specs("1 2 4 5 3", "1 4 2 3 5")
     basis = union_basis(specs)
     assert len(basis) == 12
-    bad = [g for g in basis if membership_failures([g.poly], specs)]
+    bases = spec_bases(specs)
+    bad = [g for g in basis if membership_failures([g.poly], specs, bases)]
     assert [(g.inputs, [(f.rows(), f.cols()) for f in g.factors]) for g in bad] == [
         (
             (anti((1, 3), (3, 2), (4, 1)), anti((1, 3), (2, 1))),
             [((1, 3, 4), (1, 2, 3)), ((2,), (1,))],
         )
     ]
-    assert membership_failures([bad[0].poly], specs) == [
+    assert membership_failures([bad[0].poly], specs, bases) == [
         f"{polynomial_text(bad[0].poly)} is not in the ideal of 1 4 2 3 5"
     ]
 

@@ -3,7 +3,7 @@ full-size runs live in the acceptance module)."""
 
 import pytest
 
-from nwgb.groebner import intersect
+from nwgb.groebner import buchberger, intersect, intersect_many
 from nwgb.ideals import spec_from_permutation
 from nwgb.permutations import parse_one_line
 from nwgb.polynomials import Cell, Polynomial
@@ -18,6 +18,7 @@ from nwgb.verify import (
     oracle_intersection,
     run_suite,
     sampled_s4_pairs,
+    spec_bases,
 )
 
 
@@ -89,9 +90,10 @@ def _specs(*texts):
 def test_membership_failures_names_each_missing_generator():
     specs = _specs("2 3 1", "3 1 2")
     basis = [g.poly for g in union_basis(specs)]
-    assert membership_failures(basis, specs) == []
+    bases = spec_bases(specs)
+    assert membership_failures(basis, specs, bases) == []
     outside = Polynomial.variable(Cell(3, 3))
-    assert membership_failures([outside], specs) == [
+    assert membership_failures([outside], specs, bases) == [
         "1*m[3,3] is not in the ideal of 2 3 1",
         "1*m[3,3] is not in the ideal of 3 1 2",
     ]
@@ -99,4 +101,23 @@ def test_membership_failures_names_each_missing_generator():
 
 def test_oracle_intersection_matches_pairwise_intersect():
     specs = _specs("1 4 2 3", "1 3 4 2")
-    assert oracle_intersection(specs) == intersect(*(ideal_of(s) for s in specs))
+    assert oracle_intersection(spec_bases(specs)) == intersect(*(ideal_of(s) for s in specs))
+    # folding over the reduced bases gives the fold over the raw generators
+    specs = _specs("2 1 4 3", "1 3 4 2", "3 4 1 2")
+    assert oracle_intersection(spec_bases(specs)) == intersect_many([ideal_of(s) for s in specs])
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        *((l.one_line(), r.one_line()) for l, r in sampled_s4_pairs(seed=2, count=6)),
+        ("2 1 4 3", "1 3 4 2", "3 4 1 2"),
+        ("1 5 4 3 2", "4 3 2 1 5"),
+    ],
+)
+def test_oracle_intersection_is_reduced(texts):
+    # the union checks hand the intersection to generates() as a reduced
+    # basis, without completing it again
+    meet = oracle_intersection(spec_bases(_specs(*texts)))
+    assert meet
+    assert buchberger(meet) == meet
