@@ -62,28 +62,34 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     Reducers are tried in list order, after a support-mask test, so the
     result is deterministic and is the same remainder as scanning for the
     largest term at each step, for any basis, Groebner or not.
+
+    A reducer that leads with 1 or -1 (every element of a ``buchberger``
+    basis, every union generator) scales by the pending coefficient or its
+    negative, so integral input stays on ints; any other lead divides, as
+    an exact ``Fraction``.
     """
     reducers = []
     for g in basis:
         if g.is_zero():
             continue
         coeff, mono = g.leading_term()
-        reducers.append((mono.mask, mono, coeff, g))
+        unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
+        reducers.append((mono.mask, mono, coeff, unit, g))
     work = dict(f.terms)
     heap = [(mono.key, mono) for mono in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, int | Fraction] = {}
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono, None)
         if coeff is None:
             continue  # cancelled after it was pushed
         absent = ~mono.mask
-        for lead_mask, lead_mono, lead_coeff, g in reducers:
+        for lead_mask, lead_mono, lead_coeff, unit, g in reducers:
             if lead_mask & absent or not lead_mono.divides(mono):
                 continue
             quotient = mono // lead_mono
-            factor = coeff / lead_coeff
+            factor = coeff * unit if unit else Fraction(coeff, lead_coeff)
             for g_mono, g_coeff in g.terms.items():
                 if g_mono is lead_mono:
                     continue  # cancels mono itself
@@ -105,13 +111,30 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The cancellation combination of f and g (both made monic first)."""
+    """The cancellation combination (lcm/mf)*f/cf - (lcm/mg)*g/cg, where
+    cf*mf and cg*mg are the leading terms of f and g.
+
+    Written straight into one term dict: each term's monomial is shifted
+    by lcm/mf (or lcm/mg), the two leading terms, which cancel exactly,
+    are skipped, and a coefficient that cancels to zero is dropped.  A lead
+    of 1 or -1 scales by a sign; any other divides, as an exact
+    ``Fraction``.
+    """
     cf, mf = f.leading_term()
     cg, mg = g.leading_term()
     lcm = mf.lcm(mg)
-    return f * Polynomial({lcm // mf: Fraction(1) / cf}) - g * Polynomial(
-        {lcm // mg: Fraction(1) / cg}
-    )
+    terms: dict[Monomial, int | Fraction] = {}
+    for poly, lead_mono, lead_coeff, sign in ((f, mf, cf, 1), (g, mg, cg, -1)):
+        shift = lcm // lead_mono
+        # sign * c / lead == c * scale when the lead is a unit
+        scale = sign * lead_coeff if lead_coeff in (1, -1) else 0
+        for mono, coeff in poly.terms.items():
+            if mono is lead_mono:
+                continue
+            target = mono * shift
+            value = coeff * scale if scale else Fraction(sign * coeff, lead_coeff)
+            terms[target] = terms.get(target, 0) + value
+    return Polynomial(terms)  # drops what cancelled
 
 
 def _interreduce(polys: Iterable[Polynomial]) -> list[Polynomial]:

@@ -1,9 +1,11 @@
 """Exact sparse polynomials in the entries of a generic matrix.
 
 Variables are the entries m[i,j] of a square matrix of indeterminates,
-identified by their (row, col) cell.  Coefficients are exact rationals, so
-polynomial equality is reliable.  There is one monomial order, the
-antidiagonal lex order on the variable sequence
+identified by their (row, col) cell.  Coefficients are exact rationals,
+an ``int`` when integral and a ``Fraction`` otherwise, so polynomial
+equality is reliable and integral arithmetic (minors, their products, the
+elimination ideals of the oracle) runs on ints.  There is one monomial
+order, the antidiagonal lex order on the variable sequence
 
     t > m[1,n] > m[1,n-1] > ... > m[1,1] > m[2,n] > ... > m[n,1]
 
@@ -307,24 +309,33 @@ def compare(a: Monomial, b: Monomial) -> int:
 
 
 class Polynomial:
-    """Sparse polynomial with Fraction coefficients, immutable by convention.
+    """Sparse polynomial with exact coefficients, immutable by convention.
 
     ``terms`` maps monomials to nonzero coefficients; the zero polynomial
-    is the empty mapping.  The leading term is found on first request and
-    kept, which relies on ``terms`` never changing after construction.
+    is the empty mapping.  A coefficient is stored as an ``int`` when it is
+    integral and as a ``Fraction`` otherwise, never as a float; the
+    constructor converts what it is given (a float exactly, as ``Fraction``
+    does).  ``3 == Fraction(3)``, both hash and print alike, so the stored
+    type changes no comparison and no output.  The leading term is found on
+    first request and kept, which relies on ``terms`` never changing after
+    construction.
     """
 
     __slots__ = ("terms", "_lead")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                value = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if value:
-                    clean[mono] = value
+                if type(coeff) is not int:
+                    if type(coeff) is not Fraction:
+                        coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
+                if coeff:
+                    clean[mono] = coeff
         self.terms = clean
-        self._lead: tuple[Fraction, Monomial] | None = None
+        self._lead: tuple[int | Fraction, Monomial] | None = None
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -360,7 +371,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -368,7 +379,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
+            out[m] = out.get(m, 0) - c
         return Polynomial(out)
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
@@ -376,7 +387,7 @@ class Polynomial:
             return Polynomial({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
@@ -395,7 +406,7 @@ class Polynomial:
     def uses(self, cell: Cell) -> bool:
         return any(m.uses(cell) for m in self.terms)
 
-    def leading_term(self) -> tuple[Fraction, Monomial]:
+    def leading_term(self) -> tuple[int | Fraction, Monomial]:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("the zero polynomial has no leading term")
@@ -410,9 +421,11 @@ class Polynomial:
         coeff, _ = self.leading_term()
         if coeff == 1:
             return self
-        return Polynomial({m: c / coeff for m, c in self.terms.items()})
+        if coeff == -1:
+            return -self
+        return Polynomial({m: Fraction(c, coeff) for m, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[Fraction, Monomial]]:
+    def sorted_terms(self) -> list[tuple[int | Fraction, Monomial]]:
         """Terms listed largest monomial first (canonical serialization order)."""
         return [(self.terms[m], m) for m in sorted(self.terms, key=_key_of)]
 
@@ -506,7 +519,7 @@ def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
 
     Expanded as the full signed sum over permutations (the instances here
     are small, so clarity wins over a smarter expansion).  The signs are
-    summed as ints; the polynomial holds them as Fractions.
+    summed as ints, and the polynomial keeps them as ints.
     """
     r, c = _check_minor(rows, cols)
     k = len(r)
@@ -574,8 +587,8 @@ def polynomial_to_json(f: Polynomial) -> list[dict]:
 
 
 def polynomial_from_json(data: Iterable[Mapping]) -> Polynomial:
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int | Fraction] = {}
     for entry in data:
         mono = monomial_from_json(entry["monomial"])
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+        terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
     return Polynomial(terms)

@@ -220,10 +220,10 @@ def generator_product(
 
     ``factors`` is ``extract_factors(antidiags)``, passed by a caller that
     has it already.  ``minors`` maps a factor's cells to its determinant's
-    terms on int coefficients; a caller that builds many generators passes
-    one dict to every call, so each minor is expanded once.  Determinants
-    and their products are integral, so the product is taken on ints and
-    held as Fractions only in the final Polynomial.
+    terms, whose coefficients are ints; a caller that builds many
+    generators passes one dict to every call, so each minor is expanded
+    once.  Determinants and their products are integral, so the product is
+    taken on ints, and the final Polynomial keeps them as ints.
     """
     if factors is None:
         factors = extract_factors(antidiags)
@@ -233,9 +233,7 @@ def generator_product(
     for factor in factors:
         det = minors.get(factor.cells)
         if det is None:
-            det = minors[factor.cells] = {
-                m: c.numerator for m, c in factor.determinant().terms.items()
-            }
+            det = minors[factor.cells] = factor.determinant().terms
         out: dict[Monomial, int] = {}
         for m1, c1 in terms.items():
             for m2, c2 in det.items():

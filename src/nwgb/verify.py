@@ -360,11 +360,12 @@ def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
     return report
 
 
-def suite_km_regression(seed: int = 0) -> SuiteReport:
-    """The Fulton generators of every permutation in S3 and S4 pass the
-    Buchberger criterion under the antidiagonal order."""
-    report = SuiteReport("km-regression")
-    for n in (3, 4):
+def _fulton_groebner_checks(name: str, sizes: Sequence[int]) -> SuiteReport:
+    """Knutson-Miller (Annals 2005): the Fulton generators of every
+    permutation of each size pass the Buchberger criterion under the
+    antidiagonal order."""
+    report = SuiteReport(name)
+    for n in sizes:
         for p in honest_permutations(n):
             gens = generator_polynomials(spec_from_permutation(p))
             report.check(
@@ -372,6 +373,17 @@ def suite_km_regression(seed: int = 0) -> SuiteReport:
                 f"{p.one_line()}: Fulton generators are not a Groebner basis",
             )
     return report
+
+
+def suite_km_regression(seed: int = 0) -> SuiteReport:
+    """The Fulton generators of every permutation in S3 and S4 pass the
+    Buchberger criterion under the antidiagonal order."""
+    return _fulton_groebner_checks("km-regression", (3, 4))
+
+
+def suite_km_s5_s6(seed: int = 0) -> SuiteReport:
+    """The same check on all 840 permutations of S5 and S6."""
+    return _fulton_groebner_checks("km-s5-s6", (5, 6))
 
 
 SUITES = {
@@ -383,11 +395,12 @@ SUITES = {
     "s4-sampled": suite_s4_sampled,
     "triples": suite_triple_intersections,
     "km-regression": suite_km_regression,
+    "km-s5-s6": suite_km_s5_s6,
 }
 
 
 # Suites that check a fixed set of cases and take no case count.
-EXHAUSTIVE = frozenset({"s3-exhaustive", "km-regression"})
+EXHAUSTIVE = frozenset({"s3-exhaustive", "km-regression", "km-s5-s6"})
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:

@@ -1,8 +1,10 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,19 @@ from nwgb.cli import main
 from nwgb.polynomials import determinant
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args):
+    # the subprocess does not inherit pytest's pythonpath setting, so it is
+    # given this checkout's src explicitly, ahead of any PYTHONPATH
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
     proc = subprocess.run(
         [sys.executable, "-m", "nwgb", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -244,7 +254,9 @@ def test_verify_rejects_cases_below_one(cases, capsys):
     assert err == f"error: cases must be at least 1, got {cases}\n"
 
 
-@pytest.mark.parametrize("suite,cases", [("s3-exhaustive", "5"), ("km-regression", "1")])
+@pytest.mark.parametrize(
+    "suite,cases", [("s3-exhaustive", "5"), ("km-regression", "1"), ("km-s5-s6", "1")]
+)
 def test_verify_exhaustive_suite_rejects_cases(suite, cases, capsys):
     # these suites run a fixed set of cases; a count they ignore would
     # print a [PASS] for a run the user did not ask for
@@ -260,6 +272,7 @@ def test_verify_all_passes_cases_to_sampled_suites_only(capsys):
         "generator-init: 2 cases, 0 failures [PASS]\n"
         "gluing: 2 cases, 0 failures [PASS]\n"
         "km-regression: 30 cases, 0 failures [PASS]\n"
+        "km-s5-s6: 840 cases, 0 failures [PASS]\n"
         "minor-init: 2 cases, 0 failures [PASS]\n"
         "order-axioms: 2 cases, 0 failures [PASS]\n"
         "s3-exhaustive: 72 cases, 0 failures [PASS]\n"

@@ -118,7 +118,7 @@ def min_scan_normal_form(f, basis):
         for lead_mono, lead_coeff, g in reducers:
             if lead_mono.divides(mono):
                 quotient = mono // lead_mono
-                factor = coeff / lead_coeff
+                factor = Fraction(coeff) / lead_coeff
                 for g_mono, g_coeff in g.terms.items():
                     target = g_mono * quotient
                     value = work.get(target, Fraction(0)) - factor * g_coeff
@@ -192,6 +192,89 @@ def test_s_polynomial_cancels_leading_terms():
     s = s_polynomial(f, g)
     lcm = f.leading_monomial().lcm(g.leading_monomial())
     assert s.is_zero() or s.leading_monomial() != lcm
+
+
+def literal_s_polynomial(f, g):
+    """Reference: multiply each side by its one-term cofactor and subtract."""
+    cf, mf = f.leading_term()
+    cg, mg = g.leading_term()
+    lcm = mf.lcm(mg)
+    return f * Polynomial({lcm // mf: Fraction(1) / cf}) - g * Polynomial(
+        {lcm // mg: Fraction(1) / cg}
+    )
+
+
+def test_s_polynomial_matches_literal_definition():
+    # leads of 1, -1, other ints and non-integral Fractions, on either side
+    rng = random.Random(67)
+    cells = [AUX, Cell(1, 2), Cell(1, 1), Cell(2, 2)]
+    leads = set()
+    for _ in range(300):
+        f = random_division_polynomial(rng, cells, rng.randint(1, 5))
+        g = random_division_polynomial(rng, cells, rng.randint(1, 5))
+        if f.is_zero() or g.is_zero():
+            continue
+        leads.update((f.leading_term()[0], g.leading_term()[0]))
+        s = s_polynomial(f, g)
+        assert s == literal_s_polynomial(f, g)
+        assert_canonical_exact(s)
+    assert {1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)} <= leads
+
+
+# exactness on non-unit leads ----------------------------------------------------
+
+def assert_canonical_exact(poly):
+    """Every coefficient is an int, or a Fraction that is not integral, and
+    never a float."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def non_unit_lead_pair(coeff):
+    """Two polynomials that lead with 2 and -3, their coefficients built by
+    ``coeff`` (int or Fraction)."""
+    f = Polynomial(
+        {mono((1, 2), (2, 1)): coeff(2), mono((1, 1), (2, 2)): coeff(3), mono(): coeff(1)}
+    )
+    g = Polynomial(
+        {mono((1, 2), (1, 2)): coeff(-3), mono((1, 1)): coeff(1), mono((2, 2)): coeff(5)}
+    )
+    return f, g
+
+
+@pytest.mark.parametrize("coeff", [int, Fraction], ids=["int", "fraction"])
+def test_non_unit_leads_divide_exactly(coeff):
+    # the same exact results whether the input is built on ints or Fractions
+    f, g = non_unit_lead_pair(coeff)
+    assert (f.leading_term()[0], g.leading_term()[0]) == (2, -3)
+    assert_canonical_exact(f)
+    assert_canonical_exact(g)
+    assert f.monic() == Polynomial(
+        {mono((1, 2), (2, 1)): 1, mono((1, 1), (2, 2)): Fraction(3, 2), mono(): Fraction(1, 2)}
+    )
+    assert g.monic() == Polynomial(
+        {mono((1, 2), (1, 2)): 1, mono((1, 1)): Fraction(-1, 3), mono((2, 2)): Fraction(-5, 3)}
+    )
+    h = Polynomial(
+        {
+            mono((1, 2), (1, 2), (2, 1)): coeff(7),
+            mono((1, 2), (2, 1), (2, 2)): coeff(-1),
+            mono((1, 1)): coeff(4),
+        }
+    )
+    remainder = normal_form(h, [f, g])
+    assert remainder == min_scan_normal_form(h, [f, g])
+    assert any(type(c) is Fraction for c in remainder.terms.values())  # it divided
+    s = s_polynomial(f, g)
+    assert s == literal_s_polynomial(f, g)
+    basis = buchberger([f, g])
+    assert basis == buchberger([f.monic(), g.monic()])
+    assert all(b.leading_term()[0] == 1 for b in basis)
+    meet = intersect(IdealPresentation((f,)), IdealPresentation((g,)))
+    assert meet == intersect(IdealPresentation((f.monic(),)), IdealPresentation((g.monic(),)))
+    assert meet == [(f * g).monic()]  # two coprime principal ideals meet in their product
+    for poly in [f.monic(), g.monic(), remainder, s, *basis, *meet]:
+        assert_canonical_exact(poly)
 
 
 # buchberger -------------------------------------------------------------------

@@ -214,6 +214,45 @@ def test_scalar_multiplication():
     assert Fraction(1, 2) * (f + f) == f
 
 
+def test_coefficients_are_int_when_integral_and_fraction_otherwise():
+    m = mono((1, 1))
+    for given, stored in [
+        (3, 3),
+        (Fraction(6, 2), 3),
+        (Fraction(-4, 1), -4),
+        (Fraction(6, 4), Fraction(3, 2)),
+        (0.5, Fraction(1, 2)),  # a float converts exactly, as Fraction does
+        (2.0, 2),
+        (True, 1),
+    ]:
+        (c,) = Polynomial({m: given}).terms.values()
+        assert c == stored and type(c) is type(stored), (given, c)
+    assert Polynomial({m: Fraction(0), mono((2, 2)): 0.0}).is_zero()
+    # the stored type changes neither equality, hashing nor text
+    f = Polynomial({m: 3})
+    assert f == Polynomial({m: Fraction(3)}) and hash(f) == hash(Polynomial({m: 3}))
+    assert polynomial_text(f) == "3*m[1,1]"
+    assert polynomial_to_json(f)[0]["coeff"] == "3"
+
+
+def test_monic_scales_by_the_leading_coefficient():
+    f = determinant([1, 2], [1, 2])  # leads with -1
+    assert f.monic() == -f and f.monic().leading_term()[0] == 1
+    h = -f
+    assert h.monic() is h  # already monic
+    g = f * -3 + Polynomial.constant(1)
+    assert g.monic() == -f + Polynomial.constant(Fraction(1, 3))
+
+
+def test_sums_and_products_of_ints_stay_ints():
+    f = determinant([1, 2], [1, 2])
+    for g in (f + f, f - Polynomial.variable(Cell(1, 1)), f * f, f * 3, -f):
+        assert all(type(c) is int for c in g.terms.values())
+    half = f * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert all(type(c) is int for c in (half + half).terms.values())
+
+
 # determinants ----------------------------------------------------------------
 
 def test_determinant_1x1():

@@ -470,6 +470,13 @@ S4_SPECS = all_specs(4)
 S4_PAIRS = [(a, b) for a in S4_SPECS for b in S4_SPECS]
 
 
+def assert_canonical_exact(poly):
+    """Every coefficient is an int, or a Fraction that is not integral: the
+    one exact form a Polynomial stores, and never a float."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
 def assert_same_basis_as_reference(specs):
     built = union_basis(specs)
     expected = reference_union_basis(specs)
@@ -477,9 +484,7 @@ def assert_same_basis_as_reference(specs):
         (g.inputs, g.factors, g.poly) for g in expected
     ]
     for g in built:
-        # an int coefficient would turn a division in normal_form or monic
-        # into a float
-        assert all(type(c) is Fraction for c in g.poly.terms.values())
+        assert_canonical_exact(g.poly)
 
 
 def test_factor_key_dedup_equals_polynomial_dedup_on_all_s4_pairs():
@@ -494,12 +499,12 @@ def test_factor_key_dedup_equals_polynomial_dedup_on_s5_pairs(texts):
     assert_same_basis_as_reference(schubert_specs(*texts))
 
 
-def test_determinant_coefficients_are_fractions():
+def test_determinant_coefficients_are_canonical_exact():
     for size in range(1, 5):
         f = determinant(range(1, size + 1), range(2, size + 2))
-        assert all(type(c) is Fraction for c in f.terms.values())
-    monic = determinant([1, 2], [1, 2]).monic()  # leads with -1, so it divides
-    assert all(type(c) is Fraction for c in monic.terms.values())
+        assert_canonical_exact(f)
+    monic = determinant([1, 2], [1, 2]).monic()  # leads with -1
+    assert_canonical_exact(monic)
 
 
 def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):

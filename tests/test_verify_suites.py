@@ -83,6 +83,13 @@ def test_union_checks_pass_on_all_ordered_s4_pairs():
     assert (report.cases, report.failures) == (1728, [])
 
 
+def test_fulton_generators_of_all_s5_and_s6_are_groebner():
+    # Knutson-Miller on every permutation of S5 and S6, with no case count
+    report = run_suite("km-s5-s6")
+    assert (report.cases, report.failures) == (840, [])
+    assert report.summary() == "km-s5-s6: 840 cases, 0 failures [PASS]"
+
+
 def _specs(*texts):
     return [spec_from_permutation(parse_one_line(t)) for t in texts]
 
