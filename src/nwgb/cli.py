@@ -11,7 +11,7 @@ import json
 import sys
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
-from .groebner import buchberger, generates, is_groebner
+from .groebner import buchberger, generates, intersect_many, is_groebner
 from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
 from .polynomials import polynomial_text, polynomial_to_json
 from .union import basis_json_text, union_basis
@@ -19,7 +19,6 @@ from .verify import (
     EXHAUSTIVE,
     SUITES,
     membership_failures,
-    oracle_intersection,
     run_suite,
     spec_bases,
 )
@@ -176,7 +175,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
         print(
             f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr
         )
-        equal_ok = generates(polys, oracle_intersection(bases))
+        equal_ok = generates(polys, intersect_many(bases))
         print(
             f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
             file=sys.stderr,

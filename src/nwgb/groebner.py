@@ -22,10 +22,11 @@ of its input and reduces the other elements against that subset, and
 ``generates`` compares a generating set with a known reduced basis without
 completing it when its minimal-lead subset already interreduces to that
 basis; both answers are exact (see their docstrings).  Output is reduced,
-and ideal intersection uses the textbook elimination trick with one
-auxiliary variable.  Everything runs under the
-one antidiagonal lex order of :mod:`nwgb.polynomials`, which ranks that
-variable first and so is also an elimination order for it.
+in one interreduction pass, and ideal intersection uses the textbook
+elimination trick with one auxiliary variable, folded by ``intersect_many``.
+Everything runs under the one antidiagonal lex order of
+:mod:`nwgb.polynomials`, which ranks that variable first and so is also an
+elimination order for it.
 """
 
 from __future__ import annotations
@@ -138,23 +139,17 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _interreduce(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """Reduce each monic polynomial once against the ones kept and the ones
+    not yet visited, dropping zeros.  When no leading monomial divides
+    another, no lead moves, so this is the reduced basis, in input order."""
     current = [p.monic() for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        kept: list[Polynomial] = []
-        for index, f in enumerate(current):
-            others = kept + current[index + 1 :]
-            reduced = normal_form(f, others) if others else f
-            if reduced.is_zero():
-                changed = True
-                continue
-            reduced = reduced.monic()
-            if reduced != f:
-                changed = True
-            kept.append(reduced)
-        current = kept
-    return current
+    kept: list[Polynomial] = []
+    for index, f in enumerate(current):
+        others = kept + current[index + 1 :]
+        reduced = normal_form(f, others) if others else f
+        if not reduced.is_zero():
+            kept.append(reduced.monic())
+    return kept
 
 
 def _minimal_split(basis: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
@@ -164,7 +159,8 @@ def _minimal_split(basis: Sequence[Polynomial]) -> tuple[list[Polynomial], list[
     one in M, so M and the whole input have the same leading-term ideal."""
     # ascending leading monomial; a divisor is never larger than a multiple,
     # so one pass keeps exactly the minimal generators
-    ordered = sorted(basis, key=lambda f: f.leading_monomial().key, reverse=True)
+    nonzero = [f for f in basis if not f.is_zero()]
+    ordered = sorted(nonzero, key=lambda f: f.leading_monomial().key, reverse=True)
     minimal: list[Polynomial] = []
     rest: list[Polynomial] = []
     for f in ordered:
@@ -174,15 +170,6 @@ def _minimal_split(basis: Sequence[Polynomial]) -> tuple[list[Polynomial], list[
         else:
             minimal.append(f)
     return minimal, rest
-
-
-def _interreduced(minimal: list[Polynomial]) -> list[Polynomial]:
-    """Tail-reduce a set with no leading monomial dividing another, sorted
-    by ascending leading monomial.  Interreduction keeps every leading
-    term, so a minimal Groebner basis ends at the reduced basis."""
-    reduced = _interreduce(minimal)
-    reduced.sort(key=lambda f: f.leading_monomial().key, reverse=True)
-    return reduced
 
 
 def _unsettled_pairs(leads: list[Monomial]) -> Iterator[tuple[int, int]]:
@@ -245,7 +232,7 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
         if not remainder.is_zero():
             basis.append(remainder.monic())
             leads.append(remainder.leading_monomial())
-    return _interreduced(_minimal_split(basis)[0])
+    return _interreduce(_minimal_split(basis)[0])
 
 
 def is_groebner(generators: Sequence[Polynomial]) -> bool:
@@ -265,7 +252,7 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
       <M> = <G> with the same initial ideal, so M is one and both checks
       pass.
     """
-    minimal, rest = _minimal_split([g for g in generators if not g.is_zero()])
+    minimal, rest = _minimal_split(generators)
     for i, j in _unsettled_pairs([g.leading_monomial() for g in minimal]):
         if not normal_form(s_polynomial(minimal[i], minimal[j]), minimal).is_zero():
             return False
@@ -283,8 +270,8 @@ def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> boo
     Groebner basis still reads true.
     """
     reduced = list(reduced)
-    minimal, rest = _minimal_split([g for g in basis if not g.is_zero()])
-    if _interreduced(minimal) == reduced:
+    minimal, rest = _minimal_split(basis)
+    if _interreduce(minimal) == reduced:
         return all(normal_form(g, reduced).is_zero() for g in rest)
     return buchberger(basis) == reduced
 
@@ -307,16 +294,18 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
 
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
-    """Left fold of pairwise intersection; a single ideal is normalized to
-    its reduced basis."""
+    """Reduced Groebner basis of the intersection of the ideals, by a left
+    fold of ``intersect``.  Each step's output depends only on the two
+    ideals, so the first enters as given; a lone ideal is completed."""
     if not ideals:
         raise ValueError("need at least one ideal")
-    current = buchberger(ideals[0].generators)
-    for nxt in ideals[1:]:
-        current = intersect(IdealPresentation(tuple(current)), nxt)
-        if not current:
-            return []
-    return current
+    first, *rest = ideals
+    if not rest:
+        return buchberger(first.generators)
+    current = first
+    for nxt in rest:
+        current = IdealPresentation(tuple(intersect(current, nxt)))
+    return list(current.generators)
 
 
 @dataclass(frozen=True)

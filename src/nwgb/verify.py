@@ -8,7 +8,8 @@ the single seed argument, so reports are reproducible byte for byte.
 The union checks (membership of every emitted generator in every input
 ideal, and the oracle intersection the basis is compared against) live
 here once and back both the suites and ``nwgb union --verify``.  Both start
-from ``spec_bases``, so each input ideal is completed once per check.
+from ``spec_bases``, so each input ideal is completed once per check, and
+the oracle intersection is ``groebner.intersect_many`` of those bases.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .groebner import (
     MonomialIdeal,
     buchberger,
     generates,
-    intersect,
+    intersect_many,
     is_groebner,
     normal_form,
 )
@@ -79,43 +80,28 @@ def ideal_of(spec: RankConditionSpec) -> IdealPresentation:
     return IdealPresentation(tuple(generator_polynomials(spec)))
 
 
-def spec_bases(specs: Sequence[RankConditionSpec]) -> list[list[Polynomial]]:
-    """Reduced Groebner basis of each spec's ideal, in spec order: the one
-    completion that membership and the oracle intersection share."""
-    return [buchberger(generator_polynomials(s)) for s in specs]
+def spec_bases(specs: Sequence[RankConditionSpec]) -> list[IdealPresentation]:
+    """Each spec's ideal, presented by its reduced Groebner basis, in spec
+    order: the one completion that membership and the oracle intersection
+    (``intersect_many``) share."""
+    return [IdealPresentation(tuple(buchberger(generator_polynomials(s)))) for s in specs]
 
 
 def membership_failures(
     basis: Sequence[Polynomial],
     specs: Sequence[RankConditionSpec],
-    bases: Sequence[Sequence[Polynomial]],
+    bases: Sequence[IdealPresentation],
 ) -> list[str]:
     """One message per (spec, generator) pair where the generator does not
     reduce to zero against the spec's reduced basis (``spec_bases``)."""
     failures = []
-    for spec, gb in zip(specs, bases):
+    for spec, ideal in zip(specs, bases):
         for f in basis:
-            if not normal_form(f, gb).is_zero():
+            if not normal_form(f, ideal.generators).is_zero():
                 failures.append(
                     f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
                 )
     return failures
-
-
-def oracle_intersection(bases: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
-    """Reduced Groebner basis of the intersection of the ideals with these
-    reduced bases (``spec_bases``), by a left fold of elimination,
-    independently of the union construction.  Each step completes an
-    elimination ideal, whose t-free part is the reduced basis of the
-    intersection, so a single ideal is its basis unchanged."""
-    if not bases:
-        raise ValueError("need at least one ideal")
-    current = list(bases[0])
-    for nxt in bases[1:]:
-        current = intersect(IdealPresentation(tuple(current)), IdealPresentation(tuple(nxt)))
-        if not current:
-            return []
-    return current
 
 
 def _leading_ideal(reduced: Sequence[Polynomial]) -> MonomialIdeal:
@@ -128,7 +114,7 @@ def _condition_basis(row: int, col: int, max_rank: int, ambient: int):
     """Reduced basis of the single-condition determinantal ideal (cached,
     the gluing suite revisits the same few conditions many times)."""
     spec = RankConditionSpec(ambient, (RankCondition(row, col, max_rank),))
-    return tuple(buchberger(generator_polynomials(spec)))
+    return spec_bases([spec])[0].generators
 
 
 def _random_monomial(rng: random.Random, n: int, max_vars: int = 4, max_exp: int = 3) -> Monomial:
@@ -274,13 +260,13 @@ def _union_pair_checks(
     label = f"{left.one_line()} | {right.one_line()}"
     report.check(is_groebner(basis), f"{label}: basis fails Buchberger criterion")
     bases = spec_bases(specs)
-    meet = oracle_intersection(bases)
+    meet = intersect_many(bases)
     report.check(
         generates(basis, meet),
         f"{label}: basis ideal differs from oracle intersection",
     )
     if check_init_theorem:
-        left_init, right_init = (_leading_ideal(b) for b in bases)
+        left_init, right_init = (_leading_ideal(b.generators) for b in bases)
         report.check(
             _leading_ideal(meet) == left_init.intersect(right_init),
             f"{label}: init of intersection differs from intersection of inits",
@@ -354,7 +340,7 @@ def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
             not membership_failures(basis, specs, bases), f"{label}: membership failure"
         )
         report.check(
-            generates(basis, oracle_intersection(bases)),
+            generates(basis, intersect_many(bases)),
             f"{label}: basis differs from iterated intersection",
         )
     return report

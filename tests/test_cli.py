@@ -199,6 +199,31 @@ def test_union_s5_fixture_full_oracle(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "left,right,checks",
+    [
+        ("3 1 5 2 4", "1 4 3 2 5", 76),
+        ("1 4 3 2 5", "3 1 5 2 4", 76),
+        ("1 2 4 5 3", "1 4 2 3 5", 24),
+    ],
+)
+def test_union_s5_defect_full_oracle_fails(tmp_path, capsys, left, right, checks):
+    # known union defects (ROADMAP item 1), so is_groebner reads False; the
+    # bad generator of the first pair has a lead above another, so generates
+    # finds it outside the oracle intersection, while that of the second
+    # has a minimal lead, so generates completes the basis to compare it
+    paths = [
+        write_spec(tmp_path, "l.json", {"n": 5, "permutation": left}),
+        write_spec(tmp_path, "r.json", {"n": 5, "permutation": right}),
+    ]
+    assert main(["union", *paths, "--verify=full-oracle"]) == 1
+    assert capsys.readouterr().err == (
+        f"membership: {checks} checks, 1 failures\n"
+        "groebner criterion: FAILED\n"
+        "ideal equality vs oracle intersection: FAILED\n"
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known union defect: the basis holds |rows 1-3; cols 1,3,4|*m[1,2], "

@@ -28,8 +28,9 @@ from nwgb import (
     spec_from_permutation,
     union_basis,
 )
-from nwgb.polynomials import polynomial_text, sort_key
-from nwgb.verify import honest_permutations, ideal_of, sampled_s4_pairs
+from nwgb.groebner import _minimal_split, _unsettled_pairs
+from nwgb.polynomials import compare, polynomial_text, sort_key
+from nwgb.verify import honest_permutations, ideal_of, sampled_s4_pairs, spec_bases
 
 
 def mono(*cells):
@@ -478,6 +479,49 @@ def test_intersect_many_folds_left():
         intersect_many([])
 
 
+def fold_inputs(texts):
+    """The same ideals as raw generators, with the first completed, and as
+    ``spec_bases`` presentations."""
+    specs = [spec_of(t) for t in texts]
+    raw = [ideal_of(s) for s in specs]
+    completed = [IdealPresentation(tuple(buchberger(raw[0].generators)))] + raw[1:]
+    return raw, completed, spec_bases(specs)
+
+
+S6_TRIPLES = [
+    # the triples tests/test_pinned_output.py pins by digest
+    ("5 3 2 4 6 1", "5 3 6 4 2 1", "6 1 4 2 3 5"),
+    ("5 1 3 4 2 6", "6 2 4 5 3 1", "5 4 1 2 6 3"),
+]
+
+
+def test_intersect_many_depends_only_on_the_ideals():
+    rng = random.Random(73)
+    perms = [p.one_line() for p in honest_permutations(4)]
+    triples = [tuple(rng.choice(perms) for _ in range(3)) for _ in range(8)]
+    for texts in triples + S6_TRIPLES:
+        raw, completed, bases = fold_inputs(texts)
+        meet = intersect_many(raw)
+        assert meet == intersect_many(completed) == intersect_many(bases)
+        assert_reduced(meet)
+
+
+def test_intersect_many_completes_a_lone_ideal():
+    for texts in (("1 4 3 2",), ("2 1 4 3",), S6_TRIPLES[0][:1]):
+        raw, completed, bases = fold_inputs(texts)
+        expected = buchberger(raw[0].generators)
+        assert intersect_many(raw) == intersect_many(completed) == expected
+        assert intersect_many(bases) == expected
+
+
+def test_intersect_many_empty_presentation_absorbs():
+    ideal = ideal_of(spec_of("2 3 1"))
+    empty = IdealPresentation(())
+    assert intersect_many([empty]) == []
+    assert intersect_many([empty, ideal]) == []
+    assert intersect_many([ideal, empty, ideal]) == []
+
+
 def test_ideal_presentation_rejects_zero_generators():
     with pytest.raises(ValueError):
         IdealPresentation((Polynomial.zero(),))
@@ -631,6 +675,113 @@ def test_generates_rejects_a_dropped_element_outside_the_ideal():
     assert buchberger(reduced + [h]) != reduced
     inside = var(3, 3) * g + var(3, 2) * reduced[0]
     assert generates(reduced + [inside], reduced)
+
+
+# one interreduction pass against the fixed-point reference ----------------------
+
+def fixed_point_interreduce(polys):
+    """Reference: interreduction passes repeated until one changes nothing."""
+    current = [p.monic() for p in polys if not p.is_zero()]
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for index, f in enumerate(current):
+            others = kept + current[index + 1 :]
+            reduced = normal_form(f, others) if others else f
+            if reduced.is_zero():
+                changed = True
+                continue
+            reduced = reduced.monic()
+            if reduced != f:
+                changed = True
+            kept.append(reduced)
+        current = kept
+    return current
+
+
+def fixed_point_interreduced(minimal):
+    """Reference: the fixed point, sorted by ascending leading monomial."""
+    reduced = fixed_point_interreduce(minimal)
+    reduced.sort(key=lambda f: f.leading_monomial().key, reverse=True)
+    return reduced
+
+
+def fixed_point_buchberger(generators):
+    """Reference: ``buchberger`` with the fixed point at both ends."""
+    basis = fixed_point_interreduce(generators)
+    leads = [f.leading_monomial() for f in basis]
+    for i, j in _unsettled_pairs(leads):
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not remainder.is_zero():
+            basis.append(remainder.monic())
+            leads.append(remainder.leading_monomial())
+    return fixed_point_interreduced(_minimal_split(basis)[0])
+
+
+def fixed_point_generates(basis, reduced):
+    """Reference: ``generates`` with the fixed point."""
+    reduced = list(reduced)
+    minimal, rest = _minimal_split(basis)
+    if fixed_point_interreduced(minimal) == reduced:
+        return all(normal_form(g, reduced).is_zero() for g in rest)
+    return fixed_point_buchberger(basis) == reduced
+
+
+def assert_reduced(basis):
+    """Monic, in ascending leading monomial, and no term of an element is
+    divisible by the leading monomial of another."""
+    leads = [f.leading_monomial() for f in basis]
+    assert all(f.leading_term()[0] == 1 for f in basis)
+    assert all(compare(a, b) < 0 for a, b in zip(leads, leads[1:]))
+    for k, f in enumerate(basis):
+        for m in f.terms:
+            assert not any(lead.divides(m) for i, lead in enumerate(leads) if i != k)
+
+
+def assert_matches_fixed_point(generators, other):
+    """``buchberger`` returns the fixed-point reference's basis, reduced, and
+    ``generates`` gives the reference verdict for ``generators`` against
+    both that basis and the basis of ``other``."""
+    basis = buchberger(generators)
+    assert basis == fixed_point_buchberger(generators)
+    assert_reduced(basis)
+    assert generates(generators, basis) and fixed_point_generates(generators, basis)
+    other_basis = buchberger(other)
+    verdict = generates(generators, other_basis)
+    assert verdict == fixed_point_generates(generators, other_basis)
+    return verdict
+
+
+def test_one_pass_interreduction_matches_fixed_point_on_random_sets():
+    rng = random.Random(71)
+    cells = [Cell(1, 1), Cell(1, 2), Cell(2, 1)]
+    verdicts = []
+    for _ in range(150):
+        a = random_small_set(rng, cells)
+        b = a + random_small_set(rng, cells)[:1]
+        verdicts.append(assert_matches_fixed_point(b, a))
+    assert True in verdicts and False in verdicts
+
+
+def test_one_pass_interreduction_matches_fixed_point_on_fulton_generators():
+    # each set against its own completion and against the previous
+    # permutation's ideal, a different one
+    for n in (3, 4):
+        gens = [generator_polynomials(spec_from_permutation(p)) for p in honest_permutations(n)]
+        for k, g in enumerate(gens):
+            assert not assert_matches_fixed_point(g, gens[k - 1])
+
+
+def test_one_pass_interreduction_matches_fixed_point_on_s4_union_bases():
+    # the union basis against its own completion and the oracle intersection
+    perms = honest_permutations(4)
+    for k, a in enumerate(perms):
+        for b in perms[k:]:
+            specs = [spec_from_permutation(a), spec_from_permutation(b)]
+            basis = [g.poly for g in union_basis(specs)]
+            meet = intersect_many(spec_bases(specs))
+            assert assert_matches_fixed_point(basis, meet)
 
 
 def test_scaled_coefficients_survive_exactly():

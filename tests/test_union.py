@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations as itertools_permutations, product
+from itertools import combinations, permutations as itertools_permutations, product
 
 import pytest
 
@@ -29,7 +29,7 @@ import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text
 from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
-from nwgb.verify import membership_failures, spec_bases
+from nwgb.verify import honest_permutations, membership_failures, spec_bases
 
 
 def anti(*cells):
@@ -347,6 +347,152 @@ def test_s5_pair_generator_outside_one_ideal():
     assert membership_failures([bad[0].poly], specs, bases) == [
         f"{polynomial_text(bad[0].poly)} is not in the ideal of 1 4 2 3 5"
     ]
+
+
+# the S5 membership census ----------------------------------------------------------
+
+# Every unordered pair of distinct non-identity S5 permutations (7,021), swept
+# once outside this suite, in both orders with the same result: these 94 fail
+# membership (ROADMAP item 1).  Each maps to its count of bad generators whose
+# leading monomial is a proper multiple of another emitted one (dropping them
+# leaves a Groebner basis), then of bad generators with a minimal lead (no
+# product-of-determinants repair).
+S5_FAILING_PAIRS = {
+    ("1 2 4 5 3", "1 4 2 3 5"): (0, 1),
+    ("1 2 4 5 3", "1 4 3 2 5"): (0, 1),
+    ("1 2 4 5 3", "1 5 2 3 4"): (0, 1),
+    ("1 2 4 5 3", "1 5 3 2 4"): (0, 1),
+    ("1 2 5 3 4", "1 3 4 2 5"): (0, 1),
+    ("1 2 5 3 4", "1 3 4 5 2"): (0, 1),
+    ("1 2 5 3 4", "1 4 3 2 5"): (0, 1),
+    ("1 2 5 3 4", "1 4 3 5 2"): (0, 1),
+    ("1 2 5 4 3", "1 3 4 2 5"): (0, 1),
+    ("1 2 5 4 3", "1 3 4 5 2"): (0, 1),
+    ("1 2 5 4 3", "1 4 2 3 5"): (0, 1),
+    ("1 2 5 4 3", "1 4 3 2 5"): (0, 2),
+    ("1 2 5 4 3", "1 4 3 5 2"): (0, 1),
+    ("1 2 5 4 3", "1 5 2 3 4"): (0, 1),
+    ("1 2 5 4 3", "1 5 3 2 4"): (0, 1),
+    ("1 3 4 2 5", "1 3 5 2 4"): (1, 0),
+    ("1 3 4 2 5", "1 3 5 4 2"): (1, 0),
+    ("1 3 4 2 5", "2 1 5 3 4"): (0, 1),
+    ("1 3 4 2 5", "2 1 5 4 3"): (0, 1),
+    ("1 3 4 2 5", "2 3 5 1 4"): (1, 0),
+    ("1 3 4 2 5", "2 3 5 4 1"): (1, 0),
+    ("1 3 4 2 5", "3 1 5 2 4"): (1, 0),
+    ("1 3 4 2 5", "3 1 5 4 2"): (1, 0),
+    ("1 3 4 2 5", "3 2 5 1 4"): (1, 0),
+    ("1 3 4 2 5", "3 2 5 4 1"): (1, 0),
+    ("1 3 4 5 2", "1 3 5 2 4"): (1, 0),
+    ("1 3 4 5 2", "1 3 5 4 2"): (1, 0),
+    ("1 3 4 5 2", "2 1 5 3 4"): (0, 1),
+    ("1 3 4 5 2", "2 1 5 4 3"): (0, 1),
+    ("1 3 4 5 2", "2 3 5 1 4"): (1, 0),
+    ("1 3 4 5 2", "2 3 5 4 1"): (1, 0),
+    ("1 3 4 5 2", "3 1 5 2 4"): (1, 0),
+    ("1 3 4 5 2", "3 1 5 4 2"): (1, 0),
+    ("1 3 4 5 2", "3 2 5 1 4"): (1, 0),
+    ("1 3 4 5 2", "3 2 5 4 1"): (1, 0),
+    ("1 3 5 2 4", "1 4 3 2 5"): (1, 0),
+    ("1 3 5 2 4", "1 4 3 5 2"): (1, 0),
+    ("1 3 5 4 2", "1 4 3 2 5"): (1, 0),
+    ("1 3 5 4 2", "1 4 3 5 2"): (1, 0),
+    ("1 4 2 3 5", "1 4 2 5 3"): (1, 0),
+    ("1 4 2 3 5", "1 5 2 4 3"): (1, 0),
+    ("1 4 2 3 5", "2 1 4 5 3"): (0, 1),
+    ("1 4 2 3 5", "2 1 5 4 3"): (0, 1),
+    ("1 4 2 3 5", "2 4 1 5 3"): (1, 0),
+    ("1 4 2 3 5", "2 5 1 4 3"): (1, 0),
+    ("1 4 2 3 5", "4 1 2 5 3"): (1, 0),
+    ("1 4 2 3 5", "4 2 1 5 3"): (1, 0),
+    ("1 4 2 3 5", "5 1 2 4 3"): (1, 0),
+    ("1 4 2 3 5", "5 2 1 4 3"): (1, 0),
+    ("1 4 2 5 3", "1 4 3 2 5"): (1, 0),
+    ("1 4 2 5 3", "1 5 2 3 4"): (1, 0),
+    ("1 4 2 5 3", "1 5 3 2 4"): (1, 0),
+    ("1 4 3 2 5", "1 5 2 4 3"): (1, 0),
+    ("1 4 3 2 5", "2 1 4 5 3"): (0, 1),
+    ("1 4 3 2 5", "2 1 5 3 4"): (0, 1),
+    ("1 4 3 2 5", "2 1 5 4 3"): (0, 2),
+    ("1 4 3 2 5", "2 3 5 1 4"): (1, 0),
+    ("1 4 3 2 5", "2 3 5 4 1"): (1, 0),
+    ("1 4 3 2 5", "2 4 1 5 3"): (1, 0),
+    ("1 4 3 2 5", "2 5 1 4 3"): (1, 0),
+    ("1 4 3 2 5", "3 1 5 2 4"): (1, 0),
+    ("1 4 3 2 5", "3 1 5 4 2"): (1, 0),
+    ("1 4 3 2 5", "3 2 5 1 4"): (1, 0),
+    ("1 4 3 2 5", "3 2 5 4 1"): (1, 0),
+    ("1 4 3 2 5", "4 1 2 5 3"): (1, 0),
+    ("1 4 3 2 5", "4 2 1 5 3"): (1, 0),
+    ("1 4 3 2 5", "5 1 2 4 3"): (1, 0),
+    ("1 4 3 2 5", "5 2 1 4 3"): (1, 0),
+    ("1 4 3 5 2", "2 1 5 3 4"): (0, 1),
+    ("1 4 3 5 2", "2 1 5 4 3"): (0, 1),
+    ("1 4 3 5 2", "2 3 5 1 4"): (1, 0),
+    ("1 4 3 5 2", "2 3 5 4 1"): (1, 0),
+    ("1 4 3 5 2", "3 1 5 2 4"): (1, 0),
+    ("1 4 3 5 2", "3 1 5 4 2"): (1, 0),
+    ("1 4 3 5 2", "3 2 5 1 4"): (1, 0),
+    ("1 4 3 5 2", "3 2 5 4 1"): (1, 0),
+    ("1 5 2 3 4", "1 5 2 4 3"): (1, 0),
+    ("1 5 2 3 4", "2 1 4 5 3"): (0, 1),
+    ("1 5 2 3 4", "2 1 5 4 3"): (0, 1),
+    ("1 5 2 3 4", "2 4 1 5 3"): (1, 0),
+    ("1 5 2 3 4", "2 5 1 4 3"): (1, 0),
+    ("1 5 2 3 4", "4 1 2 5 3"): (1, 0),
+    ("1 5 2 3 4", "4 2 1 5 3"): (1, 0),
+    ("1 5 2 3 4", "5 1 2 4 3"): (1, 0),
+    ("1 5 2 3 4", "5 2 1 4 3"): (1, 0),
+    ("1 5 2 4 3", "1 5 3 2 4"): (1, 0),
+    ("1 5 3 2 4", "2 1 4 5 3"): (0, 1),
+    ("1 5 3 2 4", "2 1 5 4 3"): (0, 1),
+    ("1 5 3 2 4", "2 4 1 5 3"): (1, 0),
+    ("1 5 3 2 4", "2 5 1 4 3"): (1, 0),
+    ("1 5 3 2 4", "4 1 2 5 3"): (1, 0),
+    ("1 5 3 2 4", "4 2 1 5 3"): (1, 0),
+    ("1 5 3 2 4", "5 1 2 4 3"): (1, 0),
+    ("1 5 3 2 4", "5 2 1 4 3"): (1, 0),
+}
+
+
+def s5_bad_generators(pair, bases):
+    """(prunable, minimal): the union basis's generators outside one of the
+    two ideals, split by whether another emitted lead properly divides
+    theirs."""
+    specs = schubert_specs(*pair)
+    basis = union_basis(specs)
+    leads = [g.poly.leading_monomial() for g in basis]
+    pair_bases = [bases[text] for text in pair]
+    bad = [
+        leads[k]
+        for k, g in enumerate(basis)
+        if membership_failures([g.poly], specs, pair_bases)
+    ]
+    prunable = sum(any(m != lead and m.divides(lead) for m in leads) for lead in bad)
+    return prunable, len(bad) - prunable
+
+
+@pytest.fixture(scope="module")
+def s5_bases():
+    texts = [p.one_line() for p in honest_permutations(5)]
+    return dict(zip(texts, spec_bases(schubert_specs(*texts))))
+
+
+def test_s5_census_failing_pairs(s5_bases):
+    found = {pair: s5_bad_generators(pair, s5_bases) for pair in S5_FAILING_PAIRS}
+    assert found == S5_FAILING_PAIRS
+    assert len(found) == 94
+    assert sum(prunable for prunable, _ in found.values()) == 64
+    assert sum(minimal for _, minimal in found.values()) == 32
+    assert sum(1 for _, minimal in found.values() if minimal) == 30
+
+
+def test_s5_census_sample_of_other_pairs_passes(s5_bases):
+    texts = [t for t in s5_bases if t != "1 2 3 4 5"]
+    others = [pair for pair in combinations(texts, 2) if pair not in S5_FAILING_PAIRS]
+    assert len(others) == 7021 - 94
+    for pair in random.Random(13).sample(others, 100):
+        assert s5_bad_generators(pair, s5_bases) == (0, 0)
 
 
 # union bases ---------------------------------------------------------------------

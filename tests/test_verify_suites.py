@@ -15,7 +15,6 @@ from nwgb.verify import (
     honest_permutations,
     ideal_of,
     membership_failures,
-    oracle_intersection,
     run_suite,
     sampled_s4_pairs,
     spec_bases,
@@ -108,10 +107,10 @@ def test_membership_failures_names_each_missing_generator():
 
 def test_oracle_intersection_matches_pairwise_intersect():
     specs = _specs("1 4 2 3", "1 3 4 2")
-    assert oracle_intersection(spec_bases(specs)) == intersect(*(ideal_of(s) for s in specs))
+    assert intersect_many(spec_bases(specs)) == intersect(*(ideal_of(s) for s in specs))
     # folding over the reduced bases gives the fold over the raw generators
     specs = _specs("2 1 4 3", "1 3 4 2", "3 4 1 2")
-    assert oracle_intersection(spec_bases(specs)) == intersect_many([ideal_of(s) for s in specs])
+    assert intersect_many(spec_bases(specs)) == intersect_many([ideal_of(s) for s in specs])
 
 
 @pytest.mark.parametrize(
@@ -125,6 +124,6 @@ def test_oracle_intersection_matches_pairwise_intersect():
 def test_oracle_intersection_is_reduced(texts):
     # the union checks hand the intersection to generates() as a reduced
     # basis, without completing it again
-    meet = oracle_intersection(spec_bases(_specs(*texts)))
+    meet = intersect_many(spec_bases(_specs(*texts)))
     assert meet
     assert buchberger(meet) == meet
