@@ -189,5 +189,8 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
 
 def load_spec(path: str) -> RankConditionSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("spec file is nested too deeply") from None
     return spec_from_json(data)

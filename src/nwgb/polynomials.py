@@ -398,11 +398,6 @@ class Polynomial:
     def __rmul__(self, other: "int | Fraction") -> "Polynomial":
         return self.__mul__(other)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(m.degree() for m in self.terms)
-
     def uses(self, cell: Cell) -> bool:
         return any(m.uses(cell) for m in self.terms)
 

@@ -28,16 +28,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .ideals import RankConditionSpec, antidiagonals_of_spec
-from .polynomials import (
-    MONOMIAL_ONE,
-    Antidiagonal,
-    Cell,
-    Monomial,
-    Polynomial,
-    _cell,
-    polynomial_text,
-    polynomial_to_json,
-)
+from .polynomials import Antidiagonal, Cell, Polynomial, _cell, polynomial_text
 
 
 def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
@@ -125,27 +116,6 @@ class GeneratorProduct:
     factors: tuple[Antidiagonal, ...]
     poly: Polynomial
 
-    def factor_text(self) -> str:
-        """Bracketed-determinant display, one '|...|' block per factor."""
-        blocks = []
-        for factor in self.factors:
-            rows = factor.rows()
-            cols = factor.cols()
-            body = " ; ".join(
-                " ".join(f"m[{r},{c}]" for c in cols) for r in sorted(rows)
-            )
-            blocks.append(f"|{body}|")
-        return " ".join(blocks)
-
-    def to_json(self) -> dict:
-        return {
-            "factors": [
-                {"rows": list(sorted(f.rows())), "cols": list(f.cols())}
-                for f in self.factors
-            ],
-            "poly": polynomial_to_json(self.poly),
-        }
-
     def __repr__(self) -> str:
         return polynomial_text(self.poly)
 
@@ -160,8 +130,12 @@ def _json_list(items: Sequence[str], indent: int) -> str:
 
 
 def basis_json_text(basis: Sequence[GeneratorProduct]) -> str:
-    """The text of ``json.dumps([g.to_json() for g in basis], indent=2)``,
-    written directly, with no dict tree.
+    """The basis as JSON text, laid out as ``json.dumps(..., indent=2)``
+    lays it out, written directly, with no dict tree.
+
+    One object per generator, ``{"factors": [{"rows": [...], "cols":
+    [...]}, ...], "poly": polynomial_to_json(g.poly)}``, with each factor's
+    rows and columns ascending.
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder, which
     costs more than building the basis.  Here every ``[row, col, exp]``
@@ -214,34 +188,30 @@ def basis_json_text(basis: Sequence[GeneratorProduct]) -> str:
 def generator_product(
     antidiags: Sequence[Antidiagonal],
     factors: Sequence[Antidiagonal] | None = None,
-    minors: dict[tuple[Cell, ...], dict[Monomial, int]] | None = None,
+    minors: dict[tuple[Cell, ...], Polynomial] | None = None,
 ) -> GeneratorProduct:
-    """Build the generator for one antidiagonal choice.
+    """Build the generator for one antidiagonal choice: the product of its
+    factors' determinants, or the constant 1 when there are no factors.
 
     ``factors`` is ``extract_factors(antidiags)``, passed by a caller that
-    has it already.  ``minors`` maps a factor's cells to its determinant's
-    terms, whose coefficients are ints; a caller that builds many
-    generators passes one dict to every call, so each minor is expanded
-    once.  Determinants and their products are integral, so the product is
-    taken on ints, and the final Polynomial keeps them as ints.
+    has it already.  ``minors`` maps a factor's cells to its determinant; a
+    caller that builds many generators passes one dict to every call, so
+    each minor is expanded once.  The product starts from the first
+    determinant, not from 1, so no term is multiplied by 1.
     """
     if factors is None:
         factors = extract_factors(antidiags)
     if minors is None:
         minors = {}
-    terms: dict[Monomial, int] = {MONOMIAL_ONE: 1}
+    poly = None
     for factor in factors:
         det = minors.get(factor.cells)
         if det is None:
-            det = minors[factor.cells] = factor.determinant().terms
-        out: dict[Monomial, int] = {}
-        for m1, c1 in terms.items():
-            for m2, c2 in det.items():
-                m = m1 * m2
-                prev = out.get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        terms = out  # a coefficient that cancels to 0 is dropped by Polynomial
-    return GeneratorProduct(tuple(antidiags), tuple(factors), Polynomial(terms))
+            det = minors[factor.cells] = factor.determinant()
+        poly = det if poly is None else poly * det
+    if poly is None:
+        poly = Polynomial.constant(1)
+    return GeneratorProduct(tuple(antidiags), tuple(factors), poly)
 
 
 def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
@@ -269,7 +239,7 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     if any(not c for c in choices):
         return []
-    minors: dict[tuple[Cell, ...], dict[Monomial, int]] = {}
+    minors: dict[tuple[Cell, ...], Polynomial] = {}
     seen: set[frozenset[tuple[Cell, ...]]] = set()
     basis: list[GeneratorProduct] = []
     for combo in product(*choices):

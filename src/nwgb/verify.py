@@ -76,10 +76,6 @@ def honest_permutations(n: int) -> list[PartialPermutation]:
     ]
 
 
-def ideal_of(spec: RankConditionSpec) -> IdealPresentation:
-    return IdealPresentation(tuple(generator_polynomials(spec)))
-
-
 def spec_bases(specs: Sequence[RankConditionSpec]) -> list[IdealPresentation]:
     """Each spec's ideal, presented by its reduced Groebner basis, in spec
     order: the one completion that membership and the oracle intersection

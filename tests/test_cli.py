@@ -120,6 +120,19 @@ def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, data, message
     assert captured.err.startswith(f"error: {message}")
 
 
+def test_deeply_nested_spec_exits_2(tmp_path, capsys):
+    # raw text: json.dumps cannot build a document this deep
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for command in ("fulton", "groebner", "union"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spec file is nested too deeply\n"
+    code, out, err = run_cli(["union", str(path), str(path)])
+    assert (code, out, err) == (2, "", "error: spec file is nested too deeply\n")
+
+
 def test_groebner_subcommand(spec_231, capsys):
     # reduced basis prints in ascending leading-monomial order
     assert main(["groebner", spec_231]) == 0

@@ -30,7 +30,12 @@ from nwgb import (
 )
 from nwgb.groebner import _minimal_split, _unsettled_pairs
 from nwgb.polynomials import compare, polynomial_text, sort_key
-from nwgb.verify import honest_permutations, ideal_of, sampled_s4_pairs, spec_bases
+from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
+
+
+def ideal_of(spec):
+    """A spec's ideal presented by its Fulton generators, uncompleted."""
+    return IdealPresentation(tuple(generator_polynomials(spec)))
 
 
 def mono(*cells):

@@ -27,7 +27,7 @@ from nwgb import (
 )
 import nwgb.polynomials
 import nwgb.union
-from nwgb.polynomials import determinant, polynomial_text
+from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
 from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 
@@ -259,9 +259,9 @@ def test_shared_box_collapses_to_one_factor():
     assert built.poly == Polynomial.variable(Cell(1, 1))
 
 
-def test_generator_factor_text():
-    built = generator_product([anti((1, 2), (2, 1)), anti((3, 1),)])
-    assert built.factor_text() == "|m[1,1] m[1,2] ; m[2,1] m[2,2]| |m[3,1]|"
+def test_generator_of_no_antidiagonals_is_one():
+    built = generator_product([])
+    assert (built.inputs, built.factors, built.poly) == ((), (), Polynomial.constant(1))
 
 
 def test_generator_cell_partition_and_leading_monomial():
@@ -568,9 +568,17 @@ def test_union_1423_1342_has_nine_products_in_display_order():
     ]
 
 
+def generator_to_json(g):
+    """The dict tree that ``basis_json_text`` writes for one generator."""
+    return {
+        "factors": [{"rows": sorted(f.rows()), "cols": list(f.cols())} for f in g.factors],
+        "poly": polynomial_to_json(g.poly),
+    }
+
+
 def test_generator_json_schema():
     built = generator_product([anti((1, 2), (2, 1)), anti((3, 1),)])
-    data = built.to_json()
+    data = generator_to_json(built)
     assert data["factors"] == [
         {"rows": [1, 2], "cols": [1, 2]},
         {"rows": [3], "cols": [1]},
@@ -580,10 +588,24 @@ def test_generator_json_schema():
 
 # factor-key deduplication and the JSON writer ------------------------------------
 
+def reference_product(factors):
+    """The product of the factors' determinants, multiplied out on plain
+    int dicts from the constant 1, independently of ``Polynomial.__mul__``."""
+    terms = {Monomial(): 1}
+    for factor in factors:
+        out = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in factor.determinant().terms.items():
+                m = m1 * m2
+                out[m] = out.get(m, 0) + c1 * c2
+        terms = out
+    return Polynomial(terms)
+
+
 def reference_union_basis(specs):
     """The literal loop: build every choice's generator, keep the first of
-    each polynomial.  Each product is also multiplied out as Polynomials,
-    independently of the int path."""
+    each polynomial.  Each product is also multiplied out by
+    ``reference_product``."""
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     if any(not c for c in choices):
         return []
@@ -591,10 +613,7 @@ def reference_union_basis(specs):
     basis = []
     for combo in product(*choices):
         built = generator_product(combo)
-        poly = Polynomial.constant(1)
-        for factor in built.factors:
-            poly = poly * factor.determinant()
-        assert built.poly == poly
+        assert built.poly == reference_product(built.factors)
         if built.poly not in seen:
             seen.add(built.poly)
             basis.append(built)
@@ -695,7 +714,7 @@ S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
 def test_basis_json_text_equals_json_dumps(cases):
     for specs in cases:
         basis = union_basis(specs)
-        reference = [g.to_json() for g in basis]
+        reference = [generator_to_json(g) for g in basis]
         text = basis_json_text(basis)
         assert text == json.dumps(reference, indent=2)
         assert json.loads(text) == reference
@@ -707,4 +726,4 @@ def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
     # no union generator has these, but the writer matches json.dumps on them
     poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
     basis = [GeneratorProduct((), (), poly)]
-    assert basis_json_text(basis) == json.dumps([g.to_json() for g in basis], indent=2)
+    assert basis_json_text(basis) == json.dumps([generator_to_json(g) for g in basis], indent=2)

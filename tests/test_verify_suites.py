@@ -3,8 +3,8 @@ full-size runs live in the acceptance module)."""
 
 import pytest
 
-from nwgb.groebner import buchberger, intersect, intersect_many
-from nwgb.ideals import spec_from_permutation
+from nwgb.groebner import IdealPresentation, buchberger, intersect, intersect_many
+from nwgb.ideals import generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
 from nwgb.polynomials import Cell, Polynomial
 from nwgb.union import union_basis
@@ -13,12 +13,16 @@ from nwgb.verify import (
     SuiteReport,
     _union_pair_checks,
     honest_permutations,
-    ideal_of,
     membership_failures,
     run_suite,
     sampled_s4_pairs,
     spec_bases,
 )
+
+
+def ideal_of(spec):
+    """A spec's ideal presented by its Fulton generators, uncompleted."""
+    return IdealPresentation(tuple(generator_polynomials(spec)))
 
 
 @pytest.mark.parametrize("name", ["order-axioms", "minor-init", "generator-init"])
