@@ -7,13 +7,12 @@ so JSON output stays parseable.
 """
 
 import argparse
-import json
 import sys
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
 from .groebner import buchberger, generates, intersect_many, is_groebner
 from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
-from .polynomials import polynomial_text, polynomial_to_json
+from .polynomials import json_text, polynomial_text
 from .union import basis_json_text, union_basis
 from .verify import (
     EXHAUSTIVE,
@@ -90,7 +89,7 @@ def _emit(text: str, args: argparse.Namespace):
 def _cmd_diagram(args: argparse.Namespace) -> int:
     p = parse_one_line(args.permutation)
     if args.format == "json":
-        _emit(json.dumps(diagram_json(p), indent=2) + "\n", args)
+        _emit(json_text(diagram_json(p)) + "\n", args)
         return EXIT_OK
     lines = [diagram_ascii(p), ""]
     essentials = sorted(essential_set(p))
@@ -123,12 +122,12 @@ def _cmd_fulton(args: argparse.Namespace) -> int:
                         "j": g.source.col,
                         "r": g.source.max_rank,
                     },
-                    "poly": polynomial_to_json(g.poly),
+                    "poly": g.poly,
                 }
                 for g in gens
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+        _emit(json_text(payload) + "\n", args)
     else:
         _emit("".join(polynomial_text(g.poly) + "\n" for g in gens), args)
     return EXIT_OK
@@ -137,8 +136,7 @@ def _cmd_fulton(args: argparse.Namespace) -> int:
 def _cmd_groebner(args: argparse.Namespace) -> int:
     basis = buchberger(generator_polynomials(load_spec(args.spec)))
     if args.format == "json":
-        payload = [polynomial_to_json(f) for f in basis]
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+        _emit(json_text(basis) + "\n", args)
     else:
         _emit("".join(polynomial_text(f) + "\n" for f in basis), args)
     return EXIT_OK

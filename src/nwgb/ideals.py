@@ -11,6 +11,7 @@ variety.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
@@ -144,14 +145,14 @@ def _int_field(data: Mapping, key: str, name: str) -> int:
         raise ValueError(f"spec field {name} is missing")
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"spec field {name} must be an integer, got {value!r}")
+        raise ValueError(f"spec field {name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _label_field(data: Mapping, default: str) -> str:
     label = data.get("label", default)
     if not isinstance(label, str):
-        raise ValueError(f"spec field label must be a string, got {label!r}")
+        raise ValueError(f"spec field label must be a string, got {reprlib.repr(label)}")
     return label
 
 
@@ -164,7 +165,7 @@ def spec_from_json(data: Mapping) -> RankConditionSpec:
     if "permutation" in data:
         text = data["permutation"]
         if not isinstance(text, str):
-            raise ValueError(f"spec field permutation must be a string, got {text!r}")
+            raise ValueError(f"spec field permutation must be a string, got {reprlib.repr(text)}")
         p = parse_one_line(text)
         if "n" in data and _int_field(data, "n", "n") != p.n:
             raise ValueError(

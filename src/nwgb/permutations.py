@@ -11,6 +11,7 @@ of the associated determinantal scheme.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .polynomials import Cell
@@ -31,7 +32,7 @@ class PartialPermutation:
             if value is None:
                 continue
             if not isinstance(value, int) or not 1 <= value <= n:
-                raise ValueError(f"value {value!r} outside 1..{n}")
+                raise ValueError(f"value {reprlib.repr(value)} outside 1..{n}")
             if value in seen:
                 raise ValueError(f"duplicate value {value}")
             seen.add(value)
@@ -43,12 +44,6 @@ class PartialPermutation:
     def image(self, row: int) -> int | None:
         """pi(row), 1-based, or None when undefined."""
         return self.images[row - 1]
-
-    def preimage(self, col: int) -> int | None:
-        for row, value in enumerate(self.images, start=1):
-            if value == col:
-                return row
-        return None
 
     def one_line(self) -> str:
         return " ".join("*" if v is None else str(v) for v in self.images)
@@ -74,7 +69,7 @@ def parse_one_line(text: str) -> PartialPermutation:
             try:
                 images.append(int(token))
             except ValueError:
-                raise ValueError(f"bad token {token!r} in one-line notation") from None
+                raise ValueError(f"bad token {reprlib.repr(token)} in one-line notation") from None
     return PartialPermutation(tuple(images))
 
 
@@ -125,17 +120,15 @@ def rank_matrix(p: PartialPermutation) -> RankMatrix:
 
 def rothe_diagram(p: PartialPermutation) -> frozenset[Cell]:
     """Cells not crossed out by any 1 weakly above in its column or weakly
-    left in its row."""
-    n = p.n
-    cells: set[Cell] = set()
-    for i in range(1, n + 1):
-        value = p.image(i)
-        row_stop = value if value is not None else n + 1
-        for j in range(1, row_stop):
-            k = p.preimage(j)
-            if k is None or k > i:
-                cells.add(Cell(i, j))
-    return frozenset(cells)
+    left in its row: r(i, j) - r(i-1, j) counts the 1s weakly left of (i, j)
+    and r(i, j) - r(i, j-1) those weakly above it, so both must be 0."""
+    ranks = [(0,) * (p.n + 1)] + [(0,) + row for row in rank_matrix(p).entries]
+    return frozenset(
+        Cell(i, j)
+        for i in range(1, p.n + 1)
+        for j in range(1, p.n + 1)
+        if ranks[i][j] == ranks[i - 1][j] == ranks[i][j - 1]
+    )
 
 
 def essential_set(p: PartialPermutation) -> frozenset[tuple[Cell, int]]:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_permutations
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -587,3 +588,66 @@ def polynomial_from_json(data: Iterable[Mapping]) -> Polynomial:
         mono = monomial_from_json(entry["monomial"])
         terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
     return Polynomial(terms)
+
+
+def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
+    """Encoded items laid out as ``json.dumps(..., indent=2)`` lays out a
+    list (``"[]"``) or object (``"{}"``) that opens at this indent."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
+    strings, ints, a :class:`Polynomial` as :func:`polynomial_to_json` gives
+    it and an :class:`Antidiagonal` as ``{"rows": [...], "cols": [...]}``,
+    both ascending; anything else raises ``TypeError``.  ``indent`` sends
+    ``json`` to its pure-Python encoder, which costs more than building a
+    union basis; here each ``[row, col, exp]`` block and each factor is
+    written once per call, since a basis repeats both."""
+    blocks: dict[int, dict[tuple[int, int], tuple[int, int, str]]] = {}
+    factors: dict[tuple[tuple[Cell, ...], int], str] = {}
+
+    def write(value, indent: int) -> str:
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return str(value)
+        if kind is list:
+            return _json_list([write(item, indent + 2) for item in value], indent, "[]")
+        if kind is dict:  # the encoder raises TypeError on a key that is not a str
+            items = [
+                encode_basestring_ascii(k) + ": " + write(v, indent + 2) for k, v in value.items()
+            ]
+            return _json_list(items, indent, "{}")
+        if kind is Polynomial:
+            known = blocks.setdefault(indent, {})
+            inner = "\n" + " " * (indent + 4)  # in each term's object
+            head, middle = "{" + inner + '"coeff": "', '",' + inner + '"monomial": '
+            tail = "\n" + " " * (indent + 2) + "}"
+            terms = []
+            for coeff, mono in value.sorted_terms():
+                key = mono.key
+                variables = []
+                for pair in zip(key[:-1:2], key[1::2]):
+                    block = known.get(pair)
+                    if block is None:
+                        row, col = _cell(pair[0])
+                        block = known[pair] = (row, col, write([row, col, -pair[1]], indent + 6))
+                    variables.append(block)
+                variables.sort()  # row-major ascending, as monomial_to_json lists them
+                monomial = _json_list([block[2] for block in variables], indent + 4, "[]")
+                terms.append(head + str(coeff) + middle + monomial + tail)
+            return _json_list(terms, indent, "[]")
+        if kind is Antidiagonal:
+            text = factors.get((value.cells, indent))
+            if text is None:
+                layout = {"rows": list(value.rows()), "cols": list(value.cols())}
+                text = factors[value.cells, indent] = write(layout, indent)
+            return text
+        raise TypeError(f"{kind.__name__} is not written as JSON")
+
+    return write(value, 0)

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .ideals import RankConditionSpec, antidiagonals_of_spec
-from .polynomials import Antidiagonal, Cell, Polynomial, _cell, polynomial_text
+from .polynomials import Antidiagonal, Cell, Polynomial, json_text, polynomial_text
 
 
 def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
@@ -120,69 +120,12 @@ class GeneratorProduct:
         return polynomial_text(self.poly)
 
 
-def _json_list(items: Sequence[str], indent: int) -> str:
-    """A list of already-encoded items, laid out as ``json.dumps(...,
-    indent=2)`` lays out a list that opens at this indent."""
-    if not items:
-        return "[]"
-    inner = "\n" + " " * (indent + 2)
-    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
-
-
 def basis_json_text(basis: Sequence[GeneratorProduct]) -> str:
     """The basis as JSON text, laid out as ``json.dumps(..., indent=2)``
-    lays it out, written directly, with no dict tree.
-
-    One object per generator, ``{"factors": [{"rows": [...], "cols":
-    [...]}, ...], "poly": polynomial_to_json(g.poly)}``, with each factor's
-    rows and columns ascending.
-
-    ``indent`` makes ``json`` fall back to its pure-Python encoder, which
-    costs more than building the basis.  Here every ``[row, col, exp]``
-    block is encoded once per call and reused; a polynomial's coefficients
-    are exact rationals, so ``str`` gives the JSON string body as is.
-    """
-    blocks: dict[tuple[int, int], tuple[int, int, str]] = {}
-    items = []
-    for g in basis:
-        factors = [
-            '{\n        "rows": '
-            + _json_list([str(r) for r in sorted(f.rows())], 8)
-            + ',\n        "cols": '
-            + _json_list([str(c) for c in f.cols()], 8)
-            + "\n      }"
-            for f in g.factors
-        ]
-        terms = []
-        for coeff, mono in g.poly.sorted_terms():
-            key = mono.key
-            variables = []
-            for i in range(0, len(key) - 1, 2):
-                pair = (key[i], key[i + 1])
-                block = blocks.get(pair)
-                if block is None:
-                    row, col = _cell(pair[0])
-                    exp = -pair[1]
-                    block = blocks[pair] = (
-                        row,
-                        col,
-                        _json_list((str(row), str(col), str(exp)), 10),
-                    )
-                variables.append(block)
-            variables.sort()  # row-major ascending, as monomial_to_json lists them
-            terms.append(
-                f'{{\n        "coeff": "{coeff}",\n        "monomial": '
-                + _json_list([block[2] for block in variables], 8)
-                + "\n      }"
-            )
-        items.append(
-            '{\n    "factors": '
-            + _json_list(factors, 4)
-            + ',\n    "poly": '
-            + _json_list(terms, 4)
-            + "\n  }"
-        )
-    return _json_list(items, 0)
+    lays it out: one object per generator, ``{"factors": [{"rows": [...],
+    "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, with each
+    factor's rows and columns ascending."""
+    return json_text([{"factors": list(g.factors), "poly": g.poly} for g in basis])
 
 
 def generator_product(

@@ -10,7 +10,10 @@ import pytest
 
 from nwgb import polynomial_from_json
 from nwgb.cli import main
-from nwgb.polynomials import determinant
+from nwgb.groebner import buchberger
+from nwgb.ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
+from nwgb.permutations import diagram_json, parse_one_line
+from nwgb.polynomials import determinant, polynomial_to_json
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -131,6 +134,81 @@ def test_deeply_nested_spec_exits_2(tmp_path, capsys):
         assert captured.err == "error: spec file is nested too deeply\n"
     code, out, err = run_cli(["union", str(path), str(path)])
     assert (code, out, err) == (2, "", "error: spec file is nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"n": list(range(100_000)), "conditions": []}),
+        json.dumps({"permutation": "2 1 " + "x" * 300_000}),
+        '{"n": ' + "[" * 900 + "]" * 900 + ', "conditions": []}',
+    ],
+    ids=["huge-n", "huge-token", "deep-n"],
+)
+def test_huge_rejected_value_gives_one_short_error_line(tmp_path, capsys, text):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(["fulton", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n") and len(captured.err.encode()) <= 100
+
+
+# --format=json: the bytes json.dumps(..., indent=2) writes for the same
+# payload built from plain JSON values, each polynomial by polynomial_to_json
+
+LABELLED = {
+    "n": 3,
+    "label": 'é"\\',
+    "conditions": [{"i": 2, "j": 2, "r": 0}, {"i": 3, "j": 2, "r": 1}],
+}
+
+
+@pytest.mark.parametrize("permutation", ["2 1 4 3", "1 5 4 3 2", "2 * 1", "1"])
+def test_diagram_json_bytes_equal_json_dumps(capsys, permutation):
+    assert main(["diagram", permutation, "--format=json"]) == 0
+    expected = json.dumps(diagram_json(parse_one_line(permutation)), indent=2)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"n": 3, "permutation": "2 3 1"}, LABELLED, {"n": 3, "permutation": "1 2 3"}],
+    ids=["231", "labelled", "identity"],
+)
+def test_fulton_json_bytes_equal_json_dumps(tmp_path, capsys, data):
+    path = write_spec(tmp_path, "spec.json", data)
+    assert main(["fulton", path, "--format=json"]) == 0
+    spec = load_spec(path)
+    generators = [
+        {
+            "rows": list(g.rows),
+            "cols": list(g.cols),
+            "condition": {"i": g.source.row, "j": g.source.col, "r": g.source.max_rank},
+            "poly": polynomial_to_json(g.poly),
+        }
+        for g in fulton_generators(spec)
+    ]
+    expected = json.dumps({"spec": spec_to_json(spec), "generators": generators}, indent=2)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 3, "conditions": []},
+        {"n": 3, "permutation": "2 3 1"},
+        {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]},
+    ],
+    ids=["no-conditions", "231", "5-5-2"],
+)
+def test_groebner_json_bytes_equal_json_dumps(tmp_path, capsys, data):
+    path = write_spec(tmp_path, "spec.json", data)
+    assert main(["groebner", path, "--format=json"]) == 0
+    basis = buchberger(generator_polynomials(load_spec(path)))
+    expected = json.dumps([polynomial_to_json(f) for f in basis], indent=2)
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_groebner_subcommand(spec_231, capsys):

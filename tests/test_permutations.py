@@ -166,6 +166,30 @@ def test_rothe_diagram_partial():
     }
 
 
+def reference_rothe_diagram(p):
+    """The definition, one column scan per cell: (i, j) survives when row i
+    has no 1 weakly left of it and column j no 1 weakly above it."""
+    n = p.n
+    cells = set()
+    for i in range(1, n + 1):
+        value = p.image(i)
+        row_stop = value if value is not None else n + 1
+        for j in range(1, row_stop):
+            k = next((row for row in range(1, n + 1) if p.image(row) == j), None)
+            if k is None or k > i:
+                cells.add(Cell(i, j))
+    return frozenset(cells)
+
+
+def test_rothe_diagram_equals_definition_on_s4_and_random_partials():
+    perms = [PartialPermutation(images) for images in itertools_permutations(range(1, 5))]
+    rng = random.Random(12)
+    perms += [random_partial(rng, rng.randint(1, 8)) for _ in range(500)]
+    assert any(None in p.images for p in perms)
+    for p in perms:
+        assert rothe_diagram(p) == reference_rothe_diagram(p), p
+
+
 def test_diagram_size_is_coxeter_length_on_s3_s4():
     for n in (3, 4):
         for images in itertools_permutations(range(1, n + 1)):

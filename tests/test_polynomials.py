@@ -1,5 +1,6 @@
 """Monomial order, exact arithmetic, determinants and antidiagonals."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations
@@ -18,6 +19,7 @@ from nwgb import (
 from nwgb.polynomials import (
     AUX,
     MONOMIAL_ONE,
+    json_text,
     monomial_from_json,
     monomial_text,
     monomial_to_json,
@@ -360,6 +362,65 @@ def test_polynomial_json_round_trip():
     # leading term first in the serialized order
     data = polynomial_to_json(determinant([1, 2], [1, 2]))
     assert data[0] == {"coeff": "-1", "monomial": [[1, 2, 1], [2, 1, 1]]}
+
+
+# quotes, backslashes, control characters, non-ASCII text, a character
+# outside the BMP and a lone surrogate
+JSON_CHARS = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "→", "😀", "\ud800", "a"]
+
+
+def random_json_string(rng):
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def random_payload(rng, polys, factors, depth=0):
+    """(value, reference): a random tree for ``json_text`` and the plain
+    tree ``json.dumps`` writes the same way, each polynomial as
+    ``polynomial_to_json`` and each antidiagonal as its rows and columns.
+    Containers are often empty; the same few polynomials and factors recur
+    at several depths."""
+    kind = rng.choice(["str", "int", "poly", "factor"] + ["list", "dict"] * (depth < 4))
+    if kind == "str":
+        text = random_json_string(rng)
+        return text, text
+    if kind == "int":
+        number = rng.choice([rng.randint(-9, 9), rng.randint(-(2**70), 2**70), 2**64 + 1])
+        return number, number
+    if kind == "poly":
+        f = rng.choice(polys)
+        return f, polynomial_to_json(f)
+    if kind == "factor":
+        a = rng.choice(factors)
+        return a, {"rows": list(a.rows()), "cols": list(a.cols())}
+    pairs = [random_payload(rng, polys, factors, depth + 1) for _ in range(rng.randint(0, 3))]
+    if kind == "list":
+        return [v for v, _ in pairs], [r for _, r in pairs]
+    keys = [random_json_string(rng) for _ in pairs]
+    return (
+        {k: v for k, (v, _) in zip(keys, pairs)},
+        {k: r for k, (_, r) in zip(keys, pairs)},
+    )
+
+
+def test_json_text_equals_json_dumps_on_random_payloads():
+    rng = random.Random(31)
+    polys = [random_polynomial(rng) for _ in range(3)]
+    polys += [Polynomial.zero(), Polynomial.constant(Fraction(-3, 2)), determinant([1, 2], [2, 3])]
+    minors = [((1, 2), (1, 2)), ((2,), (3,)), ((1, 3, 4), (1, 2, 4))]
+    factors = [antidiagonal_of(rows, cols) for rows, cols in minors]
+    for _ in range(400):
+        value, reference = random_payload(rng, polys, factors)
+        assert json_text(value) == json.dumps(reference, indent=2)
+    nested = {"a": {}, "b": [], "c": [{}, []], "é\"\\": {"d": [{}]}}
+    assert json_text(nested) == json.dumps(nested, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, (1, 2), {1: 2}, Fraction(1, 2), MONOMIAL_ONE])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+    with pytest.raises(TypeError):
+        json_text({"nested": [value]})
 
 
 # the packed kernel against a dict-based reference -----------------------------

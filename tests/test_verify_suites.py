@@ -1,9 +1,11 @@
 """Sanity checks on the packaged property suites (small case counts; the
 full-size runs live in the acceptance module)."""
 
+import random
+
 import pytest
 
-from nwgb.groebner import IdealPresentation, buchberger, intersect, intersect_many
+from nwgb.groebner import IdealPresentation, buchberger, intersect, intersect_many, is_groebner
 from nwgb.ideals import generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
 from nwgb.polynomials import Cell, Polynomial
@@ -11,6 +13,7 @@ from nwgb.union import union_basis
 from nwgb.verify import (
     SUITES,
     SuiteReport,
+    _embed,
     _union_pair_checks,
     honest_permutations,
     membership_failures,
@@ -84,6 +87,18 @@ def test_union_checks_pass_on_all_ordered_s4_pairs():
         for right in perms:
             _union_pair_checks(report, left, right, check_init_theorem=True)
     assert (report.cases, report.failures) == (1728, [])
+
+
+def test_union_bases_of_the_triples_suite_are_groebner():
+    # the triples suite checks membership and equality only; this adds the
+    # Buchberger criterion on the same triples, drawn as
+    # suite_triple_intersections draws them (pool, seed, order of choices)
+    pool = [_embed(p, 4) for p in honest_permutations(3)] + honest_permutations(4)
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(15):
+            specs = [spec_from_permutation(rng.choice(pool)) for _ in range(3)]
+            assert is_groebner([g.poly for g in union_basis(specs)]), [s.label for s in specs]
 
 
 def test_fulton_generators_of_all_s5_and_s6_are_groebner():
