@@ -9,9 +9,8 @@ exact Buchberger engine to verify the construction.
 
 from .permutations import (
     PartialPermutation,
-    RankMatrix,
-    diagram_ascii,
     diagram_json,
+    diagram_text,
     essential_set,
     inversions,
     parse_one_line,

@@ -7,11 +7,12 @@ so JSON output stays parseable.
 """
 
 import argparse
+import reprlib
 import sys
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
 from .groebner import buchberger, generates, intersect_many, is_groebner
-from .permutations import diagram_ascii, diagram_json, essential_set, parse_one_line, rank_matrix
+from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import json_text, polynomial_text
 from .union import basis_json_text, union_basis
 from .verify import (
@@ -90,20 +91,8 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     p = parse_one_line(args.permutation)
     if args.format == "json":
         _emit(json_text(diagram_json(p)) + "\n", args)
-        return EXIT_OK
-    lines = [diagram_ascii(p), ""]
-    essentials = sorted(essential_set(p))
-    if essentials:
-        lines.append(
-            "essential: "
-            + "; ".join(f"({c.row},{c.col}) rank {r}" for c, r in essentials)
-        )
     else:
-        lines.append("essential: none")
-    lines.append("rank matrix:")
-    for row in rank_matrix(p).entries:
-        lines.append(" ".join(str(v) for v in row))
-    _emit("\n".join(lines) + "\n", args)
+        _emit(diagram_text(p), args)
     return EXIT_OK
 
 
@@ -147,7 +136,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
     ambient = specs[0].ambient_n
     if args.verify == "full-oracle" and ambient > args.max_oracle_n:
         print(
-            f"error: ambient {ambient} exceeds the full-oracle guard "
+            f"error: ambient {reprlib.repr(ambient)} exceeds the full-oracle guard "
             f"(--max-oracle-n={args.max_oracle_n})",
             file=sys.stderr,
         )

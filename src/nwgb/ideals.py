@@ -33,8 +33,8 @@ class RankCondition:
             raise ValueError("corner indices start at 1")
         if not 0 <= self.max_rank <= min(self.row, self.col):
             raise ValueError(
-                f"rank bound {self.max_rank} out of range for a "
-                f"{self.row}x{self.col} region"
+                f"rank bound {reprlib.repr(self.max_rank)} out of range for a "
+                f"{reprlib.repr(self.row)}x{reprlib.repr(self.col)} region"
             )
 
 
@@ -56,7 +56,11 @@ class RankConditionSpec:
         object.__setattr__(self, "conditions", tuple(self.conditions))
         for cond in self.conditions:
             if cond.row > self.ambient_n or cond.col > self.ambient_n:
-                raise ValueError(f"condition {cond} exceeds ambient {self.ambient_n}")
+                raise ValueError(
+                    f"condition RankCondition(row={reprlib.repr(cond.row)}, "
+                    f"col={reprlib.repr(cond.col)}, max_rank={reprlib.repr(cond.max_rank)}) "
+                    f"exceeds ambient {reprlib.repr(self.ambient_n)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def spec_from_rank_matrix(p: PartialPermutation) -> RankConditionSpec:
     """
     ranks = rank_matrix(p)
     conditions = tuple(
-        RankCondition(i, j, ranks.entry(i, j))
+        RankCondition(i, j, ranks[i - 1][j - 1])
         for i in range(1, p.n + 1)
         for j in range(1, p.n + 1)
     )
@@ -158,18 +162,21 @@ def _label_field(data: Mapping, default: str) -> str:
 
 def spec_from_json(data: Mapping) -> RankConditionSpec:
     """Accepts ``{"n":., "label":., "conditions":[{"i":.,"j":.,"r":.},..]}``
-    or ``{"n":., "permutation":"1 4 2 3"}`` (n optional in the second form).
+    or ``{"n":., "permutation":"1 4 2 3"}`` (n optional in the second form),
+    not both.
     Malformed input raises ValueError naming the offending field."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
     if "permutation" in data:
+        if "conditions" in data:
+            raise ValueError("spec has both a permutation and conditions; give one")
         text = data["permutation"]
         if not isinstance(text, str):
             raise ValueError(f"spec field permutation must be a string, got {reprlib.repr(text)}")
         p = parse_one_line(text)
         if "n" in data and _int_field(data, "n", "n") != p.n:
             raise ValueError(
-                f"declared n={data['n']} but the permutation has {p.n} entries"
+                f"declared n={reprlib.repr(data['n'])} but the permutation has {p.n} entries"
             )
         spec = spec_from_permutation(p)
         return RankConditionSpec(spec.ambient_n, spec.conditions, _label_field(data, spec.label))

@@ -73,77 +73,60 @@ def parse_one_line(text: str) -> PartialPermutation:
     return PartialPermutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class RankMatrix:
-    """Grid of ranks of northwest-justified submatrices of the 0/1 matrix."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("rank matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                r = self.entries[i][j]
-                if not 0 <= r <= min(i + 1, j + 1):
-                    raise ValueError(f"rank {r} at ({i + 1},{j + 1}) out of range")
-                if i and not 0 <= r - self.entries[i - 1][j] <= 1:
-                    raise ValueError("ranks must increase by 0 or 1 down a column")
-                if j and not 0 <= r - self.entries[i][j - 1] <= 1:
-                    raise ValueError("ranks must increase by 0 or 1 along a row")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, row: int, col: int) -> int:
-        """Rank of the northwest row x col submatrix, 1-based indices."""
-        return self.entries[row - 1][col - 1]
-
-
-def rank_matrix(p: PartialPermutation) -> RankMatrix:
-    """Entry (i,j) counts defined k <= i with pi(k) <= j."""
+def rank_matrix(p: PartialPermutation) -> tuple[tuple[int, ...], ...]:
+    """Rows of ranks of the northwest submatrices: ``[i-1][j-1]`` counts
+    the defined k <= i with pi(k) <= j."""
     n = p.n
     rows: list[tuple[int, ...]] = []
     prev = [0] * n
-    for i in range(1, n + 1):
+    for value in p.images:
         current = list(prev)
-        value = p.image(i)
         if value is not None:
-            for j in range(value, n + 1):
-                current[j - 1] += 1
+            for j in range(value - 1, n):
+                current[j] += 1
         rows.append(tuple(current))
         prev = current
-    return RankMatrix(tuple(rows))
+    return tuple(rows)
+
+
+def _diagram_and_essential(
+    ranks: tuple[tuple[int, ...], ...],
+) -> tuple[frozenset[Cell], frozenset[tuple[Cell, int]]]:
+    """The Rothe diagram and the essential set, read off the rank matrix.
+
+    A diagram cell is one not crossed out by any 1 weakly above in its
+    column or weakly left in its row: r(i, j) - r(i-1, j) counts the 1s
+    weakly left of (i, j) and r(i, j) - r(i, j-1) those weakly above it, so
+    both must be 0 (rank 0 outside the matrix).  An essential cell is a
+    diagram cell with no diagram cell immediately south or east, paired
+    with its rank.
+    """
+    n = len(ranks)
+    padded = [(0,) * (n + 1)] + [(0,) + row for row in ranks]
+    diagram = frozenset(
+        Cell(i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if padded[i][j] == padded[i - 1][j] == padded[i][j - 1]
+    )
+    essential = frozenset(
+        (cell, ranks[cell.row - 1][cell.col - 1])
+        for cell in diagram
+        if Cell(cell.row + 1, cell.col) not in diagram
+        and Cell(cell.row, cell.col + 1) not in diagram
+    )
+    return diagram, essential
 
 
 def rothe_diagram(p: PartialPermutation) -> frozenset[Cell]:
-    """Cells not crossed out by any 1 weakly above in its column or weakly
-    left in its row: r(i, j) - r(i-1, j) counts the 1s weakly left of (i, j)
-    and r(i, j) - r(i, j-1) those weakly above it, so both must be 0."""
-    ranks = [(0,) * (p.n + 1)] + [(0,) + row for row in rank_matrix(p).entries]
-    return frozenset(
-        Cell(i, j)
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-        if ranks[i][j] == ranks[i - 1][j] == ranks[i][j - 1]
-    )
+    """Cells not crossed out by any 1 weakly above or weakly left."""
+    return _diagram_and_essential(rank_matrix(p))[0]
 
 
 def essential_set(p: PartialPermutation) -> frozenset[tuple[Cell, int]]:
     """Diagram cells with no diagram cell immediately south or east, paired
     with their rank-matrix entry."""
-    diagram = rothe_diagram(p)
-    ranks = rank_matrix(p)
-    out = set()
-    for cell in diagram:
-        if Cell(cell.row + 1, cell.col) in diagram:
-            continue
-        if Cell(cell.row, cell.col + 1) in diagram:
-            continue
-        out.add((cell, ranks.entry(cell.row, cell.col)))
-    return frozenset(out)
+    return _diagram_and_essential(rank_matrix(p))[1]
 
 
 def inversions(p: PartialPermutation) -> int:
@@ -161,38 +144,37 @@ def inversions(p: PartialPermutation) -> int:
     )
 
 
-def diagram_ascii(p: PartialPermutation) -> str:
-    """Grid with '1' for matrix ones, 'e' essential boxes, 'D' other diagram
-    cells and '.' elsewhere."""
-    diagram = rothe_diagram(p)
-    essential = {cell for cell, _ in essential_set(p)}
-    lines = []
-    for i in range(1, p.n + 1):
-        symbols = []
-        for j in range(1, p.n + 1):
-            cell = Cell(i, j)
-            if p.image(i) == j:
-                symbols.append("1")
-            elif cell in essential:
-                symbols.append("e")
-            elif cell in diagram:
-                symbols.append("D")
-            else:
-                symbols.append(".")
-        lines.append(" ".join(symbols))
-    return "\n".join(lines)
+def diagram_text(p: PartialPermutation) -> str:
+    """The text of ``nwgb diagram``: a grid with '1' for matrix ones, 'e'
+    essential boxes, 'D' other diagram cells and '.' elsewhere, a blank
+    line, the essential boxes with their ranks, and the rank matrix."""
+    ranks = rank_matrix(p)
+    diagram, essential = _diagram_and_essential(ranks)
+    # a Cell is a named tuple, so the plain (i, j) below finds it
+    marks = dict.fromkeys(diagram, "D")
+    marks.update((cell, "e") for cell, _ in essential)
+    lines = [
+        " ".join(
+            "1" if value == j else marks.get((i, j), ".") for j in range(1, p.n + 1)
+        )
+        for i, value in enumerate(p.images, 1)
+    ]
+    boxes = "; ".join(f"({c.row},{c.col}) rank {r}" for c, r in sorted(essential))
+    lines += ["", f"essential: {boxes or 'none'}", "rank matrix:"]
+    lines += (" ".join(map(str, row)) for row in ranks)
+    return "\n".join(lines) + "\n"
 
 
 def diagram_json(p: PartialPermutation) -> dict:
     """Diagram, essential boxes and rank matrix in the documented schema."""
     ranks = rank_matrix(p)
+    diagram, essential = _diagram_and_essential(ranks)
     return {
         "n": p.n,
         "permutation": p.one_line(),
-        "diagram": {"cells": [[c.row, c.col] for c in sorted(rothe_diagram(p))]},
+        "diagram": {"cells": [[c.row, c.col] for c in sorted(diagram)]},
         "essential": [
-            {"cell": [cell.row, cell.col], "rank": rank}
-            for cell, rank in sorted(essential_set(p))
+            {"cell": [cell.row, cell.col], "rank": rank} for cell, rank in sorted(essential)
         ],
-        "rank_matrix": [list(row) for row in ranks.entries],
+        "rank_matrix": [list(row) for row in ranks],
     }

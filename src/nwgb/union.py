@@ -23,6 +23,7 @@ own 1 x 1 factor.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -177,7 +178,7 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     for spec in specs:
         if spec.ambient_n != ambient:
             raise ValueError(
-                f"ambient sizes differ: {spec.ambient_n} vs {ambient}"
+                f"ambient sizes differ: {reprlib.repr(spec.ambient_n)} vs {reprlib.repr(ambient)}"
             )
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     if any(not c for c in choices):

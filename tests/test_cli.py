@@ -113,6 +113,14 @@ def test_fulton_bad_spec(tmp_path, capsys):
             {"n": 2, "conditions": [], "label": ["x"]},
             "spec field label must be a string, got ['x']",
         ),
+        (
+            {"n": 3, "permutation": "2 1 3", "conditions": "garbage"},
+            "spec has both a permutation and conditions",
+        ),
+        (
+            {"n": 3, "permutation": "1 2 3", "conditions": [{"i": 1, "j": 1, "r": 0}]},
+            "spec has both a permutation and conditions",
+        ),
     ],
 )
 def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, data, message):
@@ -136,23 +144,40 @@ def test_deeply_nested_spec_exits_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: spec file is nested too deeply\n")
 
 
+HUGE = 10**4000
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, bound",
     [
-        json.dumps({"n": list(range(100_000)), "conditions": []}),
-        json.dumps({"permutation": "2 1 " + "x" * 300_000}),
-        '{"n": ' + "[" * 900 + "]" * 900 + ', "conditions": []}',
+        (json.dumps({"n": list(range(100_000)), "conditions": []}), 100),
+        (json.dumps({"permutation": "2 1 " + "x" * 300_000}), 100),
+        ('{"n": ' + "[" * 900 + "]" * 900 + ', "conditions": []}', 100),
+        (json.dumps({"n": 3, "conditions": [{"i": 1, "j": 1, "r": HUGE}]}), 120),
+        (json.dumps({"n": HUGE, "permutation": "1"}), 120),
+        (json.dumps({"n": 3, "conditions": [{"i": HUGE, "j": 1, "r": 0}]}), 120),
     ],
-    ids=["huge-n", "huge-token", "deep-n"],
+    ids=["huge-n", "huge-token", "deep-n", "huge-rank", "huge-declared-n", "huge-row"],
 )
-def test_huge_rejected_value_gives_one_short_error_line(tmp_path, capsys, text):
+def test_huge_rejected_value_gives_one_short_error_line(tmp_path, capsys, text, bound):
     path = tmp_path / "big.json"
     path.write_text(text)
     assert main(["fulton", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith("\n") and len(captured.err.encode()) <= 100
+    assert captured.err.endswith("\n") and len(captured.err.encode()) <= bound
+
+
+def test_huge_ambient_in_union_gives_one_short_error_line(tmp_path, capsys, spec_231):
+    path = write_spec(tmp_path, "huge.json", {"n": HUGE, "conditions": []})
+    # the full-oracle size guard, then two ambients that differ
+    for args in ([path, "--verify=full-oracle"], [path, spec_231]):
+        assert main(["union", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n") and len(captured.err.encode()) <= 120
 
 
 # --format=json: the bytes json.dumps(..., indent=2) writes for the same

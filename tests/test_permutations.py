@@ -14,7 +14,7 @@ from nwgb import (
     rank_matrix,
     rothe_diagram,
 )
-from nwgb.permutations import diagram_ascii, diagram_json
+from nwgb.permutations import diagram_json, diagram_text
 
 
 def brute_rank(p, i, j):
@@ -74,7 +74,7 @@ def test_one_line_round_trip():
 # rank matrices --------------------------------------------------------------
 
 def test_rank_matrix_15432_matches_published_grid():
-    grid = rank_matrix(parse_one_line("1 5 4 3 2")).entries
+    grid = rank_matrix(parse_one_line("1 5 4 3 2"))
     assert grid == (
         (1, 1, 1, 1, 1),
         (1, 1, 1, 1, 2),
@@ -85,7 +85,7 @@ def test_rank_matrix_15432_matches_published_grid():
 
 
 def test_rank_matrix_identity_is_min_staircase():
-    grid = rank_matrix(parse_one_line("1 2 3")).entries
+    grid = rank_matrix(parse_one_line("1 2 3"))
     assert grid == ((1, 1, 1), (1, 2, 2), (1, 2, 3))
 
 
@@ -93,7 +93,7 @@ def test_rank_matrix_231():
     # frozen from the brute-force count; each row-2 entry ignores the 1s in
     # columns 2 and 3 of rows 1..2 only when they sit right of j
     p = parse_one_line("2 3 1")
-    grid = rank_matrix(p).entries
+    grid = rank_matrix(p)
     assert grid == ((0, 1, 1), (0, 1, 2), (1, 2, 3))
     for i in range(1, 4):
         for j in range(1, 4):
@@ -102,7 +102,7 @@ def test_rank_matrix_231():
 
 def test_rank_matrix_ignores_undefined_entries():
     p = parse_one_line("2 * 1")
-    assert rank_matrix(p).entries == ((0, 1, 1), (0, 1, 1), (1, 2, 2))
+    assert rank_matrix(p) == ((0, 1, 1), (0, 1, 1), (1, 2, 2))
 
 
 def test_rank_matrix_matches_brute_force_on_random_partials():
@@ -112,14 +112,14 @@ def test_rank_matrix_matches_brute_force_on_random_partials():
         grid = rank_matrix(p)
         for i in range(1, p.n + 1):
             for j in range(1, p.n + 1):
-                assert grid.entry(i, j) == brute_rank(p, i, j)
+                assert grid[i - 1][j - 1] == brute_rank(p, i, j)
 
 
 def test_rank_matrix_invariants_on_random_partials():
     rng = random.Random(11)
     for _ in range(50):
         p = random_partial(rng, rng.randint(1, 6))
-        grid = rank_matrix(p).entries
+        grid = rank_matrix(p)
         n = len(grid)
         for i in range(n):
             for j in range(n):
@@ -133,8 +133,8 @@ def test_rank_matrix_invariants_on_random_partials():
 def test_rank_matrix_boundary_for_honest_permutations():
     for images in itertools_permutations(range(1, 5)):
         grid = rank_matrix(PartialPermutation(images))
-        assert tuple(grid.entry(4, j) for j in range(1, 5)) == (1, 2, 3, 4)
-        assert tuple(grid.entry(i, 4) for i in range(1, 5)) == (1, 2, 3, 4)
+        assert grid[3] == (1, 2, 3, 4)
+        assert tuple(row[3] for row in grid) == (1, 2, 3, 4)
 
 
 # Rothe diagrams -------------------------------------------------------------
@@ -225,6 +225,27 @@ def test_essential_set_partial():
     }
 
 
+def reference_essential_set(p):
+    """The definition: reference diagram cells with no reference diagram
+    cell immediately south or east, each with its brute-force rank."""
+    diagram = reference_rothe_diagram(p)
+    return frozenset(
+        (cell, brute_rank(p, cell.row, cell.col))
+        for cell in diagram
+        if Cell(cell.row + 1, cell.col) not in diagram
+        and Cell(cell.row, cell.col + 1) not in diagram
+    )
+
+
+def test_essential_set_equals_definition_on_s4_and_random_partials():
+    perms = [PartialPermutation(images) for images in itertools_permutations(range(1, 5))]
+    rng = random.Random(13)
+    perms += [random_partial(rng, rng.randint(1, 7)) for _ in range(300)]
+    assert any(None in p.images for p in perms)
+    for p in perms:
+        assert essential_set(p) == reference_essential_set(p), p
+
+
 def test_essential_subset_of_diagram_on_random_partials():
     rng = random.Random(3)
     for _ in range(60):
@@ -237,8 +258,12 @@ def test_essential_subset_of_diagram_on_random_partials():
 
 # rendering ------------------------------------------------------------------
 
+def diagram_grid(p):
+    return diagram_text(p).split("\n\n")[0]
+
+
 def test_diagram_ascii_2143():
-    assert diagram_ascii(parse_one_line("2 1 4 3")) == "\n".join(
+    assert diagram_grid(parse_one_line("2 1 4 3")) == "\n".join(
         [
             "e 1 . .",
             "1 . . .",
@@ -249,7 +274,7 @@ def test_diagram_ascii_2143():
 
 
 def test_diagram_ascii_marks_non_essential_cells():
-    text = diagram_ascii(parse_one_line("1 5 4 3 2"))
+    text = diagram_grid(parse_one_line("1 5 4 3 2"))
     assert text.splitlines()[1] == ". D D e 1"
 
 

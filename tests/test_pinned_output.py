@@ -7,17 +7,21 @@ the order, the monomial arithmetic, division or the union construction
 that alters one byte of output fails here.  The inputs are two conditions
 of the benchmark's ``complete`` pool, two triples of its ``eliminate``
 pool, the fixed S7 pair of its ``synth`` workload and three pooled S6
-pairs of that workload.
+pairs of that workload.  The ``nwgb diagram`` digests were recorded before
+the diagram, essential set and text layout were read off one rank matrix.
 """
 
 import hashlib
 import json
+import random
+import sys
 
 import pytest
 
 from nwgb.cli import main
 from nwgb.groebner import IdealPresentation, initial_ideal, intersect_many
-from nwgb.ideals import generator_polynomials, spec_from_json
+from nwgb.ideals import generator_polynomials, spec_from_json, spec_from_permutation
+from nwgb.permutations import parse_one_line, rank_matrix
 from nwgb.polynomials import monomial_text, polynomial_text, sort_key
 
 
@@ -106,3 +110,67 @@ def test_intersection_and_initial_ideal_bytes_on_s6_triples(perms, digest):
         monomial_text(m) + "\n" for m in sorted(init.minimal_generators, key=sort_key)
     )
     assert sha256(text) == digest
+
+
+def forty_letter_partial():
+    rng = random.Random(40)
+    values = list(range(1, 41))
+    rng.shuffle(values)
+    return " ".join(str(v) if rng.random() < 0.7 else "*" for v in values)
+
+
+@pytest.mark.parametrize(
+    "permutation,text_digest,json_digest",
+    [
+        (
+            "1 5 4 3 2",
+            "489b5838dede7fae3360205668e652e8c0bf17a3aebaeb27c9864987028050b7",
+            "b8b0bdfc21f38f2194b5249dd11051f4f1aad34be4123c95c7fba413248cfcb7",
+        ),
+        (
+            "2 * 1",
+            "9c24446fdc21757daf778cd8ff0f316bcaf33824ae44ea3b04752e818d79ffbc",
+            "798165c26c75360f987ce361d69ec83b31cd19978f80667b99fcb953c5c1d5cf",
+        ),
+        (
+            "* * *",
+            "a20872117278c079eb0aa2ceca4227edadc02be25a94beda7d7d062a67e76e8b",
+            "f869939d1a3c05f5a2ef44211acbddfc188bfbc3fa48f138c6fcb315100c9fcd",
+        ),
+        (
+            forty_letter_partial(),
+            "4cbc5e370973d6059eea4bd668c4139857a76f7f98abc7cef613a0b37dce28b7",
+            "8c55d4da12e1e3167f89ab16b8712c07fd7e8375e240a52050c32388e1beaddd",
+        ),
+    ],
+    ids=["15432", "2-star-1", "all-stars", "seeded-40"],
+)
+def test_diagram_bytes(permutation, text_digest, json_digest, capsys):
+    assert main(["diagram", permutation, "--format=text"]) == 0
+    assert sha256(capsys.readouterr().out) == text_digest
+    assert main(["diagram", permutation, "--format=json"]) == 0
+    assert sha256(capsys.readouterr().out) == json_digest
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: main(["diagram", "1 5 4 3 2", "--format=text"]),
+        lambda: main(["diagram", "1 5 4 3 2", "--format=json"]),
+        lambda: spec_from_permutation(parse_one_line("1 5 4 3 2")),
+    ],
+    ids=["diagram-text", "diagram-json", "spec-from-permutation"],
+)
+def test_one_rank_matrix_per_call(call, monkeypatch, capsys):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return rank_matrix(p)
+
+    # every package module that holds the function, so an import by name counts too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nwgb") and getattr(module, "rank_matrix", None) is rank_matrix:
+            monkeypatch.setattr(module, "rank_matrix", counted)
+    call()
+    assert len(calls) == 1
