@@ -26,9 +26,7 @@ from .polynomials import (
     antidiagonal_of,
     compare,
     determinant,
-    monomial_from_json,
     monomial_to_json,
-    polynomial_from_json,
     polynomial_text,
     polynomial_to_json,
 )

@@ -135,12 +135,10 @@ def _cmd_union(args: argparse.Namespace) -> int:
     specs = [load_spec(path) for path in args.specs]
     ambient = specs[0].ambient_n
     if args.verify == "full-oracle" and ambient > args.max_oracle_n:
-        print(
-            f"error: ambient {reprlib.repr(ambient)} exceeds the full-oracle guard "
-            f"(--max-oracle-n={args.max_oracle_n})",
-            file=sys.stderr,
+        raise ValueError(
+            f"ambient {reprlib.repr(ambient)} exceeds the full-oracle guard "
+            f"(--max-oracle-n={reprlib.repr(args.max_oracle_n)})"
         )
-        return EXIT_USAGE
     basis = union_basis(specs)
     if args.format == "json":
         _emit(basis_json_text(basis) + "\n", args)
@@ -177,11 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         runs = [(name, None if name in EXHAUSTIVE else args.cases) for name in sorted(SUITES)]
     else:
         runs = [(args.suite, args.cases)]
-    try:
-        reports = [run_suite(name, seed=args.seed, cases=cases) for name, cases in runs]
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = [run_suite(name, seed=args.seed, cases=cases) for name, cases in runs]
     lines = [report.summary() for report in reports]
     for report in reports:
         lines.extend(f"  {detail}" for detail in report.failures)
@@ -205,7 +199,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
         # --out path, a malformed spec or permutation, mismatched ambients,
-        # a --cases below 1 or given to an exhaustive suite
+        # an ambient over the full-oracle guard, an unknown suite, a --cases
+        # below 1 or given to an exhaustive suite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,15 +41,8 @@ class PartialPermutation:
     def n(self) -> int:
         return len(self.images)
 
-    def image(self, row: int) -> int | None:
-        """pi(row), 1-based, or None when undefined."""
-        return self.images[row - 1]
-
     def one_line(self) -> str:
         return " ".join("*" if v is None else str(v) for v in self.images)
-
-    def __str__(self) -> str:
-        return self.one_line()
 
 
 def parse_one_line(text: str) -> PartialPermutation:

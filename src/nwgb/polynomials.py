@@ -339,10 +339,6 @@ class Polynomial:
         self._lead: tuple[int | Fraction, Monomial] | None = None
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
         return Polynomial({MONOMIAL_ONE: value})
 
@@ -461,12 +457,6 @@ class Antidiagonal:
                     f"cells must step strictly south and strictly west, got {a} -> {b}"
                 )
 
-    @staticmethod
-    def from_cells(cells: Iterable[Cell]) -> "Antidiagonal":
-        """Sort arbitrary cells into NE-to-SW order (must form a valid chain)."""
-        ordered = sorted(set(Cell(*c) for c in cells))
-        return Antidiagonal(tuple(ordered))
-
     def rows(self) -> tuple[int, ...]:
         return tuple(c.row for c in self.cells)
 
@@ -476,22 +466,18 @@ class Antidiagonal:
     def determinant(self) -> Polynomial:
         return determinant(self.rows(), self.cols())
 
-    def monomial(self) -> Monomial:
-        return Monomial.from_cells(self.cells)
-
     def __len__(self) -> int:
         return len(self.cells)
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
 
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
-
 
 def _check_minor(rows: Iterable[int], cols: Iterable[int]):
-    r = sorted(set(rows))
-    c = sorted(set(cols))
+    r = sorted(rows)
+    c = sorted(cols)
+    if len(set(r)) != len(r) or len(set(c)) != len(c):
+        raise ValueError("a minor's row and column indices must not repeat")
     if not r:
         raise ValueError("a minor needs at least one row and column")
     if len(r) != len(c):
@@ -571,23 +557,11 @@ def polynomial_text(f: Polynomial) -> str:
     return " + ".join(rendered)
 
 
-def monomial_from_json(data: Iterable[Sequence[int]]) -> Monomial:
-    return Monomial.make([(Cell(int(r), int(c)), int(e)) for r, c, e in data])
-
-
 def polynomial_to_json(f: Polynomial) -> list[dict]:
     return [
         {"coeff": str(coeff), "monomial": monomial_to_json(mono)}
         for coeff, mono in f.sorted_terms()
     ]
-
-
-def polynomial_from_json(data: Iterable[Mapping]) -> Polynomial:
-    terms: dict[Monomial, int | Fraction] = {}
-    for entry in data:
-        mono = monomial_from_json(entry["monomial"])
-        terms[mono] = terms.get(mono, 0) + Fraction(entry["coeff"])
-    return Polynomial(terms)
 
 
 def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:

@@ -15,6 +15,7 @@ the oracle intersection is ``groebner.intersect_many`` of those bases.
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
@@ -113,10 +114,11 @@ def _condition_basis(row: int, col: int, max_rank: int, ambient: int):
     return spec_bases([spec])[0].generators
 
 
-def _random_monomial(rng: random.Random, n: int, max_vars: int = 4, max_exp: int = 3) -> Monomial:
-    count = rng.randint(0, max_vars)
+def _random_monomial(rng: random.Random, n: int) -> Monomial:
+    """Up to 4 variables of the n x n matrix, each to a power from 1 to 3."""
+    count = rng.randint(0, 4)
     picks = [
-        (Cell(rng.randint(1, n), rng.randint(1, n)), rng.randint(1, max_exp))
+        (Cell(rng.randint(1, n), rng.randint(1, n)), rng.randint(1, 3))
         for _ in range(count)
     ]
     return Monomial.make(picks)
@@ -201,7 +203,7 @@ def suite_gluing(seed: int = 0, cases: int = 200) -> SuiteReport:
         ok = True
         detail = ""
         for part in (a_cells, b_cells):
-            chain = Antidiagonal.from_cells(part)
+            chain = Antidiagonal(tuple(sorted(part)))
             corner_row = max(c.row for c in chain)
             corner_col = max(c.col for c in chain)
             basis = _condition_basis(corner_row, corner_col, len(chain) - 1, ambient)
@@ -269,7 +271,7 @@ def _union_pair_checks(
         )
 
 
-def suite_s3_exhaustive(seed: int = 0) -> SuiteReport:
+def suite_s3_exhaustive() -> SuiteReport:
     """All 36 ordered pairs of honest permutations in S3."""
     report = SuiteReport("s3-exhaustive")
     perms = honest_permutations(3)
@@ -357,13 +359,13 @@ def _fulton_groebner_checks(name: str, sizes: Sequence[int]) -> SuiteReport:
     return report
 
 
-def suite_km_regression(seed: int = 0) -> SuiteReport:
+def suite_km_regression() -> SuiteReport:
     """The Fulton generators of every permutation in S3 and S4 pass the
     Buchberger criterion under the antidiagonal order."""
     return _fulton_groebner_checks("km-regression", (3, 4))
 
 
-def suite_km_s5_s6(seed: int = 0) -> SuiteReport:
+def suite_km_s5_s6() -> SuiteReport:
     """The same check on all 840 permutations of S5 and S6."""
     return _fulton_groebner_checks("km-s5-s6", (5, 6))
 
@@ -381,18 +383,22 @@ SUITES = {
 }
 
 
-# Suites that check a fixed set of cases and take no case count.
+# Suites that check a fixed set of cases and take no seed or case count.
 EXHAUSTIVE = frozenset({"s3-exhaustive", "km-regression", "km-s5-s6"})
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}")
-    if cases is not None and name in EXHAUSTIVE:
-        raise ValueError(f"suite {name} runs a fixed set of cases and takes no --cases")
-    if cases is not None and cases < 1:
-        # a suite that checks nothing would report a vacuous pass
-        raise ValueError(f"cases must be at least 1, got {cases}")
+        raise ValueError(
+            f"unknown suite {reprlib.repr(name)}; choices: {', '.join(sorted(SUITES))}"
+        )
+    if name in EXHAUSTIVE:
+        if cases is not None:
+            raise ValueError(f"suite {name} runs a fixed set of cases and takes no --cases")
+        return SUITES[name]()
     if cases is None:
         return SUITES[name](seed)
+    if cases < 1:
+        # a suite that checks nothing would report a vacuous pass
+        raise ValueError(f"cases must be at least 1, got {reprlib.repr(cases)}")
     return SUITES[name](seed, cases)

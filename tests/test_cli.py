@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from nwgb import polynomial_from_json
 from nwgb.cli import main
 from nwgb.groebner import buchberger
 from nwgb.ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
@@ -257,8 +256,7 @@ def test_union_json_round_trip(spec_231, spec_312, capsys):
         {"rows": [1], "cols": [2]},
         {"rows": [2], "cols": [1]},
     ]
-    polys = [polynomial_from_json(entry["poly"]) for entry in data]
-    assert polys[0] == determinant([1], [1])
+    assert data[0]["poly"] == polynomial_to_json(determinant([1], [1]))
 
 
 def test_union_membership_verification(spec_231, spec_312, capsys):
@@ -442,6 +440,71 @@ def test_verify_out_file(tmp_path):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
+
+
+# every bad-input route: exit 2, nothing on stdout, one "error: " line on
+# stderr; {dir} is the test's spec directory.  Where a message is given,
+# stderr is pinned to it byte for byte.
+EXIT_2_ROUTES = {
+    "unknown-suite": (
+        ["verify", "nonsense"],
+        "error: unknown suite 'nonsense'; choices: generator-init, gluing, km-regression, "
+        "km-s5-s6, minor-init, order-axioms, s3-exhaustive, s4-sampled, triples\n",
+    ),
+    "cases-below-one": (["verify", "gluing", "--cases=0"], None),
+    "cases-to-exhaustive": (["verify", "km-s5-s6", "--cases=1"], None),
+    "full-oracle-guard": (
+        ["union", "{dir}/n10.json", "{dir}/n10.json", "--verify=full-oracle"],
+        None,
+    ),
+    "ambients-differ": (
+        ["union", "{dir}/n3.json", "{dir}/n4.json"],
+        "error: ambient sizes differ: 4 vs 3\n",
+    ),
+    "missing-file": (["fulton", "{dir}/no-such-file.json"], None),
+    "malformed-spec": (["fulton", "{dir}/bad.json"], None),
+    "bad-permutation": (["diagram", "2 x"], None),
+    "out-under-missing-dir": (
+        ["union", "{dir}/n3.json", "{dir}/n3.json", "--out={dir}/no/such/basis.txt"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(EXIT_2_ROUTES))
+def test_every_bad_input_route_prints_one_error_line(route, tmp_path, capsys):
+    write_spec(tmp_path, "n3.json", {"n": 3, "permutation": "2 3 1"})
+    write_spec(tmp_path, "n4.json", {"n": 4, "permutation": "2 1 4 3"})
+    write_spec(tmp_path, "n10.json", {"n": 10, "permutation": "1 10 9 8 7 6 5 4 3 2"})
+    write_spec(tmp_path, "bad.json", {"n": 3, "permutation": "1 1 2"})
+    args, message = EXIT_2_ROUTES[route]
+    assert main([arg.format(dir=tmp_path) for arg in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    if message is not None:
+        assert err == message
+
+
+LONG_NUMBER = "-" + "1" * 4000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "s4-sampled", f"--cases={LONG_NUMBER}"],
+        ["union", "{spec}", "{spec}", "--verify=full-oracle", f"--max-oracle-n={LONG_NUMBER}"],
+        ["verify", "x" * 5000],
+    ],
+    ids=["huge-cases", "huge-max-oracle-n", "huge-suite-name"],
+)
+def test_huge_command_line_value_gives_one_short_error_line(args, tmp_path, capsys):
+    spec = write_spec(tmp_path, "n5.json", {"n": 5, "permutation": "1 5 4 3 2"})
+    assert main([arg.replace("{spec}", spec) for arg in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
 
 
 def test_byte_identical_output_across_runs(spec_231, spec_312):

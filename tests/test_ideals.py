@@ -6,6 +6,7 @@ import pytest
 
 from nwgb import (
     Cell,
+    Monomial,
     Polynomial,
     RankCondition,
     RankConditionSpec,
@@ -106,7 +107,8 @@ def test_fulton_generator_leading_monomials_are_their_antidiagonals():
     for text in ("2 1 4 3", "1 5 4 3 2", "2 * 1"):
         spec = spec_from_permutation(parse_one_line(text))
         for g in fulton_generators(spec):
-            assert g.poly.leading_monomial() == antidiagonal_of(g.rows, g.cols).monomial()
+            antidiagonal = antidiagonal_of(g.rows, g.cols)
+            assert g.poly.leading_monomial() == Monomial.from_cells(antidiagonal.cells)
 
 
 def test_condition_validation():

@@ -22,7 +22,7 @@ def brute_rank(p, i, j):
     return sum(
         1
         for k in range(1, i + 1)
-        if p.image(k) is not None and p.image(k) <= j
+        if p.images[k - 1] is not None and p.images[k - 1] <= j
     )
 
 
@@ -172,10 +172,10 @@ def reference_rothe_diagram(p):
     n = p.n
     cells = set()
     for i in range(1, n + 1):
-        value = p.image(i)
+        value = p.images[i - 1]
         row_stop = value if value is not None else n + 1
         for j in range(1, row_stop):
-            k = next((row for row in range(1, n + 1) if p.image(row) == j), None)
+            k = next((row for row in range(1, n + 1) if p.images[row - 1] == j), None)
             if k is None or k > i:
                 cells.add(Cell(i, j))
     return frozenset(cells)

@@ -47,7 +47,7 @@ def test_suite_reports_are_deterministic():
 
 
 def test_unknown_suite_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         run_suite("no-such-suite")
 
 
