@@ -11,13 +11,14 @@ import reprlib
 import sys
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
-from .groebner import buchberger, generates, intersect_many, is_groebner
+from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import json_text, polynomial_text
 from .union import basis_json_text, union_basis
 from .verify import (
     EXHAUSTIVE,
     SUITES,
+    full_oracle_verdicts,
     membership_failures,
     run_suite,
     spec_bases,
@@ -156,11 +157,10 @@ def _cmd_union(args: argparse.Namespace) -> int:
     )
     ok = not failures
     if args.verify == "full-oracle":
-        groebner_ok = is_groebner(polys)
+        groebner_ok, equal_ok = full_oracle_verdicts(polys, bases, not failures)
         print(
             f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr
         )
-        equal_ok = generates(polys, intersect_many(bases))
         print(
             f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
             file=sys.stderr,

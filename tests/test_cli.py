@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import nwgb.verify
 from nwgb.cli import main
 from nwgb.groebner import buchberger
 from nwgb.ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
@@ -313,6 +314,40 @@ def test_union_s5_fixture_full_oracle(tmp_path, capsys):
     ]
 
 
+def test_union_full_oracle_proves_from_leading_terms(tmp_path, capsys, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("membership and leading terms decide this pair")
+
+    monkeypatch.setattr("nwgb.verify.intersect_many", no_elimination)
+    monkeypatch.setattr("nwgb.verify.is_groebner", no_elimination)
+    left = write_spec(tmp_path, "l.json", {"n": 5, "permutation": "1 5 4 3 2"})
+    right = write_spec(tmp_path, "r.json", {"n": 5, "permutation": "4 3 2 1 5"})
+    assert main(["union", left, right, "--verify=full-oracle"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "membership: 168 checks, 0 failures",
+        "groebner criterion: ok",
+        "ideal equality vs oracle intersection: ok",
+    ]
+    # a pair that fails membership still reaches the criterion and the
+    # elimination
+    monkeypatch.undo()
+    reached = []
+    for name in ("intersect_many", "is_groebner"):
+        original = getattr(nwgb.verify, name)
+        monkeypatch.setattr(
+            nwgb.verify, name, lambda *a, f=original, n=name: reached.append(n) or f(*a)
+        )
+    left = write_spec(tmp_path, "l.json", {"n": 5, "permutation": "3 1 5 2 4"})
+    right = write_spec(tmp_path, "r.json", {"n": 5, "permutation": "1 4 3 2 5"})
+    assert main(["union", left, right, "--verify=full-oracle"]) == 1
+    assert capsys.readouterr().err == (
+        "membership: 76 checks, 1 failures\n"
+        "groebner criterion: FAILED\n"
+        "ideal equality vs oracle intersection: FAILED\n"
+    )
+    assert sorted(reached) == ["intersect_many", "is_groebner"]
+
+
 @pytest.mark.parametrize(
     "left,right,checks",
     [
@@ -322,8 +357,9 @@ def test_union_s5_fixture_full_oracle(tmp_path, capsys):
     ],
 )
 def test_union_s5_defect_full_oracle_fails(tmp_path, capsys, left, right, checks):
-    # known union defects (ROADMAP item 1), so is_groebner reads False; the
-    # bad generator of the first pair has a lead above another, so generates
+    # known union defects (ROADMAP item 1): membership fails, so the
+    # leading-term proof does not apply and is_groebner reads False; the bad
+    # generator of the first pair has a lead above another, so generates
     # finds it outside the oracle intersection, while that of the second
     # has a minimal lead, so generates completes the basis to compare it
     paths = [

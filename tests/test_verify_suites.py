@@ -2,10 +2,19 @@
 full-size runs live in the acceptance module)."""
 
 import random
+from functools import reduce
 
 import pytest
 
-from nwgb.groebner import IdealPresentation, buchberger, intersect, intersect_many, is_groebner
+from nwgb.groebner import (
+    IdealPresentation,
+    MonomialIdeal,
+    buchberger,
+    generates,
+    intersect,
+    intersect_many,
+    is_groebner,
+)
 from nwgb.ideals import generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
 from nwgb.polynomials import Cell, Polynomial
@@ -14,13 +23,16 @@ from nwgb.verify import (
     SUITES,
     SuiteReport,
     _embed,
+    _leading_ideal,
     _union_pair_checks,
+    full_oracle_verdicts,
     honest_permutations,
     membership_failures,
     run_suite,
     sampled_s4_pairs,
     spec_bases,
 )
+from test_union import S5_FAILING_PAIRS
 
 
 def ideal_of(spec):
@@ -146,3 +158,61 @@ def test_oracle_intersection_is_reduced(texts):
     meet = intersect_many(spec_bases(_specs(*texts)))
     assert meet
     assert buchberger(meet) == meet
+
+
+def full_oracle_case(specs, monkeypatch):
+    """(proved, covered) for one union: whether ``full_oracle_verdicts``
+    answered without ``is_groebner`` or ``intersect_many``, and whether the
+    leads of the basis cover the meet of the initial ideals (the proof's
+    premise besides membership).  Its two verdicts must be the literal
+    criterion and equality with the eliminated intersection."""
+    basis = [g.poly for g in union_basis(specs)]
+    bases = spec_bases(specs)
+    members = not membership_failures(basis, specs, bases)
+    fallback = []
+    monkeypatch.setattr(
+        "nwgb.verify.is_groebner", lambda b: fallback.append("criterion") or is_groebner(b)
+    )
+    monkeypatch.setattr(
+        "nwgb.verify.intersect_many", lambda b: fallback.append("meet") or intersect_many(b)
+    )
+    verdicts = full_oracle_verdicts(basis, bases, members)
+    monkeypatch.undo()
+    assert verdicts == (is_groebner(basis), generates(basis, intersect_many(bases))), [
+        s.label for s in specs
+    ]
+    assert fallback in ([], ["criterion", "meet"])
+    meet = reduce(MonomialIdeal.intersect, (_leading_ideal(b.generators) for b in bases))
+    leads = _leading_ideal(basis)
+    return not fallback, all(leads.contains(m) for m in meet.minimal_generators)
+
+
+def test_full_oracle_proof_decides_every_s4_pair(monkeypatch):
+    perms = honest_permutations(4)
+    cases = [
+        full_oracle_case([spec_from_permutation(l), spec_from_permutation(r)], monkeypatch)
+        for l in perms
+        for r in perms
+    ]
+    assert cases == [(True, True)] * 576
+
+
+def test_full_oracle_falls_back_on_every_failing_s5_pair(monkeypatch):
+    # the leads cover the meet on every one of these pairs, so membership
+    # is the premise that keeps the proof from passing them
+    cases = [full_oracle_case(_specs(*pair), monkeypatch) for pair in S5_FAILING_PAIRS]
+    assert cases == [(False, True)] * 94
+
+
+def test_full_oracle_verdicts_on_seeded_s5_pairs_and_triples(monkeypatch):
+    # this sample holds one failing pair and one failing triple, so both
+    # paths run
+    rng = random.Random(7)
+    perms = honest_permutations(5)
+    pairs = [rng.sample(perms, 2) for _ in range(12)]
+    triples = [rng.sample(perms, 3) for _ in range(6)]
+    proved = [
+        full_oracle_case([spec_from_permutation(p) for p in chosen], monkeypatch)[0]
+        for chosen in pairs + triples
+    ]
+    assert (sum(proved[:12]), sum(proved[12:])) == (11, 5)
