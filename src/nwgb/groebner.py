@@ -17,13 +17,16 @@ a sum.  So does:
 
 The queue applies the chain criterion only through pairs it has already
 settled, so skipping pairs leaves every verdict and every reduced basis
-unchanged.  ``is_groebner`` runs the queue only on the minimal-lead subset
-of its input and reduces the other elements against that subset, and
-``generates`` compares a generating set with a known reduced basis without
-completing it when its minimal-lead subset already interreduces to that
-basis; both answers are exact (see their docstrings).  Output is reduced,
-in one interreduction pass, and ideal intersection uses the textbook
-elimination trick with one auxiliary variable, folded by ``intersect_many``.
+unchanged.  Division reads each basis's leading terms once, into one
+reducer list that every division by that basis shares (``buchberger``
+appends to it as its basis grows).  ``is_groebner`` runs the queue only on
+the minimal-lead subset of its input and reduces the other elements
+against that subset, and ``generates`` compares a generating set with a
+known reduced basis without completing it when its minimal-lead subset
+already interreduces to that basis; both answers are exact (see their
+docstrings).  Output is reduced, in one interreduction pass, and ideal
+intersection uses the textbook elimination trick with one auxiliary
+variable, folded by ``intersect_many``.
 Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also an
 elimination order for it.
@@ -51,6 +54,11 @@ class IdealPresentation:
             raise ValueError("generators must be nonzero")
 
 
+# one reducer per nonzero divisor g: (lead mask, lead monomial, lead
+# coefficient, that coefficient when it is 1 or -1 and else 0, g)
+Reducer = tuple[int, Monomial, int | Fraction, int | Fraction, Polynomial]
+
+
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
@@ -67,15 +75,32 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     A reducer that leads with 1 or -1 (every element of a ``buchberger``
     basis, every union generator) scales by the pending coefficient or its
     negative, so integral input stays on ints; any other lead divides, as
-    an exact ``Fraction``.
+    an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
+    one basis.
     """
-    reducers = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        coeff, mono = g.leading_term()
-        unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
-        reducers.append((mono.mask, mono, coeff, unit, g))
+    return _divide(f, _reducers(basis))
+
+
+def normal_forms(polys: Iterable[Polynomial], basis: Sequence[Polynomial]) -> list[Polynomial]:
+    """``normal_form(f, basis)`` of each f, in order, with the basis's
+    reducers (its leading terms and support masks) read once."""
+    reducers = _reducers(basis)
+    return [_divide(f, reducers) for f in polys]
+
+
+def _reducer(g: Polynomial) -> Reducer:
+    coeff, mono = g.leading_term()
+    unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
+    return mono.mask, mono, coeff, unit, g
+
+
+def _reducers(basis: Iterable[Polynomial]) -> list[Reducer]:
+    return [_reducer(g) for g in basis if not g.is_zero()]
+
+
+def _divide(f: Polynomial, reducers: Sequence[Reducer]) -> Polynomial:
+    """The division loop of ``normal_form``, over a reducer list that many
+    divisions by one basis share."""
     work = dict(f.terms)
     heap = [(mono.key, mono) for mono in work]
     heapq.heapify(heap)
@@ -226,12 +251,15 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
     yields the empty basis.
     """
     basis = _interreduce(generators)
+    reducers = _reducers(basis)  # grows with the basis, in basis order
     leads = [f.leading_monomial() for f in basis]
     for i, j in _unsettled_pairs(leads):
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        remainder = _divide(s_polynomial(basis[i], basis[j]), reducers)
         if not remainder.is_zero():
-            basis.append(remainder.monic())
-            leads.append(remainder.leading_monomial())
+            g = remainder.monic()
+            basis.append(g)
+            reducers.append(_reducer(g))
+            leads.append(g.leading_monomial())
     return _interreduce(_minimal_split(basis)[0])
 
 
@@ -253,10 +281,11 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
       pass.
     """
     minimal, rest = _minimal_split(generators)
+    reducers = _reducers(minimal)
     for i, j in _unsettled_pairs([g.leading_monomial() for g in minimal]):
-        if not normal_form(s_polynomial(minimal[i], minimal[j]), minimal).is_zero():
+        if not _divide(s_polynomial(minimal[i], minimal[j]), reducers).is_zero():
             return False
-    return all(normal_form(g, minimal).is_zero() for g in rest)
+    return all(_divide(g, reducers).is_zero() for g in rest)
 
 
 def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> bool:
@@ -272,7 +301,8 @@ def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> boo
     reduced = list(reduced)
     minimal, rest = _minimal_split(basis)
     if _interreduce(minimal) == reduced:
-        return all(normal_form(g, reduced).is_zero() for g in rest)
+        reducers = _reducers(reduced)
+        return all(_divide(g, reducers).is_zero() for g in rest)
     return buchberger(basis) == reduced
 
 

@@ -38,6 +38,7 @@ from .groebner import (
     intersect_many,
     is_groebner,
     normal_form,
+    normal_forms,
 )
 from .permutations import PartialPermutation
 from .polynomials import (
@@ -96,8 +97,8 @@ def membership_failures(
     reduce to zero against the spec's reduced basis (``spec_bases``)."""
     failures = []
     for spec, ideal in zip(specs, bases):
-        for f in basis:
-            if not normal_form(f, ideal.generators).is_zero():
+        for f, remainder in zip(basis, normal_forms(basis, ideal.generators)):
+            if not remainder.is_zero():
                 failures.append(
                     f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
                 )

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,16 +20,19 @@ from nwgb.polynomials import determinant, polynomial_to_json
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(args):
-    # the subprocess does not inherit pytest's pythonpath setting, so it is
+def src_env():
+    # a subprocess does not inherit pytest's pythonpath setting, so it is
     # given this checkout's src explicitly, ahead of any PYTHONPATH
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+
+
+def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "nwgb", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -559,3 +563,118 @@ def test_module_entry_point():
 def test_usage_error_exit_code():
     code, out, err = run_cli([])
     assert code == 2
+
+
+# argv of each run whose help, usage and error text is pinned below
+PINNED_RUNS = [
+    ["-h"],
+    *([command, "-h"] for command in ("diagram", "fulton", "groebner", "union", "verify")),
+    [],
+    ["bogus"],
+    ["union"],
+    ["union", "a.json", "--bogus"],
+    ["--bogus", "union", "a.json"],
+    ["union", "a.json", "--verify=x"],
+    ["union", "a.json", "--max-oracle-n=x"],
+    ["verify", "all", "--format=json"],
+]
+
+# each run as `python -m nwgb` executes it: the package's __main__ under
+# runpy, with sys.argv set and COLUMNS, the width argparse reads, exported
+CLI_TEXT_SCRIPT = """
+import contextlib, io, json, os, runpy, sys
+results = []
+for columns, args in json.loads(sys.argv[1]):
+    os.environ["COLUMNS"] = columns
+    sys.argv = ["nwgb", *args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("nwgb", run_name="__main__")
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(results))
+"""
+
+
+def test_help_usage_and_error_text_is_pinned():
+    # digests of (exit code, stdout, stderr) recorded before the parser was
+    # built per command; one interpreter runs every case, for the tier-1 time
+    pinned = {
+        "80": [
+            "144ee922a192e691",
+            "d89586cb15fdd350",
+            "0a154d64090914c4",
+            "00420f239f7837c2",
+            "af56495d15c2e882",
+            "6150b7ed93516240",
+            "883bf83c5dc5fcbe",
+            "8c2ff2d7967e7e6c",
+            "e0949c195115c16b",
+            "af345527d333758a",
+            "af345527d333758a",
+            "6906e8d48797d42d",
+            "d22c938ea1905e3a",
+            "5a4671f65c0cc6c3",
+        ],
+        "40": [
+            "4fce269e154b2587",
+            "a53f306e484a4b7b",
+            "87ce6d018683779d",
+            "9871ba9795db3e9a",
+            "15ae242d862a7432",
+            "ba30345c5f34f794",
+            "b69d413b647ff4d6",
+            "2d835df916d84edd",
+            "22be52e194a62113",
+            "c432c4c9b2de99fa",
+            "c432c4c9b2de99fa",
+            "1bbc339dad805081",
+            "cd0de9941b76a2ab",
+            "ece51889660ec8d6",
+        ],
+    }
+    cases = [(columns, args) for columns in pinned for args in PINNED_RUNS]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_TEXT_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases)
+    expected = [digest for columns in pinned for digest in pinned[columns]]
+    for (columns, args), result, digest in zip(cases, results, expected):
+        got = hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16]
+        assert got == digest, (columns, args, result)
+
+
+def test_no_command_imports_shutil(spec_231, spec_312):
+    # argparse's default help formatter imports shutil (and the compression
+    # modules it loads) to read the terminal width; nwgb passes the width
+    # itself, so no command pays for that import
+    script = """
+import contextlib, io, json, sys
+from nwgb.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.stdout.write(json.dumps([codes, "shutil" in sys.modules]))
+"""
+    runs = [
+        ["diagram", "2 1 4 3"],
+        ["fulton", spec_231],
+        ["groebner", spec_231],
+        ["union", spec_231, spec_312, "--verify=full-oracle"],
+        ["verify", "minor-init", "--cases=1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False]

@@ -23,6 +23,7 @@ from nwgb import (
     intersect_many,
     is_groebner,
     normal_form,
+    normal_forms,
     parse_one_line,
     s_polynomial,
     spec_from_permutation,
@@ -153,7 +154,9 @@ def random_division_polynomial(rng, cells, terms):
 def test_normal_form_matches_min_scan_reference():
     # few variables, so leading monomials divide each other and many terms
     # of the dividend; most random bases are not Groebner bases, where the
-    # remainder depends on the order in which reducers are tried
+    # remainder depends on the order in which reducers are tried.  Each
+    # basis divides its three dividends one at a time and through one
+    # shared reducer list (normal_forms)
     rng = random.Random(59)
     cells = [AUX, Cell(1, 2), Cell(1, 1), Cell(2, 2)]
     order_mattered = 0
@@ -162,15 +165,34 @@ def test_normal_form_matches_min_scan_reference():
             random_division_polynomial(rng, cells, rng.randint(2, 4))
             for _ in range(rng.randint(2, 4))
         ]
-        for _ in range(3):
-            f = random_division_polynomial(rng, cells, rng.randint(2, 7))
-            remainders = set()
-            for ordered in (basis, basis[::-1]):
-                remainder = normal_form(f, ordered)
-                assert remainder == min_scan_normal_form(f, ordered)
-                remainders.add(polynomial_text(remainder))
-            order_mattered += len(remainders) > 1
+        dividends = [random_division_polynomial(rng, cells, rng.randint(2, 7)) for _ in range(3)]
+        by_order = []
+        for ordered in (basis, basis[::-1]):
+            expected = [min_scan_normal_form(f, ordered) for f in dividends]
+            assert [normal_form(f, ordered) for f in dividends] == expected
+            assert normal_forms(dividends, ordered) == expected
+            by_order.append([polynomial_text(r) for r in expected])
+        order_mattered += sum(a != b for a, b in zip(*by_order))
     assert order_mattered > 30  # 53 of the 360 cases
+
+    # one shared list for bases with a Fraction lead, a constant element,
+    # zero elements, and no Groebner basis among them
+    dividends = [random_division_polynomial(rng, cells, rng.randint(1, 7)) for _ in range(40)]
+    x, y, z = var(1, 2), var(1, 1), var(2, 2)
+    half = Polynomial.constant(Fraction(1, 2))
+    bases = [
+        [half * x * y - z, Polynomial.constant(3) * y * y + x],
+        [x * z - y, Polynomial.constant(-2), x],
+        [Polynomial(), y * z + x, Polynomial(), x * x - z],
+        [Polynomial()],
+        [x - y, x - z],
+    ]
+    assert not is_groebner(bases[2]) and not is_groebner(bases[4])
+    assert any(type(b.leading_term()[0]) is Fraction for b in bases[0])
+    for basis in bases:
+        expected = [min_scan_normal_form(f, basis) for f in dividends]
+        assert normal_forms(dividends, basis) == expected
+        assert [normal_form(f, basis) for f in dividends] == expected
 
 
 def test_normal_form_matches_min_scan_reference_on_groebner_bases():
@@ -178,10 +200,13 @@ def test_normal_form_matches_min_scan_reference_on_groebner_bases():
     cells = [Cell(r, c) for r in range(1, 5) for c in range(1, 5)]
     for text in ("2 1 4 3", "1 4 3 2", "3 4 1 2"):
         basis = buchberger(generator_polynomials(spec_of(text)))
+        dividends = []
         for _ in range(15):
             f = random_division_polynomial(rng, cells, 6) * rng.choice(basis)
             f = f + random_division_polynomial(rng, cells, 3)
             assert normal_form(f, basis) == min_scan_normal_form(f, basis)
+            dividends.append(f)
+        assert normal_forms(dividends, basis) == [normal_form(f, basis) for f in dividends]
 
 
 def test_normal_form_of_zero_and_empty_basis():
