@@ -5,14 +5,11 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
 so JSON output stays parseable.
 
-Every run builds its parser cold, and a parser for all five commands took
-about half of a small job (9-11 ms, against 17-26 ms for a whole cold S5
-``union --verify=full-oracle``), so the parser holds only what the given
+Every run builds its parser cold, so the parser holds only what the given
 command needs: every command's name and help, for the top-level help and
 errors, and the arguments of the one command named.  Each formatter is
 also given the help width, which argparse would otherwise read through
-``shutil``, an import that loads the compression modules.  The help,
-usage and error text are the same bytes either way.
+``shutil``, an import that loads the compression modules.
 """
 
 import argparse
@@ -28,7 +25,6 @@ from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import json_text, polynomial_text
 from .union import basis_json_text, union_basis
 from .verify import (
-    EXHAUSTIVE,
     SUITES,
     full_oracle_verdicts,
     membership_failures,
@@ -170,7 +166,10 @@ def _cmd_union(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
         # the count goes to the sampled suites only
-        runs = [(name, None if name in EXHAUSTIVE else args.cases) for name in sorted(SUITES)]
+        runs = [
+            (name, None if default is None else args.cases)
+            for name, (_, default) in sorted(SUITES.items())
+        ]
     else:
         runs = [(args.suite, args.cases)]
     reports = [run_suite(name, seed=args.seed, cases=cases) for name, cases in runs]
@@ -245,8 +244,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
         # --out path, a malformed spec or permutation, mismatched ambients,
-        # an ambient over the full-oracle guard, an unknown suite, a --cases
-        # below 1 or given to an exhaustive suite
+        # an ambient over the full-oracle guard, an unknown suite, a --seed
+        # below 0, a --cases below 1 or given to an exhaustive suite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

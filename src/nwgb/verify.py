@@ -1,9 +1,12 @@
 """Seeded property suites behind the ``verify`` command and the acceptance
 tests.
 
-Each suite draws its cases from a deterministic RNG, runs an oracle-backed
-check per case and reports per-property counts.  All randomness flows from
-the single seed argument, so reports are reproducible byte for byte.
+A suite is a stream of checks: it yields one ``(ok, detail)`` pair per
+property it checks, and ``run_suite`` counts them into a ``SuiteReport``.
+``SUITES`` maps each name to its checks and its default case count; a count
+of ``None`` marks an exhaustive suite, which checks a fixed set of cases.
+A sampled suite draws its cases from the one ``random.Random(seed)`` that
+``run_suite`` hands it, so reports are reproducible byte for byte.
 
 The union checks (membership of every emitted generator in every input
 ideal, and the two full-oracle verdicts: the Buchberger criterion and
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import random
 import reprlib
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import lru_cache, partial, reduce
 from itertools import permutations as _itertools_permutations
 from typing import Sequence
 
@@ -57,17 +60,12 @@ from .union import generator_product, union_basis
 @dataclass
 class SuiteReport:
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    cases: int
+    failures: list[str]
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def check(self, ok: bool, detail: str):
-        self.cases += 1
-        if not ok:
-            self.failures.append(detail)
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -181,11 +179,9 @@ def _random_minor(rng: random.Random, n: int) -> tuple[tuple[int, ...], tuple[in
     return rows, cols
 
 
-def suite_order_axioms(seed: int = 0, cases: int = 200) -> SuiteReport:
+def suite_order_axioms(rng: random.Random, cases: int):
     """Totality, antisymmetry, transitivity samples, multiplicativity and
     minimality of 1 for the monomial order."""
-    rng = random.Random(seed)
-    report = SuiteReport("order-axioms")
     for index in range(cases):
         a = _random_monomial(rng, 5)
         b = _random_monomial(rng, 5)
@@ -201,15 +197,12 @@ def suite_order_axioms(seed: int = 0, cases: int = 200) -> SuiteReport:
         )
         if ok and compare(a, b) <= 0 and compare(b, c) <= 0:
             ok = compare(a, c) <= 0
-        report.check(ok, f"case {index}: order axioms failed on {a}, {b}, {c}")
-    return report
+        yield ok, f"case {index}: order axioms failed on {a}, {b}, {c}"
 
 
-def suite_minor_leading_terms(seed: int = 0, cases: int = 200) -> SuiteReport:
+def suite_minor_leading_terms(rng: random.Random, cases: int):
     """The leading term of every sampled minor is its antidiagonal term,
     with the sign of the reversal permutation."""
-    rng = random.Random(seed)
-    report = SuiteReport("minor-init")
     for index in range(cases):
         n = rng.randint(1, 5)
         rows, cols = _random_minor(rng, n)
@@ -219,19 +212,16 @@ def suite_minor_leading_terms(seed: int = 0, cases: int = 200) -> SuiteReport:
             Cell(r, c) for r, c in zip(rows, reversed(cols))
         )
         expected_sign = -1 if (size * (size - 1) // 2) % 2 else 1
-        report.check(
+        yield (
             mono == expected and coeff == expected_sign,
             f"case {index}: minor rows={rows} cols={cols} led with {coeff}*{mono}",
         )
-    return report
 
 
-def suite_gluing(seed: int = 0, cases: int = 200) -> SuiteReport:
+def suite_gluing(rng: random.Random, cases: int):
     """Overlapping antidiagonals glue: when A union B is an antidiagonal X
     and A, B overlap, det(X) lies in each single-condition ideal built on
     the region northwest of A (resp. B)."""
-    rng = random.Random(seed)
-    report = SuiteReport("gluing")
     ambient = 5
     for index in range(cases):
         x = _random_antidiagonal(rng, ambient)
@@ -254,18 +244,15 @@ def suite_gluing(seed: int = 0, cases: int = 200) -> SuiteReport:
                 ok = False
                 detail = f"case {index}: det({list(x.cells)}) not in ideal of {list(chain.cells)}"
                 break
-        report.check(ok, detail or f"case {index}")
-    return report
+        yield ok, detail or f"case {index}"
 
 
-def suite_generator_init(seed: int = 0, cases: int = 200) -> SuiteReport:
+def suite_generator_init(rng: random.Random, cases: int):
     """Structural invariants of synthesized generators: factor cells
     partition the occupied cells, the leading monomial is the squarefree
     product of the occupied cells, and for each input antidiagonal the
     first factor touching it is at least as long (it is extracted as a
     longest chain of a component containing the whole input)."""
-    rng = random.Random(seed)
-    report = SuiteReport("generator-init")
     for index in range(cases):
         count = rng.randint(2, 3)
         antidiags = [_random_antidiagonal(rng, 5, max_len=4) for _ in range(count)]
@@ -282,16 +269,14 @@ def suite_generator_init(seed: int = 0, cases: int = 200) -> SuiteReport:
             first = next(f for f in built.factors if set(f.cells) & set(a.cells))
             if len(first) < len(a):
                 length_ok = False
-        report.check(
+        yield (
             partition_ok and init_ok and length_ok,
             f"case {index}: inputs {[list(a.cells) for a in antidiags]} "
             f"partition={partition_ok} init={init_ok} length={length_ok}",
         )
-    return report
 
 
 def _union_pair_checks(
-    report: SuiteReport,
     left: PartialPermutation,
     right: PartialPermutation,
     check_init_theorem: bool = False,
@@ -302,33 +287,32 @@ def _union_pair_checks(
     bases = spec_bases(specs)
     members = not membership_failures(basis, specs, bases)
     groebner_ok, equal_ok = full_oracle_verdicts(basis, bases, members)
-    report.check(groebner_ok, f"{label}: basis fails Buchberger criterion")
-    report.check(equal_ok, f"{label}: basis ideal differs from oracle intersection")
+    yield groebner_ok, f"{label}: basis fails Buchberger criterion"
+    yield equal_ok, f"{label}: basis ideal differs from oracle intersection"
     if check_init_theorem:
         # the independent check of the init theorem, so by elimination
         left_init, right_init = (_leading_ideal(b.generators) for b in bases)
-        report.check(
+        yield (
             _leading_ideal(intersect_many(bases)) == left_init.intersect(right_init),
             f"{label}: init of intersection differs from intersection of inits",
         )
 
 
-def suite_s3_exhaustive() -> SuiteReport:
+def suite_s3_exhaustive():
     """All 36 ordered pairs of honest permutations in S3."""
-    report = SuiteReport("s3-exhaustive")
     perms = honest_permutations(3)
     for left in perms:
         for right in perms:
-            _union_pair_checks(report, left, right)
-    return report
+            yield from _union_pair_checks(left, right)
 
 
 # Pairs the reports in the source material work through; always included.
 _REQUIRED_S4_PAIRS = (((1, 4, 2, 3), (1, 3, 4, 2)), ((2, 1, 4, 3), (1, 4, 3, 2)))
 
 
-def sampled_s4_pairs(seed: int, count: int) -> list[tuple[PartialPermutation, PartialPermutation]]:
-    rng = random.Random(seed)
+def sampled_s4_pairs(
+    rng: random.Random, count: int
+) -> list[tuple[PartialPermutation, PartialPermutation]]:
     perms = honest_permutations(4)
     pool = [(a, b) for a in perms for b in perms]
     chosen = [
@@ -345,13 +329,11 @@ def sampled_s4_pairs(seed: int, count: int) -> list[tuple[PartialPermutation, Pa
     return chosen
 
 
-def suite_s4_sampled(seed: int = 0, cases: int = 25) -> SuiteReport:
+def suite_s4_sampled(rng: random.Random, cases: int):
     """Seeded sample of ordered S4 pairs, plus the two fixed fixtures; also
     checks the initial-ideal intersection theorem on each pair."""
-    report = SuiteReport("s4-sampled")
-    for left, right in sampled_s4_pairs(seed, cases):
-        _union_pair_checks(report, left, right, check_init_theorem=True)
-    return report
+    for left, right in sampled_s4_pairs(rng, cases):
+        yield from _union_pair_checks(left, right, check_init_theorem=True)
 
 
 def _embed(p: PartialPermutation, n: int) -> PartialPermutation:
@@ -362,13 +344,11 @@ def _embed(p: PartialPermutation, n: int) -> PartialPermutation:
     return PartialPermutation(p.images + extra)
 
 
-def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
+def suite_triple_intersections(rng: random.Random, cases: int):
     """Seeded triples drawn from S3 and S4 together (S3 elements are viewed
     inside S4 so the ideals share one ambient matrix): every synthesized
     generator reduces to zero in every input ideal, and the basis matches
     the iterated oracle intersection."""
-    rng = random.Random(seed)
-    report = SuiteReport("triples")
     pool = [_embed(p, 4) for p in honest_permutations(3)] + honest_permutations(4)
     for index in range(cases):
         triple = [rng.choice(pool) for _ in range(3)]
@@ -377,69 +357,59 @@ def suite_triple_intersections(seed: int = 0, cases: int = 10) -> SuiteReport:
         basis = [g.poly for g in union_basis(specs)]
         bases = spec_bases(specs)
         members = not membership_failures(basis, specs, bases)
-        report.check(members, f"{label}: membership failure")
-        report.check(
+        yield members, f"{label}: membership failure"
+        yield (
             full_oracle_verdicts(basis, bases, members)[1],
             f"{label}: basis differs from iterated intersection",
         )
-    return report
 
 
-def _fulton_groebner_checks(name: str, sizes: Sequence[int]) -> SuiteReport:
+def _fulton_groebner_checks(*sizes: int):
     """Knutson-Miller (Annals 2005): the Fulton generators of every
     permutation of each size pass the Buchberger criterion under the
     antidiagonal order."""
-    report = SuiteReport(name)
     for n in sizes:
         for p in honest_permutations(n):
             gens = generator_polynomials(spec_from_permutation(p))
-            report.check(
+            yield (
                 is_groebner(gens),
                 f"{p.one_line()}: Fulton generators are not a Groebner basis",
             )
-    return report
 
 
-def suite_km_regression() -> SuiteReport:
-    """The Fulton generators of every permutation in S3 and S4 pass the
-    Buchberger criterion under the antidiagonal order."""
-    return _fulton_groebner_checks("km-regression", (3, 4))
-
-
-def suite_km_s5_s6() -> SuiteReport:
-    """The same check on all 840 permutations of S5 and S6."""
-    return _fulton_groebner_checks("km-s5-s6", (5, 6))
-
-
+# name -> (its checks, its default case count); a count of None marks a
+# suite that checks a fixed set of cases and takes no seed or case count
 SUITES = {
-    "order-axioms": suite_order_axioms,
-    "minor-init": suite_minor_leading_terms,
-    "gluing": suite_gluing,
-    "generator-init": suite_generator_init,
-    "s3-exhaustive": suite_s3_exhaustive,
-    "s4-sampled": suite_s4_sampled,
-    "triples": suite_triple_intersections,
-    "km-regression": suite_km_regression,
-    "km-s5-s6": suite_km_s5_s6,
+    "order-axioms": (suite_order_axioms, 200),
+    "minor-init": (suite_minor_leading_terms, 200),
+    "gluing": (suite_gluing, 200),
+    "generator-init": (suite_generator_init, 200),
+    "s3-exhaustive": (suite_s3_exhaustive, None),
+    "s4-sampled": (suite_s4_sampled, 25),
+    "triples": (suite_triple_intersections, 10),
+    "km-regression": (partial(_fulton_groebner_checks, 3, 4), None),
+    "km-s5-s6": (partial(_fulton_groebner_checks, 5, 6), None),
 }
 
 
-# Suites that check a fixed set of cases and take no seed or case count.
-EXHAUSTIVE = frozenset({"s3-exhaustive", "km-regression", "km-s5-s6"})
-
-
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
+    """Run one suite and count its checks; ``cases`` defaults to the suite's
+    count in ``SUITES``."""
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {reprlib.repr(name)}; choices: {', '.join(sorted(SUITES))}"
         )
-    if name in EXHAUSTIVE:
+    if seed < 0:
+        # random.Random seeds from abs(seed), so -7 would rerun seed 7
+        raise ValueError(f"seed must be at least 0, got {reprlib.repr(seed)}")
+    checks, default = SUITES[name]
+    if default is None:
         if cases is not None:
             raise ValueError(f"suite {name} runs a fixed set of cases and takes no --cases")
-        return SUITES[name]()
-    if cases is None:
-        return SUITES[name](seed)
-    if cases < 1:
+        outcomes = list(checks())
+    elif cases is not None and cases < 1:
         # a suite that checks nothing would report a vacuous pass
         raise ValueError(f"cases must be at least 1, got {reprlib.repr(cases)}")
-    return SUITES[name](seed, cases)
+    else:
+        outcomes = list(checks(random.Random(seed), default if cases is None else cases))
+    return SuiteReport(name, len(outcomes), [detail for ok, detail in outcomes if not ok])

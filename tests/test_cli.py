@@ -493,6 +493,11 @@ EXIT_2_ROUTES = {
     ),
     "cases-below-one": (["verify", "gluing", "--cases=0"], None),
     "cases-to-exhaustive": (["verify", "km-s5-s6", "--cases=1"], None),
+    # random.Random seeds from abs(seed), so --seed=-1 would rerun seed 1
+    "seed-below-zero": (
+        ["verify", "gluing", "--seed=-1"],
+        "error: seed must be at least 0, got -1\n",
+    ),
     "full-oracle-guard": (
         ["union", "{dir}/n10.json", "{dir}/n10.json", "--verify=full-oracle"],
         None,
@@ -535,8 +540,9 @@ LONG_NUMBER = "-" + "1" * 4000
         ["verify", "s4-sampled", f"--cases={LONG_NUMBER}"],
         ["union", "{spec}", "{spec}", "--verify=full-oracle", f"--max-oracle-n={LONG_NUMBER}"],
         ["verify", "x" * 5000],
+        ["verify", "gluing", f"--seed={LONG_NUMBER}"],
     ],
-    ids=["huge-cases", "huge-max-oracle-n", "huge-suite-name"],
+    ids=["huge-cases", "huge-max-oracle-n", "huge-suite-name", "huge-seed"],
 )
 def test_huge_command_line_value_gives_one_short_error_line(args, tmp_path, capsys):
     spec = write_spec(tmp_path, "n5.json", {"n": 5, "permutation": "1 5 4 3 2"})

@@ -440,7 +440,7 @@ def test_is_groebner_matches_reference_with_redundant_elements():
     rng = random.Random(59)
     perms3 = honest_permutations(3)
     cases = [(3, a, b) for a in perms3 for b in perms3]
-    cases += [(4, a, b) for a, b in sampled_s4_pairs(seed=5, count=6)]
+    cases += [(4, a, b) for a, b in sampled_s4_pairs(random.Random(5), 6)]
     verdicts = []
     for n, a, b in cases:
         basis = [g.poly for g in union_basis([spec_from_permutation(a), spec_from_permutation(b)])]

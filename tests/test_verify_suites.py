@@ -21,7 +21,6 @@ from nwgb.polynomials import Cell, Polynomial
 from nwgb.union import union_basis
 from nwgb.verify import (
     SUITES,
-    SuiteReport,
     _embed,
     _leading_ideal,
     _union_pair_checks,
@@ -63,6 +62,20 @@ def test_unknown_suite_raises():
         run_suite("no-such-suite")
 
 
+@pytest.mark.parametrize("name", ["order-axioms", "minor-init"])
+def test_run_suite_without_a_count_runs_the_registry_default(name):
+    report = run_suite(name, seed=1)
+    assert report.passed
+    assert report.cases == SUITES[name][1] == 200
+
+
+@pytest.mark.parametrize("name", ["gluing", "s3-exhaustive"])
+def test_negative_seed_raises(name):
+    # random.Random seeds from abs(seed), so -1 would silently rerun seed 1
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        run_suite(name, seed=-1)
+
+
 def test_registry_names():
     assert {
         "order-axioms",
@@ -82,7 +95,7 @@ def test_honest_permutation_enumeration():
 
 
 def test_s4_sample_contains_required_fixtures():
-    pairs = sampled_s4_pairs(seed=0, count=25)
+    pairs = sampled_s4_pairs(random.Random(0), 25)
     assert len(pairs) == 25
     keys = {(l.images, r.images) for l, r in pairs}
     assert ((1, 4, 2, 3), (1, 3, 4, 2)) in keys
@@ -93,12 +106,15 @@ def test_s4_sample_contains_required_fixtures():
 def test_union_checks_pass_on_all_ordered_s4_pairs():
     # Buchberger criterion, equality with the oracle intersection and the
     # init theorem on every ordered pair, identity included
-    report = SuiteReport("s4-pairs")
     perms = honest_permutations(4)
-    for left in perms:
-        for right in perms:
-            _union_pair_checks(report, left, right, check_init_theorem=True)
-    assert (report.cases, report.failures) == (1728, [])
+    checks = [
+        check
+        for left in perms
+        for right in perms
+        for check in _union_pair_checks(left, right, check_init_theorem=True)
+    ]
+    assert len(checks) == 1728
+    assert [detail for ok, detail in checks if not ok] == []
 
 
 def test_union_bases_of_the_triples_suite_are_groebner():
@@ -147,7 +163,7 @@ def test_oracle_intersection_matches_pairwise_intersect():
 @pytest.mark.parametrize(
     "texts",
     [
-        *((l.one_line(), r.one_line()) for l, r in sampled_s4_pairs(seed=2, count=6)),
+        *((l.one_line(), r.one_line()) for l, r in sampled_s4_pairs(random.Random(2), 6)),
         ("2 1 4 3", "1 3 4 2", "3 4 1 2"),
         ("1 5 4 3 2", "4 3 2 1 5"),
     ],
