@@ -19,7 +19,8 @@ The queue applies the chain criterion only through pairs it has already
 settled, so skipping pairs leaves every verdict and every reduced basis
 unchanged.  Division reads each basis's leading terms once, into one
 reducer list that every division by that basis shares (``buchberger``
-appends to it as its basis grows).  ``is_groebner`` runs the queue only on
+appends to it as its basis grows, and ``_interreduce`` as it keeps each
+element).  ``is_groebner`` runs the queue only on
 the minimal-lead subset of its input and reduces the other elements
 against that subset, and ``generates`` compares a generating set with a
 known reduced basis without completing it when its minimal-lead subset
@@ -76,7 +77,10 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     basis, every union generator) scales by the pending coefficient or its
     negative, so integral input stays on ints; any other lead divides, as
     an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
-    one basis.
+    one basis.  The engine itself (``buchberger``, ``_interreduce``,
+    ``is_groebner``, ``generates``) does not call this function: it
+    divides through ``_divide``, with reducer lists it builds once and
+    extends.
     """
     return _divide(f, _reducers(basis))
 
@@ -166,14 +170,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def _interreduce(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """Reduce each monic polynomial once against the ones kept and the ones
     not yet visited, dropping zeros.  When no leading monomial divides
-    another, no lead moves, so this is the reduced basis, in input order."""
+    another, no lead moves, so this is the reduced basis, in input order.
+    The reducers of the inputs are read once, and each kept element's is
+    added as it is kept."""
     current = [p.monic() for p in polys if not p.is_zero()]
+    pending = _reducers(current)
     kept: list[Polynomial] = []
+    kept_reducers: list[Reducer] = []
     for index, f in enumerate(current):
-        others = kept + current[index + 1 :]
-        reduced = normal_form(f, others) if others else f
+        others = kept_reducers + pending[index + 1 :]
+        reduced = _divide(f, others) if others else f
         if not reduced.is_zero():
-            kept.append(reduced.monic())
+            g = reduced.monic()
+            kept.append(g)
+            kept_reducers.append(_reducer(g))
     return kept
 
 

@@ -457,6 +457,15 @@ class Antidiagonal:
                     f"cells must step strictly south and strictly west, got {a} -> {b}"
                 )
 
+    @classmethod
+    def _unchecked(cls, cells: tuple[Cell, ...]) -> "Antidiagonal":
+        """An antidiagonal on a tuple of cells that the caller knows to be
+        nonempty, inside the matrix and stepping strictly SW, built
+        without the checks ``__post_init__`` makes."""
+        antidiag = object.__new__(cls)
+        object.__setattr__(antidiag, "cells", cells)
+        return antidiag
+
     def rows(self) -> tuple[int, ...]:
         return tuple(c.row for c in self.cells)
 
@@ -537,13 +546,38 @@ def monomial_to_json(mono: Monomial) -> list[list[int]]:
     return out
 
 
+class _VariableTexts(dict):
+    """``(code, -exp)`` pair of a packed key -> ``(row, col, text)``, with
+    the text that ``render(row, col, exp)`` gives, made on first use."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int, str]:
+        row, col = _cell(pair[0])
+        entry = self[pair] = (row, col, self.render(row, col, -pair[1]))
+        return entry
+
+    def row_major(self, key: tuple[int, ...]) -> list[str]:
+        """The texts of the variables of a packed key, row-major ascending,
+        as ``monomial_to_json`` lists them."""
+        found = sorted(map(self.__getitem__, zip(key[:-1:2], key[1::2])))
+        return [entry[2] for entry in found]
+
+
+def _name(row: int, col: int, exp: int) -> str:
+    name = "t" if row == col == 0 else f"m[{row},{col}]"
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+# like _BITS, a cache of a pure function, shared by every call
+_NAMES = _VariableTexts(_name)
+
+
 def monomial_text(mono: Monomial) -> str:
     """Variables joined by '*', row-major ascending; empty string for 1."""
-    parts = []
-    for row, col, exp in monomial_to_json(mono):
-        name = "t" if row == col == 0 else f"m[{row},{col}]"
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    return "*".join(_NAMES.row_major(mono.key))
 
 
 def polynomial_text(f: Polynomial) -> str:
@@ -573,6 +607,46 @@ def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
 
 
+class _TermLayout:
+    """The text of a polynomial's terms for a term list that opens at
+    ``indent``: the fixed text around a term's coefficient and monomial,
+    and the ``[row, col, exp]`` block of each variable, written on first
+    use."""
+
+    def __init__(self, indent: int):
+        self.indent = indent
+        item = "\n" + " " * (indent + 2)  # a term's object in the list
+        field = "\n" + " " * (indent + 4)  # its "coeff" and "monomial"
+        block = "\n" + " " * (indent + 6)  # one [row, col, exp] block
+        number = "\n" + " " * (indent + 8)  # row, col or exp in a block
+        self.blocks = _VariableTexts(
+            lambda row, col, exp: f"[{number}{row},{number}{col},{number}{exp}{block}]"
+        )
+        self.coeff = "{" + field + '"coeff": "'
+        self.monomial = '",' + field + '"monomial": [' + block
+        self.block_between = "," + block
+        self.end = field + "]" + item + "}"
+        self.constant = '",' + field + '"monomial": []' + item + "}"
+
+    def write(self, f: Polynomial) -> str:
+        """The terms of f, largest first, as ``polynomial_to_json`` lists
+        them, each written in one piece."""
+        coeff_text = self.coeff
+        monomial = self.monomial
+        block_between = self.block_between
+        end = self.end
+        row_major = self.blocks.row_major
+        terms = []
+        for coeff, mono in f.sorted_terms():
+            key = mono.key
+            if len(key) == 1:
+                terms.append(f"{coeff_text}{coeff!s}{self.constant}")
+            else:
+                blocks = block_between.join(row_major(key))
+                terms.append(f"{coeff_text}{coeff!s}{monomial}{blocks}{end}")
+        return _json_list(terms, self.indent, "[]")
+
+
 def json_text(value) -> str:
     """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
     strings, ints, a :class:`Polynomial` as :func:`polynomial_to_json` gives
@@ -580,8 +654,9 @@ def json_text(value) -> str:
     both ascending; anything else raises ``TypeError``.  ``indent`` sends
     ``json`` to its pure-Python encoder, which costs more than building a
     union basis; here each ``[row, col, exp]`` block and each factor is
-    written once per call, since a basis repeats both."""
-    blocks: dict[int, dict[tuple[int, int], tuple[int, int, str]]] = {}
+    written once per call, since a basis repeats both, and each term of a
+    polynomial in one piece."""
+    layouts: dict[int, _TermLayout] = {}
     factors: dict[tuple[tuple[Cell, ...], int], str] = {}
 
     def write(value, indent: int) -> str:
@@ -598,24 +673,10 @@ def json_text(value) -> str:
             ]
             return _json_list(items, indent, "{}")
         if kind is Polynomial:
-            known = blocks.setdefault(indent, {})
-            inner = "\n" + " " * (indent + 4)  # in each term's object
-            head, middle = "{" + inner + '"coeff": "', '",' + inner + '"monomial": '
-            tail = "\n" + " " * (indent + 2) + "}"
-            terms = []
-            for coeff, mono in value.sorted_terms():
-                key = mono.key
-                variables = []
-                for pair in zip(key[:-1:2], key[1::2]):
-                    block = known.get(pair)
-                    if block is None:
-                        row, col = _cell(pair[0])
-                        block = known[pair] = (row, col, write([row, col, -pair[1]], indent + 6))
-                    variables.append(block)
-                variables.sort()  # row-major ascending, as monomial_to_json lists them
-                monomial = _json_list([block[2] for block in variables], indent + 4, "[]")
-                terms.append(head + str(coeff) + middle + monomial + tail)
-            return _json_list(terms, indent, "[]")
+            layout = layouts.get(indent)
+            if layout is None:
+                layout = layouts[indent] = _TermLayout(indent)
+            return layout.write(value)
         if kind is Antidiagonal:
             text = factors.get((value.cells, indent))
             if text is None:

@@ -380,6 +380,15 @@ def test_monomial_text_row_major():
     assert monomial_text(mono((2, 1), (1, 2))) == "m[1,2]*m[2,1]"
 
 
+def test_writers_order_multi_digit_cells_by_number():
+    # both writers sort the variables as (row, col) ints, not as text
+    m = mono((10, 1), (1, 9), (2, 1), (1, 10), (1, 10))
+    assert monomial_text(m) == "m[1,9]*m[1,10]^2*m[2,1]*m[10,1]"
+    f = Polynomial({m: -2, mono((12, 3)): Fraction(1, 3), MONOMIAL_ONE: 5})
+    assert polynomial_text(f) == "-2*m[1,9]*m[1,10]^2*m[2,1]*m[10,1] + 1/3*m[12,3] + 5"
+    assert json_text({"poly": [f]}) == json.dumps({"poly": [polynomial_to_json(f)]}, indent=2)
+
+
 def test_polynomial_json_round_trip():
     rng = random.Random(29)
     for _ in range(30):

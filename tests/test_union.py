@@ -104,9 +104,9 @@ def test_tie_break_prefers_most_northwest_chain():
 
 def test_longest_chain_matches_brute_force_and_is_lex_least():
     rng = random.Random(31)
-    for _ in range(150):
+    for _ in range(400):
         cells = {
-            Cell(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 9))
+            Cell(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 12))
         }
         chosen = _longest_chain(cells)
         best_len, best = brute_longest_chains(cells)
@@ -221,21 +221,42 @@ def reference_extract_factors(antidiags):
     return strip({cell for antidiag in antidiags for cell in antidiag.cells})
 
 
-def test_extract_factors_equals_graph_search_reference_on_all_s4_pairs():
+def s4_pair_choices():
+    """Every choice of one Fulton antidiagonal from each of two S4 specs."""
     fulton = [antidiagonals_of_spec(spec) for spec in S4_SPECS]
     for left, right in product(fulton, repeat=2):
-        for combo in product(left, right):
-            assert extract_factors(combo) == reference_extract_factors(combo)
+        yield from product(left, right)
 
 
-def test_extract_factors_equals_graph_search_reference_on_random_lists():
+def random_antidiagonal_lists():
+    """3,000 seeded lists of up to 5 antidiagonals in an n x n grid, n <= 8."""
     rng = random.Random(41)
     for _ in range(3000):
         n = rng.randint(1, 8)
-        antidiags = [
-            random_antidiagonal(rng, n=n, max_len=n) for _ in range(rng.randint(1, 5))
-        ]
+        yield [random_antidiagonal(rng, n=n, max_len=n) for _ in range(rng.randint(1, 5))]
+
+
+def test_extract_factors_equals_graph_search_reference_on_all_s4_pairs():
+    for combo in s4_pair_choices():
+        assert extract_factors(combo) == reference_extract_factors(combo)
+
+
+def test_extract_factors_equals_graph_search_reference_on_random_lists():
+    for antidiags in random_antidiagonal_lists():
         assert extract_factors(antidiags) == reference_extract_factors(antidiags)
+
+
+def test_every_extracted_factor_passes_the_antidiagonal_checks():
+    # extract_factors builds its factors without Antidiagonal's checks
+    for antidiags in [*s4_pair_choices(), *random_antidiagonal_lists()]:
+        factors = extract_factors(antidiags)
+        for factor in factors:
+            assert type(factor) is Antidiagonal and type(factor.cells) is tuple
+            assert all(type(cell) is Cell for cell in factor.cells)
+            assert Antidiagonal(factor.cells) == factor
+        cells = [cell for factor in factors for cell in factor.cells]
+        assert len(cells) == len(set(cells))
+        assert set(cells) == {cell for antidiag in antidiags for cell in antidiag.cells}
 
 
 # generator products --------------------------------------------------------------
@@ -698,6 +719,15 @@ def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
 
 
 S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
+S5_SPECS = all_specs(5)
+S6_SPECS = all_specs(6)
+# pairs whose generators have a squared variable
+SQUARED_PAIRS = [("2 3 1 4 5", "1 2 4 3 5"), ("6 2 1 3 4 5", "1 2 4 3 5 6")]
+
+
+def sampled_pairs(specs, seed, count):
+    rng = random.Random(seed)
+    return [rng.sample(specs, 2) for _ in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -708,8 +738,10 @@ S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
         [schubert_specs("1 4 2 3", "1 3 4 2", "2 1 4 3")],
         [schubert_specs("2 1 4 3")],
         [schubert_specs("1 2 3 4", "2 1 4 3")],
+        sampled_pairs(S5_SPECS, 17, 12) + [schubert_specs(*SQUARED_PAIRS[0])],
+        sampled_pairs(S6_SPECS, 19, 3) + [schubert_specs(*SQUARED_PAIRS[1])],
     ],
-    ids=["s3-pairs", "s4-pairs-sample", "s4-triple", "single-spec", "empty"],
+    ids=["s3-pairs", "s4-pairs-sample", "s4-triple", "single-spec", "empty", "s5-pairs", "s6-pairs"],
 )
 def test_basis_json_text_equals_json_dumps(cases):
     for specs in cases:
@@ -720,6 +752,12 @@ def test_basis_json_text_equals_json_dumps(cases):
         assert json.loads(text) == reference
         if not basis:
             assert text == "[]"
+
+
+@pytest.mark.parametrize("pair", SQUARED_PAIRS, ids=["s5", "s6"])
+def test_json_text_cases_include_squared_variables(pair):
+    basis = union_basis(schubert_specs(*pair))
+    assert any(not m.is_squarefree() for g in basis for m in g.poly.terms)
 
 
 def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
