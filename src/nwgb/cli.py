@@ -5,18 +5,19 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
 so JSON output stays parseable.
 
-Every run builds its parser cold, so the parser holds only what the given
-command needs: every command's name and help, for the top-level help and
-errors, and the arguments of the one command named.  Each formatter is
-also given the help width, which argparse would otherwise read through
-``shutil``, an import that loads the compression modules.
+``_COMMANDS`` is the one description of each command's arguments.  Every
+run starts cold, so ``main`` first reads argv straight from that table
+(``_read_args``) and builds argparse from it only for what the reader
+declines: help, usage errors and the rarer spellings argparse also takes
+(abbreviated flags, values that start with "-").  A successful run of the
+plain form so loads neither argparse nor the ``gettext`` and ``locale``
+imports behind its messages, and argparse alone writes help, usage and
+error text.
 """
 
-import argparse
-import functools
-import os
 import reprlib
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
@@ -37,44 +38,75 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-def _help_width() -> int:
-    """The width argparse's default formatter takes from
-    ``shutil.get_terminal_size().columns - 2``: COLUMNS, else the terminal
-    on stdout, else 80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns or 80) - 2
+def _build_parser():
+    """argparse's parser for every command in ``_COMMANDS``."""
+    import argparse
 
-
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every command is registered with its name
-    and help, so the top-level help and errors are whole, but only the
-    command argparse will dispatch to, the first argument that is not an
-    option, gets its arguments."""
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    formatter = functools.partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="nwgb",
         description="Groebner bases for unions of schemes given by northwest rank conditions",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, _) in _COMMANDS.items():
-        p_command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if name == command:
-            for flag, options in arguments:
-                p_command.add_argument(flag, **options)
+        p_command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p_command.add_argument(flag, **options)
     return parser
 
 
-def _emit(text: str, args: argparse.Namespace):
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, read from
+    ``_COMMANDS`` without argparse, or None unless argv has the plain form:
+    a command, then its own flags spelled in full as ``--flag=value`` or
+    ``--flag value``, each value not starting with "-" and passing the
+    flag's type and choices (the last of a repeated flag wins), and one
+    unbroken run of positionals: exactly one, or at least one for
+    ``nargs="+"``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    flags = {}
+    for flag, options in _COMMANDS[argv[0]][1]:
+        if flag.startswith("-"):
+            dest = flag[2:].replace("-", "_")
+            flags[flag] = (dest, options)
+            values[dest] = options.get("default")
+        else:
+            positional, many = flag, options.get("nargs") == "+"
+    tokens = iter(argv[1:])
+    positionals, closed = [], False
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            positionals.append(token)
+            continue
+        closed = bool(positionals)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            return None
+        if not eq:
+            value = next(tokens, "-")
+        # a missing value, and one that starts with "-" in either spelling,
+        # go to argparse, which also reads --flag=-- as an empty list
+        if value.startswith("-"):
+            return None
+        dest, options = flags[flag]
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    if len(positionals) != 1 and not (many and positionals):
+        return None
+    values[positional] = positionals if many else positionals[0]
+    return SimpleNamespace(**values)
+
+
+def _emit(text: str, args: SimpleNamespace):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -82,7 +114,7 @@ def _emit(text: str, args: argparse.Namespace):
         sys.stdout.write(text)
 
 
-def _cmd_diagram(args: argparse.Namespace) -> int:
+def _cmd_diagram(args: SimpleNamespace) -> int:
     p = parse_one_line(args.permutation)
     if args.format == "json":
         _emit(json_text(diagram_json(p)) + "\n", args)
@@ -91,7 +123,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fulton(args: argparse.Namespace) -> int:
+def _cmd_fulton(args: SimpleNamespace) -> int:
     spec = load_spec(args.spec)
     gens = fulton_generators(spec)
     if args.format == "json":
@@ -117,7 +149,7 @@ def _cmd_fulton(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_groebner(args: argparse.Namespace) -> int:
+def _cmd_groebner(args: SimpleNamespace) -> int:
     basis = buchberger(generator_polynomials(load_spec(args.spec)))
     if args.format == "json":
         _emit(json_text(basis) + "\n", args)
@@ -126,7 +158,7 @@ def _cmd_groebner(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_union(args: argparse.Namespace) -> int:
+def _cmd_union(args: SimpleNamespace) -> int:
     specs = [load_spec(path) for path in args.specs]
     ambient = specs[0].ambient_n
     if args.verify == "full-oracle" and ambient > args.max_oracle_n:
@@ -163,7 +195,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     if args.suite == "all":
         # the count goes to the sampled suites only
         runs = [
@@ -238,7 +270,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     try:
         return _COMMANDS[args.command][2](args)
     except (OSError, ValueError) as exc:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nwgb.verify
-from nwgb.cli import main
+from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
 from nwgb.groebner import buchberger
 from nwgb.ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
 from nwgb.permutations import diagram_json, parse_one_line
@@ -658,16 +659,67 @@ def test_help_usage_and_error_text_is_pinned():
         assert got == digest, (columns, args, result)
 
 
+def argv_corpus(seed, count):
+    """Seeded argv for every command, and for unknown ones: each flag of any
+    command in both spellings, with valid and invalid choices, ints that are
+    negative, non-numeric or thousands of digits long, and values that are
+    empty, hold "=" or start with "-", mixed with help flags, "--", "-",
+    abbreviations, repeats and positionals that may be split."""
+    rng = random.Random(seed)
+    flags = sorted(
+        {flag for _, arguments, _ in _COMMANDS.values() for flag, _ in arguments if flag[0] == "-"}
+    )
+    values = [
+        *("text", "json", "xml", "none", "membership", "full-oracle", "Full-Oracle"),
+        *("3", "007", " 7", "1_0", "-2", "x", "1" * 5000, "", "a=b", "--", "-"),
+    ]
+    loose = ["-h", "--help", "--", "-", "--verif", "--verif=membership", "--form=json", "--o", "-x"]
+    positionals = ["a.json", "b.json", "2 1 4 3", "", "x=y", "all"]
+    commands = [*_COMMANDS, "bogus", "unio", ""]
+    corpus = []
+    for _ in range(count):
+        argv = [rng.choice(commands)]
+        for _ in range(rng.randrange(6)):
+            draw = rng.random()
+            if draw < 0.4:
+                argv.append(rng.choice(positionals))
+            elif draw < 0.6:
+                argv.append(f"{rng.choice(flags)}={rng.choice(values)}")
+            elif draw < 0.85:
+                argv += [rng.choice(flags), rng.choice(values)]
+            else:
+                argv.append(rng.choice(loose))
+        corpus.append(argv)
+    return corpus
+
+
+def test_read_args_gives_the_namespace_argparse_gives():
+    # argparse stays the reference: every argv the reader accepts parses to
+    # the same namespace, and the runs whose help and errors are pinned go
+    # to argparse
+    parser = _build_parser()
+    accepted = set()
+    for argv in argv_corpus(seed=0, count=20000):
+        got = _read_args(argv)
+        if got is not None:
+            assert vars(got) == vars(parser.parse_args(argv)), argv
+            accepted.add(argv[0])
+    assert accepted == set(_COMMANDS)
+    assert [_read_args(argv) for argv in PINNED_RUNS] == [None] * len(PINNED_RUNS)
+
+
 def test_no_command_imports_shutil(spec_231, spec_312):
-    # argparse's default help formatter imports shutil (and the compression
-    # modules it loads) to read the terminal width; nwgb passes the width
-    # itself, so no command pays for that import
+    # a run that parses and succeeds reads argv without argparse, so it
+    # loads neither argparse, the gettext and locale imports behind its
+    # messages, nor the shutil (and compression modules) its help formatter
+    # imports for the terminal width
     script = """
 import contextlib, io, json, sys
-from nwgb.cli import main
+from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
-sys.stdout.write(json.dumps([codes, "shutil" in sys.modules]))
+loaded = [name for name in ("argparse", "gettext", "locale", "shutil") if name in sys.modules]
+sys.stdout.write(json.dumps([codes, loaded]))
 """
     runs = [
         ["diagram", "2 1 4 3"],
@@ -683,4 +735,4 @@ sys.stdout.write(json.dumps([codes, "shutil" in sys.modules]))
         env=src_env(),
         check=True,
     )
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], []]
