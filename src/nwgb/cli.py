@@ -272,7 +272,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _read_args(argv)
     if args is None:
-        args = _build_parser().parse_args(argv, SimpleNamespace())
+        parser = _build_parser()
+        args = parser.parse_args(argv, SimpleNamespace())
+        # argparse reads --flag=-- as an empty list
+        for flag, options in _COMMANDS[args.command][1]:
+            dest = flag.lstrip("-").replace("-", "_")
+            if options.get("nargs") != "+" and isinstance(getattr(args, dest), list):
+                parser.error(f"argument {flag}: expected one argument")
     try:
         return _COMMANDS[args.command][2](args)
     except (OSError, ValueError) as exc:

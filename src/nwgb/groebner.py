@@ -31,11 +31,22 @@ variable, folded by ``intersect_many``.
 Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also an
 elimination order for it.
+
+The engine records the last reduced basis it returned (``buchberger``'s
+result, or ``intersect``'s t-free part), as a tuple of the same objects.
+``buchberger`` given exactly that sequence, element by element by
+identity, returns a copy of it without completing it again: the reduced
+basis of an ideal is unique and ``buchberger`` returns it sorted by
+leading monomial, so completing it would give it back unchanged.  So
+``initial_ideal(intersect_many(...))`` reads the leads the fold already
+has.  Any other input, equal copies and reorderings included, is
+completed in full.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -251,15 +262,40 @@ def _unsettled_pairs(leads: list[Monomial]) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
+# the last reduced basis the engine returned, as a tuple of the same objects
+_last_reduced: tuple[Polynomial, ...] = ()
+
+
+def _record_reduced(basis: list[Polynomial]) -> list[Polynomial]:
+    """Record ``basis``, a reduced Groebner basis sorted by leading
+    monomial, as the one ``buchberger`` may hand back without completing
+    it, and return it."""
+    global _last_reduced
+    _last_reduced = tuple(basis)
+    return basis
+
+
 def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
-    """Reduced Groebner basis of the ideal the generators span.
+    """Reduced Groebner basis of the ideal the generators span, sorted by
+    leading monomial (ascending).
 
     Reduces the S-pairs that ``_unsettled_pairs`` leaves, in the normal
     strategy, against the growing basis.  Skipped pairs change which
     intermediate elements appear, not the result: the reduced basis of an
     ideal is unique.  Zero input polynomials are ignored; an empty input
     yields the empty basis.
+
+    The result is recorded, and so is ``intersect``'s.  When the input is
+    the recorded basis B itself (the same objects, in the same order, and
+    no more), a copy of it is returned at once.  That is exact: B is a
+    reduced Groebner basis, which is unique, sorted by leading monomial as
+    this function sorts it, so ``buchberger(B) == B``.  Every other input,
+    equal-but-copied polynomials, a reordered or an extended list, is
+    completed in full.
     """
+    last = _last_reduced
+    if len(generators) == len(last) and all(map(operator.is_, generators, last)):
+        return list(generators)
     basis = _interreduce(generators)
     reducers = _reducers(basis)  # grows with the basis, in basis order
     leads = [f.leading_monomial() for f in basis]
@@ -270,7 +306,7 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
             basis.append(g)
             reducers.append(_reducer(g))
             leads.append(g.leading_monomial())
-    return _interreduce(_minimal_split(basis)[0])
+    return _record_reduced(_interreduce(_minimal_split(basis)[0]))
 
 
 def is_groebner(generators: Sequence[Polynomial]) -> bool:
@@ -317,12 +353,17 @@ def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> boo
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
-    """Generators (in fact a reduced Groebner basis) of the intersection of
-    the two ideals.
+    """Reduced Groebner basis of the intersection of the two ideals, sorted
+    by leading monomial.
 
     Classic elimination: with a fresh variable t ranked above everything,
-    the t-free part of a Groebner basis of t*I + (1-t)*J is the
-    intersection.  An empty presentation is the zero ideal and absorbs.
+    the t-free part of a Groebner basis of t*I + (1-t)*J is a Groebner
+    basis of the intersection.  The t-free part of the reduced basis is
+    the reduced basis: its elements are monic, and no term of one is
+    divisible by the lead of another, since that holds across the whole
+    reduced basis.  Filtering keeps ``buchberger``'s order, so the result
+    is sorted by leading monomial, and it is recorded as ``buchberger``'s
+    own output is.  An empty presentation is the zero ideal and absorbs.
     """
     if not I.generators or not J.generators:
         return []
@@ -330,7 +371,7 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     one_minus_t = Polynomial.constant(1) - t
     mixed = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
     eliminated = buchberger(mixed)
-    return [g for g in eliminated if not g.uses(AUX)]
+    return _record_reduced([g for g in eliminated if not g.uses(AUX)])
 
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
@@ -375,8 +416,10 @@ class MonomialIdeal:
 
 
 def initial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:
-    """Minimal generators of the leading-term ideal.  The input is completed
-    to a Groebner basis first, so any generating set is accepted."""
+    """Minimal generators of the leading-term ideal.  The input goes through
+    ``buchberger``, so any generating set is accepted: a reduced basis the
+    engine has just returned (as ``intersect_many`` does) is read as it
+    is, and anything else is completed to a Groebner basis first."""
     basis = buchberger(generators)
     return MonomialIdeal.from_monomials(f.leading_monomial() for f in basis)
 

@@ -473,6 +473,45 @@ def test_verify_rejects_format(fmt, capsys):
     assert "unrecognized arguments: --format" in err
 
 
+# every single-valued flag of every command given as --flag=--, which
+# argparse reads as an empty list
+DASH_DASH_VALUES = [
+    [command, positional, f"{flag}=--"]
+    for command, positional in (
+        ("diagram", "2 1"),
+        ("fulton", "a.json"),
+        ("groebner", "a.json"),
+        ("union", "a.json"),
+        ("verify", "gluing"),
+    )
+    for flag, _ in _COMMANDS[command][1]
+    if flag.startswith("-")
+]
+
+
+@pytest.mark.parametrize("args", DASH_DASH_VALUES, ids=" ".join)
+def test_dash_dash_flag_value_exits_2_with_one_error_line(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so a file named "--" would land here
+    assert _read_args(args) is None
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    flag = args[2].partition("=")[0]
+    assert err.startswith("usage: nwgb ")
+    assert err.splitlines()[-1] == f"nwgb: error: argument {flag}: expected one argument"
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dash_dash_flag_value_exits_2_from_the_command_line(tmp_path):
+    code, out, err = run_cli(["verify", "gluing", "--seed=--"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "nwgb: error: argument --seed: expected one argument"
+    assert "Traceback" not in err
+
+
 def test_verify_out_file(tmp_path):
     target = tmp_path / "report.txt"
     assert main(["verify", "s3-exhaustive", f"--out={target}"]) == 0

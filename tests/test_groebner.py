@@ -29,6 +29,7 @@ from nwgb import (
     spec_from_permutation,
     union_basis,
 )
+from nwgb import groebner
 from nwgb.groebner import _minimal_split, _unsettled_pairs
 from nwgb.polynomials import compare, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
@@ -819,3 +820,97 @@ def test_scaled_coefficients_survive_exactly():
     basis = buchberger([f])
     assert basis == [f.monic()]
     assert basis[0].leading_term()[0] == 1
+
+
+# the recorded reduced basis ------------------------------------------------------
+
+def seeded_triples(seed, n, count):
+    rng = random.Random(seed)
+    perms = [p.one_line() for p in honest_permutations(n)]
+    return [tuple(rng.choice(perms) for _ in range(3)) for _ in range(count)]
+
+
+RECORD_TRIPLES = seeded_triples(83, 4, 4) + seeded_triples(83, 5, 2)
+
+
+def meet_of(texts):
+    return intersect_many([ideal_of(spec_of(t)) for t in texts])
+
+
+def completed(generators):
+    """``buchberger`` with nothing recorded, so always the full completion;
+    the record outside is left as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_last_reduced", ())
+        patch.setattr(groebner, "_record_reduced", lambda basis: basis)
+        return buchberger(generators)
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """One entry per pair queue ``buchberger`` starts, so per completion."""
+    calls = []
+    queue = groebner._unsettled_pairs
+
+    def counted(leads):
+        calls.append(len(leads))
+        return queue(leads)
+
+    monkeypatch.setattr(groebner, "_unsettled_pairs", counted)
+    return calls
+
+
+def refuse(leads):
+    raise AssertionError("completed a basis the engine had just returned")
+
+
+@pytest.mark.parametrize("texts", RECORD_TRIPLES, ids=" | ".join)
+def test_initial_ideal_reads_the_basis_intersect_many_returned(texts, monkeypatch):
+    expected = initial_ideal(completed(meet_of(texts)))
+    meet = meet_of(texts)
+    monkeypatch.setattr(groebner, "_unsettled_pairs", refuse)
+    assert initial_ideal(meet) == expected
+    assert ideals_equal(meet, meet)
+    assert buchberger(meet) == meet and buchberger(meet) is not meet
+    with pytest.raises(AssertionError, match="just returned"):
+        initial_ideal([Polynomial(dict(f.terms)) for f in meet])  # a miss reaches the queue
+
+
+EXTRA = var(5, 5)  # outside every northwest-rank ideal of S4 and S5
+
+
+def replaced(meet):
+    buchberger([EXTRA])
+    return meet
+
+
+# inputs that are not the recorded basis: each is completed in full
+MISSES = {
+    "reversed": lambda meet: meet[::-1],
+    "copied": lambda meet: [Polynomial(dict(f.terms)) for f in meet],
+    "extended": lambda meet: meet + [EXTRA],
+    "replaced": replaced,
+}
+
+
+@pytest.mark.parametrize("miss", sorted(MISSES))
+@pytest.mark.parametrize("texts", RECORD_TRIPLES, ids=" | ".join)
+def test_buchberger_completes_anything_but_the_recorded_basis(texts, miss, completions):
+    meet = meet_of(texts)
+    generators = MISSES[miss](meet)
+    expected = completed(generators)
+    del completions[:]
+    got = buchberger(generators)
+    assert got == expected
+    assert_reduced(got)
+    if len(meet) > 1 or miss != "reversed":  # one element reversed is the same list
+        assert completions
+    assert (expected == meet) == (miss != "extended")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_buchberger_returns_its_own_output_unchanged(seed):
+    # why a recorded basis may be handed back: completing it changes nothing
+    for texts in seeded_triples(seed, 4, 10):
+        meet = meet_of(texts)
+        assert completed(meet) == meet
