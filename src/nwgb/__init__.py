@@ -54,7 +54,6 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     buchberger,
-    generates,
     ideals_equal,
     initial_ideal,
     intersect,

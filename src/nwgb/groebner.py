@@ -22,12 +22,11 @@ reducer list that every division by that basis shares (``buchberger``
 appends to it as its basis grows, and ``_interreduce`` as it keeps each
 element).  ``is_groebner`` runs the queue only on
 the minimal-lead subset of its input and reduces the other elements
-against that subset, and ``generates`` compares a generating set with a
-known reduced basis without completing it when its minimal-lead subset
-already interreduces to that basis; both answers are exact (see their
-docstrings).  Output is reduced, in one interreduction pass, and ideal
-intersection uses the textbook elimination trick with one auxiliary
-variable, folded by ``intersect_many``.
+against that subset; the answer is exact (see its docstring).  Output is
+reduced, in one interreduction pass, so two generating sets span the same
+ideal exactly when ``buchberger`` gives both the same list
+(``ideals_equal``).  Ideal intersection uses the textbook elimination
+trick with one auxiliary variable, folded by ``intersect_many``.
 Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also an
 elimination order for it.
@@ -89,7 +88,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     negative, so integral input stays on ints; any other lead divides, as
     an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
     one basis.  The engine itself (``buchberger``, ``_interreduce``,
-    ``is_groebner``, ``generates``) does not call this function: it
+    ``is_groebner``) does not call this function: it
     divides through ``_divide``, with reducer lists it builds once and
     extends.
     """
@@ -334,24 +333,6 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
     return all(_divide(g, reducers).is_zero() for g in rest)
 
 
-def generates(basis: Sequence[Polynomial], reduced: Sequence[Polynomial]) -> bool:
-    """Whether ``basis`` generates the ideal whose reduced Groebner basis is
-    ``reduced`` (as ``buchberger`` returns it).
-
-    When the minimal-lead subset M of the basis interreduces to ``reduced``,
-    <M> is that ideal, and the answer is whether every other element
-    reduces to zero against ``reduced``, i.e. lies in it.  Otherwise the
-    basis is completed and compared, so a generating set that is not a
-    Groebner basis still reads true.
-    """
-    reduced = list(reduced)
-    minimal, rest = _minimal_split(basis)
-    if _interreduce(minimal) == reduced:
-        reducers = _reducers(reduced)
-        return all(_divide(g, reducers).is_zero() for g in rest)
-    return buchberger(basis) == reduced
-
-
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     """Reduced Groebner basis of the intersection of the two ideals, sorted
     by leading monomial.
@@ -415,17 +396,22 @@ class MonomialIdeal:
         )
 
 
+def leading_ideal(polys: Sequence[Polynomial]) -> MonomialIdeal:
+    """The ideal of the leading monomials: the initial ideal when the input
+    is a Groebner basis."""
+    return MonomialIdeal.from_monomials(f.leading_monomial() for f in polys)
+
+
 def initial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:
     """Minimal generators of the leading-term ideal.  The input goes through
     ``buchberger``, so any generating set is accepted: a reduced basis the
     engine has just returned (as ``intersect_many`` does) is read as it
     is, and anything else is completed to a Groebner basis first."""
-    basis = buchberger(generators)
-    return MonomialIdeal.from_monomials(f.leading_monomial() for f in basis)
+    return leading_ideal(buchberger(generators))
 
 
 def ideals_equal(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
     """Whether the two generating sets span the same ideal: the reduced
-    Groebner basis of an ideal is unique, so this is whether ``a``
-    generates the ideal of ``buchberger(b)``."""
-    return generates(a, buchberger(b))
+    Groebner basis of an ideal is unique.  ``b`` is completed first, so a
+    basis ``intersect_many`` has just returned is read as it is."""
+    return buchberger(b) == buchberger(a)

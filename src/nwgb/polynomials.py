@@ -125,12 +125,6 @@ class Monomial:
         """Product of the given cells, one factor per occurrence."""
         return _from_codes(sorted(_code(cell) for cell in cells))
 
-    @property
-    def exps(self) -> tuple[tuple[Cell, int], ...]:
-        """(cell, exponent) pairs, most significant variable first."""
-        key = self.key
-        return tuple((_cell(key[i]), -key[i + 1]) for i in range(0, len(key) - 1, 2))
-
     def degree(self) -> int:
         return self._degree
 
@@ -420,15 +414,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[int | Fraction, Monomial]]:
         """Terms listed largest monomial first (canonical serialization order)."""
         return [(self.terms[m], m) for m in sorted(self.terms, key=_key_of)]
-
-    def evaluate(self, values: Mapping[Cell, int | Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for cell, exp in mono.exps:
-                term *= Fraction(values[cell]) ** exp
-            total += term
-        return total
 
     def __repr__(self) -> str:
         return polynomial_text(self)

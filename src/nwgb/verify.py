@@ -12,10 +12,11 @@ The union checks (membership of every emitted generator in every input
 ideal, and the two full-oracle verdicts: the Buchberger criterion and
 equality with the intersection) live here once and back both the suites
 and ``nwgb union --verify``.  Both start from ``spec_bases``, so each input
-ideal is completed once per check.  ``full_oracle_verdicts`` proves both
-verdicts from membership and leading terms when it can, and otherwise runs
-``groebner.is_groebner`` and compares with ``groebner.intersect_many`` of
-those bases.
+ideal is completed once per check.  ``full_oracle_verdicts`` reads
+equality as false when membership fails and proves both verdicts from
+membership and leading terms when it can; otherwise it runs
+``groebner.is_groebner``, and compares the completed basis with
+``groebner.intersect_many`` of those bases only when membership holds.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     buchberger,
-    generates,
     intersect_many,
     is_groebner,
+    leading_ideal,
     normal_form,
     normal_forms,
 )
@@ -103,12 +104,6 @@ def membership_failures(
     return failures
 
 
-def _leading_ideal(polys: Sequence[Polynomial]) -> MonomialIdeal:
-    """The ideal of the leading monomials: the initial ideal when the input
-    is a Groebner basis, as a ``spec_bases`` entry is."""
-    return MonomialIdeal.from_monomials(f.leading_monomial() for f in polys)
-
-
 def full_oracle_verdicts(
     basis: Sequence[Polynomial],
     bases: Sequence[IdealPresentation],
@@ -135,16 +130,21 @@ def full_oracle_verdicts(
     are equal: an element of the intersection reduces against B to a
     remainder in the intersection with no term in its initial ideal, which
     is zero.  The proof does not use the init theorem
-    (in(I & J) = in(I) & in(J)), so it is exact.  In every other case the
-    verdicts are ``is_groebner(B)`` and ``generates(B, intersect_many(bases))``,
-    so each verdict is the one those give.
+    (in(I & J) = in(I) & in(J)), so it is exact.
+
+    Otherwise the criterion is ``is_groebner(B)``.  Equality is false when
+    B fails membership, since an element outside some I_k is outside the
+    intersection, and else it is ``buchberger(B) == intersect_many(bases)``:
+    reduced Groebner bases are unique, and the intersection comes back
+    reduced.
     """
-    if members:
-        meet = reduce(MonomialIdeal.intersect, (_leading_ideal(b.generators) for b in bases))
-        leads = _leading_ideal(basis)
-        if all(leads.contains(m) for m in meet.minimal_generators):
-            return True, True
-    return is_groebner(basis), generates(basis, intersect_many(bases))
+    if not members:
+        return is_groebner(basis), False
+    meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
+    leads = leading_ideal(basis)
+    if all(leads.contains(m) for m in meet.minimal_generators):
+        return True, True
+    return is_groebner(basis), buchberger(basis) == intersect_many(bases)
 
 
 @lru_cache(maxsize=None)
@@ -291,9 +291,9 @@ def _union_pair_checks(
     yield equal_ok, f"{label}: basis ideal differs from oracle intersection"
     if check_init_theorem:
         # the independent check of the init theorem, so by elimination
-        left_init, right_init = (_leading_ideal(b.generators) for b in bases)
+        left_init, right_init = (leading_ideal(b.generators) for b in bases)
         yield (
-            _leading_ideal(intersect_many(bases)) == left_init.intersect(right_init),
+            leading_ideal(intersect_many(bases)) == left_init.intersect(right_init),
             f"{label}: init of intersection differs from intersection of inits",
         )
 

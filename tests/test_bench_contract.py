@@ -70,7 +70,7 @@ def test_serializers_that_the_checks_import():
     f = determinant([1, 2], [1, 2])
     assert polynomial_to_json(f)[0] == {"coeff": "-1", "monomial": [[1, 2, 1], [2, 1, 1]]}
     assert monomial_to_json(f.leading_monomial()) == [[1, 2, 1], [2, 1, 1]]
-    assert Cell(1, 2) in dict(f.leading_monomial().exps)
+    assert Cell(1, 2) in {Cell(r, c) for r, c, _ in monomial_to_json(f.leading_monomial())}
 
 
 def package_imports(path):

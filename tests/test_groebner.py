@@ -15,7 +15,6 @@ from nwgb import (
     Polynomial,
     buchberger,
     determinant,
-    generates,
     generator_polynomials,
     ideals_equal,
     initial_ideal,
@@ -662,7 +661,7 @@ def random_small_set(rng, cells):
     ]
 
 
-def test_generates_and_ideals_equal_match_literal_completion():
+def test_ideals_equal_matches_literal_completion():
     # b spans a's ideal (a scaled and shuffled, plus a combination of its
     # elements), and half the time one random element more (often a
     # larger ideal)
@@ -679,33 +678,32 @@ def test_generates_and_ideals_equal_match_literal_completion():
         literal = buchberger(a) == buchberger(b)
         assert ideals_equal(a, b) == literal
         assert ideals_equal(b, a) == literal
-        assert generates(b, buchberger(a)) == literal
         outcomes.append(literal)
     assert True in outcomes and False in outcomes
 
 
-def test_generates_completes_a_set_that_is_not_a_groebner_basis():
-    # the minimal-lead subset does not interreduce to the reduced basis, so
-    # the answer comes from completing the set, and is still true
+def test_ideals_equal_completes_a_set_that_is_not_a_groebner_basis():
+    # the set's leads do not span its initial ideal, and it still spans the
+    # ideal of its completion
     plus = Polynomial({mono((1, 1), (2, 2)): 1, mono((1, 2), (2, 1)): 1})
     minus = determinant([1, 2], [1, 2])
     reduced = buchberger([plus, minus])
     assert not is_groebner([plus, minus])
-    assert generates([plus, minus], reduced)
-    assert generates([minus, plus * 2], reduced)
+    assert ideals_equal([plus, minus], reduced)
+    assert ideals_equal([minus, plus * 2], reduced)
 
 
-def test_generates_rejects_a_dropped_element_outside_the_ideal():
-    # LT(h) = m[3,3] * LT(g), so h is dropped from the minimal-lead subset,
-    # which is the reduced basis itself; its tail m[3,3] lies outside
+def test_ideals_equal_rejects_an_element_outside_the_ideal_with_a_covered_lead():
+    # LT(h) = m[3,3] * LT(g), so adding h leaves the leading-term ideal as
+    # it was; its tail m[3,3] lies outside the ideal
     reduced = buchberger(generator_polynomials(spec_of("2 3 1")))
     g = reduced[-1]
     h = var(3, 3) * g + var(3, 3)
     assert h.leading_monomial() == (var(3, 3) * g).leading_monomial()
-    assert not generates(reduced + [h], reduced)
+    assert not ideals_equal(reduced + [h], reduced)
     assert buchberger(reduced + [h]) != reduced
     inside = var(3, 3) * g + var(3, 2) * reduced[0]
-    assert generates(reduced + [inside], reduced)
+    assert ideals_equal(reduced + [inside], reduced)
 
 
 # one interreduction pass against the fixed-point reference ----------------------
@@ -750,15 +748,6 @@ def fixed_point_buchberger(generators):
     return fixed_point_interreduced(_minimal_split(basis)[0])
 
 
-def fixed_point_generates(basis, reduced):
-    """Reference: ``generates`` with the fixed point."""
-    reduced = list(reduced)
-    minimal, rest = _minimal_split(basis)
-    if fixed_point_interreduced(minimal) == reduced:
-        return all(normal_form(g, reduced).is_zero() for g in rest)
-    return fixed_point_buchberger(basis) == reduced
-
-
 def assert_reduced(basis):
     """Monic, in ascending leading monomial, and no term of an element is
     divisible by the leading monomial of another."""
@@ -772,15 +761,14 @@ def assert_reduced(basis):
 
 def assert_matches_fixed_point(generators, other):
     """``buchberger`` returns the fixed-point reference's basis, reduced, and
-    ``generates`` gives the reference verdict for ``generators`` against
-    both that basis and the basis of ``other``."""
+    ``ideals_equal`` gives the reference verdict for ``generators`` against
+    both that basis and ``other``."""
     basis = buchberger(generators)
     assert basis == fixed_point_buchberger(generators)
     assert_reduced(basis)
-    assert generates(generators, basis) and fixed_point_generates(generators, basis)
-    other_basis = buchberger(other)
-    verdict = generates(generators, other_basis)
-    assert verdict == fixed_point_generates(generators, other_basis)
+    assert ideals_equal(generators, basis)
+    verdict = ideals_equal(generators, other)
+    assert verdict == (fixed_point_buchberger(other) == basis)
     return verdict
 
 

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private name a module defines at its top level is read in that module.
 
-No linter ships with the project, so this stands in for an unused-import
-check.  ``__init__.py`` is skipped: its imports are the package's
-re-exports.
+No linter ships with the project, so this stands in for unused-import and
+unused-helper checks.  ``__init__.py`` is skipped by the first: its
+imports are the package's re-exports.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nwgb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +40,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Top-level ``_name`` definitions (functions, classes, assignments,
+    import aliases) that nothing in the module reads; dunders are left out."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = (
+        "import os as _os\n_LIMIT = 3\n_spare: int = 0\n"
+        "def _used():\n    global _spare\n    _spare = _LIMIT\n"
+        "def _helper():\n    pass\nclass _Kind:\n    pass\n_used()\n"
+    )
+    assert unread_private_names(source) == [
+        "line 1: _os",
+        "line 3: _spare",
+        "line 7: _helper",
+        "line 9: _Kind",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -10,10 +10,10 @@ from nwgb.groebner import (
     IdealPresentation,
     MonomialIdeal,
     buchberger,
-    generates,
     intersect,
     intersect_many,
     is_groebner,
+    leading_ideal,
 )
 from nwgb.ideals import generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
@@ -22,7 +22,6 @@ from nwgb.union import union_basis
 from nwgb.verify import (
     SUITES,
     _embed,
-    _leading_ideal,
     _union_pair_checks,
     full_oracle_verdicts,
     honest_permutations,
@@ -169,20 +168,23 @@ def test_oracle_intersection_matches_pairwise_intersect():
     ],
 )
 def test_oracle_intersection_is_reduced(texts):
-    # the union checks hand the intersection to generates() as a reduced
-    # basis, without completing it again
+    # full_oracle_verdicts compares a completed basis with the intersection
+    # as it comes back, so it must come back reduced
     meet = intersect_many(spec_bases(_specs(*texts)))
     assert meet
     assert buchberger(meet) == meet
 
 
-def full_oracle_case(specs, monkeypatch):
-    """(proved, covered) for one union: whether ``full_oracle_verdicts``
-    answered without ``is_groebner`` or ``intersect_many``, and whether the
-    leads of the basis cover the meet of the initial ideals (the proof's
-    premise besides membership).  Its two verdicts must be the literal
-    criterion and equality with the eliminated intersection."""
-    basis = [g.poly for g in union_basis(specs)]
+def full_oracle_case(specs, monkeypatch, basis=None):
+    """(proved, covered) for one union basis, by default the synthesized
+    one: whether ``full_oracle_verdicts`` answered without ``is_groebner``
+    or ``intersect_many``, and whether the leads of the basis cover the
+    meet of the initial ideals (the proof's premise besides membership).
+    Its two verdicts must be the literal criterion and equality of the
+    completed basis with the eliminated intersection, and it must eliminate
+    only when membership holds and the proof does not apply."""
+    if basis is None:
+        basis = [g.poly for g in union_basis(specs)]
     bases = spec_bases(specs)
     members = not membership_failures(basis, specs, bases)
     fallback = []
@@ -194,13 +196,17 @@ def full_oracle_case(specs, monkeypatch):
     )
     verdicts = full_oracle_verdicts(basis, bases, members)
     monkeypatch.undo()
-    assert verdicts == (is_groebner(basis), generates(basis, intersect_many(bases))), [
+    assert verdicts == (is_groebner(basis), buchberger(basis) == intersect_many(bases)), [
         s.label for s in specs
     ]
-    assert fallback in ([], ["criterion", "meet"])
-    meet = reduce(MonomialIdeal.intersect, (_leading_ideal(b.generators) for b in bases))
-    leads = _leading_ideal(basis)
-    return not fallback, all(leads.contains(m) for m in meet.minimal_generators)
+    meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
+    leads = leading_ideal(basis)
+    covered = all(leads.contains(m) for m in meet.minimal_generators)
+    if not members:
+        assert fallback == ["criterion"]
+    else:
+        assert fallback == ([] if covered else ["criterion", "meet"])
+    return not fallback, covered
 
 
 def test_full_oracle_proof_decides_every_s4_pair(monkeypatch):
@@ -232,3 +238,23 @@ def test_full_oracle_verdicts_on_seeded_s5_pairs_and_triples(monkeypatch):
         for chosen in pairs + triples
     ]
     assert (sum(proved[:12]), sum(proved[12:])) == (11, 5)
+
+
+def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
+    # no union basis tried reaches the elimination; dropping every element
+    # that leads with one minimal generator of the meet of the initial
+    # ideals leaves a basis inside the intersection that the proof cannot
+    # pass, so equality is decided by elimination
+    criteria = []
+    for left, right in sampled_s4_pairs(random.Random(5), 12):
+        specs = [spec_from_permutation(left), spec_from_permutation(right)]
+        basis = [g.poly for g in union_basis(specs)]
+        bases = spec_bases(specs)
+        meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
+        chosen = min(meet.minimal_generators, key=lambda m: m.key)  # the largest
+        cut = [f for f in basis if f.leading_monomial() != chosen]
+        assert len(cut) < len(basis)
+        assert not membership_failures(cut, specs, bases)
+        assert full_oracle_case(specs, monkeypatch, cut) == (False, False)
+        criteria.append(is_groebner(cut))
+    assert True in criteria and False in criteria
