@@ -3,7 +3,8 @@ bases, and run the verification suites.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
-so JSON output stays parseable.
+so JSON output stays parseable.  ``nwgb union`` writes each generator as
+it is built and then drops it, keeping only the polynomials --verify needs.
 
 ``_COMMANDS`` is the one description of each command's arguments.  Every
 run starts cold, so ``main`` first reads argv straight from that table
@@ -17,14 +18,15 @@ error text.
 
 import reprlib
 import sys
+from itertools import chain
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
 from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
-from .polynomials import json_text, polynomial_text
-from .union import basis_json_text, union_basis
+from .polynomials import Polynomial, json_text, polynomial_text
+from .union import GeneratorProduct, basis_json_chunks, union_generators
 from .verify import (
     SUITES,
     full_oracle_verdicts,
@@ -106,20 +108,21 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _emit(text: str, args: SimpleNamespace):
+def _emit(pieces: Iterable[str], args: SimpleNamespace):
+    """Write each piece of text as it arrives, to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_diagram(args: SimpleNamespace) -> int:
     p = parse_one_line(args.permutation)
     if args.format == "json":
-        _emit(json_text(diagram_json(p)) + "\n", args)
+        _emit([json_text(diagram_json(p)) + "\n"], args)
     else:
-        _emit(diagram_text(p), args)
+        _emit([diagram_text(p)], args)
     return EXIT_OK
 
 
@@ -133,29 +136,32 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
                 {
                     "rows": list(g.rows),
                     "cols": list(g.cols),
-                    "condition": {
-                        "i": g.source.row,
-                        "j": g.source.col,
-                        "r": g.source.max_rank,
-                    },
+                    "condition": {"i": g.source.row, "j": g.source.col, "r": g.source.max_rank},
                     "poly": g.poly,
                 }
                 for g in gens
             ],
         }
-        _emit(json_text(payload) + "\n", args)
+        _emit([json_text(payload) + "\n"], args)
     else:
-        _emit("".join(polynomial_text(g.poly) + "\n" for g in gens), args)
+        _emit(["".join(polynomial_text(g.poly) + "\n" for g in gens)], args)
     return EXIT_OK
 
 
 def _cmd_groebner(args: SimpleNamespace) -> int:
     basis = buchberger(generator_polynomials(load_spec(args.spec)))
     if args.format == "json":
-        _emit(json_text(basis) + "\n", args)
+        _emit([json_text(basis) + "\n"], args)
     else:
-        _emit("".join(polynomial_text(f) + "\n" for f in basis), args)
+        _emit(["".join(polynomial_text(f) + "\n" for f in basis)], args)
     return EXIT_OK
+
+
+def _kept(generators: Iterable[GeneratorProduct], polys: list[Polynomial]):
+    """The generators, each one's polynomial appended to ``polys``."""
+    for g in generators:
+        polys.append(g.poly)
+        yield g
 
 
 def _cmd_union(args: SimpleNamespace) -> int:
@@ -166,27 +172,27 @@ def _cmd_union(args: SimpleNamespace) -> int:
             f"ambient {reprlib.repr(ambient)} exceeds the full-oracle guard "
             f"(--max-oracle-n={reprlib.repr(args.max_oracle_n)})"
         )
-    basis = union_basis(specs)
+    generators = union_generators(specs)
+    polys: list[Polynomial] = []  # kept only for --verify
+    if args.verify != "none":
+        generators = _kept(generators, polys)
     if args.format == "json":
-        _emit(basis_json_text(basis) + "\n", args)
+        _emit(chain(basis_json_chunks(generators), ["\n"]), args)
     else:
-        _emit("".join(polynomial_text(g.poly) + "\n" for g in basis), args)
+        _emit((polynomial_text(g.poly) + "\n" for g in generators), args)
     if args.verify == "none":
         return EXIT_OK
 
-    polys = [g.poly for g in basis]
     bases = spec_bases(specs)
     failures = membership_failures(polys, specs, bases)
     print(
-        f"membership: {len(basis) * len(specs)} checks, {len(failures)} failures",
+        f"membership: {len(polys) * len(specs)} checks, {len(failures)} failures",
         file=sys.stderr,
     )
     ok = not failures
     if args.verify == "full-oracle":
         groebner_ok, equal_ok = full_oracle_verdicts(polys, bases, not failures)
-        print(
-            f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr
-        )
+        print(f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr)
         print(
             f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
             file=sys.stderr,
@@ -208,7 +214,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     lines = [report.summary() for report in reports]
     for report in reports:
         lines.extend(f"  {detail}" for detail in report.failures)
-    _emit("\n".join(lines) + "\n", args)
+    _emit(["\n".join(lines) + "\n"], args)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 

@@ -31,15 +31,10 @@ Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also an
 elimination order for it.
 
-The engine records the last reduced basis it returned (``buchberger``'s
-result, or ``intersect``'s t-free part), as a tuple of the same objects.
-``buchberger`` given exactly that sequence, element by element by
-identity, returns a copy of it without completing it again: the reduced
-basis of an ideal is unique and ``buchberger`` returns it sorted by
-leading monomial, so completing it would give it back unchanged.  So
-``initial_ideal(intersect_many(...))`` reads the leads the fold already
-has.  Any other input, equal copies and reorderings included, is
-completed in full.
+The engine records the last reduced basis it returned, and ``buchberger``
+hands that very sequence back without completing it again (see its
+docstring), so ``initial_ideal(intersect_many(...))`` reads the leads the
+fold already has.
 """
 
 from __future__ import annotations
@@ -88,9 +83,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     negative, so integral input stays on ints; any other lead divides, as
     an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
     one basis.  The engine itself (``buchberger``, ``_interreduce``,
-    ``is_groebner``) does not call this function: it
-    divides through ``_divide``, with reducer lists it builds once and
-    extends.
+    ``is_groebner``) divides through ``_divide``, with reducer lists it
+    builds once and extends.
     """
     return _divide(f, _reducers(basis))
 
@@ -382,9 +376,8 @@ class MonomialIdeal:
         pool = sorted(set(monomials), key=lambda m: (m.degree(), m.key))
         minimal: list[Monomial] = []
         for mono in pool:
-            if any(kept.divides(mono) for kept in minimal):
-                continue
-            minimal.append(mono)
+            if not any(kept.divides(mono) for kept in minimal):
+                minimal.append(mono)
         return MonomialIdeal(frozenset(minimal))
 
     def contains(self, mono: Monomial) -> bool:

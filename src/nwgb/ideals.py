@@ -76,10 +76,7 @@ class FultonGenerator:
 def spec_from_permutation(p: PartialPermutation) -> RankConditionSpec:
     """Conditions at the essential boxes only (they suffice by Fulton's
     theorem)."""
-    conditions = tuple(
-        RankCondition(cell.row, cell.col, rank)
-        for cell, rank in sorted(essential_set(p))
-    )
+    conditions = tuple(RankCondition(c.row, c.col, r) for c, r in sorted(essential_set(p)))
     return RankConditionSpec(p.n, conditions, label=p.one_line())
 
 
@@ -90,11 +87,8 @@ def spec_from_rank_matrix(p: PartialPermutation) -> RankConditionSpec:
     same ideal.
     """
     ranks = rank_matrix(p)
-    conditions = tuple(
-        RankCondition(i, j, ranks[i - 1][j - 1])
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-    )
+    sizes = range(1, p.n + 1)
+    conditions = tuple(RankCondition(i, j, ranks[i - 1][j - 1]) for i in sizes for j in sizes)
     return RankConditionSpec(p.n, conditions, label=f"{p.one_line()} full")
 
 
@@ -138,9 +132,7 @@ def spec_to_json(spec: RankConditionSpec) -> dict:
     return {
         "n": spec.ambient_n,
         "label": spec.label,
-        "conditions": [
-            {"i": c.row, "j": c.col, "r": c.max_rank} for c in spec.conditions
-        ],
+        "conditions": [{"i": c.row, "j": c.col, "r": c.max_rank} for c in spec.conditions],
     }
 
 

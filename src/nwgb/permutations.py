@@ -129,12 +129,7 @@ def inversions(p: PartialPermutation) -> int:
     number of Rothe diagram cells.
     """
     values = [v for v in p.images if v is not None]
-    return sum(
-        1
-        for i in range(len(values))
-        for j in range(i + 1, len(values))
-        if values[i] > values[j]
-    )
+    return sum(a > b for i, a in enumerate(values) for b in values[i + 1 :])
 
 
 def diagram_text(p: PartialPermutation) -> str:
@@ -147,9 +142,7 @@ def diagram_text(p: PartialPermutation) -> str:
     marks = dict.fromkeys(diagram, "D")
     marks.update((cell, "e") for cell, _ in essential)
     lines = [
-        " ".join(
-            "1" if value == j else marks.get((i, j), ".") for j in range(1, p.n + 1)
-        )
+        " ".join("1" if value == j else marks.get((i, j), ".") for j in range(1, p.n + 1))
         for i, value in enumerate(p.images, 1)
     ]
     boxes = "; ".join(f"({c.row},{c.col}) rank {r}" for c, r in sorted(essential))

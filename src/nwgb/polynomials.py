@@ -368,10 +368,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(out)
+        return self + -other
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -632,15 +629,16 @@ class _TermLayout:
         return _json_list(terms, self.indent, "[]")
 
 
-def json_text(value) -> str:
-    """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
-    strings, ints, a :class:`Polynomial` as :func:`polynomial_to_json` gives
-    it and an :class:`Antidiagonal` as ``{"rows": [...], "cols": [...]}``,
-    both ascending; anything else raises ``TypeError``.  ``indent`` sends
+def json_writer():
+    """A ``write(value, indent)``: ``json.dumps(value, indent=2)``, opening
+    at ``indent``, of dicts with string keys, lists, strings, ints, a
+    :class:`Polynomial` as :func:`polynomial_to_json` gives it and an
+    :class:`Antidiagonal` as ``{"rows": [...], "cols": [...]}``, both
+    ascending; anything else raises ``TypeError``.  ``indent`` sends
     ``json`` to its pure-Python encoder, which costs more than building a
     union basis; here each ``[row, col, exp]`` block and each factor is
-    written once per call, since a basis repeats both, and each term of a
-    polynomial in one piece."""
+    written once per writer, since a basis repeats both, and each term of
+    a polynomial in one piece."""
     layouts: dict[int, _TermLayout] = {}
     factors: dict[tuple[tuple[Cell, ...], int], str] = {}
 
@@ -670,4 +668,9 @@ def json_text(value) -> str:
             return text
         raise TypeError(f"{kind.__name__} is not written as JSON")
 
-    return write(value, 0)
+    return write
+
+
+def json_text(value) -> str:
+    """``value`` as one :func:`json_writer` writes it at indent 0."""
+    return json_writer()(value, 0)

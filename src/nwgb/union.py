@@ -20,6 +20,10 @@ their survivors.  This is the reading that reproduces the worked examples,
 e.g. a lone far-south cell of a mostly-consumed antidiagonal ends up as its
 own 1 x 1 factor.
 
+No generator depends on another once it is built, so ``union_generators``
+builds them one at a time and a writer can write and drop each in turn;
+``union_basis`` lists them.
+
 A stripped chain steps strictly SW by construction, so each factor is built
 without the checks ``Antidiagonal(...)`` makes; the tests run those checks
 on every factor instead.
@@ -30,10 +34,10 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ideals import RankConditionSpec, antidiagonals_of_spec
-from .polynomials import Antidiagonal, Cell, Polynomial, json_text, polynomial_text
+from .polynomials import Antidiagonal, Cell, Polynomial, json_writer, polynomial_text
 
 
 def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
@@ -137,14 +141,6 @@ class GeneratorProduct:
         return polynomial_text(self.poly)
 
 
-def basis_json_text(basis: Sequence[GeneratorProduct]) -> str:
-    """The basis as JSON text, laid out as ``json.dumps(..., indent=2)``
-    lays it out: one object per generator, ``{"factors": [{"rows": [...],
-    "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, with each
-    factor's rows and columns ascending."""
-    return json_text([{"factors": list(g.factors), "poly": g.poly} for g in basis])
-
-
 def generator_product(
     antidiags: Sequence[Antidiagonal],
     factors: Sequence[Antidiagonal] | None = None,
@@ -174,10 +170,11 @@ def generator_product(
     return GeneratorProduct(tuple(antidiags), tuple(factors), poly)
 
 
-def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
+def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorProduct]:
     """Basis of the intersection of the specs' ideals (= the union of the
-    schemes): one generator per choice of Fulton antidiagonals, one from
-    each spec, deduplicated, the first choice in enumeration order kept.
+    schemes), one generator at a time as it is read: one per choice of
+    Fulton antidiagonals, one from each spec, deduplicated, the first
+    choice in enumeration order kept.  The specs are checked first.
 
     A generator is the product of its factors' determinants, and generic
     minors are irreducible and no two are scalar multiples, so two choices
@@ -196,16 +193,38 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
             raise ValueError(
                 f"ambient sizes differ: {reprlib.repr(spec.ambient_n)} vs {reprlib.repr(ambient)}"
             )
-    choices = [antidiagonals_of_spec(spec) for spec in specs]
-    if any(not c for c in choices):
-        return []
+    return _generators([antidiagonals_of_spec(spec) for spec in specs])
+
+
+def _generators(choices: list[list[Antidiagonal]]) -> Iterator[GeneratorProduct]:
     minors: dict[tuple[Cell, ...], Polynomial] = {}
     seen: set[frozenset[tuple[Cell, ...]]] = set()
-    basis: list[GeneratorProduct] = []
-    for combo in product(*choices):
+    for combo in product(*choices):  # no combo when a spec has no choice
         factors = extract_factors(combo)
         key = frozenset(factor.cells for factor in factors)
         if key not in seen:
             seen.add(key)
-            basis.append(generator_product(combo, factors, minors))
-    return basis
+            yield generator_product(combo, factors, minors)
+
+
+def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
+    """``union_generators(specs)`` as a list."""
+    return list(union_generators(specs))
+
+
+def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
+    """The basis as JSON text, as ``json.dumps(..., indent=2)`` lays it out,
+    one chunk per generator as it is read: ``{"factors": [{"rows": [...],
+    "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, each
+    factor's rows and columns ascending, all from one ``json_writer``."""
+    write = json_writer()
+    opening = "[\n  "
+    for g in basis:
+        yield opening + write({"factors": list(g.factors), "poly": g.poly}, 2)
+        opening = ",\n  "
+    yield "[]" if opening == "[\n  " else "\n]"
+
+
+def basis_json_text(basis: Iterable[GeneratorProduct]) -> str:
+    """The chunks of :func:`basis_json_chunks`, joined."""
+    return "".join(basis_json_chunks(basis))

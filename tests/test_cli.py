@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,55 @@ def test_union_dimension_mismatch(tmp_path, spec_231, capsys):
     assert main(["union", spec_231, other]) == 2
 
 
+def test_union_text_bytes_are_the_same_on_stdout_and_through_out(tmp_path, capsys):
+    left = write_spec(tmp_path, "l.json", {"n": 4, "permutation": "1 4 2 3"})
+    right = write_spec(tmp_path, "r.json", {"n": 4, "permutation": "1 3 4 2"})
+    assert main(["union", left, right]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 9
+    target = tmp_path / "basis.txt"
+    assert main(["union", left, right, f"--out={target}"]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_union_empty_basis_prints_an_empty_json_list(tmp_path, spec_231, capsys):
+    identity = write_spec(tmp_path, "id.json", {"n": 3, "permutation": "1 2 3"})
+    assert main(["union", identity, spec_231, "--format=json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["union", identity, spec_231]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_union_ambient_mismatch_with_out_writes_nothing(tmp_path, spec_231, capsys):
+    # the specs are checked before the --out file is opened
+    other = write_spec(tmp_path, "s4.json", {"n": 4, "permutation": "2 1 4 3"})
+    target = tmp_path / "basis.json"
+    assert main(["union", spec_231, other, "--format=json", f"--out={target}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ambient sizes differ: 4 vs 3\n"
+    assert not target.exists()
+
+
+def test_union_json_out_peaks_below_the_file_it_writes(tmp_path, capsys):
+    # each generator is written as it is built, so no copy of the whole
+    # output (5.72 MB for this pooled synth job) is ever held
+    paths = [
+        write_spec(tmp_path, f"{name}.json", {"n": 6, "permutation": perm})
+        for name, perm in (("l", "1 2 3 4 6 5"), ("r", "3 5 1 6 4 2"))
+    ]
+    target = tmp_path / "basis.json"
+    tracemalloc.start()
+    try:
+        code = main(["union", *paths, "--format=json", f"--out={target}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
+
+
 def test_union_size_guard(tmp_path, capsys):
     big = write_spec(
         tmp_path,
@@ -297,7 +347,7 @@ def test_union_size_guard_runs_before_synthesis(tmp_path, capsys, monkeypatch):
     def no_synthesis(specs):
         raise AssertionError("the guard must stop the run before synthesis")
 
-    monkeypatch.setattr("nwgb.cli.union_basis", no_synthesis)
+    monkeypatch.setattr("nwgb.cli.union_generators", no_synthesis)
     big = write_spec(tmp_path, "big.json", {"n": 10, "permutation": "1 10 9 8 7 6 5 4 3 2"})
     other = write_spec(tmp_path, "o.json", {"n": 10, "permutation": "9 8 7 6 5 4 3 2 1 10"})
     assert main(["union", big, other, "--verify=full-oracle"]) == 2

@@ -10,7 +10,8 @@ pool, the fixed S7 pair of its ``synth`` workload and three pooled S6
 pairs of that workload.  The ``nwgb diagram`` digests were recorded before
 the diagram, essential set and text layout were read off one rank matrix,
 and the ``nwgb verify all`` digest before the suites' dispatch and random
-monomials lost their unused parameters.
+monomials lost their unused parameters.  The union digests are checked
+on stdout and again on the file ``--out`` writes.
 """
 
 import hashlib
@@ -56,6 +57,9 @@ def test_union_json_bytes_on_the_s7_pair(tmp_path, capsys):
     assert main(["union", *paths, "--format=json", "--verify=none"]) == 0
     digest = "5ad4f242a1960feb6e42f78a8fbedc01b3ea79f102e34717088a56cb8d32f52c"
     assert sha256(capsys.readouterr().out) == digest
+    target = tmp_path / "basis.json"
+    assert main(["union", *paths, "--format=json", "--verify=none", f"--out={target}"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -85,6 +89,9 @@ def test_union_json_bytes_on_s6_pairs(perms, digest, tmp_path, capsys):
         paths.append(str(path))
     assert main(["union", *paths, "--format=json", "--verify=none"]) == 0
     assert sha256(capsys.readouterr().out) == digest
+    target = tmp_path / "basis.json"
+    assert main(["union", *paths, "--format=json", "--verify=none", f"--out={target}"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

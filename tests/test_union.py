@@ -24,11 +24,12 @@ from nwgb import (
     parse_one_line,
     spec_from_permutation,
     union_basis,
+    union_generators,
 )
 import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
-from nwgb.union import GeneratorProduct, _longest_chain, basis_json_text
+from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, basis_json_text
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 
 
@@ -716,6 +717,30 @@ def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
     assert set(calls["minors"]) == {
         (f.rows(), f.cols()) for g in basis for f in g.factors
     }
+
+
+def test_union_basis_lists_union_generators_on_all_s4_pairs():
+    for specs in S4_PAIRS:
+        assert union_basis(specs) == list(union_generators(specs))
+
+
+def test_union_generators_check_the_specs_before_any_is_read():
+    with pytest.raises(ValueError, match="ambient sizes differ"):
+        union_generators(schubert_specs("2 3 1", "2 1 4 3"))
+    with pytest.raises(ValueError, match="need at least one spec"):
+        union_generators([])
+
+
+def test_basis_json_chunks_give_one_chunk_per_generator():
+    specs = schubert_specs("1 4 2 3", "1 3 4 2")
+    basis = union_basis(specs)
+    chunks = list(basis_json_chunks(union_generators(specs)))
+    assert len(chunks) == len(basis) + 1
+    assert chunks[0].startswith("[\n  {")
+    assert all(chunk.startswith(",\n  {") for chunk in chunks[1:-1])
+    assert chunks[-1] == "\n]"
+    assert "".join(chunks) == basis_json_text(basis)
+    assert list(basis_json_chunks([])) == ["[]"]
 
 
 S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
