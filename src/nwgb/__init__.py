@@ -31,7 +31,6 @@ from .polynomials import (
     polynomial_to_json,
 )
 from .ideals import (
-    FultonGenerator,
     RankCondition,
     RankConditionSpec,
     antidiagonals_of_spec,
@@ -45,7 +44,6 @@ from .ideals import (
 )
 from .union import (
     GeneratorProduct,
-    basis_json_text,
     extract_factors,
     generator_product,
     union_basis,

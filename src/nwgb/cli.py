@@ -134,17 +134,17 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
             "spec": spec_to_json(spec),
             "generators": [
                 {
-                    "rows": list(g.rows),
-                    "cols": list(g.cols),
-                    "condition": {"i": g.source.row, "j": g.source.col, "r": g.source.max_rank},
-                    "poly": g.poly,
+                    "rows": list(rows),
+                    "cols": list(cols),
+                    "condition": {"i": cond.row, "j": cond.col, "r": cond.max_rank},
+                    "poly": poly,
                 }
-                for g in gens
+                for cond, rows, cols, poly in gens
             ],
         }
         _emit([json_text(payload) + "\n"], args)
     else:
-        _emit(["".join(polynomial_text(g.poly) + "\n" for g in gens)], args)
+        _emit(["".join(polynomial_text(poly) + "\n" for _, _, _, poly in gens)], args)
     return EXIT_OK
 
 

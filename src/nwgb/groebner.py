@@ -336,7 +336,9 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     basis of the intersection.  The t-free part of the reduced basis is
     the reduced basis: its elements are monic, and no term of one is
     divisible by the lead of another, since that holds across the whole
-    reduced basis.  Filtering keeps ``buchberger``'s order, so the result
+    reduced basis.  An element is t-free exactly when its leading monomial
+    is, since a term with t outranks every term without it, so one lead
+    test picks it.  Filtering keeps ``buchberger``'s order, so the result
     is sorted by leading monomial, and it is recorded as ``buchberger``'s
     own output is.  An empty presentation is the zero ideal and absorbs.
     """
@@ -346,7 +348,7 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     one_minus_t = Polynomial.constant(1) - t
     mixed = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
     eliminated = buchberger(mixed)
-    return _record_reduced([g for g in eliminated if not g.uses(AUX)])
+    return _record_reduced([g for g in eliminated if not g.leading_monomial().uses(AUX)])
 
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:

@@ -63,16 +63,6 @@ class RankConditionSpec:
                 )
 
 
-@dataclass(frozen=True)
-class FultonGenerator:
-    """One minor imposed by a rank condition."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    poly: Polynomial
-    source: RankCondition
-
-
 def spec_from_permutation(p: PartialPermutation) -> RankConditionSpec:
     """Conditions at the essential boxes only (they suffice by Fulton's
     theorem)."""
@@ -106,16 +96,16 @@ def _minors(
                 yield cond, rows, cols
 
 
-def fulton_generators(spec: RankConditionSpec) -> list[FultonGenerator]:
-    """Every (r+1)-minor of every condition's region, in ``_minors`` order."""
-    return [
-        FultonGenerator(rows, cols, determinant(rows, cols), cond)
-        for cond, rows, cols in _minors(spec)
-    ]
+def fulton_generators(
+    spec: RankConditionSpec,
+) -> list[tuple[RankCondition, tuple[int, ...], tuple[int, ...], Polynomial]]:
+    """(condition, rows, cols, determinant) of every (r+1)-minor of every
+    condition's region, in ``_minors`` order."""
+    return [(cond, rows, cols, determinant(rows, cols)) for cond, rows, cols in _minors(spec)]
 
 
 def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
-    return [g.poly for g in fulton_generators(spec)]
+    return [poly for _, _, _, poly in fulton_generators(spec)]
 
 
 def antidiagonals_of_spec(spec: RankConditionSpec) -> list[Antidiagonal]:

@@ -89,9 +89,9 @@ class Monomial:
     ``key`` is the packed exponent vector and sorts as :func:`sort_key`;
     ``mask`` has the bit of every variable the monomial uses.  Both, the
     hash and the degree are computed once, at construction.  Build
-    instances through :meth:`make` or :meth:`from_cells`, which
-    canonicalize; ``Monomial()`` is 1.  ``*``, ``//``, :meth:`lcm` and
-    :meth:`divides` merge the two sorted keys.
+    instances through :meth:`from_cells`, which canonicalizes;
+    ``Monomial()`` is 1.  ``*``, ``//``, :meth:`lcm` and :meth:`divides`
+    merge the two sorted keys.
     """
 
     __slots__ = ("key", "mask", "_degree", "_hash")
@@ -103,26 +103,9 @@ class Monomial:
         self._hash = hash(key)
 
     @staticmethod
-    def make(exponents: Mapping[Cell, int] | Iterable[tuple[Cell, int]]) -> "Monomial":
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        merged: dict[int, int] = {}
-        for cell, exp in items:
-            if exp < 0:
-                raise ValueError(f"negative exponent for {cell}")
-            if exp:
-                code = _code(cell)
-                merged[code] = merged.get(code, 0) + exp
-        key: list[int] = []
-        mask = 0
-        for code in sorted(merged):
-            key += (code, -merged[code])
-            mask |= _bit(code)
-        key.append(_END)
-        return Monomial(tuple(key), mask, sum(merged.values()))
-
-    @staticmethod
     def from_cells(cells: Iterable[Cell]) -> "Monomial":
-        """Product of the given cells, one factor per occurrence."""
+        """Product of the given cells, one factor per occurrence: a cell
+        given k times is raised to the power k."""
         return _from_codes(sorted(_code(cell) for cell in cells))
 
     def degree(self) -> int:
@@ -338,7 +321,7 @@ class Polynomial:
 
     @staticmethod
     def variable(cell: Cell) -> "Polynomial":
-        return Polynomial({Monomial.make({cell: 1}): 1})
+        return Polynomial({Monomial.from_cells([cell]): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -385,9 +368,6 @@ class Polynomial:
 
     def __rmul__(self, other: "int | Fraction") -> "Polynomial":
         return self.__mul__(other)
-
-    def uses(self, cell: Cell) -> bool:
-        return any(m.uses(cell) for m in self.terms)
 
     def leading_term(self) -> tuple[int | Fraction, Monomial]:
         if self._lead is None:

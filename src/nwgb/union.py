@@ -223,8 +223,3 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
         yield opening + write({"factors": list(g.factors), "poly": g.poly}, 2)
         opening = ",\n  "
     yield "[]" if opening == "[\n  " else "\n]"
-
-
-def basis_json_text(basis: Iterable[GeneratorProduct]) -> str:
-    """The chunks of :func:`basis_json_chunks`, joined."""
-    return "".join(basis_json_chunks(basis))

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import nwgb.cli  # loads every layer, as a benchmark job does
 import nwgb.polynomials
-from nwgb.groebner import initial_ideal
-from nwgb.polynomials import Cell, determinant, sort_key
+from nwgb.groebner import initial_ideal, normal_form
+from nwgb.polynomials import Cell, Polynomial, determinant, sort_key
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -62,6 +62,14 @@ def test_tracer_installs_every_wrapper_and_restores_them():
 def test_sort_key_keeps_cache_info():
     info = sort_key.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_normal_form_remainder_is_truthy_exactly_when_nonzero():
+    # tracing.py's _sized reads a remainder's truth value to book
+    # groebner.normal_form.nonzero_ratio
+    minor = determinant([1, 2], [1, 2])
+    assert not normal_form(minor, [minor])
+    assert normal_form(Polynomial.variable(Cell(1, 1)), [minor])
 
 
 def test_serializers_that_the_checks_import():

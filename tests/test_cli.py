@@ -214,12 +214,12 @@ def test_fulton_json_bytes_equal_json_dumps(tmp_path, capsys, data):
     spec = load_spec(path)
     generators = [
         {
-            "rows": list(g.rows),
-            "cols": list(g.cols),
-            "condition": {"i": g.source.row, "j": g.source.col, "r": g.source.max_rank},
-            "poly": polynomial_to_json(g.poly),
+            "rows": list(rows),
+            "cols": list(cols),
+            "condition": {"i": cond.row, "j": cond.col, "r": cond.max_rank},
+            "poly": polynomial_to_json(poly),
         }
-        for g in fulton_generators(spec)
+        for cond, rows, cols, poly in fulton_generators(spec)
     ]
     expected = json.dumps({"spec": spec_to_json(spec), "generators": generators}, indent=2)
     assert capsys.readouterr().out == expected + "\n"
@@ -424,6 +424,38 @@ def test_union_s5_defect_full_oracle_fails(tmp_path, capsys, left, right, checks
         "groebner criterion: FAILED\n"
         "ideal equality vs oracle intersection: FAILED\n"
     )
+
+
+# two classical determinantal varieties, rank(NW 4x2) <= 1 and
+# rank(M) <= 2, which spec_from_permutation gives 1 3 4 * and 1 2 * *
+RANK_4X2_AT_MOST_1 = {"n": 4, "conditions": [{"i": 4, "j": 2, "r": 1}]}
+RANK_4X4_AT_MOST_2 = {"n": 4, "conditions": [{"i": 4, "j": 4, "r": 2}]}
+
+
+def test_union_4x4_determinantal_defect_full_oracle_fails(tmp_path, capsys):
+    # the known union defect (ROADMAP item 1) at n = 4: 5 of the 91
+    # generators lie outside an input ideal
+    paths = [
+        write_spec(tmp_path, "l.json", RANK_4X2_AT_MOST_1),
+        write_spec(tmp_path, "r.json", RANK_4X4_AT_MOST_2),
+    ]
+    assert main(["union", *paths, "--verify=full-oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 91
+    assert err == (
+        "membership: 182 checks, 5 failures\n"
+        "groebner criterion: FAILED\n"
+        "ideal equality vs oracle intersection: FAILED\n"
+    )
+
+
+def test_union_partial_permutation_defect_membership_fails(tmp_path, capsys):
+    paths = [
+        write_spec(tmp_path, "l.json", {"permutation": "1 2 * *"}),
+        write_spec(tmp_path, "r.json", {"permutation": "1 3 4 *"}),
+    ]
+    assert main(["union", *paths, "--verify=membership"]) == 1
+    assert capsys.readouterr().err == "membership: 182 checks, 5 failures\n"
 
 
 @pytest.mark.xfail(

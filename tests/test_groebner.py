@@ -47,6 +47,11 @@ def var(r, c):
     return Polynomial.variable(Cell(r, c))
 
 
+def power_product(pairs):
+    """The product of cell**exp over the (cell, exp) pairs."""
+    return Monomial.from_cells(cell for cell, exp in pairs for _ in range(exp))
+
+
 def spec_of(text):
     return spec_from_permutation(parse_one_line(text))
 
@@ -94,7 +99,7 @@ def test_remainder_terms_not_divisible_by_basis_leads():
     for _ in range(40):
         f = Polynomial(
             {
-                Monomial.make(
+                power_product(
                     [
                         (Cell(rng.randint(1, 3), rng.randint(1, 3)), rng.randint(1, 2))
                         for _ in range(rng.randint(0, 3))
@@ -143,7 +148,7 @@ def min_scan_normal_form(f, basis):
 def random_division_polynomial(rng, cells, terms):
     return Polynomial(
         {
-            Monomial.make(
+            power_product(
                 [(rng.choice(cells), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
             ): Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
             for _ in range(terms)
@@ -490,13 +495,31 @@ def test_intersection_output_is_t_free_and_in_both_ideals():
     meet = intersect(left, right)
     assert meet
     for f in meet:
-        assert not f.uses(AUX)
+        assert not any(m.uses(AUX) for m in f.terms)
         assert normal_form(
             f, buchberger(list(left.generators))
         ).is_zero()
         assert normal_form(
             f, buchberger(list(right.generators))
         ).is_zero()
+
+
+def test_t_free_lead_test_keeps_what_a_scan_of_every_term_keeps():
+    # intersect keeps an element of the basis of t*I + (1-t)*J when its
+    # leading monomial is t-free; t ranks above every matrix entry, so that
+    # is exactly when no term uses t
+    t = Polynomial.variable(AUX)
+    one_minus_t = Polynomial.constant(1) - t
+    rng = random.Random(23)
+    non_identity = honest_permutations(4)[1:]
+    for _ in range(8):
+        I, J = (ideal_of(spec_from_permutation(p)) for p in rng.sample(non_identity, 2))
+        mixed = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
+        eliminated = buchberger(mixed)
+        by_scan = [g for g in eliminated if not any(m.uses(AUX) for m in g.terms)]
+        assert [g for g in eliminated if not g.leading_monomial().uses(AUX)] == by_scan
+        assert 0 < len(by_scan) < len(eliminated)
+        assert intersect(I, J) == by_scan
 
 
 def test_intersect_many_folds_left():

@@ -37,7 +37,7 @@ def test_spec_from_231_and_its_generators():
     spec = spec_from_permutation(parse_one_line("2 3 1"))
     assert spec.conditions == (RankCondition(2, 1, 0),)
     gens = fulton_generators(spec)
-    assert [polynomial_text(g.poly) for g in gens] == ["1*m[1,1]", "1*m[2,1]"]
+    assert [polynomial_text(poly) for _, _, _, poly in gens] == ["1*m[1,1]", "1*m[2,1]"]
 
 
 def test_spec_from_identity_is_empty():
@@ -55,15 +55,16 @@ def test_2143_has_two_generators():
     spec = spec_from_permutation(parse_one_line("2 1 4 3"))
     gens = fulton_generators(spec)
     assert len(gens) == 2
-    assert gens[0].poly == Polynomial.variable(Cell(1, 1))
-    assert gens[1].poly == determinant([1, 2, 3], [1, 2, 3])
-    assert gens[1].rows == (1, 2, 3) and gens[1].cols == (1, 2, 3)
+    (_, _, _, first), (_, rows, cols, second) = gens
+    assert first == Polynomial.variable(Cell(1, 1))
+    assert second == determinant([1, 2, 3], [1, 2, 3])
+    assert rows == (1, 2, 3) and cols == (1, 2, 3)
 
 
 def test_full_grid_rank_zero_condition_yields_all_variables():
     spec = RankConditionSpec(2, (RankCondition(2, 2, 0),))
     gens = fulton_generators(spec)
-    assert [g.poly for g in gens] == [
+    assert [poly for _, _, _, poly in gens] == [
         Polynomial.variable(Cell(r, c)) for r in (1, 2) for c in (1, 2)
     ]
 
@@ -71,7 +72,7 @@ def test_full_grid_rank_zero_condition_yields_all_variables():
 def test_generator_enumeration_order_rows_then_cols():
     spec = RankConditionSpec(3, (RankCondition(3, 2, 1),))
     gens = fulton_generators(spec)
-    assert [(g.rows, g.cols) for g in gens] == [
+    assert [(rows, cols) for _, rows, cols, _ in gens] == [
         ((1, 2), (1, 2)),
         ((1, 3), (1, 2)),
         ((2, 3), (1, 2)),
@@ -106,9 +107,9 @@ def test_antidiagonals_deduplicated_across_conditions():
 def test_fulton_generator_leading_monomials_are_their_antidiagonals():
     for text in ("2 1 4 3", "1 5 4 3 2", "2 * 1"):
         spec = spec_from_permutation(parse_one_line(text))
-        for g in fulton_generators(spec):
-            antidiagonal = antidiagonal_of(g.rows, g.cols)
-            assert g.poly.leading_monomial() == Monomial.from_cells(antidiagonal.cells)
+        for _, rows, cols, poly in fulton_generators(spec):
+            antidiagonal = antidiagonal_of(rows, cols)
+            assert poly.leading_monomial() == Monomial.from_cells(antidiagonal.cells)
 
 
 def test_condition_validation():

@@ -36,9 +36,14 @@ def poly(*terms):
     return Polynomial({m: c for c, m in terms})
 
 
+def power_product(pairs):
+    """The product of cell**exp over the (cell, exp) pairs."""
+    return Monomial.from_cells(cell for cell, exp in pairs for _ in range(exp))
+
+
 def read_monomial(data):
     """The monomial monomial_to_json wrote as data."""
-    return Monomial.make([(Cell(row, col), exp) for row, col, exp in data])
+    return power_product((Cell(row, col), exp) for row, col, exp in data)
 
 
 def exponents(m):
@@ -66,7 +71,7 @@ def random_monomial(rng, n=5, max_vars=4, max_exp=3):
         (Cell(rng.randint(1, n), rng.randint(1, n)), rng.randint(1, max_exp))
         for _ in range(rng.randint(0, max_vars))
     ]
-    return Monomial.make(picks)
+    return power_product(picks)
 
 
 def random_polynomial(rng, n=4, terms=5):
@@ -210,9 +215,9 @@ def test_square_of_2x2_determinant():
     # hand expansion: (ad-bc)^2 = a^2d^2 - 2abcd + b^2c^2
     square = determinant([1, 2], [1, 2]) * determinant([1, 2], [1, 2])
     assert square == poly(
-        (1, Monomial.make({Cell(1, 1): 2, Cell(2, 2): 2})),
+        (1, mono((1, 1), (1, 1), (2, 2), (2, 2))),
         (-2, mono((1, 1), (1, 2), (2, 1), (2, 2))),
-        (1, Monomial.make({Cell(1, 2): 2, Cell(2, 1): 2})),
+        (1, mono((1, 2), (1, 2), (2, 1), (2, 1))),
     )
 
 
@@ -383,7 +388,7 @@ def test_polynomial_text_canonical_form():
 def test_polynomial_text_exponents_and_constants():
     f = Polynomial(
         {
-            Monomial.make({Cell(1, 1): 2}): Fraction(3, 2),
+            mono((1, 1), (1, 1)): Fraction(3, 2),
             MONOMIAL_ONE: Fraction(-1),
         }
     )
@@ -518,7 +523,7 @@ def ref_quotient(b, a):
 def packed(ref):
     """The same monomial built two ways: from the exponent map, and from
     a shuffled list of cells with one entry per power."""
-    built = Monomial.make(ref)
+    built = power_product(ref.items())
     cells = [cell for cell, e in ref.items() for _ in range(e)]
     random.Random(len(cells)).shuffle(cells)
     assert Monomial.from_cells(cells) == built

@@ -29,7 +29,7 @@ from nwgb import (
 import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
-from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, basis_json_text
+from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 
 
@@ -591,7 +591,7 @@ def test_union_1423_1342_has_nine_products_in_display_order():
 
 
 def generator_to_json(g):
-    """The dict tree that ``basis_json_text`` writes for one generator."""
+    """The dict tree that ``basis_json_chunks`` writes for one generator."""
     return {
         "factors": [{"rows": sorted(f.rows()), "cols": list(f.cols())} for f in g.factors],
         "poly": polynomial_to_json(g.poly),
@@ -739,7 +739,7 @@ def test_basis_json_chunks_give_one_chunk_per_generator():
     assert chunks[0].startswith("[\n  {")
     assert all(chunk.startswith(",\n  {") for chunk in chunks[1:-1])
     assert chunks[-1] == "\n]"
-    assert "".join(chunks) == basis_json_text(basis)
+    assert "".join(chunks) == "".join(basis_json_chunks(basis))
     assert list(basis_json_chunks([])) == ["[]"]
 
 
@@ -772,7 +772,7 @@ def test_basis_json_text_equals_json_dumps(cases):
     for specs in cases:
         basis = union_basis(specs)
         reference = [generator_to_json(g) for g in basis]
-        text = basis_json_text(basis)
+        text = "".join(basis_json_chunks(basis))
         assert text == json.dumps(reference, indent=2)
         assert json.loads(text) == reference
         if not basis:
@@ -789,4 +789,4 @@ def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
     # no union generator has these, but the writer matches json.dumps on them
     poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
     basis = [GeneratorProduct((), (), poly)]
-    assert basis_json_text(basis) == json.dumps([generator_to_json(g) for g in basis], indent=2)
+    assert "".join(basis_json_chunks(basis)) == json.dumps([generator_to_json(g) for g in basis], indent=2)
