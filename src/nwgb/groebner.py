@@ -17,19 +17,40 @@ a sum.  So does:
 
 The queue applies the chain criterion only through pairs it has already
 settled, so skipping pairs leaves every verdict and every reduced basis
-unchanged.  Division reads each basis's leading terms once, into one
-reducer list that every division by that basis shares (``buchberger``
-appends to it as its basis grows, and ``_interreduce`` as it keeps each
-element).  ``is_groebner`` runs the queue only on
-the minimal-lead subset of its input and reduces the other elements
-against that subset; the answer is exact (see its docstring).  Output is
-reduced, in one interreduction pass, so two generating sets span the same
-ideal exactly when ``buchberger`` gives both the same list
-(``ideals_equal``).  Ideal intersection uses the textbook elimination
-trick with one auxiliary variable, folded by ``intersect_many``.
-Everything runs under the one antidiagonal lex order of
-:mod:`nwgb.polynomials`, which ranks that variable first and so is also an
-elimination order for it.
+unchanged.  The queue indexes the leads by the variables they use
+(``_LeadIndex``), so the chain criterion ANDs a few bitsets instead of
+testing every settled third lead.  Division reads each basis's leading
+terms once, into one reducer list that every division by that basis
+shares (``_complete`` appends to it as its basis grows, and
+``_interreduce`` as it keeps each element), and reduces each term by the
+first reducer in list order whose lead divides it (``_scan``).
+``is_groebner`` runs the queue only on the minimal-lead subset of its
+input and reduces the other elements against that subset; the answer is
+exact (see its docstring).  Output is reduced, in one
+interreduction pass, so two generating sets span the same ideal exactly
+when ``buchberger`` gives both the same list (``ideals_equal``).  Ideal
+intersection uses the textbook elimination trick with one auxiliary
+variable, folded by ``intersect_many``.  Everything runs under the one
+antidiagonal lex order of :mod:`nwgb.polynomials`, which ranks that
+variable first and so is also an elimination order for it.
+
+Inside the engine a monomial is an int with packed exponents, as in the
+heap division of Monagan and Pearce ("Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
+(``buchberger``, ``is_groebner``, ``normal_forms``, ``s_polynomial``,
+``intersect``) lays out one field per variable of its inputs (``_Layout``):
+``bits`` bits each, a guard bit over ``bits - 1`` exponent bits, the most
+significant variable of the order (t, when present) in the highest field
+and each next one in the field below.  Comparing two such ints compares
+the exponent of the most significant variable first, then the next, which
+is the lex order: a larger int is a larger monomial, and a heap of negated
+ints pops the largest term.  A product is ``+``, a quotient ``-``, and
+divisibility, support and lcm are a few operations on the guard bits.
+The inputs are packed once, the work runs on ``{int: coefficient}``
+dicts, and only the result is unpacked.  The field width starts at
+``_FIELD_BITS``, doubled until the largest input degree fits, and a sum
+that reaches a guard bit restarts the whole call at double width: no
+exponent is ever wrong, and the width changes no result.
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -43,9 +64,9 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .polynomials import AUX, Monomial, Polynomial
+from .polynomials import AUX, Monomial, Polynomial, _from_codes
 
 
 @dataclass(frozen=True)
@@ -60,9 +81,131 @@ class IdealPresentation:
             raise ValueError("generators must be nonzero")
 
 
-# one reducer per nonzero divisor g: (lead mask, lead monomial, lead
-# coefficient, that coefficient when it is 1 or -1 and else 0, g)
-Reducer = tuple[int, Monomial, int | Fraction, int | Fraction, Polynomial]
+# the narrowest field: a guard bit over 7 exponent bits
+_FIELD_BITS = 8
+
+
+class _Overflow(Exception):
+    """An exponent outgrew the field width."""
+
+
+class _Layout:
+    """One call's packing of monomials into ints: a field of ``bits`` bits
+    for each variable the inputs use, in the order's significance from the
+    highest field down (see the module docstring)."""
+
+    def __init__(self, polys: Iterable[Polynomial], bits: int):
+        codes: set[int] = set()
+        seen = 0
+        for f in polys:
+            for mono in f.terms:
+                if mono.mask & ~seen:
+                    seen |= mono.mask
+                    codes.update(mono.key[:-1:2])
+        self.bits = bits
+        self.field = (1 << (bits - 1)) - 1  # the exponent bits of the lowest field
+        ordered = sorted(codes, reverse=True)  # least significant first
+        self.shift = {code: bits * index for index, code in enumerate(ordered)}
+        self.code_at = {shift: code for code, shift in self.shift.items()}
+        self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
+        self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
+        self.packed: dict[Monomial, int] = {}
+        self.monomials: dict[int, Monomial] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        x = self.packed.get(mono)
+        if x is None:
+            if mono.degree() > self.field:
+                raise _Overflow  # some exponent may not fit
+            key = mono.key  # (code, -exponent, ..., END)
+            shift = self.shift
+            x = 0
+            for i in range(0, len(key) - 1, 2):
+                x -= key[i + 1] << shift[key[i]]
+            self.packed[mono] = x
+            self.monomials[x] = mono
+        return x
+
+    def pack_poly(self, f: Polynomial) -> dict[int, int | Fraction]:
+        known = self.packed
+        out = {}
+        for mono, coeff in f.terms.items():
+            x = known.get(mono)
+            out[self.pack(mono) if x is None else x] = coeff
+        return out
+
+    def unpack(self, x: int) -> Monomial:
+        mono = self.monomials.get(x)
+        if mono is None:
+            codes: list[int] = []
+            support = (x + self.fill) & self.guard
+            while support:  # the most significant field in use first
+                top = support.bit_length() - 1
+                support ^= 1 << top
+                shift = top - self.bits + 1
+                codes += [self.code_at[shift]] * ((x >> shift) & self.field)
+            mono = self.monomials[x] = _from_codes(codes)
+        return mono
+
+    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
+        unpack = self.unpack
+        return Polynomial({unpack(x): coeff for x, coeff in terms.items()})
+
+    def degree(self, x: int) -> int:
+        ones = self.guard >> (self.bits - 1)  # the lowest bit of every field
+        total = plane = 0
+        while x:  # 2^plane for each field whose exponent has that bit set
+            total += (x & ones).bit_count() << plane
+            x = x >> 1 & self.fill
+            plane += 1
+        return total
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard  # no field borrows
+
+    def lcm(self, a: int, b: int) -> int:
+        higher = ((a | self.guard) - b) & self.guard  # guard set where a >= b
+        take = higher - (higher >> (self.bits - 1))
+        return (a & take) | (b & ~take)
+
+
+Result = TypeVar("Result")
+
+
+def _run(polys: Sequence[Polynomial], job: Callable[[_Layout], Result]) -> Result:
+    """``job`` on the narrowest layout of ``polys`` whose fields hold every
+    exponent it makes, from ``_FIELD_BITS`` up, doubling on overflow."""
+    bits = _FIELD_BITS
+    while True:
+        try:
+            return job(_Layout(polys, bits))
+        except _Overflow:
+            bits *= 2
+
+
+# one reducer per nonzero packed divisor g: (lead, the lead coefficient when
+# it is 1 or -1 and else 0, lead coefficient, the other terms of g)
+Reducer = tuple[int, int | Fraction, int | Fraction, list[tuple[int, int | Fraction]]]
+
+
+def _reducer(terms: dict[int, int | Fraction]) -> Reducer:
+    lead = max(terms)
+    coeff = terms[lead]
+    unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
+    return lead, unit, coeff, [(x, c) for x, c in terms.items() if x != lead]
+
+
+def _monic(terms: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    lead = terms[max(terms)]
+    if lead == 1:
+        return terms
+    if lead == -1:
+        return {x: -c for x, c in terms.items()}
+    out = {}
+    for x, c in terms.items():
+        q = Fraction(c, lead)
+        out[x] = q.numerator if q.denominator == 1 else q
+    return out
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -70,78 +213,83 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
     No term of the result is divisible by any basis leading monomial, and
     f minus the result lies in the ideal the basis generates.  The largest
-    pending term is taken from a heap of monomial keys: a monomial is
-    pushed when it enters the pending terms, and an entry whose term has
-    since cancelled is skipped when popped.  A processed term never comes
-    back, because every term a division step adds is smaller than it.
-    Reducers are tried in list order, after a support-mask test, so the
-    result is deterministic and is the same remainder as scanning for the
-    largest term at each step, for any basis, Groebner or not.
+    pending term is taken from a heap of negated packed monomials: a
+    monomial is pushed when it enters the pending terms, and an entry
+    whose term has since cancelled is skipped when popped.  A processed
+    term never comes back, because every term a division step adds is
+    smaller than it.  Reducers are tried in list order, so the result is
+    deterministic and is the same remainder as scanning for the largest
+    term at each step, for any basis, Groebner or not.
 
     A reducer that leads with 1 or -1 (every element of a ``buchberger``
     basis, every union generator) scales by the pending coefficient or its
     negative, so integral input stays on ints; any other lead divides, as
     an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
-    one basis.  The engine itself (``buchberger``, ``_interreduce``,
-    ``is_groebner``) divides through ``_divide``, with reducer lists it
-    builds once and extends.
+    one basis.  The engine itself divides through ``_divide``, with
+    reducer lists it builds once and extends.
     """
-    return _divide(f, _reducers(basis))
+    return normal_forms([f], basis)[0]
 
 
 def normal_forms(polys: Iterable[Polynomial], basis: Sequence[Polynomial]) -> list[Polynomial]:
-    """``normal_form(f, basis)`` of each f, in order, with the basis's
-    reducers (its leading terms and support masks) read once."""
-    reducers = _reducers(basis)
-    return [_divide(f, reducers) for f in polys]
+    """``normal_form(f, basis)`` of each f, in order, with the basis packed
+    and its reducers read once."""
+    polys = list(polys)
+
+    def job(layout: _Layout) -> list[Polynomial]:
+        first = _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], layout.guard)
+        return [layout.polynomial(_divide(layout.pack_poly(f), first, layout.guard)) for f in polys]
+
+    return _run([*polys, *basis], job)
 
 
-def _reducer(g: Polynomial) -> Reducer:
-    coeff, mono = g.leading_term()
-    unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
-    return mono.mask, mono, coeff, unit, g
+def _scan(reducers: list[Reducer], guard: int) -> Callable[[int], Reducer | None]:
+    """``first(x)``: the first reducer of the list, as it stands when
+    called, whose lead divides x, or None."""
+
+    def first(x: int) -> Reducer | None:
+        high = x | guard  # the guard-bit test of _Layout.divides, inlined
+        for reducer in reducers:
+            if (high - reducer[0]) & guard == guard:
+                return reducer
+        return None
+
+    return first
 
 
-def _reducers(basis: Iterable[Polynomial]) -> list[Reducer]:
-    return [_reducer(g) for g in basis if not g.is_zero()]
-
-
-def _divide(f: Polynomial, reducers: Sequence[Reducer]) -> Polynomial:
-    """The division loop of ``normal_form``, over a reducer list that many
-    divisions by one basis share."""
-    work = dict(f.terms)
-    heap = [(mono.key, mono) for mono in work]
+def _divide(work: dict, first: Callable[[int], Reducer | None], guard: int) -> dict:
+    """The division loop of ``normal_form`` on packed terms, which it
+    consumes; ``first(x)`` is the first reducer whose lead divides x."""
+    heap = [-x for x in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, int | Fraction] = {}
+    remainder = {}
     while heap:
-        mono = heapq.heappop(heap)[1]
+        mono = -heapq.heappop(heap)
         coeff = work.pop(mono, None)
         if coeff is None:
             continue  # cancelled after it was pushed
-        absent = ~mono.mask
-        for lead_mask, lead_mono, lead_coeff, unit, g in reducers:
-            if lead_mask & absent or not lead_mono.divides(mono):
-                continue
-            quotient = mono // lead_mono
-            factor = coeff * unit if unit else Fraction(coeff, lead_coeff)
-            for g_mono, g_coeff in g.terms.items():
-                if g_mono is lead_mono:
-                    continue  # cancels mono itself
-                target = g_mono * quotient
-                value = work.get(target)
-                if value is None:
-                    work[target] = -factor * g_coeff
-                    heapq.heappush(heap, (target.key, target))
-                else:
-                    value -= factor * g_coeff
-                    if value:
-                        work[target] = value
-                    else:
-                        del work[target]
-            break
-        else:
+        reducer = first(mono)
+        if reducer is None:
             remainder[mono] = coeff
-    return Polynomial(remainder)
+            continue
+        lead, unit, lead_coeff, tail = reducer
+        quotient = mono - lead
+        factor = coeff * unit if unit else Fraction(coeff, lead_coeff)
+        for x, c in tail:
+            target = x + quotient
+            value = work.get(target)
+            if value is None:
+                if target & guard:
+                    raise _Overflow
+                work[target] = -factor * c
+                heapq.heappush(heap, -target)
+            else:
+                value -= factor * c
+                if value:
+                    work[target] = value
+                else:
+                    del work[target]
+    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -154,105 +302,169 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     of 1 or -1 scales by a sign; any other divides, as an exact
     ``Fraction``.
     """
-    cf, mf = f.leading_term()
-    cg, mg = g.leading_term()
-    lcm = mf.lcm(mg)
-    terms: dict[Monomial, int | Fraction] = {}
-    for poly, lead_mono, lead_coeff, sign in ((f, mf, cf, 1), (g, mg, cg, -1)):
-        shift = lcm // lead_mono
-        # sign * c / lead == c * scale when the lead is a unit
-        scale = sign * lead_coeff if lead_coeff in (1, -1) else 0
-        for mono, coeff in poly.terms.items():
-            if mono is lead_mono:
-                continue
-            target = mono * shift
-            value = coeff * scale if scale else Fraction(sign * coeff, lead_coeff)
+    def job(layout: _Layout) -> Polynomial:
+        a, b = _reducer(layout.pack_poly(f)), _reducer(layout.pack_poly(g))
+        return layout.polynomial(_s_poly(a, b, layout.lcm(a[0], b[0]), layout.guard))
+
+    return _run([f, g], job)
+
+
+def _s_poly(a: Reducer, b: Reducer, lcm: int, guard: int) -> dict:
+    terms: dict[int, int | Fraction] = {}
+    made = 0
+    for (lead, unit, lead_coeff, tail), sign in ((a, 1), (b, -1)):
+        shift = lcm - lead
+        scale = sign * unit  # sign * c / lead == c * scale when the lead is a unit
+        for x, c in tail:
+            target = x + shift
+            made |= target
+            value = c * scale if scale else Fraction(sign * c, lead_coeff)
             terms[target] = terms.get(target, 0) + value
-    return Polynomial(terms)  # drops what cancelled
+    if made & guard:
+        raise _Overflow
+    return {x: c for x, c in terms.items() if c}
 
 
-def _interreduce(polys: Iterable[Polynomial]) -> list[Polynomial]:
-    """Reduce each monic polynomial once against the ones kept and the ones
-    not yet visited, dropping zeros.  When no leading monomial divides
-    another, no lead moves, so this is the reduced basis, in input order.
-    The reducers of the inputs are read once, and each kept element's is
-    added as it is kept."""
-    current = [p.monic() for p in polys if not p.is_zero()]
-    pending = _reducers(current)
-    kept: list[Polynomial] = []
+def _interreduce(polys: Iterable[dict], guard: int) -> tuple[list[dict], list[Reducer]]:
+    """Reduce each nonzero packed polynomial, made monic, once against the
+    ones kept and the ones not yet visited, dropping zeros; return the kept
+    ones and their reducers.  When no leading monomial divides another, no
+    lead moves, so this is the reduced basis, in input order."""
+    current = [_monic(p) for p in polys]
+    pending = [_reducer(p) for p in current]
+    kept: list[dict] = []
     kept_reducers: list[Reducer] = []
     for index, f in enumerate(current):
-        others = kept_reducers + pending[index + 1 :]
-        reduced = _divide(f, others) if others else f
-        if not reduced.is_zero():
-            g = reduced.monic()
+        reduced = _divide(f, _scan(kept_reducers + pending[index + 1 :], guard), guard)
+        if reduced:
+            g = _monic(reduced)
             kept.append(g)
             kept_reducers.append(_reducer(g))
-    return kept
+    return kept, kept_reducers
 
 
-def _minimal_split(basis: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Split nonzero polynomials into (M, rest): M holds, in ascending
-    leading monomial, each element whose leading monomial no earlier kept
-    element's divides.  Every leading monomial of ``rest`` is a multiple of
-    one in M, so M and the whole input have the same leading-term ideal."""
+def _minimal_split(polys: Sequence, leads: Sequence[int], layout: _Layout) -> tuple[list, list]:
+    """Split nonzero polynomials with these packed leading monomials into
+    (M, rest): M holds, in ascending leading monomial, each one whose
+    leading monomial no earlier kept one's divides.  Every leading monomial
+    of ``rest`` is a multiple of one in M, so M and the whole input have
+    the same leading-term ideal."""
     # ascending leading monomial; a divisor is never larger than a multiple,
     # so one pass keeps exactly the minimal generators
-    nonzero = [f for f in basis if not f.is_zero()]
-    ordered = sorted(nonzero, key=lambda f: f.leading_monomial().key, reverse=True)
-    minimal: list[Polynomial] = []
-    rest: list[Polynomial] = []
-    for f in ordered:
-        lead = f.leading_monomial()
-        if any(g.leading_monomial().divides(lead) for g in minimal):
-            rest.append(f)
+    minimal: list = []
+    kept: list[int] = []
+    rest: list = []
+    for index in sorted(range(len(polys)), key=leads.__getitem__):
+        if any(layout.divides(lead, leads[index]) for lead in kept):
+            rest.append(polys[index])
         else:
-            minimal.append(f)
+            minimal.append(polys[index])
+            kept.append(leads[index])
     return minimal, rest
 
 
-def _unsettled_pairs(leads: list[Monomial]) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of the S-pairs of ``leads`` that the
+class _LeadIndex:
+    """Leading monomials indexed by the variables they use, for the chain
+    criterion: ``divides_any(among, x)`` says whether the lead at some
+    position of the bitset ``among`` divides x.
+
+    A lead divides x when it uses no variable outside x's support and, if
+    it has an exponent above 1 (``powers``), passes the guard-bit test as
+    well."""
+
+    def __init__(self, layout: _Layout):
+        self.layout = layout
+        self.leads: list[int] = []
+        self.uses: dict[int, int] = {}  # a variable's guard bit -> positions whose lead uses it
+        self.powers = 0
+
+    def add(self, lead: int):
+        bit = 1 << len(self.leads)
+        self.leads.append(lead)
+        support = (lead + self.layout.fill) & self.layout.guard
+        if lead != support >> (self.layout.bits - 1):
+            self.powers |= bit
+        while support:
+            low = support & -support
+            support ^= low
+            self.uses[low] = self.uses.get(low, 0) | bit
+
+    def divides_any(self, among: int, x: int) -> bool:
+        layout = self.layout
+        support = (x + layout.fill) & layout.guard
+        for field, positions in self.uses.items():
+            if not support & field:
+                among &= ~positions
+        if among & ~self.powers:
+            return True
+        while among:
+            low = among & -among
+            if layout.divides(self.leads[low.bit_length() - 1], x):
+                return True
+            among ^= low
+        return False
+
+
+def _unsettled_pairs(reducers: list[Reducer], layout: _Layout) -> Iterator[tuple[int, int, int]]:
+    """(i, j, lcm), i < j, of the S-pairs of the reducers' leads that the
     product and chain criteria leave to be reduced, in the normal strategy
     (lcm degree, then the order).
 
-    The caller may append leading monomials to ``leads`` between steps;
-    their pairs join the queue before the next one is chosen.  A pair
-    counts as settled once it is yielded, so the caller must reduce it to
-    zero, or add its remainder to the basis, before asking for the next.
-    The chain criterion only uses settled pairs, never queued ones: two
-    queued pairs with equal lcm would otherwise each excuse the other.
+    The caller may append reducers between steps; their pairs join the
+    queue before the next one is chosen.  A pair counts as settled once it
+    is yielded, so the caller must reduce it to zero, or add its remainder
+    to the basis, before asking for the next.  The chain criterion only
+    uses settled pairs, never queued ones: two queued pairs with equal lcm
+    would otherwise each excuse the other.
     """
+    guard, fill = layout.guard, layout.fill
     settled: list[int] = []  # settled[i]: bit k set when the pair {i, k} is settled
-    queue: list[tuple[int, tuple, int, int, Monomial]] = []
+    index = _LeadIndex(layout)
+    leads = index.leads
+    supports: list[int] = []  # a guard bit for each variable a lead uses
+    queue: list[tuple[int, int, int, int]] = []
     while True:
-        for k in range(len(settled), len(leads)):
-            lead = leads[k]
-            mask = lead.mask
+        for k in range(len(settled), len(reducers)):
+            lead = reducers[k][0]
+            support = (lead + fill) & guard
             coprime = 0
             for i in range(k):
-                if leads[i].mask & mask:
-                    lcm = leads[i].lcm(lead)
-                    heapq.heappush(queue, (lcm.degree(), lcm.key, i, k, lcm))
+                if supports[i] & support:
+                    lcm = layout.lcm(leads[i], lead)
+                    heapq.heappush(queue, (layout.degree(lcm), -lcm, i, k))
                 else:  # product criterion
                     coprime |= 1 << i
                     settled[i] |= 1 << k
             settled.append(coprime)
+            supports.append(support)
+            index.add(lead)
         if not queue:
             return
-        _, _, i, j, lcm = heapq.heappop(queue)
+        _, lcm, i, j = heapq.heappop(queue)
+        lcm = -lcm
         chain = settled[i] & settled[j]  # never holds i or j
         settled[i] |= 1 << j
         settled[j] |= 1 << i
-        absent = ~lcm.mask
-        while chain:
-            low = chain & -chain
-            chain ^= low
-            k = low.bit_length() - 1
-            if not leads[k].mask & absent and leads[k].divides(lcm):
-                break  # chain criterion
-        else:
-            yield i, j
+        if not (chain and index.divides_any(chain, lcm)):  # else the chain criterion
+            yield i, j, lcm
+
+
+def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
+    """The reduced Groebner basis of packed polynomials, packed, in
+    ascending leading monomial: the S-pairs ``_unsettled_pairs`` leaves,
+    reduced in its order against the growing basis, then one interreduction
+    of the minimal-lead subset."""
+    guard = layout.guard
+    basis, reducers = _interreduce(generators, guard)  # reducers grows with the basis
+    first = _scan(reducers, guard)
+    for i, j, lcm in _unsettled_pairs(reducers, layout):
+        remainder = _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard)
+        if remainder:
+            g = _monic(remainder)
+            basis.append(g)
+            reducers.append(_reducer(g))
+    minimal = _minimal_split(basis, [r[0] for r in reducers], layout)[0]
+    return _interreduce(minimal, guard)[0]
 
 
 # the last reduced basis the engine returned, as a tuple of the same objects
@@ -273,10 +485,10 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
     leading monomial (ascending).
 
     Reduces the S-pairs that ``_unsettled_pairs`` leaves, in the normal
-    strategy, against the growing basis.  Skipped pairs change which
-    intermediate elements appear, not the result: the reduced basis of an
-    ideal is unique.  Zero input polynomials are ignored; an empty input
-    yields the empty basis.
+    strategy, against the growing basis (``_complete``).  Skipped pairs
+    change which intermediate elements appear, not the result: the
+    reduced basis of an ideal is unique.  Zero input polynomials are
+    ignored; an empty input yields the empty basis.
 
     The result is recorded, and so is ``intersect``'s.  When the input is
     the recorded basis B itself (the same objects, in the same order, and
@@ -289,17 +501,12 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
     last = _last_reduced
     if len(generators) == len(last) and all(map(operator.is_, generators, last)):
         return list(generators)
-    basis = _interreduce(generators)
-    reducers = _reducers(basis)  # grows with the basis, in basis order
-    leads = [f.leading_monomial() for f in basis]
-    for i, j in _unsettled_pairs(leads):
-        remainder = _divide(s_polynomial(basis[i], basis[j]), reducers)
-        if not remainder.is_zero():
-            g = remainder.monic()
-            basis.append(g)
-            reducers.append(_reducer(g))
-            leads.append(g.leading_monomial())
-    return _record_reduced(_interreduce(_minimal_split(basis)[0]))
+
+    def job(layout: _Layout) -> list[Polynomial]:
+        packed = [layout.pack_poly(f) for f in generators if f.terms]
+        return [layout.polynomial(f) for f in _complete(layout, packed)]
+
+    return _record_reduced(_run(generators, job))
 
 
 def is_groebner(generators: Sequence[Polynomial]) -> bool:
@@ -319,12 +526,20 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
       <M> = <G> with the same initial ideal, so M is one and both checks
       pass.
     """
-    minimal, rest = _minimal_split(generators)
-    reducers = _reducers(minimal)
-    for i, j in _unsettled_pairs([g.leading_monomial() for g in minimal]):
-        if not _divide(s_polynomial(minimal[i], minimal[j]), reducers).is_zero():
-            return False
-    return all(_divide(g, reducers).is_zero() for g in rest)
+
+    def job(layout: _Layout) -> bool:
+        guard = layout.guard
+        nonzero = [f for f in generators if f.terms]
+        leads = [layout.pack(f.leading_monomial()) for f in nonzero]
+        minimal, rest = _minimal_split(nonzero, leads, layout)
+        reducers = [_reducer(layout.pack_poly(f)) for f in minimal]
+        first = _scan(reducers, guard)
+        for i, j, lcm in _unsettled_pairs(reducers, layout):
+            if _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard):
+                return False
+        return not any(_divide(layout.pack_poly(f), first, guard) for f in rest)
+
+    return _run(generators, job)
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
@@ -338,17 +553,30 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     divisible by the lead of another, since that holds across the whole
     reduced basis.  An element is t-free exactly when its leading monomial
     is, since a term with t outranks every term without it, so one lead
-    test picks it.  Filtering keeps ``buchberger``'s order, so the result
-    is sorted by leading monomial, and it is recorded as ``buchberger``'s
-    own output is.  An empty presentation is the zero ideal and absorbs.
+    test picks it: packed, t has the highest field, and a monomial is
+    t-free exactly when it is below t itself.  The products with t and
+    1 - t are formed packed, and the completion's order is kept, so the
+    result is sorted by leading monomial; it is recorded as
+    ``buchberger``'s own output is.  An empty presentation is the zero
+    ideal and absorbs.
     """
     if not I.generators or not J.generators:
         return []
     t = Polynomial.variable(AUX)
-    one_minus_t = Polynomial.constant(1) - t
-    mixed = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
-    eliminated = buchberger(mixed)
-    return _record_reduced([g for g in eliminated if not g.leading_monomial().uses(AUX)])
+
+    def job(layout: _Layout) -> list[Polynomial]:
+        t_mono = layout.pack(t.leading_monomial())
+        mixed = [{x + t_mono: c for x, c in layout.pack_poly(f).items()} for f in I.generators]
+        for g in J.generators:
+            terms = layout.pack_poly(g)
+            for x, c in list(terms.items()):  # g - t*g
+                terms[x + t_mono] = terms.get(x + t_mono, 0) - c
+            mixed.append({x: c for x, c in terms.items() if c})
+        if any(x & layout.guard for f in mixed for x in f):
+            raise _Overflow
+        return [layout.polynomial(f) for f in _complete(layout, mixed) if max(f) < t_mono]
+
+    return _record_reduced(_run([t, *I.generators, *J.generators], job))
 
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:

@@ -23,7 +23,9 @@ most significant first; the codes ascend along the tuple, and ``END``
 closes it.  Plain tuple comparison of two keys is then the order, reversed:
 a > b exactly when ``a.key < b.key``.  Next to the key a monomial keeps
 its hash, its degree and a support mask, one bit per variable over one
-global variable index, so a failed divisibility test costs one AND.
+global variable index, so a failed divisibility test costs one AND.  The
+Groebner engine packs monomials into ints of its own at its boundary
+(see :mod:`nwgb.groebner`).
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ class Monomial:
     ``mask`` has the bit of every variable the monomial uses.  Both, the
     hash and the degree are computed once, at construction.  Build
     instances through :meth:`from_cells`, which canonicalizes;
-    ``Monomial()`` is 1.  ``*``, ``//``, :meth:`lcm` and :meth:`divides`
-    merge the two sorted keys.
+    ``Monomial()`` is 1.  ``*``, :meth:`lcm` and :meth:`divides` merge the
+    two sorted keys.
     """
 
     __slots__ = ("key", "mask", "_degree", "_hash")
@@ -176,32 +178,6 @@ class Monomial:
             if b[j + 1] > a[i + 1]:
                 return False
         return True
-
-    def __floordiv__(self, divisor: "Monomial") -> "Monomial":
-        if divisor.mask & ~self.mask:
-            raise ValueError(f"{divisor} does not divide {self}")
-        a = self.key
-        b = divisor.key
-        mask = self.mask
-        out: list[int] = []
-        j = 0
-        y = b[0]
-        for i in range(0, len(a) - 1, 2):
-            x = a[i]
-            if x != y:
-                out += (x, a[i + 1])
-                continue
-            rest = a[i + 1] - b[j + 1]  # minus the exponent left over
-            if rest > 0:
-                raise ValueError(f"{divisor} does not divide {self}")
-            if rest:
-                out += (x, rest)
-            else:
-                mask ^= _bit(x)
-            j += 2
-            y = b[j]
-        out.append(_END)
-        return Monomial(tuple(out), mask, self._degree - divisor._degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         a = self.key

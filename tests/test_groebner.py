@@ -1,5 +1,6 @@
 """Division, Buchberger, intersection and initial ideals."""
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -29,8 +30,7 @@ from nwgb import (
     union_basis,
 )
 from nwgb import groebner
-from nwgb.groebner import _minimal_split, _unsettled_pairs
-from nwgb.polynomials import compare, polynomial_text, sort_key
+from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
 
 
@@ -113,6 +113,15 @@ def test_remainder_terms_not_divisible_by_basis_leads():
             assert not any(lead.divides(m) for lead in leads)
 
 
+def quotient(mono, divisor):
+    """Reference: mono / divisor, for a divisor of mono, from their
+    exponent lists."""
+    exps = {(row, col): e for row, col, e in monomial_to_json(mono)}
+    for row, col, e in monomial_to_json(divisor):
+        exps[row, col] -= e
+    return Monomial.from_cells(Cell(*cell) for cell, e in exps.items() for _ in range(e))
+
+
 def min_scan_normal_form(f, basis):
     """Reference: the literal division loop, which finds the largest pending
     term by scanning all of them at every step."""
@@ -129,10 +138,10 @@ def min_scan_normal_form(f, basis):
         coeff = work[mono]
         for lead_mono, lead_coeff, g in reducers:
             if lead_mono.divides(mono):
-                quotient = mono // lead_mono
+                cofactor = quotient(mono, lead_mono)
                 factor = Fraction(coeff) / lead_coeff
                 for g_mono, g_coeff in g.terms.items():
-                    target = g_mono * quotient
+                    target = g_mono * cofactor
                     value = work.get(target, Fraction(0)) - factor * g_coeff
                     if value:
                         work[target] = value
@@ -235,8 +244,8 @@ def literal_s_polynomial(f, g):
     cf, mf = f.leading_term()
     cg, mg = g.leading_term()
     lcm = mf.lcm(mg)
-    return f * Polynomial({lcm // mf: Fraction(1) / cf}) - g * Polynomial(
-        {lcm // mg: Fraction(1) / cg}
+    return f * Polynomial({quotient(lcm, mf): Fraction(1) / cf}) - g * Polynomial(
+        {quotient(lcm, mg): Fraction(1) / cg}
     )
 
 
@@ -740,7 +749,7 @@ def fixed_point_interreduce(polys):
         kept = []
         for index, f in enumerate(current):
             others = kept + current[index + 1 :]
-            reduced = normal_form(f, others) if others else f
+            reduced = min_scan_normal_form(f, others) if others else f
             if reduced.is_zero():
                 changed = True
                 continue
@@ -760,15 +769,41 @@ def fixed_point_interreduced(minimal):
 
 
 def fixed_point_buchberger(generators):
-    """Reference: ``buchberger`` with the fixed point at both ends."""
+    """Reference: Buchberger with no criterion, on the engine-free division
+    and S-polynomial above.  Every pair of the growing basis is reduced,
+    the pairs of each new element included, the one with the smallest lcm
+    first, until all reduce to zero; then the elements whose leading
+    monomial no other's divides (the first of equal ones) are interreduced
+    to the fixed point."""
     basis = fixed_point_interreduce(generators)
-    leads = [f.leading_monomial() for f in basis]
-    for i, j in _unsettled_pairs(leads):
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+    leads = []
+    pairs = []  # a heap, smallest lcm degree first
+
+    def add(f):
+        lead = f.leading_monomial()
+        for k, other in enumerate(leads):
+            lcm = other.lcm(lead)
+            heapq.heappush(pairs, (lcm.degree(), sort_key(lcm), k, len(leads)))
+        leads.append(lead)
+
+    for f in basis:
+        add(f)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        remainder = min_scan_normal_form(literal_s_polynomial(basis[i], basis[j]), basis)
         if not remainder.is_zero():
             basis.append(remainder.monic())
-            leads.append(remainder.leading_monomial())
-    return fixed_point_interreduced(_minimal_split(basis)[0])
+            add(basis[-1])
+    minimal = [
+        f
+        for k, f in enumerate(basis)
+        if not any(
+            leads[i].divides(leads[k]) and (leads[i] != leads[k] or i < k)
+            for i in range(len(basis))
+            if i != k
+        )
+    ]
+    return fixed_point_interreduced(minimal)
 
 
 def assert_reduced(basis):
@@ -859,19 +894,19 @@ def completed(generators):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """One entry per pair queue ``buchberger`` starts, so per completion."""
+    """One entry per completion ``buchberger`` starts."""
     calls = []
-    queue = groebner._unsettled_pairs
+    complete = groebner._complete
 
-    def counted(leads):
-        calls.append(len(leads))
-        return queue(leads)
+    def counted(layout, generators):
+        calls.append(len(generators))
+        return complete(layout, generators)
 
-    monkeypatch.setattr(groebner, "_unsettled_pairs", counted)
+    monkeypatch.setattr(groebner, "_complete", counted)
     return calls
 
 
-def refuse(leads):
+def refuse(layout, generators):
     raise AssertionError("completed a basis the engine had just returned")
 
 
@@ -879,12 +914,12 @@ def refuse(leads):
 def test_initial_ideal_reads_the_basis_intersect_many_returned(texts, monkeypatch):
     expected = initial_ideal(completed(meet_of(texts)))
     meet = meet_of(texts)
-    monkeypatch.setattr(groebner, "_unsettled_pairs", refuse)
+    monkeypatch.setattr(groebner, "_complete", refuse)
     assert initial_ideal(meet) == expected
     assert ideals_equal(meet, meet)
     assert buchberger(meet) == meet and buchberger(meet) is not meet
     with pytest.raises(AssertionError, match="just returned"):
-        initial_ideal([Polynomial(dict(f.terms)) for f in meet])  # a miss reaches the queue
+        initial_ideal([Polynomial(dict(f.terms)) for f in meet])  # a miss completes
 
 
 EXTRA = var(5, 5)  # outside every northwest-rank ideal of S4 and S5
@@ -925,3 +960,175 @@ def test_buchberger_returns_its_own_output_unchanged(seed):
     for texts in seeded_triples(seed, 4, 10):
         meet = meet_of(texts)
         assert completed(meet) == meet
+
+
+# the packed representation ------------------------------------------------------
+
+PACKED_CELLS = [AUX, Cell(1, 3), Cell(1, 1), Cell(2, 2), Cell(3, 1)]
+
+
+def random_monomial(rng, cells=PACKED_CELLS, top=3):
+    """Exponents 0 to ``top`` on each cell, t included."""
+    return power_product([(cell, rng.randint(0, top)) for cell in cells])
+
+
+def layout_of(monos, bits=groebner._FIELD_BITS):
+    return groebner._Layout([Polynomial({m: 1}) for m in monos], bits)
+
+
+def test_packed_order_is_the_monomial_order():
+    rng = random.Random(89)
+    monos = [random_monomial(rng) for _ in range(80)] + [mono()]
+    for bits in (8, 16, 32):
+        layout = layout_of(monos, bits)
+        packed = [layout.pack(m) for m in monos]
+        for a, x in zip(monos, packed):
+            for b, y in zip(monos, packed):
+                assert (x > y) - (x < y) == compare(a, b)
+        assert sorted(monos, key=sort_key) == [layout.unpack(x) for x in sorted(packed, reverse=True)]
+
+
+def test_packed_divisibility_and_lcm_match_monomials():
+    rng = random.Random(97)
+    monos = [random_monomial(rng) for _ in range(50)]
+    monos += [m * random_monomial(rng, top=1) for m in monos[:25]]  # divisible pairs
+    divisible = 0
+    for bits in (8, 16):
+        layout = layout_of(monos, bits)
+        for a in monos:
+            for b in monos:
+                x, y = layout.pack(a), layout.pack(b)
+                assert layout.divides(x, y) == a.divides(b)
+                divisible += a.divides(b)
+                lcm = layout.lcm(x, y)
+                assert layout.unpack(lcm) == a.lcm(b)
+                assert layout.degree(lcm) == a.lcm(b).degree()
+    assert divisible > 4 * len(monos)
+
+
+def test_lead_index_finds_a_dividing_lead_among_the_chosen():
+    # squarefree leads and leads with powers, against Monomial.divides
+    rng = random.Random(101)
+    leads = [random_monomial(rng, top=rng.choice([1, 2])) for _ in range(30)]
+    probes = [random_monomial(rng) for _ in range(120)] + leads
+    layout = layout_of(leads + probes)
+    index = groebner._LeadIndex(layout)
+    found = 0
+    for k, lead in enumerate(leads):
+        index.add(layout.pack(lead))
+        for probe in probes[: 4 * (k + 1)]:
+            among = rng.getrandbits(k + 1)
+            expected = any(among >> i & 1 and a.divides(probe) for i, a in enumerate(leads[: k + 1]))
+            assert index.divides_any(among, layout.pack(probe)) == expected
+            found += expected
+    assert index.powers and index.powers != (1 << len(leads)) - 1
+    assert 0 < found < sum(4 * (k + 1) for k in range(len(leads)))
+
+
+def test_pack_then_unpack_is_the_identity():
+    rng = random.Random(103)
+    monos = [random_monomial(rng) for _ in range(60)] + [mono()]
+    layout = layout_of(monos)
+    packed = [layout.pack(m) for m in monos]
+    layout.monomials.clear()  # decode each int afresh
+    for m, x in zip(monos, packed):
+        back = layout.unpack(x)
+        assert (back.key, back.mask, back.degree()) == (m.key, m.mask, m.degree())
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field width of every layout tried, starting from 2 bits (one
+    exponent bit), so that nearly every call has to widen."""
+    tried = []
+
+    class Recording(groebner._Layout):
+        def __init__(self, polys, bits):
+            tried.append(bits)
+            super().__init__(polys, bits)
+
+    monkeypatch.setattr(groebner, "_FIELD_BITS", 2)
+    monkeypatch.setattr(groebner, "_Layout", Recording)
+    return tried
+
+
+def test_an_exponent_that_outgrows_its_field_widens_the_call(widths):
+    # m[1,1]^7 packs in 4 bits; rewriting each m[1,1] as m[2,2]^2 gives
+    # m[2,2]^14, which needs 8
+    x, y = var(1, 1), var(2, 2)
+    f = Polynomial({power_product([(Cell(1, 1), 7)]): 1})
+    assert normal_form(f, [x - y * y]) == Polynomial({power_product([(Cell(2, 2), 14)]): 1})
+    assert widths == [2, 4, 8]
+
+
+def test_widened_calls_give_the_reference_results(widths):
+    rng = random.Random(107)
+    for _ in range(40):
+        gens = random_reference_set(rng)
+        f = random_division_polynomial(rng, REFERENCE_CELLS, 5)
+        assert normal_form(f, gens) == min_scan_normal_form(f, gens)
+        nonzero = [g for g in gens if not g.is_zero()]
+        assert s_polynomial(nonzero[0], nonzero[-1]) == literal_s_polynomial(nonzero[0], nonzero[-1])
+        assert is_groebner(gens) == reference_is_groebner(gens)
+    assert {2, 4} <= set(widths)  # each call started at 2 bits and widened
+    x, y = var(1, 1), var(2, 2)
+    meet = intersect(IdealPresentation((x * x,)), IdealPresentation((x * y,)))
+    assert meet == [x * x * y]
+
+
+# every entry point against the engine-free references ---------------------------
+
+REFERENCE_CELLS = [AUX, Cell(1, 2), Cell(1, 1), Cell(2, 2)]
+
+
+def random_reference_set(rng):
+    """Two or three polynomials with Fraction coefficients, powers, t and
+    constant terms, and the zero polynomial among them.  Up to two factors
+    a term keeps the references, which reduce every pair, quick."""
+    gens = [
+        Polynomial(
+            {
+                power_product(
+                    [(rng.choice(REFERENCE_CELLS), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+                ): Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
+                for _ in range(rng.randint(1, 3))
+            }
+        )
+        for _ in range(rng.randint(2, 3))
+    ]
+    gens.insert(rng.randint(0, len(gens)), Polynomial())
+    return gens
+
+
+def reference_is_groebner(generators):
+    """Reference: every S-pair reduces to zero, with no criterion."""
+    gens = [g for g in generators if not g.is_zero()]
+    return all(
+        min_scan_normal_form(literal_s_polynomial(f, g), gens).is_zero()
+        for f, g in combinations(gens, 2)
+    )
+
+
+def test_entry_points_match_engine_free_references():
+    rng = random.Random(109)
+    seen = {"fraction lead": 0, "power": 0, "t": 0, "constant": 0, "groebner": 0, "not": 0}
+    for _ in range(60):
+        gens = random_reference_set(rng)
+        nonzero = [g for g in gens if not g.is_zero()]
+        for g in nonzero:
+            seen["fraction lead"] += type(g.leading_term()[0]) is Fraction
+            seen["power"] += any(not m.is_squarefree() for m in g.terms)
+            seen["t"] += any(m.uses(AUX) for m in g.terms)
+            seen["constant"] += any(m.degree() == 0 for m in g.terms)
+        basis = buchberger(gens)
+        assert basis == fixed_point_buchberger(gens)
+        verdict = is_groebner(gens)
+        assert verdict == reference_is_groebner(gens)
+        seen["groebner" if verdict else "not"] += 1
+        assert is_groebner(basis) and reference_is_groebner(basis)
+        for f in [random_division_polynomial(rng, REFERENCE_CELLS, 6) for _ in range(3)]:
+            assert normal_form(f, gens) == min_scan_normal_form(f, gens)
+            assert normal_form(f, basis) == min_scan_normal_form(f, basis)
+        for f, g in combinations(nonzero, 2):
+            assert s_polynomial(f, g) == literal_s_polynomial(f, g)
+    assert all(seen.values()), seen
