@@ -46,11 +46,13 @@ the exponent of the most significant variable first, then the next, which
 is the lex order: a larger int is a larger monomial, and a heap of negated
 ints pops the largest term.  A product is ``+``, a quotient ``-``, and
 divisibility, support and lcm are a few operations on the guard bits.
-The inputs are packed once, the work runs on ``{int: coefficient}``
-dicts, and only the result is unpacked.  The field width starts at
-``_FIELD_BITS``, doubled until the largest input degree fits, and a sum
-that reaches a guard bit restarts the whole call at double width: no
-exponent is ever wrong, and the width changes no result.
+A ``Monomial`` packs as the sum of one unit of its variable's field per
+entry of its key.  The inputs are packed once, the work runs on
+``{int: coefficient}`` dicts, and only the result is unpacked.  The
+field width starts at ``_FIELD_BITS``, doubled until the largest input
+degree fits, and a sum that reaches a guard bit restarts the whole call
+at double width: no exponent is ever wrong, and the width changes no
+result.
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -101,12 +103,12 @@ class _Layout:
             for mono in f.terms:
                 if mono.mask & ~seen:
                     seen |= mono.mask
-                    codes.update(mono.key[:-1:2])
+                    codes.update(mono.key[:-1])
         self.bits = bits
         self.field = (1 << (bits - 1)) - 1  # the exponent bits of the lowest field
         ordered = sorted(codes, reverse=True)  # least significant first
-        self.shift = {code: bits * index for index, code in enumerate(ordered)}
-        self.code_at = {shift: code for code, shift in self.shift.items()}
+        self.code_at = {bits * index: code for index, code in enumerate(ordered)}
+        self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
         self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
         self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
         self.packed: dict[Monomial, int] = {}
@@ -117,11 +119,8 @@ class _Layout:
         if x is None:
             if mono.degree() > self.field:
                 raise _Overflow  # some exponent may not fit
-            key = mono.key  # (code, -exponent, ..., END)
-            shift = self.shift
-            x = 0
-            for i in range(0, len(key) - 1, 2):
-                x -= key[i + 1] << shift[key[i]]
+            # one unit in its variable's field per factor of the key
+            x = sum(map(self.unit.__getitem__, mono.key[:-1]))
             self.packed[mono] = x
             self.monomials[x] = mono
         return x
@@ -225,22 +224,35 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     basis, every union generator) scales by the pending coefficient or its
     negative, so integral input stays on ints; any other lead divides, as
     an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
-    one basis.  The engine itself divides through ``_divide``, with
+    many bases.  The engine itself divides through ``_divide``, with
     reducer lists it builds once and extends.
     """
-    return normal_forms([f], basis)[0]
+    return normal_forms([f], [basis])[0][0]
 
 
-def normal_forms(polys: Iterable[Polynomial], basis: Sequence[Polynomial]) -> list[Polynomial]:
-    """``normal_form(f, basis)`` of each f, in order, with the basis packed
-    and its reducers read once."""
+def normal_forms(
+    polys: Iterable[Polynomial], bases: Iterable[Sequence[Polynomial]]
+) -> list[list[Polynomial]]:
+    """``[normal_form(f, basis) for f in polys]`` for each basis, in order.
+
+    Every input is packed once, in one layout, and each basis's reducers
+    are read once; each basis divides its own copy of every packed
+    dividend, since a division consumes its dividend."""
     polys = list(polys)
+    bases = list(bases)
 
-    def job(layout: _Layout) -> list[Polynomial]:
-        first = _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], layout.guard)
-        return [layout.polynomial(_divide(layout.pack_poly(f), first, layout.guard)) for f in polys]
+    def job(layout: _Layout) -> list[list[Polynomial]]:
+        guard = layout.guard
+        dividends = [layout.pack_poly(f) for f in polys]
+        remainders = []
+        for basis in bases:
+            first = _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], guard)
+            remainders.append(
+                [layout.polynomial(_divide(dict(f), first, guard)) for f in dividends]
+            )
+        return remainders
 
-    return _run([*polys, *basis], job)
+    return _run([*polys, *(g for basis in bases for g in basis)], job)
 
 
 def _scan(reducers: list[Reducer], guard: int) -> Callable[[int], Reducer | None]:

@@ -16,16 +16,26 @@ entries on the minor's antidiagonal; everything downstream relies on
 this.  Ranking t ahead of every matrix entry also makes it an
 elimination order for t, which is what ideal intersection needs.
 
-A monomial is stored packed, as its own sort key: a flat tuple of ints
-``(v0, -e0, v1, -e1, ..., END)``.  Each variable is one integer code
-``v = (row << 16) - col`` (t is 0), so ascending codes list the variables
-most significant first; the codes ascend along the tuple, and ``END``
-closes it.  Plain tuple comparison of two keys is then the order, reversed:
-a > b exactly when ``a.key < b.key``.  Next to the key a monomial keeps
-its hash, its degree and a support mask, one bit per variable over one
-global variable index, so a failed divisibility test costs one AND.  The
-Groebner engine packs monomials into ints of its own at its boundary
-(see :mod:`nwgb.groebner`).
+A monomial is stored as its own sort key: the ascending tuple of the
+codes of its factors, one entry per unit of exponent, closed by ``END``.
+Each variable is one integer code ``v = (row << 16) - col`` (t is 0), so
+ascending codes list the variables most significant first, and
+m[1,2]^2*m[2,1] is ``(v12, v12, v21, END)``.  Plain tuple comparison of
+two keys is then the order, reversed: a > b exactly when ``a.key <
+b.key``.  For let two keys first differ at position p.  Every entry from
+p on is at least the smaller of the two entries at p, so both monomials
+have the same power of every variable whose code is below both.  If
+both entries are codes, the smaller one, x, is the more significant
+variable, and its key holds one factor x more than the other: its
+monomial has the higher power of x and is the larger.  If one key has
+run out, its entry is ``END``, which is above every code, and the code
+in the other key is one factor more of that variable than the shorter
+key holds; again the smaller entry belongs to the larger monomial.
+
+Next to the key a monomial keeps its hash and a support mask, one bit
+per variable over one global variable index, so a failed divisibility
+test costs one AND.  The Groebner engine packs monomials into ints of
+its own at its boundary (see :mod:`nwgb.groebner`).
 """
 
 from __future__ import annotations
@@ -85,23 +95,22 @@ def _bit(code: int) -> int:
 
 
 class Monomial:
-    """Product of variables with positive exponents, packed (see the module
-    docstring).
+    """Product of variables with positive exponents, stored as its key (see
+    the module docstring).
 
-    ``key`` is the packed exponent vector and sorts as :func:`sort_key`;
-    ``mask`` has the bit of every variable the monomial uses.  Both, the
-    hash and the degree are computed once, at construction.  Build
-    instances through :meth:`from_cells`, which canonicalizes;
-    ``Monomial()`` is 1.  ``*``, :meth:`lcm` and :meth:`divides` merge the
-    two sorted keys.
+    ``key`` lists one code per factor and sorts as :func:`sort_key`;
+    ``mask`` has the bit of every variable the monomial uses.  Both and the
+    hash are computed once, at construction.  Build instances through
+    :meth:`from_cells`, which canonicalizes; ``Monomial()`` is 1.  ``*``
+    concatenates or sorts the two keys, and :meth:`lcm` and
+    :meth:`divides` merge them.
     """
 
-    __slots__ = ("key", "mask", "_degree", "_hash")
+    __slots__ = ("key", "mask", "_hash")
 
-    def __init__(self, key: tuple[int, ...] = (_END,), mask: int = 0, degree: int = 0):
+    def __init__(self, key: tuple[int, ...] = (_END,), mask: int = 0):
         self.key = key
         self.mask = mask
-        self._degree = degree
         self._hash = hash(key)
 
     @staticmethod
@@ -111,13 +120,13 @@ class Monomial:
         return _from_codes(sorted(_code(cell) for cell in cells))
 
     def degree(self) -> int:
-        return self._degree
+        return len(self.key) - 1
 
     def uses(self, cell: Cell) -> bool:
         return bool(self.mask & _bit(_code(cell)))
 
     def is_squarefree(self) -> bool:
-        return self._degree == len(self.key) >> 1
+        return self.mask.bit_count() == len(self.key) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
@@ -134,85 +143,46 @@ class Monomial:
             return self
         if len(a) == 1:
             return other
-        # one support wholly ahead of the other: concatenate
-        if a[-3] < b[0]:
+        if a[-2] <= b[0]:  # one key wholly ahead of the other: concatenate
             key = a[:-1] + b
-        elif b[-3] < a[0]:
+        elif b[-2] <= a[0]:
             key = b[:-1] + a
         else:
-            out: list[int] = []
-            i = j = 0
-            x = a[0]
-            y = b[0]
-            while x != y or x != _END:
-                if x < y:
-                    out += (x, a[i + 1])
-                    i += 2
-                    x = a[i]
-                elif y < x:
-                    out += (y, b[j + 1])
-                    j += 2
-                    y = b[j]
-                else:
-                    out += (x, a[i + 1] + b[j + 1])
-                    i += 2
-                    j += 2
-                    x = a[i]
-                    y = b[j]
-            out.append(_END)
-            key = tuple(out)
-        return Monomial(key, self.mask | other.mask, self._degree + other._degree)
+            key = tuple(sorted(a[:-1] + b))
+        return Monomial(key, self.mask | other.mask)
 
     def divides(self, other: "Monomial") -> bool:
         if self.mask & ~other.mask:
             return False
         a = self.key
-        if self._degree == len(a) >> 1:
+        if self.mask.bit_count() == len(a) - 1:
             return True  # squarefree, and its support lies in other's
         b = other.key
         j = 0
-        for i in range(0, len(a) - 1, 2):
-            code = a[i]
-            while b[j] != code:
-                j += 2
-            if b[j + 1] > a[i + 1]:
+        for code in a[:-1]:  # each factor of a meets its own factor of b
+            while b[j] < code:
+                j += 1
+            if b[j] != code:
                 return False
+            j += 1
         return True
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        a = self.key
-        b = other.key
         if not self.mask & other.mask:
             return self * other
+        a = self.key
+        b = other.key
         out: list[int] = []
-        degree = self._degree + other._degree
-        i = j = 0
-        x = a[0]
-        y = b[0]
-        while x != y or x != _END:
-            if x < y:
-                out += (x, a[i + 1])
-                i += 2
-                x = a[i]
-            elif y < x:
-                out += (y, b[j + 1])
-                j += 2
-                y = b[j]
-            else:
-                ea = a[i + 1]
-                eb = b[j + 1]
-                if ea < eb:  # a's power is the higher one
-                    out += (x, ea)
-                    degree += eb
-                else:
-                    out += (x, eb)
-                    degree += ea
-                i += 2
-                j += 2
-                x = a[i]
-                y = b[j]
-        out.append(_END)
-        return Monomial(tuple(out), self.mask | other.mask, degree)
+        j = 0
+        for code in a[:-1]:
+            while b[j] < code:
+                out.append(b[j])
+                j += 1
+            if b[j] == code:
+                j += 1  # a factor both have is taken once
+            out.append(code)
+        out += b[j:]
+        return Monomial(tuple(out), self.mask | other.mask)
 
     def __repr__(self) -> str:
         return monomial_text(self) or "1"
@@ -221,18 +191,10 @@ class Monomial:
 def _from_codes(codes: list[int]) -> Monomial:
     """The product of the variables with these codes, sorted ascending;
     a repeated code is a higher power."""
-    key: list[int] = []
     mask = 0
-    last = None
     for code in codes:
-        if code == last:
-            key[-1] -= 1
-        else:
-            key += (code, -1)
-            mask |= _bit(code)
-            last = code
-    key.append(_END)
-    return Monomial(tuple(key), mask, len(codes))
+        mask |= _bit(code)
+    return Monomial((*codes, _END), mask)
 
 
 MONOMIAL_ONE = Monomial()
@@ -472,35 +434,46 @@ def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _powers(key: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(code, exponent)`` of each variable of a key, in key order."""
+    powers: list[tuple[int, int]] = []
+    last = None
+    for code in key[:-1]:
+        if code == last:
+            powers[-1] = (code, powers[-1][1] + 1)
+        else:
+            powers.append((code, 1))
+            last = code
+    return powers
+
+
 def monomial_to_json(mono: Monomial) -> list[list[int]]:
     """[row, col, exp] per variable, row-major ascending (t first)."""
     out = []
-    key = mono.key
-    for i in range(0, len(key) - 1, 2):
-        code = key[i]
+    for code, exp in _powers(mono.key):
         row = (code + _COL_LIMIT - 1) >> _COL_BITS  # as in _cell, without the Cell
-        out.append([row, (row << _COL_BITS) - code, -key[i + 1]])
+        out.append([row, (row << _COL_BITS) - code, exp])
     out.sort()
     return out
 
 
 class _VariableTexts(dict):
-    """``(code, -exp)`` pair of a packed key -> ``(row, col, text)``, with
-    the text that ``render(row, col, exp)`` gives, made on first use."""
+    """``(code, exponent)`` of a variable -> ``(row, col, text)``, with the
+    text that ``render(row, col, exp)`` gives, made on first use."""
 
     def __init__(self, render):
         super().__init__()
         self.render = render
 
-    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int, str]:
-        row, col = _cell(pair[0])
-        entry = self[pair] = (row, col, self.render(row, col, -pair[1]))
+    def __missing__(self, power: tuple[int, int]) -> tuple[int, int, str]:
+        row, col = _cell(power[0])
+        entry = self[power] = (row, col, self.render(row, col, power[1]))
         return entry
 
     def row_major(self, key: tuple[int, ...]) -> list[str]:
-        """The texts of the variables of a packed key, row-major ascending,
-        as ``monomial_to_json`` lists them."""
-        found = sorted(map(self.__getitem__, zip(key[:-1:2], key[1::2])))
+        """The texts of the variables of a key, row-major ascending, as
+        ``monomial_to_json`` lists them."""
+        found = sorted(map(self.__getitem__, _powers(key)))
         return [entry[2] for entry in found]
 
 

@@ -90,8 +90,9 @@ def membership_failures(
     """One message per (spec, generator) pair where the generator does not
     reduce to zero against the spec's reduced basis (``spec_bases``)."""
     failures = []
-    for spec, ideal in zip(specs, bases):
-        for f, remainder in zip(basis, normal_forms(basis, ideal.generators)):
+    remainders = normal_forms(basis, [ideal.generators for ideal in bases])
+    for spec, spec_remainders in zip(specs, remainders):
+        for f, remainder in zip(basis, spec_remainders):
             if not remainder.is_zero():
                 failures.append(
                     f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"

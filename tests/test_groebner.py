@@ -184,7 +184,7 @@ def test_normal_form_matches_min_scan_reference():
         for ordered in (basis, basis[::-1]):
             expected = [min_scan_normal_form(f, ordered) for f in dividends]
             assert [normal_form(f, ordered) for f in dividends] == expected
-            assert normal_forms(dividends, ordered) == expected
+            assert normal_forms(dividends, [ordered]) == [expected]
             by_order.append([polynomial_text(r) for r in expected])
         order_mattered += sum(a != b for a, b in zip(*by_order))
     assert order_mattered > 30  # 53 of the 360 cases
@@ -203,10 +203,9 @@ def test_normal_form_matches_min_scan_reference():
     ]
     assert not is_groebner(bases[2]) and not is_groebner(bases[4])
     assert any(type(b.leading_term()[0]) is Fraction for b in bases[0])
-    for basis in bases:
-        expected = [min_scan_normal_form(f, basis) for f in dividends]
-        assert normal_forms(dividends, basis) == expected
-        assert [normal_form(f, basis) for f in dividends] == expected
+    expected = [[min_scan_normal_form(f, basis) for f in dividends] for basis in bases]
+    assert normal_forms(dividends, bases) == expected
+    assert [[normal_form(f, basis) for f in dividends] for basis in bases] == expected
 
 
 def test_normal_form_matches_min_scan_reference_on_groebner_bases():
@@ -220,7 +219,7 @@ def test_normal_form_matches_min_scan_reference_on_groebner_bases():
             f = f + random_division_polynomial(rng, cells, 3)
             assert normal_form(f, basis) == min_scan_normal_form(f, basis)
             dividends.append(f)
-        assert normal_forms(dividends, basis) == [normal_form(f, basis) for f in dividends]
+        assert normal_forms(dividends, [basis]) == [[normal_form(f, basis) for f in dividends]]
 
 
 def test_normal_form_of_zero_and_empty_basis():

@@ -13,9 +13,12 @@ from nwgb import (
     Monomial,
     Polynomial,
     antidiagonal_of,
+    buchberger,
     compare,
     determinant,
+    normal_form,
 )
+from nwgb import groebner
 from nwgb.polynomials import (
     AUX,
     MONOMIAL_ONE,
@@ -594,3 +597,36 @@ def test_packed_order_and_equality_match_reference():
     by_key = sorted(monos, key=sort_key)
     by_ref = sorted(refs, key=ref_vector, reverse=True)
     assert [exponents(m) for m in by_key] == by_ref
+
+
+def test_long_keys_and_high_exponents_match_reference():
+    # more than 64 factors and an exponent above 127, so the Groebner
+    # engine has to widen past its narrowest field
+    a = {AUX: 2, Cell(1, 3): 130, Cell(2, 2): 1, Cell(3, 1): 5}
+    b = {Cell(1, 3): 64, Cell(2, 2): 3, Cell(2, 1): 1, Cell(3, 1): 70}
+    ma, mb = packed(a), packed(b)
+    assert len(ma.key) == ma.degree() + 1 == 139
+    assert ma.degree() > (1 << (groebner._FIELD_BITS - 1)) - 1
+    for ref, m in ((a, ma), (b, mb)):
+        assert exponents(m) == ref
+        assert not m.is_squarefree()
+    lcm, product = ref_lcm(a, b), ref_mul(a, b)
+    assert_packed(ma * mb, product)
+    assert_packed(mb * ma, product)
+    assert_packed(ma.lcm(mb), lcm)
+    assert_packed(mb.lcm(ma), lcm)
+    for x, y in ((a, b), (b, a), (a, lcm), (b, product), (lcm, a), (lcm, product)):
+        assert packed(x).divides(packed(y)) == ref_divides(x, y)
+    high = packed({Cell(1, 3): 131, Cell(3, 1): 5})  # within a's support, one power too many
+    assert not high.divides(ma) and high.divides(ma * mb)
+    assert monomial_to_json(ma) == [[0, 0, 2], [1, 3, 130], [2, 2, 1], [3, 1, 5]]
+    assert monomial_text(ma) == "t^2*m[1,3]^130*m[2,2]*m[3,1]^5"
+    f = poly((3, ma), (Fraction(-1, 2), mb))
+    assert json_text(f) == json.dumps(polynomial_to_json(f), indent=2)
+
+    # rewriting each m[1,3] as m[2,2] gives m[2,2]^131
+    remainder = normal_form(poly((1, ma)), [poly((1, mono((1, 3))), (-1, mono((2, 2))))])
+    assert remainder == poly((1, packed({AUX: 2, Cell(2, 2): 131, Cell(3, 1): 5})))
+    assert normal_form(f * poly((1, mb)), [f]).is_zero()
+    # neither monomial divides the other, so they are their ideal's reduced basis
+    assert buchberger([poly((1, ma), (1, mb)), poly((2, mb))]) == [poly((1, mb)), poly((1, ma))]
