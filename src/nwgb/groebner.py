@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .polynomials import AUX, Monomial, Polynomial, _from_codes
+from .polynomials import _END, AUX, Monomial, Polynomial, _from_codes
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,8 @@ class _Layout:
     highest field down (see the module docstring)."""
 
     def __init__(self, polys: Iterable[Polynomial], bits: int):
-        codes: set[int] = set()
-        seen = 0
-        for f in polys:
-            for mono in f.terms:
-                if mono.mask & ~seen:
-                    seen |= mono.mask
-                    codes.update(mono.key[:-1])
+        codes = set().union(*[mono.key for f in polys for mono in f.terms])
+        codes.discard(_END)
         self.bits = bits
         self.field = (1 << (bits - 1)) - 1  # the exponent bits of the lowest field
         ordered = sorted(codes, reverse=True)  # least significant first
@@ -182,16 +177,15 @@ def _run(polys: Sequence[Polynomial], job: Callable[[_Layout], Result]) -> Resul
             bits *= 2
 
 
-# one reducer per nonzero packed divisor g: (lead, the lead coefficient when
-# it is 1 or -1 and else 0, lead coefficient, the other terms of g)
-Reducer = tuple[int, int | Fraction, int | Fraction, list[tuple[int, int | Fraction]]]
+# one reducer per nonzero packed divisor g: (lead, the other terms of g made
+# monic), so a division step scales the tail by the pending coefficient
+Reducer = tuple[int, list[tuple[int, int | Fraction]]]
 
 
 def _reducer(terms: dict[int, int | Fraction]) -> Reducer:
-    lead = max(terms)
-    coeff = terms[lead]
-    unit = coeff if coeff in (1, -1) else 0  # c / unit == c * unit
-    return lead, unit, coeff, [(x, c) for x, c in terms.items() if x != lead]
+    monic = _monic(terms)
+    lead = max(monic)
+    return lead, [(x, c) for x, c in monic.items() if x != lead]
 
 
 def _monic(terms: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
@@ -220,12 +214,14 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     deterministic and is the same remainder as scanning for the largest
     term at each step, for any basis, Groebner or not.
 
-    A reducer that leads with 1 or -1 (every element of a ``buchberger``
-    basis, every union generator) scales by the pending coefficient or its
-    negative, so integral input stays on ints; any other lead divides, as
-    an exact ``Fraction``.  ``normal_forms`` divides many polynomials by
-    many bases.  The engine itself divides through ``_divide``, with
-    reducer lists it builds once and extends.
+    Each divisor is made monic once, when its reducer is read, so a step
+    scales the divisor's other terms by the pending coefficient.  A lead of
+    1 or -1 (every element of a ``buchberger`` basis, every union
+    generator) leaves integral input on ints; any other lead makes the
+    monic tail hold exact ``Fraction`` values.  Dividing by the monic
+    divisor gives the same remainder.  ``normal_forms`` divides many
+    polynomials by many bases.  The engine itself divides through
+    ``_divide``, with reducer lists it builds once and extends.
     """
     return normal_forms([f], [basis])[0][0]
 
@@ -284,19 +280,18 @@ def _divide(work: dict, first: Callable[[int], Reducer | None], guard: int) -> d
         if reducer is None:
             remainder[mono] = coeff
             continue
-        lead, unit, lead_coeff, tail = reducer
+        lead, tail = reducer
         quotient = mono - lead
-        factor = coeff * unit if unit else Fraction(coeff, lead_coeff)
         for x, c in tail:
             target = x + quotient
             value = work.get(target)
             if value is None:
                 if target & guard:
                     raise _Overflow
-                work[target] = -factor * c
+                work[target] = -coeff * c
                 heapq.heappush(heap, -target)
             else:
-                value -= factor * c
+                value -= coeff * c
                 if value:
                     work[target] = value
                 else:
@@ -310,9 +305,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
     Written straight into one term dict: each term's monomial is shifted
     by lcm/mf (or lcm/mg), the two leading terms, which cancel exactly,
-    are skipped, and a coefficient that cancels to zero is dropped.  A lead
-    of 1 or -1 scales by a sign; any other divides, as an exact
-    ``Fraction``.
+    are skipped, and a coefficient that cancels to zero is dropped.  Both
+    are read as reducers, made monic, so (lcm/mf)*f/cf is the shifted
+    monic tail of f and the combination only scales by a sign.
     """
     def job(layout: _Layout) -> Polynomial:
         a, b = _reducer(layout.pack_poly(f)), _reducer(layout.pack_poly(g))
@@ -324,25 +319,24 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def _s_poly(a: Reducer, b: Reducer, lcm: int, guard: int) -> dict:
     terms: dict[int, int | Fraction] = {}
     made = 0
-    for (lead, unit, lead_coeff, tail), sign in ((a, 1), (b, -1)):
+    for (lead, tail), sign in ((a, 1), (b, -1)):
         shift = lcm - lead
-        scale = sign * unit  # sign * c / lead == c * scale when the lead is a unit
         for x, c in tail:
             target = x + shift
             made |= target
-            value = c * scale if scale else Fraction(sign * c, lead_coeff)
-            terms[target] = terms.get(target, 0) + value
+            terms[target] = terms.get(target, 0) + sign * c
     if made & guard:
         raise _Overflow
     return {x: c for x, c in terms.items() if c}
 
 
 def _interreduce(polys: Iterable[dict], guard: int) -> tuple[list[dict], list[Reducer]]:
-    """Reduce each nonzero packed polynomial, made monic, once against the
-    ones kept and the ones not yet visited, dropping zeros; return the kept
-    ones and their reducers.  When no leading monomial divides another, no
-    lead moves, so this is the reduced basis, in input order."""
-    current = [_monic(p) for p in polys]
+    """Reduce each nonzero packed polynomial, which it consumes, once
+    against the ones kept and the ones not yet visited, dropping zeros;
+    return the kept ones, made monic, and their reducers.  When no leading
+    monomial divides another, no lead moves, so this is the reduced basis,
+    in input order."""
+    current = list(polys)
     pending = [_reducer(p) for p in current]
     kept: list[dict] = []
     kept_reducers: list[Reducer] = []
@@ -472,9 +466,8 @@ def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
     for i, j, lcm in _unsettled_pairs(reducers, layout):
         remainder = _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard)
         if remainder:
-            g = _monic(remainder)
-            basis.append(g)
-            reducers.append(_reducer(g))
+            basis.append(remainder)
+            reducers.append(_reducer(remainder))
     minimal = _minimal_split(basis, [r[0] for r in reducers], layout)[0]
     return _interreduce(minimal, guard)[0]
 
@@ -541,15 +534,14 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
 
     def job(layout: _Layout) -> bool:
         guard = layout.guard
-        nonzero = [f for f in generators if f.terms]
-        leads = [layout.pack(f.leading_monomial()) for f in nonzero]
-        minimal, rest = _minimal_split(nonzero, leads, layout)
-        reducers = [_reducer(layout.pack_poly(f)) for f in minimal]
+        packed = [layout.pack_poly(f) for f in generators if f.terms]
+        minimal, rest = _minimal_split(packed, [max(f) for f in packed], layout)
+        reducers = [_reducer(f) for f in minimal]
         first = _scan(reducers, guard)
         for i, j, lcm in _unsettled_pairs(reducers, layout):
             if _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard):
                 return False
-        return not any(_divide(layout.pack_poly(f), first, guard) for f in rest)
+        return not any(_divide(f, first, guard) for f in rest)
 
     return _run(generators, job)
 

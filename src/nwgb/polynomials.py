@@ -17,25 +17,24 @@ this.  Ranking t ahead of every matrix entry also makes it an
 elimination order for t, which is what ideal intersection needs.
 
 A monomial is stored as its own sort key: the ascending tuple of the
-codes of its factors, one entry per unit of exponent, closed by ``END``.
+codes of its factors, one entry per unit of exponent, closed by ``_END``.
 Each variable is one integer code ``v = (row << 16) - col`` (t is 0), so
 ascending codes list the variables most significant first, and
-m[1,2]^2*m[2,1] is ``(v12, v12, v21, END)``.  Plain tuple comparison of
+m[1,2]^2*m[2,1] is ``(v12, v12, v21, _END)``.  Plain tuple comparison of
 two keys is then the order, reversed: a > b exactly when ``a.key <
-b.key``.  For let two keys first differ at position p.  Every entry from
+b.key``.  Let two keys first differ at position p.  Every entry from
 p on is at least the smaller of the two entries at p, so both monomials
 have the same power of every variable whose code is below both.  If
 both entries are codes, the smaller one, x, is the more significant
 variable, and its key holds one factor x more than the other: its
 monomial has the higher power of x and is the larger.  If one key has
-run out, its entry is ``END``, which is above every code, and the code
+run out, its entry is ``_END``, which is above every code, and the code
 in the other key is one factor more of that variable than the shorter
 key holds; again the smaller entry belongs to the larger monomial.
 
-Next to the key a monomial keeps its hash and a support mask, one bit
-per variable over one global variable index, so a failed divisibility
-test costs one AND.  The Groebner engine packs monomials into ints of
-its own at its boundary (see :mod:`nwgb.groebner`).
+Next to the key a monomial keeps only its hash.  The Groebner engine
+packs monomials into ints of its own at its boundary (see
+:mod:`nwgb.groebner`).
 """
 
 from __future__ import annotations
@@ -65,11 +64,6 @@ _COL_LIMIT = 1 << _COL_BITS
 _ROW_LIMIT = 1 << 32
 _END = 1 << 62  # closes every key; above the code of every variable
 
-# variable code -> its bit in a support mask, filled in by _bit; the
-# index is the pairing (r, c) -> (r+c)(r+c+1)/2 + c, so every cell has its
-# own bit whatever the order in which cells are first seen
-_BITS: dict[int, int] = {}
-
 
 def _code(cell: Iterable[int]) -> int:
     """The variable code of a cell: ascending codes are descending
@@ -85,32 +79,21 @@ def _cell(code: int) -> Cell:
     return Cell(row, (row << _COL_BITS) - code)
 
 
-def _bit(code: int) -> int:
-    bit = _BITS.get(code)
-    if bit is None:
-        row, col = _cell(code)
-        diagonal = row + col
-        bit = _BITS[code] = 1 << ((diagonal * (diagonal + 1) >> 1) + col)
-    return bit
-
-
 class Monomial:
     """Product of variables with positive exponents, stored as its key (see
     the module docstring).
 
-    ``key`` lists one code per factor and sorts as :func:`sort_key`;
-    ``mask`` has the bit of every variable the monomial uses.  Both and the
-    hash are computed once, at construction.  Build instances through
+    ``key`` lists one code per factor and sorts as :func:`sort_key`; the
+    hash is computed once, at construction.  Build instances through
     :meth:`from_cells`, which canonicalizes; ``Monomial()`` is 1.  ``*``
-    concatenates or sorts the two keys, and :meth:`lcm` and
-    :meth:`divides` merge them.
+    concatenates or sorts the two keys, :meth:`lcm` is one merge of them,
+    and :meth:`divides` the same merge after a length check.
     """
 
-    __slots__ = ("key", "mask", "_hash")
+    __slots__ = ("key", "_hash")
 
-    def __init__(self, key: tuple[int, ...] = (_END,), mask: int = 0):
+    def __init__(self, key: tuple[int, ...] = (_END,)):
         self.key = key
-        self.mask = mask
         self._hash = hash(key)
 
     @staticmethod
@@ -123,10 +106,10 @@ class Monomial:
         return len(self.key) - 1
 
     def uses(self, cell: Cell) -> bool:
-        return bool(self.mask & _bit(_code(cell)))
+        return _code(cell) in self.key
 
     def is_squarefree(self) -> bool:
-        return self.mask.bit_count() == len(self.key) - 1
+        return len(set(self.key)) == len(self.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
@@ -149,15 +132,13 @@ class Monomial:
             key = b[:-1] + a
         else:
             key = tuple(sorted(a[:-1] + b))
-        return Monomial(key, self.mask | other.mask)
+        return Monomial(key)
 
     def divides(self, other: "Monomial") -> bool:
-        if self.mask & ~other.mask:
-            return False
         a = self.key
-        if self.mask.bit_count() == len(a) - 1:
-            return True  # squarefree, and its support lies in other's
         b = other.key
+        if len(a) > len(b):
+            return False  # a higher degree
         j = 0
         for code in a[:-1]:  # each factor of a meets its own factor of b
             while b[j] < code:
@@ -168,8 +149,6 @@ class Monomial:
         return True
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        if not self.mask & other.mask:
-            return self * other
         a = self.key
         b = other.key
         out: list[int] = []
@@ -182,7 +161,7 @@ class Monomial:
                 j += 1  # a factor both have is taken once
             out.append(code)
         out += b[j:]
-        return Monomial(tuple(out), self.mask | other.mask)
+        return Monomial(tuple(out))
 
     def __repr__(self) -> str:
         return monomial_text(self) or "1"
@@ -191,10 +170,7 @@ class Monomial:
 def _from_codes(codes: list[int]) -> Monomial:
     """The product of the variables with these codes, sorted ascending;
     a repeated code is a higher power."""
-    mask = 0
-    for code in codes:
-        mask |= _bit(code)
-    return Monomial((*codes, _END), mask)
+    return Monomial((*codes, _END))
 
 
 MONOMIAL_ONE = Monomial()
@@ -232,12 +208,10 @@ class Polynomial:
     integral and as a ``Fraction`` otherwise, never as a float; the
     constructor converts what it is given (a float exactly, as ``Fraction``
     does).  ``3 == Fraction(3)``, both hash and print alike, so the stored
-    type changes no comparison and no output.  The leading term is found on
-    first request and kept, which relies on ``terms`` never changing after
-    construction.
+    type changes no comparison and no output.
     """
 
-    __slots__ = ("terms", "_lead")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         clean: dict[Monomial, int | Fraction] = {}
@@ -251,7 +225,6 @@ class Polynomial:
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
-        self._lead: tuple[int | Fraction, Monomial] | None = None
 
     @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
@@ -308,12 +281,10 @@ class Polynomial:
         return self.__mul__(other)
 
     def leading_term(self) -> tuple[int | Fraction, Monomial]:
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("the zero polynomial has no leading term")
-            mono = min(self.terms, key=_key_of)
-            self._lead = (self.terms[mono], mono)
-        return self._lead
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        mono = min(self.terms, key=_key_of)
+        return self.terms[mono], mono
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
@@ -482,7 +453,7 @@ def _name(row: int, col: int, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-# like _BITS, a cache of a pure function, shared by every call
+# a cache of a pure function, shared by every call
 _NAMES = _VariableTexts(_name)
 
 

@@ -128,6 +128,33 @@ def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
     return strip({cell for antidiag in antidiags for cell in antidiag.cells})
 
 
+def certified(factors: Iterable[Antidiagonal], spec: RankConditionSpec) -> bool:
+    """Whether the product of the factors' determinants is certified to lie
+    in the spec's ideal: some factor, on rows R and columns C, and some
+    condition rank(NW i x j) <= r give
+
+        b = |R & [1, i]| + |C & [1, j]| - |R| > r.
+
+    That is sound for any northwest spec, by Laplace expansion.  Expand the
+    factor's minor along its rows in [1, i]: each term holds a minor on
+    those rows and on some |R & [1, i]| columns of C, of which at most
+    |C| - |C & [1, j]| lie outside [1, j], so at least b inside.  Expand
+    that minor along its columns in [1, j]: each term holds a minor of the
+    NW i x j block of size at least b > r, which lies in the ideal of that
+    block's (r+1)-minors.  So the factor's minor, and with it the product,
+    lies in the condition's ideal.  The converse is not proved; the tests
+    measure it on Schubert specs, whose ideals are prime.
+    """
+    return any(
+        sum(cell.row <= cond.row for cell in factor.cells)
+        + sum(cell.col <= cond.col for cell in factor.cells)
+        - len(factor.cells)
+        > cond.max_rank
+        for factor in factors
+        for cond in spec.conditions
+    )
+
+
 @dataclass(frozen=True)
 class GeneratorProduct:
     """One basis element: the input antidiagonals, the extracted factors,

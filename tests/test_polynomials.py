@@ -537,7 +537,7 @@ def assert_packed(m, ref):
     """m is the monomial of ref, down to the fields kept next to its key."""
     built = packed(ref)
     assert m == built
-    assert (m.key, m.mask, m.degree(), hash(m)) == (built.key, built.mask, built.degree(), hash(built))
+    assert (m.key, m.degree(), hash(m)) == (built.key, built.degree(), hash(built))
     assert [m.uses(cell) for cell in REF_VARIABLES] == [cell in ref for cell in REF_VARIABLES]
 
 

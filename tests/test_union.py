@@ -21,6 +21,7 @@ from nwgb import (
     generator_polynomials,
     generator_product,
     normal_form,
+    normal_forms,
     parse_one_line,
     spec_from_permutation,
     union_basis,
@@ -29,7 +30,7 @@ from nwgb import (
 import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
-from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks
+from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, certified
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 
 
@@ -496,8 +497,7 @@ def s5_bad_generators(pair, bases):
 
 @pytest.fixture(scope="module")
 def s5_bases():
-    texts = [p.one_line() for p in honest_permutations(5)]
-    return dict(zip(texts, spec_bases(schubert_specs(*texts))))
+    return bases_by_label(honest_permutations(5))
 
 
 def test_s5_census_failing_pairs(s5_bases):
@@ -515,6 +515,82 @@ def test_s5_census_sample_of_other_pairs_passes(s5_bases):
     assert len(others) == 7021 - 94
     for pair in random.Random(13).sample(others, 100):
         assert s5_bad_generators(pair, s5_bases) == (0, 0)
+
+
+# the membership certificate -------------------------------------------------------
+
+def certificate_census(cases, bases):
+    """(members, non-members) over every generator of each case's union
+    basis and each of the case's specs, checking that ``certified`` says
+    member exactly when the generator reduces to zero against the spec's
+    reduced basis (``bases``, by spec label)."""
+    members = outside = 0
+    for texts in cases:
+        specs = schubert_specs(*texts)
+        basis = union_basis(specs)
+        remainders = normal_forms(
+            [g.poly for g in basis], [bases[spec.label].generators for spec in specs]
+        )
+        for spec, spec_remainders in zip(specs, remainders):
+            for g, remainder in zip(basis, spec_remainders):
+                member = remainder.is_zero()
+                assert certified(g.factors, spec) == member, (texts, spec.label, g.factors)
+                members += member
+                outside += not member
+    return members, outside
+
+
+def bases_by_label(perms):
+    texts = [p.one_line() for p in perms]
+    return dict(zip(texts, spec_bases(schubert_specs(*texts))))
+
+
+def partial_permutations(n):
+    """Every partial permutation of size n, the empty one included."""
+    found = []
+    for images in product([None, *range(1, n + 1)], repeat=n):
+        defined = [v for v in images if v is not None]
+        if len(set(defined)) == len(defined):
+            found.append(PartialPermutation(images))
+    return found
+
+
+@pytest.fixture(scope="module")
+def s4_bases():
+    return bases_by_label(honest_permutations(4))
+
+
+def test_certificate_decides_membership_on_all_s4_pairs(s4_bases):
+    texts = [t for t in s4_bases if t != "1 2 3 4"]
+    assert certificate_census(combinations(texts, 2), s4_bases) == (5720, 0)
+
+
+def test_certificate_decides_membership_on_seeded_triples(s4_bases, s5_bases):
+    rng = random.Random(4)
+    s4_texts = list(s4_bases)
+    triples = [rng.sample(s4_texts, 3) for _ in range(40)]
+    assert certificate_census(triples, s4_bases) == (2292, 0)
+    # the 14th of these triples has 2 generators outside one of its ideals
+    rng = random.Random(5)
+    s5_texts = list(s5_bases)
+    triples = [rng.sample(s5_texts, 3) for _ in range(20)]
+    assert certificate_census(triples, s5_bases) == (15451, 2)
+
+
+def test_certificate_decides_membership_on_the_failing_s5_pairs(s5_bases):
+    assert certificate_census(S5_FAILING_PAIRS, s5_bases) == (7326, 96)
+
+
+def test_certificate_decides_membership_on_partial_permutation_pairs():
+    perms = partial_permutations(4)
+    assert len(perms) == 209
+    bases = bases_by_label(perms)
+    # two classical determinantal varieties: rank <= 2, and rank(NW 4x2) <= 1
+    assert certificate_census([("1 2 * *", "1 3 4 *")], bases) == (177, 5)
+    pairs = list(combinations(bases, 2))
+    assert len(pairs) == 21736
+    sample = random.Random(44).sample(pairs, 100)
+    assert certificate_census(sample, bases) == (27836, 2)
 
 
 # union bases ---------------------------------------------------------------------
