@@ -27,7 +27,8 @@ first reducer in list order whose lead divides it (``_scan``).
 ``is_groebner`` runs the queue only on the minimal-lead subset of its
 input and reduces the other elements against that subset; the answer is
 exact (see its docstring).  Output is reduced, in one
-interreduction pass, so two generating sets span the same ideal exactly
+interreduction pass (none when nothing moved, see ``_complete``), so two
+generating sets span the same ideal exactly
 when ``buchberger`` gives both the same list (``ideals_equal``).  Ideal
 intersection uses the textbook elimination trick with one auxiliary
 variable, folded by ``intersect_many``.  Everything runs under the one
@@ -38,7 +39,8 @@ Inside the engine a monomial is an int with packed exponents, as in the
 heap division of Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
 (``buchberger``, ``is_groebner``, ``normal_forms``, ``s_polynomial``,
-``intersect``) lays out one field per variable of its inputs (``_Layout``):
+``intersect``) lays out one field per variable of its inputs (``_Layout``,
+from :mod:`nwgb.polynomials`, which the union products use too):
 ``bits`` bits each, a guard bit over ``bits - 1`` exponent bits, the most
 significant variable of the order (t, when present) in the highest field
 and each next one in the field below.  Comparing two such ints compares
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .polynomials import _END, AUX, Monomial, Polynomial, _from_codes
+from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow
 
 
 @dataclass(frozen=True)
@@ -85,83 +87,6 @@ class IdealPresentation:
 
 # the narrowest field: a guard bit over 7 exponent bits
 _FIELD_BITS = 8
-
-
-class _Overflow(Exception):
-    """An exponent outgrew the field width."""
-
-
-class _Layout:
-    """One call's packing of monomials into ints: a field of ``bits`` bits
-    for each variable the inputs use, in the order's significance from the
-    highest field down (see the module docstring)."""
-
-    def __init__(self, polys: Iterable[Polynomial], bits: int):
-        codes = set().union(*[mono.key for f in polys for mono in f.terms])
-        codes.discard(_END)
-        self.bits = bits
-        self.field = (1 << (bits - 1)) - 1  # the exponent bits of the lowest field
-        ordered = sorted(codes, reverse=True)  # least significant first
-        self.code_at = {bits * index: code for index, code in enumerate(ordered)}
-        self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
-        self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
-        self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
-        self.packed: dict[Monomial, int] = {}
-        self.monomials: dict[int, Monomial] = {}
-
-    def pack(self, mono: Monomial) -> int:
-        x = self.packed.get(mono)
-        if x is None:
-            if mono.degree() > self.field:
-                raise _Overflow  # some exponent may not fit
-            # one unit in its variable's field per factor of the key
-            x = sum(map(self.unit.__getitem__, mono.key[:-1]))
-            self.packed[mono] = x
-            self.monomials[x] = mono
-        return x
-
-    def pack_poly(self, f: Polynomial) -> dict[int, int | Fraction]:
-        known = self.packed
-        out = {}
-        for mono, coeff in f.terms.items():
-            x = known.get(mono)
-            out[self.pack(mono) if x is None else x] = coeff
-        return out
-
-    def unpack(self, x: int) -> Monomial:
-        mono = self.monomials.get(x)
-        if mono is None:
-            codes: list[int] = []
-            support = (x + self.fill) & self.guard
-            while support:  # the most significant field in use first
-                top = support.bit_length() - 1
-                support ^= 1 << top
-                shift = top - self.bits + 1
-                codes += [self.code_at[shift]] * ((x >> shift) & self.field)
-            mono = self.monomials[x] = _from_codes(codes)
-        return mono
-
-    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
-        unpack = self.unpack
-        return Polynomial({unpack(x): coeff for x, coeff in terms.items()})
-
-    def degree(self, x: int) -> int:
-        ones = self.guard >> (self.bits - 1)  # the lowest bit of every field
-        total = plane = 0
-        while x:  # 2^plane for each field whose exponent has that bit set
-            total += (x & ones).bit_count() << plane
-            x = x >> 1 & self.fill
-            plane += 1
-        return total
-
-    def divides(self, a: int, b: int) -> bool:
-        return ((b | self.guard) - a) & self.guard == self.guard  # no field borrows
-
-    def lcm(self, a: int, b: int) -> int:
-        higher = ((a | self.guard) - b) & self.guard  # guard set where a >= b
-        take = higher - (higher >> (self.bits - 1))
-        return (a & take) | (b & ~take)
-
 
 Result = TypeVar("Result")
 
@@ -330,12 +255,13 @@ def _s_poly(a: Reducer, b: Reducer, lcm: int, guard: int) -> dict:
     return {x: c for x, c in terms.items() if c}
 
 
-def _interreduce(polys: Iterable[dict], guard: int) -> tuple[list[dict], list[Reducer]]:
+def _interreduce(polys: Iterable[dict], guard: int) -> tuple[list[dict], list[Reducer], bool]:
     """Reduce each nonzero packed polynomial, which it consumes, once
     against the ones kept and the ones not yet visited, dropping zeros;
-    return the kept ones, made monic, and their reducers.  When no leading
-    monomial divides another, no lead moves, so this is the reduced basis,
-    in input order."""
+    return the kept ones, made monic, their reducers, and whether every
+    input was kept with its leading monomial.  When no leading monomial
+    divides another, no lead moves, so this is the reduced basis, in input
+    order."""
     current = list(polys)
     pending = [_reducer(p) for p in current]
     kept: list[dict] = []
@@ -346,7 +272,8 @@ def _interreduce(polys: Iterable[dict], guard: int) -> tuple[list[dict], list[Re
             g = _monic(reduced)
             kept.append(g)
             kept_reducers.append(_reducer(g))
-    return kept, kept_reducers
+    unmoved = [r[0] for r in kept_reducers] == [r[0] for r in pending]
+    return kept, kept_reducers, unmoved
 
 
 def _minimal_split(polys: Sequence, leads: Sequence[int], layout: _Layout) -> tuple[list, list]:
@@ -459,9 +386,20 @@ def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
     """The reduced Groebner basis of packed polynomials, packed, in
     ascending leading monomial: the S-pairs ``_unsettled_pairs`` leaves,
     reduced in its order against the growing basis, then one interreduction
-    of the minimal-lead subset."""
+    of the minimal-lead subset.
+
+    That second interreduction is skipped when the first pass kept every
+    input with its leading monomial and no S-pair left a remainder.  Then
+    the leads of the kept elements are those of the inputs, and each kept
+    element is a remainder by divisors with exactly the other leads, so no
+    term of it is divisible by another element's lead; it is monic and its
+    own lead divides none of its smaller terms.  So the first pass's output
+    is already reduced, and a Groebner basis since every S-pair settled.
+    No lead divides another, the minimal split keeps all of it in ascending
+    leading monomial, and interreducing that would change nothing."""
     guard = layout.guard
-    basis, reducers = _interreduce(generators, guard)  # reducers grows with the basis
+    basis, reducers, unmoved = _interreduce(generators, guard)  # reducers grows with the basis
+    count = len(basis)
     first = _scan(reducers, guard)
     for i, j, lcm in _unsettled_pairs(reducers, layout):
         remainder = _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard)
@@ -469,6 +407,8 @@ def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
             basis.append(remainder)
             reducers.append(_reducer(remainder))
     minimal = _minimal_split(basis, [r[0] for r in reducers], layout)[0]
+    if unmoved and len(basis) == count:
+        return minimal
     return _interreduce(minimal, guard)[0]
 
 

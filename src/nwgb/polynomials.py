@@ -32,9 +32,20 @@ run out, its entry is ``_END``, which is above every code, and the code
 in the other key is one factor more of that variable than the shorter
 key holds; again the smaller entry belongs to the larger monomial.
 
-Next to the key a monomial keeps only its hash.  The Groebner engine
-packs monomials into ints of its own at its boundary (see
-:mod:`nwgb.groebner`).
+Next to the key a monomial keeps only its hash.
+
+The Groebner engine and the union products compute on monomials packed
+into ints (``_Layout``): one field of ``bits`` bits per variable, a guard
+bit over ``bits - 1`` exponent bits, the most significant variable of the
+order in the highest field and each next one in the field below.  Then a
+larger int is a larger monomial and a product is a sum; the engine's use
+of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
+one row's cells are adjacent, since their variables are too.  A union
+product (``_PackedProduct``) uses every row of its minors in each term,
+and :func:`json_writer` writes it straight from its ints, the terms
+in descending order and each term's ``[row, col, exp]`` blocks one row
+segment (``x & mask``) at a time, each segment's text made once per
+writer.
 """
 
 from __future__ import annotations
@@ -289,14 +300,6 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
 
-    def monic(self) -> "Polynomial":
-        coeff, _ = self.leading_term()
-        if coeff == 1:
-            return self
-        if coeff == -1:
-            return -self
-        return Polynomial({m: Fraction(c, coeff) for m, c in self.terms.items()})
-
     def sorted_terms(self) -> list[tuple[int | Fraction, Monomial]]:
         """Terms listed largest monomial first (canonical serialization order)."""
         return [(self.terms[m], m) for m in sorted(self.terms, key=_key_of)]
@@ -403,6 +406,103 @@ def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+class _Overflow(Exception):
+    """An exponent outgrew the field width."""
+
+
+class _Layout:
+    """A packing of monomials into ints: a field of ``bits`` bits for each
+    variable of ``polys`` and each of ``cells``, in the order's
+    significance from the highest field down (see the module docstring)."""
+
+    def __init__(self, polys: Iterable[Polynomial], bits: int, cells: Iterable[Cell] = ()):
+        codes = set(map(_code, cells)).union(*[mono.key for f in polys for mono in f.terms])
+        codes.discard(_END)
+        self.bits = bits
+        self.field = (1 << (bits - 1)) - 1  # the exponent bits of the lowest field
+        ordered = sorted(codes, reverse=True)  # least significant first
+        self.code_at = {bits * index: code for index, code in enumerate(ordered)}
+        self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
+        self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
+        self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
+        self.packed: dict[Monomial, int] = {}
+        self.monomials: dict[int, Monomial] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        x = self.packed.get(mono)
+        if x is None:
+            if mono.degree() > self.field:
+                raise _Overflow  # some exponent may not fit
+            # one unit in its variable's field per factor of the key
+            x = sum(map(self.unit.__getitem__, mono.key[:-1]))
+            self.packed[mono] = x
+            self.monomials[x] = mono
+        return x
+
+    def pack_poly(self, f: Polynomial) -> dict[int, int | Fraction]:
+        known = self.packed
+        out = {}
+        for mono, coeff in f.terms.items():
+            x = known.get(mono)
+            out[self.pack(mono) if x is None else x] = coeff
+        return out
+
+    def powers(self, x: int) -> list[tuple[int, int]]:
+        """``(code, exponent)`` of each variable of a packed monomial, the
+        most significant first."""
+        out = []
+        support = (x + self.fill) & self.guard
+        while support:
+            top = support.bit_length() - 1
+            support ^= 1 << top
+            shift = top - self.bits + 1
+            out.append((self.code_at[shift], (x >> shift) & self.field))
+        return out
+
+    def mask(self, cells: Iterable[Cell]) -> int:
+        """The exponent bits of the cells' fields.  The fields of a row's
+        cells are adjacent, the first column lowest, so a row's mask cuts
+        its variables out of a packed monomial."""
+        return sum(self.field * self.unit[_code(cell)] for cell in cells)
+
+    def unpack(self, x: int) -> Monomial:
+        mono = self.monomials.get(x)
+        if mono is None:
+            codes: list[int] = []
+            support = (x + self.fill) & self.guard
+            while support:  # the most significant field in use first
+                top = support.bit_length() - 1
+                support ^= 1 << top
+                shift = top - self.bits + 1
+                codes += [self.code_at[shift]] * ((x >> shift) & self.field)
+            mono = self.monomials[x] = _from_codes(codes)
+        return mono
+
+    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
+        unpack = self.unpack
+        return Polynomial({unpack(x): coeff for x, coeff in terms.items()})
+
+    def degree(self, x: int) -> int:
+        ones = self.guard >> (self.bits - 1)  # the lowest bit of every field
+        total = plane = 0
+        while x:  # 2^plane for each field whose exponent has that bit set
+            total += (x & ones).bit_count() << plane
+            x = x >> 1 & self.fill
+            plane += 1
+        return total
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard  # no field borrows
+
+    def lcm(self, a: int, b: int) -> int:
+        higher = ((a | self.guard) - b) & self.guard  # guard set where a >= b
+        take = higher - (higher >> (self.bits - 1))
+        return (a & take) | (b & ~take)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def _powers(key: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -457,6 +557,18 @@ def _name(row: int, col: int, exp: int) -> str:
 _NAMES = _VariableTexts(_name)
 
 
+class _PackedProduct(NamedTuple):
+    """A product of minors, multiplied out as ``{packed monomial:
+    coefficient}`` in ``layout``, with ``masks``, the ``layout.mask`` of
+    each row that every one of its terms uses, top row first, and of no
+    other row.  A larger int is a larger monomial, so its terms, largest
+    first, are the ints descending."""
+
+    layout: _Layout
+    terms: dict[int, int]
+    masks: tuple[int, ...]
+
+
 def monomial_text(mono: Monomial) -> str:
     """Variables joined by '*', row-major ascending; empty string for 1."""
     return "*".join(_NAMES.row_major(mono.key))
@@ -489,11 +601,29 @@ def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
 
 
+class _RowBlocks(dict):
+    """A row's fields of a packed monomial, ``x & mask`` for that row's
+    mask in ``layout`` -> the ``[row, col, exp]`` blocks of its variables,
+    columns ascending, joined by ``between``; made on first use."""
+
+    def __init__(self, layout: _Layout, blocks: _VariableTexts, between: str):
+        super().__init__()
+        self.layout = layout
+        self.blocks = blocks
+        self.between = between
+
+    def __missing__(self, segment: int) -> str:
+        # powers lists the most significant variable, the last column, first
+        powers = reversed(self.layout.powers(segment))
+        text = self[segment] = self.between.join([self.blocks[p][2] for p in powers])
+        return text
+
+
 class _TermLayout:
     """The text of a polynomial's terms for a term list that opens at
     ``indent``: the fixed text around a term's coefficient and monomial,
     and the ``[row, col, exp]`` block of each variable, written on first
-    use."""
+    use, and for packed polynomials the blocks of each row's fields."""
 
     def __init__(self, indent: int):
         self.indent = indent
@@ -509,6 +639,7 @@ class _TermLayout:
         self.block_between = "," + block
         self.end = field + "]" + item + "}"
         self.constant = '",' + field + '"monomial": []' + item + "}"
+        self.rows: dict[_Layout, _RowBlocks] = {}
 
     def write(self, f: Polynomial) -> str:
         """The terms of f, largest first, as ``polynomial_to_json`` lists
@@ -528,17 +659,41 @@ class _TermLayout:
                 terms.append(f"{coeff_text}{coeff!s}{monomial}{blocks}{end}")
         return _json_list(terms, self.indent, "[]")
 
+    def write_packed(self, f: _PackedProduct) -> str:
+        """What ``write`` gives for the same product as a Polynomial, read
+        off the packed terms: a larger int is a larger monomial, so the
+        terms are the ints descending, and a term's blocks are those of one
+        masked row of fields per mask of ``f``, top row first."""
+        rows = self.rows.get(f.layout)
+        if rows is None:
+            rows = self.rows[f.layout] = _RowBlocks(f.layout, self.blocks, self.block_between)
+        coeff_text = self.coeff
+        monomial = self.monomial
+        block_between = self.block_between
+        end = self.end
+        masks = f.masks
+        coeffs = f.terms
+        terms = []
+        for x in sorted(coeffs, reverse=True):
+            if x:
+                blocks = block_between.join([rows[x & mask] for mask in masks])
+                terms.append(f"{coeff_text}{coeffs[x]!s}{monomial}{blocks}{end}")
+            else:
+                terms.append(f"{coeff_text}{coeffs[x]!s}{self.constant}")
+        return _json_list(terms, self.indent, "[]")
+
 
 def json_writer():
     """A ``write(value, indent)``: ``json.dumps(value, indent=2)``, opening
     at ``indent``, of dicts with string keys, lists, strings, ints, a
-    :class:`Polynomial` as :func:`polynomial_to_json` gives it and an
-    :class:`Antidiagonal` as ``{"rows": [...], "cols": [...]}``, both
-    ascending; anything else raises ``TypeError``.  ``indent`` sends
-    ``json`` to its pure-Python encoder, which costs more than building a
-    union basis; here each ``[row, col, exp]`` block and each factor is
-    written once per writer, since a basis repeats both, and each term of
-    a polynomial in one piece."""
+    :class:`Polynomial` (or a ``_PackedProduct``) as :func:`polynomial_to_json`
+    gives it and an :class:`Antidiagonal` as ``{"rows": [...], "cols":
+    [...]}``, both ascending; anything else raises ``TypeError``.
+    ``indent`` sends ``json`` to its pure-Python encoder, which costs more
+    than building a union basis; here each ``[row, col, exp]`` block, each
+    row of packed fields and each factor is written once per writer, since
+    a basis repeats all three, and each term of a polynomial in one
+    piece."""
     layouts: dict[int, _TermLayout] = {}
     factors: dict[tuple[tuple[Cell, ...], int], str] = {}
 
@@ -555,11 +710,11 @@ def json_writer():
                 encode_basestring_ascii(k) + ": " + write(v, indent + 2) for k, v in value.items()
             ]
             return _json_list(items, indent, "{}")
-        if kind is Polynomial:
+        if kind is Polynomial or kind is _PackedProduct:
             layout = layouts.get(indent)
             if layout is None:
                 layout = layouts[indent] = _TermLayout(indent)
-            return layout.write(value)
+            return layout.write(value) if kind is Polynomial else layout.write_packed(value)
         if kind is Antidiagonal:
             text = factors.get((value.cells, indent))
             if text is None:

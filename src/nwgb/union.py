@@ -24,6 +24,17 @@ No generator depends on another once it is built, so ``union_generators``
 builds them one at a time and a writer can write and drop each in turn;
 ``union_basis`` lists them.
 
+A generator's product is formed when it is first read, in the form its
+reader needs.  The JSON writer reads it on packed exponent ints, in one
+``_Layout`` per basis (see :mod:`nwgb.polynomials`): each minor is
+packed once, a product of monomials is an integer sum, and no exponent can
+exceed the number of inputs, so the field width is fixed before the first
+product (see ``_Packing.product``); the writer reads each term's text off
+its int, one row of fields at a time.  ``GeneratorProduct.poly``, which
+``--verify``, ``--format=text`` and the suites read, multiplies the
+determinants as ``Polynomial`` values: on the small bases the oracle
+checks, that costs less than forming the packed product and unpacking it.
+
 A stripped chain steps strictly SW by construction, so each factor is built
 without the checks ``Antidiagonal(...)`` makes; the tests run those checks
 on every factor instead.
@@ -32,12 +43,22 @@ on every factor instead.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
+from .groebner import _FIELD_BITS
 from .ideals import RankConditionSpec, antidiagonals_of_spec
-from .polynomials import Antidiagonal, Cell, Polynomial, json_writer, polynomial_text
+from .polynomials import (
+    Antidiagonal,
+    Cell,
+    Polynomial,
+    _Layout,
+    _PackedProduct,
+    json_writer,
+    polynomial_text,
+)
 
 
 def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
@@ -155,46 +176,178 @@ def certified(factors: Iterable[Antidiagonal], spec: RankConditionSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class GeneratorProduct:
     """One basis element: the input antidiagonals, the extracted factors,
-    and the expanded product of their determinants."""
+    and the expanded product of their determinants.
 
-    inputs: tuple[Antidiagonal, ...]
-    factors: tuple[Antidiagonal, ...]
-    poly: Polynomial
+    The product is formed when it is first read, in the form its reader
+    needs: ``packed`` on packed exponent ints, which the JSON writer
+    reads, or ``poly``, a :class:`Polynomial`, for ``--verify``,
+    ``--format=text``, the suites and the tests.  Given ``poly``, a
+    generator has no ``packing`` and ``packed`` is None."""
+
+    __slots__ = ("inputs", "factors", "_packing", "_packed", "_poly")
+
+    def __init__(
+        self,
+        inputs: Iterable[Antidiagonal],
+        factors: Iterable[Antidiagonal],
+        poly: Polynomial | None = None,
+        packing: _Packing | None = None,
+    ):
+        self.inputs = tuple(inputs)
+        self.factors = tuple(factors)
+        self._poly = poly
+        self._packing = packing
+        self._packed = None
+
+    @property
+    def poly(self) -> Polynomial:
+        if self._poly is None:
+            self._poly = self._packing.polynomial(self.factors)
+        return self._poly
+
+    @property
+    def packed(self) -> _PackedProduct | None:
+        if self._packed is None and self._packing is not None:
+            self._packed = self._packing.product(self.factors)
+        return self._packed
+
+    def _fields(self) -> tuple:
+        return self.inputs, self.factors, self.poly
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratorProduct):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return polynomial_text(self.poly)
 
 
+class _Packing:
+    """What every generator of one basis shares: each factor's determinant,
+    expanded once, and a ``_Layout`` (made on first use) over each cell
+    that a row and a column of the input antidiagonals meet in, so over
+    every variable of every factor's minor, with fields wide enough for
+    the product of ``count`` inputs (see ``product``), in which each
+    determinant is packed once."""
+
+    def __init__(self, antidiags: Iterable[Antidiagonal], count: int):
+        cells = {cell for antidiag in antidiags for cell in antidiag.cells}
+        self.rows = sorted({cell.row for cell in cells})
+        self.cols = sorted({cell.col for cell in cells})
+        self.count = count
+        self.minors: dict[tuple[Cell, ...], Polynomial] = {}
+        self.packed_minors: dict[tuple[Cell, ...], tuple[list[tuple[int, int]], int]] = {}
+
+    @cached_property
+    def layout(self) -> _Layout:
+        bits = max(_FIELD_BITS, self.count.bit_length() + 1)
+        return _Layout((), bits, [Cell(row, col) for row in self.rows for col in self.cols])
+
+    @cached_property
+    def row_masks(self) -> list[int]:
+        """The layout's mask of each row, top row first."""
+        return [self.layout.mask(Cell(row, col) for col in self.cols) for row in self.rows]
+
+    def determinant(self, factor: Antidiagonal) -> Polynomial:
+        det = self.minors.get(factor.cells)
+        if det is None:
+            det = self.minors[factor.cells] = factor.determinant()
+        return det
+
+    def polynomial(self, factors: Sequence[Antidiagonal]) -> Polynomial:
+        """The product of the factors' determinants, or the constant 1 when
+        there are none, through ``Polynomial.__mul__`` from the first
+        determinant on, so that no term is multiplied by 1."""
+        poly = None
+        for factor in factors:
+            det = self.determinant(factor)
+            poly = det if poly is None else poly * det
+        return Polynomial.constant(1) if poly is None else poly
+
+    def minor(self, factor: Antidiagonal) -> tuple[list[tuple[int, int]], int]:
+        """The factor's determinant as ``(packed monomial, coefficient)``
+        pairs, and the OR of its packed monomials, whose field for a
+        variable is nonzero exactly when the minor uses it."""
+        minor = self.packed_minors.get(factor.cells)
+        if minor is None:
+            unit = self.layout.unit
+            # each variable of a minor has exponent 1: a monomial packs as
+            # the sum of its variables' units
+            terms = [
+                (sum(map(unit.__getitem__, mono.key[:-1])), coeff)
+                for mono, coeff in self.determinant(factor).terms.items()
+            ]
+            minor = self.packed_minors[factor.cells] = (terms, reduce(or_, [x for x, _ in terms]))
+        return minor
+
+    def product(self, factors: Sequence[Antidiagonal]) -> _PackedProduct:
+        """The product of the factors' determinants on packed ints: a
+        product of monomials is a sum of ints.  A minor that shares no
+        variable with the product so far makes every product of terms a
+        new term; any other minor's products are summed in one dict, and a
+        coefficient that cancels is dropped.
+
+        No exponent exceeds the number k of inputs, so fields of
+        ``k.bit_length() + 1`` bits hold every one; they are at least
+        ``_FIELD_BITS`` wide all the same.  A minor uses each of its rows
+        once per term, so a variable in row r has, in the product, at most
+        one unit per factor with a cell in row r.  The factors partition
+        the occupied cells, and each input antidiagonal has at most one
+        cell in row r, so at most k factors do.  A minor adds at most 1 to
+        each exponent, so an exponent past the bound would first set its
+        field's guard bit exactly; each step that can raise an exponent
+        above 1 checks the guard bits and raises ``RuntimeError`` if one is
+        set, which would be a defect.
+        """
+        guard = self.layout.guard
+        terms = {0: 1}
+        used = 0  # the OR of the minors so far
+        for factor in factors:
+            minor, support = self.minor(factor)
+            if not used & support:  # no variable shared: every product is a new term
+                terms = {x + y: c * d for x, c in terms.items() for y, d in minor}
+            else:
+                out: dict[int, int] = {}
+                get = out.get
+                for x, c in terms.items():
+                    for y, d in minor:
+                        z = x + y
+                        out[z] = get(z, 0) + c * d
+                terms = {z: c for z, c in out.items() if c}
+                if reduce(or_, terms, 0) & guard:
+                    raise RuntimeError("an exponent of a union generator outgrew its field")
+            used |= support
+        # a minor uses each of its rows in every term, so every term of the
+        # product uses exactly the rows that some minor uses
+        masks = tuple([mask for mask in self.row_masks if mask & used])
+        return _PackedProduct(self.layout, terms, masks)
+
+
 def generator_product(
     antidiags: Sequence[Antidiagonal],
     factors: Sequence[Antidiagonal] | None = None,
-    minors: dict[tuple[Cell, ...], Polynomial] | None = None,
+    packing: _Packing | None = None,
 ) -> GeneratorProduct:
     """Build the generator for one antidiagonal choice: the product of its
     factors' determinants, or the constant 1 when there are no factors.
 
     ``factors`` is ``extract_factors(antidiags)``, passed by a caller that
-    has it already.  ``minors`` maps a factor's cells to its determinant; a
-    caller that builds many generators passes one dict to every call, so
-    each minor is expanded once.  The product starts from the first
-    determinant, not from 1, so no term is multiplied by 1.
+    has it already.  ``packing`` holds the determinants; a caller that
+    builds many generators passes one to every call, so each minor is
+    expanded once.  The product itself is formed when first read (see
+    :class:`GeneratorProduct`).
     """
     if factors is None:
         factors = extract_factors(antidiags)
-    if minors is None:
-        minors = {}
-    poly = None
-    for factor in factors:
-        det = minors.get(factor.cells)
-        if det is None:
-            det = minors[factor.cells] = factor.determinant()
-        poly = det if poly is None else poly * det
-    if poly is None:
-        poly = Polynomial.constant(1)
-    return GeneratorProduct(tuple(antidiags), tuple(factors), poly)
+    if packing is None:
+        packing = _Packing(antidiags, len(antidiags))
+    return GeneratorProduct(antidiags, factors, packing=packing)
 
 
 def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorProduct]:
@@ -207,7 +360,7 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
     minors are irreducible and no two are scalar multiples, so two choices
     give the same polynomial exactly when they extract the same factors.
     The factors partition the occupied cells, so they are distinct and
-    their set is the key; only a new key's product is built.
+    their set is the key; only a new key gets a generator.
 
     A spec with no generators imposes nothing, so the union is the whole
     space and the basis is empty (the zero ideal).
@@ -224,14 +377,14 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
 
 
 def _generators(choices: list[list[Antidiagonal]]) -> Iterator[GeneratorProduct]:
-    minors: dict[tuple[Cell, ...], Polynomial] = {}
+    packing = _Packing([a for antidiags in choices for a in antidiags], len(choices))
     seen: set[frozenset[tuple[Cell, ...]]] = set()
     for combo in product(*choices):  # no combo when a spec has no choice
         factors = extract_factors(combo)
         key = frozenset(factor.cells for factor in factors)
         if key not in seen:
             seen.add(key)
-            yield generator_product(combo, factors, minors)
+            yield generator_product(combo, factors, packing)
 
 
 def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
@@ -243,10 +396,11 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     """The basis as JSON text, as ``json.dumps(..., indent=2)`` lays it out,
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
     "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, each
-    factor's rows and columns ascending, all from one ``json_writer``."""
+    factor's rows and columns ascending, all from one ``json_writer``.  A
+    generator's product is written from ``g.packed`` when it has one."""
     write = json_writer()
     opening = "[\n  "
     for g in basis:
-        yield opening + write({"factors": list(g.factors), "poly": g.poly}, 2)
+        yield opening + write({"factors": list(g.factors), "poly": g.packed or g.poly}, 2)
         opening = ",\n  "
     yield "[]" if opening == "[\n  " else "\n]"

@@ -32,6 +32,7 @@ from nwgb import (
 from nwgb import groebner
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
+from test_polynomials import monic
 
 
 def ideal_of(spec):
@@ -293,10 +294,10 @@ def test_non_unit_leads_divide_exactly(coeff):
     assert (f.leading_term()[0], g.leading_term()[0]) == (2, -3)
     assert_canonical_exact(f)
     assert_canonical_exact(g)
-    assert f.monic() == Polynomial(
+    assert monic(f) == Polynomial(
         {mono((1, 2), (2, 1)): 1, mono((1, 1), (2, 2)): Fraction(3, 2), mono(): Fraction(1, 2)}
     )
-    assert g.monic() == Polynomial(
+    assert monic(g) == Polynomial(
         {mono((1, 2), (1, 2)): 1, mono((1, 1)): Fraction(-1, 3), mono((2, 2)): Fraction(-5, 3)}
     )
     h = Polynomial(
@@ -312,12 +313,12 @@ def test_non_unit_leads_divide_exactly(coeff):
     s = s_polynomial(f, g)
     assert s == literal_s_polynomial(f, g)
     basis = buchberger([f, g])
-    assert basis == buchberger([f.monic(), g.monic()])
+    assert basis == buchberger([monic(f), monic(g)])
     assert all(b.leading_term()[0] == 1 for b in basis)
     meet = intersect(IdealPresentation((f,)), IdealPresentation((g,)))
-    assert meet == intersect(IdealPresentation((f.monic(),)), IdealPresentation((g.monic(),)))
-    assert meet == [(f * g).monic()]  # two coprime principal ideals meet in their product
-    for poly in [f.monic(), g.monic(), remainder, s, *basis, *meet]:
+    assert meet == intersect(IdealPresentation((monic(f),)), IdealPresentation((monic(g),)))
+    assert meet == [monic(f * g)]  # two coprime principal ideals meet in their product
+    for poly in [monic(f), monic(g), remainder, s, *basis, *meet]:
         assert_canonical_exact(poly)
 
 
@@ -325,7 +326,7 @@ def test_non_unit_leads_divide_exactly(coeff):
 
 def test_single_polynomial_is_its_own_basis():
     f = determinant([1, 2], [1, 2]) * 3
-    assert buchberger([f]) == [f.monic()]
+    assert buchberger([f]) == [monic(f)]
 
 
 def test_monomial_pair_already_groebner():
@@ -741,7 +742,7 @@ def test_ideals_equal_rejects_an_element_outside_the_ideal_with_a_covered_lead()
 
 def fixed_point_interreduce(polys):
     """Reference: interreduction passes repeated until one changes nothing."""
-    current = [p.monic() for p in polys if not p.is_zero()]
+    current = [monic(p) for p in polys if not p.is_zero()]
     changed = True
     while changed:
         changed = False
@@ -752,7 +753,7 @@ def fixed_point_interreduce(polys):
             if reduced.is_zero():
                 changed = True
                 continue
-            reduced = reduced.monic()
+            reduced = monic(reduced)
             if reduced != f:
                 changed = True
             kept.append(reduced)
@@ -791,7 +792,7 @@ def fixed_point_buchberger(generators):
         _, _, i, j = heapq.heappop(pairs)
         remainder = min_scan_normal_form(literal_s_polynomial(basis[i], basis[j]), basis)
         if not remainder.is_zero():
-            basis.append(remainder.monic())
+            basis.append(monic(remainder))
             add(basis[-1])
     minimal = [
         f
@@ -863,7 +864,7 @@ def test_one_pass_interreduction_matches_fixed_point_on_s4_union_bases():
 def test_scaled_coefficients_survive_exactly():
     f = determinant([1, 2], [1, 2]) * Fraction(3, 7)
     basis = buchberger([f])
-    assert basis == [f.monic()]
+    assert basis == [monic(f)]
     assert basis[0].leading_term()[0] == 1
 
 

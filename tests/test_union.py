@@ -32,6 +32,7 @@ import nwgb.union
 from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
 from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, certified
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
+from test_polynomials import monic
 
 
 def anti(*cells):
@@ -766,8 +767,7 @@ def test_determinant_coefficients_are_canonical_exact():
     for size in range(1, 5):
         f = determinant(range(1, size + 1), range(2, size + 2))
         assert_canonical_exact(f)
-    monic = determinant([1, 2], [1, 2]).monic()  # leads with -1
-    assert_canonical_exact(monic)
+    assert_canonical_exact(monic(determinant([1, 2], [1, 2])))  # leads with -1
 
 
 def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
@@ -786,6 +786,10 @@ def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
     monkeypatch.setattr(nwgb.polynomials, "determinant", counted_expand)
     specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
     basis = union_basis(specs)
+    # a product is formed when it is read, packed or as a Polynomial, and
+    # both forms share the minors
+    "".join(basis_json_chunks(basis))
+    [g.poly for g in basis]
     choices = len(antidiagonals_of_spec(specs[0])) * len(antidiagonals_of_spec(specs[1]))
     assert len(basis) < choices
     assert calls["product"] == len(basis)
@@ -866,3 +870,90 @@ def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
     poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
     basis = [GeneratorProduct((), (), poly)]
     assert "".join(basis_json_chunks(basis)) == json.dumps([generator_to_json(g) for g in basis], indent=2)
+
+
+# packed products against the fold through Polynomial.__mul__ ------------------
+
+def folded_product(factors):
+    """The product of the factors' determinants, folded through
+    ``Polynomial.__mul__`` from the constant 1."""
+    poly = Polynomial.constant(1)
+    for factor in factors:
+        poly = poly * determinant(factor.rows(), factor.cols())
+    return poly
+
+
+def assert_packed_equals_fold(basis):
+    """Each packed generator has the fold's polynomial, and the basis the
+    fold's JSON and text bytes."""
+    reference = [GeneratorProduct(g.inputs, g.factors, folded_product(g.factors)) for g in basis]
+    assert all(g.packed is not None for g in basis)
+    assert all(r.packed is None for r in reference)
+    for g, r in zip(basis, reference):
+        assert g.packed.layout.polynomial(g.packed.terms) == r.poly
+        assert g.poly == r.poly
+        assert_canonical_exact(g.poly)
+    assert "".join(basis_json_chunks(basis)) == "".join(basis_json_chunks(reference))
+    assert [polynomial_text(g.poly) + "\n" for g in basis] == [
+        polynomial_text(r.poly) + "\n" for r in reference
+    ]
+
+
+def test_packed_products_equal_the_fold_on_all_ordered_s4_pairs():
+    for specs in S4_PAIRS:
+        assert_packed_equals_fold(union_basis(specs))
+
+
+def test_packed_products_equal_the_fold_on_seeded_s5_triples():
+    rng = random.Random(113)
+    for _ in range(20):
+        assert_packed_equals_fold(union_basis(rng.sample(S5_SPECS, 3)))
+
+
+def spokes(k):
+    """k disjoint antidiagonals (1, 1+i), (1+i, 1): each factor's minor
+    holds m[1,1], so the product has m[1,1]^k, the most the width rule
+    allows for k inputs."""
+    return [anti((1, 1 + i), (1 + i, 1)) for i in range(1, k + 1)]
+
+
+def test_an_exponent_equal_to_the_input_count_fills_its_field(monkeypatch):
+    # without the floor the field of 3 inputs is 3 bits: exponents up to 3
+    monkeypatch.setattr(nwgb.union, "_FIELD_BITS", 2)
+    built = generator_product(spokes(3))
+    assert built.packed.layout.field == 3
+    assert Monomial.from_cells([Cell(1, 1)] * 3) * Monomial.from_cells(
+        [Cell(2, 2), Cell(3, 3), Cell(4, 4)]
+    ) in built.poly.terms
+    assert_packed_equals_fold([built])
+
+
+def test_an_exponent_past_its_field_is_an_internal_error(monkeypatch):
+    # four inputs laid out for three: m[1,1]^4 sets a guard bit
+    monkeypatch.setattr(nwgb.union, "_FIELD_BITS", 2)
+    inputs = spokes(4)
+    with pytest.raises(RuntimeError, match="outgrew its field"):
+        generator_product(inputs, None, nwgb.union._Packing(inputs, 3)).packed
+    assert generator_product(inputs).poly == folded_product(inputs)
+
+
+def test_generator_product_keeps_its_constructor_and_poly():
+    # GeneratorProduct(inputs, factors, poly) takes a Polynomial as it is
+    poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
+    given = GeneratorProduct([], (), poly)
+    assert (given.inputs, given.factors, given.poly, given.packed) == ((), (), poly, None)
+    assert given.poly is poly
+    # generator_product forms each form of the product once, on first read
+    a, b = anti((1, 2), (2, 1)), anti((2, 2),)
+    built = generator_product([a, b])
+    assert built.packed is built.packed and isinstance(built.poly, Polynomial)
+    assert built.poly is built.poly
+    assert built.poly == folded_product(built.factors)
+    assert built == GeneratorProduct((a, b), built.factors, folded_product(built.factors))
+    assert hash(built) == hash(GeneratorProduct((a, b), built.factors, built.poly))
+    assert repr(built) == polynomial_text(folded_product(built.factors))
+    coeff, mono = built.poly.leading_term()  # as the generator-init suite reads it
+    assert (coeff, mono) == (-1, Monomial.from_cells([Cell(1, 2), Cell(2, 1), Cell(2, 2)]))
+    one = generator_product([])
+    assert one.packed is not None and one.poly == Polynomial.constant(1)
+    assert "".join(basis_json_chunks([one])) == json.dumps([generator_to_json(one)], indent=2)
