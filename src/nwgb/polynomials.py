@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_permutations
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -379,23 +379,30 @@ def _parity(perm: Sequence[int]) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``(perm, sign)`` for each permutation of ``range(k)``, in
+    ``itertools.permutations`` order."""
+    return tuple((perm, _parity(perm)) for perm in _all_permutations(range(k)))
+
+
 def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Determinant of the generic submatrix on the given rows and columns.
 
-    Expanded as the full signed sum over permutations (the instances here
-    are small, so clarity wins over a smarter expansion).  The signs are
-    summed as ints, and the polynomial keeps them as ints.
+    The Leibniz sum: one term per permutation, in ``itertools`` order,
+    its sign read from the table of its size.  Distinct permutations pick
+    distinct cells, so no two terms share a monomial and none cancels.
     """
     r, c = _check_minor(rows, cols)
-    k = len(r)
     # codes[i][j] is the variable at (r[i], c[j]); rows ascend, so the codes
     # of one term, read row by row, are already sorted
     codes = [[_code((row, col)) for col in c] for row in r]
-    terms: dict[Monomial, int] = {}
-    for perm in _all_permutations(range(k)):
-        mono = _from_codes([codes[i][perm[i]] for i in range(k)])
-        terms[mono] = terms.get(mono, 0) + _parity(perm)
-    return Polynomial(terms)
+    return Polynomial(
+        {
+            Monomial((*map(getitem, codes, perm), _END)): sign
+            for perm, sign in _signed_permutations(len(r))
+        }
+    )
 
 
 def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:

@@ -56,36 +56,44 @@ from .polynomials import (
     Polynomial,
     _Layout,
     _PackedProduct,
+    _json_list,
     json_writer,
     polynomial_text,
 )
 
 
-def _components(colors: Sequence[Antidiagonal], alive: set[Cell]) -> list[set[Cell]]:
+def _components(
+    colors: Sequence[Antidiagonal], alive: set[Cell]
+) -> list[tuple[set[Cell], Antidiagonal | None]]:
     """Connected components of the surviving cells, sorted by their NE-most
-    cell, by (row, col).
+    cell, by (row, col), each with its color when it holds the survivors
+    of one color only, else None.
 
     Consecutive survivors of a color are joined, so each color's survivors
     lie in one component, and a component is the union of the colors that
-    share a surviving cell.
+    share a surviving cell.  A component that holds the survivors of one
+    color only is a subset of that antidiagonal, so it is a chain, and it
+    is its own factor.
     """
-    groups: list[set[Cell]] = []
+    groups: list[tuple[set[Cell], Antidiagonal | None]] = []
     for antidiag in colors:
         merged = alive.intersection(antidiag.cells)
         if not merged:
             continue
+        color = antidiag
         apart = []
         for group in groups:
-            if merged.isdisjoint(group):
+            if merged.isdisjoint(group[0]):
                 apart.append(group)
             else:
-                merged |= group
-        groups = apart + [merged]
+                merged |= group[0]
+                color = None
+        groups = apart + [(merged, color)]
     # pick the NE-most cell by (row, -col), then compare those cells as
     # (row, col): sorting on (row, -col) alone orders a row's groups the
     # other way
     if len(groups) > 1:
-        groups.sort(key=lambda group: min(group, key=lambda c: (c.row, -c.col)))
+        groups.sort(key=lambda group: min(group[0], key=lambda c: (c.row, -c.col)))
     return groups
 
 
@@ -133,12 +141,18 @@ def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
 
     For each component of the surviving cells, in NE-cell order, the
     component's longest chain comes first, then recursively the factors of
-    what is left of that component.
+    what is left of that component.  A one-color component is taken whole:
+    the input antidiagonal itself when all its cells survive.
     """
 
     def strip(alive: set[Cell]) -> list[Antidiagonal]:
         factors: list[Antidiagonal] = []
-        for component in _components(antidiags, alive):
+        for component, color in _components(antidiags, alive):
+            if color is not None:
+                if len(component) < len(color.cells):
+                    color = Antidiagonal._unchecked(tuple(sorted(component)))
+                factors.append(color)
+                continue
             chain = _longest_chain(component)
             factors.append(Antidiagonal._unchecked(chain))  # a chain steps SW
             rest = component.difference(chain)
@@ -396,11 +410,14 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     """The basis as JSON text, as ``json.dumps(..., indent=2)`` lays it out,
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
     "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, each
-    factor's rows and columns ascending, all from one ``json_writer``.  A
-    generator's product is written from ``g.packed`` when it has one."""
+    factor's rows and columns ascending.  One ``json_writer`` writes the
+    factors and products, from ``g.packed`` when a generator has one, and
+    each generator's frame around them is one f-string."""
     write = json_writer()
     opening = "[\n  "
     for g in basis:
-        yield opening + write({"factors": list(g.factors), "poly": g.packed or g.poly}, 2)
+        factors = _json_list([write(f, 6) for f in g.factors], 4, "[]")
+        poly = write(g.packed or g.poly, 4)
+        yield f'{opening}{{\n    "factors": {factors},\n    "poly": {poly}\n  }}'
         opening = ",\n  "
     yield "[]" if opening == "[\n  " else "\n]"

@@ -7,11 +7,14 @@ the order, the monomial arithmetic, division or the union construction
 that alters one byte of output fails here.  The inputs are two conditions
 of the benchmark's ``complete`` pool, two triples of its ``eliminate``
 pool, the fixed S7 pair of its ``synth`` workload and three pooled S6
-pairs of that workload.  The ``nwgb diagram`` digests were recorded before
-the diagram, essential set and text layout were read off one rank matrix,
-and the ``nwgb verify all`` digest before the suites' dispatch and random
-monomials lost their unused parameters.  The union digests are checked
-on stdout and again on the file ``--out`` writes.
+pairs of that workload.  The text of the ``oracle`` workload's fixed pair
+and the Fulton generators of condition (5,5,2) were recorded before the
+determinant read its signs from a table.  The ``nwgb diagram`` digests
+were recorded before the diagram, essential set and text layout were
+read off one rank matrix, and the ``nwgb verify all`` digest before the
+suites' dispatch and random monomials lost their unused parameters.  The
+union digests are checked on stdout and again on the file ``--out``
+writes.
 """
 
 import hashlib
@@ -92,6 +95,28 @@ def test_union_json_bytes_on_s6_pairs(perms, digest, tmp_path, capsys):
     target = tmp_path / "basis.json"
     assert main(["union", *paths, "--format=json", "--verify=none", f"--out={target}"]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_union_text_bytes_on_the_oracle_pair(tmp_path, capsys):
+    # the fixed job of the oracle workload, written as text: the products
+    # through Polynomial.__mul__ and the text writer
+    paths = []
+    for name, perm in (("l", "1 5 4 3 2"), ("r", "4 3 2 1 5")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 5, "permutation": perm}))
+        paths.append(str(path))
+    assert main(["union", *paths, "--format=text"]) == 0
+    digest = "1c4c43c20b8a7edb6fd689f3c2aa84babf6c0dd305f984277de0fc00dd638298"
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_fulton_json_bytes_on_a_5x5_condition(tmp_path, capsys):
+    # every 3-minor of a 5x5 matrix, as determinant expands them
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]}))
+    assert main(["fulton", str(path), "--format=json"]) == 0
+    digest = "ea4a738504a0e8f9871ff5df607a3dc481db1d8f7ba15eaaa9d365bdee8aa3ac"
+    assert sha256(capsys.readouterr().out) == digest
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from nwgb import groebner
 from nwgb.polynomials import (
     AUX,
     MONOMIAL_ONE,
+    _signed_permutations,
     json_text,
     monomial_text,
     monomial_to_json,
@@ -322,6 +323,33 @@ def test_determinant_agrees_with_numeric_oracles():
                 value = evaluate(determinant(rows, cols), point)
                 assert value == numeric_leibniz(matrix, rows, cols)
                 assert value == numeric_cofactor(matrix, rows, cols)
+
+
+def inversion_sign(perm):
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_determinant_terms_equal_an_inversion_count_leibniz_expansion():
+    # every minor of a generic 5x5 matrix, term by term and in order
+    for size in range(1, 6):
+        for rows in combinations(range(1, 6), size):
+            for cols in combinations(range(1, 6), size):
+                expected = [
+                    (
+                        Monomial.from_cells(Cell(rows[i], cols[p]) for i, p in enumerate(perm)),
+                        inversion_sign(perm),
+                    )
+                    for perm in itertools_permutations(range(size))
+                ]
+                assert list(determinant(rows, cols).terms.items()) == expected
+
+
+def test_sign_table_lists_the_permutations_in_itertools_order():
+    for k in range(1, 7):
+        table = _signed_permutations(k)
+        assert [perm for perm, _ in table] == list(itertools_permutations(range(k)))
+        assert [sign for _, sign in table] == [inversion_sign(perm) for perm, _ in table]
 
 
 def test_determinant_errors():

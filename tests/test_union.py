@@ -249,6 +249,41 @@ def test_extract_factors_equals_graph_search_reference_on_random_lists():
         assert extract_factors(antidiags) == reference_extract_factors(antidiags)
 
 
+def test_extract_factors_returns_pairwise_disjoint_inputs_themselves():
+    a = anti((3, 2), (4, 1))
+    b = anti((1, 4), (2, 3))
+    c = anti((1, 2), (2, 1))
+    # the objects themselves, in NE-cell order
+    assert list(map(id, extract_factors((a, b, c)))) == [id(c), id(b), id(a)]
+    disjoint = [
+        combo for combo in s4_pair_choices() if set(combo[0].cells).isdisjoint(combo[1].cells)
+    ]
+    assert disjoint
+    for combo in disjoint:
+        ne_first = sorted(combo, key=lambda antidiag: antidiag.cells[0])
+        assert list(map(id, extract_factors(combo))) == list(map(id, ne_first))
+
+
+def test_extract_factors_equals_graph_search_reference_on_seeded_s5_pairs(monkeypatch):
+    # a one-color component smaller than its color is what a strip leaves;
+    # count those, so the test shows it reaches them
+    components = nwgb.union._components
+    remainders = []
+
+    def spied(colors, alive):
+        groups = components(colors, alive)
+        remainders.extend(
+            group for group, color in groups if color is not None and len(group) < len(color)
+        )
+        return groups
+
+    monkeypatch.setattr(nwgb.union, "_components", spied)
+    for specs in sampled_pairs(S5_SPECS, 29, 200):
+        for combo in product(*map(antidiagonals_of_spec, specs)):
+            assert extract_factors(combo) == reference_extract_factors(combo)
+    assert remainders
+
+
 def test_every_extracted_factor_passes_the_antidiagonal_checks():
     # extract_factors builds its factors without Antidiagonal's checks
     for antidiags in [*s4_pair_choices(), *random_antidiagonal_lists()]:
