@@ -13,14 +13,17 @@ declines: help, usage errors and the rarer spellings argparse also takes
 (abbreviated flags, values that start with "-").  A successful run of the
 plain form so loads neither argparse nor the ``gettext`` and ``locale``
 imports behind its messages, and argparse alone writes help, usage and
-error text.
+error text.  No command imports ``typing``, and only the sampled suites
+import ``random``.  The import ends with ``gc.freeze()`` (see there), so
+the collections a command triggers walk only the objects it made.
 """
 
+import gc
 import reprlib
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
-from typing import Iterable, Sequence
 
 from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
 from .groebner import buchberger
@@ -298,3 +301,13 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+# What the import built lives as long as the process.  Moved to the cycle
+# collector's permanent generation, it is never walked again, so the
+# collections a command triggers cost what the command's own objects cost,
+# not what the import left young.  This runs here, not in the package, so
+# that importing nwgb as a library leaves the collector as it was, and at
+# import, not in main, for a caller that imports this module and then calls
+# the library directly.
+gc.freeze()

@@ -66,32 +66,29 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow
+from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow, _Value
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(_Value):
     """Nonzero generators of an ideal."""
 
-    generators: tuple[Polynomial, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if any(g.is_zero() for g in self.generators):
+    def __init__(self, generators: Iterable[Polynomial]):
+        generators = tuple(generators)
+        if any(g.is_zero() for g in generators):
             raise ValueError("generators must be nonzero")
+        super().__init__(generators)
 
 
 # the narrowest field: a guard bit over 7 exponent bits
 _FIELD_BITS = 8
 
-Result = TypeVar("Result")
 
-
-def _run(polys: Sequence[Polynomial], job: Callable[[_Layout], Result]) -> Result:
+def _run(polys: Sequence[Polynomial], job: Callable[[_Layout], object]) -> object:
     """``job`` on the narrowest layout of ``polys`` whose fields hold every
     exponent it makes, from ``_FIELD_BITS`` up, doubling on overflow."""
     bits = _FIELD_BITS
@@ -538,12 +535,11 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
     return list(current.generators)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """Monomial ideal stored by its minimal generators (an antichain under
     divisibility)."""
 
-    minimal_generators: frozenset[Monomial]
+    __slots__ = ("minimal_generators",)
 
     @staticmethod
     def from_monomials(monomials: Iterable[Monomial]) -> "MonomialIdeal":

@@ -12,55 +12,52 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations
-from typing import Iterator, Mapping
 
 from .permutations import PartialPermutation, essential_set, parse_one_line, rank_matrix
-from .polynomials import Antidiagonal, Polynomial, antidiagonal_of, determinant
+from .polynomials import Antidiagonal, Polynomial, _Value, antidiagonal_of, determinant
 
 
-@dataclass(frozen=True)
-class RankCondition:
+class RankCondition(_Value):
     """The northwest ``row`` x ``col`` submatrix has rank at most ``max_rank``."""
 
-    row: int
-    col: int
-    max_rank: int
+    __slots__ = ("row", "col", "max_rank")
 
-    def __post_init__(self):
-        if self.row < 1 or self.col < 1:
+    def __init__(self, row: int, col: int, max_rank: int):
+        if row < 1 or col < 1:
             raise ValueError("corner indices start at 1")
-        if not 0 <= self.max_rank <= min(self.row, self.col):
+        if not 0 <= max_rank <= min(row, col):
             raise ValueError(
-                f"rank bound {reprlib.repr(self.max_rank)} out of range for a "
-                f"{reprlib.repr(self.row)}x{reprlib.repr(self.col)} region"
+                f"rank bound {reprlib.repr(max_rank)} out of range for a "
+                f"{reprlib.repr(row)}x{reprlib.repr(col)} region"
             )
+        super().__init__(row, col, max_rank)
 
 
-@dataclass(frozen=True)
-class RankConditionSpec:
+class RankConditionSpec(_Value):
     """A scheme given by a list of rank conditions inside an n x n matrix.
 
     Conditions may be redundant; nothing is pruned.  An empty condition
     list denotes the whole matrix space (the zero ideal).
     """
 
-    ambient_n: int
-    conditions: tuple[RankCondition, ...] = ()
-    label: str = ""
+    __slots__ = ("ambient_n", "conditions", "label")
 
-    def __post_init__(self):
-        if self.ambient_n < 1:
+    def __init__(
+        self, ambient_n: int, conditions: Iterable[RankCondition] = (), label: str = ""
+    ):
+        if ambient_n < 1:
             raise ValueError("ambient size must be positive")
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        for cond in self.conditions:
-            if cond.row > self.ambient_n or cond.col > self.ambient_n:
+        conditions = tuple(conditions)
+        for cond in conditions:
+            if cond.row > ambient_n or cond.col > ambient_n:
                 raise ValueError(
                     f"condition RankCondition(row={reprlib.repr(cond.row)}, "
                     f"col={reprlib.repr(cond.col)}, max_rank={reprlib.repr(cond.max_rank)}) "
-                    f"exceeds ambient {reprlib.repr(self.ambient_n)}"
+                    f"exceeds ambient {reprlib.repr(ambient_n)}"
                 )
+        super().__init__(ambient_n, conditions, label)
 
 
 def spec_from_permutation(p: PartialPermutation) -> RankConditionSpec:

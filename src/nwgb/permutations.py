@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass
 
-from .polynomials import Cell
+from .polynomials import Cell, _Value
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
+class PartialPermutation(_Value):
     """One-line notation; ``images[i-1]`` is pi(i), or None if undefined."""
 
-    images: tuple[int | None, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: tuple[int | None, ...]):
+        n = len(images)
         if n == 0:
             raise ValueError("a permutation needs at least one entry")
         seen: set[int] = set()
-        for value in self.images:
+        for value in images:
             if value is None:
                 continue
             if not isinstance(value, int) or not 1 <= value <= n:
@@ -36,6 +34,7 @@ class PartialPermutation:
             if value in seen:
                 raise ValueError(f"duplicate value {value}")
             seen.add(value)
+        super().__init__(images)
 
     @property
     def n(self) -> int:

@@ -50,20 +50,16 @@ writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _all_permutations
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, getitem
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-
-class Cell(NamedTuple):
-    """1-based matrix position; row 1 is the top row, column 1 the leftmost."""
-
-    row: int
-    col: int
+Cell = namedtuple("Cell", ("row", "col"))
+Cell.__doc__ = "1-based matrix position; row 1 is the top row, column 1 the leftmost."
 
 
 # Slot for the extra variable used by elimination (classically called t).
@@ -308,34 +304,76 @@ class Polynomial:
         return polynomial_text(self)
 
 
-@dataclass(frozen=True)
-class Antidiagonal:
+class _Value:
+    """Base of the package's immutable value types, each defined by the
+    fields its ``__slots__`` names, in order (a subclass that declares no
+    slots keeps its base's fields).  ``__init__`` takes them positionally
+    (a subclass checks its arguments first); as on a frozen dataclass,
+    values are equal when they have the same class and equal fields, the
+    hash is that of the field tuple, the repr reads
+    ``Name(field=value, ...)``, and assigning or deleting an attribute
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("__slots__") or cls._fields
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Antidiagonal(_Value):
     """Cells read northeast to southwest.
 
     Rows strictly increase and columns strictly decrease along ``cells``,
     so there is one cell per row and per column and the set is nonempty.
     """
 
-    cells: tuple[Cell, ...]
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
-        if not self.cells:
+    def __init__(self, cells: Sequence[Iterable[int]]):
+        if not cells:
             raise ValueError("an antidiagonal needs at least one cell")
-        object.__setattr__(self, "cells", tuple(Cell(*c) for c in self.cells))
-        for cell in self.cells:
+        cells = tuple(Cell(*c) for c in cells)
+        for cell in cells:
             if cell.row < 1 or cell.col < 1:
                 raise ValueError(f"cell {cell} is outside the matrix")
-        for a, b in zip(self.cells, self.cells[1:]):
+        for a, b in zip(cells, cells[1:]):
             if not (b.row > a.row and b.col < a.col):
                 raise ValueError(
                     f"cells must step strictly south and strictly west, got {a} -> {b}"
                 )
+        super().__init__(cells)
 
     @classmethod
     def _unchecked(cls, cells: tuple[Cell, ...]) -> "Antidiagonal":
         """An antidiagonal on a tuple of cells that the caller knows to be
         nonempty, inside the matrix and stepping strictly SW, built
-        without the checks ``__post_init__`` makes."""
+        without the checks ``__init__`` makes."""
         antidiag = object.__new__(cls)
         object.__setattr__(antidiag, "cells", cells)
         return antidiag
@@ -407,9 +445,11 @@ def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
 
 def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
     """The antidiagonal cells of the minor on the given rows and columns."""
+    # _check_minor has rejected empty minors, repeats and indices below 1,
+    # so ascending rows against descending columns step strictly SW
     r, c = _check_minor(rows, cols)
     k = len(r)
-    return Antidiagonal(tuple(Cell(r[i], c[k - 1 - i]) for i in range(k)))
+    return Antidiagonal._unchecked(tuple(Cell(r[i], c[k - 1 - i]) for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +604,12 @@ def _name(row: int, col: int, exp: int) -> str:
 _NAMES = _VariableTexts(_name)
 
 
-class _PackedProduct(NamedTuple):
-    """A product of minors, multiplied out as ``{packed monomial:
-    coefficient}`` in ``layout``, with ``masks``, the ``layout.mask`` of
-    each row that every one of its terms uses, top row first, and of no
-    other row.  A larger int is a larger monomial, so its terms, largest
-    first, are the ints descending."""
-
-    layout: _Layout
-    terms: dict[int, int]
-    masks: tuple[int, ...]
+_PackedProduct = namedtuple("_PackedProduct", ("layout", "terms", "masks"))
+_PackedProduct.__doc__ = """A product of minors, multiplied out as ``{packed monomial:
+coefficient}`` in ``layout``, with ``masks``, the ``layout.mask`` of each
+row that every one of its terms uses, top row first, and of no other row.
+A larger int is a larger monomial, so its terms, largest first, are the
+ints descending."""
 
 
 def monomial_text(mono: Monomial) -> str:

@@ -43,10 +43,10 @@ on every factor instead.
 from __future__ import annotations
 
 import reprlib
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 from itertools import product
 from operator import or_
-from typing import Iterable, Iterator, Sequence
 
 from .groebner import _FIELD_BITS
 from .ideals import RankConditionSpec, antidiagonals_of_spec

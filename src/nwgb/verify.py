@@ -18,12 +18,11 @@ oracle itself runs.
 
 from __future__ import annotations
 
-import random
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import permutations as _itertools_permutations
-from typing import Sequence
 
 from .ideals import (
     RankCondition,
@@ -407,5 +406,7 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
         # a suite that checks nothing would report a vacuous pass
         raise ValueError(f"cases must be at least 1, got {reprlib.repr(cases)}")
     else:
+        import random  # only the sampled suites load it
+
         outcomes = list(checks(random.Random(seed), default if cases is None else cases))
     return SuiteReport(name, len(outcomes), [detail for ok, detail in outcomes if not ok])

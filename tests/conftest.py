@@ -1,10 +1,12 @@
-"""A time limit on every test.
+"""A time limit on every test, and the contract of the package's value
+types.
 
 A defect in the engine can make a completion or a division loop forever;
 without a limit the suite would then hang instead of failing.  The slowest
 test takes about a second, so the limit is far above any honest run.
 """
 
+import re
 import signal
 
 import pytest
@@ -31,3 +33,33 @@ def time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def exact(message: str) -> str:
+    """A ``pytest.raises`` match pattern for exactly this message."""
+    return f"^{re.escape(message)}$"
+
+
+def check_value_contract(cls, fields, args, other, text):
+    """Check that ``cls`` behaves as the frozen dataclass it replaced.
+
+    ``fields`` names its fields in order, ``args`` and ``other`` build two
+    unequal values, and ``text`` is the repr of ``cls(*args)``.  Values
+    built from the same arguments are equal and hash alike; a subclass
+    with the same field values, and the tuple of those values, are not
+    equal to them; no attribute can be assigned or deleted.
+    """
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    twin = type(cls.__name__, (cls,), {"__slots__": ()})(*args)
+    assert a != twin and twin != a and not a == twin
+    assert a != tuple(getattr(a, name) for name in fields)
+    assert repr(a) == text
+    for name in (*fields, "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == text and a == b

@@ -854,3 +854,25 @@ sys.stdout.write(json.dumps([codes, loaded]))
         check=True,
     )
     assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], []]
+
+
+def test_cli_import_is_lean_and_freezes_the_heap():
+    # every run pays for what ``import nwgb.cli`` loads and for collections
+    # that walk the objects it built; the package alone leaves the
+    # collector as it was
+    script = """
+import gc, json, sys
+import nwgb
+package_frozen = gc.get_freeze_count()
+import nwgb.cli
+loaded = [name for name in ("typing", "random", "argparse") if name in sys.modules]
+sys.stdout.write(json.dumps([package_frozen, gc.get_freeze_count() > 0, loaded]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [0, True, []]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import check_value_contract, exact
 
 from nwgb import (
     AUX,
@@ -585,8 +586,27 @@ def test_intersect_many_empty_presentation_absorbs():
 
 
 def test_ideal_presentation_rejects_zero_generators():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("generators must be nonzero")):
         IdealPresentation((Polynomial(),))
+
+
+def test_ideal_presentation_and_monomial_ideal_value_contract():
+    f = determinant([1, 2], [1, 2])
+    check_value_contract(
+        IdealPresentation,
+        ("generators",),
+        ([f],),
+        ([f, f],),
+        "IdealPresentation(generators=(-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2],))",
+    )
+    assert IdealPresentation([f]).generators == (f,)
+    check_value_contract(
+        MonomialIdeal,
+        ("minimal_generators",),
+        (frozenset([mono((1, 1))]),),
+        (frozenset([mono((1, 2))]),),
+        "MonomialIdeal(minimal_generators=frozenset({m[1,1]}))",
+    )
 
 
 # initial ideals ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import check_value_contract, exact
 
 from nwgb import (
     Cell,
@@ -113,14 +114,43 @@ def test_fulton_generator_leading_monomials_are_their_antidiagonals():
 
 
 def test_condition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("corner indices start at 1")):
         RankCondition(0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("corner indices start at 1")):
+        RankCondition(1, 0, 0)
+    with pytest.raises(ValueError, match=exact("rank bound 3 out of range for a 2x2 region")):
         RankCondition(2, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("rank bound -1 out of range for a 2x3 region")):
+        RankCondition(2, 3, -1)
+    with pytest.raises(
+        ValueError,
+        match=exact("condition RankCondition(row=3, col=1, max_rank=0) exceeds ambient 2"),
+    ):
         RankConditionSpec(2, (RankCondition(3, 1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("ambient size must be positive")):
         RankConditionSpec(0, ())
+
+
+def test_condition_and_spec_value_contract():
+    check_value_contract(
+        RankCondition,
+        ("row", "col", "max_rank"),
+        (2, 3, 1),
+        (2, 3, 0),
+        "RankCondition(row=2, col=3, max_rank=1)",
+    )
+    conditions = [RankCondition(2, 3, 1)]
+    check_value_contract(
+        RankConditionSpec,
+        ("ambient_n", "conditions", "label"),
+        (3, conditions, "x"),
+        (3, conditions, "y"),
+        "RankConditionSpec(ambient_n=3, conditions=(RankCondition(row=2, col=3, max_rank=1),), label='x')",
+    )
+    # the conditions become a tuple; both trailing fields have defaults
+    assert RankConditionSpec(3, conditions).conditions == tuple(conditions)
+    assert repr(RankConditionSpec(3)) == "RankConditionSpec(ambient_n=3, conditions=(), label='')"
+    assert RankConditionSpec(3, label="x") == RankConditionSpec(3, (), "x")
 
 
 def test_essential_conditions_cut_the_same_ideal_as_the_full_rank_matrix():

@@ -4,6 +4,7 @@ import random
 from itertools import permutations as itertools_permutations
 
 import pytest
+from conftest import check_value_contract, exact
 
 from nwgb import (
     Cell,
@@ -59,11 +60,25 @@ def test_parse_errors(text):
 
 
 def test_partial_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("duplicate value 1")):
         PartialPermutation((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("a permutation needs at least one entry")):
         PartialPermutation(())
+    with pytest.raises(ValueError, match=exact("value 3 outside 1..2")):
+        PartialPermutation((1, 3))
+    with pytest.raises(ValueError, match=exact("value 'a' outside 1..2")):
+        PartialPermutation((1, "a"))
     assert PartialPermutation((None, None)).n == 2
+
+
+def test_partial_permutation_value_contract():
+    check_value_contract(
+        PartialPermutation,
+        ("images",),
+        ((2, None, 1),),
+        ((2, 1, None),),
+        "PartialPermutation(images=(2, None, 1))",
+    )
 
 
 def test_one_line_round_trip():

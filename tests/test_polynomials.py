@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations
 
 import pytest
+from conftest import check_value_contract, exact
 
 from nwgb import (
     Antidiagonal,
@@ -399,15 +400,51 @@ def test_antidiagonal_of_spread_minor():
     )
 
 
+def test_antidiagonal_of_equals_the_checked_constructor_on_every_6x6_minor():
+    count = 0
+    for k in range(1, 7):
+        for rows in combinations(range(1, 7), k):
+            for cols in combinations(range(1, 7), k):
+                got = antidiagonal_of(rows, cols)
+                assert got == Antidiagonal(list(zip(rows, reversed(cols))))
+                assert all(type(cell) is Cell for cell in got.cells)
+                count += 1
+    assert count == 923
+
+
 def test_antidiagonal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("an antidiagonal needs at least one cell")):
         Antidiagonal(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("cell Cell(row=0, col=2) is outside the matrix")):
+        Antidiagonal([(0, 2), (1, 1)])
+    step = "cells must step strictly south and strictly west, got "
+    with pytest.raises(ValueError, match=exact(step + "Cell(row=1, col=1) -> Cell(row=2, col=2)")):
         Antidiagonal((Cell(1, 1), Cell(2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact(step + "Cell(row=1, col=2) -> Cell(row=1, col=1)")):
         Antidiagonal((Cell(1, 2), Cell(1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact(step + "Cell(row=1, col=1) -> Cell(row=2, col=1)")):
         Antidiagonal((Cell(1, 1), Cell(2, 1)))
+
+
+def test_antidiagonal_value_contract():
+    check_value_contract(
+        Antidiagonal,
+        ("cells",),
+        ([(1, 2), (2, 1)],),
+        ([(1, 3), (2, 1)],),
+        "Antidiagonal(cells=(Cell(row=1, col=2), Cell(row=2, col=1)))",
+    )
+    # the cells are converted, and built unchecked they compare alike
+    checked = Antidiagonal([(1, 2), (2, 1)])
+    assert checked.cells == (Cell(1, 2), Cell(2, 1)) and type(checked.cells[0]) is Cell
+    assert Antidiagonal._unchecked((Cell(1, 2), Cell(2, 1))) == checked
+
+
+def test_cell_is_a_named_pair():
+    cell = Cell(3, 1)
+    assert cell == (3, 1) and Cell._fields == ("row", "col")
+    assert (cell.row, cell.col) == (3, 1) and repr(cell) == "Cell(row=3, col=1)"
+    assert Cell.__doc__ == "1-based matrix position; row 1 is the top row, column 1 the leftmost."
 
 
 def test_antidiagonal_determinant_and_monomial():
