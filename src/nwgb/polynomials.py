@@ -474,27 +474,19 @@ class _Layout:
         self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
         self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
         self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
-        self.packed: dict[Monomial, int] = {}
-        self.monomials: dict[int, Monomial] = {}
+        self.monomials: dict[int, Monomial] = {}  # every packed int, for unpack
 
     def pack(self, mono: Monomial) -> int:
-        x = self.packed.get(mono)
-        if x is None:
-            if mono.degree() > self.field:
-                raise _Overflow  # some exponent may not fit
-            # one unit in its variable's field per factor of the key
-            x = sum(map(self.unit.__getitem__, mono.key[:-1]))
-            self.packed[mono] = x
-            self.monomials[x] = mono
+        if mono.degree() > self.field:
+            raise _Overflow  # some exponent may not fit
+        # one unit in its variable's field per factor of the key
+        x = sum(map(self.unit.__getitem__, mono.key[:-1]))
+        self.monomials[x] = mono
         return x
 
     def pack_poly(self, f: Polynomial) -> dict[int, int | Fraction]:
-        known = self.packed
-        out = {}
-        for mono, coeff in f.terms.items():
-            x = known.get(mono)
-            out[self.pack(mono) if x is None else x] = coeff
-        return out
+        pack = self.pack
+        return {pack(mono): coeff for mono, coeff in f.terms.items()}
 
     def powers(self, x: int) -> list[tuple[int, int]]:
         """``(code, exponent)`` of each variable of a packed monomial, the
@@ -517,13 +509,8 @@ class _Layout:
     def unpack(self, x: int) -> Monomial:
         mono = self.monomials.get(x)
         if mono is None:
-            codes: list[int] = []
-            support = (x + self.fill) & self.guard
-            while support:  # the most significant field in use first
-                top = support.bit_length() - 1
-                support ^= 1 << top
-                shift = top - self.bits + 1
-                codes += [self.code_at[shift]] * ((x >> shift) & self.field)
+            # powers lists the most significant variable, the lowest code, first
+            codes = [code for code, exp in self.powers(x) for _ in range(exp)]
             mono = self.monomials[x] = _from_codes(codes)
         return mono
 

@@ -28,12 +28,13 @@ A generator's product is formed when it is first read, in the form its
 reader needs.  The JSON writer reads it on packed exponent ints, in one
 ``_Layout`` per basis (see :mod:`nwgb.polynomials`): each minor is
 packed once, a product of monomials is an integer sum, and no exponent can
-exceed the number of inputs, so the field width is fixed before the first
-product (see ``_Packing.product``); the writer reads each term's text off
-its int, one row of fields at a time.  ``GeneratorProduct.poly``, which
-``--verify``, ``--format=text`` and the suites read, multiplies the
-determinants as ``Polynomial`` values: on the small bases the oracle
-checks, that costs less than forming the packed product and unpacking it.
+exceed the number k of inputs, so fields of ``k.bit_length() + 1`` bits
+are fixed before the first product (see ``_Packing.product``); the writer
+reads each term's text off its int, one row of fields at a time.
+``GeneratorProduct.poly``, which ``--verify``, ``--format=text`` and the
+suites read, multiplies the determinants as ``Polynomial`` values: on the
+small bases the oracle checks, that costs less than forming the packed
+product and unpacking it.
 
 A stripped chain steps strictly SW by construction, so each factor is built
 without the checks ``Antidiagonal(...)`` makes; the tests run those checks
@@ -48,7 +49,6 @@ from functools import cached_property, reduce
 from itertools import product
 from operator import or_
 
-from .groebner import _FIELD_BITS
 from .ideals import RankConditionSpec, antidiagonals_of_spec
 from .polynomials import (
     Antidiagonal,
@@ -197,23 +197,19 @@ class GeneratorProduct:
     The product is formed when it is first read, in the form its reader
     needs: ``packed`` on packed exponent ints, which the JSON writer
     reads, or ``poly``, a :class:`Polynomial`, for ``--verify``,
-    ``--format=text``, the suites and the tests.  Given ``poly``, a
-    generator has no ``packing`` and ``packed`` is None."""
+    ``--format=text``, the suites and the tests.  The factors fix the
+    product (see ``union_generators``), so equality and the hash read the
+    inputs and factors alone."""
 
     __slots__ = ("inputs", "factors", "_packing", "_packed", "_poly")
 
     def __init__(
-        self,
-        inputs: Iterable[Antidiagonal],
-        factors: Iterable[Antidiagonal],
-        poly: Polynomial | None = None,
-        packing: _Packing | None = None,
+        self, inputs: Iterable[Antidiagonal], factors: Iterable[Antidiagonal], packing: _Packing
     ):
         self.inputs = tuple(inputs)
         self.factors = tuple(factors)
-        self._poly = poly
         self._packing = packing
-        self._packed = None
+        self._packed = self._poly = None
 
     @property
     def poly(self) -> Polynomial:
@@ -222,21 +218,18 @@ class GeneratorProduct:
         return self._poly
 
     @property
-    def packed(self) -> _PackedProduct | None:
-        if self._packed is None and self._packing is not None:
+    def packed(self) -> _PackedProduct:
+        if self._packed is None:
             self._packed = self._packing.product(self.factors)
         return self._packed
-
-    def _fields(self) -> tuple:
-        return self.inputs, self.factors, self.poly
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorProduct):
             return NotImplemented
-        return self._fields() == other._fields()
+        return (self.inputs, self.factors) == (other.inputs, other.factors)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash((self.inputs, self.factors))
 
     def __repr__(self) -> str:
         return polynomial_text(self.poly)
@@ -246,9 +239,9 @@ class _Packing:
     """What every generator of one basis shares: each factor's determinant,
     expanded once, and a ``_Layout`` (made on first use) over each cell
     that a row and a column of the input antidiagonals meet in, so over
-    every variable of every factor's minor, with fields wide enough for
-    the product of ``count`` inputs (see ``product``), in which each
-    determinant is packed once."""
+    every variable of every factor's minor, with fields of
+    ``count.bit_length() + 1`` bits for the product of ``count`` inputs
+    (see ``product``), in which each determinant is packed once."""
 
     def __init__(self, antidiags: Iterable[Antidiagonal], count: int):
         cells = {cell for antidiag in antidiags for cell in antidiag.cells}
@@ -260,7 +253,7 @@ class _Packing:
 
     @cached_property
     def layout(self) -> _Layout:
-        bits = max(_FIELD_BITS, self.count.bit_length() + 1)
+        bits = self.count.bit_length() + 1
         return _Layout((), bits, [Cell(row, col) for row in self.rows for col in self.cols])
 
     @cached_property
@@ -308,16 +301,15 @@ class _Packing:
         coefficient that cancels is dropped.
 
         No exponent exceeds the number k of inputs, so fields of
-        ``k.bit_length() + 1`` bits hold every one; they are at least
-        ``_FIELD_BITS`` wide all the same.  A minor uses each of its rows
-        once per term, so a variable in row r has, in the product, at most
-        one unit per factor with a cell in row r.  The factors partition
-        the occupied cells, and each input antidiagonal has at most one
-        cell in row r, so at most k factors do.  A minor adds at most 1 to
-        each exponent, so an exponent past the bound would first set its
-        field's guard bit exactly; each step that can raise an exponent
-        above 1 checks the guard bits and raises ``RuntimeError`` if one is
-        set, which would be a defect.
+        ``k.bit_length() + 1`` bits hold every one.  A minor uses each of
+        its rows once per term, so a variable in row r has, in the product,
+        at most one unit per factor with a cell in row r.  The factors
+        partition the occupied cells, and each input antidiagonal has at
+        most one cell in row r, so at most k factors do.  A minor adds at
+        most 1 to each exponent, so an exponent past the bound would first
+        set its field's guard bit exactly; each step that can raise an
+        exponent above 1 checks the guard bits and raises ``RuntimeError``
+        if one is set, which would be a defect.
         """
         guard = self.layout.guard
         terms = {0: 1}
@@ -361,7 +353,7 @@ def generator_product(
         factors = extract_factors(antidiags)
     if packing is None:
         packing = _Packing(antidiags, len(antidiags))
-    return GeneratorProduct(antidiags, factors, packing=packing)
+    return GeneratorProduct(antidiags, factors, packing)
 
 
 def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorProduct]:
@@ -411,13 +403,13 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
     "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, each
     factor's rows and columns ascending.  One ``json_writer`` writes the
-    factors and products, from ``g.packed`` when a generator has one, and
-    each generator's frame around them is one f-string."""
+    factors and each ``g.packed``, and each generator's frame around them
+    is one f-string."""
     write = json_writer()
     opening = "[\n  "
     for g in basis:
         factors = _json_list([write(f, 6) for f in g.factors], 4, "[]")
-        poly = write(g.packed or g.poly, 4)
+        poly = write(g.packed, 4)
         yield f'{opening}{{\n    "factors": {factors},\n    "poly": {poly}\n  }}'
         opening = ",\n  "
     yield "[]" if opening == "[\n  " else "\n]"

@@ -900,13 +900,6 @@ def test_json_text_cases_include_squared_variables(pair):
     assert any(not m.is_squarefree() for g in basis for m in g.poly.terms)
 
 
-def test_basis_json_text_lays_out_empty_lists_as_json_dumps():
-    # no union generator has these, but the writer matches json.dumps on them
-    poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
-    basis = [GeneratorProduct((), (), poly)]
-    assert "".join(basis_json_chunks(basis)) == json.dumps([generator_to_json(g) for g in basis], indent=2)
-
-
 # packed products against the fold through Polynomial.__mul__ ------------------
 
 def folded_product(factors):
@@ -919,18 +912,19 @@ def folded_product(factors):
 
 
 def assert_packed_equals_fold(basis):
-    """Each packed generator has the fold's polynomial, and the basis the
-    fold's JSON and text bytes."""
-    reference = [GeneratorProduct(g.inputs, g.factors, folded_product(g.factors)) for g in basis]
-    assert all(g.packed is not None for g in basis)
-    assert all(r.packed is None for r in reference)
-    for g, r in zip(basis, reference):
-        assert g.packed.layout.polynomial(g.packed.terms) == r.poly
-        assert g.poly == r.poly
+    """Each generator's packed product and ``poly`` are the fold's
+    polynomial, and the basis has the fold's JSON and text bytes."""
+    folds = [folded_product(g.factors) for g in basis]
+    for g, fold in zip(basis, folds):
+        assert g.packed.layout.polynomial(g.packed.terms) == fold
+        assert g.poly == fold
         assert_canonical_exact(g.poly)
-    assert "".join(basis_json_chunks(basis)) == "".join(basis_json_chunks(reference))
+    reference = [
+        dict(generator_to_json(g), poly=polynomial_to_json(fold)) for g, fold in zip(basis, folds)
+    ]
+    assert "".join(basis_json_chunks(basis)) == json.dumps(reference, indent=2)
     assert [polynomial_text(g.poly) + "\n" for g in basis] == [
-        polynomial_text(r.poly) + "\n" for r in reference
+        polynomial_text(fold) + "\n" for fold in folds
     ]
 
 
@@ -952,20 +946,18 @@ def spokes(k):
     return [anti((1, 1 + i), (1 + i, 1)) for i in range(1, k + 1)]
 
 
-def test_an_exponent_equal_to_the_input_count_fills_its_field(monkeypatch):
-    # without the floor the field of 3 inputs is 3 bits: exponents up to 3
-    monkeypatch.setattr(nwgb.union, "_FIELD_BITS", 2)
+def test_an_exponent_equal_to_the_input_count_fills_its_field():
+    # the field of 3 inputs is 3 bits: exponents up to 3
     built = generator_product(spokes(3))
-    assert built.packed.layout.field == 3
+    assert (built.packed.layout.bits, built.packed.layout.field) == (3, 3)
     assert Monomial.from_cells([Cell(1, 1)] * 3) * Monomial.from_cells(
         [Cell(2, 2), Cell(3, 3), Cell(4, 4)]
     ) in built.poly.terms
     assert_packed_equals_fold([built])
 
 
-def test_an_exponent_past_its_field_is_an_internal_error(monkeypatch):
+def test_an_exponent_past_its_field_is_an_internal_error():
     # four inputs laid out for three: m[1,1]^4 sets a guard bit
-    monkeypatch.setattr(nwgb.union, "_FIELD_BITS", 2)
     inputs = spokes(4)
     with pytest.raises(RuntimeError, match="outgrew its field"):
         generator_product(inputs, None, nwgb.union._Packing(inputs, 3)).packed
@@ -973,22 +965,42 @@ def test_an_exponent_past_its_field_is_an_internal_error(monkeypatch):
 
 
 def test_generator_product_keeps_its_constructor_and_poly():
-    # GeneratorProduct(inputs, factors, poly) takes a Polynomial as it is
-    poly = Polynomial.constant(Fraction(-3, 2)) + Polynomial.variable(Cell(2, 1))
-    given = GeneratorProduct([], (), poly)
-    assert (given.inputs, given.factors, given.poly, given.packed) == ((), (), poly, None)
-    assert given.poly is poly
     # generator_product forms each form of the product once, on first read
     a, b = anti((1, 2), (2, 1)), anti((2, 2),)
     built = generator_product([a, b])
     assert built.packed is built.packed and isinstance(built.poly, Polynomial)
     assert built.poly is built.poly
     assert built.poly == folded_product(built.factors)
-    assert built == GeneratorProduct((a, b), built.factors, folded_product(built.factors))
-    assert hash(built) == hash(GeneratorProduct((a, b), built.factors, built.poly))
+    # GeneratorProduct(inputs, factors, packing) is the one constructor
+    again = GeneratorProduct([a, b], list(built.factors), nwgb.union._Packing([a, b], 2))
+    assert (again.inputs, again.factors) == ((a, b), built.factors)
+    assert again == built and hash(again) == hash(built)
+    assert again.poly == built.poly
     assert repr(built) == polynomial_text(folded_product(built.factors))
     coeff, mono = built.poly.leading_term()  # as the generator-init suite reads it
     assert (coeff, mono) == (-1, Monomial.from_cells([Cell(1, 2), Cell(2, 1), Cell(2, 2)]))
+    # no inputs: the constant 1, on 1-bit fields over no cells
     one = generator_product([])
-    assert one.packed is not None and one.poly == Polynomial.constant(1)
+    assert (one.packed.terms, one.packed.layout.bits, one.packed.masks) == ({0: 1}, 1, ())
+    assert one.poly == Polynomial.constant(1)
     assert "".join(basis_json_chunks([one])) == json.dumps([generator_to_json(one)], indent=2)
+
+
+def test_comparing_and_hashing_generators_multiplies_nothing(monkeypatch):
+    basis = union_basis(schubert_specs(*SQUARED_PAIRS[0]))
+    twins = [generator_product(g.inputs) for g in basis]
+    calls = []
+    for name in ("product", "polynomial"):
+        original = getattr(nwgb.union._Packing, name)
+
+        def spy(self, factors, name=name, original=original):
+            calls.append(name)
+            return original(self, factors)
+
+        monkeypatch.setattr(nwgb.union._Packing, name, spy)
+    assert len(basis) > 1
+    for g, twin in zip(basis, twins):
+        assert g == twin and hash(g) == hash(twin)
+        assert [h for h in basis if h != g] == [h for h in basis if h is not g]
+    assert len(set(basis) | set(twins)) == len(basis)
+    assert calls == []

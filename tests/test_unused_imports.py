@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private name a module defines at its top level is read in that module.
+"""Every name a package module imports is used in that module, every
+private name a module defines at its top level is read in that module,
+and the modules below the engine import nothing from it.
 
 No linter ships with the project, so this stands in for unused-import and
 unused-helper checks.  ``__init__.py`` is skipped by the first: its
@@ -85,3 +86,40 @@ def test_the_check_sees_an_unread_private_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# the modules the union synthesis loads, below the Groebner engine and the suites
+BELOW_ENGINE = ["permutations.py", "polynomials.py", "ideals.py", "union.py"]
+ENGINE = (["nwgb", "groebner"], ["nwgb", "verify"])
+
+
+def engine_imports(source: str) -> list[str]:
+    """Imports, anywhere in a module of ``nwgb``, of ``nwgb.groebner`` or
+    ``nwgb.verify`` or of a name from either, however spelled."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from within the package
+            module = ["nwgb"] * (node.level > 0) + (node.module.split(".") if node.module else [])
+            paths = [module] + [module + [alias.name] for alias in node.names]
+        else:
+            continue
+        if any(path[:2] in ENGINE for path in paths):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_the_check_sees_an_engine_import():
+    source = (
+        "from .polynomials import Cell\nfrom .groebner import _FIELD_BITS\n"
+        "def f():\n    from . import verify\nimport nwgb.groebner\n"
+        "from nwgb import groebner as g\nfrom nwgb.ideals import load_spec\n"
+    )
+    assert engine_imports(source) == ["line 2", "line 4", "line 5", "line 6"]
+
+
+@pytest.mark.parametrize("name", BELOW_ENGINE)
+def test_modules_below_the_engine_do_not_import_it(name):
+    assert engine_imports((SRC / name).read_text(encoding="utf-8")) == []
