@@ -30,13 +30,7 @@ from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import Polynomial, json_text, polynomial_text
 from .union import GeneratorProduct, basis_json_chunks, union_generators
-from .verify import (
-    SUITES,
-    full_oracle_verdicts,
-    membership_failures,
-    run_suite,
-    spec_bases,
-)
+from .verify import SUITES, run_suite, union_verdicts
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -186,22 +180,19 @@ def _cmd_union(args: SimpleNamespace) -> int:
     if args.verify == "none":
         return EXIT_OK
 
-    bases = spec_bases(specs)
-    failures = membership_failures(polys, specs, bases)
+    failures, groebner_ok, equal_ok = union_verdicts(polys, specs, args.verify)
     print(
         f"membership: {len(polys) * len(specs)} checks, {len(failures)} failures",
         file=sys.stderr,
     )
-    ok = not failures
-    if args.verify == "full-oracle":
-        groebner_ok, equal_ok = full_oracle_verdicts(polys, bases, not failures)
-        print(f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr)
-        print(
-            f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
-            file=sys.stderr,
-        )
-        ok = ok and groebner_ok and equal_ok
-    return EXIT_OK if ok else EXIT_VERIFY
+    if args.verify == "membership":
+        return EXIT_VERIFY if failures else EXIT_OK
+    print(f"groebner criterion: {'ok' if groebner_ok else 'FAILED'}", file=sys.stderr)
+    print(
+        f"ideal equality vs oracle intersection: {'ok' if equal_ok else 'FAILED'}",
+        file=sys.stderr,
+    )
+    return EXIT_OK if not failures and groebner_ok and equal_ok else EXIT_VERIFY
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

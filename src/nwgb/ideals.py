@@ -16,7 +16,14 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations
 
 from .permutations import PartialPermutation, essential_set, parse_one_line, rank_matrix
-from .polynomials import Antidiagonal, Polynomial, _Value, antidiagonal_of, determinant
+from .polynomials import (
+    Antidiagonal,
+    Polynomial,
+    _Value,
+    _is_int,
+    antidiagonal_of,
+    determinant,
+)
 
 
 class RankCondition(_Value):
@@ -25,6 +32,9 @@ class RankCondition(_Value):
     __slots__ = ("row", "col", "max_rank")
 
     def __init__(self, row: int, col: int, max_rank: int):
+        for name, value in (("row", row), ("col", col), ("max_rank", max_rank)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
         if row < 1 or col < 1:
             raise ValueError("corner indices start at 1")
         if not 0 <= max_rank <= min(row, col):
@@ -47,8 +57,12 @@ class RankConditionSpec(_Value):
     def __init__(
         self, ambient_n: int, conditions: Iterable[RankCondition] = (), label: str = ""
     ):
+        if not _is_int(ambient_n):
+            raise ValueError(f"ambient size must be an integer, got {reprlib.repr(ambient_n)}")
         if ambient_n < 1:
             raise ValueError("ambient size must be positive")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {reprlib.repr(label)}")
         conditions = tuple(conditions)
         for cond in conditions:
             if cond.row > ambient_n or cond.col > ambient_n:
@@ -127,7 +141,7 @@ def _int_field(data: Mapping, key: str, name: str) -> int:
     if key not in data:
         raise ValueError(f"spec field {name} is missing")
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"spec field {name} must be an integer, got {reprlib.repr(value)}")
     return value
 

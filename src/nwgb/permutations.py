@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import reprlib
 
-from .polynomials import Cell, _Value
+from .polynomials import Cell, _Value, _is_int
 
 
 class PartialPermutation(_Value):
@@ -29,7 +29,7 @@ class PartialPermutation(_Value):
         for value in images:
             if value is None:
                 continue
-            if not isinstance(value, int) or not 1 <= value <= n:
+            if not _is_int(value) or not 1 <= value <= n:
                 raise ValueError(f"value {reprlib.repr(value)} outside 1..{n}")
             if value in seen:
                 raise ValueError(f"duplicate value {value}")

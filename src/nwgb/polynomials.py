@@ -50,6 +50,7 @@ writer.
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -304,6 +305,12 @@ class Polynomial:
         return polynomial_text(self)
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int; a bool is not one, though Python makes
+    it a subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Value:
     """Base of the package's immutable value types, each defined by the
     fields its ``__slots__`` names, in order (a subclass that declares no
@@ -360,6 +367,8 @@ class Antidiagonal(_Value):
             raise ValueError("an antidiagonal needs at least one cell")
         cells = tuple(Cell(*c) for c in cells)
         for cell in cells:
+            if not (_is_int(cell.row) and _is_int(cell.col)):
+                raise ValueError(f"cell {reprlib.repr(tuple(cell))} is not a pair of integers")
             if cell.row < 1 or cell.col < 1:
                 raise ValueError(f"cell {cell} is outside the matrix")
         for a, b in zip(cells, cells[1:]):
@@ -474,15 +483,12 @@ class _Layout:
         self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
         self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
         self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
-        self.monomials: dict[int, Monomial] = {}  # every packed int, for unpack
 
     def pack(self, mono: Monomial) -> int:
         if mono.degree() > self.field:
             raise _Overflow  # some exponent may not fit
         # one unit in its variable's field per factor of the key
-        x = sum(map(self.unit.__getitem__, mono.key[:-1]))
-        self.monomials[x] = mono
-        return x
+        return sum(map(self.unit.__getitem__, mono.key[:-1]))
 
     def pack_poly(self, f: Polynomial) -> dict[int, int | Fraction]:
         pack = self.pack
@@ -507,12 +513,8 @@ class _Layout:
         return sum(self.field * self.unit[_code(cell)] for cell in cells)
 
     def unpack(self, x: int) -> Monomial:
-        mono = self.monomials.get(x)
-        if mono is None:
-            # powers lists the most significant variable, the lowest code, first
-            codes = [code for code, exp in self.powers(x) for _ in range(exp)]
-            mono = self.monomials[x] = _from_codes(codes)
-        return mono
+        # powers lists the most significant variable, the lowest code, first
+        return _from_codes([code for code, exp in self.powers(x) for _ in range(exp)])
 
     def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
         unpack = self.unpack

@@ -10,10 +10,10 @@ A sampled suite draws its cases from the one ``random.Random(seed)`` that
 
 The union checks (membership of every emitted generator in every input
 ideal, and the two full-oracle verdicts: the Buchberger criterion and
-equality with the intersection) live here once and back both the suites
-and ``nwgb union --verify``.  Both start from ``spec_bases``, so each input
-ideal is completed once per check; ``full_oracle_verdicts`` says when the
-oracle itself runs.
+equality with the intersection) live here once, in ``union_verdicts``,
+which both the suites and ``nwgb union --verify`` call.  It completes each
+input ideal once (``spec_bases``), runs membership against those bases
+before it proves anything, and says when the oracle itself runs.
 """
 
 from __future__ import annotations
@@ -99,16 +99,17 @@ def membership_failures(
     return failures
 
 
-def full_oracle_verdicts(
+def union_verdicts(
     basis: Sequence[Polynomial],
-    bases: Sequence[IdealPresentation],
-    members: bool,
-) -> tuple[bool, bool]:
-    """(criterion, equality): whether the union basis B is a Groebner basis,
-    and whether it generates the intersection of the ideals I_k whose
-    reduced bases are ``bases`` (``spec_bases``).  ``members`` says whether
-    every element of B reduces to zero against every one of them
-    (``membership_failures`` is empty).
+    specs: Sequence[RankConditionSpec],
+    depth: str,
+) -> tuple[list[str], bool | None, bool | None]:
+    """(failures, criterion, equality) for the union basis B of ``specs`` at
+    the ``--verify`` depth "membership" or "full-oracle".  ``failures``
+    (``membership_failures``) reduces B against each spec's ideal I_k,
+    completed once (``spec_bases``).  At "membership" depth both verdicts
+    are None; else they say whether B is a Groebner basis, and whether it
+    generates the intersection of the I_k.
 
     Both verdicts are true, and nothing is completed, when B lies in every
     I_k and every minimal generator of the monomial meet of the in(I_k) is
@@ -133,12 +134,18 @@ def full_oracle_verdicts(
     which reads the intersection's reduced basis from the engine's record
     and completes B.
     """
-    if not members:
-        return is_groebner(basis), False
+    if depth not in ("membership", "full-oracle"):
+        raise ValueError(f"unknown verify depth {reprlib.repr(depth)}")
+    bases = spec_bases(specs)
+    failures = membership_failures(basis, specs, bases)
+    if depth == "membership":
+        return failures, None, None
+    if failures:
+        return failures, is_groebner(basis), False
     leads = leading_ideal(basis)
     if all(leads.contains(m) for m in _initial_meet(bases).minimal_generators):
-        return True, True
-    return is_groebner(basis), ideals_equal(basis, intersect_many(bases))
+        return failures, True, True
+    return failures, is_groebner(basis), ideals_equal(basis, intersect_many(bases))
 
 
 def _initial_meet(bases: Sequence[IdealPresentation]) -> MonomialIdeal:
@@ -278,13 +285,12 @@ def _union_pair_checks(
     specs = [spec_from_permutation(left), spec_from_permutation(right)]
     basis = [g.poly for g in union_basis(specs)]
     label = f"{left.one_line()} | {right.one_line()}"
-    bases = spec_bases(specs)
-    members = not membership_failures(basis, specs, bases)
-    groebner_ok, equal_ok = full_oracle_verdicts(basis, bases, members)
+    _, groebner_ok, equal_ok = union_verdicts(basis, specs, "full-oracle")
     yield groebner_ok, f"{label}: basis fails Buchberger criterion"
     yield equal_ok, f"{label}: basis ideal differs from oracle intersection"
     if check_init_theorem:
         # the independent check of the init theorem, so by elimination
+        bases = spec_bases(specs)
         yield (
             leading_ideal(intersect_many(bases)) == _initial_meet(bases),
             f"{label}: init of intersection differs from intersection of inits",
@@ -348,13 +354,9 @@ def suite_triple_intersections(rng: random.Random, cases: int):
         specs = [spec_from_permutation(p) for p in triple]
         label = " | ".join(p.one_line() for p in triple)
         basis = [g.poly for g in union_basis(specs)]
-        bases = spec_bases(specs)
-        members = not membership_failures(basis, specs, bases)
-        yield members, f"{label}: membership failure"
-        yield (
-            full_oracle_verdicts(basis, bases, members)[1],
-            f"{label}: basis differs from iterated intersection",
-        )
+        failures, _, equal_ok = union_verdicts(basis, specs, "full-oracle")
+        yield not failures, f"{label}: membership failure"
+        yield equal_ok, f"{label}: basis differs from iterated intersection"
 
 
 def _fulton_groebner_checks(*sizes: int):

@@ -1,6 +1,7 @@
 """Rank-condition specs, Fulton generators and spec files."""
 
 import json
+from itertools import permutations as itertools_permutations
 
 import pytest
 from conftest import check_value_contract, exact
@@ -8,6 +9,7 @@ from conftest import check_value_contract, exact
 from nwgb import (
     Cell,
     Monomial,
+    PartialPermutation,
     Polynomial,
     RankCondition,
     RankConditionSpec,
@@ -129,6 +131,48 @@ def test_condition_validation():
         RankConditionSpec(2, (RankCondition(3, 1, 0),))
     with pytest.raises(ValueError, match=exact("ambient size must be positive")):
         RankConditionSpec(0, ())
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 2, False), "row must be an integer, got True"),
+        ((2.0, 2, 1), "row must be an integer, got 2.0"),
+        (("3", 2, 1), "row must be an integer, got '3'"),
+        ((2, None, 1), "col must be an integer, got None"),
+        ((2, 2, False), "max_rank must be an integer, got False"),
+        ((2, 2, 1.5), "max_rank must be an integer, got 1.5"),
+        ((2, 2, "x" * 100), "max_rank must be an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ],
+)
+def test_condition_takes_only_ints(args, message):
+    with pytest.raises(ValueError, match=exact(message)):
+        RankCondition(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True,), "ambient size must be an integer, got True"),
+        ((3.0,), "ambient size must be an integer, got 3.0"),
+        (("3",), "ambient size must be an integer, got '3'"),
+        ((3, (), None), "label must be a string, got None"),
+        ((3, (), b"2 1 3"), "label must be a string, got b'2 1 3'"),
+        ((3, (), 7), "label must be a string, got 7"),
+    ],
+)
+def test_spec_takes_an_int_size_and_a_str_label(args, message):
+    with pytest.raises(ValueError, match=exact(message)):
+        RankConditionSpec(*args)
+
+
+def test_spec_json_round_trips_on_every_s4_spec():
+    perms = [PartialPermutation(images) for images in itertools_permutations(range(1, 5))]
+    specs = [make(p) for p in perms for make in (spec_from_permutation, spec_from_rank_matrix)]
+    assert len(set(specs)) == 48
+    for spec in specs:
+        assert spec_from_json(spec_to_json(spec)) == spec
+        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
 
 def test_condition_and_spec_value_contract():

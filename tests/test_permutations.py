@@ -1,7 +1,7 @@
 """Partial permutations, rank matrices, Rothe diagrams, essential sets."""
 
 import random
-from itertools import permutations as itertools_permutations
+from itertools import permutations as itertools_permutations, product
 
 import pytest
 from conftest import check_value_contract, exact
@@ -68,7 +68,26 @@ def test_partial_permutation_validation():
         PartialPermutation((1, 3))
     with pytest.raises(ValueError, match=exact("value 'a' outside 1..2")):
         PartialPermutation((1, "a"))
+    # a bool or a float is not an image, though it compares equal to one
+    with pytest.raises(ValueError, match=exact("value True outside 1..2")):
+        PartialPermutation((True, 2))
+    with pytest.raises(ValueError, match=exact("value 2.0 outside 1..2")):
+        PartialPermutation((1, 2.0))
+    with pytest.raises(ValueError, match=exact("value 'xxxxxxxxxxxx...xxxxxxxxxxxxx' outside 1..2")):
+        PartialPermutation((1, "x" * 100))
     assert PartialPermutation((None, None)).n == 2
+
+
+def test_one_line_round_trips_through_parse_one_line():
+    perms = [PartialPermutation(images) for images in itertools_permutations(range(1, 5))]
+    for n in range(1, 4):
+        for images in product([None, *range(1, n + 1)], repeat=n):
+            defined = [v for v in images if v is not None]
+            if len(set(defined)) == len(defined):
+                perms.append(PartialPermutation(images))
+    assert len(perms) == 24 + 2 + 7 + 34
+    for p in perms:
+        assert parse_one_line(p.one_line()) == p
 
 
 def test_partial_permutation_value_contract():

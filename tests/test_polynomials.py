@@ -417,6 +417,14 @@ def test_antidiagonal_validation():
         Antidiagonal(())
     with pytest.raises(ValueError, match=exact("cell Cell(row=0, col=2) is outside the matrix")):
         Antidiagonal([(0, 2), (1, 1)])
+    for cells, shown in [
+        ([(True, 2), (2, 1)], "(True, 2)"),
+        ([(1, 2), (2, 1.0)], "(2, 1.0)"),
+        ([("1", 2)], "('1', 2)"),
+        ([Cell(1, None)], "(1, None)"),
+    ]:
+        with pytest.raises(ValueError, match=exact(f"cell {shown} is not a pair of integers")):
+            Antidiagonal(cells)
     step = "cells must step strictly south and strictly west, got "
     with pytest.raises(ValueError, match=exact(step + "Cell(row=1, col=1) -> Cell(row=2, col=2)")):
         Antidiagonal((Cell(1, 1), Cell(2, 2)))

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 private name a module defines at its top level is read in that module,
-and the modules below the engine import nothing from it.
+the modules below the engine import nothing from it, and the CLI imports
+from the suites only the names it calls.
 
 No linter ships with the project, so this stands in for unused-import and
 unused-helper checks.  ``__init__.py`` is skipped by the first: its
@@ -123,3 +124,51 @@ def test_the_check_sees_an_engine_import():
 @pytest.mark.parametrize("name", BELOW_ENGINE)
 def test_modules_below_the_engine_do_not_import_it(name):
     assert engine_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+# the CLI runs the suites and calls the one union check; it does not
+# compose a check out of the suites' parts
+CLI_FROM_VERIFY = {"SUITES", "run_suite", "union_verdicts"}
+VERIFY = ["nwgb", "verify"]
+
+
+def verify_imports_beyond(source: str, allowed: set[str]) -> list[str]:
+    """Imports, anywhere in a module of ``nwgb``, of a name from
+    ``nwgb.verify`` outside ``allowed``, however spelled; an import of the
+    module itself reads as ``*``, since every name is reachable through it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = ["*" for alias in node.names if alias.name.split(".")[:2] == VERIFY]
+        elif isinstance(node, ast.ImportFrom):
+            module = ["nwgb"] * (node.level > 0) + (node.module.split(".") if node.module else [])
+            names = [
+                alias.name if module[:2] == VERIFY else "*"
+                for alias in node.names
+                if module[:2] == VERIFY or module + [alias.name] == VERIFY
+            ]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name not in allowed]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_verify_import_beyond_the_allowed_names():
+    source = (
+        "from .verify import SUITES, spec_bases\nimport nwgb.verify\n"
+        "from . import verify as v\nfrom .ideals import load_spec\n"
+        "def f():\n    from nwgb.verify import membership_failures, run_suite\n"
+        "from . import ideals, verify\n"
+    )
+    assert verify_imports_beyond(source, CLI_FROM_VERIFY) == [
+        "line 1: spec_bases",
+        "line 2: *",
+        "line 3: *",
+        "line 6: membership_failures",
+        "line 7: *",
+    ]
+
+
+def test_the_cli_imports_from_verify_only_what_it_calls():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert verify_imports_beyond(source, CLI_FROM_VERIFY) == []

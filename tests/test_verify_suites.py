@@ -1,11 +1,14 @@
 """Sanity checks on the packaged property suites (small case counts; the
 full-size runs live in the acceptance module)."""
 
+import json
 import random
 from functools import reduce
 
 import pytest
 
+import nwgb.cli
+import nwgb.verify
 from nwgb.groebner import (
     IdealPresentation,
     MonomialIdeal,
@@ -23,12 +26,12 @@ from nwgb.verify import (
     SUITES,
     _embed,
     _union_pair_checks,
-    full_oracle_verdicts,
     honest_permutations,
     membership_failures,
     run_suite,
     sampled_s4_pairs,
     spec_bases,
+    union_verdicts,
 )
 from test_union import S5_FAILING_PAIRS
 
@@ -168,7 +171,7 @@ def test_oracle_intersection_matches_pairwise_intersect():
     ],
 )
 def test_oracle_intersection_is_reduced(texts):
-    # full_oracle_verdicts compares a completed basis with the intersection
+    # union_verdicts compares a completed basis with the intersection
     # as it comes back, so it must come back reduced
     meet = intersect_many(spec_bases(_specs(*texts)))
     assert meet
@@ -177,7 +180,7 @@ def test_oracle_intersection_is_reduced(texts):
 
 def full_oracle_case(specs, monkeypatch, basis=None):
     """(proved, covered) for one union basis, by default the synthesized
-    one: whether ``full_oracle_verdicts`` answered without ``is_groebner``
+    one: whether ``union_verdicts`` answered without ``is_groebner``
     or ``intersect_many``, and whether the leads of the basis cover the
     meet of the initial ideals (the proof's premise besides membership).
     Its two verdicts must be the literal criterion and equality of the
@@ -186,7 +189,8 @@ def full_oracle_case(specs, monkeypatch, basis=None):
     if basis is None:
         basis = [g.poly for g in union_basis(specs)]
     bases = spec_bases(specs)
-    members = not membership_failures(basis, specs, bases)
+    failures = membership_failures(basis, specs, bases)
+    members = not failures
     fallback = []
     monkeypatch.setattr(
         "nwgb.verify.is_groebner", lambda b: fallback.append("criterion") or is_groebner(b)
@@ -194,9 +198,10 @@ def full_oracle_case(specs, monkeypatch, basis=None):
     monkeypatch.setattr(
         "nwgb.verify.intersect_many", lambda b: fallback.append("meet") or intersect_many(b)
     )
-    verdicts = full_oracle_verdicts(basis, bases, members)
+    found, *verdicts = union_verdicts(basis, specs, "full-oracle")
     monkeypatch.undo()
-    assert verdicts == (is_groebner(basis), buchberger(basis) == intersect_many(bases)), [
+    assert found == failures
+    assert verdicts == [is_groebner(basis), buchberger(basis) == intersect_many(bases)], [
         s.label for s in specs
     ]
     meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
@@ -238,6 +243,74 @@ def test_full_oracle_verdicts_on_seeded_s5_pairs_and_triples(monkeypatch):
         for chosen in pairs + triples
     ]
     assert (sum(proved[:12]), sum(proved[12:])) == (11, 5)
+
+
+def test_union_verdicts_at_membership_depth_runs_no_oracle(monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("membership depth proves nothing")
+
+    monkeypatch.setattr("nwgb.verify.is_groebner", no_oracle)
+    monkeypatch.setattr("nwgb.verify.intersect_many", no_oracle)
+    specs = _specs("2 3 1", "3 1 2")
+    basis = [g.poly for g in union_basis(specs)]
+    assert union_verdicts(basis, specs, "membership") == ([], None, None)
+    outside = Polynomial.variable(Cell(3, 3))
+    assert union_verdicts([outside], specs, "membership") == (
+        ["1*m[3,3] is not in the ideal of 2 3 1", "1*m[3,3] is not in the ideal of 3 1 2"],
+        None,
+        None,
+    )
+
+
+def test_union_verdicts_checks_membership_before_the_proof():
+    # m[3,3] alone leads with every minimal generator of the meet, so only
+    # the membership premise keeps the proof from passing it
+    specs = _specs("2 3 1", "3 1 2")
+    failures, criterion, equality = union_verdicts(
+        [Polynomial.variable(Cell(3, 3))], specs, "full-oracle"
+    )
+    assert (len(failures), criterion, equality) == (2, True, False)
+
+
+@pytest.mark.parametrize("depth", ["none", "full", "", "MEMBERSHIP", None])
+def test_union_verdicts_rejects_other_depths(depth, monkeypatch):
+    def no_completion(*args):
+        raise AssertionError("an unknown depth completes nothing")
+
+    monkeypatch.setattr("nwgb.verify.spec_bases", no_completion)
+    with pytest.raises(ValueError, match=r"^unknown verify depth "):
+        union_verdicts([], _specs("2 3 1"), depth)
+
+
+def test_cli_depths_and_union_suites_all_reach_union_verdicts(tmp_path, monkeypatch, capsys):
+    assert nwgb.cli.union_verdicts is nwgb.verify.union_verdicts
+    original = nwgb.verify.union_verdicts
+    depths = []
+
+    def spy(basis, specs, depth):
+        depths.append(depth)
+        return original(basis, specs, depth)
+
+    monkeypatch.setattr(nwgb.verify, "union_verdicts", spy)
+    monkeypatch.setattr(nwgb.cli, "union_verdicts", spy)
+    paths = []
+    for name, text in (("l.json", "2 3 1"), ("r.json", "3 1 2")):
+        (tmp_path / name).write_text(json.dumps({"n": 3, "permutation": text}))
+        paths.append(str(tmp_path / name))
+    for depth in ("none", "membership", "full-oracle"):
+        assert nwgb.cli.main(["union", *paths, f"--verify={depth}"]) == 0
+    capsys.readouterr()
+    reached = {"cli": depths.copy()}
+    for name, cases in (("s3-exhaustive", None), ("s4-sampled", 1), ("triples", 1)):
+        depths.clear()
+        assert run_suite(name, cases=cases).passed
+        reached[name] = depths.copy()
+    assert reached == {
+        "cli": ["membership", "full-oracle"],
+        "s3-exhaustive": ["full-oracle"] * 36,
+        "s4-sampled": ["full-oracle"] * 2,
+        "triples": ["full-oracle"],
+    }
 
 
 def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
