@@ -31,16 +31,18 @@ interreduction pass (none when nothing moved, see ``_complete``), so two
 generating sets span the same ideal exactly
 when ``buchberger`` gives both the same list (``ideals_equal``).  Ideal
 intersection uses the textbook elimination trick with one auxiliary
-variable, folded by ``intersect_many``.  Everything runs under the one
-antidiagonal lex order of :mod:`nwgb.polynomials`, which ranks that
-variable first and so is also an elimination order for it.
+variable, folded by ``intersect_many`` in one packed layout; each step
+finishes (minimal split, interreduction) only the t-free part it keeps.
+Everything runs under the one antidiagonal lex order of
+:mod:`nwgb.polynomials`, which ranks that variable first and so is also
+an elimination order for it.
 
 Inside the engine a monomial is an int with packed exponents, as in the
 heap division of Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
 (``buchberger``, ``is_groebner``, ``normal_forms``, ``s_polynomial``,
-``intersect``) lays out one field per variable of its inputs (``_Layout``,
-from :mod:`nwgb.polynomials`, which the union products use too):
+``intersect_many``) lays out one field per variable of its inputs
+(``_Layout``, from :mod:`nwgb.polynomials`, which the union products use too):
 ``bits`` bits each, a guard bit over ``bits - 1`` exponent bits, the most
 significant variable of the order (t, when present) in the highest field
 and each next one in the field below.  Comparing two such ints compares
@@ -379,11 +381,12 @@ def _unsettled_pairs(reducers: list[Reducer], layout: _Layout) -> Iterator[tuple
             yield i, j, lcm
 
 
-def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
+def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = None) -> list[dict]:
     """The reduced Groebner basis of packed polynomials, packed, in
     ascending leading monomial: the S-pairs ``_unsettled_pairs`` leaves,
     reduced in its order against the growing basis, then one interreduction
-    of the minimal-lead subset.
+    of the minimal-lead subset.  With a bound ``below``, only the part of
+    that basis whose leads are below it is built and returned.
 
     That second interreduction is skipped when the first pass kept every
     input with its leading monomial and no S-pair left a remainder.  Then
@@ -393,7 +396,17 @@ def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
     own lead divides none of its smaller terms.  So the first pass's output
     is already reduced, and a Groebner basis since every S-pair settled.
     No lead divides another, the minimal split keeps all of it in ascending
-    leading monomial, and interreducing that would change nothing."""
+    leading monomial, and interreducing that would change nothing.
+
+    ``intersect_many`` bounds by t's packed monomial, keeping the t-free
+    part, and the bound is applied before the minimal split.  That is exact
+    for t: a divisor of a t-free monomial is t-free, and t-free leads sort
+    ahead of every lead with t, so the minimal split of the t-free elements
+    is the t-free prefix of the whole split.  Every term of a t-free
+    element is t-free, and no lead with t divides such a term, so
+    interreducing that prefix alone gives the same polynomials, in the same
+    order.  Whether anything moved is read off the whole basis, before the
+    bound is applied."""
     guard = layout.guard
     basis, reducers, unmoved = _interreduce(generators, guard)  # reducers grows with the basis
     count = len(basis)
@@ -403,10 +416,14 @@ def _complete(layout: _Layout, generators: Iterable[dict]) -> list[dict]:
         if remainder:
             basis.append(remainder)
             reducers.append(_reducer(remainder))
-    minimal = _minimal_split(basis, [r[0] for r in reducers], layout)[0]
-    if unmoved and len(basis) == count:
-        return minimal
-    return _interreduce(minimal, guard)[0]
+    moved = not unmoved or len(basis) > count
+    leads = [r[0] for r in reducers]
+    if below is not None:
+        kept = [k for k, lead in enumerate(leads) if lead < below]
+        basis = [basis[k] for k in kept]
+        leads = [leads[k] for k in kept]
+    minimal = _minimal_split(basis, leads, layout)[0]
+    return _interreduce(minimal, guard)[0] if moved else minimal
 
 
 # the last reduced basis the engine returned, as a tuple of the same objects
@@ -432,7 +449,7 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
     reduced basis of an ideal is unique.  Zero input polynomials are
     ignored; an empty input yields the empty basis.
 
-    The result is recorded, and so is ``intersect``'s.  When the input is
+    The result is recorded, and so is ``intersect_many``'s.  When the input is
     the recorded basis B itself (the same objects, in the same order, and
     no more), a copy of it is returned at once.  That is exact: B is a
     reduced Groebner basis, which is unique, sorted by leading monomial as
@@ -485,54 +502,59 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
     """Reduced Groebner basis of the intersection of the two ideals, sorted
-    by leading monomial.
-
-    Classic elimination: with a fresh variable t ranked above everything,
-    the t-free part of a Groebner basis of t*I + (1-t)*J is a Groebner
-    basis of the intersection.  The t-free part of the reduced basis is
-    the reduced basis: its elements are monic, and no term of one is
-    divisible by the lead of another, since that holds across the whole
-    reduced basis.  An element is t-free exactly when its leading monomial
-    is, since a term with t outranks every term without it, so one lead
-    test picks it: packed, t has the highest field, and a monomial is
-    t-free exactly when it is below t itself.  The products with t and
-    1 - t are formed packed, and the completion's order is kept, so the
-    result is sorted by leading monomial; it is recorded as
-    ``buchberger``'s own output is.  An empty presentation is the zero
-    ideal and absorbs.
-    """
-    if not I.generators or not J.generators:
-        return []
-    t = Polynomial.variable(AUX)
-
-    def job(layout: _Layout) -> list[Polynomial]:
-        t_mono = layout.pack(t.leading_monomial())
-        mixed = [{x + t_mono: c for x, c in layout.pack_poly(f).items()} for f in I.generators]
-        for g in J.generators:
-            terms = layout.pack_poly(g)
-            for x, c in list(terms.items()):  # g - t*g
-                terms[x + t_mono] = terms.get(x + t_mono, 0) - c
-            mixed.append({x: c for x, c in terms.items() if c})
-        if any(x & layout.guard for f in mixed for x in f):
-            raise _Overflow
-        return [layout.polynomial(f) for f in _complete(layout, mixed) if max(f) < t_mono]
-
-    return _record_reduced(_run([t, *I.generators, *J.generators], job))
+    by leading monomial: ``intersect_many`` of the two."""
+    return intersect_many([I, J])
 
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
-    """Reduced Groebner basis of the intersection of the ideals, by a left
-    fold of ``intersect``.  Each step's output depends only on the two
-    ideals, so the first enters as given; a lone ideal is completed."""
+    """Reduced Groebner basis of the intersection of the ideals, sorted by
+    leading monomial, by a left fold of two-ideal eliminations; a lone
+    ideal is completed.
+
+    Classic elimination: with a fresh variable t ranked above everything,
+    the t-free part of a Groebner basis of t*I + (1-t)*J is a Groebner
+    basis of the intersection of I and J.  The t-free part of the reduced
+    basis is the reduced basis: its elements are monic, and no term of one
+    is divisible by the lead of another, since that holds across the whole
+    reduced basis.  An element is t-free exactly when its leading monomial
+    is, since a term with t outranks every term without it: packed, t has
+    the highest field, and a monomial is t-free exactly when it is below t
+    itself, the bound ``_complete`` is given.
+
+    The whole fold runs in one layout, of t and every generator of every
+    ideal: elimination makes no new variable, so each step's t-free result
+    stays packed and enters the next step as its I.  Only the final basis
+    is unpacked, and it is recorded as ``buchberger``'s own output is.  An
+    overflow in any step restarts the whole fold at double width.  Each
+    step's output depends only on its two ideals, so the first enters as
+    given.  An empty presentation is the zero ideal and absorbs: the result
+    is ``[]``, and nothing is recorded.
+    """
     if not ideals:
         raise ValueError("need at least one ideal")
     first, *rest = ideals
     if not rest:
         return buchberger(first.generators)
-    current = first
-    for nxt in rest:
-        current = IdealPresentation(tuple(intersect(current, nxt)))
-    return list(current.generators)
+    if not all(ideal.generators for ideal in ideals):
+        return []
+    t = Polynomial.variable(AUX)
+
+    def job(layout: _Layout) -> list[Polynomial]:
+        t_mono = layout.pack(t.leading_monomial())
+        current = [layout.pack_poly(f) for f in first.generators]
+        for ideal in rest:
+            mixed = [{x + t_mono: c for x, c in f.items()} for f in current]
+            for g in ideal.generators:
+                terms = layout.pack_poly(g)
+                for x, c in list(terms.items()):  # g - t*g
+                    terms[x + t_mono] = terms.get(x + t_mono, 0) - c
+                mixed.append({x: c for x, c in terms.items() if c})
+            if any(x & layout.guard for f in mixed for x in f):
+                raise _Overflow
+            current = _complete(layout, mixed, t_mono)
+        return [layout.polynomial(f) for f in current]
+
+    return _record_reduced(_run([t, *(g for ideal in ideals for g in ideal.generators)], job))
 
 
 class MonomialIdeal(_Value):

@@ -63,8 +63,15 @@ class RankConditionSpec(_Value):
             raise ValueError("ambient size must be positive")
         if not isinstance(label, str):
             raise ValueError(f"label must be a string, got {reprlib.repr(label)}")
-        conditions = tuple(conditions)
+        try:
+            conditions = tuple(conditions)
+        except TypeError:
+            raise ValueError(
+                f"conditions must be an iterable of RankCondition, got {reprlib.repr(conditions)}"
+            ) from None
         for cond in conditions:
+            if not isinstance(cond, RankCondition):
+                raise ValueError(f"condition {reprlib.repr(cond)} is not a RankCondition")
             if cond.row > ambient_n or cond.col > ambient_n:
                 raise ValueError(
                     f"condition RankCondition(row={reprlib.repr(cond.row)}, "
@@ -111,12 +118,24 @@ def fulton_generators(
     spec: RankConditionSpec,
 ) -> list[tuple[RankCondition, tuple[int, ...], tuple[int, ...], Polynomial]]:
     """(condition, rows, cols, determinant) of every (r+1)-minor of every
-    condition's region, in ``_minors`` order."""
-    return [(cond, rows, cols, determinant(rows, cols)) for cond, rows, cols in _minors(spec)]
+    condition's region, in ``_minors`` order.  A minor in the regions of
+    several conditions is listed once for each, and expanded once."""
+    expanded: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+    out = []
+    for cond, rows, cols in _minors(spec):
+        poly = expanded.get((rows, cols))
+        if poly is None:
+            poly = expanded[rows, cols] = determinant(rows, cols)
+        out.append((cond, rows, cols, poly))
+    return out
 
 
 def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
-    return [poly for _, _, _, poly in fulton_generators(spec)]
+    """The distinct Fulton generators of the spec, each at its first place
+    in ``fulton_generators``: a minor that several conditions share
+    generates the ideal once, as ``antidiagonals_of_spec`` keeps each
+    antidiagonal once."""
+    return list({(rows, cols): poly for _, rows, cols, poly in fulton_generators(spec)}.values())
 
 
 def antidiagonals_of_spec(spec: RankConditionSpec) -> list[Antidiagonal]:

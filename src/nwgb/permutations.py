@@ -10,7 +10,6 @@ of the associated determinantal scheme.
 
 from __future__ import annotations
 
-import re
 import reprlib
 
 from .polynomials import Cell, _Value, _is_int
@@ -22,6 +21,8 @@ class PartialPermutation(_Value):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int | None, ...]):
+        if not isinstance(images, tuple):
+            raise ValueError(f"images must be a tuple, got {reprlib.repr(images)}")
         n = len(images)
         if n == 0:
             raise ValueError("a permutation needs at least one entry")
@@ -50,7 +51,7 @@ def parse_one_line(text: str) -> PartialPermutation:
     Each token is a positive integer or ``*`` (the ASCII spelling of the
     undefined marker); n is the number of tokens.
     """
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation")
     images: list[int | None] = []

@@ -353,6 +353,17 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _int_cell(pair: object) -> Cell:
+    """``pair`` as a Cell; ValueError naming it unless it is two ints."""
+    try:
+        cell = Cell(*pair)
+    except TypeError:
+        raise ValueError(f"cell {reprlib.repr(pair)} is not a pair of integers") from None
+    if not (_is_int(cell.row) and _is_int(cell.col)):
+        raise ValueError(f"cell {reprlib.repr(tuple(cell))} is not a pair of integers")
+    return cell
+
+
 class Antidiagonal(_Value):
     """Cells read northeast to southwest.
 
@@ -363,12 +374,14 @@ class Antidiagonal(_Value):
     __slots__ = ("cells",)
 
     def __init__(self, cells: Sequence[Iterable[int]]):
+        try:
+            cells = tuple(cells)
+        except TypeError:
+            raise ValueError(f"cells must be a sequence of pairs, got {reprlib.repr(cells)}") from None
         if not cells:
             raise ValueError("an antidiagonal needs at least one cell")
-        cells = tuple(Cell(*c) for c in cells)
+        cells = tuple(map(_int_cell, cells))
         for cell in cells:
-            if not (_is_int(cell.row) and _is_int(cell.col)):
-                raise ValueError(f"cell {reprlib.repr(tuple(cell))} is not a pair of integers")
             if cell.row < 1 or cell.col < 1:
                 raise ValueError(f"cell {cell} is outside the matrix")
         for a, b in zip(cells, cells[1:]):

@@ -1,6 +1,7 @@
 """Division, Buchberger, intersection and initial ideals."""
 
 import heapq
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -532,16 +533,6 @@ def test_t_free_lead_test_keeps_what_a_scan_of_every_term_keeps():
         assert intersect(I, J) == by_scan
 
 
-def test_intersect_many_folds_left():
-    ideals = [ideal_of(spec_of(t)) for t in ("2 3 1", "3 1 2", "1 3 2")]
-    meet = intersect_many(ideals)
-    two = intersect(ideals[0], ideals[1])
-    folded = intersect(IdealPresentation(tuple(two)), ideals[2])
-    assert meet == folded
-    with pytest.raises(ValueError):
-        intersect_many([])
-
-
 def fold_inputs(texts):
     """The same ideals as raw generators, with the first completed, and as
     ``spec_bases`` presentations."""
@@ -580,9 +571,15 @@ def test_intersect_many_completes_a_lone_ideal():
 def test_intersect_many_empty_presentation_absorbs():
     ideal = ideal_of(spec_of("2 3 1"))
     empty = IdealPresentation(())
+    with pytest.raises(ValueError, match=exact("need at least one ideal")):
+        intersect_many([])
     assert intersect_many([empty]) == []
+    buchberger(ideal.generators)
+    recorded = groebner._last_reduced
     assert intersect_many([empty, ideal]) == []
     assert intersect_many([ideal, empty, ideal]) == []
+    assert intersect(ideal, empty) == []
+    assert groebner._last_reduced is recorded  # an absorbed fold records nothing
 
 
 def test_ideal_presentation_rejects_zero_generators():
@@ -918,15 +915,15 @@ def completions(monkeypatch):
     calls = []
     complete = groebner._complete
 
-    def counted(layout, generators):
+    def counted(layout, generators, below=None):
         calls.append(len(generators))
-        return complete(layout, generators)
+        return complete(layout, generators, below)
 
     monkeypatch.setattr(groebner, "_complete", counted)
     return calls
 
 
-def refuse(layout, generators):
+def refuse(layout, generators, below=None):
     raise AssertionError("completed a basis the engine had just returned")
 
 
@@ -1094,6 +1091,105 @@ def test_widened_calls_give_the_reference_results(widths):
     meet = intersect(IdealPresentation((x * x,)), IdealPresentation((x * y,)))
     assert meet == [x * x * y]
 
+
+# the elimination fold -------------------------------------------------------------
+
+def textbook_intersect(I, J):
+    """The elements of the full completion of t*I + (1-t)*J whose lead is
+    t-free: the textbook elimination, with nothing packed across steps."""
+    t = Polynomial.variable(AUX)
+    one_minus_t = Polynomial.constant(1) - t
+    mixed = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
+    return [g for g in completed(mixed) if not g.leading_monomial().uses(AUX)]
+
+
+FOLD_CASES = (
+    [("2 3 1", "3 1 2", "1 3 2"), ("2 1 4 3", "1 4 3 2", "3 2 1 4", "1 3 4 2")]
+    + seeded_triples(61, 5, 4)
+)
+
+
+@pytest.mark.parametrize("texts", FOLD_CASES, ids=" | ".join)
+def test_intersect_many_folds_left(texts):
+    ideals = [ideal_of(spec_of(t)) for t in texts]
+    by_intersect = by_textbook = ideals[0]
+    for ideal in ideals[1:]:
+        by_intersect = IdealPresentation(tuple(intersect(by_intersect, ideal)))
+        by_textbook = IdealPresentation(tuple(textbook_intersect(by_textbook, ideal)))
+    meet = intersect_many(ideals)
+    assert meet == list(by_intersect.generators) == list(by_textbook.generators)
+    assert meet
+    assert_reduced(meet)
+
+
+@pytest.mark.parametrize("texts", FOLD_CASES, ids=" | ".join)
+def test_intersect_many_completes_once_per_step_and_unpacks_only_its_result(
+    texts, completions, monkeypatch
+):
+    unpacked = []
+
+    class Counting(groebner._Layout):
+        def polynomial(self, terms):
+            unpacked.append(super().polynomial(terms))
+            return unpacked[-1]
+
+    monkeypatch.setattr(groebner, "_Layout", Counting)
+    meet = intersect_many([ideal_of(spec_of(t)) for t in texts])
+    assert len(completions) == len(texts) - 1
+    assert len(unpacked) == len(meet) and all(map(operator.is_, unpacked, meet))
+
+
+def test_a_restart_in_the_middle_of_the_fold_gives_the_same_basis(widths, monkeypatch):
+    # <x> and <y> meet in <xy>, which fits 2-bit fields (one exponent bit);
+    # meeting that with <x + y> makes x^2*y + x*y^2, which does not, so the
+    # fold finishes its first step at 2 bits and starts over at 4
+    steps = []
+    complete = groebner._complete
+
+    def logged(layout, generators, below=None):
+        steps.append(f"start {layout.bits}")
+        out = complete(layout, generators, below)
+        steps.append(f"done {layout.bits}")
+        return out
+
+    monkeypatch.setattr(groebner, "_complete", logged)
+    x, y = var(1, 1), var(2, 2)
+    ideals = [IdealPresentation((f,)) for f in (x, y, x + y)]
+    meet = intersect_many(ideals)
+    assert steps == ["start 2", "done 2", "start 2", "start 4", "done 4", "start 4", "done 4"]
+    assert widths == [2, 4]
+    assert meet == [x * x * y + x * y * y]
+    monkeypatch.undo()
+    assert intersect_many(ideals) == meet  # at the default width, with no restart
+
+
+def test_t_free_finish_is_the_full_completion_filtered_by_lead():
+    t = Polynomial.variable(AUX)
+    one_minus_t = Polynomial.constant(1) - t
+    rng = random.Random(29)
+    non_identity = honest_permutations(4)[1:]
+    mixes = []
+    for _ in range(8):  # Fulton ideals of S4
+        I, J = (ideal_of(spec_from_permutation(p)) for p in rng.sample(non_identity, 2))
+        mixes.append([t * f for f in I.generators] + [one_minus_t * g for g in J.generators])
+    for _ in range(40):  # random binomials in two variables, with powers and Fractions
+        I, J = ([random_division_polynomial(rng, REFERENCE_CELLS[1:3], 2) for _ in range(2)] for _ in "IJ")
+        mixes.append([t * f for f in I] + [one_minus_t * g for g in J])
+    kept = dropped = 0
+
+    def job(layout):
+        packed = [layout.pack_poly(f) for f in mixed if f.terms]
+        t_mono = layout.pack(t.leading_monomial())
+        full = groebner._complete(layout, [dict(f) for f in packed])
+        finished = groebner._complete(layout, [dict(f) for f in packed], t_mono)
+        return [f for f in full if max(f) < t_mono], finished, len(full)
+
+    for mixed in mixes:
+        filtered, finished, total = groebner._run([t, *mixed], job)
+        assert [list(f.items()) for f in finished] == [list(f.items()) for f in filtered]
+        kept += len(finished)
+        dropped += total - len(finished)
+    assert kept and dropped
 
 # every entry point against the engine-free references ---------------------------
 

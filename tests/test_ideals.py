@@ -115,6 +115,49 @@ def test_fulton_generator_leading_monomials_are_their_antidiagonals():
             assert poly.leading_monomial() == Monomial.from_cells(antidiagonal.cells)
 
 
+def redundant_specs():
+    """Specs whose conditions share minors: the essential sets of some S5
+    permutations, and the full rank matrices of all of S4."""
+    texts = ("1 4 5 3 2", "1 2 5 4 3", "1 4 3 2 5", "3 5 1 4 2", "2 1 4 3")
+    perms = [PartialPermutation(images) for images in itertools_permutations(range(1, 5))]
+    return [spec_from_permutation(parse_one_line(t)) for t in texts] + [
+        spec_from_rank_matrix(p) for p in perms
+    ]
+
+
+def test_fulton_generators_expand_each_minor_once(monkeypatch):
+    expanded = []
+
+    def counted(rows, cols):
+        expanded.append((rows, cols))
+        return determinant(rows, cols)
+
+    monkeypatch.setattr("nwgb.ideals.determinant", counted)
+    repeated = 0
+    for spec in redundant_specs():
+        del expanded[:]
+        gens = fulton_generators(spec)
+        first = {}
+        for _, rows, cols, poly in gens:
+            assert first.setdefault((rows, cols), poly) is poly
+            assert poly == determinant(rows, cols)
+        assert expanded == list(first)
+        repeated += len(gens) - len(first)
+    assert repeated == 86
+
+
+def test_generator_polynomials_keep_the_first_of_each_minor():
+    repeated = 0
+    for spec in redundant_specs():
+        listed = [poly for _, _, _, poly in fulton_generators(spec)]
+        distinct = generator_polynomials(spec)
+        assert len(set(distinct)) == len(distinct)
+        assert distinct == list(dict.fromkeys(listed))  # first-occurrence order
+        assert ideals_equal(distinct, listed)
+        repeated += len(listed) - len(distinct)
+    assert repeated == 86
+
+
 def test_condition_validation():
     with pytest.raises(ValueError, match=exact("corner indices start at 1")):
         RankCondition(0, 1, 0)
@@ -162,6 +205,21 @@ def test_condition_takes_only_ints(args, message):
     ],
 )
 def test_spec_takes_an_int_size_and_a_str_label(args, message):
+    with pytest.raises(ValueError, match=exact(message)):
+        RankConditionSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, [(1, 1, 0)]), "condition (1, 1, 0) is not a RankCondition"),
+        ((3, [RankCondition(1, 1, 0), None]), "condition None is not a RankCondition"),
+        ((3, "x"), "condition 'x' is not a RankCondition"),
+        ((3, 5), "conditions must be an iterable of RankCondition, got 5"),
+        ((3, None), "conditions must be an iterable of RankCondition, got None"),
+    ],
+)
+def test_spec_takes_only_rank_conditions(args, message):
     with pytest.raises(ValueError, match=exact(message)):
         RankConditionSpec(*args)
 

@@ -1,6 +1,7 @@
 """Partial permutations, rank matrices, Rothe diagrams, essential sets."""
 
 import random
+import re
 from itertools import permutations as itertools_permutations, product
 
 import pytest
@@ -50,6 +51,28 @@ def test_parse_separators():
     assert parse_one_line("2 ⋆ 1").images == (2, None, 1)
 
 
+def parse_outcome(text):
+    try:
+        return parse_one_line(text).images
+    except ValueError as error:
+        return str(error)
+
+
+def test_parse_one_line_splits_as_the_regex_did():
+    # str.split() and the regex class \s both split on the str.isspace
+    # characters, Unicode ones included; the reference tokens, joined by
+    # single spaces, must parse to the same images or the same error
+    spaces = [c for c in map(chr, range(0x3001)) if c.isspace()]
+    assert len(spaces) > 20
+    alphabet = list("0123456789*,") + spaces
+    rng = random.Random(41)
+    for _ in range(20000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+        assert parse_outcome(text) == parse_outcome(" ".join(tokens)), repr(text)
+    assert parse_one_line("2\u3000*\x1c1,\xa03").images == (2, None, 1, 3)
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "   ", "1 1 2", "1 4 2", "0 1 2", "1 x 2", "-1 2"],
@@ -76,6 +99,16 @@ def test_partial_permutation_validation():
     with pytest.raises(ValueError, match=exact("value 'xxxxxxxxxxxx...xxxxxxxxxxxxx' outside 1..2")):
         PartialPermutation((1, "x" * 100))
     assert PartialPermutation((None, None)).n == 2
+
+
+@pytest.mark.parametrize(
+    "images, shown",
+    [([1, 2], "[1, 2]"), ("12", "'12'"), (range(1, 3), "range(1, 3)"), (None, "None")],
+)
+def test_partial_permutation_takes_only_a_tuple(images, shown):
+    # a list would be stored as given and make the value unhashable
+    with pytest.raises(ValueError, match=exact(f"images must be a tuple, got {shown}")):
+        PartialPermutation(images)
 
 
 def test_one_line_round_trips_through_parse_one_line():

@@ -422,8 +422,15 @@ def test_antidiagonal_validation():
         ([(1, 2), (2, 1.0)], "(2, 1.0)"),
         ([("1", 2)], "('1', 2)"),
         ([Cell(1, None)], "(1, None)"),
+        ([(1, 2, 3)], "(1, 2, 3)"),
+        ([(1,)], "(1,)"),
+        ([5], "5"),
+        ([(1, 2), None], "None"),
     ]:
         with pytest.raises(ValueError, match=exact(f"cell {shown} is not a pair of integers")):
+            Antidiagonal(cells)
+    for cells in (5, None):
+        with pytest.raises(ValueError, match=exact(f"cells must be a sequence of pairs, got {cells}")):
             Antidiagonal(cells)
     step = "cells must step strictly south and strictly west, got "
     with pytest.raises(ValueError, match=exact(step + "Cell(row=1, col=1) -> Cell(row=2, col=2)")):
