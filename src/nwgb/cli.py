@@ -3,8 +3,11 @@ bases, and run the verification suites.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
-so JSON output stays parseable.  ``nwgb union`` writes each generator as
-it is built and then drops it, keeping only the polynomials --verify needs.
+so JSON output stays parseable.  Input whose work, counted from the specs
+before any minor is listed, passes ``nwgb.ideals.WORK_LIMIT`` exits 2
+before any output.  ``nwgb union`` writes each generator as its product
+is formed and then drops it, keeping only the polynomials --verify needs.
+A closed stdout or stderr pipe also ends a run with exit 2 (see ``run``).
 
 ``_COMMANDS`` is the one description of each command's arguments.  Every
 run starts cold, so ``main`` first reads argv straight from that table
@@ -19,7 +22,7 @@ the collections a command triggers walk only the objects it made.
 """
 
 import gc
-import reprlib
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
@@ -163,12 +166,6 @@ def _kept(generators: Iterable[GeneratorProduct], polys: list[Polynomial]):
 
 def _cmd_union(args: SimpleNamespace) -> int:
     specs = [load_spec(path) for path in args.specs]
-    ambient = specs[0].ambient_n
-    if args.verify == "full-oracle" and ambient > args.max_oracle_n:
-        raise ValueError(
-            f"ambient {reprlib.repr(ambient)} exceeds the full-oracle guard "
-            f"(--max-oracle-n={reprlib.repr(args.max_oracle_n)})"
-        )
     generators = union_generators(specs)
     polys: list[Polynomial] = []  # kept only for --verify
     if args.verify != "none":
@@ -243,14 +240,6 @@ _COMMANDS = {
                     "help": "check the emitted basis against the oracle",
                 },
             ),
-            (
-                "--max-oracle-n",
-                {
-                    "type": int,
-                    "default": 5,
-                    "help": "largest ambient size allowed under --verify=full-oracle",
-                },
-            ),
         ],
         _cmd_union,
     ),
@@ -284,14 +273,31 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
         # --out path, a malformed spec or permutation, mismatched ambients,
-        # an ambient over the full-oracle guard, an unknown suite, a --seed
-        # below 0, a --cases below 1 or given to an exhaustive suite
+        # a spec or union whose work passes WORK_LIMIT, an unknown suite, a
+        # --seed below 0, a --cases below 1 or given to an exhaustive suite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def run():
-    sys.exit(main())
+    """The console entry point: ``main`` with argv, flushed, as the exit
+    status.  A closed stdout or stderr pipe (the reader went away) ends the
+    run with exit 2 and no traceback: the standard streams are pointed at
+    the null device, so the flush the interpreter makes at exit has nothing
+    left to fail on."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, sys.stderr.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 # What the import built lives as long as the process.  Moved to the cycle

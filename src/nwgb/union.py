@@ -20,9 +20,11 @@ their survivors.  This is the reading that reproduces the worked examples,
 e.g. a lone far-south cell of a mostly-consumed antidiagonal ends up as its
 own 1 x 1 factor.
 
-No generator depends on another once it is built, so ``union_generators``
-builds them one at a time and a writer can write and drop each in turn;
-``union_basis`` lists them.
+``union_generators`` extracts the factors of every choice before it
+returns, so that it can count the work the basis implies and refuse an
+oversized one (see there).  No generator's product depends on another's,
+so it forms them one at a time, as they are read, and a writer can write
+and drop each in turn; ``union_basis`` lists them.
 
 A generator's product is formed when it is first read, in the form its
 reader needs.  The JSON writer reads it on packed exponent ints, in one
@@ -47,9 +49,10 @@ import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 from itertools import product
+from math import factorial, prod
 from operator import or_
 
-from .ideals import RankConditionSpec, antidiagonals_of_spec
+from .ideals import RankConditionSpec, antidiagonals_of_spec, check_work, spec_work
 from .polynomials import (
     Antidiagonal,
     Cell,
@@ -358,9 +361,18 @@ def generator_product(
 
 def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorProduct]:
     """Basis of the intersection of the specs' ideals (= the union of the
-    schemes), one generator at a time as it is read: one per choice of
-    Fulton antidiagonals, one from each spec, deduplicated, the first
-    choice in enumeration order kept.  The specs are checked first.
+    schemes): one generator per choice of Fulton antidiagonals, one from
+    each spec, deduplicated, the first choice in enumeration order kept.
+
+    The work is bounded before it is done.  The call checks the specs,
+    then counts their Fulton terms and the product of their minor counts
+    (``spec_work``), a bound on the choices, before any minor is listed.
+    It then extracts the factors of every choice, adding each distinct
+    generator's bound on its product's terms, the product of |f|! over
+    its factors f (exact when the factors share no variable).  It raises
+    ValueError as soon as the running count passes ``WORK_LIMIT``, so a
+    refusal costs at most the limit.  Each generator's product is formed
+    only when the returned iterator reads it.
 
     A generator is the product of its factors' determinants, and generic
     minors are irreducible and no two are scalar multiples, so two choices
@@ -379,18 +391,19 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
             raise ValueError(
                 f"ambient sizes differ: {reprlib.repr(spec.ambient_n)} vs {reprlib.repr(ambient)}"
             )
-    return _generators([antidiagonals_of_spec(spec) for spec in specs])
-
-
-def _generators(choices: list[list[Antidiagonal]]) -> Iterator[GeneratorProduct]:
-    packing = _Packing([a for antidiags in choices for a in antidiags], len(choices))
-    seen: set[frozenset[tuple[Cell, ...]]] = set()
+    works = [spec_work(spec) for spec in specs]
+    units = check_work(sum(terms for _, terms in works) + prod(m for m, _ in works))
+    choices = [antidiagonals_of_spec(spec) for spec in specs]
+    # the first choice of each key, and its factors
+    kept: dict[frozenset[tuple[Cell, ...]], tuple[tuple, list[Antidiagonal]]] = {}
     for combo in product(*choices):  # no combo when a spec has no choice
         factors = extract_factors(combo)
         key = frozenset(factor.cells for factor in factors)
-        if key not in seen:
-            seen.add(key)
-            yield generator_product(combo, factors, packing)
+        if key not in kept:
+            units = check_work(units + prod(factorial(len(f.cells)) for f in factors))
+            kept[key] = (combo, factors)
+    packing = _Packing([a for antidiags in choices for a in antidiags], len(choices))
+    return (generator_product(combo, factors, packing) for combo, factors in kept.values())
 
 
 def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:

@@ -26,11 +26,15 @@ TRACING = BENCH / "tracing.py"
 GUARDED = {("nwgb.polynomials", "ANTIDIAGONAL")}
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("nwgb_bench_tracing", TRACING)
+def load_bench(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("nwgb_bench_tracing", TRACING)
 
 
 def test_every_traced_target_resolves():
@@ -107,3 +111,13 @@ def test_every_name_the_benchmark_imports_resolves():
                 f"{path.name}: from {module} import {name} does not resolve"
             )
     assert seen, "found no package import to check"
+
+
+def test_every_timed_cli_job_takes_the_plain_argv_path():
+    # a job whose argv the CLI declines would be timed through argparse, or
+    # fail on a flag that is gone
+    child = load_bench("nwgb_bench_child", BENCH / "child.py")
+    jobs = {"synth": ["a.json", "b.json"], "oracle": ["a.json", "b.json"], "complete": ["a.json"]}
+    for workload, paths in jobs.items():
+        argv = child._cli_argv({"workload": workload, "spec_paths": paths})
+        assert nwgb.cli._read_args(argv) is not None, argv

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,9 +16,16 @@ import pytest
 import nwgb.verify
 from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
 from nwgb.groebner import buchberger
-from nwgb.ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
+from nwgb.ideals import (
+    fulton_generators,
+    generator_polynomials,
+    load_spec,
+    spec_from_permutation,
+    spec_to_json,
+)
 from nwgb.permutations import diagram_json, parse_one_line
 from nwgb.polynomials import determinant, polynomial_to_json
+from nwgb.union import union_basis
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -162,8 +171,13 @@ HUGE = 10**4000
         (json.dumps({"n": 3, "conditions": [{"i": 1, "j": 1, "r": HUGE}]}), 120),
         (json.dumps({"n": HUGE, "permutation": "1"}), 120),
         (json.dumps({"n": 3, "conditions": [{"i": HUGE, "j": 1, "r": 0}]}), 120),
+        (json.dumps({"n": HUGE, "conditions": [{"i": HUGE, "j": HUGE, "r": 0}]}), 120),
+        (json.dumps({"n": HUGE, "conditions": [{"i": HUGE, "j": HUGE, "r": HUGE // 2}]}), 120),
     ],
-    ids=["huge-n", "huge-token", "deep-n", "huge-rank", "huge-declared-n", "huge-row"],
+    ids=[
+        *("huge-n", "huge-token", "deep-n", "huge-rank", "huge-declared-n", "huge-row"),
+        *("huge-work", "huge-minor"),
+    ],
 )
 def test_huge_rejected_value_gives_one_short_error_line(tmp_path, capsys, text, bound):
     path = tmp_path / "big.json"
@@ -177,8 +191,11 @@ def test_huge_rejected_value_gives_one_short_error_line(tmp_path, capsys, text, 
 
 def test_huge_ambient_in_union_gives_one_short_error_line(tmp_path, capsys, spec_231):
     path = write_spec(tmp_path, "huge.json", {"n": HUGE, "conditions": []})
-    # the full-oracle size guard, then two ambients that differ
-    for args in ([path, "--verify=full-oracle"], [path, spec_231]):
+    full = {"n": HUGE, "conditions": [{"i": HUGE, "j": HUGE, "r": 0}]}
+    busy = write_spec(tmp_path, "busy.json", full)
+    # the work guard, on a count of over 4300 digits, then two ambients
+    # that differ
+    for args in ([busy, busy, "--verify=full-oracle"], [path, spec_231]):
         assert main(["union", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -334,28 +351,121 @@ def test_union_json_out_peaks_below_the_file_it_writes(tmp_path, capsys):
     assert peak < target.stat().st_size
 
 
-def test_union_size_guard(tmp_path, capsys):
-    big = write_spec(
-        tmp_path,
-        "big.json",
-        {"n": 6, "conditions": [{"i": 1, "j": 1, "r": 0}], "label": "big"},
-    )
-    assert main(["union", big, big, "--verify=full-oracle"]) == 2
-    capsys.readouterr()
-    assert main(["union", big, big, "--verify=full-oracle", "--max-oracle-n=6"]) == 0
+VERIFY_DEPTHS = ("none", "membership", "full-oracle")
+# one condition whose region holds C(3000, 2)**2 2-minors, about 2e13
+OVERSIZED = {"n": 3000, "conditions": [{"i": 3000, "j": 3000, "r": 1}]}
 
 
-def test_union_size_guard_runs_before_synthesis(tmp_path, capsys, monkeypatch):
-    def no_synthesis(specs):
-        raise AssertionError("the guard must stop the run before synthesis")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fulton", "{spec}"],
+        ["groebner", "{spec}"],
+        *(["union", "{spec}", "{spec}", f"--verify={depth}"] for depth in VERIFY_DEPTHS),
+    ],
+    ids=["fulton", "groebner", *(f"union-{depth}" for depth in VERIFY_DEPTHS)],
+)
+def test_work_guard_refuses_an_oversized_spec_before_any_minor(
+    args, tmp_path, capsys, monkeypatch
+):
+    def no_minors(spec):
+        raise AssertionError("the guard must stop the run before any minor is listed")
 
-    monkeypatch.setattr("nwgb.cli.union_generators", no_synthesis)
-    big = write_spec(tmp_path, "big.json", {"n": 10, "permutation": "1 10 9 8 7 6 5 4 3 2"})
-    other = write_spec(tmp_path, "o.json", {"n": 10, "permutation": "9 8 7 6 5 4 3 2 1 10"})
-    assert main(["union", big, other, "--verify=full-oracle"]) == 2
+    monkeypatch.setattr("nwgb.ideals._minors", no_minors)
+    spec = write_spec(tmp_path, "big.json", OVERSIZED)
+    target = tmp_path / "out.txt"
+    for argv in ([*args], [*args, f"--out={target}"]):
+        start = time.perf_counter()
+        assert main([arg.replace("{spec}", spec) for arg in argv]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the input needs at least ") and err.count("\n") == 1
+        assert err.endswith(" units of work, over the limit of 1000000\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [("6 5 3 8 1 7 2 4", "6 4 1 3 8 7 2 5"), ("1 8 4 2 7 3 6 5", "4 1 8 5 2 7 6 3")],
+    ids=" | ".join,
+)
+def test_work_guard_refuses_an_s8_pair_before_any_product(pair, tmp_path, capsys, monkeypatch):
+    # few choices, but products of over 3e6 terms in all: the guard adds up
+    # each generator's bound on its terms as it extracts, and stops once
+    # the count passes the limit
+    def no_product(*args):
+        raise AssertionError("the guard must stop the run before any product is formed")
+
+    monkeypatch.setattr("nwgb.union.generator_product", no_product)
+    paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(pair)]
+    start = time.perf_counter()
+    assert main(["union", *paths, "--format=json", "--verify=full-oracle"]) == 2
+    assert time.perf_counter() - start < 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: ambient 10 exceeds the full-oracle guard (--max-oracle-n=5)\n"
+    assert err.startswith("error: the input needs at least ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "perms, generators",
+    [
+        (("1 6 5 4 3 2", "5 4 3 2 1 6"), 331),
+        (("1 7 6 5 4 3 2", "6 5 4 3 2 1 7"), 1005),
+    ],
+    ids=["s6-fixture", "s7-pair"],
+)
+def test_union_full_oracle_runs_past_ambient_five(perms, generators, tmp_path, capsys):
+    paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(perms)]
+    assert main(["union", *paths, "--verify=full-oracle"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == generators
+    assert err.splitlines() == [
+        f"membership: {2 * generators} checks, 0 failures",
+        "groebner criterion: ok",
+        "ideal equality vs oracle intersection: ok",
+    ]
+
+
+def test_work_guard_admits_a_union_at_exactly_the_limit(tmp_path, capsys, monkeypatch):
+    # the count, worked out here from its definition: each spec's Fulton
+    # terms, the product of the specs' minor counts, and over the distinct
+    # generators the product of |f|! over the factors f
+    perms = ("1 5 4 3 2", "4 3 2 1 5")
+    specs = [spec_from_permutation(parse_one_line(p)) for p in perms]
+    minors = [
+        [math.comb(c.row, c.max_rank + 1) * math.comb(c.col, c.max_rank + 1) for c in s.conditions]
+        for s in specs
+    ]
+    terms = sum(
+        count * math.factorial(c.max_rank + 1)
+        for s, counts in zip(specs, minors)
+        for c, count in zip(s.conditions, counts)
+    )
+    bounds = sum(
+        math.prod(math.factorial(len(f.cells)) for f in g.factors) for g in union_basis(specs)
+    )
+    count = terms + math.prod(map(sum, minors)) + bounds
+    paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(perms)]
+    monkeypatch.setattr("nwgb.ideals.WORK_LIMIT", count)
+    assert main(["union", *paths]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("nwgb.ideals.WORK_LIMIT", count - 1)
+    assert main(["union", *paths]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: the input needs at least {count} units of work, over the limit of {count - 1}\n"
+    )
+
+
+def test_max_oracle_n_is_an_unrecognized_argument(spec_231, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["union", spec_231, spec_231, "--max-oracle-n=6"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "nwgb: error: unrecognized arguments: --max-oracle-n=6"
 
 
 def test_union_s5_fixture_full_oracle(tmp_path, capsys):
@@ -619,9 +729,10 @@ EXIT_2_ROUTES = {
         ["verify", "gluing", "--seed=-1"],
         "error: seed must be at least 0, got -1\n",
     ),
-    "full-oracle-guard": (
-        ["union", "{dir}/n10.json", "{dir}/n10.json", "--verify=full-oracle"],
-        None,
+    "work-guard": (
+        ["union", "{dir}/big.json", "{dir}/big.json", "--verify=full-oracle"],
+        "error: the input needs at least 409516023314336008509000000 units of work, "
+        "over the limit of 1000000\n",
     ),
     "ambients-differ": (
         ["union", "{dir}/n3.json", "{dir}/n4.json"],
@@ -641,7 +752,7 @@ EXIT_2_ROUTES = {
 def test_every_bad_input_route_prints_one_error_line(route, tmp_path, capsys):
     write_spec(tmp_path, "n3.json", {"n": 3, "permutation": "2 3 1"})
     write_spec(tmp_path, "n4.json", {"n": 4, "permutation": "2 1 4 3"})
-    write_spec(tmp_path, "n10.json", {"n": 10, "permutation": "1 10 9 8 7 6 5 4 3 2"})
+    write_spec(tmp_path, "big.json", OVERSIZED)
     write_spec(tmp_path, "bad.json", {"n": 3, "permutation": "1 1 2"})
     args, message = EXIT_2_ROUTES[route]
     assert main([arg.format(dir=tmp_path) for arg in args]) == 2
@@ -659,15 +770,13 @@ LONG_NUMBER = "-" + "1" * 4000
     "args",
     [
         ["verify", "s4-sampled", f"--cases={LONG_NUMBER}"],
-        ["union", "{spec}", "{spec}", "--verify=full-oracle", f"--max-oracle-n={LONG_NUMBER}"],
         ["verify", "x" * 5000],
         ["verify", "gluing", f"--seed={LONG_NUMBER}"],
     ],
-    ids=["huge-cases", "huge-max-oracle-n", "huge-suite-name", "huge-seed"],
+    ids=["huge-cases", "huge-suite-name", "huge-seed"],
 )
-def test_huge_command_line_value_gives_one_short_error_line(args, tmp_path, capsys):
-    spec = write_spec(tmp_path, "n5.json", {"n": 5, "permutation": "1 5 4 3 2"})
-    assert main([arg.replace("{spec}", spec) for arg in args]) == 2
+def test_huge_command_line_value_gives_one_short_error_line(args, capsys):
+    assert main(args) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
@@ -679,6 +788,44 @@ def test_byte_identical_output_across_runs(spec_231, spec_312):
     second = run_cli(["union", spec_231, spec_312, "--format=json"])
     assert first == second
     assert first[0] == 0
+
+
+CLOSED_PIPE_RUNS = {
+    "membership": ["union", "{w0}", "--verify=membership"],
+    "full-oracle-json": ["union", "{w0}", "{w0}", "--verify=full-oracle", "--format=json"],
+    "help": ["union", "-h"],
+}
+
+
+# help goes to stdout only
+CLOSED_PIPES = [(run, stream) for run in CLOSED_PIPE_RUNS for stream in ("stdout", "stderr")][:-1]
+
+
+@pytest.mark.parametrize("run, stream", CLOSED_PIPES, ids=[f"{r}-{s}" for r, s in CLOSED_PIPES])
+def test_closed_pipe_exits_2_without_a_traceback(run, stream, tmp_path):
+    # the read end is closed before the run starts, so every write to the
+    # pipe fails; an uncaught error would exit 1, and a failed flush at
+    # interpreter shutdown 120.  stdout is left block-buffered, as it is
+    # for a pipe by default, so its writes fail at a flush
+    w0 = write_spec(tmp_path, "w0.json", {"n": 3, "permutation": "3 2 1"})
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    args = [arg.replace("{w0}", w0) for arg in CLOSED_PIPE_RUNS[run]]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nwgb", *args],
+            stdout=write if stream == "stdout" else subprocess.DEVNULL,
+            stderr=write if stream == "stderr" else subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    if stream == "stdout":
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
 def test_module_entry_point():
@@ -702,7 +849,7 @@ PINNED_RUNS = [
     ["union", "a.json", "--bogus"],
     ["--bogus", "union", "a.json"],
     ["union", "a.json", "--verify=x"],
-    ["union", "a.json", "--max-oracle-n=x"],
+    ["verify", "all", "--cases=x"],
     ["verify", "all", "--format=json"],
 ]
 
@@ -728,22 +875,24 @@ sys.stdout.write(json.dumps(results))
 
 def test_help_usage_and_error_text_is_pinned():
     # digests of (exit code, stdout, stderr) recorded before the parser was
-    # built per command; one interpreter runs every case, for the tier-1 time
+    # built per command, and those of the union help and usage text again
+    # once --max-oracle-n went; one interpreter runs every case, for the
+    # tier-1 time
     pinned = {
         "80": [
             "144ee922a192e691",
             "d89586cb15fdd350",
             "0a154d64090914c4",
             "00420f239f7837c2",
-            "af56495d15c2e882",
+            "69f6b2bd9771a579",
             "6150b7ed93516240",
             "883bf83c5dc5fcbe",
             "8c2ff2d7967e7e6c",
-            "e0949c195115c16b",
+            "8f081926fe211362",
             "af345527d333758a",
             "af345527d333758a",
-            "6906e8d48797d42d",
-            "d22c938ea1905e3a",
+            "b379c8e4152cf44b",
+            "691f9130223a7070",
             "5a4671f65c0cc6c3",
         ],
         "40": [
@@ -751,15 +900,15 @@ def test_help_usage_and_error_text_is_pinned():
             "a53f306e484a4b7b",
             "87ce6d018683779d",
             "9871ba9795db3e9a",
-            "15ae242d862a7432",
+            "52b05c6821abba07",
             "ba30345c5f34f794",
             "b69d413b647ff4d6",
             "2d835df916d84edd",
-            "22be52e194a62113",
+            "6e9b9ff11e059244",
             "c432c4c9b2de99fa",
             "c432c4c9b2de99fa",
-            "1bbc339dad805081",
-            "cd0de9941b76a2ab",
+            "36fae54e0578fae9",
+            "6d35b9c0ebf7d5e7",
             "ece51889660ec8d6",
         ],
     }
