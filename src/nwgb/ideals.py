@@ -116,13 +116,16 @@ def _minors(
 
 
 # The most units of work one run may take: minors, terms of their
-# determinants, choices of antidiagonals and terms of union products, each
-# counted before the work is done (``spec_work``, ``union_generators``).
+# determinants, their completion, choices of antidiagonals, cells of the
+# union's packed layout and terms of union products, each counted before
+# the work is done (``spec_work``, ``completion_work``, ``union_generators``).
 # The cost of a run follows this count, not the ambient size.  In-process
 # on CPython 3.11, one core of a shared 2-core x86 machine, a union costs
 # 3-4.5 us per unit written as JSON and 9-19 us under --verify=full-oracle
-# (6,707 units of the S7 pair 1 7 6 5 4 3 2 | 6 5 4 3 2 1 7 in 0.06 s,
-# 841,764 of 1 10 9 8 7 6 5 4 3 2 with itself in 16 s).
+# (6,707 units of the S7 pair 1 7 6 5 4 3 2 | 6 5 4 3 2 1 7 in 0.06 s), and
+# a completion (``completion_work``) 0.5-3.5 us per unit (the 1-minors of
+# a 1 x 1000 region: 1,001,000 units in 2.2 s; 2 1 9 8 7 6 5 4 3: 3,773,882
+# in 1.7 s; the 7-minors of a 7 x 8 region: 362,880 in 1.2 s).
 WORK_LIMIT = 1_000_000
 
 
@@ -163,6 +166,20 @@ def spec_work(spec: RankConditionSpec) -> tuple[int, int]:
     return minors, terms
 
 
+def completion_work(spec: RankConditionSpec) -> int:
+    """t + m*t for the spec's (m, t) (``spec_work``): the units of expanding
+    its Fulton generators and completing them (``verify.spec_bases``).
+    Buchberger meets up to m**2 / 2 pairs of minors and reduces each
+    S-polynomial against generators of (r+1)! terms.  The count also
+    bounds the completion's packed layout, whose ints grow with the square
+    of its v variables: a condition's variables are its i*j cells, and
+    (i*j)**2 <= 14 * C(i, k)**2 * C(j, k)**2 * k! since C(i, k) >= i/k and
+    k**4 <= 14 * k!, so by Cauchy-Schwarz v**2 <= 14*m*t over all
+    conditions."""
+    minors, terms = spec_work(spec)
+    return terms + minors * terms
+
+
 def fulton_generators(
     spec: RankConditionSpec,
 ) -> list[tuple[RankCondition, tuple[int, ...], tuple[int, ...], Polynomial]]:
@@ -186,7 +203,11 @@ def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
     """The distinct Fulton generators of the spec, each at its first place
     in ``fulton_generators``: a minor that several conditions share
     generates the ideal once, as ``antidiagonals_of_spec`` keeps each
-    antidiagonal once."""
+    antidiagonal once.  They are what a completion of the spec starts
+    from (``nwgb groebner``, ``verify.spec_bases``), so a spec whose
+    ``completion_work`` passes ``WORK_LIMIT`` raises ValueError before any
+    minor is listed."""
+    check_work(completion_work(spec))
     return list({(rows, cols): poly for _, rows, cols, poly in fulton_generators(spec)}.values())
 
 

@@ -52,7 +52,13 @@ from itertools import product
 from math import factorial, prod
 from operator import or_
 
-from .ideals import RankConditionSpec, antidiagonals_of_spec, check_work, spec_work
+from .ideals import (
+    RankConditionSpec,
+    antidiagonals_of_spec,
+    check_work,
+    completion_work,
+    spec_work,
+)
 from .polynomials import (
     Antidiagonal,
     Cell,
@@ -365,9 +371,12 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
     each spec, deduplicated, the first choice in enumeration order kept.
 
     The work is bounded before it is done.  The call checks the specs,
-    then counts their Fulton terms and the product of their minor counts
-    (``spec_work``), a bound on the choices, before any minor is listed.
-    It then extracts the factors of every choice, adding each distinct
+    then, before any minor is listed, counts what expanding and completing
+    each spec costs (``completion_work``), as every --verify depth does,
+    the product of their minor counts (``spec_work``), a bound on the
+    choices, and the square of the number of cells of the packed layout
+    (``_Packing``), whose ints and their sizes grow with that number.  It
+    then extracts the factors of every choice, adding each distinct
     generator's bound on its product's terms, the product of |f|! over
     its factors f (exact when the factors share no variable).  It raises
     ValueError as soon as the running count passes ``WORK_LIMIT``, so a
@@ -391,8 +400,19 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
             raise ValueError(
                 f"ambient sizes differ: {reprlib.repr(spec.ambient_n)} vs {reprlib.repr(ambient)}"
             )
-    works = [spec_work(spec) for spec in specs]
-    units = check_work(sum(terms for _, terms in works) + prod(m for m, _ in works))
+    # every row and column of a region with minors holds a cell of some
+    # minor, so the layout spans rows 1..i and columns 1..j for the largest
+    # i and the largest j of those regions
+    regions = [
+        (cond.row, cond.col)
+        for spec in specs
+        for cond in spec.conditions
+        if cond.max_rank < min(cond.row, cond.col)
+    ]
+    cells = max((i for i, _ in regions), default=0) * max((j for _, j in regions), default=0)
+    units = check_work(
+        sum(map(completion_work, specs)) + prod(spec_work(spec)[0] for spec in specs) + cells**2
+    )
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     # the first choice of each key, and its factors
     kept: dict[frozenset[tuple[Cell, ...]], tuple[tuple, list[Antidiagonal]]] = {}

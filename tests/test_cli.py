@@ -352,6 +352,12 @@ def test_union_json_out_peaks_below_the_file_it_writes(tmp_path, capsys):
 
 
 VERIFY_DEPTHS = ("none", "membership", "full-oracle")
+
+
+def no_minors(spec):
+    raise AssertionError("the guard must stop the run before any minor is listed")
+
+
 # one condition whose region holds C(3000, 2)**2 2-minors, about 2e13
 OVERSIZED = {"n": 3000, "conditions": [{"i": 3000, "j": 3000, "r": 1}]}
 
@@ -368,16 +374,15 @@ OVERSIZED = {"n": 3000, "conditions": [{"i": 3000, "j": 3000, "r": 1}]}
 def test_work_guard_refuses_an_oversized_spec_before_any_minor(
     args, tmp_path, capsys, monkeypatch
 ):
-    def no_minors(spec):
-        raise AssertionError("the guard must stop the run before any minor is listed")
-
     monkeypatch.setattr("nwgb.ideals._minors", no_minors)
     spec = write_spec(tmp_path, "big.json", OVERSIZED)
     target = tmp_path / "out.txt"
     for argv in ([*args], [*args, f"--out={target}"]):
+        # the patch proves the order; the loose bound catches a hang in the
+        # count itself, not a slow machine
         start = time.perf_counter()
         assert main([arg.replace("{spec}", spec) for arg in argv]) == 2
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < 10
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: the input needs at least ") and err.count("\n") == 1
@@ -393,7 +398,8 @@ def test_work_guard_refuses_an_oversized_spec_before_any_minor(
 def test_work_guard_refuses_an_s8_pair_before_any_product(pair, tmp_path, capsys, monkeypatch):
     # few choices, but products of over 3e6 terms in all: the guard adds up
     # each generator's bound on its terms as it extracts, and stops once
-    # the count passes the limit
+    # the count passes the limit (the second pair's completion passes it
+    # before any choice is extracted)
     def no_product(*args):
         raise AssertionError("the guard must stop the run before any product is formed")
 
@@ -401,10 +407,71 @@ def test_work_guard_refuses_an_s8_pair_before_any_product(pair, tmp_path, capsys
     paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(pair)]
     start = time.perf_counter()
     assert main(["union", *paths, "--format=json", "--verify=full-oracle"]) == 2
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 10
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: the input needs at least ") and err.count("\n") == 1
+
+
+# few terms, but 90,000 1-minors: completing them meets 4e9 pairs, and a
+# packed layout of their 90,000 cells holds ints of up to 720,000 bits
+SQUARE_RANK_0 = {"n": 300, "conditions": [{"i": 300, "j": 300, "r": 0}]}
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["groebner", "{spec}"], 8_100_090_000),
+        *((["union", "{spec}", f"--verify={depth}"], 16_200_180_000) for depth in VERIFY_DEPTHS),
+    ],
+    ids=["groebner", *(f"union-{depth}" for depth in VERIFY_DEPTHS)],
+)
+def test_work_guard_counts_the_completion_before_any_minor(
+    args, count, tmp_path, capsys, monkeypatch
+):
+    # t + m*t = 90,000 + 90,000**2 to complete the spec; a union adds the
+    # 90,000 choices and the square of the layout's 90,000 cells
+    monkeypatch.setattr("nwgb.ideals._minors", no_minors)
+    spec = write_spec(tmp_path, "square.json", SQUARE_RANK_0)
+    assert main([arg.replace("{spec}", spec) for arg in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: the input needs at least {count} units of work, over the limit of 1000000\n"
+    )
+
+
+def test_work_guard_counts_the_completion_for_groebner_only(tmp_path, capsys):
+    # the 1-minors of 40 x 40: 1,600 terms to list, 1,600 + 1,600**2 units
+    # to complete
+    square = {"n": 40, "conditions": [{"i": 40, "j": 40, "r": 0}]}
+    spec = write_spec(tmp_path, "square.json", square)
+    assert main(["fulton", spec]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1_600 and err == ""
+    assert main(["groebner", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the input needs at least 2561600 units of work, over the limit of 1000000\n"
+    )
+
+
+def test_work_guard_counts_the_union_layout_before_any_minor(tmp_path, capsys, monkeypatch):
+    # a column and a row of 100 1-minors each: 20,200 units to complete
+    # both and 10,000 choices, but the packed layout spans all 100 x 100
+    # cells that their rows and columns meet in, 10**8 units
+    monkeypatch.setattr("nwgb.ideals._minors", no_minors)
+    paths = [
+        write_spec(tmp_path, f"{i}{j}.json", {"n": 100, "conditions": [{"i": i, "j": j, "r": 0}]})
+        for i, j in ((100, 1), (1, 100))
+    ]
+    assert main(["union", *paths, "--format=json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the input needs at least 100030200 units of work, over the limit of 1000000\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -429,23 +496,30 @@ def test_union_full_oracle_runs_past_ambient_five(perms, generators, tmp_path, c
 
 def test_work_guard_admits_a_union_at_exactly_the_limit(tmp_path, capsys, monkeypatch):
     # the count, worked out here from its definition: each spec's Fulton
-    # terms, the product of the specs' minor counts, and over the distinct
-    # generators the product of |f|! over the factors f
+    # terms t and, for completing its m minors, m*t; the product of the
+    # specs' minor counts; the square of the packed layout's cells; and
+    # over the distinct generators the product of |f|! over the factors f
     perms = ("1 5 4 3 2", "4 3 2 1 5")
     specs = [spec_from_permutation(parse_one_line(p)) for p in perms]
     minors = [
         [math.comb(c.row, c.max_rank + 1) * math.comb(c.col, c.max_rank + 1) for c in s.conditions]
         for s in specs
     ]
-    terms = sum(
-        count * math.factorial(c.max_rank + 1)
+    terms = [
+        sum(count * math.factorial(c.max_rank + 1) for c, count in zip(s.conditions, counts))
         for s, counts in zip(specs, minors)
-        for c, count in zip(s.conditions, counts)
+    ]
+    completion = sum(t + sum(counts) * t for counts, t in zip(minors, terms))
+    # every essential condition has minors, so the layout spans rows 1..i
+    # and columns 1..j of the largest i and j
+    cells = max(c.row for s in specs for c in s.conditions) * max(
+        c.col for s in specs for c in s.conditions
     )
     bounds = sum(
         math.prod(math.factorial(len(f.cells)) for f in g.factors) for g in union_basis(specs)
     )
-    count = terms + math.prod(map(sum, minors)) + bounds
+    count = completion + math.prod(map(sum, minors)) + cells**2 + bounds
+    assert count == 1_668
     paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(perms)]
     monkeypatch.setattr("nwgb.ideals.WORK_LIMIT", count)
     assert main(["union", *paths]) == 0
@@ -731,7 +805,7 @@ EXIT_2_ROUTES = {
     ),
     "work-guard": (
         ["union", "{dir}/big.json", "{dir}/big.json", "--verify=full-oracle"],
-        "error: the input needs at least 409516023314336008509000000 units of work, "
+        "error: the input needs at least 2047580116571437258509000000 units of work, "
         "over the limit of 1000000\n",
     ),
     "ambients-differ": (
