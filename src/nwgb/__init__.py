@@ -47,7 +47,6 @@ from .union import (
     extract_factors,
     generator_product,
     union_basis,
-    union_generators,
 )
 from .groebner import (
     IdealPresentation,

@@ -4,9 +4,10 @@ bases, and run the verification suites.
 Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
 so JSON output stays parseable.  Input whose work, counted from the specs
-before any minor is listed, passes ``nwgb.ideals.WORK_LIMIT`` exits 2
-before any output.  ``nwgb union`` writes each generator as its product
-is formed and then drops it, keeping only the polynomials --verify needs.
+or the permutation before any minor or rank matrix is built, passes
+``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb union``
+writes each generator as its product is formed and then drops it, keeping
+only the polynomials --verify needs.
 A closed stdout or stderr pipe also ends a run with exit 2 (see ``run``).
 
 ``_COMMANDS`` is the one description of each command's arguments.  Every
@@ -28,11 +29,11 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
 
-from .ideals import fulton_generators, generator_polynomials, load_spec, spec_to_json
+from .ideals import check_work, fulton_generators, generator_polynomials, load_spec, spec_to_json
 from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
-from .polynomials import Polynomial, json_text, polynomial_text
-from .union import GeneratorProduct, basis_json_chunks, union_generators
+from .polynomials import json_text, polynomial_text
+from .union import basis_json_chunks, union_basis
 from .verify import SUITES, run_suite, union_verdicts
 
 EXIT_OK = 0
@@ -41,10 +42,19 @@ EXIT_USAGE = 2
 
 
 def _build_parser():
-    """argparse's parser for every command in ``_COMMANDS``."""
+    """argparse's parser for every command in ``_COMMANDS``.  argparse
+    swallows an error in writing its help, usage and error text, so a help
+    written unbuffered into a closed pipe would exit 0; this parser and
+    its subparsers let the error rise to ``run``, as every other write of
+    a run does."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="nwgb",
         description="Groebner bases for unions of schemes given by northwest rank conditions",
     )
@@ -119,6 +129,7 @@ def _emit(pieces: Iterable[str], args: SimpleNamespace):
 
 def _cmd_diagram(args: SimpleNamespace) -> int:
     p = parse_one_line(args.permutation)
+    check_work(p.n**2)  # the entries of its rank matrix
     if args.format == "json":
         _emit([json_text(diagram_json(p)) + "\n"], args)
     else:
@@ -157,23 +168,17 @@ def _cmd_groebner(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _kept(generators: Iterable[GeneratorProduct], polys: list[Polynomial]):
-    """The generators, each one's polynomial appended to ``polys``."""
-    for g in generators:
-        polys.append(g.poly)
-        yield g
-
-
 def _cmd_union(args: SimpleNamespace) -> int:
     specs = [load_spec(path) for path in args.specs]
-    generators = union_generators(specs)
-    polys: list[Polynomial] = []  # kept only for --verify
-    if args.verify != "none":
-        generators = _kept(generators, polys)
+    basis = union_basis(specs)
+    # --verify keeps every polynomial; otherwise each is formed, written
+    # and dropped
+    polys = (g.poly for g in basis) if args.verify == "none" else [g.poly for g in basis]
     if args.format == "json":
-        _emit(chain(basis_json_chunks(generators), ["\n"]), args)
+        _emit(chain(basis_json_chunks(basis), ["\n"]), args)
     else:
-        _emit((polynomial_text(g.poly) + "\n" for g in generators), args)
+        # map holds no polynomial once its text is made
+        _emit(map("{}\n".format, map(polynomial_text, polys)), args)
     if args.verify == "none":
         return EXIT_OK
 

@@ -84,7 +84,11 @@ class RankConditionSpec(_Value):
 
 def spec_from_permutation(p: PartialPermutation) -> RankConditionSpec:
     """Conditions at the essential boxes only (they suffice by Fulton's
-    theorem)."""
+    theorem).  Finding them builds the n x n rank matrix, so its n**2
+    entries are counted first, and a permutation of over 1,000 entries,
+    whose n**2 passes ``WORK_LIMIT``, raises ValueError before any entry
+    is computed."""
+    check_work(p.n**2)
     conditions = tuple(RankCondition(c.row, c.col, r) for c, r in sorted(essential_set(p)))
     return RankConditionSpec(p.n, conditions, label=p.one_line())
 
@@ -115,10 +119,12 @@ def _minors(
                 yield cond, rows, cols
 
 
-# The most units of work one run may take: minors, terms of their
-# determinants, their completion, choices of antidiagonals, cells of the
-# union's packed layout and terms of union products, each counted before
-# the work is done (``spec_work``, ``completion_work``, ``union_generators``).
+# The most units of work one run may take: entries of a permutation's
+# rank matrix, minors, terms of their determinants, their completion,
+# choices of antidiagonals, cells of the union's packed layout and terms
+# of union products, each counted before the work is done
+# (``spec_from_permutation``, ``spec_work``, ``completion_work``,
+# ``union_basis``).
 # The cost of a run follows this count, not the ambient size.  In-process
 # on CPython 3.11, one core of a shared 2-core x86 machine, a union costs
 # 3-4.5 us per unit written as JSON and 9-19 us under --verify=full-oracle

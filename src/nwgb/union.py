@@ -20,14 +20,15 @@ their survivors.  This is the reading that reproduces the worked examples,
 e.g. a lone far-south cell of a mostly-consumed antidiagonal ends up as its
 own 1 x 1 factor.
 
-``union_generators`` extracts the factors of every choice before it
-returns, so that it can count the work the basis implies and refuse an
-oversized one (see there).  No generator's product depends on another's,
-so it forms them one at a time, as they are read, and a writer can write
-and drop each in turn; ``union_basis`` lists them.
+``union_basis`` is the one way to get a basis.  It extracts the factors
+of every choice before it builds any generator, so that it can count the
+work the basis implies and refuse an oversized one (see there), and then
+lists one small handle per generator: its inputs, its factors and the
+basis's shared ``_Packing``.  A handle holds no product.  Each reader
+forms what it reads, in the form it needs, and can drop it in turn, since
+no generator's product depends on another's.
 
-A generator's product is formed when it is first read, in the form its
-reader needs.  The JSON writer reads it on packed exponent ints, in one
+The JSON writer reads a product on packed exponent ints, in one
 ``_Layout`` per basis (see :mod:`nwgb.polynomials`): each minor is
 packed once, a product of monomials is an integer sum, and no exponent can
 exceed the number k of inputs, so fields of ``k.bit_length() + 1`` bits
@@ -201,16 +202,17 @@ def certified(factors: Iterable[Antidiagonal], spec: RankConditionSpec) -> bool:
 
 class GeneratorProduct:
     """One basis element: the input antidiagonals, the extracted factors,
-    and the expanded product of their determinants.
+    and the shared ``_Packing`` that forms the product of their
+    determinants.
 
-    The product is formed when it is first read, in the form its reader
-    needs: ``packed`` on packed exponent ints, which the JSON writer
+    The handle holds no product.  Each read forms it anew, in the form its
+    reader needs: ``packed`` on packed exponent ints, which the JSON writer
     reads, or ``poly``, a :class:`Polynomial`, for ``--verify``,
     ``--format=text``, the suites and the tests.  The factors fix the
-    product (see ``union_generators``), so equality and the hash read the
+    product (see ``union_basis``), so equality and the hash read the
     inputs and factors alone."""
 
-    __slots__ = ("inputs", "factors", "_packing", "_packed", "_poly")
+    __slots__ = ("inputs", "factors", "_packing")
 
     def __init__(
         self, inputs: Iterable[Antidiagonal], factors: Iterable[Antidiagonal], packing: _Packing
@@ -218,19 +220,14 @@ class GeneratorProduct:
         self.inputs = tuple(inputs)
         self.factors = tuple(factors)
         self._packing = packing
-        self._packed = self._poly = None
 
     @property
     def poly(self) -> Polynomial:
-        if self._poly is None:
-            self._poly = self._packing.polynomial(self.factors)
-        return self._poly
+        return self._packing.polynomial(self.factors)
 
     @property
     def packed(self) -> _PackedProduct:
-        if self._packed is None:
-            self._packed = self._packing.product(self.factors)
-        return self._packed
+        return self._packing.product(self.factors)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorProduct):
@@ -246,16 +243,15 @@ class GeneratorProduct:
 
 class _Packing:
     """What every generator of one basis shares: each factor's determinant,
-    expanded once, and a ``_Layout`` (made on first use) over each cell
-    that a row and a column of the input antidiagonals meet in, so over
-    every variable of every factor's minor, with fields of
-    ``count.bit_length() + 1`` bits for the product of ``count`` inputs
-    (see ``product``), in which each determinant is packed once."""
+    expanded once, and a ``_Layout`` (made on first use) over the cells of
+    rows 1..``height`` and columns 1..``width``, which hold every variable
+    of every factor's minor, with fields of ``count.bit_length() + 1``
+    bits for the product of ``count`` inputs (see ``product``), in which
+    each determinant is packed once."""
 
-    def __init__(self, antidiags: Iterable[Antidiagonal], count: int):
-        cells = {cell for antidiag in antidiags for cell in antidiag.cells}
-        self.rows = sorted({cell.row for cell in cells})
-        self.cols = sorted({cell.col for cell in cells})
+    def __init__(self, height: int, width: int, count: int):
+        self.rows = range(1, height + 1)
+        self.cols = range(1, width + 1)
         self.count = count
         self.minors: dict[tuple[Cell, ...], Polynomial] = {}
         self.packed_minors: dict[tuple[Cell, ...], tuple[list[tuple[int, int]], int]] = {}
@@ -355,17 +351,21 @@ def generator_product(
     ``factors`` is ``extract_factors(antidiags)``, passed by a caller that
     has it already.  ``packing`` holds the determinants; a caller that
     builds many generators passes one to every call, so each minor is
-    expanded once.  The product itself is formed when first read (see
-    :class:`GeneratorProduct`).
+    expanded once.  Without one, the packing spans the rows and columns up
+    to the inputs' southmost and eastmost cells.  The product itself is
+    formed when it is read (see :class:`GeneratorProduct`).
     """
     if factors is None:
         factors = extract_factors(antidiags)
     if packing is None:
-        packing = _Packing(antidiags, len(antidiags))
+        # an antidiagonal's cells run from its NE-most to its SW-most
+        height = max((a.cells[-1].row for a in antidiags), default=0)
+        width = max((a.cells[0].col for a in antidiags), default=0)
+        packing = _Packing(height, width, len(antidiags))
     return GeneratorProduct(antidiags, factors, packing)
 
 
-def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorProduct]:
+def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     """Basis of the intersection of the specs' ideals (= the union of the
     schemes): one generator per choice of Fulton antidiagonals, one from
     each spec, deduplicated, the first choice in enumeration order kept.
@@ -380,8 +380,9 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
     generator's bound on its product's terms, the product of |f|! over
     its factors f (exact when the factors share no variable).  It raises
     ValueError as soon as the running count passes ``WORK_LIMIT``, so a
-    refusal costs at most the limit.  Each generator's product is formed
-    only when the returned iterator reads it.
+    refusal costs at most the limit, and comes before any generator is
+    built.  The handles it lists hold no product: each reader forms what
+    it reads (see :class:`GeneratorProduct`).
 
     A generator is the product of its factors' determinants, and generic
     minors are irreducible and no two are scalar multiples, so two choices
@@ -400,18 +401,20 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
             raise ValueError(
                 f"ambient sizes differ: {reprlib.repr(spec.ambient_n)} vs {reprlib.repr(ambient)}"
             )
-    # every row and column of a region with minors holds a cell of some
-    # minor, so the layout spans rows 1..i and columns 1..j for the largest
-    # i and the largest j of those regions
+    # the packed layout spans rows 1..i and columns 1..j for the largest i
+    # and the largest j of the regions that hold minors
     regions = [
         (cond.row, cond.col)
         for spec in specs
         for cond in spec.conditions
         if cond.max_rank < min(cond.row, cond.col)
     ]
-    cells = max((i for i, _ in regions), default=0) * max((j for _, j in regions), default=0)
+    height = max((i for i, _ in regions), default=0)
+    width = max((j for _, j in regions), default=0)
     units = check_work(
-        sum(map(completion_work, specs)) + prod(spec_work(spec)[0] for spec in specs) + cells**2
+        sum(map(completion_work, specs))
+        + prod(spec_work(spec)[0] for spec in specs)
+        + (height * width) ** 2
     )
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     # the first choice of each key, and its factors
@@ -422,13 +425,8 @@ def union_generators(specs: Sequence[RankConditionSpec]) -> Iterator[GeneratorPr
         if key not in kept:
             units = check_work(units + prod(factorial(len(f.cells)) for f in factors))
             kept[key] = (combo, factors)
-    packing = _Packing([a for antidiags in choices for a in antidiags], len(choices))
-    return (generator_product(combo, factors, packing) for combo, factors in kept.values())
-
-
-def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
-    """``union_generators(specs)`` as a list."""
-    return list(union_generators(specs))
+    packing = _Packing(height, width, len(choices))
+    return [generator_product(combo, factors, packing) for combo, factors in kept.values()]
 
 
 def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:

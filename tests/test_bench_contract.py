@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import nwgb.cli  # loads every layer, as a benchmark job does
@@ -121,3 +122,27 @@ def test_every_timed_cli_job_takes_the_plain_argv_path():
     for workload, paths in jobs.items():
         argv = child._cli_argv({"workload": workload, "spec_paths": paths})
         assert nwgb.cli._read_args(argv) is not None, argv
+
+
+def test_traced_synth_job_books_synthesis_to_union_basis(tmp_path, capsys):
+    # the CLI builds its basis through union_basis, so the traced run sees
+    # each generator it builds as a choice of that span
+    tracing = load_tracing()
+    child = load_bench("nwgb_bench_child", BENCH / "child.py")
+    paths = []
+    for name, perm in (("l", "1 2 4 3 6 5"), ("r", "3 1 2 6 4 5")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"permutation": "{perm}"}}', encoding="utf-8")
+        paths.append(str(path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = nwgb.cli.main(child._cli_argv({"workload": "synth", "spec_paths": paths}))
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    generators = len(json.loads(capsys.readouterr().out))
+    assert summary["calls"]["union.union_basis"] == 1
+    assert summary["produced"]["union.union_basis"] == generators > 0
+    assert summary["choices"] == generators

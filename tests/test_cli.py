@@ -351,6 +351,25 @@ def test_union_json_out_peaks_below_the_file_it_writes(tmp_path, capsys):
     assert peak < target.stat().st_size
 
 
+def test_union_text_out_peaks_below_the_file_it_writes(tmp_path):
+    # the basis is a list of handles, and each polynomial is formed, written
+    # and dropped: a handle that kept its polynomial would hold all of them
+    # at the end, about 4 times the 0.56 MB this job writes
+    paths = [
+        write_spec(tmp_path, f"{name}.json", {"n": 6, "permutation": perm})
+        for name, perm in (("l", "1 2 3 4 6 5"), ("r", "3 5 1 6 4 2"))
+    ]
+    target = tmp_path / "basis.txt"
+    tracemalloc.start()
+    try:
+        code = main(["union", *paths, "--format=text", f"--out={target}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
+
+
 VERIFY_DEPTHS = ("none", "membership", "full-oracle")
 
 
@@ -411,6 +430,40 @@ def test_work_guard_refuses_an_s8_pair_before_any_product(pair, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: the input needs at least ") and err.count("\n") == 1
+
+
+def one_line(n):
+    """2 1 3 4 ... n: one essential box, so one condition and one minor."""
+    return " ".join(["2", "1", *map(str, range(3, n + 1))])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["fulton", "{spec}"], ["groebner", "{spec}"], ["union", "{spec}"], ["diagram", "{perm}"]],
+    ids=["fulton", "groebner", "union", "diagram"],
+)
+def test_work_guard_refuses_a_long_permutation_before_its_rank_matrix(
+    args, tmp_path, capsys, monkeypatch
+):
+    # a 2,000 x 2,000 rank matrix is 4e6 units; the spec file is 9 KB
+    def no_rank_matrix(p):
+        raise AssertionError("the guard must stop the run before any rank matrix is built")
+
+    monkeypatch.setattr("nwgb.permutations.rank_matrix", no_rank_matrix)
+    perm = one_line(2000)
+    spec = write_spec(tmp_path, "long.json", {"permutation": perm})
+    argv = [arg.replace("{spec}", spec).replace("{perm}", perm) for arg in args]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the input needs at least 4000000 units of work, over the limit of 1000000\n"
+
+
+def test_a_permutation_of_1000_entries_is_admitted(tmp_path, capsys):
+    # 1000**2 units is exactly the limit
+    spec = write_spec(tmp_path, "s.json", {"permutation": one_line(1000)})
+    assert main(["fulton", spec]) == 0
+    assert capsys.readouterr().out == "1*m[1,1]\n"
 
 
 # few terms, but 90,000 1-minors: completing them meets 4e9 pairs, and a
@@ -872,18 +925,32 @@ CLOSED_PIPE_RUNS = {
 
 
 # help goes to stdout only
-CLOSED_PIPES = [(run, stream) for run in CLOSED_PIPE_RUNS for stream in ("stdout", "stderr")][:-1]
+CLOSED_PIPES = [
+    (run, stream, unbuffered)
+    for unbuffered in (False, True)
+    for run in CLOSED_PIPE_RUNS
+    for stream in ("stdout", "stderr")
+    if (run, stream) != ("help", "stderr")
+]
 
 
-@pytest.mark.parametrize("run, stream", CLOSED_PIPES, ids=[f"{r}-{s}" for r, s in CLOSED_PIPES])
-def test_closed_pipe_exits_2_without_a_traceback(run, stream, tmp_path):
+@pytest.mark.parametrize(
+    "run, stream, unbuffered",
+    CLOSED_PIPES,
+    ids=[f"{r}-{s}" + ("-unbuffered" if u else "") for r, s, u in CLOSED_PIPES],
+)
+def test_closed_pipe_exits_2_without_a_traceback(run, stream, unbuffered, tmp_path):
     # the read end is closed before the run starts, so every write to the
     # pipe fails; an uncaught error would exit 1, and a failed flush at
-    # interpreter shutdown 120.  stdout is left block-buffered, as it is
-    # for a pipe by default, so its writes fail at a flush
+    # interpreter shutdown 120.  A block-buffered stdout, as a pipe has by
+    # default, fails at a flush; an unbuffered one at each write, which
+    # argparse would swallow from help
     w0 = write_spec(tmp_path, "w0.json", {"n": 3, "permutation": "3 2 1"})
     env = src_env()
-    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
     args = [arg.replace("{w0}", w0) for arg in CLOSED_PIPE_RUNS[run]]
     read, write = os.pipe()
     os.close(read)
