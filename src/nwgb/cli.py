@@ -8,7 +8,8 @@ or the permutation before any minor or rank matrix is built, passes
 ``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb union``
 writes each generator as its product is formed and then drops it, keeping
 only the polynomials --verify needs.
-A closed stdout or stderr pipe also ends a run with exit 2 (see ``run``).
+A closed stdout or stderr pipe also ends a run with exit 2, and with no
+``error:`` line, since it is no bad input (see ``run``).
 
 ``_COMMANDS`` is the one description of each command's arguments.  Every
 run starts cold, so ``main`` first reads argv straight from that table
@@ -275,6 +276,8 @@ def main(argv=None) -> int:
                 parser.error(f"argument {flag}: expected one argument")
     try:
         return _COMMANDS[args.command][2](args)
+    except BrokenPipeError:  # the reader went away: no bad input, see run
+        raise
     except (OSError, ValueError) as exc:
         # the handlers raise these only on bad input: an unreadable spec or
         # --out path, a malformed spec or permutation, mismatched ambients,

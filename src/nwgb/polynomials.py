@@ -43,9 +43,9 @@ of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
 one row's cells are adjacent, since their variables are too.  A union
 product (``_PackedProduct``) uses every row of its minors in each term,
 and :func:`json_writer` writes it straight from its ints, the terms
-in descending order and each term's ``[row, col, exp]`` blocks one row
-segment (``x & mask``) at a time, each segment's text made once per
-writer.
+in descending order and each term's ``[row, col, exp]`` blocks as two
+masked halves of its rows (``x & upper``, ``x & lower``), each distinct
+half's text made once per writer and layout.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ import reprlib
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations as _all_permutations
+from functools import cached_property, lru_cache
+from itertools import groupby, permutations as _all_permutations
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, itemgetter
 
 Cell = namedtuple("Cell", ("row", "col"))
 Cell.__doc__ = "1-based matrix position; row 1 is the top row, column 1 the leftmost."
@@ -525,6 +525,12 @@ class _Layout:
         its variables out of a packed monomial."""
         return sum(self.field * self.unit[_code(cell)] for cell in cells)
 
+    @cached_property
+    def row_masks(self) -> list[int]:
+        """The mask of each row that holds a field, top row first."""
+        cells = sorted(map(_cell, self.code_at.values()))
+        return [self.mask(row) for _, row in groupby(cells, key=itemgetter(0))]
+
     def unpack(self, x: int) -> Monomial:
         # powers lists the most significant variable, the lowest code, first
         return _from_codes([code for code, exp in self.powers(x) for _ in range(exp)])
@@ -647,9 +653,12 @@ def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
 
 
 class _RowBlocks(dict):
-    """A row's fields of a packed monomial, ``x & mask`` for that row's
-    mask in ``layout`` -> the ``[row, col, exp]`` blocks of its variables,
-    columns ascending, joined by ``between``; made on first use."""
+    """Whole rows of fields of a packed monomial, ``x & mask`` for a mask
+    of one or more rows in ``layout`` -> the ``[row, col, exp]`` blocks of
+    their variables, row-major ascending, joined by ``between``; made on
+    first use, a segment of several rows from the texts of its rows, which
+    are cached in turn.  The same int names other cells in another layout,
+    so each layout has its own."""
 
     def __init__(self, layout: _Layout, blocks: _VariableTexts, between: str):
         super().__init__()
@@ -658,9 +667,14 @@ class _RowBlocks(dict):
         self.between = between
 
     def __missing__(self, segment: int) -> str:
-        # powers lists the most significant variable, the last column, first
-        powers = reversed(self.layout.powers(segment))
-        text = self[segment] = self.between.join([self.blocks[p][2] for p in powers])
+        rows = [row for mask in self.layout.row_masks if (row := segment & mask)]
+        if len(rows) > 1:
+            text = self.between.join([self[row] for row in rows])
+        else:
+            # powers lists the most significant variable, the last column, first
+            powers = reversed(self.layout.powers(segment))
+            text = self.between.join([self.blocks[p][2] for p in powers])
+        self[segment] = text
         return text
 
 
@@ -668,7 +682,8 @@ class _TermLayout:
     """The text of a polynomial's terms for a term list that opens at
     ``indent``: the fixed text around a term's coefficient and monomial,
     and the ``[row, col, exp]`` block of each variable, written on first
-    use, and for packed polynomials the blocks of each row's fields."""
+    use, and for packed polynomials, per layout, the blocks of each
+    segment of whole rows that a term reads."""
 
     def __init__(self, indent: int):
         self.indent = indent
@@ -707,8 +722,12 @@ class _TermLayout:
     def write_packed(self, f: _PackedProduct) -> str:
         """What ``write`` gives for the same product as a Polynomial, read
         off the packed terms: a larger int is a larger monomial, so the
-        terms are the ints descending, and a term's blocks are those of one
-        masked row of fields per mask of ``f``, top row first."""
+        terms are the ints descending.  Every term uses every row of
+        ``f.masks``, so a term of two or more rows is the text of its upper
+        half of rows and that of its lower half, each masked out of the int
+        and read from the layout's ``_RowBlocks``, which writes each
+        distinct half once per writer.  A term of one row, or the constant
+        term 0, is written from its one mask per row."""
         rows = self.rows.get(f.layout)
         if rows is None:
             rows = self.rows[f.layout] = _RowBlocks(f.layout, self.blocks, self.block_between)
@@ -718,6 +737,16 @@ class _TermLayout:
         end = self.end
         masks = f.masks
         coeffs = f.terms
+        if len(masks) >= 2:
+            half = len(masks) // 2
+            upper = sum(masks[:half])
+            lower = sum(masks[half:])
+            terms = [
+                f"{coeff_text}{coeffs[x]!s}{monomial}{rows[x & upper]}"
+                f"{block_between}{rows[x & lower]}{end}"
+                for x in sorted(coeffs, reverse=True)
+            ]
+            return _json_list(terms, self.indent, "[]")
         terms = []
         for x in sorted(coeffs, reverse=True):
             if x:
@@ -736,9 +765,9 @@ def json_writer():
     [...]}``, both ascending; anything else raises ``TypeError``.
     ``indent`` sends ``json`` to its pure-Python encoder, which costs more
     than building a union basis; here each ``[row, col, exp]`` block, each
-    row of packed fields and each factor is written once per writer, since
-    a basis repeats all three, and each term of a polynomial in one
-    piece."""
+    half of a packed term's rows (see ``_TermLayout.write_packed``) and
+    each factor is written once per writer, since a basis repeats all
+    three, and each term of a polynomial in one piece."""
     layouts: dict[int, _TermLayout] = {}
     factors: dict[tuple[tuple[Cell, ...], int], str] = {}
 

@@ -33,7 +33,8 @@ The JSON writer reads a product on packed exponent ints, in one
 packed once, a product of monomials is an integer sum, and no exponent can
 exceed the number k of inputs, so fields of ``k.bit_length() + 1`` bits
 are fixed before the first product (see ``_Packing.product``); the writer
-reads each term's text off its int, one row of fields at a time.
+reads each term's text off its int as two cached halves of its rows,
+each written once per distinct half (see ``_TermLayout.write_packed``).
 ``GeneratorProduct.poly``, which ``--verify``, ``--format=text`` and the
 suites read, multiplies the determinants as ``Polynomial`` values: on the
 small bases the oracle checks, that costs less than forming the packed
@@ -41,7 +42,9 @@ product and unpacking it.
 
 A stripped chain steps strictly SW by construction, so each factor is built
 without the checks ``Antidiagonal(...)`` makes; the tests run those checks
-on every factor instead.
+on every factor instead.  Most choices share no cell between their inputs;
+``extract_factors`` returns those inputs as the factors before any
+component is built.
 """
 
 from __future__ import annotations
@@ -153,7 +156,17 @@ def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
     component's longest chain comes first, then recursively the factors of
     what is left of that component.  A one-color component is taken whole:
     the input antidiagonal itself when all its cells survive.
+
+    Inputs that share no cell, most choices of a basis, are settled before
+    any component is built: no two colors meet, so each input is a
+    one-color component with every cell alive, and it is its own factor.
+    An antidiagonal's NE-most cell is ``cells[0]``, and ``_components``
+    orders its groups by that cell, so the factors are the inputs sorted by
+    ``cells[0]``, which no two disjoint inputs share.
     """
+    alive = {cell for antidiag in antidiags for cell in antidiag.cells}
+    if len(alive) == sum([len(antidiag.cells) for antidiag in antidiags]):
+        return sorted(antidiags, key=lambda antidiag: antidiag.cells[0])
 
     def strip(alive: set[Cell]) -> list[Antidiagonal]:
         factors: list[Antidiagonal] = []
@@ -170,7 +183,7 @@ def extract_factors(antidiags: Sequence[Antidiagonal]) -> list[Antidiagonal]:
                 factors.extend(strip(rest))
         return factors
 
-    return strip({cell for antidiag in antidiags for cell in antidiag.cells})
+    return strip(alive)
 
 
 def certified(factors: Iterable[Antidiagonal], spec: RankConditionSpec) -> bool:
@@ -261,11 +274,6 @@ class _Packing:
         bits = self.count.bit_length() + 1
         return _Layout((), bits, [Cell(row, col) for row in self.rows for col in self.cols])
 
-    @cached_property
-    def row_masks(self) -> list[int]:
-        """The layout's mask of each row, top row first."""
-        return [self.layout.mask(Cell(row, col) for col in self.cols) for row in self.rows]
-
     def determinant(self, factor: Antidiagonal) -> Polynomial:
         det = self.minors.get(factor.cells)
         if det is None:
@@ -336,7 +344,7 @@ class _Packing:
             used |= support
         # a minor uses each of its rows in every term, so every term of the
         # product uses exactly the rows that some minor uses
-        masks = tuple([mask for mask in self.row_masks if mask & used])
+        masks = tuple([mask for mask in self.layout.row_masks if mask & used])
         return _PackedProduct(self.layout, terms, masks)
 
 

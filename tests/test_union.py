@@ -238,9 +238,19 @@ def random_antidiagonal_lists():
         yield [random_antidiagonal(rng, n=n, max_len=n) for _ in range(rng.randint(1, 5))]
 
 
+def shares_a_cell(combo):
+    cells = [cell for antidiag in combo for cell in antidiag.cells]
+    return len(cells) != len(set(cells))
+
+
 def test_extract_factors_equals_graph_search_reference_on_all_s4_pairs():
+    # disjoint choices take extract_factors' shortcut, the others strip:
+    # the bed holds both
+    shared = set()
     for combo in s4_pair_choices():
         assert extract_factors(combo) == reference_extract_factors(combo)
+        shared.add(shares_a_cell(combo))
+    assert shared == {False, True}
 
 
 def test_extract_factors_equals_graph_search_reference_on_random_lists():
@@ -277,10 +287,13 @@ def test_extract_factors_equals_graph_search_reference_on_seeded_s5_pairs(monkey
         return groups
 
     monkeypatch.setattr(nwgb.union, "_components", spied)
+    shared = set()
     for specs in sampled_pairs(S5_SPECS, 29, 200):
         for combo in product(*map(antidiagonals_of_spec, specs)):
             assert extract_factors(combo) == reference_extract_factors(combo)
+            shared.add(shares_a_cell(combo))
     assert remainders
+    assert shared == {False, True}
 
 
 def test_every_extracted_factor_passes_the_antidiagonal_checks():
@@ -938,6 +951,32 @@ def spokes(k):
     holds m[1,1], so the product has m[1,1]^k, the most the width rule
     allows for k inputs."""
     return [anti((1, 1 + i), (1 + i, 1)) for i in range(1, k + 1)]
+
+
+def test_packed_terms_are_written_per_layout_across_products():
+    # each generator_product without a packing has its own layout, and one
+    # writer serves them all.  The lower half of the terms of a 2x2 minor
+    # and of the 3x2 minor below it is the int 1 in both layouts, for
+    # m[2,1] in one and m[3,1] in the other, so the half texts must be
+    # cached per layout
+    minor_2x2 = generator_product([anti((1, 2), (2, 1))])
+    minor_3x2 = generator_product([anti((2, 2), (3, 1))])
+    assert minor_2x2.packed.layout is not minor_3x2.packed.layout
+    for packed in (minor_2x2.packed, minor_3x2.packed):
+        assert min(x & packed.masks[-1] for x in packed.terms) == 1
+    products = [
+        generator_product([]),  # the constant 1, no rows
+        generator_product([anti((1, 1))]),  # one row
+        minor_2x2,  # two rows
+        generator_product([anti((1, 3), (2, 2), (3, 1))]),  # three rows
+        minor_3x2,
+        generator_product([anti((1, 2), (2, 1)), anti((3, 4), (4, 3))]),  # four rows
+        generator_product([anti((1, 3), (2, 2), (3, 1)), anti((2, 3), (4, 2), (5, 1))]),  # five
+        generator_product(spokes(3)),  # a squared variable
+    ]
+    assert sorted({len(g.packed.masks) for g in products}) == [0, 1, 2, 3, 4, 5]
+    assert len({id(g.packed.layout) for g in products}) == len(products)
+    assert_packed_equals_fold(products)
 
 
 def test_an_exponent_equal_to_the_input_count_fills_its_field():
