@@ -6,8 +6,9 @@ errors.  Data goes to stdout (or --out); verification reports go to stderr
 so JSON output stays parseable.  Input whose work, counted from the specs
 or the permutation before any minor or rank matrix is built, passes
 ``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb union``
-writes each generator as its product is formed and then drops it, keeping
-only the polynomials --verify needs.
+writes each generator as its packed product is formed and then drops it;
+--verify, whose checks divide every product, forms each once before the
+write and keeps it, so the writer and the checks read one product.
 A closed stdout or stderr pipe also ends a run with exit 2, and with no
 ``error:`` line, since it is no bad input (see ``run``).
 
@@ -34,7 +35,7 @@ from .ideals import check_work, fulton_generators, generator_polynomials, load_s
 from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import json_text, polynomial_text
-from .union import basis_json_chunks, union_basis
+from .union import basis_json_chunks, hold, union_basis
 from .verify import SUITES, run_suite, union_verdicts
 
 EXIT_OK = 0
@@ -172,20 +173,20 @@ def _cmd_groebner(args: SimpleNamespace) -> int:
 def _cmd_union(args: SimpleNamespace) -> int:
     specs = [load_spec(path) for path in args.specs]
     basis = union_basis(specs)
-    # --verify keeps every polynomial; otherwise each is formed, written
-    # and dropped
-    polys = (g.poly for g in basis) if args.verify == "none" else [g.poly for g in basis]
+    # --verify holds every product; otherwise each is formed, written and
+    # dropped
+    if args.verify != "none":
+        basis = hold(basis)
     if args.format == "json":
         _emit(chain(basis_json_chunks(basis), ["\n"]), args)
     else:
-        # map holds no polynomial once its text is made
-        _emit(map("{}\n".format, map(polynomial_text, polys)), args)
+        _emit((f"{polynomial_text(g.packed)}\n" for g in basis), args)
     if args.verify == "none":
         return EXIT_OK
 
-    failures, groebner_ok, equal_ok = union_verdicts(polys, specs, args.verify)
+    failures, groebner_ok, equal_ok = union_verdicts(basis, specs, args.verify)
     print(
-        f"membership: {len(polys) * len(specs)} checks, {len(failures)} failures",
+        f"membership: {len(basis) * len(specs)} checks, {len(failures)} failures",
         file=sys.stderr,
     )
     if args.verify == "membership":

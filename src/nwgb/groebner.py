@@ -42,7 +42,8 @@ heap division of Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
 (``buchberger``, ``is_groebner``, ``normal_forms``, ``s_polynomial``,
 ``intersect_many``) lays out one field per variable of its inputs
-(``_Layout``, from :mod:`nwgb.polynomials`, which the union products use too):
+(``_Layout``, from :mod:`nwgb.polynomials`, which the union products use
+too, and in which ``reduces_to_zero`` divides them as they are):
 ``bits`` bits each, a guard bit over ``bits - 1`` exponent bits, the most
 significant variable of the order (t, when present) in the highest field
 and each next one in the field below.  Comparing two such ints compares
@@ -55,8 +56,8 @@ entry of its key.  The inputs are packed once, the work runs on
 ``{int: coefficient}`` dicts, and only the result is unpacked.  The
 field width starts at ``_FIELD_BITS``, doubled until the largest input
 degree fits, and a sum that reaches a guard bit restarts the whole call
-at double width: no exponent is ever wrong, and the width changes no
-result.
+at double width (``_Layout.widening``): no exponent is ever wrong, and
+the width changes no result.
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -69,9 +70,8 @@ from __future__ import annotations
 import heapq
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
 
-from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow, _Value
+from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow, _PackedProduct, _Value
 
 
 class IdealPresentation(_Value):
@@ -86,24 +86,15 @@ class IdealPresentation(_Value):
         super().__init__(generators)
 
 
-# the narrowest field: a guard bit over 7 exponent bits
-_FIELD_BITS = 8
-
-
 def _run(polys: Sequence[Polynomial], job: Callable[[_Layout], object]) -> object:
     """``job`` on the narrowest layout of ``polys`` whose fields hold every
-    exponent it makes, from ``_FIELD_BITS`` up, doubling on overflow."""
-    bits = _FIELD_BITS
-    while True:
-        try:
-            return job(_Layout(polys, bits))
-        except _Overflow:
-            bits *= 2
+    exponent it makes (``_Layout.widening``)."""
+    return _Layout.widening(lambda bits: job(_Layout(polys, bits)))
 
 
 # one reducer per nonzero packed divisor g: (lead, the other terms of g made
 # monic), so a division step scales the tail by the pending coefficient
-Reducer = tuple[int, list[tuple[int, int | Fraction]]]
+Reducer = tuple[int, list[tuple[int, "int | Fraction"]]]
 
 
 def _reducer(terms: dict[int, int | Fraction]) -> Reducer:
@@ -118,6 +109,8 @@ def _monic(terms: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         return terms
     if lead == -1:
         return {x: -c for x, c in terms.items()}
+    from fractions import Fraction
+
     out = {}
     for x, c in terms.items():
         q = Fraction(c, lead)
@@ -166,13 +159,38 @@ def normal_forms(
         dividends = [layout.pack_poly(f) for f in polys]
         remainders = []
         for basis in bases:
-            first = _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], guard)
+            first = _first_divisor(layout, basis)
             remainders.append(
                 [layout.polynomial(_divide(dict(f), first, guard)) for f in dividends]
             )
         return remainders
 
     return _run([*polys, *(g for basis in bases for g in basis)], job)
+
+
+def reduces_to_zero(products: Iterable[_PackedProduct], basis: Sequence[Polynomial]) -> list[bool]:
+    """Whether ``normal_form`` of each packed product by ``basis`` is zero.
+
+    Each product is divided on its own packed terms, which it keeps, in its
+    own layout, which must hold every variable of ``basis``; the basis is
+    packed into each layout once.  The width is the product's: an exponent
+    that outgrows it raises ``_Overflow``, and the caller forms the
+    products again with wider fields (``_Layout.widening``)."""
+    firsts: dict[_Layout, Callable[[int], Reducer | None]] = {}
+    zero = []
+    for f in products:
+        layout = f.layout
+        first = firsts.get(layout)
+        if first is None:
+            first = firsts[layout] = _first_divisor(layout, basis)
+        zero.append(not _divide(dict(f.terms), first, layout.guard))
+    return zero
+
+
+def _first_divisor(layout: _Layout, basis: Sequence[Polynomial]) -> Callable[[int], Reducer | None]:
+    """``_scan`` of the reducers of the nonzero elements of ``basis``, in
+    order, packed in ``layout``."""
+    return _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], layout.guard)
 
 
 def _scan(reducers: list[Reducer], guard: int) -> Callable[[int], Reducer | None]:

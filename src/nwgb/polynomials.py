@@ -4,7 +4,9 @@ Variables are the entries m[i,j] of a square matrix of indeterminates,
 identified by their (row, col) cell.  Coefficients are exact rationals,
 an ``int`` when integral and a ``Fraction`` otherwise, so polynomial
 equality is reliable and integral arithmetic (minors, their products, the
-elimination ideals of the oracle) runs on ints.  There is one monomial
+elimination ideals of the oracle) runs on ints.  ``fractions`` is imported
+where the first coefficient that is no int appears, so a run on ints never
+loads it.  There is one monomial
 order, the antidiagonal lex order on the variable sequence
 
     t > m[1,n] > m[1,n-1] > ... > m[1,1] > m[2,n] > ... > m[n,1]
@@ -42,18 +44,18 @@ larger int is a larger monomial and a product is a sum; the engine's use
 of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
 one row's cells are adjacent, since their variables are too.  A union
 product (``_PackedProduct``) uses every row of its minors in each term,
-and :func:`json_writer` writes it straight from its ints, the terms
-in descending order and each term's ``[row, col, exp]`` blocks as two
-masked halves of its rows (``x & upper``, ``x & lower``), each distinct
-half's text made once per writer and layout.
+and :func:`json_writer` and :func:`polynomial_text` write it straight
+from its ints (``_RowBlocks.terms``), the terms in descending order and each
+term's variables as two masked halves of its rows (``x & upper``,
+``x & lower``), each distinct half's text made once per writer and
+layout.
 """
 
 from __future__ import annotations
 
 import reprlib
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache
 from itertools import groupby, permutations as _all_permutations
 from json.encoder import encode_basestring_ascii
@@ -226,6 +228,8 @@ class Polynomial:
         if terms:
             for mono, coeff in terms.items():
                 if type(coeff) is not int:
+                    from fractions import Fraction
+
                     if type(coeff) is not Fraction:
                         coeff = Fraction(coeff)
                     if coeff.denominator == 1:
@@ -273,10 +277,13 @@ class Polynomial:
         return self + -other
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, int):
+                from fractions import Fraction
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
+            return Polynomial({m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -481,6 +488,10 @@ class _Overflow(Exception):
     """An exponent outgrew the field width."""
 
 
+# the narrowest field a division starts at: a guard bit over 7 exponent bits
+_FIELD_BITS = 8
+
+
 class _Layout:
     """A packing of monomials into ints: a field of ``bits`` bits for each
     variable of ``polys`` and each of ``cells``, in the order's
@@ -496,6 +507,19 @@ class _Layout:
         self.unit = {code: 1 << shift for shift, code in self.code_at.items()}
         self.guard = sum(1 << (shift + bits - 1) for shift in self.code_at)
         self.fill = self.guard - (self.guard >> (bits - 1))  # all exponent bits
+
+    @staticmethod
+    def widening(job: Callable[[int], object]) -> object:
+        """``job(bits)`` at the first field width, from ``_FIELD_BITS`` up,
+        doubling, that holds every exponent the job makes: a job raises
+        ``_Overflow`` when one outgrows its fields, and starts over at
+        double the width."""
+        bits = _FIELD_BITS
+        while True:
+            try:
+                return job(bits)
+            except _Overflow:
+                bits *= 2
 
     def pack(self, mono: Monomial) -> int:
         if mono.degree() > self.field:
@@ -530,6 +554,12 @@ class _Layout:
         """The mask of each row that holds a field, top row first."""
         cells = sorted(map(_cell, self.code_at.values()))
         return [self.mask(row) for _, row in groupby(cells, key=itemgetter(0))]
+
+    @cached_property
+    def names(self) -> _RowBlocks:
+        """The text of each segment of whole rows, its variables as
+        :func:`monomial_text` writes them, made on first use."""
+        return _RowBlocks(self, _NAMES, "*")
 
     def unpack(self, x: int) -> Monomial:
         # powers lists the most significant variable, the lowest code, first
@@ -625,8 +655,12 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(_NAMES.row_major(mono.key))
 
 
-def polynomial_text(f: Polynomial) -> str:
-    """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``."""
+def polynomial_text(f: Polynomial | _PackedProduct) -> str:
+    """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``.
+    A product of minors is written off its packed terms, with the segment
+    texts of its layout (``_Layout.names``)."""
+    if type(f) is _PackedProduct:
+        return " + ".join(f.layout.names.terms(f, "", "*", "", ""))
     if f.is_zero():
         return "0"
     rendered = []
@@ -677,6 +711,36 @@ class _RowBlocks(dict):
         self[segment] = text
         return text
 
+    def terms(
+        self, f: _PackedProduct, before: str, middle: str, after: str, constant: str
+    ) -> list[str]:
+        """The text of each term of ``f``, a product in this layout, largest
+        first: ``before``, the coefficient, ``middle``, the text of its
+        variables and ``after``, or, for the constant term, ``before``, the
+        coefficient and ``constant``.
+
+        A larger int is a larger monomial, so the terms are the ints
+        descending.  Every term uses every row of ``f.masks``, so a term of
+        two or more rows is the text of its upper half of rows and that of
+        its lower half, each masked out of the int, joined by ``between``;
+        each distinct half is written once.  A term of one row is that
+        row's text, and a product of no rows is the constant."""
+        coeffs = f.terms
+        masks = f.masks
+        ordered = sorted(coeffs, reverse=True)
+        if len(masks) >= 2:
+            half = len(masks) // 2
+            upper = sum(masks[:half])
+            lower = sum(masks[half:])
+            between = self.between
+            return [
+                f"{before}{coeffs[x]!s}{middle}{self[x & upper]}{between}{self[x & lower]}{after}"
+                for x in ordered
+            ]
+        if masks:
+            return [f"{before}{coeffs[x]!s}{middle}{self[x]}{after}" for x in ordered]
+        return [f"{before}{coeffs[0]!s}{constant}"]
+
 
 class _TermLayout:
     """The text of a polynomial's terms for a term list that opens at
@@ -721,39 +785,12 @@ class _TermLayout:
 
     def write_packed(self, f: _PackedProduct) -> str:
         """What ``write`` gives for the same product as a Polynomial, read
-        off the packed terms: a larger int is a larger monomial, so the
-        terms are the ints descending.  Every term uses every row of
-        ``f.masks``, so a term of two or more rows is the text of its upper
-        half of rows and that of its lower half, each masked out of the int
-        and read from the layout's ``_RowBlocks``, which writes each
-        distinct half once per writer.  A term of one row, or the constant
-        term 0, is written from its one mask per row."""
+        off the packed terms (``_RowBlocks.terms``), with the layout's
+        ``_RowBlocks`` of this writer."""
         rows = self.rows.get(f.layout)
         if rows is None:
             rows = self.rows[f.layout] = _RowBlocks(f.layout, self.blocks, self.block_between)
-        coeff_text = self.coeff
-        monomial = self.monomial
-        block_between = self.block_between
-        end = self.end
-        masks = f.masks
-        coeffs = f.terms
-        if len(masks) >= 2:
-            half = len(masks) // 2
-            upper = sum(masks[:half])
-            lower = sum(masks[half:])
-            terms = [
-                f"{coeff_text}{coeffs[x]!s}{monomial}{rows[x & upper]}"
-                f"{block_between}{rows[x & lower]}{end}"
-                for x in sorted(coeffs, reverse=True)
-            ]
-            return _json_list(terms, self.indent, "[]")
-        terms = []
-        for x in sorted(coeffs, reverse=True):
-            if x:
-                blocks = block_between.join([rows[x & mask] for mask in masks])
-                terms.append(f"{coeff_text}{coeffs[x]!s}{monomial}{blocks}{end}")
-            else:
-                terms.append(f"{coeff_text}{coeffs[x]!s}{self.constant}")
+        terms = rows.terms(f, self.coeff, self.monomial, self.end, self.constant)
         return _json_list(terms, self.indent, "[]")
 
 

@@ -24,21 +24,20 @@ own 1 x 1 factor.
 of every choice before it builds any generator, so that it can count the
 work the basis implies and refuse an oversized one (see there), and then
 lists one small handle per generator: its inputs, its factors and the
-basis's shared ``_Packing``.  A handle holds no product.  Each reader
-forms what it reads, in the form it needs, and can drop it in turn, since
-no generator's product depends on another's.
+basis's shared ``_Packing``.  A handle holds no product unless a caller
+holds it (``hold``): each read forms it, and the reader can drop it in
+turn, since no generator's product depends on another's.
 
-The JSON writer reads a product on packed exponent ints, in one
-``_Layout`` per basis (see :mod:`nwgb.polynomials`): each minor is
-packed once, a product of monomials is an integer sum, and no exponent can
-exceed the number k of inputs, so fields of ``k.bit_length() + 1`` bits
-are fixed before the first product (see ``_Packing.product``); the writer
-reads each term's text off its int as two cached halves of its rows,
-each written once per distinct half (see ``_TermLayout.write_packed``).
-``GeneratorProduct.poly``, which ``--verify``, ``--format=text`` and the
-suites read, multiplies the determinants as ``Polynomial`` values: on the
-small bases the oracle checks, that costs less than forming the packed
-product and unpacking it.
+A product has one form, on packed exponent ints, in one ``_Layout`` per
+basis (see :mod:`nwgb.polynomials`): each minor is packed once, and a
+product of monomials is an integer sum (see ``_Packing.product``).  The
+JSON and text writers read each term's text off its int as two cached
+halves of its rows (see ``_RowBlocks.terms``), and ``--verify`` divides the
+same ints.  No exponent can exceed the number k of inputs, so fields of
+``k.bit_length() + 1`` bits, the proven width, hold every product, and
+a handle forms its product at that width.  A caller that divides the
+products keeps them all anyway, so ``hold`` forms each once, at the wider
+field a division starts at, and the handle keeps it for every reader.
 
 A stripped chain steps strictly SW by construction, so each factor is built
 without the checks ``Antidiagonal(...)`` makes; the tests run those checks
@@ -64,9 +63,9 @@ from .ideals import (
     spec_work,
 )
 from .polynomials import (
+    _FIELD_BITS,
     Antidiagonal,
     Cell,
-    Polynomial,
     _Layout,
     _PackedProduct,
     _json_list,
@@ -215,17 +214,16 @@ def certified(factors: Iterable[Antidiagonal], spec: RankConditionSpec) -> bool:
 
 class GeneratorProduct:
     """One basis element: the input antidiagonals, the extracted factors,
-    and the shared ``_Packing`` that forms the product of their
-    determinants.
+    the shared ``_Packing`` that forms the product of their determinants,
+    and that product, when the handle holds it (see ``hold``).
 
-    The handle holds no product.  Each read forms it anew, in the form its
-    reader needs: ``packed`` on packed exponent ints, which the JSON writer
-    reads, or ``poly``, a :class:`Polynomial`, for ``--verify``,
-    ``--format=text``, the suites and the tests.  The factors fix the
+    ``packed`` is the product's one form, on packed exponent ints, which
+    the JSON and text writers, membership and the proof all read: the held
+    product, or else one formed anew on each read.  The factors fix the
     product (see ``union_basis``), so equality and the hash read the
     inputs and factors alone."""
 
-    __slots__ = ("inputs", "factors", "_packing")
+    __slots__ = ("inputs", "factors", "_packing", "_held")
 
     def __init__(
         self, inputs: Iterable[Antidiagonal], factors: Iterable[Antidiagonal], packing: _Packing
@@ -233,14 +231,12 @@ class GeneratorProduct:
         self.inputs = tuple(inputs)
         self.factors = tuple(factors)
         self._packing = packing
-
-    @property
-    def poly(self) -> Polynomial:
-        return self._packing.polynomial(self.factors)
+        self._held: _PackedProduct | None = None
 
     @property
     def packed(self) -> _PackedProduct:
-        return self._packing.product(self.factors)
+        held = self._held
+        return self._packing.product(self.factors) if held is None else held
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorProduct):
@@ -251,59 +247,48 @@ class GeneratorProduct:
         return hash((self.inputs, self.factors))
 
     def __repr__(self) -> str:
-        return polynomial_text(self.poly)
+        return polynomial_text(self.packed)
 
 
 class _Packing:
-    """What every generator of one basis shares: each factor's determinant,
-    expanded once, and a ``_Layout`` (made on first use) over the cells of
-    rows 1..``height`` and columns 1..``width``, which hold every variable
-    of every factor's minor, with fields of ``count.bit_length() + 1``
-    bits for the product of ``count`` inputs (see ``product``), in which
-    each determinant is packed once."""
+    """What every generator of one basis shares: a ``_Layout`` (made on
+    first use) over the cells of rows 1..``height`` and columns
+    1..``width``, which hold every variable of every factor's minor, with
+    fields of ``bits`` bits, never fewer than the ``count.bit_length() + 1``
+    that the product of ``count`` inputs needs (see ``product``), and each
+    factor's determinant, packed in it once."""
 
-    def __init__(self, height: int, width: int, count: int):
+    def __init__(self, height: int, width: int, count: int, bits: int = 0):
         self.rows = range(1, height + 1)
         self.cols = range(1, width + 1)
         self.count = count
-        self.minors: dict[tuple[Cell, ...], Polynomial] = {}
-        self.packed_minors: dict[tuple[Cell, ...], tuple[list[tuple[int, int]], int]] = {}
+        self.bits = max(bits, count.bit_length() + 1)
+        self.minors: dict[tuple[Cell, ...], tuple[list[tuple[int, int]], int]] = {}
 
     @cached_property
     def layout(self) -> _Layout:
-        bits = self.count.bit_length() + 1
-        return _Layout((), bits, [Cell(row, col) for row in self.rows for col in self.cols])
+        return _Layout((), self.bits, [Cell(row, col) for row in self.rows for col in self.cols])
 
-    def determinant(self, factor: Antidiagonal) -> Polynomial:
-        det = self.minors.get(factor.cells)
-        if det is None:
-            det = self.minors[factor.cells] = factor.determinant()
-        return det
-
-    def polynomial(self, factors: Sequence[Antidiagonal]) -> Polynomial:
-        """The product of the factors' determinants, or the constant 1 when
-        there are none, through ``Polynomial.__mul__`` from the first
-        determinant on, so that no term is multiplied by 1."""
-        poly = None
-        for factor in factors:
-            det = self.determinant(factor)
-            poly = det if poly is None else poly * det
-        return Polynomial.constant(1) if poly is None else poly
+    def at(self, bits: int) -> _Packing:
+        """This packing with fields of ``bits`` bits, or of the proven width
+        when that is wider: itself when its fields are that wide."""
+        other = _Packing(len(self.rows), len(self.cols), self.count, bits)
+        return self if other.bits == self.bits else other
 
     def minor(self, factor: Antidiagonal) -> tuple[list[tuple[int, int]], int]:
         """The factor's determinant as ``(packed monomial, coefficient)``
         pairs, and the OR of its packed monomials, whose field for a
         variable is nonzero exactly when the minor uses it."""
-        minor = self.packed_minors.get(factor.cells)
+        minor = self.minors.get(factor.cells)
         if minor is None:
             unit = self.layout.unit
             # each variable of a minor has exponent 1: a monomial packs as
             # the sum of its variables' units
             terms = [
                 (sum(map(unit.__getitem__, mono.key[:-1])), coeff)
-                for mono, coeff in self.determinant(factor).terms.items()
+                for mono, coeff in factor.determinant().terms.items()
             ]
-            minor = self.packed_minors[factor.cells] = (terms, reduce(or_, [x for x, _ in terms]))
+            minor = self.minors[factor.cells] = (terms, reduce(or_, [x for x, _ in terms]))
         return minor
 
     def product(self, factors: Sequence[Antidiagonal]) -> _PackedProduct:
@@ -360,8 +345,8 @@ def generator_product(
     has it already.  ``packing`` holds the determinants; a caller that
     builds many generators passes one to every call, so each minor is
     expanded once.  Without one, the packing spans the rows and columns up
-    to the inputs' southmost and eastmost cells.  The product itself is
-    formed when it is read (see :class:`GeneratorProduct`).
+    to the inputs' southmost and eastmost cells, at the proven width.  The
+    product itself is formed when it is read (see :class:`GeneratorProduct`).
     """
     if factors is None:
         factors = extract_factors(antidiags)
@@ -371,6 +356,33 @@ def generator_product(
         width = max((a.cells[0].col for a in antidiags), default=0)
         packing = _Packing(height, width, len(antidiags))
     return GeneratorProduct(antidiags, factors, packing)
+
+
+def hold(basis: Iterable[GeneratorProduct], bits: int = _FIELD_BITS) -> list[GeneratorProduct]:
+    """The generators of ``basis``, each on a handle that holds its
+    product, formed once with fields of ``bits`` bits, or of the proven
+    width when that is wider (see ``_Packing.product``).  A handle that
+    already holds its product at that width is kept as it is; the others
+    of one packing share one new packing of that width.
+
+    A caller that divides the products keeps every one, so it holds them,
+    and the writers and the checks read the same products.  The default
+    width is the one a division starts at (``_Layout.widening``): dividing
+    by a spec's basis makes exponents past the number of inputs, and from
+    the proven width a division overflowed and started over on 6 of the 34
+    pooled ``oracle`` jobs of the benchmark and on 32 of 294 seeded S5
+    pairs and triples."""
+    packings: dict[_Packing, _Packing] = {}
+    held = []
+    for g in basis:
+        packing = packings.get(g._packing)
+        if packing is None:
+            packing = packings[g._packing] = g._packing.at(bits)
+        if g._held is None or packing is not g._packing:
+            g = GeneratorProduct(g.inputs, g.factors, packing)
+            g._held = packing.product(g.factors)
+        held.append(g)
+    return held
 
 
 def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
@@ -389,8 +401,8 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     its factors f (exact when the factors share no variable).  It raises
     ValueError as soon as the running count passes ``WORK_LIMIT``, so a
     refusal costs at most the limit, and comes before any generator is
-    built.  The handles it lists hold no product: each reader forms what
-    it reads (see :class:`GeneratorProduct`).
+    built.  The handles it lists hold no product: each read forms it, at
+    the proven width, unless the caller holds them (see ``hold``).
 
     A generator is the product of its factors' determinants, and generic
     minors are irreducible and no two are scalar multiples, so two choices
@@ -440,10 +452,10 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
 def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     """The basis as JSON text, as ``json.dumps(..., indent=2)`` lays it out,
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
-    "cols": [...]}, ...], "poly": polynomial_to_json(g.poly)}``, each
-    factor's rows and columns ascending.  One ``json_writer`` writes the
-    factors and each ``g.packed``, and each generator's frame around them
-    is one f-string."""
+    "cols": [...]}, ...], "poly": [...]}``, each factor's rows and columns
+    ascending and the terms of ``g.packed`` as ``polynomial_to_json`` lists
+    a polynomial's.  One ``json_writer`` writes the factors and each
+    ``g.packed``, and each generator's frame around them is one f-string."""
     write = json_writer()
     opening = "[\n  "
     for g in basis:

@@ -13,7 +13,9 @@ ideal, and the two full-oracle verdicts: the Buchberger criterion and
 equality with the intersection) live here once, in ``union_verdicts``,
 which both the suites and ``nwgb union --verify`` call.  It completes each
 input ideal once (``spec_bases``), runs membership against those bases
-before it proves anything, and says when the oracle itself runs.
+before it proves anything, and says when the oracle itself runs.  Both
+read the generators' packed products, the ones the writers read; a
+product becomes a ``Polynomial`` only when the oracle must complete it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .groebner import (
     is_groebner,
     leading_ideal,
     normal_form,
-    normal_forms,
+    reduces_to_zero,
 )
 from .permutations import PartialPermutation
 from .polynomials import (
@@ -48,11 +50,12 @@ from .polynomials import (
     Monomial,
     compare,
     MONOMIAL_ONE,
-    Polynomial,
+    _Layout,
+    _PackedProduct,
     determinant,
     polynomial_text,
 )
-from .union import generator_product, union_basis
+from .union import GeneratorProduct, generator_product, hold, union_basis
 
 
 @dataclass
@@ -82,17 +85,30 @@ def spec_bases(specs: Sequence[RankConditionSpec]) -> list[IdealPresentation]:
 
 
 def membership_failures(
-    basis: Sequence[Polynomial],
+    basis: Sequence[GeneratorProduct],
     specs: Sequence[RankConditionSpec],
     bases: Sequence[IdealPresentation],
 ) -> list[str]:
-    """One message per (spec, generator) pair where the generator does not
-    reduce to zero against the spec's reduced basis (``spec_bases``)."""
+    """One message per (spec, generator) pair where the generator's
+    product does not reduce to zero against the spec's reduced basis
+    (``spec_bases``).
+
+    Each product is divided on its packed ints (``reduces_to_zero``), in
+    its own layout, which must hold the variables of the specs, as the
+    layout of ``union_basis(specs)`` does.  The products are held
+    (``hold``) at the width the engine starts at; if a division outgrows
+    it, every product is formed again at double the width, and the
+    division starts over (``_Layout.widening``)."""
+
+    def divide(bits: int) -> tuple[list[_PackedProduct], list[list[bool]]]:
+        products = [g.packed for g in hold(basis, bits)]
+        return products, [reduces_to_zero(products, ideal.generators) for ideal in bases]
+
+    products, zero = _Layout.widening(divide)
     failures = []
-    remainders = normal_forms(basis, [ideal.generators for ideal in bases])
-    for spec, spec_remainders in zip(specs, remainders):
-        for f, remainder in zip(basis, spec_remainders):
-            if not remainder.is_zero():
+    for spec, spec_zero in zip(specs, zero):
+        for f, member in zip(products, spec_zero):
+            if not member:
                 failures.append(
                     f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
                 )
@@ -100,16 +116,18 @@ def membership_failures(
 
 
 def union_verdicts(
-    basis: Sequence[Polynomial],
+    basis: Sequence[GeneratorProduct],
     specs: Sequence[RankConditionSpec],
     depth: str,
 ) -> tuple[list[str], bool | None, bool | None]:
-    """(failures, criterion, equality) for the union basis B of ``specs`` at
-    the ``--verify`` depth "membership" or "full-oracle".  ``failures``
-    (``membership_failures``) reduces B against each spec's ideal I_k,
-    completed once (``spec_bases``).  At "membership" depth both verdicts
-    are None; else they say whether B is a Groebner basis, and whether it
-    generates the intersection of the I_k.
+    """(failures, criterion, equality) for the union basis B of ``specs``, a
+    list of ``union_basis`` handles, at the ``--verify`` depth "membership"
+    or "full-oracle".  ``failures`` (``membership_failures``) reduces B
+    against each spec's ideal I_k, completed once (``spec_bases``).  At
+    "membership" depth both verdicts are None; else they say whether B is
+    a Groebner basis, and whether it generates the intersection of the
+    I_k.  The products are held (``hold``), so each is formed once, and a
+    caller that held them already, to write them, passes them on.
 
     Both verdicts are true, and nothing is completed, when B lies in every
     I_k and every minimal generator of the monomial meet of the in(I_k) is
@@ -126,26 +144,30 @@ def union_verdicts(
     are equal: an element of the intersection reduces against B to a
     remainder in the intersection with no term in its initial ideal, which
     is zero.  The proof does not use the init theorem
-    (in(I & J) = in(I) & in(J)), so it is exact.
+    (in(I & J) = in(I) & in(J)), so it is exact.  Each leading monomial is
+    read off its product, the largest packed int, and not off the cells
+    the construction chose, so the proof checks the construction.
 
-    Otherwise the criterion is ``is_groebner(B)``.  Equality is false when
-    B fails membership, since an element outside some I_k is outside the
-    intersection, and else it is ``ideals_equal(B, intersect_many(bases))``,
-    which reads the intersection's reduced basis from the engine's record
-    and completes B.
+    Otherwise B is unpacked into ``Polynomial`` values, and the criterion
+    is ``is_groebner(B)``.  Equality is false when B fails membership,
+    since an element outside some I_k is outside the intersection, and
+    else it is ``ideals_equal(B, intersect_many(bases))``, which reads the
+    intersection's reduced basis from the engine's record and completes B.
     """
     if depth not in ("membership", "full-oracle"):
         raise ValueError(f"unknown verify depth {reprlib.repr(depth)}")
+    basis = hold(basis)
     bases = spec_bases(specs)
     failures = membership_failures(basis, specs, bases)
     if depth == "membership":
         return failures, None, None
-    if failures:
-        return failures, is_groebner(basis), False
-    leads = leading_ideal(basis)
-    if all(leads.contains(m) for m in _initial_meet(bases).minimal_generators):
-        return failures, True, True
-    return failures, is_groebner(basis), ideals_equal(basis, intersect_many(bases))
+    products = [g.packed for g in basis]
+    if not failures:
+        leads = MonomialIdeal.from_monomials(f.layout.unpack(max(f.terms)) for f in products)
+        if all(leads.contains(m) for m in _initial_meet(bases).minimal_generators):
+            return failures, True, True
+    polys = [f.layout.polynomial(f.terms) for f in products]
+    return failures, is_groebner(polys), not failures and ideals_equal(polys, intersect_many(bases))
 
 
 def _initial_meet(bases: Sequence[IdealPresentation]) -> MonomialIdeal:
@@ -263,7 +285,8 @@ def suite_generator_init(rng: random.Random, cases: int):
             occupied.update(a.cells)
         flat = [cell for factor in built.factors for cell in factor.cells]
         partition_ok = len(flat) == len(occupied) and set(flat) == occupied
-        coeff, mono = built.poly.leading_term()
+        product = built.packed
+        mono = product.layout.unpack(max(product.terms))
         init_ok = mono == Monomial.from_cells(occupied) and mono.is_squarefree()
         length_ok = True
         for a in antidiags:
@@ -283,7 +306,7 @@ def _union_pair_checks(
     check_init_theorem: bool = False,
 ):
     specs = [spec_from_permutation(left), spec_from_permutation(right)]
-    basis = [g.poly for g in union_basis(specs)]
+    basis = union_basis(specs)
     label = f"{left.one_line()} | {right.one_line()}"
     _, groebner_ok, equal_ok = union_verdicts(basis, specs, "full-oracle")
     yield groebner_ok, f"{label}: basis fails Buchberger criterion"
@@ -353,7 +376,7 @@ def suite_triple_intersections(rng: random.Random, cases: int):
         triple = [rng.choice(pool) for _ in range(3)]
         specs = [spec_from_permutation(p) for p in triple]
         label = " | ".join(p.one_line() for p in triple)
-        basis = [g.poly for g in union_basis(specs)]
+        basis = union_basis(specs)
         failures, _, equal_ok = union_verdicts(basis, specs, "full-oracle")
         yield not failures, f"{label}: membership failure"
         yield equal_ok, f"{label}: basis differs from iterated intersection"

@@ -1,5 +1,5 @@
-"""A time limit on every test, and the contract of the package's value
-types.
+"""A time limit on every test, the contract of the package's value
+types, and the reference product of a union generator.
 
 A defect in the engine can make a completion or a division loop forever;
 without a limit the suite would then hang instead of failing.  The slowest
@@ -10,6 +10,8 @@ import re
 import signal
 
 import pytest
+
+from nwgb.polynomials import Polynomial, determinant
 
 LIMIT_S = 60
 
@@ -63,3 +65,14 @@ def check_value_contract(cls, fields, args, other, text):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert repr(a) == text and a == b
+
+
+def folded_product(factors):
+    """The product of the factors' determinants, folded through
+    ``Polynomial.__mul__`` from the constant 1: the reference that a union
+    generator's packed product is checked against, and the polynomial the
+    engine's tests read for it."""
+    poly = Polynomial.constant(1)
+    for factor in factors:
+        poly = poly * determinant(factor.rows(), factor.cols())
+    return poly

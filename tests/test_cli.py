@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import nwgb.union
 import nwgb.verify
 from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
 from nwgb.groebner import buchberger
@@ -24,7 +25,7 @@ from nwgb.ideals import (
     spec_to_json,
 )
 from nwgb.permutations import diagram_json, parse_one_line
-from nwgb.polynomials import determinant, polynomial_to_json
+from nwgb.polynomials import Polynomial, determinant, polynomial_to_json
 from nwgb.union import union_basis
 
 
@@ -352,9 +353,9 @@ def test_union_json_out_peaks_below_the_file_it_writes(tmp_path, capsys):
 
 
 def test_union_text_out_peaks_below_the_file_it_writes(tmp_path):
-    # the basis is a list of handles, and each polynomial is formed, written
-    # and dropped: a handle that kept its polynomial would hold all of them
-    # at the end, about 4 times the 0.56 MB this job writes
+    # the basis is a list of handles, and each product is formed, written
+    # and dropped: a handle that kept its product would hold all of them at
+    # the end
     paths = [
         write_spec(tmp_path, f"{name}.json", {"n": 6, "permutation": perm})
         for name, perm in (("l", "1 2 3 4 6 5"), ("r", "3 5 1 6 4 2"))
@@ -663,6 +664,44 @@ def test_union_s5_defect_full_oracle_fails(tmp_path, capsys, left, right, checks
         "groebner criterion: FAILED\n"
         "ideal equality vs oracle intersection: FAILED\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("depth", ["none", "membership", "full-oracle"])
+def test_union_forms_each_product_once_and_multiplies_no_polynomial(
+    fmt, depth, tmp_path, capsys, monkeypatch
+):
+    # the writer and the checks read one packed product per generator, and
+    # no path folds a product through Polynomial.__mul__
+    perms = ("1 5 4 3 2", "4 3 2 1 5")
+    paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(perms)]
+    basis = union_basis([spec_from_permutation(parse_one_line(p)) for p in perms])
+    formed, multiplied = [], []
+    product, mul = nwgb.union._Packing.product, Polynomial.__mul__
+    monkeypatch.setattr(
+        nwgb.union._Packing, "product", lambda self, f: formed.append(f) or product(self, f)
+    )
+    monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: multiplied.append(g) or mul(f, g))
+    assert main(["union", *paths, f"--format={fmt}", f"--verify={depth}"]) == 0
+    assert len(capsys.readouterr().out) > 0
+    assert formed == [g.factors for g in basis]
+    assert len(basis) == 84 and multiplied == []
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [("1 5 4 3 2", "4 3 2 1 5"), ("1 7 6 5 4 3 2", "6 5 4 3 2 1 7")],
+    ids=["s5-fixture", "s7-pair"],
+)
+def test_union_json_bytes_are_the_same_with_and_without_membership(perms, tmp_path, capsysbinary):
+    # membership forms the products at a wider field than the write alone
+    # does; the bytes written do not depend on it
+    paths = [write_spec(tmp_path, f"{i}.json", {"permutation": p}) for i, p in enumerate(perms)]
+    outs = []
+    for depth in ("none", "membership"):
+        assert main(["union", *paths, "--format=json", f"--verify={depth}"]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith(b"[\n  {")
 
 
 # two classical determinantal varieties, rank(NW 4x2) <= 1 and
@@ -1187,7 +1226,7 @@ import gc, json, sys
 import nwgb
 package_frozen = gc.get_freeze_count()
 import nwgb.cli
-loaded = [name for name in ("typing", "random", "argparse") if name in sys.modules]
+loaded = [name for name in ("typing", "random", "argparse", "fractions") if name in sys.modules]
 sys.stdout.write(json.dumps([package_frozen, gc.get_freeze_count() > 0, loaded]))
 """
     proc = subprocess.run(

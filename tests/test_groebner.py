@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import check_value_contract, exact
+from conftest import check_value_contract, exact, folded_product
 
 from nwgb import (
     AUX,
@@ -31,6 +31,7 @@ from nwgb import (
     spec_from_permutation,
     union_basis,
 )
+import nwgb.polynomials
 from nwgb import groebner
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
@@ -394,7 +395,7 @@ def test_is_groebner_matches_reference_on_s3_union_bases():
     for a in perms:
         for b in perms:
             specs = [spec_from_permutation(a), spec_from_permutation(b)]
-            basis = [g.poly for g in union_basis(specs)]
+            basis = [folded_product(g.factors) for g in union_basis(specs)]
             assert assert_same_verdict(basis)
             for k in range(len(basis)):
                 assert_same_verdict(basis[:k] + basis[k + 1 :])
@@ -459,7 +460,8 @@ def test_is_groebner_matches_reference_with_redundant_elements():
     cases += [(4, a, b) for a, b in sampled_s4_pairs(random.Random(5), 6)]
     verdicts = []
     for n, a, b in cases:
-        basis = [g.poly for g in union_basis([spec_from_permutation(a), spec_from_permutation(b)])]
+        specs = [spec_from_permutation(a), spec_from_permutation(b)]
+        basis = [folded_product(g.factors) for g in union_basis(specs)]
         if not basis:
             continue  # an identity permutation: the zero ideal
         for gens in _redundant_extensions(basis, rng, n):
@@ -470,7 +472,7 @@ def test_is_groebner_matches_reference_with_redundant_elements():
 def test_is_groebner_matches_reference_on_known_failing_s5_pair():
     # the union basis of this pair is wrong (see test_cli), so both say False
     specs = [spec_of("3 1 5 2 4"), spec_of("1 4 3 2 5")]
-    assert not assert_same_verdict([g.poly for g in union_basis(specs)])
+    assert not assert_same_verdict([folded_product(g.factors) for g in union_basis(specs)])
 
 
 # intersection -----------------------------------------------------------------
@@ -873,7 +875,7 @@ def test_one_pass_interreduction_matches_fixed_point_on_s4_union_bases():
     for k, a in enumerate(perms):
         for b in perms[k:]:
             specs = [spec_from_permutation(a), spec_from_permutation(b)]
-            basis = [g.poly for g in union_basis(specs)]
+            basis = [folded_product(g.factors) for g in union_basis(specs)]
             meet = intersect_many(spec_bases(specs))
             assert assert_matches_fixed_point(basis, meet)
 
@@ -989,7 +991,7 @@ def random_monomial(rng, cells=PACKED_CELLS, top=3):
     return power_product([(cell, rng.randint(0, top)) for cell in cells])
 
 
-def layout_of(monos, bits=groebner._FIELD_BITS):
+def layout_of(monos, bits=nwgb.polynomials._FIELD_BITS):
     return groebner._Layout([Polynomial({m: 1}) for m in monos], bits)
 
 
@@ -1063,7 +1065,7 @@ def widths(monkeypatch):
             tried.append(bits)
             super().__init__(polys, bits)
 
-    monkeypatch.setattr(groebner, "_FIELD_BITS", 2)
+    monkeypatch.setattr(nwgb.polynomials, "_FIELD_BITS", 2)
     monkeypatch.setattr(groebner, "_Layout", Recording)
     return tried
 

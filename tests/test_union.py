@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations, product
 
 import pytest
+from conftest import folded_product
 
 from nwgb import (
     Antidiagonal,
@@ -28,14 +29,20 @@ from nwgb import (
 )
 import nwgb.polynomials
 import nwgb.union
-from nwgb.polynomials import determinant, polynomial_text, polynomial_to_json
-from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, certified
+from nwgb.polynomials import _FIELD_BITS, determinant, polynomial_text, polynomial_to_json
+from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, certified, hold
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 from test_polynomials import monic
 
 
 def anti(*cells):
     return Antidiagonal(tuple(Cell(r, c) for r, c in cells))
+
+
+def unpacked(g):
+    """The generator's packed product as a Polynomial."""
+    product = g.packed
+    return product.layout.polynomial(product.terms)
 
 
 def random_antidiagonal(rng, n=5, max_len=4):
@@ -315,24 +322,24 @@ def test_single_antidiagonal_generator_is_its_determinant():
     a = anti((1, 4), (3, 2), (4, 1))
     built = generator_product([a])
     assert built.factors == (a,)
-    assert built.poly == determinant([1, 3, 4], [1, 2, 4])
+    assert unpacked(built) == determinant([1, 3, 4], [1, 2, 4])
 
 
 def test_two_disjoint_singletons_multiply():
     built = generator_product([anti((1, 1),), anti((1, 2),)])
-    assert built.poly == Polynomial.variable(Cell(1, 1)) * Polynomial.variable(
+    assert unpacked(built) == Polynomial.variable(Cell(1, 1)) * Polynomial.variable(
         Cell(1, 2)
     )
 
 
 def test_shared_box_collapses_to_one_factor():
     built = generator_product([anti((1, 1),), anti((1, 1),)])
-    assert built.poly == Polynomial.variable(Cell(1, 1))
+    assert unpacked(built) == Polynomial.variable(Cell(1, 1))
 
 
 def test_generator_of_no_antidiagonals_is_one():
     built = generator_product([])
-    assert (built.inputs, built.factors, built.poly) == ((), (), Polynomial.constant(1))
+    assert (built.inputs, built.factors, unpacked(built)) == ((), (), Polynomial.constant(1))
 
 
 def test_generator_cell_partition_and_leading_monomial():
@@ -346,7 +353,7 @@ def test_generator_cell_partition_and_leading_monomial():
         flat = [cell for factor in built.factors for cell in factor.cells]
         assert len(flat) == len(occupied)
         assert set(flat) == occupied
-        coeff, lead = built.poly.leading_term()
+        coeff, lead = unpacked(built).leading_term()
         assert lead == Monomial.from_cells(occupied)
         assert lead.is_squarefree()
 
@@ -396,7 +403,7 @@ def test_long_chain_can_escape_a_source_region():
     ]
     ideal_a1 = RankConditionSpec(4, (RankCondition(2, 4, 1),))
     basis = buchberger(generator_polynomials(ideal_a1))
-    assert not normal_form(built.poly, basis).is_zero()
+    assert not normal_form(folded_product(built.factors), basis).is_zero()
 
 
 def test_s5_pair_generator_outside_one_ideal():
@@ -408,15 +415,15 @@ def test_s5_pair_generator_outside_one_ideal():
     basis = union_basis(specs)
     assert len(basis) == 12
     bases = spec_bases(specs)
-    bad = [g for g in basis if membership_failures([g.poly], specs, bases)]
+    bad = [g for g in basis if membership_failures([g], specs, bases)]
     assert [(g.inputs, [(f.rows(), f.cols()) for f in g.factors]) for g in bad] == [
         (
             (anti((1, 3), (3, 2), (4, 1)), anti((1, 3), (2, 1))),
             [((1, 3, 4), (1, 2, 3)), ((2,), (1,))],
         )
     ]
-    assert membership_failures([bad[0].poly], specs, bases) == [
-        f"{polynomial_text(bad[0].poly)} is not in the ideal of 1 4 2 3 5"
+    assert membership_failures([bad[0]], specs, bases) == [
+        f"{polynomial_text(folded_product(bad[0].factors))} is not in the ideal of 1 4 2 3 5"
     ]
 
 
@@ -532,12 +539,12 @@ def s5_bad_generators(pair, bases):
     theirs."""
     specs = schubert_specs(*pair)
     basis = union_basis(specs)
-    leads = [g.poly.leading_monomial() for g in basis]
+    leads = [folded_product(g.factors).leading_monomial() for g in basis]
     pair_bases = [bases[text] for text in pair]
     bad = [
         leads[k]
         for k, g in enumerate(basis)
-        if membership_failures([g.poly], specs, pair_bases)
+        if membership_failures([g], specs, pair_bases)
     ]
     prunable = sum(any(m != lead and m.divides(lead) for m in leads) for lead in bad)
     return prunable, len(bad) - prunable
@@ -577,7 +584,8 @@ def certificate_census(cases, bases):
         specs = schubert_specs(*texts)
         basis = union_basis(specs)
         remainders = normal_forms(
-            [g.poly for g in basis], [bases[spec.label].generators for spec in specs]
+            [folded_product(g.factors) for g in basis],
+            [bases[spec.label].generators for spec in specs],
         )
         for spec, spec_remainders in zip(specs, remainders):
             for g, remainder in zip(basis, spec_remainders):
@@ -650,7 +658,7 @@ def test_union_231_312_matches_published_four_generators():
             spec_from_permutation(parse_one_line("3 1 2")),
         ]
     )
-    assert [polynomial_text(g.poly) for g in basis] == [
+    assert [polynomial_text(g.packed) for g in basis] == [
         "1*m[1,1]",
         "1*m[1,1]*m[1,2]",
         "1*m[1,1]*m[2,1]",
@@ -661,7 +669,7 @@ def test_union_231_312_matches_published_four_generators():
 def test_union_of_single_spec_returns_fulton_generators():
     spec = spec_from_permutation(parse_one_line("2 1 4 3"))
     basis = union_basis([spec])
-    assert [g.poly for g in basis] == generator_polynomials(spec)
+    assert [unpacked(g) for g in basis] == generator_polynomials(spec)
 
 
 def test_union_with_unconstrained_spec_is_whole_space():
@@ -674,7 +682,7 @@ def test_union_with_unconstrained_spec_is_whole_space():
 def test_union_deduplicates_by_polynomial():
     spec = spec_from_permutation(parse_one_line("2 3 1"))
     basis = union_basis([spec, spec])
-    assert [polynomial_text(g.poly) for g in basis] == [
+    assert [polynomial_text(g.packed) for g in basis] == [
         "1*m[1,1]",
         "1*m[1,1]*m[2,1]",
         "1*m[2,1]",
@@ -718,7 +726,7 @@ def generator_to_json(g):
     """The dict tree that ``basis_json_chunks`` writes for one generator."""
     return {
         "factors": [{"rows": sorted(f.rows()), "cols": list(f.cols())} for f in g.factors],
-        "poly": polynomial_to_json(g.poly),
+        "poly": polynomial_to_json(folded_product(g.factors)),
     }
 
 
@@ -750,8 +758,8 @@ def reference_product(factors):
 
 def reference_union_basis(specs):
     """The literal loop: build every choice's generator, keep the first of
-    each polynomial.  Each product is also multiplied out by
-    ``reference_product``."""
+    each polynomial, the fold of its factors, which is also multiplied out
+    by ``reference_product``."""
     choices = [antidiagonals_of_spec(spec) for spec in specs]
     if any(not c for c in choices):
         return []
@@ -759,9 +767,10 @@ def reference_union_basis(specs):
     basis = []
     for combo in product(*choices):
         built = generator_product(combo)
-        assert built.poly == reference_product(built.factors)
-        if built.poly not in seen:
-            seen.add(built.poly)
+        fold = folded_product(built.factors)
+        assert fold == reference_product(built.factors)
+        if fold not in seen:
+            seen.add(fold)
             basis.append(built)
     return basis
 
@@ -791,11 +800,11 @@ def assert_canonical_exact(poly):
 def assert_same_basis_as_reference(specs):
     built = union_basis(specs)
     expected = reference_union_basis(specs)
-    assert [(g.inputs, g.factors, g.poly) for g in built] == [
-        (g.inputs, g.factors, g.poly) for g in expected
+    assert [(g.inputs, g.factors, unpacked(g)) for g in built] == [
+        (g.inputs, g.factors, folded_product(g.factors)) for g in expected
     ]
     for g in built:
-        assert_canonical_exact(g.poly)
+        assert_canonical_exact(unpacked(g))
 
 
 def test_factor_key_dedup_equals_polynomial_dedup_on_all_s4_pairs():
@@ -833,10 +842,9 @@ def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
     monkeypatch.setattr(nwgb.polynomials, "determinant", counted_expand)
     specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
     basis = union_basis(specs)
-    # a product is formed when it is read, packed or as a Polynomial, and
-    # both forms share the minors
+    # a product is formed when it is read, and the products share the minors
     "".join(basis_json_chunks(basis))
-    [g.poly for g in basis]
+    "".join(polynomial_text(g.packed) for g in basis)
     choices = len(antidiagonals_of_spec(specs[0])) * len(antidiagonals_of_spec(specs[1]))
     assert len(basis) < choices
     assert calls["product"] == len(basis)
@@ -904,35 +912,28 @@ def test_basis_json_text_equals_json_dumps(cases):
 @pytest.mark.parametrize("pair", SQUARED_PAIRS, ids=["s5", "s6"])
 def test_json_text_cases_include_squared_variables(pair):
     basis = union_basis(schubert_specs(*pair))
-    assert any(not m.is_squarefree() for g in basis for m in g.poly.terms)
+    assert any(not m.is_squarefree() for g in basis for m in unpacked(g).terms)
 
 
 # packed products against the fold through Polynomial.__mul__ ------------------
 
-def folded_product(factors):
-    """The product of the factors' determinants, folded through
-    ``Polynomial.__mul__`` from the constant 1."""
-    poly = Polynomial.constant(1)
-    for factor in factors:
-        poly = poly * determinant(factor.rows(), factor.cols())
-    return poly
-
-
 def assert_packed_equals_fold(basis):
-    """Each generator's packed product and ``poly`` are the fold's
-    polynomial, and the basis has the fold's JSON and text bytes."""
+    """Each generator's packed product is the fold's polynomial and has the
+    fold's text, and the basis has the fold's JSON bytes, both as formed on
+    each read, at the proven width, and as ``hold`` forms them, at the
+    width a division starts at."""
     folds = [folded_product(g.factors) for g in basis]
-    for g, fold in zip(basis, folds):
-        assert g.packed.layout.polynomial(g.packed.terms) == fold
-        assert g.poly == fold
-        assert_canonical_exact(g.poly)
-    reference = [
-        dict(generator_to_json(g), poly=polynomial_to_json(fold)) for g, fold in zip(basis, folds)
-    ]
-    assert "".join(basis_json_chunks(basis)) == json.dumps(reference, indent=2)
-    assert [polynomial_text(g.poly) + "\n" for g in basis] == [
-        polynomial_text(fold) + "\n" for fold in folds
-    ]
+    held = hold(basis)
+    assert all(g.packed.layout.bits >= _FIELD_BITS for g in held)
+    for generators in (basis, held):
+        for g, fold in zip(generators, folds):
+            assert unpacked(g) == fold
+            assert_canonical_exact(unpacked(g))
+        reference = [generator_to_json(g) for g in generators]
+        assert "".join(basis_json_chunks(generators)) == json.dumps(reference, indent=2)
+        assert [polynomial_text(g.packed) + "\n" for g in generators] == [
+            polynomial_text(fold) + "\n" for fold in folds
+        ]
 
 
 def test_packed_products_equal_the_fold_on_all_ordered_s4_pairs():
@@ -985,7 +986,7 @@ def test_an_exponent_equal_to_the_input_count_fills_its_field():
     assert (built.packed.layout.bits, built.packed.layout.field) == (3, 3)
     assert Monomial.from_cells([Cell(1, 1)] * 3) * Monomial.from_cells(
         [Cell(2, 2), Cell(3, 3), Cell(4, 4)]
-    ) in built.poly.terms
+    ) in unpacked(built).terms
     assert_packed_equals_fold([built])
 
 
@@ -994,46 +995,81 @@ def test_an_exponent_past_its_field_is_an_internal_error():
     inputs = spokes(4)
     with pytest.raises(RuntimeError, match="outgrew its field"):
         generator_product(inputs, None, nwgb.union._Packing(5, 5, 3)).packed
-    assert generator_product(inputs).poly == folded_product(inputs)
+    assert unpacked(generator_product(inputs)) == folded_product(inputs)
 
 
-def test_generator_product_keeps_its_constructor_and_poly():
+def test_generator_product_keeps_its_constructor_and_forms_its_product_on_each_read():
     # each read forms the product anew, and each read gives the same one
     a, b = anti((1, 2), (2, 1)), anti((2, 2),)
     built = generator_product([a, b])
-    assert built.packed == built.packed and isinstance(built.poly, Polynomial)
-    assert built.poly == built.poly
-    assert built.poly == folded_product(built.factors)
+    assert built.packed == built.packed and built.packed is not built.packed
+    assert unpacked(built) == folded_product(built.factors)
     # GeneratorProduct(inputs, factors, packing) is the one constructor
     again = GeneratorProduct([a, b], list(built.factors), nwgb.union._Packing(2, 2, 2))
     assert (again.inputs, again.factors) == ((a, b), built.factors)
     assert again == built and hash(again) == hash(built)
-    assert again.poly == built.poly
+    assert unpacked(again) == unpacked(built)
     assert repr(built) == polynomial_text(folded_product(built.factors))
-    coeff, mono = built.poly.leading_term()  # as the generator-init suite reads it
-    assert (coeff, mono) == (-1, Monomial.from_cells([Cell(1, 2), Cell(2, 1), Cell(2, 2)]))
+    product = built.packed  # the lead, as the generator-init suite reads it
+    lead = max(product.terms)
+    assert (product.terms[lead], product.layout.unpack(lead)) == (
+        -1,
+        Monomial.from_cells([Cell(1, 2), Cell(2, 1), Cell(2, 2)]),
+    )
     # no inputs: the constant 1, on 1-bit fields over no cells
     one = generator_product([])
     assert (one.packed.terms, one.packed.layout.bits, one.packed.masks) == ({0: 1}, 1, ())
-    assert one.poly == Polynomial.constant(1)
+    assert unpacked(one) == Polynomial.constant(1)
+    assert polynomial_text(one.packed) == "1"
     assert "".join(basis_json_chunks([one])) == json.dumps([generator_to_json(one)], indent=2)
+
+
+def count_products(monkeypatch):
+    """The factors of each product ``_Packing.product`` forms, as they come."""
+    formed = []
+    original = nwgb.union._Packing.product
+
+    def spy(self, factors):
+        formed.append(factors)
+        return original(self, factors)
+
+    monkeypatch.setattr(nwgb.union._Packing, "product", spy)
+    return formed
 
 
 def test_comparing_and_hashing_generators_multiplies_nothing(monkeypatch):
     basis = union_basis(schubert_specs(*SQUARED_PAIRS[0]))
     twins = [generator_product(g.inputs) for g in basis]
-    calls = []
-    for name in ("product", "polynomial"):
-        original = getattr(nwgb.union._Packing, name)
-
-        def spy(self, factors, name=name, original=original):
-            calls.append(name)
-            return original(self, factors)
-
-        monkeypatch.setattr(nwgb.union._Packing, name, spy)
+    formed = count_products(monkeypatch)
     assert len(basis) > 1
     for g, twin in zip(basis, twins):
         assert g == twin and hash(g) == hash(twin)
         assert [h for h in basis if h != g] == [h for h in basis if h is not g]
     assert len(set(basis) | set(twins)) == len(basis)
-    assert calls == []
+    assert formed == []
+
+
+def test_hold_forms_each_product_once_at_the_width_a_division_starts_at(monkeypatch):
+    specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
+    basis = union_basis(specs)
+    formed = count_products(monkeypatch)
+    held = hold(basis)
+    assert formed == [g.factors for g in basis]
+    assert held == basis and all(g is not h for g, h in zip(basis, held))
+    # one new packing for the basis, at the engine's first width; the
+    # handles it was given form theirs at the proven width, 3 bits for two
+    # inputs
+    assert len({id(g._packing) for g in held}) == 1
+    assert {g.packed.layout.bits for g in held} == {_FIELD_BITS}
+    assert {g.packed.layout.bits for g in basis} == {3}
+    formed.clear()
+    products = [g.packed for g in held]
+    assert hold(held) == held and all(g is h for g, h in zip(hold(held), held))
+    assert [g.packed for g in held] == products and formed == []
+    # another width forms every product again, once
+    wider = hold(held, 2 * _FIELD_BITS)
+    assert formed == [g.factors for g in basis]
+    assert [unpacked(g) for g in wider] == [unpacked(g) for g in held]
+    assert {g.packed.layout.bits for g in wider} == {2 * _FIELD_BITS}
+    # never below the proven width
+    assert {g.packed.layout.bits for g in hold(basis, 1)} == {3}

@@ -6,8 +6,11 @@ import random
 from functools import reduce
 
 import pytest
+from conftest import folded_product
 
 import nwgb.cli
+import nwgb.polynomials
+import nwgb.union
 import nwgb.verify
 from nwgb.groebner import (
     IdealPresentation,
@@ -20,8 +23,8 @@ from nwgb.groebner import (
 )
 from nwgb.ideals import generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
-from nwgb.polynomials import Cell, Polynomial
-from nwgb.union import union_basis
+from nwgb.polynomials import Antidiagonal, Cell
+from nwgb.union import generator_product, union_basis
 from nwgb.verify import (
     SUITES,
     _embed,
@@ -128,7 +131,8 @@ def test_union_bases_of_the_triples_suite_are_groebner():
         rng = random.Random(seed)
         for _ in range(15):
             specs = [spec_from_permutation(rng.choice(pool)) for _ in range(3)]
-            assert is_groebner([g.poly for g in union_basis(specs)]), [s.label for s in specs]
+            basis = [folded_product(g.factors) for g in union_basis(specs)]
+            assert is_groebner(basis), [s.label for s in specs]
 
 
 def test_fulton_generators_of_all_s5_and_s6_are_groebner():
@@ -142,16 +146,52 @@ def _specs(*texts):
     return [spec_from_permutation(parse_one_line(t)) for t in texts]
 
 
+def _variable(row, col):
+    """The generator of one input, the 1x1 antidiagonal on (row, col): the
+    variable m[row,col]."""
+    return generator_product([Antidiagonal([Cell(row, col)])])
+
+
 def test_membership_failures_names_each_missing_generator():
     specs = _specs("2 3 1", "3 1 2")
-    basis = [g.poly for g in union_basis(specs)]
+    basis = union_basis(specs)
     bases = spec_bases(specs)
     assert membership_failures(basis, specs, bases) == []
-    outside = Polynomial.variable(Cell(3, 3))
+    outside = _variable(3, 3)
     assert membership_failures([outside], specs, bases) == [
         "1*m[3,3] is not in the ideal of 2 3 1",
         "1*m[3,3] is not in the ideal of 3 1 2",
     ]
+
+
+def test_membership_forms_the_products_again_when_a_division_outgrows_them(monkeypatch):
+    # from a 2-bit start the products are held at the proven width, 3 bits
+    # for two inputs, where a division of this pair overflows; membership
+    # then forms them again at 4 bits and divides every one anew
+    specs = _specs("1 2 3 5 4", "5 3 4 1 2")
+    basis = union_basis(specs)
+    bases = spec_bases(specs)
+    expected = union_verdicts(basis, specs, "full-oracle")
+    widths = []
+    divide = nwgb.verify.reduces_to_zero
+
+    def spy(products, generators):
+        widths.append(products[0].layout.bits)
+        return divide(products, generators)
+
+    formed = []
+    product = nwgb.union._Packing.product
+    monkeypatch.setattr(
+        nwgb.union._Packing, "product", lambda self, f: formed.append(self.bits) or product(self, f)
+    )
+    monkeypatch.setattr(nwgb.verify, "reduces_to_zero", spy)
+    monkeypatch.setattr(nwgb.polynomials, "_FIELD_BITS", 2)
+    assert membership_failures(basis, specs, bases) == expected[0] == []
+    assert widths == [3, 4, 4]
+    assert formed == [3] * len(basis) + [4] * len(basis)
+    widths.clear()
+    assert union_verdicts(basis, specs, "full-oracle") == expected == ([], True, True)
+    assert widths == [3, 4, 4]
 
 
 def test_oracle_intersection_matches_pairwise_intersect():
@@ -185,9 +225,10 @@ def full_oracle_case(specs, monkeypatch, basis=None):
     meet of the initial ideals (the proof's premise besides membership).
     Its two verdicts must be the literal criterion and equality of the
     completed basis with the eliminated intersection, and it must eliminate
-    only when membership holds and the proof does not apply."""
+    only when membership holds and the proof does not apply.  The basis is
+    a list of generators; the checks here read their folded products."""
     if basis is None:
-        basis = [g.poly for g in union_basis(specs)]
+        basis = union_basis(specs)
     bases = spec_bases(specs)
     failures = membership_failures(basis, specs, bases)
     members = not failures
@@ -201,11 +242,12 @@ def full_oracle_case(specs, monkeypatch, basis=None):
     found, *verdicts = union_verdicts(basis, specs, "full-oracle")
     monkeypatch.undo()
     assert found == failures
-    assert verdicts == [is_groebner(basis), buchberger(basis) == intersect_many(bases)], [
+    polys = [folded_product(g.factors) for g in basis]
+    assert verdicts == [is_groebner(polys), buchberger(polys) == intersect_many(bases)], [
         s.label for s in specs
     ]
     meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
-    leads = leading_ideal(basis)
+    leads = leading_ideal(polys)
     covered = all(leads.contains(m) for m in meet.minimal_generators)
     if not members:
         assert fallback == ["criterion"]
@@ -252,9 +294,9 @@ def test_union_verdicts_at_membership_depth_runs_no_oracle(monkeypatch):
     monkeypatch.setattr("nwgb.verify.is_groebner", no_oracle)
     monkeypatch.setattr("nwgb.verify.intersect_many", no_oracle)
     specs = _specs("2 3 1", "3 1 2")
-    basis = [g.poly for g in union_basis(specs)]
+    basis = union_basis(specs)
     assert union_verdicts(basis, specs, "membership") == ([], None, None)
-    outside = Polynomial.variable(Cell(3, 3))
+    outside = _variable(3, 3)
     assert union_verdicts([outside], specs, "membership") == (
         ["1*m[3,3] is not in the ideal of 2 3 1", "1*m[3,3] is not in the ideal of 3 1 2"],
         None,
@@ -266,9 +308,7 @@ def test_union_verdicts_checks_membership_before_the_proof():
     # m[3,3] alone leads with every minimal generator of the meet, so only
     # the membership premise keeps the proof from passing it
     specs = _specs("2 3 1", "3 1 2")
-    failures, criterion, equality = union_verdicts(
-        [Polynomial.variable(Cell(3, 3))], specs, "full-oracle"
-    )
+    failures, criterion, equality = union_verdicts([_variable(3, 3)], specs, "full-oracle")
     assert (len(failures), criterion, equality) == (2, True, False)
 
 
@@ -321,13 +361,13 @@ def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
     criteria = []
     for left, right in sampled_s4_pairs(random.Random(5), 12):
         specs = [spec_from_permutation(left), spec_from_permutation(right)]
-        basis = [g.poly for g in union_basis(specs)]
+        basis = union_basis(specs)
         bases = spec_bases(specs)
         meet = reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
         chosen = min(meet.minimal_generators, key=lambda m: m.key)  # the largest
-        cut = [f for f in basis if f.leading_monomial() != chosen]
+        cut = [g for g in basis if folded_product(g.factors).leading_monomial() != chosen]
         assert len(cut) < len(basis)
         assert not membership_failures(cut, specs, bases)
         assert full_oracle_case(specs, monkeypatch, cut) == (False, False)
-        criteria.append(is_groebner(cut))
+        criteria.append(is_groebner([folded_product(g.factors) for g in cut]))
     assert True in criteria and False in criteria
