@@ -722,7 +722,7 @@ class _RowBlocks(dict):
         A larger int is a larger monomial, so the terms are the ints
         descending.  Every term uses every row of ``f.masks``, so a term of
         two or more rows is the text of its upper half of rows and that of
-        its lower half, each masked out of the int, joined by ``between``;
+        its lower half, each masked out of the int, joined by ``self.between``;
         each distinct half is written once.  A term of one row is that
         row's text, and a product of no rows is the constant."""
         coeffs = f.terms
