@@ -58,7 +58,6 @@ from .groebner import (
     intersect_many,
     is_groebner,
     normal_form,
-    normal_forms,
     s_polynomial,
 )
 from .verify import SUITES, SuiteReport, run_suite

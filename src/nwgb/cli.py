@@ -35,7 +35,7 @@ from .ideals import check_work, fulton_generators, generator_polynomials, load_s
 from .groebner import buchberger
 from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import json_text, polynomial_text
-from .union import basis_json_chunks, hold, union_basis
+from .union import basis_json_chunks, basis_text_chunks, hold, union_basis
 from .verify import SUITES, run_suite, union_verdicts
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def _cmd_union(args: SimpleNamespace) -> int:
     if args.format == "json":
         _emit(chain(basis_json_chunks(basis), ["\n"]), args)
     else:
-        _emit((f"{polynomial_text(g.packed)}\n" for g in basis), args)
+        _emit(basis_text_chunks(basis), args)
     if args.verify == "none":
         return EXIT_OK
 

@@ -40,7 +40,7 @@ an elimination order for it.
 Inside the engine a monomial is an int with packed exponents, as in the
 heap division of Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
-(``buchberger``, ``is_groebner``, ``normal_forms``, ``s_polynomial``,
+(``buchberger``, ``is_groebner``, ``normal_form``, ``s_polynomial``,
 ``intersect_many``) lays out one field per variable of its inputs
 (``_Layout``, from :mod:`nwgb.polynomials`, which the union products use
 too, and in which ``reduces_to_zero`` divides them as they are):
@@ -136,36 +136,16 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     1 or -1 (every element of a ``buchberger`` basis, every union
     generator) leaves integral input on ints; any other lead makes the
     monic tail hold exact ``Fraction`` values.  Dividing by the monic
-    divisor gives the same remainder.  ``normal_forms`` divides many
-    polynomials by many bases.  The engine itself divides through
-    ``_divide``, with reducer lists it builds once and extends.
+    divisor gives the same remainder.  f and the basis are packed in one
+    layout.  The engine itself divides through ``_divide``, with reducer
+    lists it builds once and extends.
     """
-    return normal_forms([f], [basis])[0][0]
 
+    def job(layout: _Layout) -> Polynomial:
+        first = _first_divisor(layout, basis)
+        return layout.polynomial(_divide(layout.pack_poly(f), first, layout.guard))
 
-def normal_forms(
-    polys: Iterable[Polynomial], bases: Iterable[Sequence[Polynomial]]
-) -> list[list[Polynomial]]:
-    """``[normal_form(f, basis) for f in polys]`` for each basis, in order.
-
-    Every input is packed once, in one layout, and each basis's reducers
-    are read once; each basis divides its own copy of every packed
-    dividend, since a division consumes its dividend."""
-    polys = list(polys)
-    bases = list(bases)
-
-    def job(layout: _Layout) -> list[list[Polynomial]]:
-        guard = layout.guard
-        dividends = [layout.pack_poly(f) for f in polys]
-        remainders = []
-        for basis in bases:
-            first = _first_divisor(layout, basis)
-            remainders.append(
-                [layout.polynomial(_divide(dict(f), first, guard)) for f in dividends]
-            )
-        return remainders
-
-    return _run([*polys, *(g for basis in bases for g in basis)], job)
+    return _run([f, *basis], job)
 
 
 def reduces_to_zero(products: Iterable[_PackedProduct], basis: Sequence[Polynomial]) -> list[bool]:

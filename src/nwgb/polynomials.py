@@ -44,11 +44,13 @@ larger int is a larger monomial and a product is a sum; the engine's use
 of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
 one row's cells are adjacent, since their variables are too.  A union
 product (``_PackedProduct``) uses every row of its minors in each term,
-and :func:`json_writer` and :func:`polynomial_text` write it straight
-from its ints (``_RowBlocks.terms``), the terms in descending order and each
-term's variables as two masked halves of its rows (``x & upper``,
-``x & lower``), each distinct half's text made once per writer and
-layout.
+and it is written straight from its ints (``_RowBlocks.terms``), the terms
+in descending order and each term's variables as two masked halves of its
+rows (``x & upper``, ``x & lower``), each distinct half's text made once
+per ``_RowBlocks``.  The writers of a union basis, in :mod:`nwgb.union`,
+keep one ``_RowBlocks`` per layout for as long as they write; a layout
+holds no text.  :func:`json_text` writes the plain payloads of the other
+commands: strings, ints, lists, dicts and ``Polynomial`` values.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import groupby, permutations as _all_permutations
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, getitem, itemgetter
@@ -555,12 +557,6 @@ class _Layout:
         cells = sorted(map(_cell, self.code_at.values()))
         return [self.mask(row) for _, row in groupby(cells, key=itemgetter(0))]
 
-    @cached_property
-    def names(self) -> _RowBlocks:
-        """The text of each segment of whole rows, its variables as
-        :func:`monomial_text` writes them, made on first use."""
-        return _RowBlocks(self, _NAMES, "*")
-
     def unpack(self, x: int) -> Monomial:
         # powers lists the most significant variable, the lowest code, first
         return _from_codes([code for code, exp in self.powers(x) for _ in range(exp)])
@@ -613,6 +609,19 @@ def monomial_to_json(mono: Monomial) -> list[list[int]]:
     return out
 
 
+class _Made(dict):
+    """``key -> make(key)``, each value made on first use and kept as long
+    as the dict, which its writer holds."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _VariableTexts(dict):
     """``(code, exponent)`` of a variable -> ``(row, col, text)``, with the
     text that ``render(row, col, exp)`` gives, made on first use."""
@@ -657,10 +666,11 @@ def monomial_text(mono: Monomial) -> str:
 
 def polynomial_text(f: Polynomial | _PackedProduct) -> str:
     """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``.
-    A product of minors is written off its packed terms, with the segment
-    texts of its layout (``_Layout.names``)."""
+    A single product of minors is written off its packed terms, with
+    segment texts of its own (``_RowBlocks``); a writer of many products
+    keeps one ``_RowBlocks`` per layout instead (``union.basis_text_chunks``)."""
     if type(f) is _PackedProduct:
-        return " + ".join(f.layout.names.terms(f, "", "*", "", ""))
+        return " + ".join(_RowBlocks(f.layout, _NAMES, "*").terms(f, "", "*", "", ""))
     if f.is_zero():
         return "0"
     rendered = []
@@ -688,11 +698,13 @@ def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
 
 class _RowBlocks(dict):
     """Whole rows of fields of a packed monomial, ``x & mask`` for a mask
-    of one or more rows in ``layout`` -> the ``[row, col, exp]`` blocks of
-    their variables, row-major ascending, joined by ``between``; made on
-    first use, a segment of several rows from the texts of its rows, which
-    are cached in turn.  The same int names other cells in another layout,
-    so each layout has its own."""
+    of one or more rows in ``layout`` -> the texts of their variables in
+    ``blocks`` (``m[r,c]`` names, or ``[row, col, exp]`` blocks),
+    row-major ascending, joined by ``between``; made on first use, a
+    segment of several rows from the texts of its rows, which are cached
+    in turn.  The same int names other cells in another layout, so each
+    layout has its own.  The writer that makes one holds it, and the
+    layout does not refer back, so both go with their last user."""
 
     def __init__(self, layout: _Layout, blocks: _VariableTexts, between: str):
         super().__init__()
@@ -723,23 +735,24 @@ class _RowBlocks(dict):
         descending.  Every term uses every row of ``f.masks``, so a term of
         two or more rows is the text of its upper half of rows and that of
         its lower half, each masked out of the int, joined by ``self.between``;
-        each distinct half is written once.  A term of one row is that
-        row's text, and a product of no rows is the constant."""
+        each distinct half is written once.  Any other term is read whole,
+        as one segment, and the int 0 is the constant."""
         coeffs = f.terms
         masks = f.masks
         ordered = sorted(coeffs, reverse=True)
-        if len(masks) >= 2:
-            half = len(masks) // 2
-            upper = sum(masks[:half])
-            lower = sum(masks[half:])
-            between = self.between
+        if len(masks) < 2:
             return [
-                f"{before}{coeffs[x]!s}{middle}{self[x & upper]}{between}{self[x & lower]}{after}"
+                f"{before}{coeffs[x]!s}{f'{middle}{self[x]}{after}' if x else constant}"
                 for x in ordered
             ]
-        if masks:
-            return [f"{before}{coeffs[x]!s}{middle}{self[x]}{after}" for x in ordered]
-        return [f"{before}{coeffs[0]!s}{constant}"]
+        half = len(masks) // 2
+        upper = sum(masks[:half])
+        lower = sum(masks[half:])
+        between = self.between
+        return [
+            f"{before}{coeffs[x]!s}{middle}{self[x & upper]}{between}{self[x & lower]}{after}"
+            for x in ordered
+        ]
 
 
 class _TermLayout:
@@ -763,7 +776,8 @@ class _TermLayout:
         self.block_between = "," + block
         self.end = field + "]" + item + "}"
         self.constant = '",' + field + '"monomial": []' + item + "}"
-        self.rows: dict[_Layout, _RowBlocks] = {}
+        # a partial holds no reference back to self, so no cycle keeps a layout
+        self.rows = _Made(partial(_RowBlocks, blocks=self.blocks, between=self.block_between))
 
     def write(self, f: Polynomial) -> str:
         """The terms of f, largest first, as ``polynomial_to_json`` lists
@@ -787,26 +801,18 @@ class _TermLayout:
         """What ``write`` gives for the same product as a Polynomial, read
         off the packed terms (``_RowBlocks.terms``), with the layout's
         ``_RowBlocks`` of this writer."""
-        rows = self.rows.get(f.layout)
-        if rows is None:
-            rows = self.rows[f.layout] = _RowBlocks(f.layout, self.blocks, self.block_between)
-        terms = rows.terms(f, self.coeff, self.monomial, self.end, self.constant)
+        terms = self.rows[f.layout].terms(f, self.coeff, self.monomial, self.end, self.constant)
         return _json_list(terms, self.indent, "[]")
 
 
-def json_writer():
-    """A ``write(value, indent)``: ``json.dumps(value, indent=2)``, opening
-    at ``indent``, of dicts with string keys, lists, strings, ints, a
-    :class:`Polynomial` (or a ``_PackedProduct``) as :func:`polynomial_to_json`
-    gives it and an :class:`Antidiagonal` as ``{"rows": [...], "cols":
-    [...]}``, both ascending; anything else raises ``TypeError``.
-    ``indent`` sends ``json`` to its pure-Python encoder, which costs more
-    than building a union basis; here each ``[row, col, exp]`` block, each
-    half of a packed term's rows (see ``_TermLayout.write_packed``) and
-    each factor is written once per writer, since a basis repeats all
-    three, and each term of a polynomial in one piece."""
-    layouts: dict[int, _TermLayout] = {}
-    factors: dict[tuple[tuple[Cell, ...], int], str] = {}
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
+    strings, ints and :class:`Polynomial` values, each as
+    :func:`polynomial_to_json` gives it; anything else raises
+    ``TypeError``.  ``indent`` sends ``json`` to its pure-Python encoder;
+    here each ``[row, col, exp]`` block is written once per call and
+    indent, and each term of a polynomial in one piece."""
+    layouts = _Made(_TermLayout)
 
     def write(value, indent: int) -> str:
         kind = type(value)
@@ -821,22 +827,8 @@ def json_writer():
                 encode_basestring_ascii(k) + ": " + write(v, indent + 2) for k, v in value.items()
             ]
             return _json_list(items, indent, "{}")
-        if kind is Polynomial or kind is _PackedProduct:
-            layout = layouts.get(indent)
-            if layout is None:
-                layout = layouts[indent] = _TermLayout(indent)
-            return layout.write(value) if kind is Polynomial else layout.write_packed(value)
-        if kind is Antidiagonal:
-            text = factors.get((value.cells, indent))
-            if text is None:
-                layout = {"rows": list(value.rows()), "cols": list(value.cols())}
-                text = factors[value.cells, indent] = write(layout, indent)
-            return text
+        if kind is Polynomial:
+            return layouts[indent].write(value)
         raise TypeError(f"{kind.__name__} is not written as JSON")
 
-    return write
-
-
-def json_text(value) -> str:
-    """``value`` as one :func:`json_writer` writes it at indent 0."""
-    return json_writer()(value, 0)
+    return write(value, 0)

@@ -31,9 +31,11 @@ turn, since no generator's product depends on another's.
 A product has one form, on packed exponent ints, in one ``_Layout`` per
 basis (see :mod:`nwgb.polynomials`): each minor is packed once, and a
 product of monomials is an integer sum (see ``_Packing.product``).  The
-JSON and text writers read each term's text off its int as two cached
-halves of its rows (see ``_RowBlocks.terms``), and ``--verify`` divides the
-same ints.  No exponent can exceed the number k of inputs, so fields of
+output format of a basis lives here, in one writer per format
+(``basis_json_chunks``, ``basis_text_chunks``).  Each reads a term's text
+off its int as two cached halves of its rows (see ``_RowBlocks.terms``),
+and each owns its caches, which go when it is done; ``--verify`` divides
+the same ints.  No exponent can exceed the number k of inputs, so fields of
 ``k.bit_length() + 1`` bits, the proven width, hold every product, and
 a handle forms its product at that width.  A caller that divides the
 products keeps them all anyway, so ``hold`` forms each once, at the wider
@@ -64,12 +66,15 @@ from .ideals import (
 )
 from .polynomials import (
     _FIELD_BITS,
+    _NAMES,
     Antidiagonal,
     Cell,
     _Layout,
+    _Made,
     _PackedProduct,
+    _RowBlocks,
+    _TermLayout,
     _json_list,
-    json_writer,
     polynomial_text,
 )
 
@@ -449,18 +454,41 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
     return [generator_product(combo, factors, packing) for combo, factors in kept.values()]
 
 
+def _factor_json(cells: tuple[Cell, ...]) -> str:
+    """``{"rows": [...], "cols": [...]}`` of the factor on these cells, both
+    ascending, as ``json.dumps(..., indent=2)`` lays it out in a basis
+    (indent 6).  Rows increase along an antidiagonal and columns decrease."""
+    rows = _json_list([str(cell.row) for cell in cells], 8, "[]")
+    cols = _json_list([str(cell.col) for cell in reversed(cells)], 8, "[]")
+    return _json_list([f'"rows": {rows}', f'"cols": {cols}'], 6, "{}")
+
+
 def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     """The basis as JSON text, as ``json.dumps(..., indent=2)`` lays it out,
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
     "cols": [...]}, ...], "poly": [...]}``, each factor's rows and columns
     ascending and the terms of ``g.packed`` as ``polynomial_to_json`` lists
-    a polynomial's.  One ``json_writer`` writes the factors and each
-    ``g.packed``, and each generator's frame around them is one f-string."""
-    write = json_writer()
+    a polynomial's.  Each factor's text is written once per call, keyed by
+    its cells, and every product through one ``_TermLayout`` at the
+    products' indent, which keeps its ``[row, col, exp]`` blocks and, per
+    layout, its row segments until the last chunk."""
+    products = _TermLayout(4)
+    factors = _Made(_factor_json)
     opening = "[\n  "
     for g in basis:
-        factors = _json_list([write(f, 6) for f in g.factors], 4, "[]")
-        poly = write(g.packed, 4)
-        yield f'{opening}{{\n    "factors": {factors},\n    "poly": {poly}\n  }}'
+        listed = _json_list([factors[factor.cells] for factor in g.factors], 4, "[]")
+        poly = products.write_packed(g.packed)
+        yield f'{opening}{{\n    "factors": {listed},\n    "poly": {poly}\n  }}'
         opening = ",\n  "
     yield "[]" if opening == "[\n  " else "\n]"
+
+
+def basis_text_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
+    """The basis as text, one line per generator as it is read: its
+    product as ``polynomial_text`` writes it.  The segment texts of each
+    layout (``_RowBlocks``) are made once per call and kept until the
+    last line."""
+    names = _Made(lambda layout: _RowBlocks(layout, _NAMES, "*"))
+    for g in basis:
+        f = g.packed
+        yield " + ".join(names[f.layout].terms(f, "", "*", "", "")) + "\n"

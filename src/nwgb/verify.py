@@ -52,6 +52,7 @@ from .polynomials import (
     MONOMIAL_ONE,
     _Layout,
     _PackedProduct,
+    _cell,
     determinant,
     polynomial_text,
 )
@@ -94,14 +95,24 @@ def membership_failures(
     (``spec_bases``).
 
     Each product is divided on its packed ints (``reduces_to_zero``), in
-    its own layout, which must hold the variables of the specs, as the
-    layout of ``union_basis(specs)`` does.  The products are held
-    (``hold``) at the width the engine starts at; if a division outgrows
-    it, every product is formed again at double the width, and the
-    division starts over (``_Layout.widening``)."""
+    its own layout, which must hold the variables of the specs' bases, as
+    the layout of ``union_basis(specs)`` does; a layout that lacks one
+    raises ValueError, naming the spec and the cell, before any division.
+    The products are held (``hold``) at the width the engine starts at; if
+    a division outgrows it, every product is formed again at double the
+    width, and the division starts over (``_Layout.widening``)."""
+    codes = [{c for g in ideal.generators for m in g.terms for c in m.key[:-1]} for ideal in bases]
 
     def divide(bits: int) -> tuple[list[_PackedProduct], list[list[bool]]]:
         products = [g.packed for g in hold(basis, bits)]
+        for layout in dict.fromkeys(f.layout for f in products):
+            for spec, used in zip(specs, codes):
+                if not used.issubset(layout.unit):
+                    row, col = _cell(min(used.difference(layout.unit)))
+                    raise ValueError(
+                        f"the ideal of {spec.label or 'spec'} uses m[{row},{col}],"
+                        " which a generator's layout lacks"
+                    )
         return products, [reduces_to_zero(products, ideal.generators) for ideal in bases]
 
     products, zero = _Layout.widening(divide)

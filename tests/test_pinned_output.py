@@ -97,15 +97,17 @@ def test_union_json_bytes_on_s6_pairs(perms, digest, tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-def test_union_text_bytes_on_the_oracle_pair(tmp_path, capsys):
+@pytest.mark.parametrize("verify", ["none", "membership", "full-oracle"])
+def test_union_text_bytes_on_the_oracle_pair(verify, tmp_path, capsys):
     # the fixed job of the oracle workload, written as text: the products
-    # through Polynomial.__mul__ and the text writer
+    # at the proven width under --verify=none, and held at the width a
+    # division starts at under the other depths, through the text writer
     paths = []
     for name, perm in (("l", "1 5 4 3 2"), ("r", "4 3 2 1 5")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"n": 5, "permutation": perm}))
         paths.append(str(path))
-    assert main(["union", *paths, "--format=text"]) == 0
+    assert main(["union", *paths, "--format=text", f"--verify={verify}"]) == 0
     digest = "1c4c43c20b8a7edb6fd689f3c2aa84babf6c0dd305f984277de0fc00dd638298"
     assert sha256(capsys.readouterr().out) == digest
 

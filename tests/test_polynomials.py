@@ -23,6 +23,8 @@ from nwgb.polynomials import (
     AUX,
     MONOMIAL_ONE,
     _FIELD_BITS,
+    _Layout,
+    _PackedProduct,
     _signed_permutations,
     json_text,
     monomial_text,
@@ -523,13 +525,12 @@ def random_json_string(rng):
     return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randint(0, 6)))
 
 
-def random_payload(rng, polys, factors, depth=0):
+def random_payload(rng, polys, depth=0):
     """(value, reference): a random tree for ``json_text`` and the plain
     tree ``json.dumps`` writes the same way, each polynomial as
-    ``polynomial_to_json`` and each antidiagonal as its rows and columns.
-    Containers are often empty; the same few polynomials and factors recur
-    at several depths."""
-    kind = rng.choice(["str", "int", "poly", "factor"] + ["list", "dict"] * (depth < 4))
+    ``polynomial_to_json``.  Containers are often empty; the same few
+    polynomials recur at several depths."""
+    kind = rng.choice(["str", "int", "poly"] + ["list", "dict"] * (depth < 4))
     if kind == "str":
         text = random_json_string(rng)
         return text, text
@@ -539,10 +540,7 @@ def random_payload(rng, polys, factors, depth=0):
     if kind == "poly":
         f = rng.choice(polys)
         return f, polynomial_to_json(f)
-    if kind == "factor":
-        a = rng.choice(factors)
-        return a, {"rows": list(a.rows()), "cols": list(a.cols())}
-    pairs = [random_payload(rng, polys, factors, depth + 1) for _ in range(rng.randint(0, 3))]
+    pairs = [random_payload(rng, polys, depth + 1) for _ in range(rng.randint(0, 3))]
     if kind == "list":
         return [v for v, _ in pairs], [r for _, r in pairs]
     keys = [random_json_string(rng) for _ in pairs]
@@ -556,16 +554,30 @@ def test_json_text_equals_json_dumps_on_random_payloads():
     rng = random.Random(31)
     polys = [random_polynomial(rng) for _ in range(3)]
     polys += [Polynomial(), Polynomial.constant(Fraction(-3, 2)), determinant([1, 2], [2, 3])]
-    minors = [((1, 2), (1, 2)), ((2,), (3,)), ((1, 3, 4), (1, 2, 4))]
-    factors = [antidiagonal_of(rows, cols) for rows, cols in minors]
     for _ in range(400):
-        value, reference = random_payload(rng, polys, factors)
+        value, reference = random_payload(rng, polys)
         assert json_text(value) == json.dumps(reference, indent=2)
     nested = {"a": {}, "b": [], "c": [{}, []], "é\"\\": {"d": [{}]}}
     assert json_text(nested) == json.dumps(nested, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, True, None, (1, 2), {1: 2}, Fraction(1, 2), MONOMIAL_ONE])
+# a union factor and a packed product are written by the union writers
+# (nwgb.union), not by json_text
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        True,
+        None,
+        (1, 2),
+        {1: 2},
+        Fraction(1, 2),
+        MONOMIAL_ONE,
+        antidiagonal_of((1, 2), (1, 2)),
+        _PackedProduct(_Layout((), 2, [Cell(1, 1)]), {1: 1}, (1,)),
+    ],
+    ids=repr,
+)
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         json_text(value)

@@ -1,7 +1,9 @@
 """Chain extraction, generator products and union bases."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations, product
 
@@ -22,7 +24,6 @@ from nwgb import (
     generator_polynomials,
     generator_product,
     normal_form,
-    normal_forms,
     parse_one_line,
     spec_from_permutation,
     union_basis,
@@ -30,7 +31,14 @@ from nwgb import (
 import nwgb.polynomials
 import nwgb.union
 from nwgb.polynomials import _FIELD_BITS, determinant, polynomial_text, polynomial_to_json
-from nwgb.union import GeneratorProduct, _longest_chain, basis_json_chunks, certified, hold
+from nwgb.union import (
+    GeneratorProduct,
+    _longest_chain,
+    basis_json_chunks,
+    basis_text_chunks,
+    certified,
+    hold,
+)
 from nwgb.verify import honest_permutations, membership_failures, spec_bases
 from test_polynomials import monic
 
@@ -583,13 +591,11 @@ def certificate_census(cases, bases):
     for texts in cases:
         specs = schubert_specs(*texts)
         basis = union_basis(specs)
-        remainders = normal_forms(
-            [folded_product(g.factors) for g in basis],
-            [bases[spec.label].generators for spec in specs],
-        )
-        for spec, spec_remainders in zip(specs, remainders):
-            for g, remainder in zip(basis, spec_remainders):
-                member = remainder.is_zero()
+        folds = [folded_product(g.factors) for g in basis]
+        for spec in specs:
+            generators = bases[spec.label].generators
+            for g, fold in zip(basis, folds):
+                member = normal_form(fold, generators).is_zero()
                 assert certified(g.factors, spec) == member, (texts, spec.label, g.factors)
                 members += member
                 outside += not member
@@ -873,6 +879,29 @@ def test_basis_json_chunks_give_one_chunk_per_generator():
     assert list(basis_json_chunks([])) == ["[]"]
 
 
+def test_a_basis_layout_dies_with_its_last_handle_and_writer():
+    # the writers own their text caches and a layout holds no text, so no
+    # cycle keeps a layout alive: without the cycle collector, it is freed
+    # as soon as the basis and the written texts are dropped
+    specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
+    gc.disable()
+    try:
+        basis = union_basis(specs)
+        held = hold(basis)
+        layouts = [weakref.ref(basis[0].packed.layout), weakref.ref(held[0].packed.layout)]
+        assert layouts[0]() is not layouts[1]()
+        texts = [
+            "".join(writer(generators))
+            for writer in (basis_text_chunks, basis_json_chunks)
+            for generators in (basis, held)
+        ]
+        assert len(set(texts[:2])) == len(set(texts[2:])) == 1
+        del basis, held, texts
+        assert [layout() for layout in layouts] == [None, None]
+    finally:
+        gc.enable()
+
+
 S3_PAIRS = [[a, b] for a in all_specs(3) for b in all_specs(3)]
 S5_SPECS = all_specs(5)
 S6_SPECS = all_specs(6)
@@ -919,9 +948,9 @@ def test_json_text_cases_include_squared_variables(pair):
 
 def assert_packed_equals_fold(basis):
     """Each generator's packed product is the fold's polynomial and has the
-    fold's text, and the basis has the fold's JSON bytes, both as formed on
-    each read, at the proven width, and as ``hold`` forms them, at the
-    width a division starts at."""
+    fold's text, alone and through the basis's text writer, and the basis
+    has the fold's JSON bytes, both as formed on each read, at the proven
+    width, and as ``hold`` forms them, at the width a division starts at."""
     folds = [folded_product(g.factors) for g in basis]
     held = hold(basis)
     assert all(g.packed.layout.bits >= _FIELD_BITS for g in held)
@@ -931,9 +960,9 @@ def assert_packed_equals_fold(basis):
             assert_canonical_exact(unpacked(g))
         reference = [generator_to_json(g) for g in generators]
         assert "".join(basis_json_chunks(generators)) == json.dumps(reference, indent=2)
-        assert [polynomial_text(g.packed) + "\n" for g in generators] == [
-            polynomial_text(fold) + "\n" for fold in folds
-        ]
+        lines = [polynomial_text(fold) + "\n" for fold in folds]
+        assert [polynomial_text(g.packed) + "\n" for g in generators] == lines
+        assert list(basis_text_chunks(generators)) == lines
 
 
 def test_packed_products_equal_the_fold_on_all_ordered_s4_pairs():

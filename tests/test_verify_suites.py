@@ -164,6 +164,18 @@ def test_membership_failures_names_each_missing_generator():
     ]
 
 
+def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
+    # a generator_product built without a packing spans only its inputs'
+    # box, here the one cell m[1,1]; the ideals of the S5 pair use more,
+    # and the call refuses before it divides any product
+    specs = _specs("1 5 4 3 2", "4 3 2 1 5")
+    divided = []
+    monkeypatch.setattr(nwgb.verify, "reduces_to_zero", lambda *args: divided.append(args))
+    with pytest.raises(ValueError, match=r"the ideal of 1 5 4 3 2 uses m\[1,4\]"):
+        membership_failures([_variable(1, 1)], specs, spec_bases(specs))
+    assert not divided
+
+
 def test_membership_forms_the_products_again_when_a_division_outgrows_them(monkeypatch):
     # from a 2-bit start the products are held at the proven width, 3 bits
     # for two inputs, where a division of this pair overflows; membership
