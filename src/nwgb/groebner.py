@@ -42,11 +42,13 @@ heap division of Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
 (``buchberger``, ``is_groebner``, ``normal_form``, ``s_polynomial``,
 ``intersect_many``) lays out one field per variable of its inputs
-(``_Layout``, from :mod:`nwgb.polynomials`, which the union products use
-too, and in which ``reduces_to_zero`` divides them as they are):
-``bits`` bits each, a guard bit over ``bits - 1`` exponent bits, the most
-significant variable of the order (t, when present) in the highest field
-and each next one in the field below.  Comparing two such ints compares
+(``_Layout``, from :mod:`nwgb.polynomials`): ``bits`` bits each, a guard
+bit over ``bits - 1`` exponent bits, the most significant variable of the
+order (t, when present) in the highest field and each next one in the
+field below.  The union products are packed the same way, and the union
+check runs in their layout: ``verify.union_verdicts`` completes each spec
+there (``_complete``), and ``reduces_to_zero`` divides the products as
+they are.  Comparing two such ints compares
 the exponent of the most significant variable first, then the next, which
 is the lex order: a larger int is a larger monomial, and a heap of negated
 ints pops the largest term.  A product is ``+``, a quotient ``-``, and
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow, _PackedProduct, _Value
 
@@ -142,35 +144,35 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """
 
     def job(layout: _Layout) -> Polynomial:
-        first = _first_divisor(layout, basis)
+        first = _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], layout.guard)
         return layout.polynomial(_divide(layout.pack_poly(f), first, layout.guard))
 
     return _run([f, *basis], job)
 
 
-def reduces_to_zero(products: Iterable[_PackedProduct], basis: Sequence[Polynomial]) -> list[bool]:
-    """Whether ``normal_form`` of each packed product by ``basis`` is zero.
+def reduces_to_zero(
+    products: Iterable[_PackedProduct], bases: Mapping[_Layout, Sequence[dict]]
+) -> list[bool]:
+    """Whether ``normal_form`` of each packed product by ``bases[layout]``,
+    a basis of nonzero packed polynomials in the product's own layout, is
+    zero.
 
-    Each product is divided on its own packed terms, which it keeps, in its
-    own layout, which must hold every variable of ``basis``; the basis is
-    packed into each layout once.  The width is the product's: an exponent
-    that outgrows it raises ``_Overflow``, and the caller forms the
-    products again with wider fields (``_Layout.widening``)."""
+    Each product is divided on its own packed terms, which it keeps, and
+    each layout's basis is read into reducers once, when the first product
+    in that layout is divided; a mapping that makes a basis on a miss
+    (``_Made``) makes it then, at the product's width.  An exponent that
+    outgrows that width raises ``_Overflow``, and the caller forms the
+    products, and makes the bases, again with wider fields
+    (``_Layout.widening``)."""
     firsts: dict[_Layout, Callable[[int], Reducer | None]] = {}
     zero = []
     for f in products:
         layout = f.layout
         first = firsts.get(layout)
         if first is None:
-            first = firsts[layout] = _first_divisor(layout, basis)
+            first = firsts[layout] = _scan([_reducer(g) for g in bases[layout]], layout.guard)
         zero.append(not _divide(dict(f.terms), first, layout.guard))
     return zero
-
-
-def _first_divisor(layout: _Layout, basis: Sequence[Polynomial]) -> Callable[[int], Reducer | None]:
-    """``_scan`` of the reducers of the nonzero elements of ``basis``, in
-    order, packed in ``layout``."""
-    return _scan([_reducer(layout.pack_poly(g)) for g in basis if g.terms], layout.guard)
 
 
 def _scan(reducers: list[Reducer], guard: int) -> Callable[[int], Reducer | None]:

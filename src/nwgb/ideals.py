@@ -174,7 +174,8 @@ def spec_work(spec: RankConditionSpec) -> tuple[int, int]:
 
 def completion_work(spec: RankConditionSpec) -> int:
     """t + m*t for the spec's (m, t) (``spec_work``): the units of expanding
-    its Fulton generators and completing them (``verify.spec_bases``).
+    its Fulton generators and completing them (``nwgb groebner``, and
+    ``verify.union_verdicts`` in the union basis's packed layout).
     Buchberger meets up to m**2 / 2 pairs of minors and reduces each
     S-polynomial against generators of (r+1)! terms.  The count also
     bounds the completion's packed layout, whose ints grow with the square
@@ -210,7 +211,7 @@ def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
     in ``fulton_generators``: a minor that several conditions share
     generates the ideal once, as ``antidiagonals_of_spec`` keeps each
     antidiagonal once.  They are what a completion of the spec starts
-    from (``nwgb groebner``, ``verify.spec_bases``), so a spec whose
+    from (``nwgb groebner``, ``verify.union_verdicts``), so a spec whose
     ``completion_work`` passes ``WORK_LIMIT`` raises ValueError before any
     minor is listed."""
     check_work(completion_work(spec))

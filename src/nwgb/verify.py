@@ -11,17 +11,20 @@ A sampled suite draws its cases from the one ``random.Random(seed)`` that
 The union checks (membership of every emitted generator in every input
 ideal, and the two full-oracle verdicts: the Buchberger criterion and
 equality with the intersection) live here once, in ``union_verdicts``,
-which both the suites and ``nwgb union --verify`` call.  It completes each
-input ideal once (``spec_bases``), runs membership against those bases
-before it proves anything, and says when the oracle itself runs.  Both
-read the generators' packed products, the ones the writers read; a
-product becomes a ``Polynomial`` only when the oracle must complete it.
+which both the suites and ``nwgb union --verify`` call.  It runs on the
+generators' packed products, the ones the writers read, in their layout:
+it completes each input ideal there once, runs membership against those
+packed bases before it proves anything, proves on packed leading
+monomials, and says when the oracle itself runs.  A ``Polynomial`` or
+``Monomial`` is made only then, when the oracle must complete B.
+``spec_bases`` and ``_initial_meet`` are the same steps on ``Polynomial``
+values, which the suites' init-theorem check and the tests read.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import permutations as _itertools_permutations
@@ -35,6 +38,8 @@ from .ideals import (
 from .groebner import (
     IdealPresentation,
     MonomialIdeal,
+    _complete,
+    _minimal_split,
     buchberger,
     ideals_equal,
     intersect_many,
@@ -50,7 +55,9 @@ from .polynomials import (
     Monomial,
     compare,
     MONOMIAL_ONE,
+    Polynomial,
     _Layout,
+    _Made,
     _PackedProduct,
     _cell,
     determinant,
@@ -80,8 +87,9 @@ def honest_permutations(n: int) -> list[PartialPermutation]:
 
 def spec_bases(specs: Sequence[RankConditionSpec]) -> list[IdealPresentation]:
     """Each spec's ideal, presented by its reduced Groebner basis, in spec
-    order: the one completion that membership and the oracle intersection
-    (``intersect_many``) share."""
+    order, on ``Polynomial`` values: the bases a caller of
+    ``membership_failures`` completes once for many calls, and the
+    reference for those that ``union_verdicts`` completes on packed ints."""
     return [IdealPresentation(tuple(buchberger(generator_polynomials(s)))) for s in specs]
 
 
@@ -92,20 +100,54 @@ def membership_failures(
 ) -> list[str]:
     """One message per (spec, generator) pair where the generator's
     product does not reduce to zero against the spec's reduced basis
-    (``spec_bases``).
+    (``spec_bases``), which a caller completes once for many calls.
 
-    Each product is divided on its packed ints (``reduces_to_zero``), in
-    its own layout, which must hold the variables of the specs' bases, as
-    the layout of ``union_basis(specs)`` does; a layout that lacks one
-    raises ValueError, naming the spec and the cell, before any division.
-    The products are held (``hold``) at the width the engine starts at; if
-    a division outgrows it, every product is formed again at double the
-    width, and the division starts over (``_Layout.widening``)."""
-    codes = [{c for g in ideal.generators for m in g.terms for c in m.key[:-1]} for ideal in bases]
+    Each basis is packed into each product's layout, and each product is
+    divided there on its packed ints, in the loop that ``union_verdicts``
+    feeds with the bases it completes in that layout (``_divided``)."""
+    products, _, zero = _divided(basis, specs, [b.generators for b in bases], _packed)
+    return _failures(specs, products, zero)
 
-    def divide(bits: int) -> tuple[list[_PackedProduct], list[list[bool]]]:
+
+def _packed(generators: Sequence[Polynomial], layout: _Layout) -> list[dict]:
+    return [layout.pack_poly(g) for g in generators]
+
+
+def _completed(generators: Sequence[Polynomial], layout: _Layout) -> list[dict]:
+    """The reduced Groebner basis of the ideal of ``generators``, packed in
+    ``layout`` and completed there (``_complete``): ``buchberger`` without
+    the round trip through ``Polynomial`` values."""
+    return _complete(layout, _packed(generators, layout))
+
+
+def _divided(
+    basis: Sequence[GeneratorProduct],
+    specs: Sequence[RankConditionSpec],
+    generators: Sequence[Sequence[Polynomial]],
+    packed: Callable[[Sequence[Polynomial], _Layout], list[dict]],
+) -> tuple[list[_PackedProduct], dict[_Layout, list[list[dict]]], list[list[bool]]]:
+    """(products, bases, zero) for the products of ``basis``: ``bases`` maps
+    each of their layouts to each spec's reduced basis in it, made once as
+    ``packed(generators[k], layout)``, and ``zero[k][i]`` says whether
+    product i reduces to zero against spec k's (``reduces_to_zero``).  An
+    empty basis has no layout of its own, so its one layout is that of the
+    specs' ``generators``.
+
+    A layout must hold the variables of the specs, which ``generators``
+    use, as the layout of ``union_basis(specs)`` does; a layout that lacks
+    one raises ValueError, naming the spec and the cell, before any basis
+    is made or product divided.  The products are held (``hold``) at the
+    width the engine starts at; if making a basis or a division outgrows
+    it, every product is formed again at double the width, and the bases
+    are made and the products divided anew (``_Layout.widening``)."""
+    codes = [{c for g in gens for m in g.terms for c in m.key[:-1]} for gens in generators]
+
+    def divide(bits: int):
         products = [g.packed for g in hold(basis, bits)]
-        for layout in dict.fromkeys(f.layout for f in products):
+        layouts = list(dict.fromkeys(f.layout for f in products))
+        if not layouts:
+            layouts = [_Layout([g for gens in generators for g in gens], bits)]
+        for layout in layouts:
             for spec, used in zip(specs, codes):
                 if not used.issubset(layout.unit):
                     row, col = _cell(min(used.difference(layout.unit)))
@@ -113,17 +155,23 @@ def membership_failures(
                         f"the ideal of {spec.label or 'spec'} uses m[{row},{col}],"
                         " which a generator's layout lacks"
                     )
-        return products, [reduces_to_zero(products, ideal.generators) for ideal in bases]
+        made = [_Made(partial(packed, gens)) for gens in generators]
+        zero = [reduces_to_zero(products, bases) for bases in made]
+        # every layout's bases, an empty basis's one layout included
+        return products, {layout: [bases[layout] for bases in made] for layout in layouts}, zero
 
-    products, zero = _Layout.widening(divide)
-    failures = []
-    for spec, spec_zero in zip(specs, zero):
-        for f, member in zip(products, spec_zero):
-            if not member:
-                failures.append(
-                    f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
-                )
-    return failures
+    return _Layout.widening(divide)
+
+
+def _failures(
+    specs: Sequence[RankConditionSpec], products: list[_PackedProduct], zero: list[list[bool]]
+) -> list[str]:
+    return [
+        f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
+        for spec, spec_zero in zip(specs, zero)
+        for f, member in zip(products, spec_zero)
+        if not member
+    ]
 
 
 def union_verdicts(
@@ -133,17 +181,21 @@ def union_verdicts(
 ) -> tuple[list[str], bool | None, bool | None]:
     """(failures, criterion, equality) for the union basis B of ``specs``, a
     list of ``union_basis`` handles, at the ``--verify`` depth "membership"
-    or "full-oracle".  ``failures`` (``membership_failures``) reduces B
-    against each spec's ideal I_k, completed once (``spec_bases``).  At
-    "membership" depth both verdicts are None; else they say whether B is
-    a Groebner basis, and whether it generates the intersection of the
-    I_k.  The products are held (``hold``), so each is formed once, and a
-    caller that held them already, to write them, passes them on.
+    or "full-oracle".  ``failures`` (as ``membership_failures`` words them)
+    reduces B against each spec's ideal I_k.  At "membership" depth both
+    verdicts are None; else they say whether B is a Groebner basis, and
+    whether it generates the intersection of the I_k.
 
-    Both verdicts are true, and nothing is completed, when B lies in every
-    I_k and every minimal generator of the monomial meet of the in(I_k) is
-    divisible by some leading monomial of B.  For then, with <= for
-    containment and & for intersection,
+    The whole check runs on packed ints, in the layout of the held products
+    (``hold``; a caller that held them already, to write them, passes them
+    on).  Each spec's Fulton generators are packed into that layout and
+    completed there once (``_complete``), and every product is divided by
+    those packed reduced bases (``_divided``).
+
+    Both verdicts are true, and nothing else is completed, when B lies in
+    every I_k and every minimal generator of the monomial meet of the
+    in(I_k) is divisible by some leading monomial of B.  For then, with <=
+    for containment and & for intersection,
 
         <LT(B)> <= in(<B>) <= in(I_1 & ... & I_k) <= in(I_1) & ... & in(I_k):
 
@@ -155,35 +207,64 @@ def union_verdicts(
     are equal: an element of the intersection reduces against B to a
     remainder in the intersection with no term in its initial ideal, which
     is zero.  The proof does not use the init theorem
-    (in(I & J) = in(I) & in(J)), so it is exact.  Each leading monomial is
-    read off its product, the largest packed int, and not off the cells
-    the construction chose, so the proof checks the construction.
+    (in(I & J) = in(I) & in(J)), so it is exact.  Each leading monomial of
+    B is read off its product, the largest packed int, and not off the
+    cells the construction chose, so the proof checks the construction.
+    The meet and the divisibility are read on packed ints too
+    (``_packed_meet``).
 
-    Otherwise B is unpacked into ``Polynomial`` values, and the criterion
-    is ``is_groebner(B)``.  Equality is false when B fails membership,
-    since an element outside some I_k is outside the intersection, and
-    else it is ``ideals_equal(B, intersect_many(bases))``, which reads the
-    intersection's reduced basis from the engine's record and completes B.
+    Otherwise, and whenever B's handles come from more than one packing,
+    B and the packed spec bases are unpacked into ``Polynomial`` values;
+    a reduced basis is unique, so the spec bases are not completed again.
+    The criterion is ``is_groebner(B)``.  Equality is false when B fails
+    membership, since an element outside some I_k is outside the
+    intersection, and else it is ``ideals_equal(B, intersect_many(...))``
+    of the spec bases, which reads the intersection's reduced basis from
+    the engine's record and completes B.
     """
     if depth not in ("membership", "full-oracle"):
         raise ValueError(f"unknown verify depth {reprlib.repr(depth)}")
-    basis = hold(basis)
-    bases = spec_bases(specs)
-    failures = membership_failures(basis, specs, bases)
+    generators = [generator_polynomials(spec) for spec in specs]
+    products, bases, zero = _divided(basis, specs, generators, _completed)
+    failures = _failures(specs, products, zero)
     if depth == "membership":
         return failures, None, None
-    products = [g.packed for g in basis]
-    if not failures:
-        leads = MonomialIdeal.from_monomials(f.layout.unpack(max(f.terms)) for f in products)
-        if all(leads.contains(m) for m in _initial_meet(bases).minimal_generators):
+    (layout, packed), *others = bases.items()
+    if not failures and not others:
+        leads = [max(f.terms) for f in products]
+        guard = layout.guard
+        # the guard-bit test of _Layout.divides, inlined
+        if all(
+            any(((m | guard) - lead) & guard == guard for lead in leads)
+            for m in _packed_meet(layout, packed)
+        ):
             return failures, True, True
     polys = [f.layout.polynomial(f.terms) for f in products]
-    return failures, is_groebner(polys), not failures and ideals_equal(polys, intersect_many(bases))
+    spec_ideals = [IdealPresentation(layout.polynomial(g) for g in b) for b in packed]
+    return failures, is_groebner(polys), not failures and ideals_equal(
+        polys, intersect_many(spec_ideals)
+    )
+
+
+def _packed_meet(layout: _Layout, bases: Sequence[Sequence[dict]]) -> list[int]:
+    """The minimal generators of in(I_1) & ... & in(I_k), packed in
+    ``layout``, where ``bases`` are the reduced bases of the I_k packed
+    there: the minimal lcms of one leading monomial from each (Miller and
+    Sturmfels, GTM 227), in ascending order.  The leads of a reduced basis
+    are the minimal generators of its initial ideal."""
+    meet, *rest = [[max(g) for g in basis] for basis in bases]
+    for leads in rest:
+        lcms = list({layout.lcm(a, b) for a in meet for b in leads})
+        meet = _minimal_split(lcms, lcms, layout)[0]
+    return meet
 
 
 def _initial_meet(bases: Sequence[IdealPresentation]) -> MonomialIdeal:
     """in(I_1) & ... & in(I_k), the meet of the initial ideals of the ideals
-    whose Groebner bases are ``bases``."""
+    whose Groebner bases are ``bases``, on ``Monomial`` values: the
+    reference that the init-theorem check of ``_union_pair_checks`` (the
+    ``s4-sampled`` suite) compares the intersection's initial ideal with,
+    and that the tests check ``_packed_meet`` against."""
     return reduce(MonomialIdeal.intersect, (leading_ideal(b.generators) for b in bases))
 
 

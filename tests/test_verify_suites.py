@@ -9,6 +9,7 @@ import pytest
 from conftest import folded_product
 
 import nwgb.cli
+import nwgb.groebner
 import nwgb.polynomials
 import nwgb.union
 import nwgb.verify
@@ -27,7 +28,11 @@ from nwgb.polynomials import Antidiagonal, Cell
 from nwgb.union import generator_product, union_basis
 from nwgb.verify import (
     SUITES,
+    _completed,
+    _divided,
     _embed,
+    _initial_meet,
+    _packed_meet,
     _union_pair_checks,
     honest_permutations,
     membership_failures,
@@ -36,7 +41,7 @@ from nwgb.verify import (
     spec_bases,
     union_verdicts,
 )
-from test_union import S5_FAILING_PAIRS
+from test_union import S5_FAILING_PAIRS, partial_permutations
 
 
 def ideal_of(spec):
@@ -167,19 +172,27 @@ def test_membership_failures_names_each_missing_generator():
 def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
     # a generator_product built without a packing spans only its inputs'
     # box, here the one cell m[1,1]; the ideals of the S5 pair use more,
-    # and the call refuses before it divides any product
+    # and both calls refuse before they pack or complete a basis or divide
+    # any product
     specs = _specs("1 5 4 3 2", "4 3 2 1 5")
-    divided = []
-    monkeypatch.setattr(nwgb.verify, "reduces_to_zero", lambda *args: divided.append(args))
-    with pytest.raises(ValueError, match=r"the ideal of 1 5 4 3 2 uses m\[1,4\]"):
-        membership_failures([_variable(1, 1)], specs, spec_bases(specs))
-    assert not divided
+    bases = spec_bases(specs)
+    done = []
+    for name in ("reduces_to_zero", "_packed", "_completed"):
+        monkeypatch.setattr(nwgb.verify, name, lambda *args, name=name: done.append(name))
+    message = r"the ideal of 1 5 4 3 2 uses m\[1,4\]"
+    with pytest.raises(ValueError, match=message):
+        membership_failures([_variable(1, 1)], specs, bases)
+    for depth in ("membership", "full-oracle"):
+        with pytest.raises(ValueError, match=message):
+            union_verdicts([_variable(1, 1)], specs, depth)
+    assert done == []
 
 
 def test_membership_forms_the_products_again_when_a_division_outgrows_them(monkeypatch):
     # from a 2-bit start the products are held at the proven width, 3 bits
-    # for two inputs, where a division of this pair overflows; membership
-    # then forms them again at 4 bits and divides every one anew
+    # for two inputs, where packing the first spec's basis overflows (its
+    # 4x4 minor has degree 4); both calls then form the products again at
+    # 4 bits, and union_verdicts completes each spec anew there
     specs = _specs("1 2 3 5 4", "5 3 4 1 2")
     basis = union_basis(specs)
     bases = spec_bases(specs)
@@ -187,9 +200,16 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
     widths = []
     divide = nwgb.verify.reduces_to_zero
 
-    def spy(products, generators):
+    def spy(products, bases):
         widths.append(products[0].layout.bits)
-        return divide(products, generators)
+        return divide(products, bases)
+
+    completions = []
+    complete = nwgb.verify._completed
+
+    def completing(generators, layout):
+        completions.append(layout.bits)
+        return complete(generators, layout)
 
     formed = []
     product = nwgb.union._Packing.product
@@ -197,13 +217,18 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
         nwgb.union._Packing, "product", lambda self, f: formed.append(self.bits) or product(self, f)
     )
     monkeypatch.setattr(nwgb.verify, "reduces_to_zero", spy)
+    monkeypatch.setattr(nwgb.verify, "_completed", completing)
     monkeypatch.setattr(nwgb.polynomials, "_FIELD_BITS", 2)
     assert membership_failures(basis, specs, bases) == expected[0] == []
     assert widths == [3, 4, 4]
     assert formed == [3] * len(basis) + [4] * len(basis)
+    assert completions == []  # the caller completed the bases
     widths.clear()
+    formed.clear()
     assert union_verdicts(basis, specs, "full-oracle") == expected == ([], True, True)
     assert widths == [3, 4, 4]
+    assert formed == [3] * len(basis) + [4] * len(basis)
+    assert completions == [3, 4, 4]
 
 
 def test_oracle_intersection_matches_pairwise_intersect():
@@ -383,3 +408,88 @@ def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
         assert full_oracle_case(specs, monkeypatch, cut) == (False, False)
         criteria.append(is_groebner([folded_product(g.factors) for g in cut]))
     assert True in criteria and False in criteria
+
+
+@pytest.mark.parametrize("texts", [("1 5 4 3 2", "4 3 2 1 5"), ("1 4 2 3", "1 3 4 2")])
+def test_union_verdicts_stay_on_packed_ints(texts, monkeypatch):
+    # the basis passes, so the check completes each spec in the products'
+    # layout, divides and proves on packed ints, and unpacks nothing
+    specs = _specs(*texts)
+    basis = union_basis(specs)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for module in (nwgb.groebner, nwgb.verify):
+        monkeypatch.setattr(module, "buchberger", counted("buchberger", buchberger))
+    monkeypatch.setattr(nwgb.verify, "spec_bases", counted("spec_bases", spec_bases))
+    for name in ("unpack", "polynomial"):
+        method = getattr(nwgb.polynomials._Layout, name)
+        monkeypatch.setattr(nwgb.polynomials._Layout, name, counted(name, method))
+    monkeypatch.setattr(
+        MonomialIdeal,
+        "from_monomials",
+        staticmethod(counted("from_monomials", MonomialIdeal.from_monomials)),
+    )
+    assert union_verdicts(basis, specs, "membership") == ([], None, None)
+    assert union_verdicts(basis, specs, "full-oracle") == ([], True, True)
+    assert calls == []
+
+
+def reference_cases():
+    """All ordered S4 pairs, seeded S5 triples and a sample of pairs of
+    partial permutations of size 4, as lists of one-line texts."""
+    perms = [p.one_line() for p in honest_permutations(4)]
+    cases = [(l, r) for l in perms for r in perms]
+    rng = random.Random(11)
+    s5 = [p.one_line() for p in honest_permutations(5)]
+    cases += [tuple(rng.sample(s5, 3)) for _ in range(12)]
+    partial = [p.one_line() for p in partial_permutations(4)]
+    cases += [tuple(rng.sample(partial, 2)) for _ in range(60)]
+    return cases
+
+
+def test_packed_spec_bases_and_meet_match_the_polynomial_reference():
+    # the bases union_verdicts completes in the products' layout are the
+    # reduced bases of spec_bases, and the meet it proves against is the
+    # one _initial_meet builds on Monomial values
+    for texts in reference_cases():
+        specs = _specs(*texts)
+        generators = [generator_polynomials(s) for s in specs]
+        _, bases, _ = _divided(union_basis(specs), specs, generators, _completed)
+        (layout, packed), = bases.items()
+        reference = spec_bases(specs)
+        assert [[layout.polynomial(g) for g in b] for b in packed] == [
+            list(b.generators) for b in reference
+        ], texts
+        meet = _packed_meet(layout, packed)
+        assert {layout.unpack(x) for x in meet} == _initial_meet(reference).minimal_generators
+        assert len(set(meet)) == len(meet), texts
+
+
+def test_union_verdicts_on_an_empty_basis_and_on_two_packings(monkeypatch):
+    # an empty union basis: one spec imposes nothing, and the basis is
+    # proved; with both specs nonzero the empty list fails equality
+    specs = _specs("1 2 3 4", "2 1 4 3")
+    basis = union_basis(specs)
+    assert basis == []
+    assert union_verdicts(basis, specs, "full-oracle") == ([], True, True)
+    assert union_verdicts([], _specs("2 1 4 3", "1 3 4 2"), "full-oracle") == ([], True, False)
+    # handles from two packings, each built alone, go to the exact
+    # fallback, whether or not they pass membership
+    two = [_variable(1, 1), generator_product([Antidiagonal([Cell(1, 2), Cell(2, 1)])])]
+    assert len({g.packed.layout for g in two}) == 2
+    assert union_verdicts(two, _specs("2 1 3"), "full-oracle") == (
+        ["-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2] is not in the ideal of 2 1 3"],
+        True,
+        False,
+    )
+    fallback = []
+    monkeypatch.setattr(
+        "nwgb.verify.is_groebner", lambda b: fallback.append(len(b)) or is_groebner(b)
+    )
+    diagonal = [Antidiagonal([Cell(1, 1)]), Antidiagonal([Cell(2, 2)])]
+    members = [_variable(1, 1), generator_product(diagonal)]  # m[1,1], m[1,1]*m[2,2]
+    assert union_verdicts(members, _specs("2 1 3"), "full-oracle") == ([], True, True)
+    assert fallback == [2]
