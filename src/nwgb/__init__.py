@@ -35,6 +35,7 @@ from .ideals import (
     RankConditionSpec,
     antidiagonals_of_spec,
     fulton_generators,
+    generator_minors,
     generator_polynomials,
     load_spec,
     spec_from_json,

@@ -5,7 +5,11 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or input
 errors.  Data goes to stdout (or --out); verification reports go to stderr
 so JSON output stays parseable.  Input whose work, counted from the specs
 or the permutation before any minor or rank matrix is built, passes
-``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb union``
+``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb groebner``
+expands the spec's distinct minors straight into packed ints, completes
+them there and writes the packed basis: no minor or basis element is a
+``Polynomial``, and the bytes are those of ``buchberger`` written by
+``json_text`` or ``polynomial_text``.  ``nwgb union``
 writes each generator as its packed product is formed and then drops it;
 --verify, whose checks divide every product, forms each once before the
 write and keeps it, so the writer and the checks read one product.
@@ -31,10 +35,18 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
 
-from .ideals import check_work, fulton_generators, generator_polynomials, load_spec, spec_to_json
-from .groebner import buchberger
+from .ideals import check_work, fulton_generators, generator_minors, load_spec, spec_to_json
+from .groebner import minor_basis
 from .permutations import diagram_json, diagram_text, parse_one_line
-from .polynomials import json_text, polynomial_text
+from .polynomials import (
+    _Layout,
+    _PackedProduct,
+    _TermLayout,
+    _json_list,
+    json_text,
+    packed_text_lines,
+    polynomial_text,
+)
 from .union import basis_json_chunks, basis_text_chunks, hold, union_basis
 from .verify import SUITES, run_suite, union_verdicts
 
@@ -162,11 +174,22 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
 
 
 def _cmd_groebner(args: SimpleNamespace) -> int:
-    basis = buchberger(generator_polynomials(load_spec(args.spec)))
+    minors = generator_minors(load_spec(args.spec))
+    cells = [(row, col) for rows, cols in minors for row in rows for col in cols]
+
+    def complete(bits: int) -> tuple[_Layout, list[dict]]:
+        layout = _Layout((), bits, cells)
+        return layout, minor_basis(minors, layout)
+
+    layout, basis = _Layout.widening(complete)
+    # one whole-int segment per term (no masks): a basis element need not
+    # use every row in every term
+    basis = [_PackedProduct(layout, f, ()) for f in basis]
     if args.format == "json":
-        _emit([json_text(basis) + "\n"], args)
+        writer = _TermLayout(2)
+        _emit([_json_list([writer.write_packed(f) for f in basis], 0, "[]") + "\n"], args)
     else:
-        _emit(["".join(polynomial_text(f) + "\n" for f in basis)], args)
+        _emit(["".join(packed_text_lines(basis))], args)
     return EXIT_OK
 
 

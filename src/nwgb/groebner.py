@@ -46,9 +46,12 @@ arrays, heaps, and packed exponent vectors", CASC 2007).  Each entry point
 bit over ``bits - 1`` exponent bits, the most significant variable of the
 order (t, when present) in the highest field and each next one in the
 field below.  The union products are packed the same way, and the union
-check runs in their layout: ``verify.union_verdicts`` completes each spec
-there (``_complete``), and ``reduces_to_zero`` divides the products as
-they are.  Comparing two such ints compares
+check runs in their layout: ``verify.union_verdicts`` expands each spec's
+minors there and completes them (``minor_basis``), and
+``reduces_to_zero`` divides the products as they are.  ``nwgb groebner``
+completes a spec's minors in a layout of their cells and writes the
+packed basis; no minor on these paths is a ``Polynomial``.  Comparing two
+such ints compares
 the exponent of the most significant variable first, then the next, which
 is the lex order: a larger int is a larger monomial, and a heap of negated
 ints pops the largest term.  A product is ``+``, a quotient ``-``, and
@@ -395,8 +398,9 @@ def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = N
     term of it is divisible by another element's lead; it is monic and its
     own lead divides none of its smaller terms.  So the first pass's output
     is already reduced, and a Groebner basis since every S-pair settled.
-    No lead divides another, the minimal split keeps all of it in ascending
-    leading monomial, and interreducing that would change nothing.
+    No lead divides another, so the minimal split would keep all of it: it
+    is only sorted by leading monomial, and interreducing it would change
+    nothing.
 
     ``intersect_many`` bounds by t's packed monomial, keeping the t-free
     part, and the bound is applied before the minimal split.  That is exact
@@ -422,8 +426,18 @@ def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = N
         kept = [k for k, lead in enumerate(leads) if lead < below]
         basis = [basis[k] for k in kept]
         leads = [leads[k] for k in kept]
-    minimal = _minimal_split(basis, leads, layout)[0]
-    return _interreduce(minimal, guard)[0] if moved else minimal
+    if moved:
+        return _interreduce(_minimal_split(basis, leads, layout)[0], guard)[0]
+    return [basis[k] for k in sorted(range(len(basis)), key=leads.__getitem__)]
+
+
+def minor_basis(minors: Iterable[tuple], layout: _Layout) -> list[dict]:
+    """``_complete`` of the minors, (rows, cols) each, expanded straight
+    into ``layout`` (``_Layout.minor``): ``buchberger`` of their
+    determinants without a ``Polynomial``, the completion of a spec's
+    ``generator_minors`` that ``nwgb groebner`` writes and that
+    ``verify.union_verdicts`` divides by."""
+    return _complete(layout, [layout.minor(rows, cols) for rows, cols in minors])
 
 
 # the last reduced basis the engine returned, as a tuple of the same objects

@@ -206,16 +206,21 @@ def fulton_generators(
     return out
 
 
-def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
-    """The distinct Fulton generators of the spec, each at its first place
-    in ``fulton_generators``: a minor that several conditions share
+def generator_minors(spec: RankConditionSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rows, cols) of the distinct Fulton generators of the spec, each at
+    its first place in ``_minors``: a minor that several conditions share
     generates the ideal once, as ``antidiagonals_of_spec`` keeps each
     antidiagonal once.  They are what a completion of the spec starts
-    from (``nwgb groebner``, ``verify.union_verdicts``), so a spec whose
-    ``completion_work`` passes ``WORK_LIMIT`` raises ValueError before any
-    minor is listed."""
+    from (``nwgb groebner``, ``verify.union_verdicts``, which expand them
+    packed with ``_Layout.minor``), so a spec whose ``completion_work``
+    passes ``WORK_LIMIT`` raises ValueError before any minor is listed."""
     check_work(completion_work(spec))
-    return list({(rows, cols): poly for _, rows, cols, poly in fulton_generators(spec)}.values())
+    return list(dict.fromkeys((rows, cols) for _, rows, cols in _minors(spec)))
+
+
+def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:
+    """The determinants of ``generator_minors``, in that order."""
+    return [determinant(rows, cols) for rows, cols in generator_minors(spec)]
 
 
 def antidiagonals_of_spec(spec: RankConditionSpec) -> list[Antidiagonal]:

@@ -47,10 +47,12 @@ product (``_PackedProduct``) uses every row of its minors in each term,
 and it is written straight from its ints (``_RowBlocks.terms``), the terms
 in descending order and each term's variables as two masked halves of its
 rows (``x & upper``, ``x & lower``), each distinct half's text made once
-per ``_RowBlocks``.  The writers of a union basis, in :mod:`nwgb.union`,
-keep one ``_RowBlocks`` per layout for as long as they write; a layout
-holds no text.  :func:`json_text` writes the plain payloads of the other
-commands: strings, ints, lists, dicts and ``Polynomial`` values.
+per ``_RowBlocks``.  The writers of packed terms (``packed_text_lines``,
+``_TermLayout.write_packed``), which a union basis and ``nwgb groebner``
+write through, keep one ``_RowBlocks`` per layout for as long as they
+write; a layout holds no text.  :func:`json_text` writes the plain
+payloads of the other commands: strings, ints, lists, dicts and
+``Polynomial`` values.
 """
 
 from __future__ import annotations
@@ -533,6 +535,16 @@ class _Layout:
         pack = self.pack
         return {pack(mono): coeff for mono, coeff in f.terms.items()}
 
+    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> dict[int, int]:
+        """``pack_poly(determinant(rows, cols))`` for ascending rows and
+        columns whose cells the layout holds, without the ``Polynomial``:
+        each term, in the Leibniz sum, is the sum of its cells' units.  A
+        term uses each variable once, so it fits fields of any width."""
+        units = [[self.unit[_code((row, col))] for col in cols] for row in rows]
+        return {
+            sum(map(getitem, units, perm)): sign for perm, sign in _signed_permutations(len(rows))
+        }
+
     def powers(self, x: int) -> list[tuple[int, int]]:
         """``(code, exponent)`` of each variable of a packed monomial, the
         most significant first."""
@@ -654,9 +666,10 @@ _NAMES = _VariableTexts(_name)
 _PackedProduct = namedtuple("_PackedProduct", ("layout", "terms", "masks"))
 _PackedProduct.__doc__ = """A product of minors, multiplied out as ``{packed monomial:
 coefficient}`` in ``layout``, with ``masks``, the ``layout.mask`` of each
-row that every one of its terms uses, top row first, and of no other row.
-A larger int is a larger monomial, so its terms, largest first, are the
-ints descending."""
+row that every one of its terms uses, top row first, and of no other row;
+or any packed polynomial with no masks, each term then read whole (a
+packed reduced basis element).  A larger int is a larger monomial, so its
+terms, largest first, are the ints descending."""
 
 
 def monomial_text(mono: Monomial) -> str:
@@ -668,7 +681,7 @@ def polynomial_text(f: Polynomial | _PackedProduct) -> str:
     """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``.
     A single product of minors is written off its packed terms, with
     segment texts of its own (``_RowBlocks``); a writer of many products
-    keeps one ``_RowBlocks`` per layout instead (``union.basis_text_chunks``)."""
+    keeps one ``_RowBlocks`` per layout instead (``packed_text_lines``)."""
     if type(f) is _PackedProduct:
         return " + ".join(_RowBlocks(f.layout, _NAMES, "*").terms(f, "", "*", "", ""))
     if f.is_zero():
@@ -678,6 +691,15 @@ def polynomial_text(f: Polynomial | _PackedProduct) -> str:
         body = monomial_text(mono)
         rendered.append(f"{coeff}*{body}" if body else f"{coeff}")
     return " + ".join(rendered)
+
+
+def packed_text_lines(products: Iterable[_PackedProduct]) -> Iterator[str]:
+    """One line per product, as ``polynomial_text`` writes it, as each is
+    read.  The segment texts of each layout (``_RowBlocks``) are made once
+    per call and kept until the last line."""
+    names = _Made(lambda layout: _RowBlocks(layout, _NAMES, "*"))
+    for f in products:
+        yield " + ".join(names[f.layout].terms(f, "", "*", "", "")) + "\n"
 
 
 def polynomial_to_json(f: Polynomial) -> list[dict]:

@@ -29,9 +29,10 @@ holds it (``hold``): each read forms it, and the reader can drop it in
 turn, since no generator's product depends on another's.
 
 A product has one form, on packed exponent ints, in one ``_Layout`` per
-basis (see :mod:`nwgb.polynomials`): each minor is packed once, and a
-product of monomials is an integer sum (see ``_Packing.product``).  The
-output format of a basis lives here, in one writer per format
+basis (see :mod:`nwgb.polynomials`): each minor is expanded on packed
+ints once (``_Layout.minor``), and a product of monomials is an integer
+sum (see ``_Packing.product``).  The output format of a basis lives here,
+in one writer per format
 (``basis_json_chunks``, ``basis_text_chunks``).  Each reads a term's text
 off its int as two cached halves of its rows (see ``_RowBlocks.terms``),
 and each owns its caches, which go when it is done; ``--verify`` divides
@@ -66,15 +67,14 @@ from .ideals import (
 )
 from .polynomials import (
     _FIELD_BITS,
-    _NAMES,
     Antidiagonal,
     Cell,
     _Layout,
     _Made,
     _PackedProduct,
-    _RowBlocks,
     _TermLayout,
     _json_list,
+    packed_text_lines,
     polynomial_text,
 )
 
@@ -261,7 +261,8 @@ class _Packing:
     1..``width``, which hold every variable of every factor's minor, with
     fields of ``bits`` bits, never fewer than the ``count.bit_length() + 1``
     that the product of ``count`` inputs needs (see ``product``), and each
-    factor's determinant, packed in it once."""
+    factor's determinant, expanded straight into it once
+    (``_Layout.minor``)."""
 
     def __init__(self, height: int, width: int, count: int, bits: int = 0):
         self.rows = range(1, height + 1)
@@ -286,14 +287,8 @@ class _Packing:
         variable is nonzero exactly when the minor uses it."""
         minor = self.minors.get(factor.cells)
         if minor is None:
-            unit = self.layout.unit
-            # each variable of a minor has exponent 1: a monomial packs as
-            # the sum of its variables' units
-            terms = [
-                (sum(map(unit.__getitem__, mono.key[:-1])), coeff)
-                for mono, coeff in factor.determinant().terms.items()
-            ]
-            minor = self.minors[factor.cells] = (terms, reduce(or_, [x for x, _ in terms]))
+            terms = self.layout.minor(factor.rows(), factor.cols())
+            minor = self.minors[factor.cells] = (list(terms.items()), reduce(or_, terms))
         return minor
 
     def product(self, factors: Sequence[Antidiagonal]) -> _PackedProduct:
@@ -372,11 +367,14 @@ def hold(basis: Iterable[GeneratorProduct], bits: int = _FIELD_BITS) -> list[Gen
 
     A caller that divides the products keeps every one, so it holds them,
     and the writers and the checks read the same products.  The default
-    width is the one a division starts at (``_Layout.widening``): dividing
-    by a spec's basis makes exponents past the number of inputs, and from
-    the proven width a division overflowed and started over on 6 of the 34
-    pooled ``oracle`` jobs of the benchmark and on 32 of 294 seeded S5
-    pairs and triples."""
+    width is the one a division starts at (``_Layout.widening``), so the
+    checks divide the products a writer read.  Dividing by a spec's basis
+    can make exponents past the number of inputs, but from the proven
+    width no check started over on the 34 pooled ``oracle`` jobs of the
+    benchmark or on 294 S5 pairs and triples drawn by ``Random(0)``: the
+    restarts once counted there (6 and 31) were all a ``Polynomial``
+    minor's degree refused by ``_Layout.pack``, and the minors are now
+    expanded exactly (``_Layout.minor``)."""
     packings: dict[_Packing, _Packing] = {}
     held = []
     for g in basis:
@@ -485,10 +483,5 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
 
 def basis_text_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     """The basis as text, one line per generator as it is read: its
-    product as ``polynomial_text`` writes it.  The segment texts of each
-    layout (``_RowBlocks``) are made once per call and kept until the
-    last line."""
-    names = _Made(lambda layout: _RowBlocks(layout, _NAMES, "*"))
-    for g in basis:
-        f = g.packed
-        yield " + ".join(names[f.layout].terms(f, "", "*", "", "")) + "\n"
+    product as ``polynomial_text`` writes it (``packed_text_lines``)."""
+    return packed_text_lines(g.packed for g in basis)

@@ -13,10 +13,11 @@ ideal, and the two full-oracle verdicts: the Buchberger criterion and
 equality with the intersection) live here once, in ``union_verdicts``,
 which both the suites and ``nwgb union --verify`` call.  It runs on the
 generators' packed products, the ones the writers read, in their layout:
-it completes each input ideal there once, runs membership against those
-packed bases before it proves anything, proves on packed leading
-monomials, and says when the oracle itself runs.  A ``Polynomial`` or
-``Monomial`` is made only then, when the oracle must complete B.
+it expands each input ideal's minors there and completes them once, runs
+membership against those packed bases before it proves anything, proves
+on packed leading monomials, and says when the oracle itself runs.  A
+``Polynomial`` or ``Monomial`` is made only then, when the oracle must
+complete B.
 ``spec_bases`` and ``_initial_meet`` are the same steps on ``Polynomial``
 values, which the suites' init-theorem check and the tests read.
 """
@@ -32,19 +33,20 @@ from itertools import permutations as _itertools_permutations
 from .ideals import (
     RankCondition,
     RankConditionSpec,
+    generator_minors,
     generator_polynomials,
     spec_from_permutation,
 )
 from .groebner import (
     IdealPresentation,
     MonomialIdeal,
-    _complete,
     _minimal_split,
     buchberger,
     ideals_equal,
     intersect_many,
     is_groebner,
     leading_ideal,
+    minor_basis,
     normal_form,
     reduces_to_zero,
 )
@@ -60,6 +62,7 @@ from .polynomials import (
     _Made,
     _PackedProduct,
     _cell,
+    _code,
     determinant,
     polynomial_text,
 )
@@ -105,7 +108,9 @@ def membership_failures(
     Each basis is packed into each product's layout, and each product is
     divided there on its packed ints, in the loop that ``union_verdicts``
     feeds with the bases it completes in that layout (``_divided``)."""
-    products, _, zero = _divided(basis, specs, [b.generators for b in bases], _packed)
+    generators = [b.generators for b in bases]
+    used = [{c for g in gens for m in g.terms for c in m.key[:-1]} for gens in generators]
+    products, _, zero = _divided(basis, specs, used, [partial(_packed, g) for g in generators])
     return _failures(specs, products, zero)
 
 
@@ -113,49 +118,41 @@ def _packed(generators: Sequence[Polynomial], layout: _Layout) -> list[dict]:
     return [layout.pack_poly(g) for g in generators]
 
 
-def _completed(generators: Sequence[Polynomial], layout: _Layout) -> list[dict]:
-    """The reduced Groebner basis of the ideal of ``generators``, packed in
-    ``layout`` and completed there (``_complete``): ``buchberger`` without
-    the round trip through ``Polynomial`` values."""
-    return _complete(layout, _packed(generators, layout))
-
-
 def _divided(
     basis: Sequence[GeneratorProduct],
     specs: Sequence[RankConditionSpec],
-    generators: Sequence[Sequence[Polynomial]],
-    packed: Callable[[Sequence[Polynomial], _Layout], list[dict]],
+    used: Sequence[set[int]],
+    makers: Sequence[Callable[[_Layout], list[dict]]],
 ) -> tuple[list[_PackedProduct], dict[_Layout, list[list[dict]]], list[list[bool]]]:
     """(products, bases, zero) for the products of ``basis``: ``bases`` maps
     each of their layouts to each spec's reduced basis in it, made once as
-    ``packed(generators[k], layout)``, and ``zero[k][i]`` says whether
-    product i reduces to zero against spec k's (``reduces_to_zero``).  An
-    empty basis has no layout of its own, so its one layout is that of the
-    specs' ``generators``.
+    ``makers[k](layout)``, and ``zero[k][i]`` says whether product i
+    reduces to zero against spec k's (``reduces_to_zero``).  An empty basis
+    has no layout of its own, so its one layout is that of the variables
+    the specs use.
 
-    A layout must hold the variables of the specs, which ``generators``
-    use, as the layout of ``union_basis(specs)`` does; a layout that lacks
-    one raises ValueError, naming the spec and the cell, before any basis
-    is made or product divided.  The products are held (``hold``) at the
+    A layout must hold ``used[k]``, the codes of the variables of spec k,
+    as the layout of ``union_basis(specs)`` does; a layout that lacks one
+    raises ValueError, naming the spec and the cell, before any basis is
+    made or product divided.  The products are held (``hold``) at the
     width the engine starts at; if making a basis or a division outgrows
     it, every product is formed again at double the width, and the bases
     are made and the products divided anew (``_Layout.widening``)."""
-    codes = [{c for g in gens for m in g.terms for c in m.key[:-1]} for gens in generators]
 
     def divide(bits: int):
         products = [g.packed for g in hold(basis, bits)]
         layouts = list(dict.fromkeys(f.layout for f in products))
         if not layouts:
-            layouts = [_Layout([g for gens in generators for g in gens], bits)]
+            layouts = [_Layout((), bits, map(_cell, set().union(*used)))]
         for layout in layouts:
-            for spec, used in zip(specs, codes):
-                if not used.issubset(layout.unit):
-                    row, col = _cell(min(used.difference(layout.unit)))
+            for spec, codes in zip(specs, used):
+                if not codes.issubset(layout.unit):
+                    row, col = _cell(min(codes.difference(layout.unit)))
                     raise ValueError(
                         f"the ideal of {spec.label or 'spec'} uses m[{row},{col}],"
                         " which a generator's layout lacks"
                     )
-        made = [_Made(partial(packed, gens)) for gens in generators]
+        made = [_Made(make) for make in makers]
         zero = [reduces_to_zero(products, bases) for bases in made]
         # every layout's bases, an empty basis's one layout included
         return products, {layout: [bases[layout] for bases in made] for layout in layouts}, zero
@@ -188,9 +185,10 @@ def union_verdicts(
 
     The whole check runs on packed ints, in the layout of the held products
     (``hold``; a caller that held them already, to write them, passes them
-    on).  Each spec's Fulton generators are packed into that layout and
-    completed there once (``_complete``), and every product is divided by
-    those packed reduced bases (``_divided``).
+    on).  Each spec's distinct minors (``generator_minors``) are expanded
+    straight into that layout (``_Layout.minor``) and completed there once
+    (``minor_basis``), and every product is divided by those packed reduced
+    bases (``_divided``); the layout must hold the minors' cells.
 
     Both verdicts are true, and nothing else is completed, when B lies in
     every I_k and every minimal generator of the monomial meet of the
@@ -224,8 +222,9 @@ def union_verdicts(
     """
     if depth not in ("membership", "full-oracle"):
         raise ValueError(f"unknown verify depth {reprlib.repr(depth)}")
-    generators = [generator_polynomials(spec) for spec in specs]
-    products, bases, zero = _divided(basis, specs, generators, _completed)
+    minors = [generator_minors(spec) for spec in specs]
+    used = [{_code((r, c)) for rows, cols in m for r in rows for c in cols} for m in minors]
+    products, bases, zero = _divided(basis, specs, used, [partial(minor_basis, m) for m in minors])
     failures = _failures(specs, products, zero)
     if depth == "membership":
         return failures, None, None

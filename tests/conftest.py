@@ -76,3 +76,30 @@ def folded_product(factors):
     for factor in factors:
         poly = poly * determinant(factor.rows(), factor.cols())
     return poly
+
+
+def spy_on_polynomial_paths(monkeypatch) -> list[str]:
+    """The names of the calls made, from now on, to the paths that build a
+    ``Polynomial`` out of a minor or a packed int: ``determinant``,
+    ``Polynomial.__init__``, ``_Layout.unpack``, ``buchberger`` and
+    ``generator_polynomials``, wherever a module holds them."""
+    import nwgb.cli
+    from nwgb import groebner, ideals, polynomials
+
+    calls = []
+    for owner, name in (
+        (polynomials, "determinant"),
+        (polynomials.Polynomial, "__init__"),
+        (polynomials._Layout, "unpack"),
+        (groebner, "buchberger"),
+        (ideals, "generator_polynomials"),
+    ):
+        original = getattr(owner, name)
+        spy = lambda *args, name=name, original=original: calls.append(name) or original(*args)
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, spy)
+            continue
+        for module in (polynomials, ideals, groebner, nwgb.verify, nwgb.union, nwgb.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls

@@ -51,7 +51,7 @@ def test_every_traced_target_resolves():
 def test_tracer_installs_every_wrapper_and_restores_them():
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    original = nwgb.cli.buchberger
+    original = nwgb.verify.buchberger
     tracer.install()
     try:
         assert tracer.missing == []
@@ -59,7 +59,7 @@ def test_tracer_installs_every_wrapper_and_restores_them():
         summary = tracer.summary()
     finally:
         tracer.uninstall()
-    assert nwgb.cli.buchberger is original
+    assert nwgb.verify.buchberger is original
     assert summary["calls"]["polynomials.determinant"] == 1
     assert set(summary["sort_key"]) == {"hits", "misses"}
 

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import spy_on_polynomial_paths
 
 import nwgb.union
 import nwgb.verify
@@ -25,7 +27,13 @@ from nwgb.ideals import (
     spec_to_json,
 )
 from nwgb.permutations import diagram_json, parse_one_line
-from nwgb.polynomials import Polynomial, determinant, polynomial_to_json
+from nwgb.polynomials import (
+    Polynomial,
+    determinant,
+    json_text,
+    polynomial_text,
+    polynomial_to_json,
+)
 from nwgb.union import union_basis
 
 
@@ -264,6 +272,73 @@ def test_groebner_subcommand(spec_231, capsys):
     # reduced basis prints in ascending leading-monomial order
     assert main(["groebner", spec_231]) == 0
     assert capsys.readouterr().out == "1*m[2,1]\n1*m[1,1]\n"
+
+
+def groebner_sweep_specs():
+    """Every single condition of a 5x5 matrix, every S4 permutation, 20
+    seeded S5 permutations, no condition at all, and two conditions that
+    share minors."""
+    singles = [
+        {"n": 5, "conditions": [{"i": i, "j": j, "r": r}]}
+        for i in range(1, 6)
+        for j in range(1, 6)
+        for r in range(min(i, j))
+    ]
+    s4 = [{"permutation": " ".join(map(str, p))} for p in itertools.permutations(range(1, 5))]
+    rng = random.Random(5)
+    s5 = [{"permutation": " ".join(map(str, rng.sample(range(1, 6), 5)))} for _ in range(20)]
+    shared = {"n": 4, "conditions": [{"i": 3, "j": 4, "r": 1}, {"i": 4, "j": 3, "r": 1}]}
+    return [*singles, *s4, *s5, {"n": 3, "conditions": []}, shared]
+
+
+def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys):
+    # the command completes and writes on packed ints; the reference
+    # completes the determinants as Polynomials and writes them through
+    # json_text and polynomial_text
+    specs = groebner_sweep_specs()
+    assert len(specs) == 101
+    path = str(tmp_path / "spec.json")
+    for data in specs:
+        Path(path).write_text(json.dumps(data))
+        basis = buchberger(generator_polynomials(load_spec(path)))
+        expected = {
+            "json": json_text(basis) + "\n",
+            "text": "".join(polynomial_text(f) + "\n" for f in basis),
+        }
+        for form, text in expected.items():
+            assert main(["groebner", path, f"--format={form}"]) == 0
+            assert capsys.readouterr() == (text, ""), data
+    target = tmp_path / "out.json"
+    assert main(["groebner", path, "--format=json", f"--out={target}"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text(encoding="utf-8") == expected["json"]
+
+
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_groebner_builds_no_polynomial(form, tmp_path, capsys, monkeypatch):
+    # the minors are expanded straight into packed ints, completed there
+    # and written from them
+    for data in ({"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]}, {"permutation": "1 5 4 3 2"}):
+        path = write_spec(tmp_path, "spec.json", data)
+        assert main(["groebner", path, f"--format={form}"]) == 0
+        expected = capsys.readouterr().out
+        calls = spy_on_polynomial_paths(monkeypatch)
+        assert main(["groebner", path, f"--format={form}"]) == 0
+        assert capsys.readouterr().out == expected
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_groebner_refuses_an_oversized_permutation_before_any_minor(tmp_path, capsys, monkeypatch):
+    # its distinct minors would complete in seconds, but the guard counts a
+    # minor once per condition that holds it
+    monkeypatch.setattr("nwgb.polynomials._Layout.minor", lambda *args: no_minors(None))
+    path = write_spec(tmp_path, "spec.json", {"permutation": "2 1 9 8 7 6 5 4 3"})
+    assert main(["groebner", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the input needs at least 3773882 units of work, over the limit of 1000000\n",
+    )
 
 
 def test_union_text_output(spec_231, spec_312, capsys):

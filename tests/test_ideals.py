@@ -15,6 +15,7 @@ from nwgb import (
     RankConditionSpec,
     antidiagonals_of_spec,
     fulton_generators,
+    generator_minors,
     generator_polynomials,
     ideals_equal,
     load_spec,
@@ -151,6 +152,9 @@ def test_generator_polynomials_keep_the_first_of_each_minor():
     for spec in redundant_specs():
         listed = [poly for _, _, _, poly in fulton_generators(spec)]
         distinct = generator_polynomials(spec)
+        minors = generator_minors(spec)
+        assert minors == list(dict.fromkeys((r, c) for _, r, c, _ in fulton_generators(spec)))
+        assert distinct == [determinant(rows, cols) for rows, cols in minors]
         assert len(set(distinct)) == len(distinct)
         assert distinct == list(dict.fromkeys(listed))  # first-occurrence order
         assert ideals_equal(distinct, listed)

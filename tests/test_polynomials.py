@@ -355,6 +355,36 @@ def test_sign_table_lists_the_permutations_in_itertools_order():
         assert [sign for _, sign in table] == [inversion_sign(perm) for perm, _ in table]
 
 
+@pytest.mark.parametrize("bits", [3, 8])
+def test_packed_minor_is_the_packed_determinant(bits):
+    # every minor of size up to 4 of a 5x5 layout, term by term and in
+    # order; pack_poly refuses a monomial whose degree passes the field
+    # (3 at 3 bits), so a 4-minor at 3 bits is checked against the sum of
+    # its cells' units alone
+    layout = _Layout((), bits, [Cell(r, c) for r in range(1, 6) for c in range(1, 6)])
+    for size in range(1, 5):
+        for rows in combinations(range(1, 6), size):
+            for cols in combinations(range(1, 6), size):
+                packed = layout.minor(rows, cols)
+                f = determinant(rows, cols)
+                units = {sum(map(layout.unit.get, m.key[:-1])): c for m, c in f.terms.items()}
+                assert list(packed.items()) == list(units.items())
+                if size <= layout.field:
+                    assert packed == layout.pack_poly(f)
+
+
+def test_packed_minor_fits_two_bit_fields():
+    # a term uses each variable once, so one exponent bit holds it: every
+    # minor of a 5x5 layout at 2 bits unpacks to its determinant
+    layout = _Layout((), 2, [Cell(r, c) for r in range(1, 6) for c in range(1, 6)])
+    for size in range(1, 6):
+        for rows in combinations(range(1, 6), size):
+            for cols in combinations(range(1, 6), size):
+                packed = layout.minor(rows, cols)
+                assert not any(x & layout.guard for x in packed)
+                assert layout.polynomial(packed) == determinant(rows, cols)
+
+
 def test_determinant_errors():
     with pytest.raises(ValueError):
         determinant([1, 2], [1])

@@ -834,18 +834,18 @@ def test_determinant_coefficients_are_canonical_exact():
 
 def test_union_builds_each_generator_and_expands_each_minor_once(monkeypatch):
     calls = {"product": 0, "minors": []}
-    build, expand = nwgb.union.generator_product, nwgb.polynomials.determinant
+    build, expand = nwgb.union.generator_product, nwgb.polynomials._Layout.minor
 
     def counted_build(*args):
         calls["product"] += 1
         return build(*args)
 
-    def counted_expand(rows, cols):
+    def counted_expand(layout, rows, cols):
         calls["minors"].append((tuple(rows), tuple(cols)))
-        return expand(rows, cols)
+        return expand(layout, rows, cols)
 
     monkeypatch.setattr(nwgb.union, "generator_product", counted_build)
-    monkeypatch.setattr(nwgb.polynomials, "determinant", counted_expand)
+    monkeypatch.setattr(nwgb.polynomials._Layout, "minor", counted_expand)
     specs = schubert_specs("1 5 4 3 2", "4 3 2 1 5")
     basis = union_basis(specs)
     # a product is formed when it is read, and the products share the minors

@@ -6,7 +6,7 @@ import random
 from functools import reduce
 
 import pytest
-from conftest import folded_product
+from conftest import folded_product, spy_on_polynomial_paths
 
 import nwgb.cli
 import nwgb.groebner
@@ -21,14 +21,14 @@ from nwgb.groebner import (
     intersect_many,
     is_groebner,
     leading_ideal,
+    minor_basis,
 )
-from nwgb.ideals import generator_polynomials, spec_from_permutation
+from nwgb.ideals import generator_minors, generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
-from nwgb.polynomials import Antidiagonal, Cell
+from nwgb.polynomials import Antidiagonal, Cell, _code
 from nwgb.union import generator_product, union_basis
 from nwgb.verify import (
     SUITES,
-    _completed,
     _divided,
     _embed,
     _initial_meet,
@@ -177,7 +177,7 @@ def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
     specs = _specs("1 5 4 3 2", "4 3 2 1 5")
     bases = spec_bases(specs)
     done = []
-    for name in ("reduces_to_zero", "_packed", "_completed"):
+    for name in ("reduces_to_zero", "_packed", "minor_basis"):
         monkeypatch.setattr(nwgb.verify, name, lambda *args, name=name: done.append(name))
     message = r"the ideal of 1 5 4 3 2 uses m\[1,4\]"
     with pytest.raises(ValueError, match=message):
@@ -190,9 +190,12 @@ def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
 
 def test_membership_forms_the_products_again_when_a_division_outgrows_them(monkeypatch):
     # from a 2-bit start the products are held at the proven width, 3 bits
-    # for two inputs, where packing the first spec's basis overflows (its
-    # 4x4 minor has degree 4); both calls then form the products again at
-    # 4 bits, and union_verdicts completes each spec anew there
+    # for two inputs.  membership_failures packs the caller's Polynomial
+    # bases there, and packing the first spec's basis refuses its degree-4
+    # minor, so it forms the products again at 4 bits.  union_verdicts
+    # expands the minors exponent-exactly: nothing outgrows 3 bits, and
+    # each spec is completed once; a completion that does outgrow them
+    # (forced below) makes it form the products and complete anew at 4
     specs = _specs("1 2 3 5 4", "5 3 4 1 2")
     basis = union_basis(specs)
     bases = spec_bases(specs)
@@ -205,11 +208,14 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
         return divide(products, bases)
 
     completions = []
-    complete = nwgb.verify._completed
+    complete = nwgb.verify.minor_basis
+    outgrow = []
 
-    def completing(generators, layout):
+    def completing(minors, layout):
         completions.append(layout.bits)
-        return complete(generators, layout)
+        if layout.bits in outgrow:
+            raise nwgb.polynomials._Overflow
+        return complete(minors, layout)
 
     formed = []
     product = nwgb.union._Packing.product
@@ -217,7 +223,7 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
         nwgb.union._Packing, "product", lambda self, f: formed.append(self.bits) or product(self, f)
     )
     monkeypatch.setattr(nwgb.verify, "reduces_to_zero", spy)
-    monkeypatch.setattr(nwgb.verify, "_completed", completing)
+    monkeypatch.setattr(nwgb.verify, "minor_basis", completing)
     monkeypatch.setattr(nwgb.polynomials, "_FIELD_BITS", 2)
     assert membership_failures(basis, specs, bases) == expected[0] == []
     assert widths == [3, 4, 4]
@@ -226,7 +232,15 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
     widths.clear()
     formed.clear()
     assert union_verdicts(basis, specs, "full-oracle") == expected == ([], True, True)
-    assert widths == [3, 4, 4]
+    assert widths == [3, 3]
+    assert formed == [3] * len(basis)
+    assert completions == [3, 3]
+    widths.clear()
+    formed.clear()
+    completions.clear()
+    outgrow.append(3)
+    assert union_verdicts(basis, specs, "full-oracle") == expected
+    assert widths == [3, 4, 4]  # the first basis is completed on the first division
     assert formed == [3] * len(basis) + [4] * len(basis)
     assert completions == [3, 4, 4]
 
@@ -412,21 +426,19 @@ def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
 
 @pytest.mark.parametrize("texts", [("1 5 4 3 2", "4 3 2 1 5"), ("1 4 2 3", "1 3 4 2")])
 def test_union_verdicts_stay_on_packed_ints(texts, monkeypatch):
-    # the basis passes, so the check completes each spec in the products'
-    # layout, divides and proves on packed ints, and unpacks nothing
+    # the basis passes, so the check expands each spec's minors in the
+    # products' layout and completes them there, divides and proves on
+    # packed ints, and makes no Polynomial and unpacks nothing
     specs = _specs(*texts)
     basis = union_basis(specs)
-    calls = []
+    calls = spy_on_polynomial_paths(monkeypatch)
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for module in (nwgb.groebner, nwgb.verify):
-        monkeypatch.setattr(module, "buchberger", counted("buchberger", buchberger))
     monkeypatch.setattr(nwgb.verify, "spec_bases", counted("spec_bases", spec_bases))
-    for name in ("unpack", "polynomial"):
-        method = getattr(nwgb.polynomials._Layout, name)
-        monkeypatch.setattr(nwgb.polynomials._Layout, name, counted(name, method))
+    polynomial = nwgb.polynomials._Layout.polynomial
+    monkeypatch.setattr(nwgb.polynomials._Layout, "polynomial", counted("polynomial", polynomial))
     monkeypatch.setattr(
         MonomialIdeal,
         "from_monomials",
@@ -456,8 +468,10 @@ def test_packed_spec_bases_and_meet_match_the_polynomial_reference():
     # one _initial_meet builds on Monomial values
     for texts in reference_cases():
         specs = _specs(*texts)
-        generators = [generator_polynomials(s) for s in specs]
-        _, bases, _ = _divided(union_basis(specs), specs, generators, _completed)
+        minors = [generator_minors(s) for s in specs]
+        used = [{_code((r, c)) for rows, cols in m for r in rows for c in cols} for m in minors]
+        makers = [lambda layout, m=m: minor_basis(m, layout) for m in minors]
+        _, bases, _ = _divided(union_basis(specs), specs, used, makers)
         (layout, packed), = bases.items()
         reference = spec_bases(specs)
         assert [[layout.polynomial(g) for g in b] for b in packed] == [
