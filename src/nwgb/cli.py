@@ -41,8 +41,6 @@ from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import (
     _Layout,
     _PackedProduct,
-    _TermLayout,
-    _json_list,
     json_text,
     packed_text_lines,
     polynomial_text,
@@ -186,8 +184,7 @@ def _cmd_groebner(args: SimpleNamespace) -> int:
     # use every row in every term
     basis = [_PackedProduct(layout, f, ()) for f in basis]
     if args.format == "json":
-        writer = _TermLayout(2)
-        _emit([_json_list([writer.write_packed(f) for f in basis], 0, "[]") + "\n"], args)
+        _emit([json_text(basis) + "\n"], args)
     else:
         _emit(["".join(packed_text_lines(basis))], args)
     return EXIT_OK

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import AUX, Monomial, Polynomial, _Layout, _Overflow, _PackedProduct, _Value
 
@@ -153,29 +153,20 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _run([f, *basis], job)
 
 
-def reduces_to_zero(
-    products: Iterable[_PackedProduct], bases: Mapping[_Layout, Sequence[dict]]
-) -> list[bool]:
-    """Whether ``normal_form`` of each packed product by ``bases[layout]``,
-    a basis of nonzero packed polynomials in the product's own layout, is
-    zero.
+def reduces_to_zero(products: Sequence[_PackedProduct], basis: Sequence[dict]) -> list[bool]:
+    """Whether ``normal_form`` of each packed product by ``basis``, nonzero
+    packed polynomials in the products' one layout, is zero.
 
-    Each product is divided on its own packed terms, which it keeps, and
-    each layout's basis is read into reducers once, when the first product
-    in that layout is divided; a mapping that makes a basis on a miss
-    (``_Made``) makes it then, at the product's width.  An exponent that
-    outgrows that width raises ``_Overflow``, and the caller forms the
-    products, and makes the bases, again with wider fields
+    The basis is read into reducers once, and each product is divided on
+    its own packed terms, which it keeps.  An exponent that outgrows the
+    layout's width raises ``_Overflow``, and the caller forms the products,
+    and completes the basis, again with wider fields
     (``_Layout.widening``)."""
-    firsts: dict[_Layout, Callable[[int], Reducer | None]] = {}
-    zero = []
-    for f in products:
-        layout = f.layout
-        first = firsts.get(layout)
-        if first is None:
-            first = firsts[layout] = _scan([_reducer(g) for g in bases[layout]], layout.guard)
-        zero.append(not _divide(dict(f.terms), first, layout.guard))
-    return zero
+    if not products:
+        return []
+    guard = products[0].layout.guard
+    first = _scan([_reducer(g) for g in basis], guard)
+    return [not _divide(dict(f.terms), first, guard) for f in products]
 
 
 def _scan(reducers: list[Reducer], guard: int) -> Callable[[int], Reducer | None]:

@@ -489,7 +489,8 @@ def antidiagonal_of(rows: Iterable[int], cols: Iterable[int]) -> Antidiagonal:
 # packed monomials
 
 class _Overflow(Exception):
-    """An exponent outgrew the field width."""
+    """A packed exponent may not fit its field: a sum set a guard bit, or a
+    monomial's degree passed the field width (``_Layout.pack``)."""
 
 
 # the narrowest field a division starts at: a guard bit over 7 exponent bits
@@ -526,6 +527,10 @@ class _Layout:
                 bits *= 2
 
     def pack(self, mono: Monomial) -> int:
+        """The packed int of ``mono``.  It refuses by degree, a bound that
+        covers every exponent: a monomial of degree past the field's
+        largest exponent raises ``_Overflow``, even when each of its
+        exponents would fit."""
         if mono.degree() > self.field:
             raise _Overflow  # some exponent may not fit
         # one unit in its variable's field per factor of the key
@@ -829,10 +834,10 @@ class _TermLayout:
 
 def json_text(value) -> str:
     """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
-    strings, ints and :class:`Polynomial` values, each as
-    :func:`polynomial_to_json` gives it; anything else raises
-    ``TypeError``.  ``indent`` sends ``json`` to its pure-Python encoder;
-    here each ``[row, col, exp]`` block is written once per call and
+    strings, ints, and :class:`Polynomial` and packed (``_PackedProduct``)
+    values, each as :func:`polynomial_to_json` gives the polynomial;
+    anything else raises ``TypeError``.  ``indent`` sends ``json`` to its
+    pure-Python encoder; here each ``[row, col, exp]`` block is written once per call and
     indent, and each term of a polynomial in one piece."""
     layouts = _Made(_TermLayout)
 
@@ -851,6 +856,8 @@ def json_text(value) -> str:
             return _json_list(items, indent, "{}")
         if kind is Polynomial:
             return layouts[indent].write(value)
+        if kind is _PackedProduct:
+            return layouts[indent].write_packed(value)
         raise TypeError(f"{kind.__name__} is not written as JSON")
 
     return write(value, 0)

@@ -360,27 +360,32 @@ def generator_product(
 
 def hold(basis: Iterable[GeneratorProduct], bits: int = _FIELD_BITS) -> list[GeneratorProduct]:
     """The generators of ``basis``, each on a handle that holds its
-    product, formed once with fields of ``bits`` bits, or of the proven
-    width when that is wider (see ``_Packing.product``).  A handle that
-    already holds its product at that width is kept as it is; the others
-    of one packing share one new packing of that width.
+    product, formed once in one packing with fields of ``bits`` bits, or of
+    the proven width when that is wider (see ``_Packing.product``).  That
+    packing is the handles' own when they share one, as the handles of one
+    ``union_basis`` call do, and else one that spans the largest height,
+    width and input count among theirs.  A handle that already holds its
+    product in that packing at that width is kept as it is.
 
     A caller that divides the products keeps every one, so it holds them,
-    and the writers and the checks read the same products.  The default
-    width is the one a division starts at (``_Layout.widening``), so the
-    checks divide the products a writer read.  Dividing by a spec's basis
-    can make exponents past the number of inputs, but from the proven
-    width no check started over on the 34 pooled ``oracle`` jobs of the
-    benchmark or on 294 S5 pairs and triples drawn by ``Random(0)``: the
-    restarts once counted there (6 and 31) were all a ``Polynomial``
-    minor's degree refused by ``_Layout.pack``, and the minors are now
-    expanded exactly (``_Layout.minor``)."""
-    packings: dict[_Packing, _Packing] = {}
+    and the writers and the checks read the same products, in one layout.
+    The default width is the one a division starts at
+    (``_Layout.widening``), so the checks divide the products a writer
+    read."""
+    basis = list(basis)
+    packings = list(dict.fromkeys(g._packing for g in basis))
+    if not packings:
+        return []
+    packing, *others = packings
+    if others:
+        packing = _Packing(
+            max(len(p.rows) for p in packings),
+            max(len(p.cols) for p in packings),
+            max(p.count for p in packings),
+        )
+    packing = packing.at(bits)
     held = []
     for g in basis:
-        packing = packings.get(g._packing)
-        if packing is None:
-            packing = packings[g._packing] = g._packing.at(bits)
         if g._held is None or packing is not g._packing:
             g = GeneratorProduct(g.inputs, g.factors, packing)
             g._held = packing.product(g.factors)

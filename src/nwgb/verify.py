@@ -25,7 +25,7 @@ values, which the suites' init-theorem check and the tests read.
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import permutations as _itertools_permutations
@@ -57,9 +57,7 @@ from .polynomials import (
     Monomial,
     compare,
     MONOMIAL_ONE,
-    Polynomial,
     _Layout,
-    _Made,
     _PackedProduct,
     _cell,
     _code,
@@ -90,85 +88,50 @@ def honest_permutations(n: int) -> list[PartialPermutation]:
 
 def spec_bases(specs: Sequence[RankConditionSpec]) -> list[IdealPresentation]:
     """Each spec's ideal, presented by its reduced Groebner basis, in spec
-    order, on ``Polynomial`` values: the bases a caller of
-    ``membership_failures`` completes once for many calls, and the
-    reference for those that ``union_verdicts`` completes on packed ints."""
+    order, on ``Polynomial`` values: the reference for the bases that
+    ``union_verdicts`` completes on packed ints."""
     return [IdealPresentation(tuple(buchberger(generator_polynomials(s)))) for s in specs]
-
-
-def membership_failures(
-    basis: Sequence[GeneratorProduct],
-    specs: Sequence[RankConditionSpec],
-    bases: Sequence[IdealPresentation],
-) -> list[str]:
-    """One message per (spec, generator) pair where the generator's
-    product does not reduce to zero against the spec's reduced basis
-    (``spec_bases``), which a caller completes once for many calls.
-
-    Each basis is packed into each product's layout, and each product is
-    divided there on its packed ints, in the loop that ``union_verdicts``
-    feeds with the bases it completes in that layout (``_divided``)."""
-    generators = [b.generators for b in bases]
-    used = [{c for g in gens for m in g.terms for c in m.key[:-1]} for gens in generators]
-    products, _, zero = _divided(basis, specs, used, [partial(_packed, g) for g in generators])
-    return _failures(specs, products, zero)
-
-
-def _packed(generators: Sequence[Polynomial], layout: _Layout) -> list[dict]:
-    return [layout.pack_poly(g) for g in generators]
 
 
 def _divided(
     basis: Sequence[GeneratorProduct],
     specs: Sequence[RankConditionSpec],
-    used: Sequence[set[int]],
-    makers: Sequence[Callable[[_Layout], list[dict]]],
-) -> tuple[list[_PackedProduct], dict[_Layout, list[list[dict]]], list[list[bool]]]:
-    """(products, bases, zero) for the products of ``basis``: ``bases`` maps
-    each of their layouts to each spec's reduced basis in it, made once as
-    ``makers[k](layout)``, and ``zero[k][i]`` says whether product i
-    reduces to zero against spec k's (``reduces_to_zero``).  An empty basis
-    has no layout of its own, so its one layout is that of the variables
-    the specs use.
+    minors: Sequence[Sequence[tuple]],
+) -> tuple[list[_PackedProduct], _Layout, list[list[dict]], list[list[bool]]]:
+    """(products, layout, bases, zero) for the products of ``basis``, held
+    in one layout (``hold``): ``bases[k]`` is spec k's reduced basis, its
+    ``minors[k]`` (``generator_minors``) completed once in that layout
+    (``minor_basis``), and ``zero[k][i]`` says whether product i reduces
+    to zero against it (``reduces_to_zero``).  An empty basis has no
+    layout of its own, so its layout is that of the variables the specs
+    use.
 
-    A layout must hold ``used[k]``, the codes of the variables of spec k,
-    as the layout of ``union_basis(specs)`` does; a layout that lacks one
-    raises ValueError, naming the spec and the cell, before any basis is
-    made or product divided.  The products are held (``hold``) at the
-    width the engine starts at; if making a basis or a division outgrows
-    it, every product is formed again at double the width, and the bases
-    are made and the products divided anew (``_Layout.widening``)."""
+    The layout must hold every variable of every spec's minors, as the
+    layout of ``union_basis(specs)`` does; a layout that lacks one raises
+    ValueError, naming the spec and the cell, before any basis is completed
+    or product divided.  The products are held at the width the engine
+    starts at; if a completion or a division outgrows it, every product is
+    formed again at double the width, and the bases are completed and the
+    products divided anew (``_Layout.widening``)."""
+    used = [{_code((r, c)) for rows, cols in m for r in rows for c in cols} for m in minors]
 
     def divide(bits: int):
         products = [g.packed for g in hold(basis, bits)]
-        layouts = list(dict.fromkeys(f.layout for f in products))
-        if not layouts:
-            layouts = [_Layout((), bits, map(_cell, set().union(*used)))]
-        for layout in layouts:
-            for spec, codes in zip(specs, used):
-                if not codes.issubset(layout.unit):
-                    row, col = _cell(min(codes.difference(layout.unit)))
-                    raise ValueError(
-                        f"the ideal of {spec.label or 'spec'} uses m[{row},{col}],"
-                        " which a generator's layout lacks"
-                    )
-        made = [_Made(make) for make in makers]
-        zero = [reduces_to_zero(products, bases) for bases in made]
-        # every layout's bases, an empty basis's one layout included
-        return products, {layout: [bases[layout] for bases in made] for layout in layouts}, zero
+        if products:
+            layout = products[0].layout
+        else:
+            layout = _Layout((), bits, map(_cell, set().union(*used)))
+        for spec, codes in zip(specs, used):
+            if not codes.issubset(layout.unit):
+                row, col = _cell(min(codes.difference(layout.unit)))
+                raise ValueError(
+                    f"the ideal of {spec.label or 'spec'} uses m[{row},{col}],"
+                    " which a generator's layout lacks"
+                )
+        bases = [minor_basis(m, layout) for m in minors]
+        return products, layout, bases, [reduces_to_zero(products, b) for b in bases]
 
     return _Layout.widening(divide)
-
-
-def _failures(
-    specs: Sequence[RankConditionSpec], products: list[_PackedProduct], zero: list[list[bool]]
-) -> list[str]:
-    return [
-        f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
-        for spec, spec_zero in zip(specs, zero)
-        for f, member in zip(products, spec_zero)
-        if not member
-    ]
 
 
 def union_verdicts(
@@ -178,17 +141,20 @@ def union_verdicts(
 ) -> tuple[list[str], bool | None, bool | None]:
     """(failures, criterion, equality) for the union basis B of ``specs``, a
     list of ``union_basis`` handles, at the ``--verify`` depth "membership"
-    or "full-oracle".  ``failures`` (as ``membership_failures`` words them)
-    reduces B against each spec's ideal I_k.  At "membership" depth both
-    verdicts are None; else they say whether B is a Groebner basis, and
-    whether it generates the intersection of the I_k.
+    or "full-oracle".  ``failures`` has one message per generator of B and
+    spec whose ideal I_k the generator's product does not reduce into, spec
+    by spec.  At "membership" depth both verdicts are None; else they say
+    whether B is a Groebner basis, and whether it generates the
+    intersection of the I_k.  No spec raises ValueError, as ``union_basis``
+    does, before any work.
 
-    The whole check runs on packed ints, in the layout of the held products
-    (``hold``; a caller that held them already, to write them, passes them
-    on).  Each spec's distinct minors (``generator_minors``) are expanded
-    straight into that layout (``_Layout.minor``) and completed there once
-    (``minor_basis``), and every product is divided by those packed reduced
-    bases (``_divided``); the layout must hold the minors' cells.
+    The whole check runs on packed ints, in the one layout of the held
+    products (``hold``; a caller that held them already, to write them,
+    passes them on).  Each spec's distinct minors (``generator_minors``)
+    are expanded straight into that layout (``_Layout.minor``) and
+    completed there once (``minor_basis``), and every product is divided
+    by those packed reduced bases (``_divided``); the layout must hold the
+    minors' cells.
 
     Both verdicts are true, and nothing else is completed, when B lies in
     every I_k and every minimal generator of the monomial meet of the
@@ -211,35 +177,38 @@ def union_verdicts(
     The meet and the divisibility are read on packed ints too
     (``_packed_meet``).
 
-    Otherwise, and whenever B's handles come from more than one packing,
-    B and the packed spec bases are unpacked into ``Polynomial`` values;
-    a reduced basis is unique, so the spec bases are not completed again.
-    The criterion is ``is_groebner(B)``.  Equality is false when B fails
-    membership, since an element outside some I_k is outside the
+    Otherwise B and the packed spec bases are unpacked into ``Polynomial``
+    values; a reduced basis is unique, so the spec bases are not completed
+    again.  The criterion is ``is_groebner(B)``.  Equality is false when B
+    fails membership, since an element outside some I_k is outside the
     intersection, and else it is ``ideals_equal(B, intersect_many(...))``
     of the spec bases, which reads the intersection's reduced basis from
     the engine's record and completes B.
     """
     if depth not in ("membership", "full-oracle"):
         raise ValueError(f"unknown verify depth {reprlib.repr(depth)}")
-    minors = [generator_minors(spec) for spec in specs]
-    used = [{_code((r, c)) for rows, cols in m for r in rows for c in cols} for m in minors]
-    products, bases, zero = _divided(basis, specs, used, [partial(minor_basis, m) for m in minors])
-    failures = _failures(specs, products, zero)
+    if not specs:
+        raise ValueError("need at least one spec")
+    products, layout, bases, zero = _divided(basis, specs, [generator_minors(s) for s in specs])
+    failures = [
+        f"{polynomial_text(f)} is not in the ideal of {spec.label or 'spec'}"
+        for spec, spec_zero in zip(specs, zero)
+        for f, member in zip(products, spec_zero)
+        if not member
+    ]
     if depth == "membership":
         return failures, None, None
-    (layout, packed), *others = bases.items()
-    if not failures and not others:
+    if not failures:
         leads = [max(f.terms) for f in products]
         guard = layout.guard
         # the guard-bit test of _Layout.divides, inlined
         if all(
             any(((m | guard) - lead) & guard == guard for lead in leads)
-            for m in _packed_meet(layout, packed)
+            for m in _packed_meet(layout, bases)
         ):
             return failures, True, True
-    polys = [f.layout.polynomial(f.terms) for f in products]
-    spec_ideals = [IdealPresentation(layout.polynomial(g) for g in b) for b in packed]
+    polys = [layout.polynomial(f.terms) for f in products]
+    spec_ideals = [IdealPresentation(layout.polynomial(g) for g in b) for b in bases]
     return failures, is_groebner(polys), not failures and ideals_equal(
         polys, intersect_many(spec_ideals)
     )

@@ -1,5 +1,5 @@
 """A time limit on every test, the contract of the package's value
-types, and the reference product of a union generator.
+types, and the reference product of a union generator and its membership.
 
 A defect in the engine can make a completion or a division loop forever;
 without a limit the suite would then hang instead of failing.  The slowest
@@ -11,7 +11,8 @@ import signal
 
 import pytest
 
-from nwgb.polynomials import Polynomial, determinant
+from nwgb.groebner import normal_form
+from nwgb.polynomials import Polynomial, determinant, polynomial_text
 
 LIMIT_S = 60
 
@@ -76,6 +77,21 @@ def folded_product(factors):
     for factor in factors:
         poly = poly * determinant(factor.rows(), factor.cols())
     return poly
+
+
+def reference_failures(basis, specs, bases) -> list[str]:
+    """One message per spec and generator, spec by spec, in the words of
+    ``union_verdicts``, where the generator's folded product has a nonzero
+    ``normal_form`` against the spec's reduced basis (``bases``, as
+    ``spec_bases`` gives them, in spec order): the independent reference
+    that the union check's membership is held to."""
+    folds = [folded_product(g.factors) for g in basis]
+    return [
+        f"{polynomial_text(fold)} is not in the ideal of {spec.label or 'spec'}"
+        for spec, b in zip(specs, bases)
+        for fold in folds
+        if not normal_form(fold, b.generators).is_zero()
+    ]
 
 
 def spy_on_polynomial_paths(monkeypatch) -> list[str]:

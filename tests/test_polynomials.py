@@ -591,8 +591,25 @@ def test_json_text_equals_json_dumps_on_random_payloads():
     assert json_text(nested) == json.dumps(nested, indent=2)
 
 
-# a union factor and a packed product are written by the union writers
-# (nwgb.union), not by json_text
+def test_json_text_writes_a_packed_polynomial_as_its_polynomial():
+    # read whole (no masks), as nwgb groebner writes a basis element, and
+    # in halves of whole rows, as a union product is written
+    layout = _Layout((), 3, [Cell(r, c) for r in (1, 2, 3) for c in (1, 2, 3)])
+    minor = layout.minor((1, 2, 3), (1, 2, 3))
+    whole = _PackedProduct(layout, minor, ())
+    halves = _PackedProduct(layout, minor, tuple(layout.row_masks))
+    one = _PackedProduct(layout, {0: 1}, ())
+    reference = polynomial_to_json(determinant((1, 2, 3), (1, 2, 3)))
+    value = [whole, {"poly": halves, "one": one}]
+    assert json_text(value) == json.dumps(
+        [reference, {"poly": reference, "one": polynomial_to_json(Polynomial.constant(1))}],
+        indent=2,
+    )
+    assert json_text(whole) == json.dumps(reference, indent=2)
+
+
+# a union factor is written by the union writers (nwgb.union), not by
+# json_text
 @pytest.mark.parametrize(
     "value",
     [
@@ -604,7 +621,6 @@ def test_json_text_equals_json_dumps_on_random_payloads():
         Fraction(1, 2),
         MONOMIAL_ONE,
         antidiagonal_of((1, 2), (1, 2)),
-        _PackedProduct(_Layout((), 2, [Cell(1, 1)]), {1: 1}, (1,)),
     ],
     ids=repr,
 )

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations, product
 
 import pytest
-from conftest import folded_product
+from conftest import folded_product, reference_failures
 
 from nwgb import (
     Antidiagonal,
@@ -39,7 +39,7 @@ from nwgb.union import (
     certified,
     hold,
 )
-from nwgb.verify import honest_permutations, membership_failures, spec_bases
+from nwgb.verify import honest_permutations, spec_bases, union_verdicts
 from test_polynomials import monic
 
 
@@ -423,16 +423,18 @@ def test_s5_pair_generator_outside_one_ideal():
     basis = union_basis(specs)
     assert len(basis) == 12
     bases = spec_bases(specs)
-    bad = [g for g in basis if membership_failures([g], specs, bases)]
+    bad = [g for g in basis if reference_failures([g], specs, bases)]
     assert [(g.inputs, [(f.rows(), f.cols()) for f in g.factors]) for g in bad] == [
         (
             (anti((1, 3), (3, 2), (4, 1)), anti((1, 3), (2, 1))),
             [((1, 3, 4), (1, 2, 3)), ((2,), (1,))],
         )
     ]
-    assert membership_failures([bad[0]], specs, bases) == [
+    message = (
         f"{polynomial_text(folded_product(bad[0].factors))} is not in the ideal of 1 4 2 3 5"
-    ]
+    )
+    assert reference_failures([bad[0]], specs, bases) == [message]
+    assert union_verdicts(basis, specs, "membership") == ([message], None, None)
 
 
 # the S5 membership census ----------------------------------------------------------
@@ -552,7 +554,7 @@ def s5_bad_generators(pair, bases):
     bad = [
         leads[k]
         for k, g in enumerate(basis)
-        if membership_failures([g], specs, pair_bases)
+        if reference_failures([g], specs, pair_bases)
     ]
     prunable = sum(any(m != lead and m.divides(lead) for m in leads) for lead in bad)
     return prunable, len(bad) - prunable
@@ -1102,3 +1104,27 @@ def test_hold_forms_each_product_once_at_the_width_a_division_starts_at(monkeypa
     assert {g.packed.layout.bits for g in wider} == {2 * _FIELD_BITS}
     # never below the proven width
     assert {g.packed.layout.bits for g in hold(basis, 1)} == {3}
+
+
+def test_hold_puts_the_handles_of_two_packings_in_one_layout(monkeypatch):
+    # each generator built alone has a packing of its own inputs' box; hold
+    # forms every product in one packing that spans the largest height,
+    # width and input count, at the width a division starts at, or wider
+    alone = [
+        generator_product([anti((1, 1))]),
+        generator_product([anti((1, 3), (2, 2)), anti((3, 1))]),
+        generator_product(spokes(4)),
+    ]
+    assert len({g.packed.layout for g in alone}) == 3
+    formed = count_products(monkeypatch)
+    held = hold(alone)
+    assert formed == [g.factors for g in alone]
+    assert held == alone and len({id(g._packing) for g in held}) == 1
+    assert len({g.packed.layout for g in held}) == 1
+    assert [unpacked(g) for g in held] == [unpacked(g) for g in alone]
+    assert [unpacked(g) for g in held] == [folded_product(g.factors) for g in alone]
+    packing = held[0]._packing
+    assert (len(packing.rows), len(packing.cols), packing.count) == (5, 5, 4)
+    assert held[0].packed.layout.bits == _FIELD_BITS
+    assert {g.packed.layout.bits for g in hold(alone, 1)} == {4}  # 4 inputs need 4 bits
+    assert hold([]) == []

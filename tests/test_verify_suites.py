@@ -6,7 +6,7 @@ import random
 from functools import reduce
 
 import pytest
-from conftest import folded_product, spy_on_polynomial_paths
+from conftest import folded_product, reference_failures, spy_on_polynomial_paths
 
 import nwgb.cli
 import nwgb.groebner
@@ -21,11 +21,10 @@ from nwgb.groebner import (
     intersect_many,
     is_groebner,
     leading_ideal,
-    minor_basis,
 )
 from nwgb.ideals import generator_minors, generator_polynomials, spec_from_permutation
 from nwgb.permutations import parse_one_line
-from nwgb.polynomials import Antidiagonal, Cell, _code
+from nwgb.polynomials import Antidiagonal, Cell
 from nwgb.union import generator_product, union_basis
 from nwgb.verify import (
     SUITES,
@@ -35,7 +34,6 @@ from nwgb.verify import (
     _packed_meet,
     _union_pair_checks,
     honest_permutations,
-    membership_failures,
     run_suite,
     sampled_s4_pairs,
     spec_bases,
@@ -157,31 +155,42 @@ def _variable(row, col):
     return generator_product([Antidiagonal([Cell(row, col)])])
 
 
-def test_membership_failures_names_each_missing_generator():
+def test_membership_names_each_missing_generator():
     specs = _specs("2 3 1", "3 1 2")
     basis = union_basis(specs)
     bases = spec_bases(specs)
-    assert membership_failures(basis, specs, bases) == []
+    assert reference_failures(basis, specs, bases) == []
+    assert union_verdicts(basis, specs, "membership") == ([], None, None)
     outside = _variable(3, 3)
-    assert membership_failures([outside], specs, bases) == [
-        "1*m[3,3] is not in the ideal of 2 3 1",
-        "1*m[3,3] is not in the ideal of 3 1 2",
-    ]
+    expected = ["1*m[3,3] is not in the ideal of 2 3 1", "1*m[3,3] is not in the ideal of 3 1 2"]
+    assert reference_failures([outside], specs, bases) == expected
+    assert union_verdicts([outside], specs, "membership") == (expected, None, None)
+
+
+@pytest.mark.parametrize("depth", ["membership", "full-oracle"])
+def test_union_verdicts_needs_a_spec(depth, monkeypatch):
+    # as union_basis does, before any minor is listed or product formed
+    def no_work(*args):
+        raise AssertionError("no spec means no work")
+
+    for name in ("generator_minors", "hold", "minor_basis", "reduces_to_zero"):
+        monkeypatch.setattr(nwgb.verify, name, no_work)
+    with pytest.raises(ValueError, match=r"^need at least one spec$"):
+        union_verdicts([_variable(1, 1)], [], depth)
+    with pytest.raises(ValueError, match=r"^need at least one spec$"):
+        union_verdicts([], [], depth)
 
 
 def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
     # a generator_product built without a packing spans only its inputs'
     # box, here the one cell m[1,1]; the ideals of the S5 pair use more,
-    # and both calls refuse before they pack or complete a basis or divide
-    # any product
+    # and the check refuses before it completes a basis or divides any
+    # product
     specs = _specs("1 5 4 3 2", "4 3 2 1 5")
-    bases = spec_bases(specs)
     done = []
-    for name in ("reduces_to_zero", "_packed", "minor_basis"):
+    for name in ("reduces_to_zero", "minor_basis"):
         monkeypatch.setattr(nwgb.verify, name, lambda *args, name=name: done.append(name))
     message = r"the ideal of 1 5 4 3 2 uses m\[1,4\]"
-    with pytest.raises(ValueError, match=message):
-        membership_failures([_variable(1, 1)], specs, bases)
     for depth in ("membership", "full-oracle"):
         with pytest.raises(ValueError, match=message):
             union_verdicts([_variable(1, 1)], specs, depth)
@@ -190,22 +199,22 @@ def test_membership_rejects_a_layout_without_a_variable_of_a_spec(monkeypatch):
 
 def test_membership_forms_the_products_again_when_a_division_outgrows_them(monkeypatch):
     # from a 2-bit start the products are held at the proven width, 3 bits
-    # for two inputs.  membership_failures packs the caller's Polynomial
-    # bases there, and packing the first spec's basis refuses its degree-4
-    # minor, so it forms the products again at 4 bits.  union_verdicts
-    # expands the minors exponent-exactly: nothing outgrows 3 bits, and
-    # each spec is completed once; a completion that does outgrow them
-    # (forced below) makes it form the products and complete anew at 4
+    # for two inputs.  union_verdicts expands the minors exponent-exactly:
+    # nothing outgrows 3 bits, and each spec is completed once.  A
+    # completion or a division that does outgrow them (forced below) makes
+    # it form the products and complete anew at 4
     specs = _specs("1 2 3 5 4", "5 3 4 1 2")
     basis = union_basis(specs)
-    bases = spec_bases(specs)
     expected = union_verdicts(basis, specs, "full-oracle")
     widths = []
     divide = nwgb.verify.reduces_to_zero
+    overflow = []
 
-    def spy(products, bases):
+    def spy(products, basis):
         widths.append(products[0].layout.bits)
-        return divide(products, bases)
+        if products[0].layout.bits in overflow:
+            raise nwgb.polynomials._Overflow
+        return divide(products, basis)
 
     completions = []
     complete = nwgb.verify.minor_basis
@@ -225,12 +234,6 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
     monkeypatch.setattr(nwgb.verify, "reduces_to_zero", spy)
     monkeypatch.setattr(nwgb.verify, "minor_basis", completing)
     monkeypatch.setattr(nwgb.polynomials, "_FIELD_BITS", 2)
-    assert membership_failures(basis, specs, bases) == expected[0] == []
-    assert widths == [3, 4, 4]
-    assert formed == [3] * len(basis) + [4] * len(basis)
-    assert completions == []  # the caller completed the bases
-    widths.clear()
-    formed.clear()
     assert union_verdicts(basis, specs, "full-oracle") == expected == ([], True, True)
     assert widths == [3, 3]
     assert formed == [3] * len(basis)
@@ -238,9 +241,18 @@ def test_membership_forms_the_products_again_when_a_division_outgrows_them(monke
     widths.clear()
     formed.clear()
     completions.clear()
+    overflow.append(3)
+    assert union_verdicts(basis, specs, "full-oracle") == expected
+    assert widths == [3, 4, 4]  # both bases are completed before the first division
+    assert formed == [3] * len(basis) + [4] * len(basis)
+    assert completions == [3, 3, 4, 4]
+    widths.clear()
+    formed.clear()
+    completions.clear()
+    overflow.clear()
     outgrow.append(3)
     assert union_verdicts(basis, specs, "full-oracle") == expected
-    assert widths == [3, 4, 4]  # the first basis is completed on the first division
+    assert widths == [4, 4]  # the first completion outgrows 3 bits
     assert formed == [3] * len(basis) + [4] * len(basis)
     assert completions == [3, 4, 4]
 
@@ -281,7 +293,7 @@ def full_oracle_case(specs, monkeypatch, basis=None):
     if basis is None:
         basis = union_basis(specs)
     bases = spec_bases(specs)
-    failures = membership_failures(basis, specs, bases)
+    failures = reference_failures(basis, specs, bases)
     members = not failures
     fallback = []
     monkeypatch.setattr(
@@ -418,7 +430,7 @@ def test_full_oracle_eliminates_when_the_leads_miss_the_meet(monkeypatch):
         chosen = min(meet.minimal_generators, key=lambda m: m.key)  # the largest
         cut = [g for g in basis if folded_product(g.factors).leading_monomial() != chosen]
         assert len(cut) < len(basis)
-        assert not membership_failures(cut, specs, bases)
+        assert not reference_failures(cut, specs, bases)
         assert full_oracle_case(specs, monkeypatch, cut) == (False, False)
         criteria.append(is_groebner([folded_product(g.factors) for g in cut]))
     assert True in criteria and False in criteria
@@ -469,10 +481,7 @@ def test_packed_spec_bases_and_meet_match_the_polynomial_reference():
     for texts in reference_cases():
         specs = _specs(*texts)
         minors = [generator_minors(s) for s in specs]
-        used = [{_code((r, c)) for rows, cols in m for r in rows for c in cols} for m in minors]
-        makers = [lambda layout, m=m: minor_basis(m, layout) for m in minors]
-        _, bases, _ = _divided(union_basis(specs), specs, used, makers)
-        (layout, packed), = bases.items()
+        _, layout, packed, _ = _divided(union_basis(specs), specs, minors)
         reference = spec_bases(specs)
         assert [[layout.polynomial(g) for g in b] for b in packed] == [
             list(b.generators) for b in reference
@@ -490,8 +499,9 @@ def test_union_verdicts_on_an_empty_basis_and_on_two_packings(monkeypatch):
     assert basis == []
     assert union_verdicts(basis, specs, "full-oracle") == ([], True, True)
     assert union_verdicts([], _specs("2 1 4 3", "1 3 4 2"), "full-oracle") == ([], True, False)
-    # handles from two packings, each built alone, go to the exact
-    # fallback, whether or not they pass membership
+    # handles from two packings, each built alone, are held in one layout,
+    # so the proof decides them when they pass membership, and the exact
+    # fallback when they do not
     two = [_variable(1, 1), generator_product([Antidiagonal([Cell(1, 2), Cell(2, 1)])])]
     assert len({g.packed.layout for g in two}) == 2
     assert union_verdicts(two, _specs("2 1 3"), "full-oracle") == (
@@ -506,4 +516,4 @@ def test_union_verdicts_on_an_empty_basis_and_on_two_packings(monkeypatch):
     diagonal = [Antidiagonal([Cell(1, 1)]), Antidiagonal([Cell(2, 2)])]
     members = [_variable(1, 1), generator_product(diagonal)]  # m[1,1], m[1,1]*m[2,2]
     assert union_verdicts(members, _specs("2 1 3"), "full-oracle") == ([], True, True)
-    assert fallback == [2]
+    assert fallback == []
