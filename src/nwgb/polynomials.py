@@ -51,8 +51,8 @@ per ``_RowBlocks``.  The writers of packed terms (``packed_text_lines``,
 ``_TermLayout.write_packed``), which a union basis and ``nwgb groebner``
 write through, keep one ``_RowBlocks`` per layout for as long as they
 write; a layout holds no text.  :func:`json_text` writes the plain
-payloads of the other commands: strings, ints, lists, dicts and
-``Polynomial`` values.
+payloads of the other commands: strings, ints, lists, dicts,
+``Polynomial`` values and, for ``nwgb groebner``, packed ones.
 """
 
 from __future__ import annotations

@@ -502,6 +502,10 @@ def test_union_verdicts_on_an_empty_basis_and_on_two_packings(monkeypatch):
     # handles from two packings, each built alone, are held in one layout,
     # so the proof decides them when they pass membership, and the exact
     # fallback when they do not
+    fallback = []
+    monkeypatch.setattr(
+        "nwgb.verify.is_groebner", lambda b: fallback.append(len(b)) or is_groebner(b)
+    )
     two = [_variable(1, 1), generator_product([Antidiagonal([Cell(1, 2), Cell(2, 1)])])]
     assert len({g.packed.layout for g in two}) == 2
     assert union_verdicts(two, _specs("2 1 3"), "full-oracle") == (
@@ -509,11 +513,9 @@ def test_union_verdicts_on_an_empty_basis_and_on_two_packings(monkeypatch):
         True,
         False,
     )
-    fallback = []
-    monkeypatch.setattr(
-        "nwgb.verify.is_groebner", lambda b: fallback.append(len(b)) or is_groebner(b)
-    )
+    assert fallback == [2]
     diagonal = [Antidiagonal([Cell(1, 1)]), Antidiagonal([Cell(2, 2)])]
     members = [_variable(1, 1), generator_product(diagonal)]  # m[1,1], m[1,1]*m[2,2]
+    assert len({g.packed.layout for g in members}) == 2
     assert union_verdicts(members, _specs("2 1 3"), "full-oracle") == ([], True, True)
-    assert fallback == []
+    assert fallback == [2]  # the proof decided the members
