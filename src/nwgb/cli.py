@@ -7,9 +7,10 @@ so JSON output stays parseable.  Input whose work, counted from the specs
 or the permutation before any minor or rank matrix is built, passes
 ``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb groebner``
 expands the spec's distinct minors straight into packed ints, completes
-them there and writes the packed basis: no minor or basis element is a
-``Polynomial``, and the bytes are those of ``buchberger`` written by
-``json_text`` or ``polynomial_text``.  ``nwgb union``
+them there, without the S-pair queue where a theorem settles it
+(``ideals.fulton_is_groebner``), and writes the packed basis: no minor or
+basis element is a ``Polynomial``, and the bytes are those of
+``buchberger`` written by ``json_text`` or ``polynomial_text``.  ``nwgb union``
 writes each generator as its packed product is formed and then drops it;
 --verify, whose checks divide every product, forms each once before the
 write and keeps it, so the writer and the checks read one product.
@@ -35,7 +36,14 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
 
-from .ideals import check_work, fulton_generators, generator_minors, load_spec, spec_to_json
+from .ideals import (
+    check_work,
+    fulton_generators,
+    fulton_is_groebner,
+    generator_minors,
+    load_spec,
+    spec_to_json,
+)
 from .groebner import minor_basis
 from .permutations import diagram_json, diagram_text, parse_one_line
 from .polynomials import (
@@ -172,12 +180,14 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
 
 
 def _cmd_groebner(args: SimpleNamespace) -> int:
-    minors = generator_minors(load_spec(args.spec))
+    spec = load_spec(args.spec)
+    minors = generator_minors(spec)
+    settled = fulton_is_groebner(spec)
     cells = [(row, col) for rows, cols in minors for row in rows for col in cols]
 
     def complete(bits: int) -> tuple[_Layout, list[dict]]:
         layout = _Layout((), bits, cells)
-        return layout, minor_basis(minors, layout)
+        return layout, minor_basis(minors, layout, settled)
 
     layout, basis = _Layout.widening(complete)
     # one whole-int segment per term (no masks): a basis element need not

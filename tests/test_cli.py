@@ -21,6 +21,7 @@ from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
 from nwgb.groebner import buchberger
 from nwgb.ideals import (
     fulton_generators,
+    fulton_is_groebner,
     generator_polynomials,
     load_spec,
     spec_from_permutation,
@@ -34,7 +35,7 @@ from nwgb.polynomials import (
     polynomial_text,
     polynomial_to_json,
 )
-from nwgb.union import union_basis
+from nwgb.union import hold, union_basis
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -312,6 +313,97 @@ def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys)
     assert main(["groebner", path, "--format=json", f"--out={target}"]) == 0
     assert capsys.readouterr() == ("", "")
     assert target.read_text(encoding="utf-8") == expected["json"]
+
+
+def settled_sweep_specs():
+    """Every single condition of a 6x6 matrix, every honest permutation of
+    sizes 3 to 5, and 60 seeded S6 permutations: specs whose completion a
+    theorem settles (``fulton_is_groebner``)."""
+    singles = [
+        {"n": 6, "conditions": [{"i": i, "j": j, "r": r}]}
+        for i in range(1, 7)
+        for j in range(1, 7)
+        for r in range(min(i, j))
+    ]
+    perms = [
+        {"permutation": " ".join(map(str, p))}
+        for n in (3, 4, 5)
+        for p in itertools.permutations(range(1, n + 1))
+    ]
+    rng = random.Random(5)
+    s6 = [{"permutation": " ".join(map(str, rng.sample(range(1, 7), 6)))} for _ in range(60)]
+    return [*singles, *perms, *s6]
+
+
+def test_groebner_skips_the_queue_without_changing_a_byte(tmp_path, capsys):
+    # the reference completes the determinants through the whole S-pair
+    # queue; the command skips it
+    specs = settled_sweep_specs()
+    assert len(specs) == 91 + 6 + 24 + 120 + 60
+    path = str(tmp_path / "spec.json")
+    refused = []
+    for data in specs:
+        Path(path).write_text(json.dumps(data))
+        code = main(["groebner", path, "--format=json"])
+        out, err = capsys.readouterr()
+        if code == 2:
+            refused.append(data)
+            assert (out, err) == (
+                "",
+                "error: the input needs at least 1220400 units of work, over the limit of 1000000\n",
+            )
+            continue
+        assert fulton_is_groebner(load_spec(path)), data
+        basis = buchberger(generator_polynomials(load_spec(path)))
+        assert (code, out, err) == (0, json_text(basis) + "\n", ""), data
+    assert refused == [{"n": 6, "conditions": [{"i": 6, "j": 6, "r": 3}]}]
+
+
+def test_groebner_runs_the_queue_only_where_no_theorem_settles_it(tmp_path, capsys, monkeypatch):
+    runs = []
+    queue, interreduce = nwgb.groebner._unsettled_pairs, nwgb.groebner._interreduce
+
+    def counted_queue(*args):
+        runs.append("queue")
+        yield from queue(*args)
+        runs.append("queue done")
+
+    def counted_interreduce(*args):
+        runs.append("interreduce")
+        return interreduce(*args)
+
+    monkeypatch.setattr(nwgb.groebner, "_unsettled_pairs", counted_queue)
+    monkeypatch.setattr(nwgb.groebner, "_interreduce", counted_interreduce)
+    w = spec_from_permutation(parse_one_line("1 5 4 3 2"))
+    one_size = [
+        {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]},
+        {"n": 3, "conditions": []},
+        {"permutation": "1 5 4 3 2"},  # three conditions, all of rank 1
+    ]
+    mixed = [{"permutation": "3 1 5 2 4"}, {"permutation": "2 1 4 3"}]
+    unsettled = [
+        {"n": 4, "conditions": [{"i": 3, "j": 4, "r": 1}, {"i": 4, "j": 3, "r": 1}]},
+        {"permutation": "* 3 1 *"},
+        {**spec_to_json(w), "label": "w"},
+    ]
+    for data in one_size + mixed + unsettled:
+        path = write_spec(tmp_path, "spec.json", data)
+        runs.clear()
+        assert main(["groebner", path]) == 0
+        capsys.readouterr()
+        if data in one_size:
+            assert runs == [], data
+        elif data in mixed:
+            assert runs and set(runs) == {"interreduce"}, data
+        else:
+            assert runs[:3] == ["interreduce", "queue", "queue done"], data
+    # the union check keeps the whole queue for every spec, at both depths
+    specs = [spec_from_permutation(parse_one_line(t)) for t in ("1 4 3 2", "2 1 4 3")]
+    basis = hold(union_basis(specs))
+    for depth in ("membership", "full-oracle"):
+        runs.clear()
+        nwgb.verify.union_verdicts(basis, specs, depth)
+        assert runs.count("queue done") >= len(specs), depth
 
 
 @pytest.mark.parametrize("form", ["json", "text"])

@@ -16,8 +16,11 @@ from nwgb import (
     Monomial,
     MonomialIdeal,
     Polynomial,
+    RankCondition,
+    RankConditionSpec,
     buchberger,
     determinant,
+    generator_minors,
     generator_polynomials,
     ideals_equal,
     initial_ideal,
@@ -32,6 +35,7 @@ from nwgb import (
 )
 import nwgb.polynomials
 from nwgb import groebner
+from nwgb.ideals import WORK_LIMIT, completion_work
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
 from test_polynomials import monic
@@ -1155,6 +1159,38 @@ def test_a_restart_in_the_middle_of_the_fold_gives_the_same_basis(widths, monkey
     assert meet == [x * x * y + x * y * y]
     monkeypatch.undo()
     assert intersect_many(ideals) == meet  # at the default width, with no restart
+
+
+def admitted_single_conditions(n):
+    """Every spec of one condition rank(NW i x j) <= r inside an n x n
+    matrix whose completion the work guard admits."""
+    specs = [
+        RankConditionSpec(n, [RankCondition(i, j, r)])
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for r in range(min(i, j))
+    ]
+    return [spec for spec in specs if completion_work(spec) <= WORK_LIMIT]
+
+
+def test_minors_of_one_size_are_already_interreduced():
+    # minor_basis returns settled minors of one size made monic and sorted,
+    # with no interreduction: no lead of a k-minor divides a term of
+    # another.  The engine's own division agrees on every minor it meets.
+    specs = admitted_single_conditions(5) + admitted_single_conditions(6)
+    assert len(specs) == 55 + 90
+    for spec in specs:
+        minors = generator_minors(spec)
+        cells = [(row, col) for rows, cols in minors for row in rows for col in cols]
+
+        def job(bits):
+            layout = groebner._Layout((), bits, cells)
+            polys = [layout.minor(rows, cols) for rows, cols in minors]
+            return polys, groebner._interreduce([dict(f) for f in polys], layout.guard)
+
+        polys, (kept, _, unmoved) = groebner._Layout.widening(job)
+        assert unmoved, spec
+        assert kept == [groebner._monic(f) for f in polys], spec
 
 
 def test_t_free_finish_is_the_full_completion_filtered_by_lead():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations as itertools_permutations, product
 
 import pytest
-from conftest import folded_product, reference_failures
+from conftest import folded_product, reference_failures, zero_remainders
 
 from nwgb import (
     Antidiagonal,
@@ -595,9 +595,8 @@ def certificate_census(cases, bases):
         basis = union_basis(specs)
         folds = [folded_product(g.factors) for g in basis]
         for spec in specs:
-            generators = bases[spec.label].generators
-            for g, fold in zip(basis, folds):
-                member = normal_form(fold, generators).is_zero()
+            zeros = zero_remainders(folds, bases[spec.label].generators)
+            for g, member in zip(basis, zeros):
                 assert certified(g.factors, spec) == member, (texts, spec.label, g.factors)
                 members += member
                 outside += not member
@@ -622,6 +621,19 @@ def partial_permutations(n):
 @pytest.fixture(scope="module")
 def s4_bases():
     return bases_by_label(honest_permutations(4))
+
+
+def test_zero_remainders_is_normal_form_fold_by_fold():
+    # the censuses' reference divides every fold by a basis packed once
+    texts = ("1 2 4 5 3", "1 4 2 3 5")
+    specs = schubert_specs(*texts)
+    folds = [folded_product(g.factors) for g in union_basis(specs)]
+    verdicts = []
+    for spec, b in zip(specs, spec_bases(specs)):
+        zeros = zero_remainders(folds, b.generators)
+        assert zeros == [normal_form(f, b.generators).is_zero() for f in folds]
+        verdicts += zeros
+    assert True in verdicts and False in verdicts
 
 
 def test_certificate_decides_membership_on_all_s4_pairs(s4_bases):
@@ -730,11 +742,14 @@ def test_union_1423_1342_has_nine_products_in_display_order():
     ]
 
 
-def generator_to_json(g):
-    """The dict tree that ``basis_json_chunks`` writes for one generator."""
+def generator_to_json(g, fold=None):
+    """The dict tree that ``basis_json_chunks`` writes for one generator;
+    ``fold`` is its ``folded_product``, when the caller has it."""
+    if fold is None:
+        fold = folded_product(g.factors)
     return {
         "factors": [{"rows": sorted(f.rows()), "cols": list(f.cols())} for f in g.factors],
-        "poly": polynomial_to_json(folded_product(g.factors)),
+        "poly": polynomial_to_json(fold),
     }
 
 
@@ -956,13 +971,16 @@ def assert_packed_equals_fold(basis):
     folds = [folded_product(g.factors) for g in basis]
     held = hold(basis)
     assert all(g.packed.layout.bits >= _FIELD_BITS for g in held)
+    # held generators have the factors, so the bytes, of the basis: each
+    # reference is built once
+    assert [g.factors for g in held] == [g.factors for g in basis]
+    reference = json.dumps([generator_to_json(g, f) for g, f in zip(basis, folds)], indent=2)
+    lines = [polynomial_text(fold) + "\n" for fold in folds]
     for generators in (basis, held):
         for g, fold in zip(generators, folds):
             assert unpacked(g) == fold
             assert_canonical_exact(unpacked(g))
-        reference = [generator_to_json(g) for g in generators]
-        assert "".join(basis_json_chunks(generators)) == json.dumps(reference, indent=2)
-        lines = [polynomial_text(fold) + "\n" for fold in folds]
+        assert "".join(basis_json_chunks(generators)) == reference
         assert [polynomial_text(g.packed) + "\n" for g in generators] == lines
         assert list(basis_text_chunks(generators)) == lines
 
