@@ -182,7 +182,9 @@ def completion_work(spec: RankConditionSpec) -> int:
     of its v variables: a condition's variables are its i*j cells, and
     (i*j)**2 <= 14 * C(i, k)**2 * C(j, k)**2 * k! since C(i, k) >= i/k and
     k**4 <= 14 * k!, so by Cauchy-Schwarz v**2 <= 14*m*t over all
-    conditions."""
+    conditions.  A spec whose queue a theorem settles
+    (``fulton_is_groebner``), which ``nwgb groebner`` completes without
+    it, is charged the same."""
     minors, terms = spec_work(spec)
     return terms + minors * terms
 
