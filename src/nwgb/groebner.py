@@ -64,11 +64,11 @@ degree fits, and a sum that reaches a guard bit restarts the whole call
 at double width (``_Layout.widening``): no exponent is ever wrong, and
 the width changes no result.
 
-Where a theorem makes a spec's minors a Groebner basis
-(``ideals.fulton_is_groebner``), ``nwgb groebner`` skips the S-pair queue,
-and for minors of one size the interreduction too (``minor_basis``).  The
+Where a theorem makes a spec's minors a Groebner basis, at most one rank
+condition (``ideals.fulton_is_groebner``), ``nwgb groebner`` runs no
+completion: the minors are made monic and sorted (``minor_basis``).  The
 union check, like ``buchberger`` and ``is_groebner``, always runs the
-queue, so it stays independent of those theorems.
+queue, so it stays independent of the theorem.
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -381,22 +381,12 @@ def _unsettled_pairs(reducers: list[Reducer], layout: _Layout) -> Iterator[tuple
             yield i, j, lcm
 
 
-def _complete(
-    layout: _Layout, generators: Iterable[dict], below: int | None = None, settled: bool = False
-) -> list[dict]:
+def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = None) -> list[dict]:
     """The reduced Groebner basis of packed polynomials, packed, in
-    ascending leading monomial: one interreduction of the input, the
-    S-pairs ``_unsettled_pairs`` leaves, reduced in its order against the
-    growing basis, then one interreduction of the minimal-lead subset.
-    With a bound ``below``, only the part of that basis whose leads are
-    below it is built and returned.
-
-    ``settled`` says that a theorem makes the input a Groebner basis
-    (``minor_basis``), and the queue is not run.  That is exact: the
-    interreduced input spans the same ideal with the same leading-term
-    ideal, so it is a Groebner basis too, every S-pair would reduce to
-    zero, and the basis would not grow; what follows the queue is the same
-    code on the same basis.
+    ascending leading monomial: the S-pairs ``_unsettled_pairs`` leaves,
+    reduced in its order against the growing basis, then one interreduction
+    of the minimal-lead subset.  With a bound ``below``, only the part of
+    that basis whose leads are below it is built and returned.
 
     That second interreduction is skipped when the first pass kept every
     input with its leading monomial and no S-pair left a remainder.  Then
@@ -422,7 +412,7 @@ def _complete(
     basis, reducers, unmoved = _interreduce(generators, guard)  # reducers grows with the basis
     count = len(basis)
     first = _scan(reducers, guard)
-    for i, j, lcm in () if settled else _unsettled_pairs(reducers, layout):
+    for i, j, lcm in _unsettled_pairs(reducers, layout):
         remainder = _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard)
         if remainder:
             basis.append(remainder)
@@ -438,28 +428,28 @@ def _complete(
     return [basis[k] for k in sorted(range(len(basis)), key=leads.__getitem__)]
 
 
-def minor_basis(minors: Sequence[tuple], layout: _Layout, settled: bool = False) -> list[dict]:
+def minor_basis(minors: Iterable[tuple], layout: _Layout, settled: bool = False) -> list[dict]:
     """``_complete`` of the minors, (rows, cols) each, expanded straight
     into ``layout`` (``_Layout.minor``): ``buchberger`` of their
     determinants without a ``Polynomial``, the completion of a spec's
     ``generator_minors`` that ``nwgb groebner`` writes and that
     ``verify.union_verdicts`` divides by.
 
-    ``settled`` says that the minors are a Groebner basis
-    (``ideals.fulton_is_groebner``, which ``nwgb groebner`` asks; the
-    union check never passes it, so its completions stay independent of
-    the theorem).  Then the S-pair queue is skipped (``_complete``), and
-    minors of one size k skip the interreduction too: each is made monic
-    and the list is sorted by leading monomial.  That is the reduced
-    basis.  A term of the minor on rows R and columns C uses each row of R
-    and each column of C once, so it names R and C, and no other minor has
-    it; a degree-k divisor of a degree-k term is that term, so no minor's
-    lead, its antidiagonal, divides a term of another, and no lead can
-    move."""
+    ``settled`` says that the minors are those of at most one rank
+    condition, all the k-minors of one generic region, which are a
+    Groebner basis (``ideals.fulton_is_groebner``, which ``nwgb groebner``
+    asks; the union check never passes it, so its completions stay
+    independent of the theorem).  Then no ``_complete`` runs: each minor
+    is made monic and the list is sorted by leading monomial.  That is the
+    reduced basis.  A term of the minor on rows R and columns C uses each
+    row of R and each column of C once, so it names R and C, and no other
+    minor has it; a degree-k divisor of a degree-k term is that term, so
+    no minor's lead, its antidiagonal, divides a term of another, and no
+    lead can move."""
     polys = [layout.minor(rows, cols) for rows, cols in minors]
-    if settled and len({len(rows) for rows, _ in minors}) <= 1:
+    if settled:
         return sorted(map(_monic, polys), key=max)
-    return _complete(layout, polys, settled=settled)
+    return _complete(layout, polys)
 
 
 # the last reduced basis the engine returned, as a tuple of the same objects

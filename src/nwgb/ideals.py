@@ -223,31 +223,13 @@ def generator_minors(spec: RankConditionSpec) -> list[tuple[tuple[int, ...], tup
 def fulton_is_groebner(spec: RankConditionSpec) -> bool:
     """Whether a theorem says the spec's ``generator_minors`` are already a
     Groebner basis under the antidiagonal order, so that completing them
-    meets no S-pair with a nonzero remainder:
-
-    - at most one condition: the (r+1)-minors of a generic i x j matrix
-      are one (Sturmfels, Math. Z. 1990), and no minors at all are the
-      basis of the zero ideal;
-    - the conditions ``spec_from_permutation`` reads off the honest
-      permutation w that the label names (no ``*``, w.n the ambient size):
-      Fulton's essential minors are one (Knutson and Miller, Annals 2005).
-
-    The conditions of w are derived again and compared, so a label alone
-    proves nothing: a relabelled spec, or a partial permutation's of
-    several conditions, is False, and its completion runs the whole S-pair
-    queue.  Call it after
-    ``generator_minors``' guard.  Deriving w's conditions is the work
-    ``spec_from_permutation`` did when the spec was loaded from w; a label
-    naming a permutation of over 1,000 entries, which that refuses, is
-    False."""
-    if len(spec.conditions) <= 1:
-        return True
-    try:
-        w = parse_one_line(spec.label)
-        honest = None not in w.images and w.n == spec.ambient_n
-        return honest and spec_from_permutation(w).conditions == spec.conditions
-    except ValueError:
-        return False
+    meets no S-pair with a nonzero remainder: true for at most one
+    condition, since the (r+1)-minors of a generic i x j matrix are one
+    (Sturmfels, Math. Z. 1990), and no minors at all are the basis of the
+    zero ideal.  A spec of several conditions is False, even an honest
+    permutation's, whose essential minors are one too (Knutson and Miller,
+    Annals 2005): its completion runs the whole S-pair queue."""
+    return len(spec.conditions) <= 1
 
 
 def generator_polynomials(spec: RankConditionSpec) -> list[Polynomial]:

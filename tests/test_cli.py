@@ -316,30 +316,21 @@ def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys)
 
 
 def settled_sweep_specs():
-    """Every single condition of a 6x6 matrix, every honest permutation of
-    sizes 3 to 5, and 60 seeded S6 permutations: specs whose completion a
+    """Every single condition of a 6x6 matrix: specs whose completion a
     theorem settles (``fulton_is_groebner``)."""
-    singles = [
+    return [
         {"n": 6, "conditions": [{"i": i, "j": j, "r": r}]}
         for i in range(1, 7)
         for j in range(1, 7)
         for r in range(min(i, j))
     ]
-    perms = [
-        {"permutation": " ".join(map(str, p))}
-        for n in (3, 4, 5)
-        for p in itertools.permutations(range(1, n + 1))
-    ]
-    rng = random.Random(5)
-    s6 = [{"permutation": " ".join(map(str, rng.sample(range(1, 7), 6)))} for _ in range(60)]
-    return [*singles, *perms, *s6]
 
 
 def test_groebner_skips_the_queue_without_changing_a_byte(tmp_path, capsys):
     # the reference completes the determinants through the whole S-pair
-    # queue; the command skips it
+    # queue; the command runs no completion
     specs = settled_sweep_specs()
-    assert len(specs) == 91 + 6 + 24 + 120 + 60
+    assert len(specs) == 91
     path = str(tmp_path / "spec.json")
     refused = []
     for data in specs:
@@ -375,26 +366,25 @@ def test_groebner_runs_the_queue_only_where_no_theorem_settles_it(tmp_path, caps
     monkeypatch.setattr(nwgb.groebner, "_unsettled_pairs", counted_queue)
     monkeypatch.setattr(nwgb.groebner, "_interreduce", counted_interreduce)
     w = spec_from_permutation(parse_one_line("1 5 4 3 2"))
-    one_size = [
+    settled = [
         {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]},
         {"n": 3, "conditions": []},
-        {"permutation": "1 5 4 3 2"},  # three conditions, all of rank 1
+        {"permutation": "2 3 1"},  # one condition
     ]
-    mixed = [{"permutation": "3 1 5 2 4"}, {"permutation": "2 1 4 3"}]
     unsettled = [
         {"n": 4, "conditions": [{"i": 3, "j": 4, "r": 1}, {"i": 4, "j": 3, "r": 1}]},
         {"permutation": "* 3 1 *"},
+        {"permutation": "1 5 4 3 2"},  # honest, three conditions of one size
+        {"permutation": "3 1 5 2 4"},
         {**spec_to_json(w), "label": "w"},
     ]
-    for data in one_size + mixed + unsettled:
+    for data in settled + unsettled:
         path = write_spec(tmp_path, "spec.json", data)
         runs.clear()
         assert main(["groebner", path]) == 0
         capsys.readouterr()
-        if data in one_size:
+        if data in settled:
             assert runs == [], data
-        elif data in mixed:
-            assert runs and set(runs) == {"interreduce"}, data
         else:
             assert runs[:3] == ["interreduce", "queue", "queue done"], data
     # the union check keeps the whole queue for every spec, at both depths

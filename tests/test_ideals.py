@@ -316,34 +316,20 @@ def test_load_spec_file(tmp_path):
     assert spec.conditions == (RankCondition(2, 1, 0),)
 
 
-def test_a_theorem_settles_one_condition_and_an_honest_permutation():
+def test_a_theorem_settles_at_most_one_condition():
     assert fulton_is_groebner(RankConditionSpec(3))
     assert fulton_is_groebner(RankConditionSpec(5, [RankCondition(5, 5, 2)], "any label"))
     # the rank <= 2 locus of a 4x4 matrix is one condition, whatever made it
     assert fulton_is_groebner(spec_from_permutation(parse_one_line("1 2 * *")))
-    for text in ("2 1 4 3", "1 5 4 3 2", "3 1 5 2 4", "2 1 9 8 7 6 5 4 3"):
-        spec = spec_from_permutation(parse_one_line(text))
-        assert len(spec.conditions) > 1 and fulton_is_groebner(spec), text
-    assert fulton_is_groebner(spec_from_json({"permutation": "1 5 4 3 2"}))
-
-
-def test_no_theorem_settles_other_condition_lists():
-    w = spec_from_permutation(parse_one_line("1 5 4 3 2"))
-    other = spec_from_permutation(parse_one_line("1 4 3 2 5"))
-    assert w.conditions != other.conditions
+    assert fulton_is_groebner(spec_from_json({"permutation": "2 3 1"}))
     unrelated = [RankCondition(3, 4, 1), RankCondition(4, 3, 1)]
     cases = {
         "two unrelated conditions": RankConditionSpec(4, unrelated),
         "a partial permutation": spec_from_permutation(parse_one_line("* 3 1 *")),
-        "a label naming another permutation": RankConditionSpec(5, w.conditions, other.label),
-        "a relabelled permutation": RankConditionSpec(5, w.conditions, "w"),
-        "a label from the file": spec_from_json({"permutation": "1 5 4 3 2", "label": "w"}),
-        "a larger ambient matrix": RankConditionSpec(6, w.conditions, w.label),
         "the full rank matrix": spec_from_rank_matrix(parse_one_line("1 5 4 3 2")),
-        "one condition short": RankConditionSpec(5, w.conditions[1:], w.label),
-        "a label past the permutation limit": RankConditionSpec(
-            1001, unrelated, " ".join(map(str, range(1, 1002)))
-        ),
     }
+    # honest permutations of several conditions run the queue too
+    for text in ("2 1 4 3", "1 5 4 3 2", "3 1 5 2 4", "2 1 9 8 7 6 5 4 3"):
+        cases[text] = spec_from_permutation(parse_one_line(text))
     for name, spec in cases.items():
         assert len(spec.conditions) > 1 and not fulton_is_groebner(spec), name
