@@ -7,11 +7,11 @@ so JSON output stays parseable.  Input whose work, counted from the specs
 or the permutation before any minor or rank matrix is built, passes
 ``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb groebner``
 expands the spec's distinct minors straight into packed ints, completes
-them there, with no completion at all for one rank condition, whose
-minors a theorem makes a Groebner basis (``ideals.fulton_is_groebner``),
-and writes the packed basis: no minor or basis element is a
-``Polynomial``, and the bytes are those of ``buchberger`` written by
-``json_text`` or ``polynomial_text``.  ``nwgb union``
+them there (the minors of one rank condition need no completion: a
+theorem makes them a Groebner basis, ``ideals.fulton_is_groebner``), and
+writes the packed basis: no minor or basis element is a ``Polynomial``,
+and the bytes are those of ``buchberger`` written by ``json_text`` or
+``polynomial_text``.  ``nwgb union``
 writes each generator as its packed product is formed and then drops it;
 --verify, whose checks divide every product, forms each once before the
 write and keeps it, so the writer and the checks read one product.
