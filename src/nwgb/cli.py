@@ -8,10 +8,12 @@ or the permutation before any minor or rank matrix is built, passes
 ``nwgb.ideals.WORK_LIMIT`` exits 2 before any output.  ``nwgb groebner``
 expands the spec's distinct minors straight into packed ints, completes
 them there (the minors of one rank condition need no completion: a
-theorem makes them a Groebner basis, ``ideals.fulton_is_groebner``), and
-writes the packed basis: no minor or basis element is a ``Polynomial``,
-and the bytes are those of ``buchberger`` written by ``json_text`` or
-``polynomial_text``.  ``nwgb union``
+theorem makes them a Groebner basis, ``ideals.fulton_is_groebner``, and
+the guard charges only the terms and the layout), and writes the packed
+basis, each term as two halves of the rows of its element's leading
+term, as union products are written: no minor or basis element is a
+``Polynomial``, and the bytes are those of ``buchberger`` written by
+``json_text`` or ``polynomial_text``.  ``nwgb union``
 writes each generator as its packed product is formed and then drops it;
 --verify, whose checks divide every product, forms each once before the
 write and keeps it, so the writer and the checks read one product.
@@ -43,6 +45,7 @@ from .ideals import (
     fulton_is_groebner,
     generator_minors,
     load_spec,
+    minor_regions,
     spec_to_json,
 )
 from .groebner import minor_basis
@@ -182,18 +185,30 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
 
 def _cmd_groebner(args: SimpleNamespace) -> int:
     spec = load_spec(args.spec)
-    minors = generator_minors(spec)
     settled = fulton_is_groebner(spec)
-    cells = [(row, col) for rows, cols in minors for row in rows for col in cols]
+    minors = generator_minors(spec, settled)
+    # the distinct cells of the minors
+    cells = {
+        (row, col)
+        for i, j in minor_regions(spec)
+        for row in range(1, i + 1)
+        for col in range(1, j + 1)
+    }
 
     def complete(bits: int) -> tuple[_Layout, list[dict]]:
         layout = _Layout((), bits, cells)
         return layout, minor_basis(minors, layout, settled)
 
     layout, basis = _Layout.widening(complete)
-    # one whole-int segment per term (no masks): a basis element need not
-    # use every row in every term
-    basis = [_PackedProduct(layout, f, ()) for f in basis]
+    rows = layout.row_masks
+
+    def masked(f: dict) -> _PackedProduct:
+        # every term uses the rows of the leading term (see minor_basis), so
+        # the writers read each term as two cached halves of those rows
+        lead = max(f)
+        return _PackedProduct(layout, f, tuple([mask for mask in rows if mask & lead]))
+
+    basis = list(map(masked, basis))
     if args.format == "json":
         _emit([json_text(basis) + "\n"], args)
     else:

@@ -68,7 +68,12 @@ Where a theorem makes a spec's minors a Groebner basis, at most one rank
 condition (``ideals.fulton_is_groebner``), ``nwgb groebner`` runs no
 completion: the minors are made monic and sorted (``minor_basis``).  The
 union check, like ``buchberger`` and ``is_groebner``, always runs the
-queue, so it stays independent of the theorem.
+queue, so it stays independent of the theorem.  Minors are homogeneous in
+the grading by rows and by columns (Knutson and Miller, Annals 2005), and
+S-polynomials, division steps and scaling keep that grading, so each
+element of a completion of minors uses in every term the rows of its
+leading term; ``nwgb groebner`` writes it as two halves of those rows,
+as a union product is written.
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -445,7 +450,20 @@ def minor_basis(minors: Iterable[tuple], layout: _Layout, settled: bool = False)
     row of R and each column of C once, so it names R and C, and no other
     minor has it; a degree-k divisor of a degree-k term is that term, so
     no minor's lead, its antidiagonal, divides a term of another, and no
-    lead can move."""
+    lead can move.
+
+    Every element returned, settled or not, uses in each term exactly the
+    rows and the columns of its leading term, which lets ``nwgb groebner``
+    write it as two halves of those rows (``_PackedProduct``).  Grade a
+    monomial by how many factors it takes from each row and each column
+    (the Z^{2n}-grading of Knutson and Miller, Annals 2005).  Each minor
+    is homogeneous: every term takes one factor from each of its rows and
+    columns.  An S-polynomial of two homogeneous elements is homogeneous,
+    its two shifted terms having the degree of the lcm of the leads; a
+    division step subtracts a multiple of a divisor whose shifted lead is
+    the term it cancels, so it adds terms of that term's degree; ``_monic``
+    and interreduction are such steps and scalings.  So every element of
+    the completion is homogeneous, and its terms have its lead's degree."""
     polys = [layout.minor(rows, cols) for rows, cols in minors]
     if settled:
         return sorted(map(_monic, polys), key=max)

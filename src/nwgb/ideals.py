@@ -121,8 +121,8 @@ def _minors(
 
 # The most units of work one run may take: entries of a permutation's
 # rank matrix, minors, terms of their determinants, their completion,
-# choices of antidiagonals, cells of the union's packed layout and terms
-# of union products, each counted before the work is done
+# choices of antidiagonals, cells of a packed layout and terms of union
+# products, each counted before the work is done
 # (``spec_from_permutation``, ``spec_work``, ``completion_work``,
 # ``union_basis``).
 # The cost of a run follows this count, not the ambient size.  In-process
@@ -131,7 +131,12 @@ def _minors(
 # (6,707 units of the S7 pair 1 7 6 5 4 3 2 | 6 5 4 3 2 1 7 in 0.06 s), and
 # a completion (``completion_work``) 0.5-3.5 us per unit (the 1-minors of
 # a 1 x 1000 region: 1,001,000 units in 2.2 s; 2 1 9 8 7 6 5 4 3: 3,773,882
-# in 1.7 s; the 7-minors of a 7 x 8 region: 362,880 in 1.2 s).
+# in 1.7 s; the 7-minors of a 7 x 8 region: 362,880 in 1.2 s).  ``nwgb
+# groebner`` on one condition, which runs no queue (t + v**2 units), costs
+# up to 3.7 us per unit written as JSON and 2.7 us as text: the 3-minors
+# of a 3 x 60 region, 237,720 units in 0.87 s and 0.64 s; the 2-minors of
+# 25 x 25, 570,625 in 1.56 s and 1.33 s; the 1-minors of 1 x 999, 999,000
+# in 0.013 s.
 WORK_LIMIT = 1_000_000
 
 
@@ -172,7 +177,14 @@ def spec_work(spec: RankConditionSpec) -> tuple[int, int]:
     return minors, terms
 
 
-def completion_work(spec: RankConditionSpec) -> int:
+def minor_regions(spec: RankConditionSpec) -> list[tuple[int, int]]:
+    """(i, j) of each condition whose i x j region holds a minor, r + 1 <=
+    min(i, j).  Each cell of such a region is a cell of one of its minors,
+    so these regions make up the distinct cells of the spec's minors."""
+    return [(c.row, c.col) for c in spec.conditions if c.max_rank < min(c.row, c.col)]
+
+
+def completion_work(spec: RankConditionSpec, settled: bool = False) -> int:
     """t + m*t for the spec's (m, t) (``spec_work``): the units of expanding
     its Fulton generators and completing them (``nwgb groebner``, and
     ``verify.union_verdicts`` in the union basis's packed layout).
@@ -182,10 +194,19 @@ def completion_work(spec: RankConditionSpec) -> int:
     of its v variables: a condition's variables are its i*j cells, and
     (i*j)**2 <= 14 * C(i, k)**2 * C(j, k)**2 * k! since C(i, k) >= i/k and
     k**4 <= 14 * k!, so by Cauchy-Schwarz v**2 <= 14*m*t over all
-    conditions.  A spec whose queue a theorem settles
-    (``fulton_is_groebner``), which ``nwgb groebner`` completes without
-    it, is charged the same."""
+    conditions.
+
+    ``settled`` says that the caller runs no queue, since a theorem makes
+    the minors a Groebner basis (``fulton_is_groebner``; ``nwgb groebner``
+    asks it, the union check never does).  Then the count is t + v**2,
+    what that path runs: its t terms expanded, sorted and written, and a
+    layout of the v cells of ``minor_regions`` (one region's i*j cells
+    when settled), whose ints, and the masks and guard built over them,
+    grow with v."""
     minors, terms = spec_work(spec)
+    if settled:
+        cells = sum(i * j for i, j in minor_regions(spec))
+        return terms + cells**2
     return terms + minors * terms
 
 
@@ -208,15 +229,18 @@ def fulton_generators(
     return out
 
 
-def generator_minors(spec: RankConditionSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def generator_minors(
+    spec: RankConditionSpec, settled: bool = False
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(rows, cols) of the distinct Fulton generators of the spec, each at
     its first place in ``_minors``: a minor that several conditions share
     generates the ideal once, as ``antidiagonals_of_spec`` keeps each
     antidiagonal once.  They are what a completion of the spec starts
     from (``nwgb groebner``, ``verify.union_verdicts``, which expand them
-    packed with ``_Layout.minor``), so a spec whose ``completion_work``
-    passes ``WORK_LIMIT`` raises ValueError before any minor is listed."""
-    check_work(completion_work(spec))
+    packed with ``_Layout.minor``), so a spec whose
+    ``completion_work(spec, settled)`` passes ``WORK_LIMIT`` raises
+    ValueError before any minor is listed."""
+    check_work(completion_work(spec, settled))
     return list(dict.fromkeys((rows, cols) for _, rows, cols in _minors(spec)))
 
 

@@ -44,10 +44,12 @@ larger int is a larger monomial and a product is a sum; the engine's use
 of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
 one row's cells are adjacent, since their variables are too.  A union
 product (``_PackedProduct``) uses every row of its minors in each term,
-and it is written straight from its ints (``_RowBlocks.terms``), the terms
-in descending order and each term's variables as two masked halves of its
-rows (``x & upper``, ``x & lower``), each distinct half's text made once
-per ``_RowBlocks``.  The writers of packed terms (``packed_text_lines``,
+as every element of a reduced basis of minors uses the rows of its
+leading term, and each is written straight from its ints
+(``_RowBlocks.terms``), the terms in descending order and each term's
+variables as two masked halves of its rows (``x & upper``, ``x &
+lower``), each distinct half's text made once per ``_RowBlocks``.  The
+writers of packed terms (``packed_text_lines``,
 ``_TermLayout.write_packed``), which a union basis and ``nwgb groebner``
 write through, keep one ``_RowBlocks`` per layout for as long as they
 write; a layout holds no text.  :func:`json_text` writes the plain
@@ -544,8 +546,11 @@ class _Layout:
         """``pack_poly(determinant(rows, cols))`` for ascending rows and
         columns whose cells the layout holds, without the ``Polynomial``:
         each term, in the Leibniz sum, is the sum of its cells' units.  A
-        term uses each variable once, so it fits fields of any width."""
-        units = [[self.unit[_code((row, col))] for col in cols] for row in rows]
+        term uses each variable once, so it fits fields of any width.  A
+        cell's code is read inline, as ``_code`` computes it: the layout
+        has checked the range of every cell it holds."""
+        unit = self.unit
+        units = [[unit[base - col] for col in cols] for base in [row << _COL_BITS for row in rows]]
         return {
             sum(map(getitem, units, perm)): sign for perm, sign in _signed_permutations(len(rows))
         }
@@ -669,12 +674,22 @@ _NAMES = _VariableTexts(_name)
 
 
 _PackedProduct = namedtuple("_PackedProduct", ("layout", "terms", "masks"))
-_PackedProduct.__doc__ = """A product of minors, multiplied out as ``{packed monomial:
-coefficient}`` in ``layout``, with ``masks``, the ``layout.mask`` of each
-row that every one of its terms uses, top row first, and of no other row;
-or any packed polynomial with no masks, each term then read whole (a
-packed reduced basis element).  A larger int is a larger monomial, so its
-terms, largest first, are the ints descending."""
+_PackedProduct.__doc__ = """A packed polynomial, ``{packed monomial: coefficient}`` in
+``layout``, with ``masks``, the ``layout.mask`` of each row that every one
+of its terms uses, top row first, and of no other row; or with no masks,
+each term then read whole.  A larger int is a larger monomial, so its
+terms, largest first, are the ints descending.
+
+Products of minors and the elements of a reduced basis of minors have
+such masks.  Grade a monomial by how many factors it takes from each row
+and from each column (the Z^{2n}-grading of Knutson and Miller, Annals
+2005).  Every term of a minor on rows R and columns C takes one factor
+from each row of R and each column of C, so a minor, and a product of
+minors, is homogeneous.  S-polynomials, division steps and scaling by a
+coefficient (``nwgb.groebner``) combine homogeneous polynomials of one
+degree into one of that degree, so every element of their reduced basis
+is homogeneous too: each of its terms uses exactly the rows, and the
+columns, of its leading term."""
 
 
 def monomial_text(mono: Monomial) -> str:
@@ -753,10 +768,10 @@ class _RowBlocks(dict):
     def terms(
         self, f: _PackedProduct, before: str, middle: str, after: str, constant: str
     ) -> list[str]:
-        """The text of each term of ``f``, a product in this layout, largest
-        first: ``before``, the coefficient, ``middle``, the text of its
-        variables and ``after``, or, for the constant term, ``before``, the
-        coefficient and ``constant``.
+        """The text of each term of ``f``, a packed polynomial in this
+        layout, largest first: ``before``, the coefficient, ``middle``, the
+        text of its variables and ``after``, or, for the constant term,
+        ``before``, the coefficient and ``constant``.
 
         A larger int is a larger monomial, so the terms are the ints
         descending.  Every term uses every row of ``f.masks``, so a term of

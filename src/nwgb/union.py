@@ -63,6 +63,7 @@ from .ideals import (
     antidiagonals_of_spec,
     check_work,
     completion_work,
+    minor_regions,
     spec_work,
 )
 from .polynomials import (
@@ -431,12 +432,7 @@ def union_basis(specs: Sequence[RankConditionSpec]) -> list[GeneratorProduct]:
             )
     # the packed layout spans rows 1..i and columns 1..j for the largest i
     # and the largest j of the regions that hold minors
-    regions = [
-        (cond.row, cond.col)
-        for spec in specs
-        for cond in spec.conditions
-        if cond.max_rank < min(cond.row, cond.col)
-    ]
+    regions = [region for spec in specs for region in minor_regions(spec)]
     height = max((i for i, _ in regions), default=0)
     width = max((j for _, j in regions), default=0)
     units = check_work(

@@ -1,11 +1,13 @@
 """A time limit on every test, the contract of the package's value
-types, and the reference product of a union generator and its membership.
+types, the reference product of a union generator and its membership, and
+seeded lists of rank conditions.
 
 A defect in the engine can make a completion or a division loop forever;
 without a limit the suite would then hang instead of failing.  The slowest
 test takes about a second, so the limit is far above any honest run.
 """
 
+import random
 import re
 import signal
 
@@ -106,6 +108,22 @@ def reference_failures(basis, specs, bases) -> list[str]:
         for fold, zero in zip(folds, zero_remainders(folds, b.generators))
         if not zero
     ]
+
+
+def seeded_condition_lists(seed: int, count: int) -> list[dict]:
+    """``count`` spec payloads drawn by ``random.Random(seed)``: each an
+    n x n matrix, n <= 5, with 1-3 conditions rank(NW i x j) <= r, where r
+    may be min(i, j), a condition with no minors."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        conditions = []
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            conditions.append({"i": i, "j": j, "r": rng.randint(0, min(i, j))})
+        specs.append({"n": n, "conditions": conditions})
+    return specs
 
 
 def spy_on_polynomial_paths(monkeypatch) -> list[str]:

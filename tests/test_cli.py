@@ -13,8 +13,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import spy_on_polynomial_paths
+from conftest import seeded_condition_lists, spy_on_polynomial_paths
 
+import nwgb.polynomials
 import nwgb.union
 import nwgb.verify
 from nwgb.cli import _COMMANDS, _build_parser, _read_args, main
@@ -36,6 +37,7 @@ from nwgb.polynomials import (
     polynomial_to_json,
 )
 from nwgb.union import hold, union_basis
+from test_union import partial_permutations
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -277,8 +279,9 @@ def test_groebner_subcommand(spec_231, capsys):
 
 def groebner_sweep_specs():
     """Every single condition of a 5x5 matrix, every S4 permutation, 20
-    seeded S5 permutations, no condition at all, and two conditions that
-    share minors."""
+    seeded S5 permutations, no condition at all, two conditions that share
+    minors, every partial permutation of size 4 and 60 seeded lists of
+    conditions."""
     singles = [
         {"n": 5, "conditions": [{"i": i, "j": j, "r": r}]}
         for i in range(1, 6)
@@ -289,7 +292,9 @@ def groebner_sweep_specs():
     rng = random.Random(5)
     s5 = [{"permutation": " ".join(map(str, rng.sample(range(1, 6), 5)))} for _ in range(20)]
     shared = {"n": 4, "conditions": [{"i": 3, "j": 4, "r": 1}, {"i": 4, "j": 3, "r": 1}]}
-    return [*singles, *s4, *s5, {"n": 3, "conditions": []}, shared]
+    partial = [{"permutation": p.one_line()} for p in partial_permutations(4)]
+    lists = seeded_condition_lists(11, 60)
+    return [*singles, *s4, *s5, {"n": 3, "conditions": []}, shared, *partial, *lists]
 
 
 def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys):
@@ -297,7 +302,7 @@ def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys)
     # completes the determinants as Polynomials and writes them through
     # json_text and polynomial_text
     specs = groebner_sweep_specs()
-    assert len(specs) == 101
+    assert len(specs) == 101 + 209 + 60
     path = str(tmp_path / "spec.json")
     for data in specs:
         Path(path).write_text(json.dumps(data))
@@ -328,26 +333,20 @@ def settled_sweep_specs():
 
 def test_groebner_skips_the_queue_without_changing_a_byte(tmp_path, capsys):
     # the reference completes the determinants through the whole S-pair
-    # queue; the command runs no completion
+    # queue; the command runs no completion.  The guard charges the command
+    # only what it runs, so (6,6,3) is admitted, and the reference lists its
+    # minors through fulton_generators, whose guard counts only their terms
     specs = settled_sweep_specs()
     assert len(specs) == 91
     path = str(tmp_path / "spec.json")
-    refused = []
     for data in specs:
         Path(path).write_text(json.dumps(data))
         code = main(["groebner", path, "--format=json"])
         out, err = capsys.readouterr()
-        if code == 2:
-            refused.append(data)
-            assert (out, err) == (
-                "",
-                "error: the input needs at least 1220400 units of work, over the limit of 1000000\n",
-            )
-            continue
-        assert fulton_is_groebner(load_spec(path)), data
-        basis = buchberger(generator_polynomials(load_spec(path)))
+        spec = load_spec(path)
+        assert fulton_is_groebner(spec), data
+        basis = buchberger([poly for *_, poly in fulton_generators(spec)])
         assert (code, out, err) == (0, json_text(basis) + "\n", ""), data
-    assert refused == [{"n": 6, "conditions": [{"i": 6, "j": 6, "r": 3}]}]
 
 
 def test_groebner_runs_the_queue_only_where_no_theorem_settles_it(tmp_path, capsys, monkeypatch):
@@ -394,6 +393,30 @@ def test_groebner_runs_the_queue_only_where_no_theorem_settles_it(tmp_path, caps
         runs.clear()
         nwgb.verify.union_verdicts(basis, specs, depth)
         assert runs.count("queue done") >= len(specs), depth
+
+
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_groebner_writes_each_term_as_two_cached_halves(form, tmp_path, capsys, monkeypatch):
+    # every term of a basis element uses the rows of its leading term, so
+    # the writer reads it as the upper and the lower half of those rows and
+    # makes the text of each distinct half, and of each row in it, once:
+    # the 600 terms of (5,5,2) need 145 texts, not one or more per term
+    made = []
+    missing = nwgb.polynomials._RowBlocks.__missing__
+
+    def counted(blocks, segment):
+        made.append(segment)
+        return missing(blocks, segment)
+
+    monkeypatch.setattr(nwgb.polynomials._RowBlocks, "__missing__", counted)
+    path = write_spec(tmp_path, "spec.json", {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]})
+    assert main(["groebner", path, f"--format={form}"]) == 0
+    out = capsys.readouterr().out
+    if form == "json":
+        terms = sum(map(len, json.loads(out)))
+    else:
+        terms = sum(len(line.split(" + ")) for line in out.splitlines())
+    assert (len(made), len(set(made)), terms) == (145, 145, 600)
 
 
 @pytest.mark.parametrize("form", ["json", "text"])
@@ -640,8 +663,10 @@ SQUARE_RANK_0 = {"n": 300, "conditions": [{"i": 300, "j": 300, "r": 0}]}
 def test_work_guard_counts_the_completion_before_any_minor(
     args, count, tmp_path, capsys, monkeypatch
 ):
-    # t + m*t = 90,000 + 90,000**2 to complete the spec; a union adds the
-    # 90,000 choices and the square of the layout's 90,000 cells
+    # groebner, which runs no queue on one condition, counts the 90,000
+    # terms and the square of their 90,000 cells; a union counts t + m*t =
+    # 90,000 + 90,000**2 to complete the spec, the 90,000 choices and the
+    # square of the layout's 90,000 cells
     monkeypatch.setattr("nwgb.ideals._minors", no_minors)
     spec = write_spec(tmp_path, "square.json", SQUARE_RANK_0)
     assert main([arg.replace("{spec}", spec) for arg in args]) == 2
@@ -653,8 +678,8 @@ def test_work_guard_counts_the_completion_before_any_minor(
 
 
 def test_work_guard_counts_the_completion_for_groebner_only(tmp_path, capsys):
-    # the 1-minors of 40 x 40: 1,600 terms to list, 1,600 + 1,600**2 units
-    # to complete
+    # the 1-minors of 40 x 40: 1,600 terms to list, and 1,600 + 1,600**2
+    # units to write them in a layout of their 1,600 cells
     square = {"n": 40, "conditions": [{"i": 40, "j": 40, "r": 0}]}
     spec = write_spec(tmp_path, "square.json", square)
     assert main(["fulton", spec]) == 0
@@ -665,6 +690,31 @@ def test_work_guard_counts_the_completion_for_groebner_only(tmp_path, capsys):
     assert out == ""
     assert err == (
         "error: the input needs at least 2561600 units of work, over the limit of 1000000\n"
+    )
+
+
+def test_work_guard_charges_a_settled_spec_what_groebner_runs(tmp_path, capsys, monkeypatch):
+    # groebner runs no queue on one condition: it expands and writes the t
+    # terms of its minors in a layout of the v cells of its region, t + v**2
+    # units.  The union check runs the queue, so union keeps t + m*t
+    spec = write_spec(tmp_path, "spec.json", {"n": 6, "conditions": [{"i": 6, "j": 6, "r": 3}]})
+    count = math.comb(6, 4) ** 2 * math.factorial(4) + 36**2
+    assert count == 6_696
+    monkeypatch.setattr("nwgb.ideals.WORK_LIMIT", count)
+    assert main(["groebner", spec]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("nwgb.ideals.WORK_LIMIT", count - 1)
+    assert main(["groebner", spec]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the input needs at least {count} units of work, over the limit of {count - 1}\n",
+    )
+    monkeypatch.undo()
+    # 5,400 + 225 * 5,400 to complete, 225 choices and 36**2 for the layout
+    assert main(["union", spec]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the input needs at least 1221921 units of work, over the limit of 1000000\n",
     )
 
 

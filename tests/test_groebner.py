@@ -4,10 +4,11 @@ import heapq
 import operator
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from conftest import check_value_contract, exact, folded_product
+from conftest import check_value_contract, exact, folded_product, seeded_condition_lists
 
 from nwgb import (
     AUX,
@@ -30,6 +31,7 @@ from nwgb import (
     normal_form,
     parse_one_line,
     s_polynomial,
+    spec_from_json,
     spec_from_permutation,
     union_basis,
 )
@@ -39,6 +41,7 @@ from nwgb.ideals import WORK_LIMIT, completion_work
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
 from test_polynomials import monic
+from test_union import partial_permutations
 
 
 def ideal_of(spec):
@@ -1191,6 +1194,45 @@ def test_minors_of_one_size_are_already_interreduced():
         polys, (kept, _, unmoved) = groebner._Layout.widening(job)
         assert unmoved, spec
         assert kept == [groebner._monic(f) for f in polys], spec
+
+
+def row_and_column_degrees(layout, x):
+    """How many factors a packed monomial takes from each row and from
+    each column."""
+    rows, cols = Counter(), Counter()
+    for code, exp in layout.powers(x):
+        row, col = nwgb.polynomials._cell(code)
+        rows[row] += exp
+        cols[col] += exp
+    return rows, cols
+
+
+def test_every_basis_element_uses_the_rows_and_columns_of_its_lead():
+    # nwgb groebner writes each element as two halves of the rows of its
+    # leading term, so every term must use exactly those rows.  The minors
+    # are homogeneous in the grading by rows and by columns, and the
+    # completion keeps that grading, so each term of an element takes as
+    # many factors from each row and column as its lead
+    specs = [spec_from_permutation(p) for n in (3, 4, 5) for p in honest_permutations(n)]
+    specs += [spec_from_permutation(p) for p in partial_permutations(4)]
+    specs += [spec_from_json(data) for data in seeded_condition_lists(7, 100)]
+    assert len(specs) == 150 + 209 + 100
+    elements = 0
+    for spec in specs:
+        minors = generator_minors(spec)
+        cells = {(row, col) for rows, cols in minors for row in rows for col in cols}
+
+        def job(bits):
+            layout = groebner._Layout((), bits, cells)
+            return layout, groebner.minor_basis(minors, layout)
+
+        layout, basis = groebner._Layout.widening(job)
+        for f in basis:
+            grading = row_and_column_degrees(layout, max(f))
+            for x in f:
+                assert row_and_column_degrees(layout, x) == grading, spec
+        elements += len(basis)
+    assert elements == 3026
 
 
 def test_t_free_finish_is_the_full_completion_filtered_by_lead():
