@@ -3,8 +3,8 @@
 import heapq
 import operator
 import random
-from fractions import Fraction
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
