@@ -10,13 +10,15 @@ expands the spec's distinct minors straight into packed ints, completes
 them there (the minors of one rank condition need no completion: a
 theorem makes them a Groebner basis, ``ideals.fulton_is_groebner``, and
 the guard charges only the terms and the layout), and writes the packed
-basis, each term as two halves of the rows of its element's leading
-term, as union products are written: no minor or basis element is a
-``Polynomial``, and the bytes are those of ``buchberger`` written by
-``json_text`` or ``polynomial_text``.  ``nwgb union``
-writes each generator as its packed product is formed and then drops it;
---verify, whose checks divide every product, forms each once before the
-write and keeps it, so the writer and the checks read one product.
+basis one element at a time (``packed_json_chunks``,
+``packed_text_lines``), with the term writer and the list frame of the
+union writers: no minor or basis element is a ``Polynomial``, no whole
+text is built, and the bytes are those of ``buchberger`` written by
+``json_text`` or ``polynomial_text``.
+``nwgb union`` writes each generator as its packed product is formed and
+then drops it; --verify, whose checks divide every product, forms each
+once before the write and keeps it, so the writer and the checks read
+one product.
 A closed stdout or stderr pipe also ends a run with exit 2, and with no
 ``error:`` line, since it is no bad input (see ``run``).
 
@@ -54,6 +56,7 @@ from .polynomials import (
     _Layout,
     _PackedProduct,
     json_text,
+    packed_json_chunks,
     packed_text_lines,
     polynomial_text,
 )
@@ -177,9 +180,11 @@ def _cmd_fulton(args: SimpleNamespace) -> int:
                 for cond, rows, cols, poly in gens
             ],
         }
+        # the payload nests the spec around the generators, so it is
+        # written whole, in one json_text call
         _emit([json_text(payload) + "\n"], args)
     else:
-        _emit(["".join(polynomial_text(poly) + "\n" for _, _, _, poly in gens)], args)
+        _emit((polynomial_text(poly) + "\n" for _, _, _, poly in gens), args)
     return EXIT_OK
 
 
@@ -200,19 +205,12 @@ def _cmd_groebner(args: SimpleNamespace) -> int:
         return layout, minor_basis(minors, layout, settled)
 
     layout, basis = _Layout.widening(complete)
-    rows = layout.row_masks
-
-    def masked(f: dict) -> _PackedProduct:
-        # every term uses the rows of the leading term (see minor_basis), so
-        # the writers read each term as two cached halves of those rows
-        lead = max(f)
-        return _PackedProduct(layout, f, tuple([mask for mask in rows if mask & lead]))
-
-    basis = list(map(masked, basis))
+    # each element is written as it is read, as union products are
+    products = (_PackedProduct(layout, f) for f in basis)
     if args.format == "json":
-        _emit([json_text(basis) + "\n"], args)
+        _emit(chain(packed_json_chunks(products), ["\n"]), args)
     else:
-        _emit(["".join(packed_text_lines(basis))], args)
+        _emit(packed_text_lines(products), args)
     return EXIT_OK
 
 

@@ -68,12 +68,11 @@ Where a theorem makes a spec's minors a Groebner basis, at most one rank
 condition (``ideals.fulton_is_groebner``), ``nwgb groebner`` runs no
 completion: the minors are made monic and sorted (``minor_basis``).  The
 union check, like ``buchberger`` and ``is_groebner``, always runs the
-queue, so it stays independent of the theorem.  Minors are homogeneous in
-the grading by rows and by columns (Knutson and Miller, Annals 2005), and
-S-polynomials, division steps and scaling keep that grading, so each
-element of a completion of minors uses in every term the rows of its
-leading term; ``nwgb groebner`` writes it as two halves of those rows,
-as a union product is written.
+queue, so it stays independent of the theorem.  ``nwgb groebner`` writes
+the packed basis with the term writer of union products, which reads
+each term as two halves of the rows of its element's leading term: each
+element of a completion of minors is homogeneous in the rows (see
+``polynomials._RowBlocks.terms``).
 
 The engine records the last reduced basis it returned, and ``buchberger``
 hands that very sequence back without completing it again (see its
@@ -453,17 +452,8 @@ def minor_basis(minors: Iterable[tuple], layout: _Layout, settled: bool = False)
     lead can move.
 
     Every element returned, settled or not, uses in each term exactly the
-    rows and the columns of its leading term, which lets ``nwgb groebner``
-    write it as two halves of those rows (``_PackedProduct``).  Grade a
-    monomial by how many factors it takes from each row and each column
-    (the Z^{2n}-grading of Knutson and Miller, Annals 2005).  Each minor
-    is homogeneous: every term takes one factor from each of its rows and
-    columns.  An S-polynomial of two homogeneous elements is homogeneous,
-    its two shifted terms having the degree of the lcm of the leads; a
-    division step subtracts a multiple of a divisor whose shifted lead is
-    the term it cancels, so it adds terms of that term's degree; ``_monic``
-    and interreduction are such steps and scalings.  So every element of
-    the completion is homogeneous, and its terms have its lead's degree."""
+    rows and the columns of its leading term, which the writers of packed
+    polynomials rely on (the argument is at ``_RowBlocks.terms``)."""
     polys = [layout.minor(rows, cols) for rows, cols in minors]
     if settled:
         return sorted(map(_monic, polys), key=max)

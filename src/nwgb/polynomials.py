@@ -42,19 +42,20 @@ bit over ``bits - 1`` exponent bits, the most significant variable of the
 order in the highest field and each next one in the field below.  Then a
 larger int is a larger monomial and a product is a sum; the engine's use
 of the guard bits is described in :mod:`nwgb.groebner`.  The fields of
-one row's cells are adjacent, since their variables are too.  A union
-product (``_PackedProduct``) uses every row of its minors in each term,
-as every element of a reduced basis of minors uses the rows of its
-leading term, and each is written straight from its ints
+one row's cells are adjacent, since their variables are too.  A packed
+polynomial (``_PackedProduct``), a union product or an element of a
+reduced basis of minors, is written straight from its ints
 (``_RowBlocks.terms``), the terms in descending order and each term's
-variables as two masked halves of its rows (``x & upper``, ``x &
-lower``), each distinct half's text made once per ``_RowBlocks``.  The
-writers of packed terms (``packed_text_lines``,
-``_TermLayout.write_packed``), which a union basis and ``nwgb groebner``
-write through, keep one ``_RowBlocks`` per layout for as long as they
-write; a layout holds no text.  :func:`json_text` writes the plain
-payloads of the other commands: strings, ints, lists, dicts,
-``Polynomial`` values and, for ``nwgb groebner``, packed ones.
+variables as two masked halves of the rows of its leading term (``x &
+upper``, ``x & lower``), which every term uses, each distinct half's
+text made once per ``_RowBlocks``.  A basis of them is written one
+element at a time, as text (``packed_text_lines``) or as JSON
+(``packed_json_chunks``, and ``nwgb.union.basis_json_chunks`` for a
+union basis, both in the list frame of ``_json_list_chunks``); each
+writer keeps one ``_RowBlocks`` per layout for as long as it writes,
+and a layout holds no text.  :func:`json_text` writes the plain
+payloads of the other commands: strings, ints, lists, dicts and
+``Polynomial`` values.
 """
 
 from __future__ import annotations
@@ -673,23 +674,11 @@ def _name(row: int, col: int, exp: int) -> str:
 _NAMES = _VariableTexts(_name)
 
 
-_PackedProduct = namedtuple("_PackedProduct", ("layout", "terms", "masks"))
+_PackedProduct = namedtuple("_PackedProduct", ("layout", "terms"))
 _PackedProduct.__doc__ = """A packed polynomial, ``{packed monomial: coefficient}`` in
-``layout``, with ``masks``, the ``layout.mask`` of each row that every one
-of its terms uses, top row first, and of no other row; or with no masks,
-each term then read whole.  A larger int is a larger monomial, so its
-terms, largest first, are the ints descending.
-
-Products of minors and the elements of a reduced basis of minors have
-such masks.  Grade a monomial by how many factors it takes from each row
-and from each column (the Z^{2n}-grading of Knutson and Miller, Annals
-2005).  Every term of a minor on rows R and columns C takes one factor
-from each row of R and each column of C, so a minor, and a product of
-minors, is homogeneous.  S-polynomials, division steps and scaling by a
-coefficient (``nwgb.groebner``) combine homogeneous polynomials of one
-degree into one of that degree, so every element of their reduced basis
-is homogeneous too: each of its terms uses exactly the rows, and the
-columns, of its leading term."""
+``layout``, each of whose terms uses exactly the rows of its leading
+term (see ``_RowBlocks.terms``).  A larger int is a larger monomial, so
+its terms, largest first, are the ints descending."""
 
 
 def monomial_text(mono: Monomial) -> str:
@@ -698,12 +687,13 @@ def monomial_text(mono: Monomial) -> str:
 
 
 def polynomial_text(f: Polynomial | _PackedProduct) -> str:
-    """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``.
-    A single product of minors is written off its packed terms, with
-    segment texts of its own (``_RowBlocks``); a writer of many products
-    keeps one ``_RowBlocks`` per layout instead (``packed_text_lines``)."""
+    """Canonical text form, e.g. ``-1*m[1,2]*m[2,1] + 1*m[1,1]*m[2,2]``,
+    and ``0`` for zero.  A single packed polynomial is written off its
+    terms, with segment texts of its own (``_RowBlocks``); a writer of
+    many keeps one ``_RowBlocks`` per layout instead
+    (``packed_text_lines``)."""
     if type(f) is _PackedProduct:
-        return " + ".join(_RowBlocks(f.layout, _NAMES, "*").terms(f, "", "*", "", ""))
+        return _packed_text(_RowBlocks(f.layout, _NAMES, "*"), f)
     if f.is_zero():
         return "0"
     rendered = []
@@ -713,13 +703,18 @@ def polynomial_text(f: Polynomial | _PackedProduct) -> str:
     return " + ".join(rendered)
 
 
+def _packed_text(names: _RowBlocks, f: _PackedProduct) -> str:
+    # a nonzero polynomial has a term, and every term has a text
+    return " + ".join(names.terms(f, "", "*", "", "")) or "0"
+
+
 def packed_text_lines(products: Iterable[_PackedProduct]) -> Iterator[str]:
     """One line per product, as ``polynomial_text`` writes it, as each is
     read.  The segment texts of each layout (``_RowBlocks``) are made once
     per call and kept until the last line."""
     names = _Made(lambda layout: _RowBlocks(layout, _NAMES, "*"))
     for f in products:
-        yield " + ".join(names[f.layout].terms(f, "", "*", "", "")) + "\n"
+        yield _packed_text(names[f.layout], f) + "\n"
 
 
 def polynomial_to_json(f: Polynomial) -> list[dict]:
@@ -736,6 +731,16 @@ def _json_list(items: Sequence[str], indent: int, brackets: str) -> str:
         return brackets
     inner = "\n" + " " * (indent + 2)
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
+
+
+def _json_list_chunks(items: Iterable[str]) -> Iterator[str]:
+    """``_json_list(list(items), 0, "[]")`` in chunks, one per item as it
+    is read, each item encoded at indent 2, then the list's close."""
+    opening = "[\n  "
+    for item in items:
+        yield opening + item
+        opening = ",\n  "
+    yield "[]" if opening == "[\n  " else "\n]"
 
 
 class _RowBlocks(dict):
@@ -774,14 +779,33 @@ class _RowBlocks(dict):
         ``before``, the coefficient and ``constant``.
 
         A larger int is a larger monomial, so the terms are the ints
-        descending.  Every term uses every row of ``f.masks``, so a term of
-        two or more rows is the text of its upper half of rows and that of
-        its lower half, each masked out of the int, joined by ``self.between``;
-        each distinct half is written once.  Any other term is read whole,
-        as one segment, and the int 0 is the constant."""
+        descending.  Every term uses exactly the rows of the leading term,
+        so when that is two or more rows, a term is the text of its upper
+        half of those rows and that of its lower half, each masked out of
+        the int, joined by ``self.between``; each distinct half is written
+        once.  Any other term is read whole, as one segment, and the int 0
+        is the constant.
+
+        That every term uses the lead's rows holds for each packed
+        polynomial the package forms.  Grade a monomial by how many factors
+        it takes from each row and from each column (the Z^{2n}-grading of
+        Knutson and Miller, Annals 2005).  Every term of a minor on rows R
+        and columns C takes one factor from each row of R and each column
+        of C, so a minor, and a product of minors, is homogeneous.  In a
+        completion of minors (``nwgb.groebner.minor_basis``), an
+        S-polynomial of two homogeneous elements is homogeneous, its two
+        shifted terms having the degree of the lcm of the leads; a division
+        step subtracts a multiple of a divisor whose shifted lead is the
+        term it cancels, so it adds terms of that term's degree; making an
+        element monic and interreducing are such steps and scalings.  So
+        every element of the completion is homogeneous too: each term uses
+        exactly the rows, and the columns, of the leading term.  A sum of
+        products of minors whose terms all use one set of rows, such as a
+        Laplace expansion, is written the same way."""
         coeffs = f.terms
-        masks = f.masks
         ordered = sorted(coeffs, reverse=True)
+        lead = ordered[0] if ordered else 0
+        masks = [mask for mask in self.layout.row_masks if mask & lead]
         if len(masks) < 2:
             return [
                 f"{before}{coeffs[x]!s}{f'{middle}{self[x]}{after}' if x else constant}"
@@ -847,11 +871,19 @@ class _TermLayout:
         return _json_list(terms, self.indent, "[]")
 
 
+def packed_json_chunks(products: Iterable[_PackedProduct]) -> Iterator[str]:
+    """The products as ``json_text`` writes a list of them as Polynomials,
+    one chunk per product as it is read, then the list's close.  One
+    ``_TermLayout`` writes them all, so each ``[row, col, exp]`` block and
+    each layout's row segments are made once per call."""
+    return _json_list_chunks(map(_TermLayout(2).write_packed, products))
+
+
 def json_text(value) -> str:
     """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
-    strings, ints, and :class:`Polynomial` and packed (``_PackedProduct``)
-    values, each as :func:`polynomial_to_json` gives the polynomial;
-    anything else raises ``TypeError``.  ``indent`` sends ``json`` to its
+    strings, ints, and :class:`Polynomial` values, each as
+    :func:`polynomial_to_json` gives it; anything else, a packed
+    polynomial too, raises ``TypeError``.  ``indent`` sends ``json`` to its
     pure-Python encoder; here each ``[row, col, exp]`` block is written once per call and
     indent, and each term of a polynomial in one piece."""
     layouts = _Made(_TermLayout)
@@ -871,8 +903,6 @@ def json_text(value) -> str:
             return _json_list(items, indent, "{}")
         if kind is Polynomial:
             return layouts[indent].write(value)
-        if kind is _PackedProduct:
-            return layouts[indent].write_packed(value)
         raise TypeError(f"{kind.__name__} is not written as JSON")
 
     return write(value, 0)

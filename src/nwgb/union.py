@@ -32,11 +32,13 @@ A product has one form, on packed exponent ints, in one ``_Layout`` per
 basis (see :mod:`nwgb.polynomials`): each minor is expanded on packed
 ints once (``_Layout.minor``), and a product of monomials is an integer
 sum (see ``_Packing.product``).  The output format of a basis lives here,
-in one writer per format
-(``basis_json_chunks``, ``basis_text_chunks``).  Each reads a term's text
-off its int as two cached halves of its rows (see ``_RowBlocks.terms``),
-and each owns its caches, which go when it is done; ``--verify`` divides
-the same ints.  No exponent can exceed the number k of inputs, so fields of
+in one writer per format (``basis_json_chunks``, ``basis_text_chunks``),
+each streaming one generator at a time in the frame that ``nwgb
+groebner`` writes its basis in.  Each reads a term's text off its int as
+two cached halves of the rows of the product's leading term, which every
+term uses (see ``_RowBlocks.terms``), and each owns its caches, which go
+when it is done; ``--verify`` divides the same ints.  No exponent can
+exceed the number k of inputs, so fields of
 ``k.bit_length() + 1`` bits, the proven width, hold every product, and
 a handle forms its product at that width.  A caller that divides the
 products keeps them all anyway, so ``hold`` forms each once, at the wider
@@ -75,6 +77,7 @@ from .polynomials import (
     _PackedProduct,
     _TermLayout,
     _json_list,
+    _json_list_chunks,
     packed_text_lines,
     polynomial_text,
 )
@@ -328,10 +331,7 @@ class _Packing:
                 if reduce(or_, terms, 0) & guard:
                     raise RuntimeError("an exponent of a union generator outgrew its field")
             used |= support
-        # a minor uses each of its rows in every term, so every term of the
-        # product uses exactly the rows that some minor uses
-        masks = tuple([mask for mask in self.layout.row_masks if mask & used])
-        return _PackedProduct(self.layout, terms, masks)
+        return _PackedProduct(self.layout, terms)
 
 
 def generator_product(
@@ -467,19 +467,21 @@ def basis_json_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:
     one chunk per generator as it is read: ``{"factors": [{"rows": [...],
     "cols": [...]}, ...], "poly": [...]}``, each factor's rows and columns
     ascending and the terms of ``g.packed`` as ``polynomial_to_json`` lists
-    a polynomial's.  Each factor's text is written once per call, keyed by
-    its cells, and every product through one ``_TermLayout`` at the
-    products' indent, which keeps its ``[row, col, exp]`` blocks and, per
-    layout, its row segments until the last chunk."""
+    a polynomial's, then the list's close (``_json_list_chunks``, the
+    frame ``nwgb groebner`` writes its basis in too).  Each factor's text
+    is written once per call, keyed by its cells, and every product
+    through one ``_TermLayout`` at the products' indent, which keeps its
+    ``[row, col, exp]`` blocks and, per layout, its row segments until the
+    last chunk."""
     products = _TermLayout(4)
     factors = _Made(_factor_json)
-    opening = "[\n  "
-    for g in basis:
+
+    def item(g: GeneratorProduct) -> str:
         listed = _json_list([factors[factor.cells] for factor in g.factors], 4, "[]")
         poly = products.write_packed(g.packed)
-        yield f'{opening}{{\n    "factors": {listed},\n    "poly": {poly}\n  }}'
-        opening = ",\n  "
-    yield "[]" if opening == "[\n  " else "\n]"
+        return f'{{\n    "factors": {listed},\n    "poly": {poly}\n  }}'
+
+    return _json_list_chunks(map(item, basis))
 
 
 def basis_text_chunks(basis: Iterable[GeneratorProduct]) -> Iterator[str]:

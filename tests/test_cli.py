@@ -320,6 +320,72 @@ def test_groebner_writes_the_bytes_of_buchberger_and_json_text(tmp_path, capsys)
     assert target.read_text(encoding="utf-8") == expected["json"]
 
 
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_groebner_hands_emit_one_chunk_per_basis_element(form, tmp_path, capsys, monkeypatch):
+    # as nwgb union does (test_basis_json_chunks_give_one_chunk_per_generator),
+    # the command writes its basis one element at a time: _emit gets an
+    # iterator, which forms each element's text as the write reads it, and
+    # in JSON then the list's close and the final newline
+    handed = []
+    emit = nwgb.cli._emit
+
+    def recorded(pieces, args):
+        assert iter(pieces) is pieces
+        handed.append(list(pieces))
+        emit(handed[-1], args)
+
+    monkeypatch.setattr(nwgb.cli, "_emit", recorded)
+    specs = [
+        {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]},  # a theorem settles it
+        {"permutation": "1 5 4 3 2"},  # completed through the queue
+        {"n": 3, "conditions": []},  # the empty basis
+    ]
+    for data in specs:
+        path = write_spec(tmp_path, "spec.json", data)
+        basis = buchberger(generator_polynomials(load_spec(path)))
+        handed.clear()
+        assert main(["groebner", path, f"--format={form}"]) == 0
+        out = capsys.readouterr().out
+        [chunks] = handed
+        assert "".join(chunks) == out
+        if form == "text":
+            assert chunks == [polynomial_text(f) + "\n" for f in basis]
+            continue
+        assert len(chunks) == len(basis) + 2
+        *elements, close, newline = chunks
+        assert (close, newline) == ("\n]" if basis else "[]", "\n")
+        for k, chunk in enumerate(elements):
+            assert chunk[:4] == (",\n  " if k else "[\n  ")
+        assert [json.loads(chunk[4:]) for chunk in elements] == list(map(polynomial_to_json, basis))
+        assert basis or out == "[]\n"
+
+
+def test_groebner_writes_a_large_basis_in_little_memory(tmp_path):
+    # the 116,280 terms of rank(NW 4x20) <= 3, written as JSON one element
+    # at a time: the child's peak RSS stays under 70 MB, where building the
+    # whole text before the write peaks at about 131 MB
+    pytest.importorskip("resource")
+    script = """
+import json, resource, sys
+from nwgb.cli import main
+code = main(sys.argv[1:])
+sys.stdout.write(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+    path = write_spec(tmp_path, "spec.json", {"n": 20, "conditions": [{"i": 4, "j": 20, "r": 3}]})
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "groebner", path, "--format=json", f"--out={os.devnull}"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    code, peak = json.loads(proc.stdout)
+    # ru_maxrss counts KiB, and bytes on macOS
+    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert (code, proc.stderr) == (0, "")
+    assert peak_mb < 70, peak_mb
+
+
 def settled_sweep_specs():
     """Every single condition of a 6x6 matrix: specs whose completion a
     theorem settles (``fulton_is_groebner``)."""
@@ -1170,11 +1236,13 @@ CLOSED_PIPE_RUNS = {
     # more than the 8 KiB a block-buffered stdout holds, so a flush fails
     # inside the handler, not at run's final flush
     "json": ["union", "{s5a}", "{s5b}", "--format=json", "--verify=none"],
+    "groebner-json": ["groebner", "{g552}", "--format=json"],
 }
 CLOSED_PIPE_SPECS = {
     "w0": {"n": 3, "permutation": "3 2 1"},
     "s5a": {"n": 5, "permutation": "1 5 4 3 2"},
     "s5b": {"n": 5, "permutation": "4 3 2 1 5"},
+    "g552": {"n": 5, "conditions": [{"i": 5, "j": 5, "r": 2}]},
 }
 
 
@@ -1186,13 +1254,13 @@ def closed_pipe_args(run, tmp_path):
     return args
 
 
-# help and the json run write to stdout only
+# help and the json runs write to stdout only
 CLOSED_PIPES = [
     (run, stream, unbuffered)
     for unbuffered in (False, True)
     for run in CLOSED_PIPE_RUNS
     for stream in ("stdout", "stderr")
-    if stream == "stdout" or run not in ("help", "json")
+    if stream == "stdout" or run not in ("help", "json", "groebner-json")
 ]
 
 
@@ -1240,9 +1308,10 @@ def test_closed_pipe_exits_2_without_a_traceback(run, stream, unbuffered, tmp_pa
 
 
 def test_closed_pipe_json_run_outgrows_the_stdout_buffer(tmp_path):
-    out = tmp_path / "out.json"
-    assert main([*closed_pipe_args("json", tmp_path), f"--out={out}"]) == 0
-    assert out.stat().st_size > 8192
+    for run in ("json", "groebner-json"):
+        out = tmp_path / "out.json"
+        assert main([*closed_pipe_args(run, tmp_path), f"--out={out}"]) == 0
+        assert out.stat().st_size > 8192, run
 
 
 def test_module_entry_point():

@@ -41,7 +41,7 @@ from nwgb.ideals import WORK_LIMIT, completion_work
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
 from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
 from test_polynomials import monic
-from test_union import partial_permutations
+from test_union import S4_PAIRS, S5_SPECS, partial_permutations
 
 
 def ideal_of(spec):
@@ -1208,11 +1208,12 @@ def row_and_column_degrees(layout, x):
 
 
 def test_every_basis_element_uses_the_rows_and_columns_of_its_lead():
-    # nwgb groebner writes each element as two halves of the rows of its
-    # leading term, so every term must use exactly those rows.  The minors
-    # are homogeneous in the grading by rows and by columns, and the
-    # completion keeps that grading, so each term of an element takes as
-    # many factors from each row and column as its lead
+    # the packed writers read each term as two halves of the rows of its
+    # element's leading term, so every term must use exactly those rows.
+    # The minors are homogeneous in the grading by rows and by columns, and
+    # the completion keeps that grading, so each term of an element takes
+    # as many factors from each row and column as its lead; so does each
+    # term of a union product, a product of minors
     specs = [spec_from_permutation(p) for n in (3, 4, 5) for p in honest_permutations(n)]
     specs += [spec_from_permutation(p) for p in partial_permutations(4)]
     specs += [spec_from_json(data) for data in seeded_condition_lists(7, 100)]
@@ -1233,6 +1234,20 @@ def test_every_basis_element_uses_the_rows_and_columns_of_its_lead():
                 assert row_and_column_degrees(layout, x) == grading, spec
         elements += len(basis)
     assert elements == 3026
+    # the union bases of all ordered S4 pairs and of the seeded S5 triples
+    # of assert_packed_equals_fold; a product is fixed by its factors, so
+    # each distinct one is checked once
+    rng = random.Random(113)
+    cases = S4_PAIRS + [rng.sample(S5_SPECS, 3) for _ in range(20)]
+    products = {g.factors: g for specs in cases for g in union_basis(specs)}
+    terms = 0
+    for g in products.values():
+        layout, f = g.packed
+        grading = row_and_column_degrees(layout, max(f))
+        for x in f:
+            assert row_and_column_degrees(layout, x) == grading, g.inputs
+        terms += len(f)
+    assert (len(products), terms) == (1352, 11319)
 
 
 def test_t_free_finish_is_the_full_completion_filtered_by_lead():

@@ -29,6 +29,8 @@ from nwgb.polynomials import (
     json_text,
     monomial_text,
     monomial_to_json,
+    packed_json_chunks,
+    packed_text_lines,
     polynomial_text,
     polynomial_to_json,
     sort_key,
@@ -591,21 +593,67 @@ def test_json_text_equals_json_dumps_on_random_payloads():
     assert json_text(nested) == json.dumps(nested, indent=2)
 
 
-def test_json_text_writes_a_packed_polynomial_as_its_polynomial():
-    # read whole (no masks), as nwgb groebner writes a basis element, and
-    # in halves of whole rows, as a union product is written
-    layout = _Layout((), 3, [Cell(r, c) for r in (1, 2, 3) for c in (1, 2, 3)])
-    minor = layout.minor((1, 2, 3), (1, 2, 3))
-    whole = _PackedProduct(layout, minor, ())
-    halves = _PackedProduct(layout, minor, tuple(layout.row_masks))
-    one = _PackedProduct(layout, {0: 1}, ())
-    reference = polynomial_to_json(determinant((1, 2, 3), (1, 2, 3)))
-    value = [whole, {"poly": halves, "one": one}]
-    assert json_text(value) == json.dumps(
-        [reference, {"poly": reference, "one": polynomial_to_json(Polynomial.constant(1))}],
-        indent=2,
+def pack_into(f, cells):
+    """f packed into a layout of the cells, as a ``_PackedProduct``."""
+    layout = _Layout((), _FIELD_BITS, cells)
+    return _PackedProduct(layout, layout.pack_poly(f))
+
+
+def assert_packed_writers_write(f, cells):
+    """Both packed writers, alone and in a list, write f packed into a
+    layout of the cells as the Polynomial writers write f."""
+    value = pack_into(f, cells)
+    assert polynomial_text(value) == polynomial_text(f)
+    assert list(packed_text_lines([value, value])) == [polynomial_text(f) + "\n"] * 2
+    chunks = list(packed_json_chunks([value]))
+    assert "".join(chunks) == json_text([f]) == json.dumps([polynomial_to_json(f)], indent=2)
+    assert len(chunks) == 2
+
+
+def test_packed_writers_write_a_packed_polynomial_as_its_polynomial():
+    # a packed polynomial has a layout and terms, no more: the writers read
+    # the rows each term uses off its leading term, and write a term of
+    # several rows in two halves of them, a term of one row, and the
+    # constant, whole.  json_text writes no packed value
+    assert _PackedProduct._fields == ("layout", "terms")
+    grid = [Cell(r, c) for r in (1, 2, 3) for c in (1, 2, 3)]
+    minor = determinant((1, 2, 3), (1, 2, 3))  # three rows: halves
+    one_row = determinant((2,), (3,)) * determinant((2,), (1,))  # one row: whole
+    one = Polynomial.constant(1)  # no row: the constant
+    for f in (minor, one_row, one):
+        assert_packed_writers_write(f, grid)
+    values = [pack_into(f, grid) for f in (minor, one_row, one)]
+    assert "".join(packed_json_chunks(values)) == json.dumps(
+        [polynomial_to_json(f) for f in (minor, one_row, one)], indent=2
     )
-    assert json_text(whole) == json.dumps(reference, indent=2)
+    with pytest.raises(TypeError):
+        json_text(values[0])
+    with pytest.raises(TypeError):
+        json_text({"poly": values})
+
+
+def test_packed_writers_write_zero_as_the_polynomial_writers_do():
+    # zero has no lead to read rows off: "0" as text, [] as JSON
+    zero = _PackedProduct(_Layout((), _FIELD_BITS, [Cell(1, 1)]), {})
+    assert polynomial_text(zero) == polynomial_text(Polynomial()) == "0"
+    assert list(packed_text_lines([zero])) == ["0\n"]
+    assert "".join(packed_json_chunks([zero])) == json.dumps([[]], indent=2)
+    assert_packed_writers_write(Polynomial(), [Cell(1, 1)])
+
+
+def test_packed_writers_write_a_laplace_sum_off_the_rows_of_its_lead():
+    # the repair of a bad union generator (ROADMAP item 1) is a sum of
+    # products of minors, m21*D(134|123) - m11*D(234|123): the terms with
+    # m11*m21 cancel, and each of the other 8 takes one factor from each
+    # of rows 1-4, so the writers read every term as halves of those rows
+    f = Polynomial.variable(Cell(2, 1)) * determinant((1, 3, 4), (1, 2, 3)) - Polynomial.variable(
+        Cell(1, 1)
+    ) * determinant((2, 3, 4), (1, 2, 3))
+    assert len(f.terms) == 8
+    assert {tuple(sorted(row for row, _, _ in monomial_to_json(m))) for m in f.terms} == {
+        (1, 2, 3, 4)
+    }
+    assert_packed_writers_write(f, [Cell(r, c) for r in range(1, 5) for c in range(1, 4)])
 
 
 # a union factor is written by the union writers (nwgb.union), not by
