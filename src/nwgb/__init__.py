@@ -9,8 +9,6 @@ exact Buchberger engine to verify the construction.
 
 from .permutations import (
     PartialPermutation,
-    diagram_json,
-    diagram_text,
     essential_set,
     inversions,
     parse_one_line,
@@ -61,6 +59,26 @@ from .groebner import (
     normal_form,
     s_polynomial,
 )
-from .verify import SUITES, SuiteReport, run_suite
+from .verify import SuiteReport
 
 __version__ = "0.1.0"
+
+# names whose modules only some commands run, loaded on first access
+_ON_FIRST_USE = {
+    "SUITES": "suites",
+    "run_suite": "suites",
+    "diagram_text": "payloads",
+    "diagram_json": "payloads",
+}
+
+
+def __getattr__(name: str):
+    """A name of ``_ON_FIRST_USE``, read from its module, which this
+    imports on first access (PEP 562), so that ``import nwgb`` compiles
+    neither the property suites nor the plain writers."""
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
+    return value

@@ -14,7 +14,7 @@ basis one element at a time (``packed_json_chunks``,
 ``packed_text_lines``), with the term writer and the list frame of the
 union writers: no minor or basis element is a ``Polynomial``, no whole
 text is built, and the bytes are those of ``buchberger`` written by
-``json_text`` or ``polynomial_text``.
+``payloads.json_text`` or ``polynomial_text``.
 ``nwgb union`` writes each generator as its packed product is formed and
 then drops it; --verify, whose checks divide every product, forms each
 once before the write and keeps it, so the writer and the checks read
@@ -30,8 +30,16 @@ declines: help, usage errors and the rarer spellings argparse also takes
 plain form so loads neither argparse nor the ``gettext`` and ``locale``
 imports behind its messages, and argparse alone writes help, usage and
 error text.  No command imports ``typing``, and only the sampled suites
-import ``random``.  The import ends with ``gc.freeze()`` (see there), so
-the collections a command triggers walk only the objects it made.
+import ``random``.
+
+The import compiles what ``union``, ``groebner`` and their checks run:
+the packed writers, the union synthesis, the engine and the one union
+check (``verify.union_verdicts``).  ``nwgb verify`` loads the property
+suites (``nwgb.suites``), and ``diagram`` and ``fulton`` their plain
+writers (``nwgb.payloads``), inside the command, on first use; argparse's
+parser loads the suites too, for the suite names in ``verify``'s help.
+The import ends with ``gc.freeze()`` (see there), so the collections a
+command triggers walk only the objects it made.
 """
 
 import gc
@@ -41,27 +49,11 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
 
-from .ideals import (
-    check_work,
-    fulton_generators,
-    fulton_is_groebner,
-    generator_minors,
-    load_spec,
-    minor_regions,
-    spec_to_json,
-)
+from .ideals import fulton_is_groebner, generator_minors, load_spec, minor_regions
 from .groebner import minor_basis
-from .permutations import diagram_json, diagram_text, parse_one_line
-from .polynomials import (
-    _Layout,
-    _PackedProduct,
-    json_text,
-    packed_json_chunks,
-    packed_text_lines,
-    polynomial_text,
-)
+from .polynomials import _Layout, _PackedProduct, packed_json_chunks, packed_text_lines
 from .union import basis_json_chunks, basis_text_chunks, hold, union_basis
-from .verify import SUITES, run_suite, union_verdicts
+from .verify import union_verdicts
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -73,8 +65,11 @@ def _build_parser():
     swallows an error in writing its help, usage and error text, so a help
     written unbuffered into a closed pipe would exit 0; this parser and
     its subparsers let the error rise to ``run``, as every other write of
-    a run does."""
+    a run does.  The help of ``verify``'s suite names the suites, so the
+    parser loads them (``nwgb.suites``), as ``nwgb verify`` does."""
     import argparse
+
+    from .suites import SUITES
 
     class Parser(argparse.ArgumentParser):
         def _print_message(self, message, file=None):
@@ -89,6 +84,8 @@ def _build_parser():
     for name, (help_text, arguments, _) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
+            if flag == "suite":
+                options = {"help": f"one of: all, {', '.join(sorted(SUITES))}"}
             p_command.add_argument(flag, **options)
     return parser
 
@@ -155,36 +152,16 @@ def _emit(pieces: Iterable[str], args: SimpleNamespace):
 
 
 def _cmd_diagram(args: SimpleNamespace) -> int:
-    p = parse_one_line(args.permutation)
-    check_work(p.n**2)  # the entries of its rank matrix
-    if args.format == "json":
-        _emit([json_text(diagram_json(p)) + "\n"], args)
-    else:
-        _emit([diagram_text(p)], args)
+    from .payloads import diagram_pieces
+
+    _emit(diagram_pieces(args.permutation, args.format == "json"), args)
     return EXIT_OK
 
 
 def _cmd_fulton(args: SimpleNamespace) -> int:
-    spec = load_spec(args.spec)
-    gens = fulton_generators(spec)
-    if args.format == "json":
-        payload = {
-            "spec": spec_to_json(spec),
-            "generators": [
-                {
-                    "rows": list(rows),
-                    "cols": list(cols),
-                    "condition": {"i": cond.row, "j": cond.col, "r": cond.max_rank},
-                    "poly": poly,
-                }
-                for cond, rows, cols, poly in gens
-            ],
-        }
-        # the payload nests the spec around the generators, so it is
-        # written whole, in one json_text call
-        _emit([json_text(payload) + "\n"], args)
-    else:
-        _emit((polynomial_text(poly) + "\n" for _, _, _, poly in gens), args)
+    from .payloads import fulton_pieces
+
+    _emit(fulton_pieces(args.spec, args.format == "json"), args)
     return EXIT_OK
 
 
@@ -200,10 +177,11 @@ def _cmd_groebner(args: SimpleNamespace) -> int:
         for col in range(1, j + 1)
     }
 
-    def complete(bits: int) -> tuple[_Layout, list[dict]]:
+    def complete(bits: int) -> tuple[_Layout, Iterable[dict]]:
         layout = _Layout((), bits, cells)
         return layout, minor_basis(minors, layout, settled)
 
+    # a settled basis is an iterator of minors, which no width outgrows
     layout, basis = _Layout.widening(complete)
     # each element is written as it is read, as union products are
     products = (_PackedProduct(layout, f) for f in basis)
@@ -244,6 +222,8 @@ def _cmd_union(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
+    from .suites import SUITES, run_suite
+
     if args.suite == "all":
         # the count goes to the sampled suites only
         runs = [
@@ -298,7 +278,7 @@ _COMMANDS = {
         "run a property suite",
         [  # a suite report is text only
             _OUT,
-            ("suite", {"help": f"one of: all, {', '.join(sorted(SUITES))}"}),
+            ("suite", {}),  # its help, the suite names, is set by _build_parser
             ("--seed", {"type": int, "default": 0}),
             ("--cases", {"type": int, "default": None}),
         ],

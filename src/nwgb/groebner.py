@@ -432,7 +432,9 @@ def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = N
     return [basis[k] for k in sorted(range(len(basis)), key=leads.__getitem__)]
 
 
-def minor_basis(minors: Iterable[tuple], layout: _Layout, settled: bool = False) -> list[dict]:
+def minor_basis(
+    minors: Iterable[tuple], layout: _Layout, settled: bool = False
+) -> Iterable[dict]:
     """``_complete`` of the minors, (rows, cols) each, expanded straight
     into ``layout`` (``_Layout.minor``): ``buchberger`` of their
     determinants without a ``Polynomial``, the completion of a spec's
@@ -443,21 +445,26 @@ def minor_basis(minors: Iterable[tuple], layout: _Layout, settled: bool = False)
     condition, all the k-minors of one generic region, which are a
     Groebner basis (``ideals.fulton_is_groebner``, which ``nwgb groebner``
     asks; the union check never passes it, so its completions stay
-    independent of the theorem).  Then no ``_complete`` runs: each minor
-    is made monic and the list is sorted by leading monomial.  That is the
-    reduced basis.  A term of the minor on rows R and columns C uses each
-    row of R and each column of C once, so it names R and C, and no other
-    minor has it; a degree-k divisor of a degree-k term is that term, so
-    no minor's lead, its antidiagonal, divides a term of another, and no
-    lead can move.
+    independent of the theorem).  Then no ``_complete`` runs: the minors
+    are sorted by leading monomial, read off their antidiagonals without
+    expanding them (``_Layout.minor_lead``), and each is expanded, monic,
+    only as the returned iterator reaches it, so a writer that reads it
+    holds one expanded minor at a time.  That is the reduced basis.  A
+    term of the minor on rows R and columns C uses each row of R and each
+    column of C once, so it names R and C, and no other minor has it; a
+    degree-k divisor of a degree-k term is that term, so no minor's lead,
+    its antidiagonal, divides a term of another, and no lead can move.  A
+    term uses each variable once, so it fits fields of any width: the
+    iterator never raises ``_Overflow`` and needs no ``_Layout.widening``.
+    Otherwise the completed basis is returned as a list.
 
     Every element returned, settled or not, uses in each term exactly the
     rows and the columns of its leading term, which the writers of packed
     polynomials rely on (the argument is at ``_RowBlocks.terms``)."""
-    polys = [layout.minor(rows, cols) for rows, cols in minors]
     if settled:
-        return sorted(map(_monic, polys), key=max)
-    return _complete(layout, polys)
+        ordered = sorted(minors, key=layout.minor_lead)
+        return (layout.minor(rows, cols, monic=True) for rows, cols in ordered)
+    return _complete(layout, [layout.minor(rows, cols) for rows, cols in minors])
 
 
 # the last reduced basis the engine returned, as a tuple of the same objects

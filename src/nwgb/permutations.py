@@ -5,7 +5,8 @@ A partial permutation on n letters is written in one-line notation with
 row i, column pi(i) for each defined entry.  From the matrix we read off
 the rank matrix (ranks of northwest-justified submatrices), the Rothe
 diagram, and the essential boxes that carry the defining rank conditions
-of the associated determinantal scheme.
+of the associated determinantal scheme.  The text and JSON of ``nwgb
+diagram``, which write these, are in ``nwgb.payloads``.
 """
 
 from __future__ import annotations
@@ -130,37 +131,3 @@ def inversions(p: PartialPermutation) -> int:
     """
     values = [v for v in p.images if v is not None]
     return sum(a > b for i, a in enumerate(values) for b in values[i + 1 :])
-
-
-def diagram_text(p: PartialPermutation) -> str:
-    """The text of ``nwgb diagram``: a grid with '1' for matrix ones, 'e'
-    essential boxes, 'D' other diagram cells and '.' elsewhere, a blank
-    line, the essential boxes with their ranks, and the rank matrix."""
-    ranks = rank_matrix(p)
-    diagram, essential = _diagram_and_essential(ranks)
-    # a Cell is a named tuple, so the plain (i, j) below finds it
-    marks = dict.fromkeys(diagram, "D")
-    marks.update((cell, "e") for cell, _ in essential)
-    lines = [
-        " ".join("1" if value == j else marks.get((i, j), ".") for j in range(1, p.n + 1))
-        for i, value in enumerate(p.images, 1)
-    ]
-    boxes = "; ".join(f"({c.row},{c.col}) rank {r}" for c, r in sorted(essential))
-    lines += ["", f"essential: {boxes or 'none'}", "rank matrix:"]
-    lines += (" ".join(map(str, row)) for row in ranks)
-    return "\n".join(lines) + "\n"
-
-
-def diagram_json(p: PartialPermutation) -> dict:
-    """Diagram, essential boxes and rank matrix in the documented schema."""
-    ranks = rank_matrix(p)
-    diagram, essential = _diagram_and_essential(ranks)
-    return {
-        "n": p.n,
-        "permutation": p.one_line(),
-        "diagram": {"cells": [[c.row, c.col] for c in sorted(diagram)]},
-        "essential": [
-            {"cell": [cell.row, cell.col], "rank": rank} for cell, rank in sorted(essential)
-        ],
-        "rank_matrix": [list(row) for row in ranks],
-    }

@@ -53,9 +53,9 @@ element at a time, as text (``packed_text_lines``) or as JSON
 (``packed_json_chunks``, and ``nwgb.union.basis_json_chunks`` for a
 union basis, both in the list frame of ``_json_list_chunks``); each
 writer keeps one ``_RowBlocks`` per layout for as long as it writes,
-and a layout holds no text.  :func:`json_text` writes the plain
-payloads of the other commands: strings, ints, lists, dicts and
-``Polynomial`` values.
+and a layout holds no text.  ``nwgb.payloads.json_text`` writes the
+plain payloads of the other commands, whose ``Polynomial`` terms it
+lays out with the fixed texts and blocks of a ``_TermLayout`` too.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache, partial
 from itertools import groupby, permutations as _all_permutations
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, getitem, itemgetter
 
 Cell = namedtuple("Cell", ("row", "col"))
@@ -460,6 +459,16 @@ def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((perm, _parity(perm)) for perm in _all_permutations(range(k)))
 
 
+@lru_cache(maxsize=None)
+def _monic_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``_signed_permutations(k)``, each sign divided by that of the last
+    permutation, the reversal: its term, the antidiagonal, leads every
+    minor of size k."""
+    table = _signed_permutations(k)
+    lead = table[-1][1]
+    return tuple((perm, sign * lead) for perm, sign in table)
+
+
 def determinant(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Determinant of the generic submatrix on the given rows and columns.
 
@@ -543,18 +552,28 @@ class _Layout:
         pack = self.pack
         return {pack(mono): coeff for mono, coeff in f.terms.items()}
 
-    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> dict[int, int]:
+    def minor(
+        self, rows: Sequence[int], cols: Sequence[int], monic: bool = False
+    ) -> dict[int, int]:
         """``pack_poly(determinant(rows, cols))`` for ascending rows and
         columns whose cells the layout holds, without the ``Polynomial``:
         each term, in the Leibniz sum, is the sum of its cells' units.  A
         term uses each variable once, so it fits fields of any width.  A
         cell's code is read inline, as ``_code`` computes it: the layout
-        has checked the range of every cell it holds."""
+        has checked the range of every cell it holds.  ``monic`` divides
+        the minor by its leading coefficient (``_monic_permutations``)."""
         unit = self.unit
         units = [[unit[base - col] for col in cols] for base in [row << _COL_BITS for row in rows]]
-        return {
-            sum(map(getitem, units, perm)): sign for perm, sign in _signed_permutations(len(rows))
-        }
+        signed = _monic_permutations if monic else _signed_permutations
+        return {sum(map(getitem, units, perm)): sign for perm, sign in signed(len(rows))}
+
+    def minor_lead(self, minor: tuple[Sequence[int], Sequence[int]]) -> int:
+        """The leading monomial of ``minor(rows, cols)`` for ``minor =
+        (rows, cols)``, the product of its antidiagonal, read without
+        expanding the minor."""
+        rows, cols = minor
+        unit = self.unit
+        return sum([unit[(row << _COL_BITS) - col] for row, col in zip(rows, cols[::-1])])
 
     def powers(self, x: int) -> list[tuple[int, int]]:
         """``(code, exponent)`` of each variable of a packed monomial, the
@@ -826,7 +845,8 @@ class _TermLayout:
     ``indent``: the fixed text around a term's coefficient and monomial,
     and the ``[row, col, exp]`` block of each variable, written on first
     use, and for packed polynomials, per layout, the blocks of each
-    segment of whole rows that a term reads."""
+    segment of whole rows that a term reads.  ``nwgb.payloads.json_text``
+    writes ``Polynomial`` terms from the same texts."""
 
     def __init__(self, indent: int):
         self.indent = indent
@@ -845,64 +865,18 @@ class _TermLayout:
         # a partial holds no reference back to self, so no cycle keeps a layout
         self.rows = _Made(partial(_RowBlocks, blocks=self.blocks, between=self.block_between))
 
-    def write(self, f: Polynomial) -> str:
-        """The terms of f, largest first, as ``polynomial_to_json`` lists
-        them, each written in one piece."""
-        coeff_text = self.coeff
-        monomial = self.monomial
-        block_between = self.block_between
-        end = self.end
-        row_major = self.blocks.row_major
-        terms = []
-        for coeff, mono in f.sorted_terms():
-            key = mono.key
-            if len(key) == 1:
-                terms.append(f"{coeff_text}{coeff!s}{self.constant}")
-            else:
-                blocks = block_between.join(row_major(key))
-                terms.append(f"{coeff_text}{coeff!s}{monomial}{blocks}{end}")
-        return _json_list(terms, self.indent, "[]")
-
     def write_packed(self, f: _PackedProduct) -> str:
-        """What ``write`` gives for the same product as a Polynomial, read
-        off the packed terms (``_RowBlocks.terms``), with the layout's
-        ``_RowBlocks`` of this writer."""
+        """What ``nwgb.payloads.json_text`` gives, at this indent, for the
+        same product as a Polynomial, read off the packed terms
+        (``_RowBlocks.terms``), with the layout's ``_RowBlocks`` of this
+        writer."""
         terms = self.rows[f.layout].terms(f, self.coeff, self.monomial, self.end, self.constant)
         return _json_list(terms, self.indent, "[]")
 
 
 def packed_json_chunks(products: Iterable[_PackedProduct]) -> Iterator[str]:
-    """The products as ``json_text`` writes a list of them as Polynomials,
-    one chunk per product as it is read, then the list's close.  One
-    ``_TermLayout`` writes them all, so each ``[row, col, exp]`` block and
-    each layout's row segments are made once per call."""
+    """The products as ``nwgb.payloads.json_text`` writes a list of them
+    as Polynomials, one chunk per product as it is read, then the list's
+    close.  One ``_TermLayout`` writes them all, so each ``[row, col,
+    exp]`` block and each layout's row segments are made once per call."""
     return _json_list_chunks(map(_TermLayout(2).write_packed, products))
-
-
-def json_text(value) -> str:
-    """``json.dumps(value, indent=2)`` of dicts with string keys, lists,
-    strings, ints, and :class:`Polynomial` values, each as
-    :func:`polynomial_to_json` gives it; anything else, a packed
-    polynomial too, raises ``TypeError``.  ``indent`` sends ``json`` to its
-    pure-Python encoder; here each ``[row, col, exp]`` block is written once per call and
-    indent, and each term of a polynomial in one piece."""
-    layouts = _Made(_TermLayout)
-
-    def write(value, indent: int) -> str:
-        kind = type(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return str(value)
-        if kind is list:
-            return _json_list([write(item, indent + 2) for item in value], indent, "[]")
-        if kind is dict:  # the encoder raises TypeError on a key that is not a str
-            items = [
-                encode_basestring_ascii(k) + ": " + write(v, indent + 2) for k, v in value.items()
-            ]
-            return _json_list(items, indent, "{}")
-        if kind is Polynomial:
-            return layouts[indent].write(value)
-        raise TypeError(f"{kind.__name__} is not written as JSON")
-
-    return write(value, 0)

@@ -13,7 +13,7 @@ from io import StringIO
 from nwgb import parse_one_line, rank_matrix
 from nwgb.cli import main
 from nwgb.permutations import Cell, essential_set
-from nwgb.verify import run_suite
+from nwgb.suites import run_suite
 
 BUDGETS = {
     1: 1.0,

@@ -4,7 +4,10 @@
 ``sort_key.cache_info()``, and ``bench/child.py`` and ``bench/checks.py``
 import package names.  A rename or a deletion would otherwise show only
 as a failing benchmark run.  The bench modules are loaded by path or
-parsed, and only read.
+parsed, and only read.  child.py times a job after the package's import,
+so a job that imports a module the import did not load would be timed
+compiling it; the last test runs one job of each workload as child.py
+does and checks that none does.
 """
 
 import ast
@@ -12,6 +15,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import nwgb.cli  # loads every layer, as a benchmark job does
@@ -146,3 +151,43 @@ def test_traced_synth_job_books_synthesis_to_union_basis(tmp_path, capsys):
     assert summary["calls"]["union.union_basis"] == 1
     assert summary["produced"]["union.union_basis"] == generators > 0
     assert summary["choices"] == generators
+
+
+def test_timed_jobs_import_nothing_the_set_up_did_not(tmp_path):
+    # child.py times a job from after ``import nwgb.cli`` and the spec
+    # load; a module first imported inside a job would be compiled inside
+    # the timed interval.  One pooled job of each workload runs in a fresh
+    # ``python -S`` child through child.py's own job functions, set up as
+    # child.py sets them up
+    run = load_bench("nwgb_bench_run", BENCH / "run.py")
+    pool = run.load_pool()
+    jobs = {}
+    for workload in run.WORKLOADS:
+        job = pool[workload]["pool"][0]
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        jobs[workload] = {**job, "spec_paths": run._spec_files(job, workdir)}
+    script = """
+import importlib.util, json, sys
+child_path, src, jobs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path.insert(0, src)
+import nwgb
+import nwgb.cli
+spec = importlib.util.spec_from_file_location("nwgb_bench_child", child_path)
+child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(child)
+from nwgb.ideals import spec_from_json
+specs = [spec_from_json(data) for data in child._load_specs(jobs["eliminate"])]
+before = set(sys.modules)
+codes = [child._run_cli(jobs[workload])["exit_code"] for workload in ("synth", "oracle", "complete")]
+codes.append(child._run_eliminate(specs)["exit_code"])
+sys.stdout.write(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+    src = str(BENCH.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(BENCH / "child.py"), src, json.dumps(jobs)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]

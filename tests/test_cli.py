@@ -28,14 +28,9 @@ from nwgb.ideals import (
     spec_from_permutation,
     spec_to_json,
 )
-from nwgb.permutations import diagram_json, parse_one_line
-from nwgb.polynomials import (
-    Polynomial,
-    determinant,
-    json_text,
-    polynomial_text,
-    polynomial_to_json,
-)
+from nwgb.payloads import diagram_json, json_text
+from nwgb.permutations import parse_one_line
+from nwgb.polynomials import Polynomial, determinant, polynomial_text, polynomial_to_json
 from nwgb.union import hold, union_basis
 from test_union import partial_permutations
 
@@ -384,6 +379,42 @@ sys.stdout.write(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_m
     peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     assert (code, proc.stderr) == (0, "")
     assert peak_mb < 70, peak_mb
+
+
+def test_groebner_streams_a_settled_basis_one_minor_at_a_time(tmp_path):
+    # the 36,100 2-minors of a 20x20 matrix, written as JSON: they are
+    # sorted by lead as (rows, cols) pairs and each is expanded only as it
+    # is written, so the child's peak RSS grows about 17 MB past the
+    # import, mostly the pairs themselves; expanding every minor before the
+    # write grows it by 35 to 43 MB.  The peak is the child's VmHWM, since
+    # on Linux its ru_maxrss starts at the peak of the process that spawned
+    # it, here the test runner's
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    script = """
+import json, sys
+from nwgb.cli import main
+
+def peak():
+    with open("/proc/self/status", encoding="ascii") as handle:
+        return next(int(line.split()[1]) for line in handle if line.startswith("VmHWM:"))
+
+imported = peak()
+code = main(sys.argv[1:])
+sys.stdout.write(json.dumps([code, peak() - imported]))
+"""
+    path = write_spec(tmp_path, "spec.json", {"n": 20, "conditions": [{"i": 20, "j": 20, "r": 1}]})
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "groebner", path, "--format=json", f"--out={os.devnull}"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    code, growth_kb = json.loads(proc.stdout)
+    assert (code, proc.stderr) == (0, "")
+    assert growth_kb < 25 * 1024, growth_kb
 
 
 def settled_sweep_specs():
@@ -1493,18 +1524,34 @@ sys.stdout.write(json.dumps([codes, loaded]))
     assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], []]
 
 
+ON_FIRST_USE = ("nwgb.suites", "nwgb.payloads")
+
+
 def test_cli_import_is_lean_and_freezes_the_heap():
     # every run pays for what ``import nwgb.cli`` loads and for collections
     # that walk the objects it built; the package alone leaves the
-    # collector as it was
+    # collector as it was.  The suites and the plain writers are loaded
+    # only by the commands that run them, and the package's names for them
+    # resolve on first access
     script = """
 import gc, json, sys
 import nwgb
 package_frozen = gc.get_freeze_count()
 import nwgb.cli
-loaded = [name for name in ("typing", "random", "argparse", "fractions") if name in sys.modules]
-sys.stdout.write(json.dumps([package_frozen, gc.get_freeze_count() > 0, loaded]))
-"""
+loaded = [
+    name
+    for name in ("typing", "random", "argparse", "fractions", *%r)
+    if name in sys.modules
+]
+import nwgb.payloads, nwgb.suites
+resolved = [
+    nwgb.SUITES is nwgb.suites.SUITES,
+    nwgb.run_suite is nwgb.suites.run_suite,
+    nwgb.diagram_text is nwgb.payloads.diagram_text,
+    nwgb.diagram_json is nwgb.payloads.diagram_json,
+]
+sys.stdout.write(json.dumps([package_frozen, gc.get_freeze_count() > 0, loaded, resolved]))
+""" % (ON_FIRST_USE,)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True,
@@ -1512,4 +1559,41 @@ sys.stdout.write(json.dumps([package_frozen, gc.get_freeze_count() > 0, loaded])
         env=src_env(),
         check=True,
     )
-    assert json.loads(proc.stdout) == [0, True, []]
+    assert json.loads(proc.stdout) == [0, True, [], [True] * 4]
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["verify", "minor-init", "--cases=1"], ["nwgb.suites"]),
+        (["diagram", "2 1"], ["nwgb.payloads"]),
+        (["diagram", "2 1", "--format=json"], ["nwgb.payloads"]),
+        (["fulton", "SPEC"], ["nwgb.payloads"]),
+        (["fulton", "SPEC", "--format=json"], ["nwgb.payloads"]),
+        (["groebner", "SPEC"], []),
+        (["union", "SPEC", "SPEC", "--verify=full-oracle"], []),
+        # argparse's help names the suites
+        (["union", "SPEC", "SPEC", "--verify", "--nope"], ["nwgb.suites"]),
+    ],
+)
+def test_a_command_loads_the_suites_or_the_plain_writers_on_first_use(tmp_path, argv, loads):
+    spec = write_spec(tmp_path, "spec.json", {"n": 3, "permutation": "2 3 1"})
+    script = """
+import contextlib, io, json, sys
+import nwgb.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        nwgb.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+sys.stdout.write(json.dumps([name for name in %r if name in sys.modules]))
+""" % (ON_FIRST_USE,)
+    argv = [spec if arg == "SPEC" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+    )
+    assert json.loads(proc.stdout) == loads

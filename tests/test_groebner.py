@@ -39,7 +39,8 @@ import nwgb.polynomials
 from nwgb import groebner
 from nwgb.ideals import WORK_LIMIT, completion_work
 from nwgb.polynomials import compare, monomial_to_json, polynomial_text, sort_key
-from nwgb.verify import honest_permutations, sampled_s4_pairs, spec_bases
+from nwgb.suites import sampled_s4_pairs
+from nwgb.verify import honest_permutations, spec_bases
 from test_polynomials import monic
 from test_union import S4_PAIRS, S5_SPECS, partial_permutations
 

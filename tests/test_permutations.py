@@ -16,7 +16,7 @@ from nwgb import (
     rank_matrix,
     rothe_diagram,
 )
-from nwgb.permutations import diagram_json, diagram_text
+from nwgb.payloads import diagram_json, diagram_text
 
 
 def brute_rank(p, i, j):

@@ -19,6 +19,7 @@ from nwgb import (
     determinant,
     normal_form,
 )
+from nwgb.payloads import json_text
 from nwgb.polynomials import (
     AUX,
     MONOMIAL_ONE,
@@ -26,7 +27,6 @@ from nwgb.polynomials import (
     _Layout,
     _PackedProduct,
     _signed_permutations,
-    json_text,
     monomial_text,
     monomial_to_json,
     packed_json_chunks,

@@ -12,7 +12,17 @@ from pathlib import Path
 import nwgb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ("cli", "groebner", "ideals", "permutations", "polynomials", "union", "verify")
+MODULES = (
+    "cli",
+    "groebner",
+    "ideals",
+    "payloads",
+    "permutations",
+    "polynomials",
+    "suites",
+    "union",
+    "verify",
+)
 # a name the README calls on a local value, not on the package
 LOCAL_NAMES = {"k"}
 

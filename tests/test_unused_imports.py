@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 private name a module defines at its top level is read in that module,
 the modules below the engine import nothing from it, and the CLI imports
-from the suites only the names it calls.
+from the union check and from the suites only the names it calls.
 
 No linter ships with the project, so this stands in for unused-import and
 unused-helper checks.  ``__init__.py`` is skipped by the first: its
@@ -89,14 +89,16 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
-# the modules the union synthesis loads, below the Groebner engine and the suites
-BELOW_ENGINE = ["permutations.py", "polynomials.py", "ideals.py", "union.py"]
-ENGINE = (["nwgb", "groebner"], ["nwgb", "verify"])
+# the modules the union synthesis loads, and the plain writers, below the
+# Groebner engine, the union check and the suites
+BELOW_ENGINE = ["permutations.py", "polynomials.py", "ideals.py", "union.py", "payloads.py"]
+ENGINE = (["nwgb", "groebner"], ["nwgb", "verify"], ["nwgb", "suites"])
 
 
 def engine_imports(source: str) -> list[str]:
-    """Imports, anywhere in a module of ``nwgb``, of ``nwgb.groebner`` or
-    ``nwgb.verify`` or of a name from either, however spelled."""
+    """Imports, anywhere in a module of ``nwgb``, of ``nwgb.groebner``,
+    ``nwgb.verify`` or ``nwgb.suites`` or of a name from one, however
+    spelled."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -117,8 +119,9 @@ def test_the_check_sees_an_engine_import():
         "from .polynomials import Cell\nfrom .groebner import _FIELD_BITS\n"
         "def f():\n    from . import verify\nimport nwgb.groebner\n"
         "from nwgb import groebner as g\nfrom nwgb.ideals import load_spec\n"
+        "from .suites import SUITES\n"
     )
-    assert engine_imports(source) == ["line 2", "line 4", "line 5", "line 6"]
+    assert engine_imports(source) == ["line 2", "line 4", "line 5", "line 6", "line 8"]
 
 
 @pytest.mark.parametrize("name", BELOW_ENGINE)
@@ -126,26 +129,29 @@ def test_modules_below_the_engine_do_not_import_it(name):
     assert engine_imports((SRC / name).read_text(encoding="utf-8")) == []
 
 
-# the CLI runs the suites and calls the one union check; it does not
-# compose a check out of the suites' parts
-CLI_FROM_VERIFY = {"SUITES", "run_suite", "union_verdicts"}
+# the CLI calls the one union check and runs the suites; it does not
+# compose a check out of the parts of either module
+CLI_FROM_VERIFY = {"union_verdicts"}
+CLI_FROM_SUITES = {"SUITES", "run_suite"}
 VERIFY = ["nwgb", "verify"]
+SUITES = ["nwgb", "suites"]
 
 
-def verify_imports_beyond(source: str, allowed: set[str]) -> list[str]:
-    """Imports, anywhere in a module of ``nwgb``, of a name from
-    ``nwgb.verify`` outside ``allowed``, however spelled; an import of the
-    module itself reads as ``*``, since every name is reachable through it."""
+def imports_beyond(source: str, owner: list[str], allowed: set[str]) -> list[str]:
+    """Imports, anywhere in a module of ``nwgb``, of a name from the module
+    ``owner`` (``["nwgb", "verify"]``) outside ``allowed``, however
+    spelled; an import of the module itself reads as ``*``, since every
+    name is reachable through it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = ["*" for alias in node.names if alias.name.split(".")[:2] == VERIFY]
+            names = ["*" for alias in node.names if alias.name.split(".")[:2] == owner]
         elif isinstance(node, ast.ImportFrom):
             module = ["nwgb"] * (node.level > 0) + (node.module.split(".") if node.module else [])
             names = [
-                alias.name if module[:2] == VERIFY else "*"
+                alias.name if module[:2] == owner else "*"
                 for alias in node.names
-                if module[:2] == VERIFY or module + [alias.name] == VERIFY
+                if module[:2] == owner or module + [alias.name] == owner
             ]
         else:
             continue
@@ -160,15 +166,42 @@ def test_the_check_sees_a_verify_import_beyond_the_allowed_names():
         "def f():\n    from nwgb.verify import membership_failures, run_suite\n"
         "from . import ideals, verify\n"
     )
-    assert verify_imports_beyond(source, CLI_FROM_VERIFY) == [
+    assert imports_beyond(source, VERIFY, {"SUITES", "run_suite", "union_verdicts"}) == [
         "line 1: spec_bases",
         "line 2: *",
         "line 3: *",
         "line 6: membership_failures",
         "line 7: *",
     ]
+    assert imports_beyond(source, VERIFY, CLI_FROM_VERIFY) == [
+        "line 1: SUITES",
+        "line 1: spec_bases",
+        "line 2: *",
+        "line 3: *",
+        "line 6: membership_failures",
+        "line 6: run_suite",
+        "line 7: *",
+    ]
+
+
+def test_the_check_sees_a_suites_import_beyond_the_allowed_names():
+    source = (
+        "from .suites import SUITES, _embed\nimport nwgb.suites\n"
+        "def f():\n    from . import suites\n    from .suites import run_suite\n"
+        "from .verify import spec_bases\n"
+    )
+    assert imports_beyond(source, SUITES, CLI_FROM_SUITES) == [
+        "line 1: _embed",
+        "line 2: *",
+        "line 4: *",
+    ]
 
 
 def test_the_cli_imports_from_verify_only_what_it_calls():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
-    assert verify_imports_beyond(source, CLI_FROM_VERIFY) == []
+    assert imports_beyond(source, VERIFY, CLI_FROM_VERIFY) == []
+
+
+def test_the_cli_imports_from_suites_only_what_it_calls():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert imports_beyond(source, SUITES, CLI_FROM_SUITES) == []

@@ -11,6 +11,7 @@ from conftest import folded_product, reference_failures, spy_on_polynomial_paths
 import nwgb.cli
 import nwgb.groebner
 import nwgb.polynomials
+import nwgb.suites
 import nwgb.union
 import nwgb.verify
 from nwgb.groebner import (
@@ -26,16 +27,12 @@ from nwgb.ideals import generator_minors, generator_polynomials, spec_from_permu
 from nwgb.permutations import parse_one_line
 from nwgb.polynomials import Antidiagonal, Cell
 from nwgb.union import generator_product, union_basis
+from nwgb.suites import SUITES, _embed, _union_pair_checks, run_suite, sampled_s4_pairs
 from nwgb.verify import (
-    SUITES,
     _divided,
-    _embed,
-    _initial_meet,
     _packed_meet,
-    _union_pair_checks,
     honest_permutations,
-    run_suite,
-    sampled_s4_pairs,
+    initial_meet,
     spec_bases,
     union_verdicts,
 )
@@ -387,6 +384,7 @@ def test_union_verdicts_rejects_other_depths(depth, monkeypatch):
 
 def test_cli_depths_and_union_suites_all_reach_union_verdicts(tmp_path, monkeypatch, capsys):
     assert nwgb.cli.union_verdicts is nwgb.verify.union_verdicts
+    assert nwgb.suites.union_verdicts is nwgb.verify.union_verdicts
     original = nwgb.verify.union_verdicts
     depths = []
 
@@ -396,6 +394,7 @@ def test_cli_depths_and_union_suites_all_reach_union_verdicts(tmp_path, monkeypa
 
     monkeypatch.setattr(nwgb.verify, "union_verdicts", spy)
     monkeypatch.setattr(nwgb.cli, "union_verdicts", spy)
+    monkeypatch.setattr(nwgb.suites, "union_verdicts", spy)
     paths = []
     for name, text in (("l.json", "2 3 1"), ("r.json", "3 1 2")):
         (tmp_path / name).write_text(json.dumps({"n": 3, "permutation": text}))
@@ -477,7 +476,7 @@ def reference_cases():
 def test_packed_spec_bases_and_meet_match_the_polynomial_reference():
     # the bases union_verdicts completes in the products' layout are the
     # reduced bases of spec_bases, and the meet it proves against is the
-    # one _initial_meet builds on Monomial values
+    # one initial_meet builds on Monomial values
     for texts in reference_cases():
         specs = _specs(*texts)
         minors = [generator_minors(s) for s in specs]
@@ -487,7 +486,7 @@ def test_packed_spec_bases_and_meet_match_the_polynomial_reference():
             list(b.generators) for b in reference
         ], texts
         meet = _packed_meet(layout, packed)
-        assert {layout.unpack(x) for x in meet} == _initial_meet(reference).minimal_generators
+        assert {layout.unpack(x) for x in meet} == initial_meet(reference).minimal_generators
         assert len(set(meet)) == len(meet), texts
 
 
