@@ -47,9 +47,9 @@ from .polynomials import _Layout, _PackedProduct, _cell, _code, polynomial_text
 from .union import GeneratorProduct, hold
 
 
-# ``dataclasses`` imports ``inspect``, so the CLI's start-up loads it, as
-# bench/child.py's eliminate job, which imports it inside its timed call,
-# needs until ROADMAP item 3 drops that import
+# a dataclass on purpose: ``dataclasses`` imports ``inspect``, so the CLI's
+# import loads it, and bench/child.py's eliminate job, which imports
+# ``inspect`` inside its timed call, finds it loaded (ROADMAP items 3, 4)
 @dataclass
 class SuiteReport:
     name: str
