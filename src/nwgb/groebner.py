@@ -33,6 +33,13 @@ when ``buchberger`` gives both the same list (``ideals_equal``).  Ideal
 intersection uses the textbook elimination trick with one auxiliary
 variable, folded by ``intersect_many`` in one packed layout; each step
 finishes (minimal split, interreduction) only the t-free part it keeps.
+With three or more ideals the fold starts from the pair whose leads meet
+in the fewest minimal lcms (``_meet_size``), then takes the remaining
+ideal whose leads meet the running intersection's in the fewest: the
+initial ideals of northwest-rank ideals are squarefree, and the initial
+ideal of their intersection is that meet, so the intermediate bases stay
+small.  The order chooses only the work, never the result, which is the
+unique reduced basis of the intersection.
 Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also
 an elimination order for it.
@@ -549,8 +556,8 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
 
 def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
     """Reduced Groebner basis of the intersection of the ideals, sorted by
-    leading monomial, by a left fold of two-ideal eliminations; a lone
-    ideal is completed.
+    leading monomial, by a fold of two-ideal eliminations; a lone ideal is
+    completed.
 
     Classic elimination: with a fresh variable t ranked above everything,
     the t-free part of a Groebner basis of t*I + (1-t)*J is a Groebner
@@ -566,36 +573,91 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
     ideal: elimination makes no new variable, so each step's t-free result
     stays packed and enters the next step as its I.  Only the final basis
     is unpacked, and it is recorded as ``buchberger``'s own output is.  An
-    overflow in any step restarts the whole fold at double width.  Each
-    step's output depends only on its two ideals, so the first enters as
-    given.  An empty presentation is the zero ideal and absorbs: the result
-    is ``[]``, and nothing is recorded.
+    overflow in any step restarts the whole fold at double width.  An empty
+    presentation is the zero ideal and absorbs: the result is ``[]``, and
+    nothing is recorded.
+
+    Two ideals are met as given.  With more, the fold starts from the pair
+    whose leads meet in the fewest minimal monomials (``_meet_size``), the
+    two in input order, and then meets the running intersection with the
+    remaining ideal whose leads meet its leads in the fewest; ties go by
+    input order.  For the northwest-rank ideals of the construction that
+    count is the size of the initial ideal of the intersection (its leads
+    are squarefree, and the initial ideal of the intersection is the meet
+    of theirs), so the fold keeps its intermediate bases small; elsewhere
+    it is an estimate.  The order only chooses how much work is done: the
+    intersection does not depend on it, its reduced basis is unique, and
+    every step runs the full S-pair queue, so the result is that of a left
+    fold and stays independent of the theorem.
     """
     if not ideals:
         raise ValueError("need at least one ideal")
-    first, *rest = ideals
-    if not rest:
-        return buchberger(first.generators)
+    if len(ideals) == 1:
+        return buchberger(ideals[0].generators)
     if not all(ideal.generators for ideal in ideals):
         return []
     t = Polynomial.variable(AUX)
 
     def job(layout: _Layout) -> list[Polynomial]:
         t_mono = layout.pack(t.leading_monomial())
-        current = [layout.pack_poly(f) for f in first.generators]
-        for ideal in rest:
+
+        def meet(current: list[dict], generators: list[dict]) -> list[dict]:
             mixed = [{x + t_mono: c for x, c in f.items()} for f in current]
-            for g in ideal.generators:
-                terms = layout.pack_poly(g)
+            for terms in generators:
                 for x, c in list(terms.items()):  # g - t*g
                     terms[x + t_mono] = terms.get(x + t_mono, 0) - c
                 mixed.append({x: c for x, c in terms.items() if c})
             if any(x & layout.guard for f in mixed for x in f):
                 raise _Overflow
-            current = _complete(layout, mixed, t_mono)
+            return _complete(layout, mixed, t_mono)
+
+        def supports(polys: list[dict]) -> list[int]:
+            return [(max(f) + layout.fill) & layout.guard for f in polys]
+
+        packed = [[layout.pack_poly(g) for g in ideal.generators] for ideal in ideals]
+        first, second = 0, 1
+        if len(packed) > 2:
+            leads = [_minimal(supports(p)) for p in packed]  # the meet only reads these
+            _, first, second = min(
+                (_meet_size(leads[i], leads[j]), i, j)
+                for j in range(len(packed))
+                for i in range(j)
+            )
+        rest = [k for k in range(len(packed)) if k not in (first, second)]
+        current = meet(packed[first], packed[second])
+        while rest:  # in input order, so min breaks ties by it
+            k = rest[0]
+            if len(rest) > 1:
+                own = supports(current)
+                k = min(rest, key=lambda k: _meet_size(own, leads[k]))
+            rest.remove(k)
+            current = meet(current, packed[k])
         return [layout.polynomial(f) for f in current]
 
     return _record_reduced(_run([t, *(g for ideal in ideals for g in ideal.generators)], job))
+
+
+def _meet_size(a: list[int], b: list[int]) -> int:
+    """How many minimal generators the meet of two squarefree monomial
+    ideals has, each given by the supports (guard bits) of its generators:
+    the minimal sets among the unions x | y, which are the lcms of one
+    generator from each (Miller and Sturmfels, GTM 227).  On supports of
+    leads that are not squarefree the count is only an estimate."""
+    return len(_minimal({x | y for x in a for y in b}))
+
+
+def _minimal(supports: Iterable[int]) -> list[int]:
+    """The minimal sets among supports, in popcount order: a subset has
+    fewer bits, so a set is minimal exactly when no set kept before it is
+    a subset of it."""
+    kept: list[int] = []
+    for c in sorted(set(supports), key=int.bit_count):
+        for k in kept:
+            if k & c == k:
+                break
+        else:
+            kept.append(c)
+    return kept
 
 
 class MonomialIdeal(_Value):

@@ -355,42 +355,13 @@ def test_groebner_hands_emit_one_chunk_per_basis_element(form, tmp_path, capsys,
         assert basis or out == "[]\n"
 
 
-def test_groebner_writes_a_large_basis_in_little_memory(tmp_path):
-    # the 116,280 terms of rank(NW 4x20) <= 3, written as JSON one element
-    # at a time: the child's peak RSS stays under 70 MB, where building the
-    # whole text before the write peaks at about 131 MB
-    pytest.importorskip("resource")
-    script = """
-import json, resource, sys
-from nwgb.cli import main
-code = main(sys.argv[1:])
-sys.stdout.write(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
-"""
-    path = write_spec(tmp_path, "spec.json", {"n": 20, "conditions": [{"i": 4, "j": 20, "r": 3}]})
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, "groebner", path, "--format=json", f"--out={os.devnull}"],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        check=True,
-    )
-    code, peak = json.loads(proc.stdout)
-    # ru_maxrss counts KiB, and bytes on macOS
-    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert (code, proc.stderr) == (0, "")
-    assert peak_mb < 70, peak_mb
-
-
-def test_groebner_streams_a_settled_basis_one_minor_at_a_time(tmp_path):
-    # the 36,100 2-minors of a 20x20 matrix, written as JSON: they are
-    # sorted by lead as (rows, cols) pairs and each is expanded only as it
-    # is written, so the child's peak RSS grows about 17 MB past the
-    # import, mostly the pairs themselves; expanding every minor before the
-    # write grows it by 35 to 43 MB.  The peak is the child's VmHWM, since
-    # on Linux its ru_maxrss starts at the peak of the process that spawned
-    # it, here the test runner's
-    status = Path("/proc/self/status")
-    if not status.exists():
+def peak_growth_past_the_import(tmp_path, spec):
+    """(exit code, stderr, KiB) of ``nwgb groebner --format=json`` on the
+    spec in a ``python3 -S`` child: how far the command grows the child's
+    peak RSS (``VmHWM``) past its own import.  Its ``ru_maxrss`` would not
+    do: on Linux it starts at the peak of the process that spawned it, here
+    the test runner's, about 49 MB in a full run."""
+    if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc/self/status")
     script = """
 import json, sys
@@ -404,7 +375,7 @@ imported = peak()
 code = main(sys.argv[1:])
 sys.stdout.write(json.dumps([code, peak() - imported]))
 """
-    path = write_spec(tmp_path, "spec.json", {"n": 20, "conditions": [{"i": 20, "j": 20, "r": 1}]})
+    path = write_spec(tmp_path, "spec.json", spec)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, "groebner", path, "--format=json", f"--out={os.devnull}"],
         capture_output=True,
@@ -413,7 +384,28 @@ sys.stdout.write(json.dumps([code, peak() - imported]))
         check=True,
     )
     code, growth_kb = json.loads(proc.stdout)
-    assert (code, proc.stderr) == (0, "")
+    return code, proc.stderr, growth_kb
+
+
+def test_groebner_writes_a_large_basis_in_little_memory(tmp_path):
+    # the 116,280 terms of rank(NW 4x20) <= 3, written as JSON one element
+    # at a time: the child's peak RSS grows about 1.3 MB past the import,
+    # where building the whole text before the write peaks at about 131 MB
+    spec = {"n": 20, "conditions": [{"i": 4, "j": 20, "r": 3}]}
+    code, stderr, growth_kb = peak_growth_past_the_import(tmp_path, spec)
+    assert (code, stderr) == (0, "")
+    assert growth_kb < 10 * 1024, growth_kb
+
+
+def test_groebner_streams_a_settled_basis_one_minor_at_a_time(tmp_path):
+    # the 36,100 2-minors of a 20x20 matrix, written as JSON: they are
+    # sorted by lead as (rows, cols) pairs and each is expanded only as it
+    # is written, so the child's peak RSS grows about 17 MB past the
+    # import, mostly the pairs themselves; expanding every minor before the
+    # write grows it by 35 to 43 MB
+    spec = {"n": 20, "conditions": [{"i": 20, "j": 20, "r": 1}]}
+    code, stderr, growth_kb = peak_growth_past_the_import(tmp_path, spec)
+    assert (code, stderr) == (0, "")
     assert growth_kb < 25 * 1024, growth_kb
 
 

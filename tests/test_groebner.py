@@ -5,7 +5,7 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from conftest import check_value_contract, exact, folded_product, seeded_condition_lists
@@ -889,10 +889,10 @@ def test_scaled_coefficients_survive_exactly():
 
 # the recorded reduced basis ------------------------------------------------------
 
-def seeded_triples(seed, n, count):
+def seeded_triples(seed, n, count, size=3):
     rng = random.Random(seed)
     perms = [p.one_line() for p in honest_permutations(n)]
-    return [tuple(rng.choice(perms) for _ in range(3)) for _ in range(count)]
+    return [tuple(rng.choice(perms) for _ in range(size)) for _ in range(count)]
 
 
 RECORD_TRIPLES = seeded_triples(83, 4, 4) + seeded_triples(83, 5, 2)
@@ -1163,6 +1163,140 @@ def test_a_restart_in_the_middle_of_the_fold_gives_the_same_basis(widths, monkey
     assert meet == [x * x * y + x * y * y]
     monkeypatch.undo()
     assert intersect_many(ideals) == meet  # at the default width, with no restart
+
+
+# the order of the fold ---------------------------------------------------------
+
+# five triples of the eliminate workload's pool (bench/pool.json); their
+# lead meets (0,1), (0,2), (1,2) are 13, 4, 4 (a tie), 20, 21, 8, then
+# 3, 12, 3 (a tie with the first pair), 5, 5, 4 and 46, 19, 6
+POOL_TRIPLES = [
+    ("6 4 3 5 1 2", "6 4 2 5 3 1", "2 4 3 1 5 6"),
+    ("2 5 4 6 3 1", "5 6 3 4 1 2", "4 5 2 1 6 3"),
+    ("6 2 3 1 4 5", "2 3 1 5 4 6", "2 4 3 5 6 1"),
+    ("3 2 5 1 4 6", "2 3 4 5 1 6", "3 6 5 4 1 2"),
+    ("6 1 2 5 3 4", "1 4 6 5 2 3", "1 3 4 5 2 6"),
+]
+
+ORDER_CASES = (
+    seeded_triples(47, 4, 4)
+    + seeded_triples(47, 4, 3, size=4)
+    + seeded_triples(53, 5, 3)
+    + seeded_triples(53, 5, 2, size=4)
+    + POOL_TRIPLES
+)
+
+
+@pytest.mark.parametrize("texts", ORDER_CASES, ids=" | ".join)
+def test_intersect_many_gives_the_same_basis_in_every_order(texts):
+    ideals = [ideal_of(spec_of(t)) for t in texts]
+    left = ideals[0]
+    for ideal in ideals[1:]:  # two ideals are met as given
+        left = IdealPresentation(tuple(intersect(left, ideal)))
+    meet = list(left.generators)
+    assert meet
+    for order in permutations(ideals):
+        assert intersect_many(order) == meet
+
+
+@pytest.fixture
+def fold_steps(monkeypatch):
+    """One (I, J) per step of the fold, the generators it entered as
+    t*I and the ones it entered as (1-t)*J, each read back as a set."""
+    steps = []
+    complete = groebner._complete
+
+    def spied(layout, generators, below=None):
+        with_t, t_free = set(), set()
+        for f in generators:
+            poly = layout.polynomial(f)
+            rest = Polynomial({m: c for m, c in poly.terms.items() if not m.uses(AUX)})
+            (with_t.add(poly) if rest.is_zero() else t_free.add(rest))
+        steps.append((with_t, t_free))
+        return complete(layout, generators, below)
+
+    monkeypatch.setattr(groebner, "_complete", spied)
+    return steps
+
+
+def as_t(ideal):
+    t = Polynomial.variable(AUX)
+    return {t * g for g in ideal.generators}
+
+
+def lead_meet(a, b):
+    """Reference count: the minimal generators of the meet of the two
+    generating sets' leading-term ideals, by monomial lcms."""
+    return len(groebner.leading_ideal(a).intersect(groebner.leading_ideal(b)).minimal_generators)
+
+
+def reference_order(ideals):
+    """The order in which the fold should meet the ideals, read off
+    ``lead_meet`` and two-ideal ``intersect`` calls."""
+    gens = [list(ideal.generators) for ideal in ideals]
+    _, i, j = min((lead_meet(gens[i], gens[j]), i, j) for i, j in combinations(range(len(gens)), 2))
+    order, current = [i, j], intersect(ideals[i], ideals[j])
+    rest = [k for k in range(len(gens)) if k not in order]
+    while rest:
+        k = min(rest, key=lambda k: lead_meet(current, gens[k]))
+        rest.remove(k)
+        order.append(k)
+        current = intersect(IdealPresentation(tuple(current)), ideals[k])
+    return order
+
+
+def assert_fold_order(steps, ideals, order):
+    first, second, *rest = order
+    assert len(steps) == len(ideals) - 1
+    assert steps[0] == (as_t(ideals[first]), set(ideals[second].generators))
+    assert [t_free for _, t_free in steps[1:]] == [set(ideals[k].generators) for k in rest]
+
+
+_a, _b, _c, _d, _e, _f = (var(1, k) for k in range(1, 7))
+
+# monomial ideals, with their meets, and the order the fold takes
+MONOMIAL_ORDERS = {
+    "smallest at (0,2)": ([(_a, _b), (_c, _d), (_a,)], [0, 2, 1]),  # 4, 1, 2
+    "smallest at (1,2)": ([(_a, _b), (_c,), (_d,)], [1, 2, 0]),  # 2, 2, 1
+    "tie at (0,1) and (0,2)": ([(_a,), (_b,), (_c, _d)], [0, 1, 2]),  # 1, 2, 2
+    "tie at (0,2) and (1,2)": ([(_a, _b), (_c, _d), (_e,)], [0, 2, 1]),  # 4, 2, 2
+    "every meet ties": ([(_a,), (_b,), (_a + _b,)], [0, 1, 2]),  # 1, 1, 1
+    # then <ab> meets <c, d> in 2 and <e> in 1
+    "then the smallest": ([(_a,), (_b,), (_c, _d), (_e,)], [0, 1, 3, 2]),
+    # then <ab> meets both in 2
+    "then a tie": ([(_a,), (_b,), (_c, _d), (_e, _f)], [0, 1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONOMIAL_ORDERS))
+def test_the_fold_starts_from_the_pair_whose_leads_meet_least(case, fold_steps):
+    gens, order = MONOMIAL_ORDERS[case]
+    ideals = [IdealPresentation(g) for g in gens]
+    assert reference_order(ideals) == order
+    del fold_steps[:]  # the reference's own intersect calls
+    intersect_many(ideals)
+    assert_fold_order(fold_steps, ideals, order)
+
+
+@pytest.mark.parametrize("texts", POOL_TRIPLES + seeded_triples(53, 5, 2, size=4), ids=" | ".join)
+def test_the_fold_order_on_northwest_rank_ideals(texts, fold_steps):
+    ideals = [ideal_of(spec_of(t)) for t in texts]
+    order = reference_order(ideals)
+    del fold_steps[:]  # the reference's own intersect calls
+    intersect_many(ideals)
+    assert_fold_order(fold_steps, ideals, order)
+
+
+def test_two_ideals_are_met_as_given_without_a_meet(fold_steps, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("counted a meet")
+
+    monkeypatch.setattr(groebner, "_meet_size", refuse)
+    I, J = ideal_of(spec_of("2 3 1")), ideal_of(spec_of("3 1 2"))
+    for first, second in ((I, J), (J, I)):
+        del fold_steps[:]
+        intersect_many([first, second])
+        assert fold_steps == [(as_t(first), set(second.generators))]
 
 
 def admitted_single_conditions(n):
