@@ -39,7 +39,12 @@ ideal whose leads meet the running intersection's in the fewest: the
 initial ideals of northwest-rank ideals are squarefree, and the initial
 ideal of their intersection is that meet, so the intermediate bases stay
 small.  The order chooses only the work, never the result, which is the
-unique reduced basis of the intersection.
+unique reduced basis of the intersection.  Each step after the first ends
+its S-pair queue once the t-free leads found so far cover the meet of the
+running intersection's leads with those of the added ideal, when that meet
+is proved to be the initial ideal it bounds (see ``intersect_many``);
+where it is not, the queue runs to its end, so the fold never assumes
+that the initial ideal of an intersection is the meet of theirs.
 Everything runs under the one antidiagonal lex order of
 :mod:`nwgb.polynomials`, which ranks that variable first and so is also
 an elimination order for it.
@@ -75,7 +80,8 @@ Where a theorem makes a spec's minors a Groebner basis, at most one rank
 condition (``ideals.fulton_is_groebner``), ``nwgb groebner`` runs no
 completion: the minors are made monic and sorted (``minor_basis``).  The
 union check, like ``buchberger`` and ``is_groebner``, always runs the
-queue, so it stays independent of the theorem.  ``nwgb groebner`` writes
+queue, so it stays independent of the theorem; ``intersect_many`` ends a
+queue early only once its answer is proved.  ``nwgb groebner`` writes
 the packed basis with the term writer of union products, which reads
 each term as two halves of the rows of its element's leading term: each
 element of a completion of minors is homogeneous in the rows (see
@@ -392,7 +398,9 @@ def _unsettled_pairs(reducers: list[Reducer], layout: _Layout) -> Iterator[tuple
             yield i, j, lcm
 
 
-def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = None) -> list[dict]:
+def _complete(
+    layout: _Layout, generators: Iterable[dict], below: int | None = None, target: list[int] | None = None
+) -> list[dict]:
     """The reduced Groebner basis of packed polynomials, packed, in
     ascending leading monomial: the S-pairs ``_unsettled_pairs`` leaves,
     reduced in its order against the growing basis, then one interreduction
@@ -418,16 +426,32 @@ def _complete(layout: _Layout, generators: Iterable[dict], below: int | None = N
     element is t-free, and no lead with t divides such a term, so
     interreducing that prefix alone gives the same polynomials, in the same
     order.  Whether anything moved is read off the whole basis, before the
-    bound is applied."""
+    bound is applied.
+
+    ``intersect_many`` may also give a ``target``: packed monomials that
+    generate an ideal proved to hold the initial ideal of the t-free part.
+    Each one that a t-free lead divides is dropped, once before the queue
+    and then after each remainder with a t-free lead; when none is left,
+    the t-free leads generate that initial ideal (the proof is at
+    ``intersect_many``), so the t-free part is already a Groebner basis:
+    the queue stops, and the t-free part is finished as above.  If nothing
+    moved, its elements are reduced by the argument above."""
     guard = layout.guard
     basis, reducers, unmoved = _interreduce(generators, guard)  # reducers grows with the basis
     count = len(basis)
     first = _scan(reducers, guard)
-    for i, j, lcm in _unsettled_pairs(reducers, layout):
+    if target is not None:  # the target monomials no t-free lead divides yet
+        target = [m for m in target if not first(m)]
+    for i, j, lcm in _unsettled_pairs(reducers, layout) if target != [] else ():
         remainder = _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard)
         if remainder:
             basis.append(remainder)
             reducers.append(_reducer(remainder))
+            lead = reducers[-1][0]
+            if target and lead < below:
+                target = [m for m in target if not layout.divides(lead, m)]
+                if not target:
+                    break
     moved = not unmoved or len(basis) > count
     leads = [r[0] for r in reducers]
     if below is not None:
@@ -535,17 +559,25 @@ def is_groebner(generators: Sequence[Polynomial]) -> bool:
     """
 
     def job(layout: _Layout) -> bool:
-        guard = layout.guard
-        packed = [layout.pack_poly(f) for f in generators if f.terms]
-        minimal, rest = _minimal_split(packed, [max(f) for f in packed], layout)
-        reducers = [_reducer(f) for f in minimal]
-        first = _scan(reducers, guard)
-        for i, j, lcm in _unsettled_pairs(reducers, layout):
-            if _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard):
-                return False
-        return not any(_divide(f, first, guard) for f in rest)
+        return _groebner_minimal([layout.pack_poly(f) for f in generators if f.terms], layout) is not None
 
     return _run(generators, job)
+
+
+def _groebner_minimal(packed: list[dict], layout: _Layout) -> list[dict] | None:
+    """The minimal-lead subset of nonzero packed polynomials, which it does
+    not change, when they form a Groebner basis, else None: the test
+    ``is_groebner`` describes."""
+    guard = layout.guard
+    minimal, rest = _minimal_split(packed, [max(f) for f in packed], layout)
+    reducers = [_reducer(f) for f in minimal]
+    first = _scan(reducers, guard)
+    for i, j, lcm in _unsettled_pairs(reducers, layout):
+        if _divide(_s_poly(reducers[i], reducers[j], lcm, guard), first, guard):
+            return None
+    if any(_divide(dict(f), first, guard) for f in rest):
+        return None
+    return minimal
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation) -> list[Polynomial]:
@@ -571,7 +603,7 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
 
     The whole fold runs in one layout, of t and every generator of every
     ideal: elimination makes no new variable, so each step's t-free result
-    stays packed and enters the next step as its I.  Only the final basis
+    stays packed and enters the next step.  Only the final basis
     is unpacked, and it is recorded as ``buchberger``'s own output is.  An
     overflow in any step restarts the whole fold at double width.  An empty
     presentation is the zero ideal and absorbs: the result is ``[]``, and
@@ -586,9 +618,28 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
     are squarefree, and the initial ideal of the intersection is the meet
     of theirs), so the fold keeps its intermediate bases small; elsewhere
     it is an estimate.  The order only chooses how much work is done: the
-    intersection does not depend on it, its reduced basis is unique, and
-    every step runs the full S-pair queue, so the result is that of a left
-    fold and stays independent of the theorem.
+    intersection does not depend on it, and its reduced basis is unique,
+    so the result is that of a left fold.
+
+    Each step after the first enters the running intersection C, a reduced
+    basis, as (1-t)*C, and the added ideal K's generators g as t*g; the
+    first interreduction drops the redundant ones.  If those generators are
+    a Groebner basis (``_groebner_minimal``, the test of ``is_groebner``)
+    and every lead of C and of their minimal-lead subset is squarefree,
+    ``_complete`` gets a target: the minimal lcms of one lead of each, the
+    minimal unions of their supports (``_minimal``).  They generate
+    T = in(C) & in(K), the meet of two monomial ideals (Miller and
+    Sturmfels, GTM 227), and in(C & K) <= T always.  Let L be the ideal of
+    the t-free leads found so far, which lead elements of C & K.  Once L
+    holds T, L <= in(C & K) <= T <= L, so the t-free part is a Groebner
+    basis of C & K and the step stops, as Traverso's Hilbert-driven
+    Buchberger algorithm does (J. Symb. Comput. 1996).  Where the init
+    theorem fails (<xy> met with <x + y>), T is never covered and the
+    queue runs to its end.  T is never read off generators that are not a
+    Groebner basis, whose leads could span less than in(K) and stop the
+    step too early.  So a queue ends early only once its answer is proved,
+    and the fold stays independent of the theorem.  The first step, and so
+    a call on two ideals, runs the whole queue on t*I + (1-t)*J as given.
     """
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -601,18 +652,28 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
     def job(layout: _Layout) -> list[Polynomial]:
         t_mono = layout.pack(t.leading_monomial())
 
-        def meet(current: list[dict], generators: list[dict]) -> list[dict]:
-            mixed = [{x + t_mono: c for x, c in f.items()} for f in current]
+        def meet(with_t: list[dict], generators: list[dict], target=None) -> list[dict]:
+            mixed = [{x + t_mono: c for x, c in f.items()} for f in with_t]
             for terms in generators:
                 for x, c in list(terms.items()):  # g - t*g
                     terms[x + t_mono] = terms.get(x + t_mono, 0) - c
                 mixed.append({x: c for x, c in terms.items() if c})
             if any(x & layout.guard for f in mixed for x in f):
                 raise _Overflow
-            return _complete(layout, mixed, t_mono)
+            return _complete(layout, mixed, t_mono, target)
 
         def supports(polys: list[dict]) -> list[int]:
             return [(max(f) + layout.fill) & layout.guard for f in polys]
+
+        def proved_meet(current: list[dict], generators: list[dict]) -> list[int] | None:
+            minimal = _groebner_minimal(generators, layout)
+            if minimal is None:
+                return None
+            shift = layout.bits - 1
+            own, other = supports(current), supports(minimal)
+            if any(max(f) != s >> shift for f, s in zip(current + minimal, own + other)):
+                return None  # a lead that is not squarefree
+            return [s >> shift for s in _minimal({x | y for x in own for y in other})]
 
         packed = [[layout.pack_poly(g) for g in ideal.generators] for ideal in ideals]
         first, second = 0, 1
@@ -631,7 +692,7 @@ def intersect_many(ideals: Sequence[IdealPresentation]) -> list[Polynomial]:
                 own = supports(current)
                 k = min(rest, key=lambda k: _meet_size(own, leads[k]))
             rest.remove(k)
-            current = meet(current, packed[k])
+            current = meet(packed[k], current, proved_meet(current, packed[k]))
         return [layout.polynomial(f) for f in current]
 
     return _record_reduced(_run([t, *(g for ideal in ideals for g in ideal.generators)], job))

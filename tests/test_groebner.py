@@ -917,15 +917,15 @@ def completions(monkeypatch):
     calls = []
     complete = groebner._complete
 
-    def counted(layout, generators, below=None):
+    def counted(layout, generators, below=None, target=None):
         calls.append(len(generators))
-        return complete(layout, generators, below)
+        return complete(layout, generators, below, target)
 
     monkeypatch.setattr(groebner, "_complete", counted)
     return calls
 
 
-def refuse(layout, generators, below=None):
+def refuse(layout, generators, below=None, target=None):
     raise AssertionError("completed a basis the engine had just returned")
 
 
@@ -1148,9 +1148,9 @@ def test_a_restart_in_the_middle_of_the_fold_gives_the_same_basis(widths, monkey
     steps = []
     complete = groebner._complete
 
-    def logged(layout, generators, below=None):
+    def logged(layout, generators, below=None, target=None):
         steps.append(f"start {layout.bits}")
-        out = complete(layout, generators, below)
+        out = complete(layout, generators, below, target)
         steps.append(f"done {layout.bits}")
         return out
 
@@ -1206,14 +1206,14 @@ def fold_steps(monkeypatch):
     steps = []
     complete = groebner._complete
 
-    def spied(layout, generators, below=None):
+    def spied(layout, generators, below=None, target=None):
         with_t, t_free = set(), set()
         for f in generators:
             poly = layout.polynomial(f)
             rest = Polynomial({m: c for m, c in poly.terms.items() if not m.uses(AUX)})
             (with_t.add(poly) if rest.is_zero() else t_free.add(rest))
         steps.append((with_t, t_free))
-        return complete(layout, generators, below)
+        return complete(layout, generators, below, target)
 
     monkeypatch.setattr(groebner, "_complete", spied)
     return steps
@@ -1249,7 +1249,8 @@ def assert_fold_order(steps, ideals, order):
     first, second, *rest = order
     assert len(steps) == len(ideals) - 1
     assert steps[0] == (as_t(ideals[first]), set(ideals[second].generators))
-    assert [t_free for _, t_free in steps[1:]] == [set(ideals[k].generators) for k in rest]
+    # each later step enters the ideal it adds as t*K
+    assert [with_t for with_t, _ in steps[1:]] == [as_t(ideals[k]) for k in rest]
 
 
 _a, _b, _c, _d, _e, _f = (var(1, k) for k in range(1, 7))
@@ -1297,6 +1298,103 @@ def test_two_ideals_are_met_as_given_without_a_meet(fold_steps, monkeypatch):
         del fold_steps[:]
         intersect_many([first, second])
         assert fold_steps == [(as_t(first), set(second.generators))]
+
+
+# the stop of the later steps ---------------------------------------------------
+
+
+@pytest.fixture
+def queue_runs(monkeypatch):
+    """One (target, S-pairs reduced, S-pairs the full queue reduces) per
+    completion, the target unpacked into monomials; each completion is
+    checked against the full queue run on copies of its generators."""
+    runs = []
+    complete, s_poly = groebner._complete, groebner._s_poly
+    reduced = [0]
+
+    def counted(*args):
+        reduced[0] += 1
+        return s_poly(*args)
+
+    def spied(layout, generators, below=None, target=None):
+        reduced[0] = 0
+        full = complete(layout, [dict(f) for f in generators], below)
+        queue, reduced[0] = reduced[0], 0
+        out = complete(layout, generators, below, target)
+        assert out == full
+        monomials = None if target is None else {layout.unpack(m) for m in target}
+        runs.append((monomials, reduced[0], queue))
+        return out
+
+    monkeypatch.setattr(groebner, "_s_poly", counted)
+    monkeypatch.setattr(groebner, "_complete", spied)
+    return runs
+
+
+def left_fold(ideals):
+    """The basis of two-ideal ``intersect`` calls, folded left."""
+    left = ideals[0]
+    for ideal in ideals[1:]:
+        left = IdealPresentation(tuple(intersect(left, ideal)))
+    return list(left.generators)
+
+
+@pytest.mark.parametrize("texts", POOL_TRIPLES + seeded_triples(53, 5, 2, size=4), ids=" | ".join)
+def test_later_steps_stop_once_the_meet_of_the_leads_is_covered(texts, queue_runs):
+    ideals = [ideal_of(spec_of(t)) for t in texts]
+    expected = left_fold(ideals)
+    del queue_runs[:]  # the reference's own steps
+    assert intersect_many(ideals) == expected
+    first, *later = queue_runs
+    assert first[0] is None and len(later) == len(ideals) - 2
+    for target, reduced, queue in later:
+        assert target and reduced < queue
+
+
+def test_a_target_the_meet_never_covers_runs_the_whole_queue(queue_runs):
+    # <xy> meets <x + y> in <x^2*y + x*y^2>: the init theorem fails, and
+    # the target xy is never covered
+    x, y = var(1, 1), var(2, 2)
+    assert intersect_many([IdealPresentation((f,)) for f in (x, y, x + y)]) == [x * x * y + x * y * y]
+    first, (target, reduced, queue) = queue_runs
+    assert first[0] is None
+    assert target == {mono((1, 1), (2, 2))}
+    assert reduced == queue > 0
+
+
+def test_the_target_reads_the_added_ideal_once_it_is_a_groebner_basis(queue_runs):
+    # x - y and x - z both lead with x, but the ideal K they span has
+    # initial ideal <x, z>.  A target read off the raw leads would be xy
+    # alone, which the first t-free lead covers: that stop would lose
+    # y*z - y^2.  So these generators give no target, and the Groebner
+    # basis x - z, z - y of K gives in(<y>) met with <x, z>.
+    x, y, z = var(1, 1), var(2, 1), var(2, 2)
+    raw = IdealPresentation((x - y, x - z))
+    assert not is_groebner(raw.generators)
+    assert is_groebner([x - z, z - y])
+    for K in (raw, IdealPresentation((x - z, z - y))):
+        ideals = [IdealPresentation((y,)), IdealPresentation((y,)), K]
+        expected = left_fold(ideals)
+        assert expected == [y * z - y * y, x * y - y * y]
+        del queue_runs[:]
+        assert intersect_many(ideals) == expected
+        target = queue_runs[-1][0]
+        assert target == (None if K is raw else {mono((1, 1), (2, 1)), mono((2, 1), (2, 2))})
+
+
+_x, _y, _z = var(1, 1), var(2, 2), var(3, 3)
+
+# every meet ties, so the fold meets <x^2> or <x> with <y> first
+NOT_SQUAREFREE = {"in the meet": (_x * _x, _y, _z), "in the added ideal": (_x, _y, _z * _z)}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SQUAREFREE))
+def test_a_lead_that_is_not_squarefree_gets_no_target(case, queue_runs):
+    ideals = [IdealPresentation((f,)) for f in NOT_SQUAREFREE[case]]
+    expected = left_fold(ideals)
+    del queue_runs[:]
+    assert intersect_many(ideals) == expected
+    assert [target for target, _, _ in queue_runs] == [None, None]
 
 
 def admitted_single_conditions(n):
