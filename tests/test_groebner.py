@@ -1187,13 +1187,19 @@ ORDER_CASES = (
 )
 
 
+def left_fold(ideals):
+    """The basis of two-ideal ``intersect`` calls, folded left: two ideals
+    are met as given."""
+    left = ideals[0]
+    for ideal in ideals[1:]:
+        left = IdealPresentation(tuple(intersect(left, ideal)))
+    return list(left.generators)
+
+
 @pytest.mark.parametrize("texts", ORDER_CASES, ids=" | ".join)
 def test_intersect_many_gives_the_same_basis_in_every_order(texts):
     ideals = [ideal_of(spec_of(t)) for t in texts]
-    left = ideals[0]
-    for ideal in ideals[1:]:  # two ideals are met as given
-        left = IdealPresentation(tuple(intersect(left, ideal)))
-    meet = list(left.generators)
+    meet = left_fold(ideals)
     assert meet
     for order in permutations(ideals):
         assert intersect_many(order) == meet
@@ -1329,14 +1335,6 @@ def queue_runs(monkeypatch):
     monkeypatch.setattr(groebner, "_s_poly", counted)
     monkeypatch.setattr(groebner, "_complete", spied)
     return runs
-
-
-def left_fold(ideals):
-    """The basis of two-ideal ``intersect`` calls, folded left."""
-    left = ideals[0]
-    for ideal in ideals[1:]:
-        left = IdealPresentation(tuple(intersect(left, ideal)))
-    return list(left.generators)
 
 
 @pytest.mark.parametrize("texts", POOL_TRIPLES + seeded_triples(53, 5, 2, size=4), ids=" | ".join)
